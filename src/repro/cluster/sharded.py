@@ -35,6 +35,7 @@ idempotent (sketch merges are register-max, drops are pops), so
 
 from __future__ import annotations
 
+import contextlib
 import pathlib
 import shutil
 from dataclasses import dataclass
@@ -162,6 +163,7 @@ class ShardedStore:
         store._fsync = fsync
         store._auto_compact_bytes = auto_compact_bytes
         store._shards: "list[SketchStore]" = []
+        store._depth = 0  # open batch() scopes
         meta = read_meta(store._root)
         if meta is None:
             if shards is None:
@@ -284,18 +286,43 @@ class ShardedStore:
             self._counters[index].inc()
         return self
 
+    @contextlib.contextmanager
+    def batch(self) -> "Iterator[ShardedStore]":
+        """Group every write inside the scope into one commit per shard.
+
+        Enters every shard's :meth:`SketchStore.batch`: on exit each shard
+        that received records commits them with one WAL write and, with
+        ``fsync=True``, one fsync. Shards commit independently, so a crash
+        in the middle leaves each shard a record-granular prefix of its
+        part. A scope left by an exception writes nothing, reads inside
+        it see the state from before it, and :meth:`compact` or
+        :meth:`rebalance` inside it raise.
+        """
+        with contextlib.ExitStack() as scopes:
+            for shard in self._shards:
+                scopes.enter_context(shard.batch())
+            self._depth += 1
+            try:
+                yield self
+            finally:
+                self._depth -= 1
+
     def add_batch(
         self, groups: "Iterable[Hashable]", items: Any
     ) -> "ShardedStore":
         """Scatter one ``(groups, items)`` batch across the shards.
 
         One vectorised hash + scatter pass (the aggregator's shared front
-        end), then each per-group segment routes to its owning shard as a
-        single WAL record.
+        end), then each per-group segment routes to its owning shard as
+        one WAL record, all inside one :meth:`batch`. The batch is
+        acknowledged after one commit per shard that received records:
+        one WAL write and, with ``fsync=True``, one fsync. A crash in the
+        middle leaves each shard a record-granular prefix of its part.
         """
         scratch = DistinctCountAggregator(*self._meta.config)
-        for key, hashes in scratch._segments(groups, items):
-            self.append_hashes(key, hashes)
+        with self.batch():
+            for key, hashes in scratch._segments(groups, items):
+                self.append_hashes(key, hashes)
         return self
 
     def merge_sketch(self, group: Hashable, sketch) -> "ShardedStore":
@@ -411,6 +438,8 @@ class ShardedStore:
         serving routed reads/writes under the *new* fan-out when this
         returns.
         """
+        if self._depth:
+            raise ValueError("rebalance() inside an open batch() scope")
         if new_shards < 1:
             raise ValueError(f"shards must be >= 1, got {new_shards}")
         if new_shards == len(self._shards):

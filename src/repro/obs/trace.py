@@ -25,7 +25,7 @@ Usage::
 
     from repro.obs import trace
 
-    with trace.span("store.append", group="DE", batch=8192):
+    with trace.span("store.commit", records=700, bytes=20480):
         ...
 """
 

@@ -30,6 +30,7 @@ read-only :meth:`SketchStore.open`) can serve queries from the replica.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import pathlib
 import time
@@ -126,6 +127,7 @@ class FollowerStore:
         follower._aggregator = None
         follower._generation = None
         follower._applied_lsn = 0
+        follower._failed = False
         follower._directory.mkdir(parents=True, exist_ok=True)
         generation = latest_generation(follower._directory)
         if generation is not None:
@@ -258,6 +260,12 @@ class FollowerStore:
         """
         if self._aggregator is None:
             raise ValueError("follower is uninitialised (no snapshot installed)")
+        if self._failed:
+            raise ValueError(
+                f"follower at {self._directory} stopped after a failed WAL "
+                "append; reopen it with FollowerStore.open() to recover its "
+                "durable prefix"
+            )
         if lsn <= self._applied_lsn:
             return False
         if lsn != self._applied_lsn + 1:
@@ -267,11 +275,20 @@ class FollowerStore:
             )
         buffer = bytearray()
         write_lsn_record(buffer, lsn, kind, key, payload)
-        self._wal_handle.write(buffer)
-        self._wal_handle.flush()
-        if self._fsync:
-            os.fsync(self._wal_handle.fileno())
-        apply_wal_record(self._aggregator, kind, key, payload)
+        try:
+            self._wal_handle.write(buffer)
+            self._wal_handle.flush()
+            if self._fsync:
+                os.fsync(self._wal_handle.fileno())
+            apply_wal_record(self._aggregator, kind, key, payload)
+        except BaseException:
+            # The WAL may or may not hold the record now: appending it
+            # again would log its LSN twice, so stop until a reopen.
+            self._failed = True
+            handle, self._wal_handle = self._wal_handle, None
+            with contextlib.suppress(OSError):
+                handle.close()
+            raise
         self._applied_lsn = lsn
         if _metrics.enabled():
             _BYTES_APPLIED.inc(len(buffer))

@@ -39,9 +39,27 @@ the last record it could prove durable (the *durable horizon*), and a
 :class:`~repro.store.replicate.FollowerStore` deduplicates re-shipped
 records by LSN.
 
-Durability contract: a batch is durable once its WAL record is on disk
-(``fsync=True`` forces that before ``append`` returns; the default
-leaves it to the OS like most databases in ``fsync=off`` mode).
+**One write path.** Every record — :meth:`~SketchStore.append_hashes`,
+:meth:`~SketchStore.merge_sketch`, :meth:`~SketchStore.drop_group`,
+:meth:`~SketchStore.append_cutover` — is validated, then staged with its
+LSN. A *commit* writes every staged record with one ``write`` (and, with
+``fsync=True``, one ``os.fsync``), appends their WAL-index entries in one
+write, then applies them to memory through :func:`apply_wal_record`, so
+the writer folds exactly what recovery replays. A single call is a
+commit of one record; ``with store.batch():`` groups every record
+written inside it into one commit.
+
+Commit rule: a batch is acknowledged after one fsync (a
+:class:`~repro.cluster.ShardedStore` batch: one per shard that received
+records; the default ``fsync=False`` leaves syncing to the OS like most
+databases in ``fsync=off`` mode). A crash in the middle of a batch
+leaves a record-granular prefix of it per shard: every complete record
+replays, a torn final one is cut away. Reads inside a ``batch()`` scope
+see the state from before the scope; a scope left by an exception writes
+nothing. A commit that fails (a ``write`` or ``fsync`` error) closes the
+WAL, and the store refuses writes until it is reopened, so no LSN is
+ever logged twice.
+
 :meth:`SketchStore.open` replays the WAL tail on top of the newest
 snapshot; a torn final record (crash mid-write) is truncated away —
 **unless** the store is opened with ``read_only=True``, which must never
@@ -54,6 +72,7 @@ loading garbage. :meth:`compact` folds the WAL into a fresh snapshot
 
 from __future__ import annotations
 
+import contextlib
 import os
 import pathlib
 import re
@@ -92,10 +111,11 @@ _WAL_APPEND_BYTES = _metrics.counter(
     "store.wal_append_bytes", "Bytes appended to the write-ahead log."
 )
 _WAL_APPEND_RECORDS = _metrics.counter(
-    "store.wal_append_records", "Records appended to the write-ahead log."
+    "store.wal_append_records",
+    "Records appended to the write-ahead log (each commit adds its count).",
 )
 _FSYNC_SECONDS = _metrics.histogram(
-    "store.fsync_seconds", "Per-record WAL fsync latency (fsync=True only)."
+    "store.fsync_seconds", "Per-commit WAL fsync latency (fsync=True only)."
 )
 _SNAPSHOT_SECONDS = _metrics.histogram(
     "store.snapshot_seconds", "Snapshot write duration (atomic rename incl.)."
@@ -292,6 +312,25 @@ def apply_wal_record(
         raise SerializationError(f"unknown WAL record kind {kind:#x}")
 
 
+def _check_mergeable(aggregator: DistinctCountAggregator, sketch) -> None:
+    """Raise unless :func:`_merge_sketch_into` can merge ``sketch`` here."""
+    from repro.core.exaloglog import ExaLogLog
+    from repro.core.sparse import SparseExaLogLog
+
+    if not isinstance(sketch, (ExaLogLog, SparseExaLogLog)):
+        raise TypeError(f"cannot merge a {type(sketch).__name__} into a sketch store")
+    mine = aggregator._new_sketch()
+    if sketch.params != mine.params or (
+        isinstance(sketch, SparseExaLogLog)
+        and isinstance(mine, SparseExaLogLog)
+        and sketch.v != mine.v
+    ):
+        raise ValueError(
+            f"cannot merge {sketch!r}: parameters differ from the store's "
+            f"(t, d, p, sparse, seed)={aggregator.config}"
+        )
+
+
 def _merge_sketch_into(aggregator: DistinctCountAggregator, key: bytes, sketch) -> None:
     from repro.core.sparse import SparseExaLogLog
 
@@ -323,7 +362,7 @@ class SketchStore:
     persisted configuration wins and explicitly passed parameters are
     validated against it.
 
-    ``auto_compact_bytes`` bounds the WAL: when an append pushes the log
+    ``auto_compact_bytes`` bounds the WAL: when a commit pushes the log
     past the threshold, the store compacts synchronously (snapshot write
     + fresh log), so recovery time stays proportional to the threshold,
     not to the total ingest history.
@@ -371,6 +410,10 @@ class SketchStore:
         store._read_only = read_only
         store._wal_handle = None
         store._index_writer = None
+        store._pending = []  # staged (kind, key, payload, end offset in _pending_bytes)
+        store._pending_bytes = bytearray()
+        store._depth = 0  # open batch() scopes
+        store._failed = False
         if not read_only:
             store._directory.mkdir(parents=True, exist_ok=True)
         elif not store._directory.is_dir():
@@ -491,10 +534,13 @@ class SketchStore:
                 os.fsync(handle.fileno())
             self._sync_directory()
         elif truncate_to is not None and truncate_to < os.path.getsize(path):
-            # A crash mid-append left a torn tail; recovery cuts it away.
+            # A crash mid-commit left a torn tail; recovery cuts it away and
+            # syncs the cut, so a power cut cannot bring the torn bytes back
+            # behind records appended later.
             _TORN_TAIL_RECOVERIES.inc()
             with open(path, "r+b") as handle:
                 handle.truncate(truncate_to)
+                os.fsync(handle.fileno())
         self._wal_handle = open(path, "ab")
 
     def _open_index(self, rebuild_from: list) -> None:
@@ -512,42 +558,116 @@ class SketchStore:
             finally:
                 os.close(fd)
 
-    def _append_record(self, kind: int, key: bytes, payload: bytes) -> None:
+    # -- the write path: stage, then commit ----------------------------------
+
+    def _check_writable(self) -> None:
         if self._read_only:
             raise ValueError("store is read-only")
+        if self._failed:
+            raise ValueError(
+                f"store at {self._directory} stopped after a failed WAL commit; "
+                "reopen it with SketchStore.open() to recover its durable prefix"
+            )
         if self._wal_handle is None:
             raise ValueError("store is closed")
-        lsn = self._durable_lsn + 1
-        buffer = bytearray()
-        write_lsn_record(buffer, lsn, kind, key, payload)
-        offset = self._wal_handle.tell()
-        self._wal_handle.write(buffer)
-        self._wal_handle.flush()
-        if self._fsync:
-            if _metrics.enabled():
-                started = time.perf_counter()
-                os.fsync(self._wal_handle.fileno())
-                _FSYNC_SECONDS.observe(time.perf_counter() - started)
-            else:
-                os.fsync(self._wal_handle.fileno())
-        self._durable_lsn = lsn
-        self._wal_records += 1
+
+    @contextlib.contextmanager
+    def batch(self) -> Iterator["SketchStore"]:
+        """Group every record written inside the scope into one commit.
+
+        Records are staged as they are written and committed when the
+        outermost scope exits: one WAL write, one fsync (``fsync=True``),
+        one WAL-index write, then the fold into memory. Scopes nest. A
+        scope left by an exception discards the records staged inside it
+        and writes nothing. Reads inside a scope see the state from before
+        it, and :meth:`compact` inside one raises.
+        """
+        self._check_writable()
+        records, staged_bytes = len(self._pending), len(self._pending_bytes)
+        self._depth += 1
+        try:
+            yield self
+        except BaseException:
+            del self._pending[records:]
+            del self._pending_bytes[staged_bytes:]
+            raise
+        finally:
+            self._depth -= 1
+        if not self._depth:
+            self._commit()
+
+    def _stage(self, kind: int, key: bytes, payload: bytes) -> None:
+        """Frame one validated record at the next LSN; a scope of one."""
+        with self.batch():
+            lsn = self._durable_lsn + len(self._pending) + 1
+            write_lsn_record(self._pending_bytes, lsn, kind, key, payload)
+            self._pending.append((kind, key, payload, len(self._pending_bytes)))
+
+    def _commit(self) -> None:
+        """Write, sync, index, then apply every staged record, in order."""
+        records, buffer = self._pending, self._pending_bytes
+        if not records:
+            return
+        self._pending, self._pending_bytes = [], bytearray()
+        handle = self._wal_handle
+        if handle is None:
+            raise ValueError("store is closed")
+        try:
+            with _trace.span("store.commit", records=len(records), bytes=len(buffer)):
+                offset = handle.tell()
+                handle.write(buffer)
+                handle.flush()
+                if self._fsync:
+                    if _metrics.enabled():
+                        started = time.perf_counter()
+                        os.fsync(handle.fileno())
+                        _FSYNC_SECONDS.observe(time.perf_counter() - started)
+                    else:
+                        os.fsync(handle.fileno())
+                first_lsn = self._durable_lsn + 1
+                self._durable_lsn += len(records)
+                self._wal_records += len(records)
+                # Index entries go *after* the WAL bytes are out: the index
+                # may lag the log (readers scan the unindexed tail) but must
+                # never point past it.
+                if self._index_writer is not None:
+                    entries, start = [], 0
+                    for lsn, (_, key, _, end) in enumerate(records, first_lsn):
+                        entries.append((key, lsn, offset + start, end - start))
+                        start = end
+                    self._index_writer.append_many(entries)
+                for kind, key, payload, _ in records:
+                    apply_wal_record(self._aggregator, kind, key, payload)
+        except BaseException:
+            self._fail()
+            raise
         if _metrics.enabled():
             _WAL_APPEND_BYTES.inc(len(buffer))
-            _WAL_APPEND_RECORDS.inc()
-        # The index entry goes *after* the WAL bytes are out: the index may
-        # lag the log (readers scan the unindexed tail) but must never
-        # point past it.
-        if self._index_writer is not None:
-            self._index_writer.append(key, lsn, offset, len(buffer))
+            _WAL_APPEND_RECORDS.inc(len(records))
+        self._maybe_auto_compact()
+
+    def _fail(self) -> None:
+        """Stop writing after a failed commit.
+
+        The WAL may hold some, all or none of the commit's bytes, so the
+        next free LSN is only known after a reopen replays the file:
+        close both handles and refuse every later write.
+        """
+        self._failed = True
+        handles = (self._wal_handle, self._index_writer)
+        self._wal_handle = self._index_writer = None
+        for handle in handles:
+            if handle is not None:
+                with contextlib.suppress(OSError):
+                    handle.close()
 
     def _maybe_auto_compact(self) -> None:
         """Compact when the WAL outgrew its bound.
 
-        Only called *after* a record has been both logged and applied to
+        Only called *after* a commit has been both logged and applied to
         the in-memory aggregator — compacting between the two would
-        snapshot a state missing the record while deleting the WAL that
-        held it.
+        snapshot a state missing its records while deleting the WAL that
+        held them.
         """
         if (
             self._auto_compact_bytes is not None
@@ -568,9 +688,10 @@ class SketchStore:
     def append_hashes(self, group: Hashable, hashes) -> "SketchStore":
         """Durably record pre-hashed values under ``group``; returns ``self``.
 
-        The WAL record goes to disk first; only then does the batch fold
-        into the in-memory sketch, so anything the reader can observe is
-        also recoverable.
+        The record commits alone, or with the rest of an enclosing
+        :meth:`batch`: its WAL bytes go out first, and only then does it
+        fold into the in-memory sketch, so anything a reader can observe
+        is also recoverable.
         """
         from repro.backends import as_hash_array
 
@@ -578,23 +699,18 @@ class SketchStore:
         if len(hashes) == 0:
             return self
         key = DistinctCountAggregator._group_key(group)
-        with _trace.span("store.append", batch=len(hashes)):
-            payload = hashes.astype("<u8", copy=False).tobytes()
-            self._append_record(RECORD_HASHES, key, payload)
-            sketch = self._aggregator._groups.get(key)
-            if sketch is None:
-                sketch = self._aggregator._new_sketch()
-                self._aggregator._groups[key] = sketch
-            sketch.add_hashes(hashes)
-        self._maybe_auto_compact()
+        self._stage(RECORD_HASHES, key, hashes.astype("<u8", copy=False).tobytes())
         return self
 
     def merge_sketch(self, group: Hashable, sketch) -> "SketchStore":
-        """Durably merge a whole sketch into ``group`` (bucket retirement)."""
+        """Durably merge a whole sketch into ``group`` (bucket retirement).
+
+        The sketch's type and parameters are checked before anything is
+        staged: a logged record that cannot merge would fail every replay.
+        """
+        _check_mergeable(self._aggregator, sketch)
         key = DistinctCountAggregator._group_key(group)
-        self._append_record(RECORD_SKETCH, key, sketch_to_blob(sketch))
-        _merge_sketch_into(self._aggregator, key, sketch)
-        self._maybe_auto_compact()
+        self._stage(RECORD_SKETCH, key, sketch_to_blob(sketch))
         return self
 
     def drop_group(self, group: Hashable) -> "SketchStore":
@@ -606,9 +722,7 @@ class SketchStore:
         twice).
         """
         key = DistinctCountAggregator._group_key(group)
-        self._append_record(RECORD_DROP, key, b"")
-        self._aggregator._groups.pop(key, None)
-        self._maybe_auto_compact()
+        self._stage(RECORD_DROP, key, b"")
         return self
 
     def append_cutover(self, payload: bytes) -> "SketchStore":
@@ -619,8 +733,7 @@ class SketchStore:
         the fence at exactly the LSN the rebalance wrote it, which is what
         lets a replica chain prove on which side of a cutover it stopped.
         """
-        self._append_record(RECORD_CUTOVER, b"", bytes(payload))
-        self._maybe_auto_compact()
+        self._stage(RECORD_CUTOVER, b"", bytes(payload))
         return self
 
     # -- queries --------------------------------------------------------------
@@ -702,10 +815,9 @@ class SketchStore:
         deleted — :meth:`open` always finds the newest intact snapshot
         and ignores older leftovers.
         """
-        if self._read_only:
-            raise ValueError("store is read-only")
-        if self._wal_handle is None:
-            raise ValueError("store is closed")
+        if self._depth:
+            raise ValueError("compact() inside an open batch() scope")
+        self._check_writable()
         started = time.perf_counter()
         with _trace.span("store.compact", generation=self._generation + 1):
             self._wal_handle.close()

@@ -14,9 +14,10 @@ record key and ``uvarint lsn | uvarint offset | uvarint length`` as the
 payload, behind a ``TAG_WAL_INDEX`` file header.
 
 The index is *advisory*, never authoritative: the writer appends the WAL
-record first and the index entry after, so the index can lag the WAL by
-the records of an in-flight append (or arbitrarily far after a crash — the
-writer rebuilds it on recovery, readers scan the unindexed WAL tail).
+records of a commit first and their index entries after, so the index can
+lag the WAL by the records of an in-flight commit (or arbitrarily far
+after a crash — the writer rebuilds it on recovery, readers scan the
+unindexed WAL tail).
 A reader must therefore treat the index as a verified prefix: every entry
 points at a record whose framing re-validates (CRC, key, LSN) when read
 back, and records past the last indexed one are found by a bounded tail
@@ -36,6 +37,7 @@ from repro.storage.serialization import (
     read_record_from,
     read_uvarint,
     write_record,
+    write_uvarint,
 )
 
 #: The single record kind inside an index file.
@@ -56,6 +58,17 @@ class WalIndexEntry:
         return self.offset + self.length
 
 
+def _encode_entries(
+    buffer: bytearray, entries: Iterable[tuple[bytes, int, int, int]]
+) -> None:
+    for key, lsn, offset, length in entries:
+        payload = bytearray()
+        write_uvarint(payload, lsn)
+        write_uvarint(payload, offset)
+        write_uvarint(payload, length)
+        write_record(buffer, RECORD_INDEX, key, bytes(payload))
+
+
 class WalIndexWriter:
     """Appends ``(key, lsn, offset, length)`` entries to an index file."""
 
@@ -73,15 +86,10 @@ class WalIndexWriter:
     def path(self) -> pathlib.Path:
         return self._path
 
-    def append(self, key: bytes, lsn: int, offset: int, length: int) -> None:
+    def append_many(self, entries: Iterable[tuple[bytes, int, int, int]]) -> None:
+        """Append ``(key, lsn, offset, length)`` entries with one write."""
         buffer = bytearray()
-        payload = bytearray()
-        from repro.storage.serialization import write_uvarint
-
-        write_uvarint(payload, lsn)
-        write_uvarint(payload, offset)
-        write_uvarint(payload, length)
-        write_record(buffer, RECORD_INDEX, key, bytes(payload))
+        _encode_entries(buffer, entries)
         self._handle.write(buffer)
         self._handle.flush()
 
@@ -109,16 +117,10 @@ def rebuild_wal_index(
     ever seeing a half-written index).
     """
     from repro.store.sketchstore import _file_header
-    from repro.storage.serialization import write_uvarint
 
     path = pathlib.Path(path)
     buffer = bytearray(_file_header(TAG_WAL_INDEX))
-    for key, lsn, offset, length in entries:
-        payload = bytearray()
-        write_uvarint(payload, lsn)
-        write_uvarint(payload, offset)
-        write_uvarint(payload, length)
-        write_record(buffer, RECORD_INDEX, key, bytes(payload))
+    _encode_entries(buffer, entries)
     temporary = path.with_suffix(".tmp")
     with open(temporary, "wb") as handle:
         handle.write(buffer)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 import random
 
 import pytest
@@ -13,6 +14,20 @@ from repro.core.params import make_params
 def rng() -> random.Random:
     """A deterministic RNG; reseed per test for reproducibility."""
     return random.Random(0xC0FFEE)
+
+
+@pytest.fixture
+def fsynced_inodes(monkeypatch) -> list[int]:
+    """Inode of every file ``os.fsync`` is called on, in call order."""
+    inodes: list[int] = []
+    real = os.fsync
+
+    def recording(fd):
+        inodes.append(os.fstat(fd).st_ino)
+        real(fd)
+
+    monkeypatch.setattr(os, "fsync", recording)
+    return inodes
 
 
 def random_hashes(seed: int, count: int) -> list[int]:

@@ -350,6 +350,45 @@ def build_sharded_cluster(
     return aggregator
 
 
+def build_group_commit_cluster(
+    scenario: Scenario, directory, shards: int = 3
+) -> DistinctCountAggregator:
+    """Group-commit path: ``fsync=True``, one commit per shard per run of steps.
+
+    Every run of consecutive hash and sketch steps between compactions is
+    written inside one ``cluster.batch()``, so each shard logs, fsyncs and
+    applies it as a single commit. Inside the scope no shard's durable
+    horizon moves. The returned state is what a fresh process recovers.
+    """
+    from itertools import groupby
+
+    from repro.cluster import ShardedStore
+
+    t, d, p, sparse, seed = scenario.config
+    cluster = ShardedStore.open(
+        directory, shards=shards, t=t, d=d, p=p, sparse=sparse, seed=seed, fsync=True
+    )
+    runs = groupby(scenario.steps, key=lambda step: step.op == OP_COMPACT)
+    for compacting, run in runs:
+        if compacting:
+            for _ in run:
+                cluster.compact()
+            continue
+        horizons = [shard.durable_lsn for shard in cluster.shard_stores]
+        with cluster.batch():
+            for step in run:
+                if step.op == OP_HASHES:
+                    cluster.append_hashes(step.group, step.hashes)
+                else:
+                    cluster.merge_sketch(step.group, _merge_sketch(scenario, step))
+            assert [shard.durable_lsn for shard in cluster.shard_stores] == horizons
+    cluster.close()
+    recovered = ShardedStore.open(directory)
+    aggregator = recovered.to_aggregator()
+    recovered.close()
+    return aggregator
+
+
 def build_rebalanced_cluster(
     scenario: Scenario, directory, shards: int = 3, new_shards: int = 5
 ) -> DistinctCountAggregator:

@@ -13,6 +13,7 @@ from tests.invariants.harness import (
     build_bulk,
     build_fast_backend,
     build_follower,
+    build_group_commit_cluster,
     build_instrumented,
     build_memmap_registers,
     build_parallel,
@@ -79,6 +80,15 @@ def test_sharded_cluster_matches_scalar(scenario, reference, tmp_path):
     assert_identical(reference, clustered, "sharded cluster vs add_hash")
     assert clustered.estimates() == reference.estimates(), (
         "cluster estimates drifted from the single-store floats"
+    )
+
+
+def test_group_commit_cluster_matches_scalar(scenario, reference, tmp_path):
+    """One commit per shard per batch changes no register byte or float."""
+    committed = build_group_commit_cluster(scenario, tmp_path / "cluster")
+    assert_identical(reference, committed, "group-commit cluster vs add_hash")
+    assert committed.estimates() == reference.estimates(), (
+        "group-commit estimates drifted from the single-store floats"
     )
 
 
