@@ -7,7 +7,7 @@ without the correction at p = 4 (where the effect is visible).
 
 from _common import record_rows, run_once
 
-from repro.core.batch import exaloglog_state
+from repro.backends import exaloglog_state
 from repro.core.mlestimation import compute_coefficients, estimate_from_coefficients
 from repro.core.params import make_params
 from repro.experiments.common import env_int

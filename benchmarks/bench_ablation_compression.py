@@ -8,9 +8,9 @@ entropy is computable.
 
 from _common import record_rows, run_once
 
+from repro.backends import exaloglog_state
 from repro.compression.codec import compress_registers
 from repro.compression.entropy import theoretical_compressed_bytes
-from repro.core.batch import exaloglog_state
 from repro.core.params import make_params
 from repro.simulation.rng import numpy_generator, random_hashes
 from repro.theory.mvp import mvp_ml_compressed, mvp_ml_dense

@@ -11,7 +11,7 @@ import time
 import pytest
 from _common import record_rows, run_once
 
-from repro.core.batch import exaloglog_state
+from repro.backends import exaloglog_state
 from repro.core.mlestimation import compute_coefficients
 from repro.core.params import make_params
 from repro.estimation.newton import solve_ml_equation, solve_ml_equation_bisection

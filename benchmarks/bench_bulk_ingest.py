@@ -5,8 +5,7 @@ Measures items/sec per sketch at ``n in {1e4, 1e6, 1e7}`` (quick mode:
 (``add_batch`` over a NumPy integer array, which includes vectorised
 Murmur3 hashing), plus the kernel-backend section: the reference NumPy
 fold against :class:`repro.backends.FastBulkBackend` (cache-blocked,
-workspace-reusing — and the numba JIT where installed), single core,
-bit-identity asserted per measurement. Results go to
+workspace-reusing), single core, bit-identity asserted per measurement. Results go to
 ``BENCH_bulk_ingest.json`` and a text table under ``benchmarks/output/``.
 
 The headline check: ExaLogLog bulk ingestion must be >= 10x the scalar
@@ -101,8 +100,8 @@ def bench_sketch(name: str, factory, hashes: np.ndarray) -> dict:
 
 
 def bench_fast_backend(hashes: np.ndarray) -> list[dict]:
-    """Reference NumPy kernels vs the blocked/JIT backend, single core."""
-    from repro.backends import HAVE_NUMBA, FastBulkBackend
+    """Reference NumPy kernels vs the blocked backend, single core."""
+    from repro.backends import FastBulkBackend
     from repro.backends.bulk import reference_exaloglog_registers
 
     n = len(hashes)
@@ -116,9 +115,7 @@ def bench_fast_backend(hashes: np.ndarray) -> list[dict]:
         reference_seconds = min(reference_seconds, time.perf_counter() - start)
     reference_rate = _rate(reference_seconds, n)
 
-    backends = [("fast (numpy blocked)", FastBulkBackend(jit=False))]
-    if HAVE_NUMBA:
-        backends.append(("numba JIT", FastBulkBackend(jit=True, name="numba")))
+    backends = [("fast (numpy blocked)", FastBulkBackend())]
     rows = [
         {
             "sketch": "backend: reference numpy fold",
@@ -130,7 +127,7 @@ def bench_fast_backend(hashes: np.ndarray) -> list[dict]:
         }
     ]
     for label, backend in backends:
-        backend.fold(hashes[: max(1, n // 100)], params)  # warm (JIT compiles)
+        backend.fold(hashes[: max(1, n // 100)], params)  # warm
         seconds = float("inf")
         for _ in range(BULK_ROUNDS):
             start = time.perf_counter()

@@ -34,6 +34,7 @@ which ``bytes.fromhex`` recovers the canonical key exactly::
 
 from __future__ import annotations
 
+from types import MappingProxyType
 from typing import Any, Hashable, Iterable, Iterator, Mapping
 
 from repro.core.exaloglog import ExaLogLog
@@ -51,12 +52,65 @@ from repro.storage.serialization import (
 TAG_AGGREGATOR = 0x30
 
 
+def segment(
+    groups: "Iterable[Hashable]", items: Any, seed: int
+) -> list[tuple[bytes, Any]]:
+    """One batch's per-group hash segments: ``(canonical key, hashes)``.
+
+    One vectorised hash pass over ``items``, then a factorise + stable
+    sort scatter; the shared front end of the in-memory, sharded and
+    spilled GROUP BY paths. Segments come in first-appearance order of
+    their group, each holding its rows' hashes in input order.
+    """
+    import numpy as np
+
+    from repro.hashing.batch import hash_items
+
+    hashes = hash_items(items, seed)
+    # ndarray.tolist() yields Python scalars, which the canonical
+    # to_bytes key encoding accepts (NumPy scalars are not ints).
+    groups = groups.tolist() if isinstance(groups, np.ndarray) else list(groups)
+    if len(groups) != len(hashes):
+        raise ValueError(
+            f"group/item length mismatch: {len(groups)} vs {len(hashes)}"
+        )
+    if not groups:
+        return []
+    # Factorise group keys to integer codes (first-appearance order).
+    keys: list[bytes] = []
+    code_of: dict[bytes, int] = {}
+    codes = np.empty(len(groups), dtype=np.int64)
+    for position, group in enumerate(groups):
+        key = to_bytes(group)
+        code = code_of.get(key)
+        if code is None:
+            code = len(keys)
+            code_of[key] = code
+            keys.append(key)
+        codes[position] = code
+    # Scatter: stable sort by code, then one slice per segment.
+    order = np.argsort(codes, kind="stable")
+    sorted_codes = codes[order]
+    boundaries = np.flatnonzero(np.diff(sorted_codes)) + 1
+    starts = np.concatenate(([0], boundaries))
+    ends = np.concatenate((boundaries, [len(order)]))
+    return [
+        (keys[int(sorted_codes[start])], hashes[order[start:end]])
+        for start, end in zip(starts.tolist(), ends.tolist())
+    ]
+
+
 class DistinctCountAggregator:
     """Per-group approximate distinct counting with mergeable state.
 
     Parameters mirror :class:`~repro.core.exaloglog.ExaLogLog`;
     ``sparse=True`` (default) starts every group in token mode so that
     aggregations with many small groups stay small (Sec. 4.3's motivation).
+
+    The aggregator is the only owner of its group map. Every layer that
+    keeps group state in one (store, reader, follower, cluster, spill)
+    changes it through :meth:`fold`, :meth:`merge_sketch` and
+    :meth:`drop_group`, and reads it through :meth:`sketches`.
     """
 
     __slots__ = ("_d", "_groups", "_p", "_seed", "_sparse", "_t")
@@ -85,7 +139,15 @@ class DistinctCountAggregator:
 
     @staticmethod
     def _group_key(group: Hashable) -> bytes:
+        """``group``'s canonical key, :func:`repro.hashing.to_bytes`."""
         return to_bytes(group)
+
+    def _sketch(self, key: bytes) -> ExaLogLog | SparseExaLogLog:
+        """``key``'s sketch, created empty on first use (the one get-or-create)."""
+        sketch = self._groups.get(key)
+        if sketch is None:
+            sketch = self._groups[key] = self._new_sketch()
+        return sketch
 
     @staticmethod
     def decode_key(key: bytes) -> str:
@@ -104,11 +166,6 @@ class DistinctCountAggregator:
         return decoded if decoded.isprintable() else key.hex()
 
     @property
-    def _config(self) -> tuple[int, int, int, bool, int]:
-        """The (t, d, p, sparse, seed) tuple shard workers rebuild from."""
-        return (self._t, self._d, self._p, self._sparse, self._seed)
-
-    @property
     def config(self) -> tuple[int, int, int, bool, int]:
         """The ``(t, d, p, sparse, seed)`` configuration tuple.
 
@@ -116,41 +173,13 @@ class DistinctCountAggregator:
         sources with equal configurations hold mergeable, comparable
         sketches.
         """
-        return self._config
-
-    @classmethod
-    def _from_keyed_hashes(
-        cls,
-        config: tuple[int, int, int, bool, int],
-        keyed_hashes: "Iterable[tuple[bytes, Any]]",
-    ) -> "DistinctCountAggregator":
-        """Build a fresh aggregator from ``(canonical key, hash array)`` pairs.
-
-        The partial-aggregator constructor of the sharded path (see
-        :mod:`repro.parallel.shard`): each group's sketch is fed its hash
-        segment through the bulk path, exactly as the sequential scatter
-        would.
-        """
-        t, d, p, sparse, seed = config
-        aggregator = cls(t, d, p, sparse, seed)
-        for key, hashes in keyed_hashes:
-            sketch = aggregator._groups.get(key)
-            if sketch is None:
-                sketch = aggregator._new_sketch()
-                aggregator._groups[key] = sketch
-            sketch.add_hashes(hashes)
-        return aggregator
+        return (self._t, self._d, self._p, self._sparse, self._seed)
 
     # -- accumulation ----------------------------------------------------------
 
     def add(self, group: Hashable, item: Any) -> "DistinctCountAggregator":
         """Record ``item`` under ``group``; returns ``self``."""
-        key = self._group_key(group)
-        sketch = self._groups.get(key)
-        if sketch is None:
-            sketch = self._new_sketch()
-            self._groups[key] = sketch
-        sketch.add_hash(hash64(item, self._seed))
+        self._sketch(to_bytes(group)).add_hash(hash64(item, self._seed))
         return self
 
     def add_pairs(self, pairs: Iterable[tuple[Hashable, Any]]) -> "DistinctCountAggregator":
@@ -169,52 +198,6 @@ class DistinctCountAggregator:
             groups, items = zip(*chunk)
             self.add_batch(groups, list(items))
         return self
-
-    def _segments(
-        self, groups: "Iterable[Hashable]", items: Any
-    ) -> list[tuple[bytes, Any]]:
-        """One batch's per-group hash segments: ``(canonical key, hashes)``.
-
-        One vectorised hash pass over ``items``, then a factorise + stable
-        sort scatter; the shared front end of the in-memory, sharded and
-        spilled GROUP BY paths.
-        """
-        import numpy as np
-
-        from repro.hashing.batch import hash_items
-
-        hashes = hash_items(items, self._seed)
-        # ndarray.tolist() yields Python scalars, which the canonical
-        # to_bytes key encoding accepts (NumPy scalars are not ints).
-        groups = groups.tolist() if isinstance(groups, np.ndarray) else list(groups)
-        if len(groups) != len(hashes):
-            raise ValueError(
-                f"group/item length mismatch: {len(groups)} vs {len(hashes)}"
-            )
-        if not groups:
-            return []
-        # Factorise group keys to integer codes (first-appearance order).
-        keys: list[bytes] = []
-        code_of: dict[bytes, int] = {}
-        codes = np.empty(len(groups), dtype=np.int64)
-        for position, group in enumerate(groups):
-            key = self._group_key(group)
-            code = code_of.get(key)
-            if code is None:
-                code = len(keys)
-                code_of[key] = code
-                keys.append(key)
-            codes[position] = code
-        # Scatter: stable sort by code, then one bulk insert per segment.
-        order = np.argsort(codes, kind="stable")
-        sorted_codes = codes[order]
-        boundaries = np.flatnonzero(np.diff(sorted_codes)) + 1
-        starts = np.concatenate(([0], boundaries))
-        ends = np.concatenate((boundaries, [len(order)]))
-        return [
-            (keys[int(sorted_codes[start])], hashes[order[start:end]])
-            for start, end in zip(starts.tolist(), ends.tolist())
-        ]
 
     def add_batch(
         self,
@@ -247,15 +230,15 @@ class DistinctCountAggregator:
         ``workers`` composes: the segments are forwarded for a parallel
         spill write (shard workers appending their own partition files).
         """
-        segments = self._segments(groups, items)
+        segments = segment(groups, items, self._seed)
         if not segments:
             return self
         if spill is not None:
             spill_config = getattr(spill, "config", None)
-            if spill_config is not None and spill_config != self._config:
+            if spill_config is not None and spill_config != self.config:
                 raise ValueError(
                     f"spill target configuration {spill_config} differs from "
-                    f"aggregator configuration {self._config}"
+                    f"aggregator configuration {self.config}"
                 )
             if workers is not None and workers > 1 and len(segments) > 1:
                 spill.write_segments(segments, workers=workers)
@@ -265,15 +248,61 @@ class DistinctCountAggregator:
         if workers is not None and workers > 1 and len(segments) > 1:
             from repro.parallel import parallel_group_fold
 
-            for partial in parallel_group_fold(self._config, segments, workers):
+            for partial in parallel_group_fold(self.config, segments, workers):
                 self.merge_inplace(partial)
             return self
         for key, segment_hashes in segments:
-            sketch = self._groups.get(key)
-            if sketch is None:
-                sketch = self._new_sketch()
-                self._groups[key] = sketch
-            sketch.add_hashes(segment_hashes)
+            self.fold(key, segment_hashes)
+        return self
+
+    def fold(self, group: Hashable, hashes) -> "DistinctCountAggregator":
+        """Fold pre-hashed values into ``group``'s sketch; returns ``self``.
+
+        The bulk write every ingest path shares: the batch scatter above,
+        WAL replay, spill partition merges and the sharded partial
+        builders. The group's sketch is created on first use.
+        """
+        self._sketch(to_bytes(group)).add_hashes(hashes)
+        return self
+
+    def check_mergeable(self, sketch) -> None:
+        """Raise unless :meth:`merge_sketch` can merge ``sketch`` here.
+
+        ``TypeError`` for anything but a dense or sparse ExaLogLog,
+        ``ValueError`` when its parameters (or a sparse sketch's token
+        parameter ``v``) differ from this aggregator's.
+        """
+        if not isinstance(sketch, (ExaLogLog, SparseExaLogLog)):
+            raise TypeError(f"cannot merge a {type(sketch).__name__} into an aggregator")
+        mine = self._new_sketch()
+        if sketch.params != mine.params or (
+            isinstance(sketch, SparseExaLogLog)
+            and isinstance(mine, SparseExaLogLog)
+            and sketch.v != mine.v
+        ):
+            raise ValueError(
+                f"cannot merge {sketch!r}: parameters differ from the aggregator's "
+                f"(t, d, p, sparse, seed)={self.config}"
+            )
+
+    def merge_sketch(self, group: Hashable, sketch) -> "DistinctCountAggregator":
+        """Merge a whole sketch into ``group`` (Algorithm 5); returns ``self``.
+
+        ``sketch`` passes :meth:`check_mergeable` first and is left
+        unchanged. An unseen group starts as an empty sketch in this
+        aggregator's own representation, so later merges and
+        serialization stay uniform.
+        """
+        self.check_mergeable(sketch)
+        mine = self._sketch(to_bytes(group))
+        if not isinstance(mine, SparseExaLogLog) and isinstance(sketch, SparseExaLogLog):
+            sketch = sketch.copy().densify()
+        mine.merge_inplace(sketch)
+        return self
+
+    def drop_group(self, group: Hashable) -> "DistinctCountAggregator":
+        """Remove ``group``'s sketch (a no-op for unseen groups); returns ``self``."""
+        self._groups.pop(to_bytes(group), None)
         return self
 
     # -- queries -----------------------------------------------------------------
@@ -282,15 +311,24 @@ class DistinctCountAggregator:
         return len(self._groups)
 
     def __contains__(self, group: Hashable) -> bool:
-        return self._group_key(group) in self._groups
+        return to_bytes(group) in self._groups
 
     def groups(self) -> Iterator[bytes]:
         """The observed group keys (canonical byte form)."""
         return iter(self._groups)
 
+    def sketches(self) -> Mapping[bytes, ExaLogLog | SparseExaLogLog]:
+        """Read-only live ``key → sketch`` mapping, in insertion order.
+
+        No copies: scans of the query plane and the cluster's gathered
+        solve read every sketch through it. Callers must not mutate the
+        sketches; :meth:`group_sketch` hands out a private copy.
+        """
+        return MappingProxyType(self._groups)
+
     def estimate(self, group: Hashable) -> float:
         """Distinct-count estimate for one group (0 for unseen groups)."""
-        sketch = self._groups.get(self._group_key(group))
+        sketch = self._groups.get(to_bytes(group))
         return sketch.estimate() if sketch is not None else 0.0
 
     def group_sketch(self, group: Hashable):
@@ -300,7 +338,7 @@ class DistinctCountAggregator:
         callers may merge the result in place without affecting this
         aggregator's state.
         """
-        sketch = self._groups.get(self._group_key(group))
+        sketch = self._groups.get(to_bytes(group))
         return sketch.copy() if sketch is not None else None
 
     def estimates(self) -> dict[bytes, float]:
@@ -360,7 +398,7 @@ class DistinctCountAggregator:
             raise TypeError(
                 f"cannot merge DistinctCountAggregator with {type(other).__name__}"
             )
-        if self._config != other._config:
+        if self.config != other.config:
             raise ValueError("aggregator configurations differ")
         for key, sketch in other._groups.items():
             mine = self._groups.get(key)
@@ -469,7 +507,7 @@ class DistinctCountAggregator:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DistinctCountAggregator):
             return NotImplemented
-        return self._config == other._config and self._groups == other._groups
+        return self.config == other.config and self._groups == other._groups
 
     def __repr__(self) -> str:
         return (

@@ -1,7 +1,7 @@
 """Vectorised bulk-ingest backends (the family-wide NumPy fast path).
 
 Promotes the exact NumPy bulk machinery that used to live private to the
-simulation harness (``repro.core.batch``) into a first-class layer: the
+simulation harness into a first-class layer: the
 :class:`~repro.backends.protocol.BulkBackend` protocol, bit primitives,
 and per-sketch state builders. Every sketch's ``add_hashes`` routes
 through here; the contract is that bulk state equals the sequential
@@ -35,7 +35,7 @@ from repro.backends.bulk import (
     token_hashes,
     tokenize_hashes,
 )
-from repro.backends.fast import HAVE_NUMBA, FastBulkBackend, pick_chunk
+from repro.backends.fast import FastBulkBackend, pick_chunk
 from repro.backends.protocol import BulkBackend, scalar_add_hashes, supports_bulk
 from repro.backends.select import (
     active_backend,
@@ -48,7 +48,6 @@ __all__ = [
     "BULK_CHUNK",
     "BulkBackend",
     "FastBulkBackend",
-    "HAVE_NUMBA",
     "ReferenceBulkBackend",
     "active_backend",
     "as_hash_array",

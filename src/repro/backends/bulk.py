@@ -186,7 +186,6 @@ class ReferenceBulkBackend:
 
     __slots__ = ()
     name = "numpy"
-    jit = False
 
     def fold(self, hashes, params: ExaLogLogParams) -> np.ndarray:
         return reference_exaloglog_registers(hashes, params)

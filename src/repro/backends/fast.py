@@ -1,4 +1,4 @@
-"""Cache-blocked / JIT kernel backend for the ExaLogLog fold and merge.
+"""Cache-blocked kernel backend for the ExaLogLog fold and merge.
 
 Same math as :mod:`repro.backends.bulk` — Algorithm 2 set-wise, Algorithm 5
 merge — restructured for raw speed:
@@ -15,13 +15,8 @@ merge — restructured for raw speed:
   registers amortise scatter setup, large registers amortise the merge.
   Chunk folds merge exactly (Algorithm 5), so blocking never changes the
   result.
-* **Optional Numba JIT.** When ``numba`` is importable, single-pass scalar
-  kernels (split + update fused per hash, no intermediate arrays at all)
-  replace the NumPy pipeline. Auto-detected at import; the pure-NumPy
-  blocked path is the default elsewhere and the JIT is *required* only
-  for the explicit ``"numba"`` backend name.
 
-Every path keeps the library's core contract: results are bit-identical
+The backend keeps the library's core contract: results are bit-identical
 to the scalar ``add_hash`` loop (asserted by ``tests/invariants``).
 """
 
@@ -35,14 +30,6 @@ from repro.backends.bitops import as_hash_array
 from repro.core.params import ExaLogLogParams
 
 _U64 = np.uint64
-
-try:  # pragma: no cover - absent in the pinned environment
-    import numba as _numba
-except Exception:  # pragma: no cover
-    _numba = None
-
-#: Whether the JIT kernels are available on this interpreter.
-HAVE_NUMBA = _numba is not None
 
 
 def pick_chunk(m: int) -> int:
@@ -149,109 +136,13 @@ def _fold_pairs(
     return u
 
 
-# -- Numba kernels (compiled only where numba is importable) -------------------
-
-if HAVE_NUMBA:  # pragma: no cover - exercised only where numba is installed
-
-    @_numba.njit(cache=True)
-    def _jit_update(registers, i, k, d, implicit, window_mask):
-        r = registers[i]
-        u = r >> d
-        if k > u:
-            delta = k - u
-            if delta > d + 1:
-                delta = d + 1  # larger shifts always yield 0 (and overflow C)
-            registers[i] = (k << d) + ((implicit + (r & window_mask)) >> delta)
-        elif k < u:
-            position = d - u + k
-            if position >= 0:
-                registers[i] = r | (np.int64(1) << position)
-
-    @_numba.njit(cache=True)
-    def _jit_fold(hashes, t, p, d, m):
-        registers = np.zeros(m, dtype=np.int64)
-        shift_t = np.uint64(t)
-        index_mask = np.uint64(m - 1)
-        pad = np.uint64((1 << (p + t)) - 1)
-        low_mask = np.uint64((1 << t) - 1)
-        top = np.uint64(1) << np.uint64(63)
-        zero = np.uint64(0)
-        one = np.uint64(1)
-        implicit = np.int64(1) << d
-        window_mask = implicit - 1
-        for position in range(hashes.shape[0]):
-            h = hashes[position]
-            i = np.int64((h >> shift_t) & index_mask)
-            x = h | pad
-            nlz = 0
-            while x & top == zero:
-                x = x << one
-                nlz += 1
-            k = (nlz << t) + np.int64(h & low_mask) + 1
-            _jit_update(registers, i, k, d, implicit, window_mask)
-        return registers
-
-    @_numba.njit(cache=True)
-    def _jit_pairs(index, k, d, m):
-        registers = np.zeros(m, dtype=np.int64)
-        implicit = np.int64(1) << d
-        window_mask = implicit - 1
-        for position in range(index.shape[0]):
-            _jit_update(
-                registers, index[position], k[position], d, implicit, window_mask
-            )
-        return registers
-
-    @_numba.njit(cache=True)
-    def _jit_merge(r1, r2, d):
-        out = np.empty(r1.shape[0], dtype=np.int64)
-        implicit = np.int64(1) << d
-        window_mask = implicit - 1
-        for i in range(r1.shape[0]):
-            a = r1[i]
-            b = r2[i]
-            u1 = a >> d
-            u2 = b >> d
-            if u1 > u2 and u2 > 0:
-                delta = u1 - u2
-                if delta > d + 1:
-                    delta = d + 1
-                out[i] = a | ((implicit + (b & window_mask)) >> delta)
-            elif u2 > u1 and u1 > 0:
-                delta = u2 - u1
-                if delta > d + 1:
-                    delta = d + 1
-                out[i] = b | ((implicit + (a & window_mask)) >> delta)
-            else:
-                out[i] = a | b
-        return out
-
-else:
-    _jit_fold = _jit_pairs = _jit_merge = None
-
-
 class FastBulkBackend:
-    """Blocked/JIT kernel backend (bit-identical to the reference).
+    """Cache-blocked kernel backend (bit-identical to the reference)."""
 
-    Parameters
-    ----------
-    jit:
-        ``None`` auto-detects numba (the default for the ``"fast"``
-        name); ``True`` requires it (the ``"numba"`` name); ``False``
-        forces the pure-NumPy blocked path even where numba exists.
-    name:
-        The registry name this instance reports.
-    """
+    __slots__ = ()
 
-    __slots__ = ("jit", "name")
-
-    def __init__(self, jit: bool | None = None, name: str = "fast") -> None:
-        if jit and not HAVE_NUMBA:
-            raise RuntimeError(
-                "the numba JIT backend was requested but numba is not importable"
-            )
-        self.jit = HAVE_NUMBA if jit is None else bool(jit)
-        self.name = name
+    #: The registry name (:func:`repro.backends.set_backend`).
+    name = "fast"
 
     def fold(self, hashes, params: ExaLogLogParams) -> np.ndarray:
         """Fresh register array for a hash batch (= ``exaloglog_registers``)."""
@@ -259,10 +150,6 @@ class FastBulkBackend:
         n = len(hashes)
         if n == 0:
             return np.zeros(params.m, dtype=np.int64)
-        if self.jit:
-            return _jit_fold(
-                np.ascontiguousarray(hashes), params.t, params.p, params.d, params.m
-            )
         chunk = pick_chunk(params.m)
         workspace = _workspace(min(chunk, n))
         registers = None
@@ -282,8 +169,6 @@ class FastBulkBackend:
         """Fold explicit pairs (= ``exaloglog_registers_from_pairs``)."""
         index = np.ascontiguousarray(index, dtype=np.int64).reshape(-1)
         k = np.ascontiguousarray(k, dtype=np.int64).reshape(-1)
-        if self.jit:
-            return _jit_pairs(index, k, params.d, params.m)
         n = len(index)
         if n == 0:
             return np.zeros(params.m, dtype=np.int64)
@@ -308,10 +193,6 @@ class FastBulkBackend:
         """Vectorised Algorithm 5 (= ``merge_exaloglog_registers``)."""
         r1 = np.asarray(existing, dtype=np.int64)
         r2 = np.asarray(batch, dtype=np.int64)
-        if self.jit:
-            return _jit_merge(
-                np.ascontiguousarray(r1), np.ascontiguousarray(r2), d
-            )
         out = np.bitwise_or(r1, r2)
         u1 = np.right_shift(r1, np.int64(d))
         u2 = np.right_shift(r2, np.int64(d))
@@ -334,4 +215,4 @@ class FastBulkBackend:
         return out
 
     def __repr__(self) -> str:
-        return f"FastBulkBackend(jit={self.jit}, name={self.name!r})"
+        return "FastBulkBackend()"

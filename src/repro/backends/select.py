@@ -10,18 +10,12 @@ for speed but never results — every backend is bit-identical to the scalar
     The reference implementation (:mod:`repro.backends.bulk`), default.
 ``fast``
     :class:`repro.backends.fast.FastBulkBackend` — cache-blocked chunking
-    with preallocated per-thread workspaces (no per-chunk temporaries),
-    plus Numba JIT kernels when ``numba`` is importable (auto-detected;
-    pure NumPy otherwise).
-``numba``
-    The same backend with the JIT *required*; selecting it without numba
-    installed raises.
+    with preallocated per-thread workspaces (no per-chunk temporaries).
 
 Selection is programmatic (:func:`set_backend`, :func:`use_backend`) or via
 the ``REPRO_BACKEND`` environment variable, read once at import. An unknown
-or unavailable env value warns and falls back to the reference backend
-instead of breaking imports (CI sets the variable globally; a matrix leg
-without numba must still collect).
+env value warns and falls back to the reference backend instead of
+breaking imports (CI sets the variable globally).
 """
 
 from __future__ import annotations
@@ -47,23 +41,14 @@ def _make_backend(name: str):
         from repro.backends.fast import FastBulkBackend
 
         return FastBulkBackend()
-    if name == "numba":
-        from repro.backends.fast import FastBulkBackend
-
-        return FastBulkBackend(jit=True, name="numba")
     raise ValueError(
         f"unknown backend {name!r}; available: {available_backends()}"
     )
 
 
 def available_backends() -> list[str]:
-    """Backend names accepted by :func:`set_backend` on this machine."""
-    from repro.backends.fast import HAVE_NUMBA
-
-    names = ["numpy", "fast"]
-    if HAVE_NUMBA:
-        names.append("numba")
-    return names
+    """Backend names accepted by :func:`set_backend`."""
+    return ["numpy", "fast"]
 
 
 def active_backend():
@@ -81,10 +66,8 @@ def active_backend():
 def set_backend(backend):
     """Select the kernel backend; returns the now-active backend object.
 
-    ``backend`` is a name (``"numpy"``, ``"fast"``, ``"numba"``) or an
-    object implementing ``fold`` / ``registers_from_pairs`` /
-    ``merge_registers``. Selecting ``"numba"`` without numba installed
-    raises :class:`RuntimeError`.
+    ``backend`` is a name (``"numpy"``, ``"fast"``) or an object
+    implementing ``fold`` / ``registers_from_pairs`` / ``merge_registers``.
     """
     global _ACTIVE
     if isinstance(backend, str):
@@ -111,7 +94,7 @@ def _startup_backend():
     if name:
         try:
             return _make_backend(name)
-        except (ValueError, RuntimeError) as exc:
+        except ValueError as exc:
             warnings.warn(
                 f"{ENV_VAR}={name!r} not usable ({exc}); "
                 "falling back to the reference numpy backend",

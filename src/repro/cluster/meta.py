@@ -1,7 +1,8 @@
 """Cluster metadata, the rebalance journal, and cutover fence encoding.
 
 A cluster root directory holds N independent shard store directories
-plus two small control files, both written atomically (temp + rename):
+plus two small control files, both written atomically and synced
+(:func:`repro.store.durable.atomic_write`):
 
 ``cluster.json``
     The authoritative topology: shard count, rebalance epoch, and the
@@ -25,7 +26,6 @@ LSN, without consulting any cluster-level file.
 from __future__ import annotations
 
 import json
-import os
 import pathlib
 from dataclasses import dataclass
 
@@ -34,6 +34,7 @@ from repro.storage.serialization import (
     read_uvarint,
     write_uvarint,
 )
+from repro.store.durable import atomic_write
 
 META_NAME = "cluster.json"
 JOURNAL_NAME = "rebalance.json"
@@ -76,25 +77,14 @@ class ClusterMeta:
     """The ``(t, d, p, sparse, seed)`` tuple every shard shares."""
 
 
-def _write_atomic(path: pathlib.Path, payload: dict) -> None:
-    temporary = path.with_suffix(".tmp")
-    with open(temporary, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(temporary, path)
-    if os.name == "posix":
-        fd = os.open(path.parent, os.O_RDONLY)
-        try:
-            os.fsync(fd)
-        finally:
-            os.close(fd)
+def _write_json(path: pathlib.Path, payload: dict) -> None:
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    atomic_write(path, text.encode("utf-8"))
 
 
 def write_meta(root, meta: ClusterMeta) -> None:
     t, d, p, sparse, seed = meta.config
-    _write_atomic(
+    _write_json(
         pathlib.Path(root) / META_NAME,
         {
             "version": META_VERSION,
@@ -141,7 +131,7 @@ def read_meta(root) -> "ClusterMeta | None":
 
 def write_journal(root, epoch: int, from_shards: int, to_shards: int) -> None:
     """Durably record that a rebalance is in flight (written before any step)."""
-    _write_atomic(
+    _write_json(
         pathlib.Path(root) / JOURNAL_NAME,
         {"epoch": epoch, "from_shards": from_shards, "to_shards": to_shards},
     )

@@ -41,7 +41,7 @@ import shutil
 from dataclasses import dataclass
 from typing import Any, Hashable, Iterable, Iterator
 
-from repro.aggregate import DistinctCountAggregator
+from repro.aggregate import DistinctCountAggregator, segment
 from repro.cluster.meta import (
     CUTOVER_BEGIN,
     CUTOVER_COMMIT,
@@ -56,9 +56,11 @@ from repro.cluster.meta import (
     write_meta,
 )
 from repro.cluster.source import ClusterSource
+from repro.hashing import to_bytes
 from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
 from repro.parallel.shard import shard_of
+from repro.query.source import DelegatingSource
 from repro.store.sketchstore import SketchStore, sketch_to_blob
 
 _REBALANCES = _metrics.counter(
@@ -110,7 +112,7 @@ class ShardStatus:
     durable_lsn: int
 
 
-class ShardedStore:
+class ShardedStore(DelegatingSource):
     """N independent :class:`~repro.store.SketchStore` shards, one surface.
 
     >>> cluster = ShardedStore.open(tmp_path / "c", shards=4, p=8)
@@ -123,7 +125,9 @@ class ShardedStore:
     Implements the :class:`~repro.query.source.SketchSource` protocol, so
     the query planner/executor (and the CLI dialect) treat a cluster as
     just another source. Writes route by ``shard_of(key, N)``; reads
-    scatter-gather through a :class:`~repro.cluster.ClusterSource`.
+    scatter-gather through :attr:`source`, a
+    :class:`~repro.cluster.ClusterSource` (see
+    :class:`~repro.query.source.DelegatingSource`).
 
     ``shards`` is required when creating a new cluster and validated
     (like the sketch parameters) against ``cluster.json`` on an existing
@@ -255,19 +259,9 @@ class ShardedStore:
         """Protocol alias the query executor uses to see through a cluster."""
         return tuple(self._shards)
 
-    @property
-    def config(self) -> tuple:
-        """The ``(t, d, p, sparse, seed)`` tuple every shard shares."""
-        return self._meta.config
-
     def shard_of(self, group: Hashable) -> int:
         """The shard index owning ``group`` under the current fan-out."""
-        key = DistinctCountAggregator._group_key(group)
-        return shard_of(key, len(self._shards))
-
-    def shard_for(self, group: Hashable) -> SketchStore:
-        """The shard store owning ``group``."""
-        return self._shards[self.shard_of(group)]
+        return shard_of(to_bytes(group), len(self._shards))
 
     # -- ingest (routed) -------------------------------------------------------
 
@@ -279,7 +273,7 @@ class ShardedStore:
 
     def append_hashes(self, group: Hashable, hashes) -> "ShardedStore":
         """Durably record pre-hashed values under ``group``; returns ``self``."""
-        key = DistinctCountAggregator._group_key(group)
+        key = to_bytes(group)
         index = shard_of(key, len(self._shards))
         self._shards[index].append_hashes(key, hashes)
         if _metrics.enabled():
@@ -312,22 +306,22 @@ class ShardedStore:
     ) -> "ShardedStore":
         """Scatter one ``(groups, items)`` batch across the shards.
 
-        One vectorised hash + scatter pass (the aggregator's shared front
-        end), then each per-group segment routes to its owning shard as
-        one WAL record, all inside one :meth:`batch`. The batch is
+        One vectorised hash + scatter pass
+        (:func:`repro.aggregate.segment`, the shared front end), then
+        each per-group segment routes to its owning shard as one WAL
+        record, all inside one :meth:`batch`. The batch is
         acknowledged after one commit per shard that received records:
         one WAL write and, with ``fsync=True``, one fsync. A crash in the
         middle leaves each shard a record-granular prefix of its part.
         """
-        scratch = DistinctCountAggregator(*self._meta.config)
         with self.batch():
-            for key, hashes in scratch._segments(groups, items):
+            for key, hashes in segment(groups, items, self._meta.config[4]):
                 self.append_hashes(key, hashes)
         return self
 
     def merge_sketch(self, group: Hashable, sketch) -> "ShardedStore":
         """Durably merge a whole sketch into ``group`` on its owner shard."""
-        key = DistinctCountAggregator._group_key(group)
+        key = to_bytes(group)
         index = shard_of(key, len(self._shards))
         self._shards[index].merge_sketch(key, sketch)
         if _metrics.enabled():
@@ -341,39 +335,19 @@ class ShardedStore:
         """A scatter-gather :class:`ClusterSource` over the live shards."""
         return ClusterSource(self._shards)
 
-    def groups(self) -> Iterator[bytes]:
-        for shard in self._shards:
-            yield from shard.groups()
-
-    def group_sketch(self, group: Hashable):
-        return self.shard_for(group).group_sketch(group)
-
-    def estimate(self, group: Hashable) -> float:
-        return self.shard_for(group).estimate(group)
-
-    def estimates(self) -> "dict[bytes, float]":
-        return self.source.estimates()
-
-    def top(self, count: int) -> "list[tuple[bytes, float]]":
-        return self.source.top(count)
-
-    def __len__(self) -> int:
-        return sum(len(shard) for shard in self._shards)
-
-    def __contains__(self, group: Hashable) -> bool:
-        return group in self.shard_for(group)
+    def _view(self) -> ClusterSource:
+        return self.source
 
     def to_aggregator(self) -> DistinctCountAggregator:
         """The whole cluster's state as one in-memory aggregator.
 
-        The bit-identity surface: shards own disjoint groups, so placing
-        private copies side by side reconstructs exactly the aggregator a
-        single store would hold after the same ingest.
+        The bit-identity surface: shards own disjoint groups, so merging
+        them places private copies side by side and reconstructs exactly
+        the aggregator a single store would hold after the same ingest.
         """
         merged = DistinctCountAggregator(*self._meta.config)
         for shard in self._shards:
-            for key, sketch in shard.aggregator._groups.items():
-                merged._groups[key] = sketch.copy()
+            merged.merge_inplace(shard.aggregator)
         return merged
 
     # -- maintenance -----------------------------------------------------------

@@ -27,6 +27,7 @@ from typing import Any, Hashable, Iterator, Sequence
 
 from repro.hashing import to_bytes
 from repro.parallel.shard import shard_of
+from repro.query.source import live_sketches
 
 
 class ClusterSource:
@@ -105,8 +106,7 @@ class ClusterSource:
 
     def shard_of(self, group: Hashable) -> int:
         """The shard id owning ``group`` under this cluster's fan-out."""
-        return shard_of(to_bytes(group) if not isinstance(group, bytes) else group,
-                        len(self._sources))
+        return shard_of(to_bytes(group), len(self._sources))
 
     def source_for(self, group: Hashable):
         """The shard source owning ``group``."""
@@ -130,34 +130,23 @@ class ClusterSource:
             return 0.0
         return batch_estimate_sketches([sketch])[0]
 
-    def _keyed_sketches(self) -> "dict[bytes, Any]":
-        """Every shard's key → sketch mapping, gathered (no copies when live).
-
-        Shards own disjoint key sets, so the union is exactly the
-        single-store mapping; sources without a live in-memory mapping
-        (protocol-only members) fall back to per-key fetches.
-        """
-        merged: "dict[bytes, Any]" = {}
-        for source in self._sources:
-            aggregator = getattr(source, "aggregator", None)
-            if aggregator is not None:
-                merged.update(aggregator._groups)
-                continue
-            groups = getattr(source, "_groups", None)
-            if groups is not None:
-                merged.update(groups)
-                continue
-            for key in source.groups():
-                sketch = source.group_sketch(key)
-                if sketch is not None:
-                    merged[key] = sketch
-        return merged
-
     def estimates(self) -> "dict[bytes, float]":
-        """All shards' estimates via one batched solve (scatter-gather)."""
+        """All shards' estimates via one batched solve (scatter-gather).
+
+        The solve runs over the shards' live sketches, gathered without
+        copies; a cluster with a protocol-only member fetches every
+        group through ``group_sketch`` instead.
+        """
         from repro.estimation.batch import batch_estimates_by_key
 
-        return batch_estimates_by_key(self._keyed_sketches())
+        sketches = live_sketches(self)
+        if sketches is None:
+            sketches = {}
+            for key in self.groups():
+                sketch = self.group_sketch(key)
+                if sketch is not None:
+                    sketches[key] = sketch
+        return batch_estimates_by_key(sketches)
 
     def top(self, count: int) -> "list[tuple[bytes, float]]":
         """Global top ``count`` from per-shard partial top-``count`` lists.

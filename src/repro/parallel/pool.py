@@ -183,14 +183,12 @@ def _task_fold(payload) -> np.ndarray:
 @pool_task("group_fold")
 def _task_group_fold(payload) -> bytes:
     """Build one shard's partial aggregator (pure, retryable)."""
-    from repro.aggregate import DistinctCountAggregator
     from repro.backends.select import use_backend
+    from repro.parallel.shard import fold_partial
 
     segments = [(key, attach_slice(item)) for key, item in payload["segments"]]
     with use_backend(payload["backend"]):
-        return DistinctCountAggregator._from_keyed_hashes(
-            payload["config"], segments
-        ).to_bytes()
+        return fold_partial(payload["config"], segments).to_bytes()
 
 
 @pool_task("spill")

@@ -27,7 +27,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 import threading
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
@@ -71,14 +71,27 @@ def partition_groups(
     ]
 
 
+def fold_partial(
+    config: AggregatorConfig, keyed_hashes: Iterable[tuple[bytes, np.ndarray]]
+) -> "DistinctCountAggregator":
+    """One shard's partial aggregator: every segment folded under its key.
+
+    Each segment goes through :meth:`DistinctCountAggregator.fold`, exactly
+    as the sequential scatter feeds it.
+    """
+    from repro.aggregate import DistinctCountAggregator
+
+    aggregator = DistinctCountAggregator(*config)
+    for key, hashes in keyed_hashes:
+        aggregator.fold(key, hashes)
+    return aggregator
+
+
 def _build_partial(
     job: tuple[AggregatorConfig, list[tuple[bytes, np.ndarray]]]
 ) -> bytes:
     """Worker: build one shard's partial aggregator, return it serialized."""
-    from repro.aggregate import DistinctCountAggregator
-
-    config, keyed_hashes = job
-    return DistinctCountAggregator._from_keyed_hashes(config, keyed_hashes).to_bytes()
+    return fold_partial(*job).to_bytes()
 
 
 def _build_partial_fork(job: tuple[AggregatorConfig, list[int]]) -> bytes:
@@ -204,8 +217,7 @@ def parallel_group_fold(
     if not shards:
         return []
     if len(shards) == 1:
-        segments = [keyed_hashes[i] for i in shards[0]]
-        return [DistinctCountAggregator._from_keyed_hashes(config, segments)]
+        return [fold_partial(config, [keyed_hashes[i] for i in shards[0]])]
     if start_method is None:
         from repro.parallel.pool import get_pool
 

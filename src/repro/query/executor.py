@@ -34,7 +34,7 @@ from repro.query.plan import (
     Window,
 )
 from repro.query.planner import access_path
-from repro.query.source import BucketedSource, WindowedSource, as_source
+from repro.query.source import as_source, live_sketches
 
 _EXECUTIONS = _metrics.counter("query.executions", "Plans executed.")
 _EXECUTE_SECONDS = _metrics.histogram(
@@ -195,32 +195,6 @@ def _profiled(ctx: _Context, node: PlanNode, thunk):
         _record(ctx, node, time.perf_counter() - started)
 
 
-def _live_sketches(source) -> "Mapping[bytes, Any] | None":
-    """A source's key->sketch mapping without copies, when one exists."""
-    while isinstance(source, BucketedSource):
-        source = source.source
-    if isinstance(source, WindowedSource):
-        return source._keyed_sketches()
-    members = getattr(source, "shard_sources", None)
-    if members is not None:
-        # Shards own disjoint key sets, so the union of per-member live
-        # mappings is exactly the single-store mapping.
-        merged: "dict[bytes, Any]" = {}
-        for member in members:
-            live = _live_sketches(member)
-            if live is None:
-                return None
-            merged.update(live)
-        return merged
-    aggregator = getattr(source, "aggregator", None)
-    if aggregator is not None:
-        return aggregator._groups
-    groups = getattr(source, "_groups", None)
-    if groups is not None:
-        return groups
-    return None
-
-
 def _scan(source, filter_node: "Filter | None", ctx: _Context) -> "dict[bytes, Any]":
     """Materialise one scan, honouring the planner's access path.
 
@@ -239,11 +213,11 @@ def _scan(source, filter_node: "Filter | None", ctx: _Context) -> "dict[bytes, A
     if path.kind == "partitions":
         out = {}
         for partial in source.partition_aggregators():
-            for key, sketch in partial._groups.items():
+            for key, sketch in partial.sketches().items():
                 if filter_node is None or filter_node.matches(key):
                     out[key] = sketch
         return out
-    live = _live_sketches(source)
+    live = live_sketches(source)
     if live is not None:
         return {
             key: sketch

@@ -5,9 +5,10 @@ the in-memory :class:`~repro.aggregate.DistinctCountAggregator`, the
 durable :class:`~repro.store.SketchStore`, the lock-free
 :class:`~repro.store.SnapshotReader`, the replicated
 :class:`~repro.store.FollowerStore`, the external
-:class:`~repro.store.SpilledGroupBy` — implements the same five-method
-surface, so the planner/executor of :mod:`repro.query` treats them
-interchangeably:
+:class:`~repro.store.SpilledGroupBy`, the sharded
+:class:`~repro.cluster.ShardedStore` and :class:`~repro.cluster.ClusterSource`
+— implements the same five-method surface, so the planner/executor of
+:mod:`repro.query` treats them interchangeably:
 
 * ``config`` — the ``(t, d, p, sparse, seed)`` tuple; equal configs mean
   mergeable, comparable sketches (Alg. 5 merges are exact).
@@ -19,6 +20,13 @@ interchangeably:
 * ``estimates()`` / ``top(n)`` — whole-source estimates through the
   batched one-solve path of :mod:`repro.estimation.batch`.
 
+The aggregator implements the surface itself. The store, reader,
+follower and sharded store hold no sketches of their own: they inherit
+it from :class:`DelegatingSource`, which forwards every read to one
+inner view (their live aggregator, or the cluster's scatter-gather
+source). :func:`live_sketches` is the one probe for a source's live
+``key → sketch`` mapping, which scans read without copying.
+
 :class:`~repro.windowed.SlidingWindowDistinctCounter` predates group
 keys (its state is bucket-indexed), so :class:`WindowedSource` adapts it
 into the protocol; :class:`BucketedSource` declares the bucket layout of
@@ -28,7 +36,7 @@ them. :func:`as_source` normalises any of the above.
 
 from __future__ import annotations
 
-from typing import Any, Iterator, Protocol, runtime_checkable
+from typing import Any, Hashable, Iterator, Mapping, Protocol, runtime_checkable
 
 from repro.hashing import to_bytes
 
@@ -52,6 +60,77 @@ class SketchSource(Protocol):
 
     def top(self, count: int) -> "list[tuple[bytes, float]]":
         ...
+
+
+class DelegatingSource:
+    """The read surface of a source that answers through one inner view.
+
+    Subclasses inherit ``config``, ``len``, ``in``, ``groups``,
+    ``estimate``, ``estimates``, ``top`` and ``group_sketch``, each
+    forwarded to :meth:`_view` — by default the subclass's live
+    ``aggregator``.
+    """
+
+    def _view(self):
+        """The object every read is forwarded to."""
+        return self.aggregator
+
+    @property
+    def config(self) -> tuple:
+        """The ``(t, d, p, sparse, seed)`` configuration tuple."""
+        return self._view().config
+
+    def __len__(self) -> int:
+        return len(self._view())
+
+    def __contains__(self, group: Hashable) -> bool:
+        return group in self._view()
+
+    def groups(self) -> Iterator[bytes]:
+        """The observed group keys (canonical byte form)."""
+        return self._view().groups()
+
+    def estimate(self, group: Hashable) -> float:
+        """Distinct-count estimate for one group (0 for unseen groups)."""
+        return self._view().estimate(group)
+
+    def estimates(self) -> "dict[bytes, float]":
+        """All group estimates in one batched solve."""
+        return self._view().estimates()
+
+    def top(self, count: int) -> "list[tuple[bytes, float]]":
+        """The ``count`` groups with the largest estimates."""
+        return self._view().top(count)
+
+    def group_sketch(self, group: Hashable):
+        """A private copy of one group's sketch (``None`` for unseen groups)."""
+        return self._view().group_sketch(group)
+
+
+def live_sketches(source) -> "Mapping[bytes, Any] | None":
+    """A source's live ``key → sketch`` mapping without copies, or ``None``.
+
+    Looks through :class:`BucketedSource` wrappers and ``aggregator``
+    views to a ``sketches()`` mapping. A sharded source (anything with
+    ``shard_sources``) yields the union of its members' mappings — shards
+    own disjoint key sets, so the union is exactly the single-store
+    mapping — or ``None`` when any member has none. The sketches are
+    shared: callers copy before mutating.
+    """
+    while isinstance(source, BucketedSource):
+        source = source.source
+    members = getattr(source, "shard_sources", None)
+    if members is not None:
+        merged: "dict[bytes, Any]" = {}
+        for member in members:
+            live = live_sketches(member)
+            if live is None:
+                return None
+            merged.update(live)
+        return merged
+    view = getattr(source, "aggregator", source)
+    sketches = getattr(view, "sketches", None)
+    return sketches() if callable(sketches) else None
 
 
 class WindowedSource:
@@ -113,7 +192,8 @@ class WindowedSource:
         except ValueError:
             return None
 
-    def _keyed_sketches(self) -> "dict[bytes, Any]":
+    def sketches(self) -> "dict[bytes, Any]":
+        """Live bucket sketches keyed by bucket key (no copies)."""
         return {
             self.bucket_key(bucket): sketch
             for bucket, sketch in self._counter._sketches.items()
@@ -122,12 +202,12 @@ class WindowedSource:
     def estimates(self) -> "dict[bytes, float]":
         from repro.estimation.batch import batch_estimates_by_key
 
-        return batch_estimates_by_key(self._keyed_sketches())
+        return batch_estimates_by_key(self.sketches())
 
     def top(self, count: int) -> "list[tuple[bytes, float]]":
         from repro.estimation.batch import batch_top
 
-        return batch_top(self._keyed_sketches(), count)
+        return batch_top(self.sketches(), count)
 
     def __repr__(self) -> str:
         return f"WindowedSource({self._counter!r}, prefix={self._prefix!r})"

@@ -595,7 +595,7 @@ def _command_compact(arguments: argparse.Namespace) -> int:
 
 def _command_info(arguments: argparse.Namespace) -> int:
     with SketchStore.open(arguments.directory) as store:
-        config = store.aggregator._config
+        config = store.config
         print(f"directory:   {store.directory}")
         print(f"config:      t={config[0]} d={config[1]} p={config[2]} sparse={config[3]} seed={config[4]}")
         print(f"generation:  {store.generation}")

@@ -45,11 +45,12 @@ import os
 import pathlib
 import time
 from dataclasses import dataclass
-from typing import Hashable, Iterator
+from typing import Hashable
 
 from repro.aggregate import DistinctCountAggregator
+from repro.hashing import to_bytes
 from repro.obs import metrics as _metrics
-from repro.obs import trace as _trace
+from repro.query.source import DelegatingSource
 from repro.storage.serialization import (
     IncompleteRecordError,
     SerializationError,
@@ -141,7 +142,7 @@ def _load_snapshot_mmap(path) -> tuple[DistinctCountAggregator, int, int]:
     return aggregator, generation, base_lsn
 
 
-class SnapshotReader:
+class SnapshotReader(DelegatingSource):
     """A read-only, incrementally refreshing view of a sketch store.
 
     >>> reader = SnapshotReader.open(store.directory)
@@ -151,7 +152,9 @@ class SnapshotReader:
 
     Strictly non-mutating: opens every file read-only, never truncates,
     never sweeps. Safe to run in any number of processes concurrently
-    with one live writer.
+    with one live writer. Reads answer from the materialised
+    :attr:`aggregator` (see :class:`~repro.query.source.DelegatingSource`),
+    except :meth:`group_sketch`, which replays one group selectively.
     """
 
     def __init__(self, *args, **kwargs) -> None:
@@ -360,31 +363,6 @@ class SnapshotReader:
         """The materialised view (snapshot + applied WAL tail)."""
         return self._aggregator
 
-    @property
-    def config(self) -> tuple[int, int, int, bool, int]:
-        """The ``(t, d, p, sparse, seed)`` configuration tuple."""
-        return self._aggregator.config
-
-    def __len__(self) -> int:
-        return len(self._aggregator)
-
-    def __contains__(self, group: Hashable) -> bool:
-        return group in self._aggregator
-
-    def groups(self) -> Iterator[bytes]:
-        return self._aggregator.groups()
-
-    def estimate(self, group: Hashable) -> float:
-        return self._aggregator.estimate(group)
-
-    def estimates(self) -> dict[bytes, float]:
-        """All group estimates in one simultaneous batched solve."""
-        return self._aggregator.estimates()
-
-    def top(self, count: int) -> list[tuple[bytes, float]]:
-        """The ``count`` groups with the largest estimates (argpartition)."""
-        return self._aggregator.top(count)
-
     # -- selective single-group replay ----------------------------------------
 
     def group_sketch(self, group: Hashable):
@@ -404,31 +382,31 @@ class SnapshotReader:
         (which is the same state at this horizon, just not selectively
         rebuilt).
         """
-        key = DistinctCountAggregator._group_key(group)
+        key = to_bytes(group)
         try:
             return self._group_sketch_selective(key)
         except FileNotFoundError:
             # The writer compacted this generation away between our tail
             # and this query; the tailed view itself is still a correct
             # (and complete) answer at this horizon.
-            sketch = self._aggregator._groups.get(key)
-            return sketch.copy() if sketch is not None else None
+            return self._aggregator.group_sketch(key)
 
     def _group_sketch_selective(self, key: bytes):
         from repro.store.walindex import scan_floor
 
-        scratch = DistinctCountAggregator(*self._aggregator._config)
+        scratch = DistinctCountAggregator(*self.config)
         sketch = self._read_snapshot_group(key)
         base_lsn = self._base_lsn
         if sketch is not None:
-            scratch._groups[key] = sketch
+            # Merging into an empty group reproduces the snapshot's state.
+            scratch.merge_sketch(key, sketch)
         index = self._load_group_index()
         applied = set()
         try:
             handle = open(wal_path(self._directory, self._generation), "rb")
         except FileNotFoundError:
             if self._durable_lsn == base_lsn:
-                return scratch._groups.get(key)  # nothing was ever tailed
+                return scratch.sketches().get(key)  # nothing was ever tailed
             raise  # tailed records exist but their log is gone: fall back
         with handle:
             _check_file_header(
@@ -469,7 +447,7 @@ class SnapshotReader:
                     continue
                 apply_wal_record(scratch, kind, key, payload)
                 applied.add(lsn)
-        return scratch._groups.get(key)
+        return scratch.sketches().get(key)
 
     def _load_group_index(self):
         """The generation's WAL index, cached on (generation, file size).

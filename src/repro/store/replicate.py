@@ -35,25 +35,28 @@ import os
 import pathlib
 import time
 from dataclasses import dataclass
-from typing import Hashable, Iterator
 
 from repro.aggregate import DistinctCountAggregator
 from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
+from repro.query.source import DelegatingSource
 from repro.storage.serialization import (
     IncompleteRecordError,
     SerializationError,
+    TAG_SNAPSHOT,
     read_lsn_record_from,
+    read_uvarint,
     write_lsn_record,
 )
+from repro.store.durable import atomic_write
 from repro.store.sketchstore import (
     _FILE_HEADER_BYTES,
     _check_file_header,
+    _file_header,
     TAG_WAL,
     apply_wal_record,
     latest_generation,
     read_snapshot_header,
-    replay_wal,
     snapshot_path,
     wal_path,
 )
@@ -102,7 +105,7 @@ class ShipResult:
     """The follower's applied horizon after the sync."""
 
 
-class FollowerStore:
+class FollowerStore(DelegatingSource):
     """A durable replica that applies shipped WAL records idempotently.
 
     The directory mirrors the leader's layout, so the replica can be
@@ -112,7 +115,9 @@ class FollowerStore:
     state — and its ``applied_lsn`` — from its own snapshot + WAL, with
     the usual writer-side torn-tail truncation (the follower owns these
     files; a torn tail here is its *own* crashed append, not a live
-    writer's).
+    writer's). Reads answer from :attr:`aggregator` (see
+    :class:`~repro.query.source.DelegatingSource`) and raise on an
+    uninitialised follower.
     """
 
     def __init__(self, *args, **kwargs) -> None:
@@ -172,46 +177,19 @@ class FollowerStore:
             raise ValueError("follower is uninitialised (no snapshot installed)")
         return self._aggregator
 
-    def __len__(self) -> int:
-        return len(self.aggregator)
-
-    def __contains__(self, group: Hashable) -> bool:
-        return group in self.aggregator
-
-    def groups(self) -> Iterator[bytes]:
-        return self.aggregator.groups()
-
-    def estimate(self, group: Hashable) -> float:
-        return self.aggregator.estimate(group)
-
-    def estimates(self) -> dict[bytes, float]:
-        return self.aggregator.estimates()
-
-    def top(self, count: int) -> list[tuple[bytes, float]]:
-        return self.aggregator.top(count)
-
-    def group_sketch(self, group: Hashable):
-        """A private copy of one group's sketch (``None`` for unseen groups)."""
-        return self.aggregator.group_sketch(group)
-
-    @property
-    def config(self) -> tuple[int, int, int, bool, int]:
-        """The ``(t, d, p, sparse, seed)`` configuration tuple."""
-        return self.aggregator.config
-
     # -- replication protocol --------------------------------------------------
 
     def install_snapshot(self, data: bytes) -> None:
         """Seed (or fast-forward) the replica from a leader snapshot blob.
 
-        Validates and parses first, then lands the snapshot atomically
-        and starts a fresh WAL — only states at a snapshot boundary are
-        ever visible on disk. Installing a snapshot at or behind the
-        current horizon is rejected (it would travel back in time).
+        Validates and parses first, then lands the snapshot and a fresh
+        WAL atomically — only states at a snapshot boundary are ever
+        visible on disk. Both renames are synced to the directory before
+        the previous generation's files are unlinked, so a power cut at
+        any point leaves at least one complete snapshot. Installing a
+        snapshot at or behind the current horizon is rejected (it would
+        travel back in time).
         """
-        from repro.store.sketchstore import _file_header, read_uvarint
-        from repro.storage.serialization import TAG_SNAPSHOT
-
         offset = _check_file_header(data, TAG_SNAPSHOT, "snapshot blob")
         generation, offset = read_uvarint(data, offset)
         base_lsn, offset = read_uvarint(data, offset)
@@ -225,17 +203,9 @@ class FollowerStore:
             self._wal_handle.close()
             self._wal_handle = None
         path = snapshot_path(self._directory, generation)
-        temporary = path.with_suffix(".tmp")
-        with open(temporary, "wb") as handle:
-            handle.write(data)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(temporary, path)
+        atomic_write(path, data)
         new_wal = wal_path(self._directory, generation)
-        with open(new_wal, "wb") as handle:
-            handle.write(_file_header(TAG_WAL))
-            handle.flush()
-            os.fsync(handle.fileno())
+        atomic_write(new_wal, _file_header(TAG_WAL))
         # Drop files of other generations (including our own previous one).
         for entry in os.listdir(self._directory):
             full = self._directory / entry

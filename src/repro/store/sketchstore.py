@@ -47,7 +47,11 @@ LSN. A *commit* writes every staged record with one ``write`` (and, with
 write, then applies them to memory through :func:`apply_wal_record`, so
 the writer folds exactly what recovery replays. A single call is a
 commit of one record; ``with store.batch():`` groups every record
-written inside it into one commit.
+written inside it into one commit. :func:`apply_wal_record` changes the
+in-memory :class:`~repro.aggregate.DistinctCountAggregator` only through
+its write API (``fold``, ``merge_sketch``, ``drop_group``), and every
+read (``estimate``, ``top``, ...) is answered by that aggregator through
+:class:`~repro.query.source.DelegatingSource`.
 
 Commit rule: a batch is acknowledged after one fsync (a
 :class:`~repro.cluster.ShardedStore` batch: one per shard that received
@@ -67,7 +71,9 @@ mutate a live writer's files and instead just stops at the durable
 horizon. Any other corruption raises
 :class:`~repro.storage.serialization.SerializationError` rather than
 loading garbage. :meth:`compact` folds the WAL into a fresh snapshot
-(written atomically via rename) and starts an empty log.
+and starts an empty log. Snapshots, fresh WALs and WAL-index rebuilds
+are all written by :func:`repro.store.durable.atomic_write` (temp file,
+fsync, rename, directory fsync).
 """
 
 from __future__ import annotations
@@ -83,8 +89,10 @@ from typing import Any, Hashable, Iterator
 import numpy as np
 
 from repro.aggregate import DistinctCountAggregator
+from repro.hashing import to_bytes
 from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
+from repro.query.source import DelegatingSource
 from repro.storage.serialization import (
     FORMAT_VERSION,
     MAGIC,
@@ -99,6 +107,7 @@ from repro.storage.serialization import (
     write_lsn_record,
     write_uvarint,
 )
+from repro.store.durable import atomic_write
 
 #: WAL record kinds.
 RECORD_HASHES = 0x01
@@ -282,9 +291,12 @@ def apply_wal_record(
 ) -> None:
     """Apply one decoded WAL record to an aggregator.
 
-    The single state-transition function shared by writer recovery, the
-    concurrent reader's tail replay and follower replication — all four
-    paths fold the same bytes through the same code, which is what the
+    The single state-transition function shared by the writer's commit,
+    recovery, the concurrent reader's tail and selective replay, and
+    follower replication — every path folds the same bytes through the
+    aggregator's own write API (:meth:`~DistinctCountAggregator.fold`,
+    :meth:`~DistinctCountAggregator.merge_sketch`,
+    :meth:`~DistinctCountAggregator.drop_group`), which is what the
     bit-identity guarantees rest on.
     """
     if kind == RECORD_HASHES:
@@ -292,63 +304,22 @@ def apply_wal_record(
             raise SerializationError(
                 f"hash record payload of {len(payload)} bytes is not a multiple of 8"
             )
-        hashes = np.frombuffer(payload, dtype="<u8")
-        sketch = aggregator._groups.get(key)
-        if sketch is None:
-            sketch = aggregator._new_sketch()
-            aggregator._groups[key] = sketch
-        sketch.add_hashes(hashes)
+        aggregator.fold(key, np.frombuffer(payload, dtype="<u8"))
     elif kind == RECORD_SKETCH:
-        _merge_sketch_into(aggregator, key, sketch_from_blob(payload))
+        aggregator.merge_sketch(key, sketch_from_blob(payload))
     elif kind == RECORD_DROP:
         if payload:
             raise SerializationError(
                 f"drop record carries a {len(payload)}-byte payload"
             )
-        aggregator._groups.pop(key, None)
+        aggregator.drop_group(key)
     elif kind == RECORD_CUTOVER:
         pass  # cluster rebalance fence: no state transition
     else:
         raise SerializationError(f"unknown WAL record kind {kind:#x}")
 
 
-def _check_mergeable(aggregator: DistinctCountAggregator, sketch) -> None:
-    """Raise unless :func:`_merge_sketch_into` can merge ``sketch`` here."""
-    from repro.core.exaloglog import ExaLogLog
-    from repro.core.sparse import SparseExaLogLog
-
-    if not isinstance(sketch, (ExaLogLog, SparseExaLogLog)):
-        raise TypeError(f"cannot merge a {type(sketch).__name__} into a sketch store")
-    mine = aggregator._new_sketch()
-    if sketch.params != mine.params or (
-        isinstance(sketch, SparseExaLogLog)
-        and isinstance(mine, SparseExaLogLog)
-        and sketch.v != mine.v
-    ):
-        raise ValueError(
-            f"cannot merge {sketch!r}: parameters differ from the store's "
-            f"(t, d, p, sparse, seed)={aggregator.config}"
-        )
-
-
-def _merge_sketch_into(aggregator: DistinctCountAggregator, key: bytes, sketch) -> None:
-    from repro.core.sparse import SparseExaLogLog
-
-    mine = aggregator._groups.get(key)
-    if mine is None:
-        # Adopt a copy in the aggregator's own representation so later
-        # merges/serialization stay uniform.
-        mine = aggregator._new_sketch()
-        aggregator._groups[key] = mine
-    if isinstance(mine, SparseExaLogLog):
-        mine.merge_inplace(sketch)
-    else:
-        if isinstance(sketch, SparseExaLogLog):
-            sketch = sketch.densify()
-        mine.merge_inplace(sketch)
-
-
-class SketchStore:
+class SketchStore(DelegatingSource):
     """A crash-recoverable, WAL-backed store of per-key distinct-count sketches.
 
     >>> store = SketchStore.open(tmp_path / "counts", p=8)
@@ -372,6 +343,10 @@ class SketchStore:
     sweep, no index rebuild — safe against a live writer's files. The
     loaded state is the durable prefix at open time; for an incrementally
     refreshing view use :class:`repro.store.reader.SnapshotReader`.
+
+    Reads (``estimate``, ``estimates``, ``top``, ``group_sketch``, ``len``,
+    ``in``, ``groups``, ``config``) answer from the live
+    :attr:`aggregator` through :class:`~repro.query.source.DelegatingSource`.
     """
 
     def __init__(self, *args, **kwargs) -> None:
@@ -445,7 +420,7 @@ class SketchStore:
             store._generation = generation
             store._aggregator, store._base_lsn = store._load_snapshot(generation)
             store._durable_lsn = store._base_lsn
-            persisted = store._aggregator._config
+            persisted = store._aggregator.config
             mismatched = [
                 (value, on_disk)
                 for value, on_disk in zip(requested, persisted)
@@ -501,14 +476,7 @@ class SketchStore:
         write_uvarint(buffer, generation)
         write_uvarint(buffer, self._durable_lsn)
         buffer.extend(self._aggregator.to_bytes())
-        path = self._snapshot_path(generation)
-        temporary = path.with_suffix(".tmp")
-        with open(temporary, "wb") as handle:
-            handle.write(buffer)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(temporary, path)
-        self._sync_directory()
+        atomic_write(self._snapshot_path(generation), buffer)
         self._base_lsn = self._durable_lsn
         if _metrics.enabled():
             _SNAPSHOT_SECONDS.observe(time.perf_counter() - started)
@@ -528,11 +496,7 @@ class SketchStore:
     def _open_wal(self, truncate_to: int | None) -> None:
         path = self._wal_path(self._generation)
         if not path.exists():
-            with open(path, "wb") as handle:
-                handle.write(_file_header(TAG_WAL))
-                handle.flush()
-                os.fsync(handle.fileno())
-            self._sync_directory()
+            atomic_write(path, _file_header(TAG_WAL))
         elif truncate_to is not None and truncate_to < os.path.getsize(path):
             # A crash mid-commit left a torn tail; recovery cuts it away and
             # syncs the cut, so a power cut cannot bring the torn bytes back
@@ -549,14 +513,6 @@ class SketchStore:
         path = wal_index_path(self._directory, self._generation)
         rebuild_wal_index(path, rebuild_from)
         self._index_writer = WalIndexWriter(path)
-
-    def _sync_directory(self) -> None:
-        if os.name == "posix":
-            fd = os.open(self._directory, os.O_RDONLY)
-            try:
-                os.fsync(fd)
-            finally:
-                os.close(fd)
 
     # -- the write path: stage, then commit ----------------------------------
 
@@ -682,8 +638,7 @@ class SketchStore:
         """Durably record a batch of items under ``group``; returns ``self``."""
         from repro.hashing.batch import hash_items
 
-        seed = self._aggregator._config[4]
-        return self.append_hashes(group, hash_items(items, seed))
+        return self.append_hashes(group, hash_items(items, self.config[4]))
 
     def append_hashes(self, group: Hashable, hashes) -> "SketchStore":
         """Durably record pre-hashed values under ``group``; returns ``self``.
@@ -698,8 +653,7 @@ class SketchStore:
         hashes = as_hash_array(hashes)
         if len(hashes) == 0:
             return self
-        key = DistinctCountAggregator._group_key(group)
-        self._stage(RECORD_HASHES, key, hashes.astype("<u8", copy=False).tobytes())
+        self._stage(RECORD_HASHES, to_bytes(group), hashes.astype("<u8", copy=False).tobytes())
         return self
 
     def merge_sketch(self, group: Hashable, sketch) -> "SketchStore":
@@ -708,9 +662,8 @@ class SketchStore:
         The sketch's type and parameters are checked before anything is
         staged: a logged record that cannot merge would fail every replay.
         """
-        _check_mergeable(self._aggregator, sketch)
-        key = DistinctCountAggregator._group_key(group)
-        self._stage(RECORD_SKETCH, key, sketch_to_blob(sketch))
+        self._aggregator.check_mergeable(sketch)
+        self._stage(RECORD_SKETCH, to_bytes(group), sketch_to_blob(sketch))
         return self
 
     def drop_group(self, group: Hashable) -> "SketchStore":
@@ -721,8 +674,7 @@ class SketchStore:
         record (idempotent — a rebalance retrying after a crash may drop
         twice).
         """
-        key = DistinctCountAggregator._group_key(group)
-        self._stage(RECORD_DROP, key, b"")
+        self._stage(RECORD_DROP, to_bytes(group), b"")
         return self
 
     def append_cutover(self, payload: bytes) -> "SketchStore":
@@ -736,17 +688,12 @@ class SketchStore:
         self._stage(RECORD_CUTOVER, b"", bytes(payload))
         return self
 
-    # -- queries --------------------------------------------------------------
+    # -- state ----------------------------------------------------------------
 
     @property
     def aggregator(self) -> DistinctCountAggregator:
         """The live in-memory state (snapshot + replayed/applied WAL)."""
         return self._aggregator
-
-    @property
-    def config(self) -> tuple[int, int, int, bool, int]:
-        """The ``(t, d, p, sparse, seed)`` configuration tuple."""
-        return self._aggregator.config
 
     @property
     def directory(self) -> pathlib.Path:
@@ -780,29 +727,6 @@ class SketchStore:
     def wal_bytes(self) -> int:
         """Current WAL file size in bytes."""
         return os.path.getsize(self._wal_path(self._generation))
-
-    def __len__(self) -> int:
-        return len(self._aggregator)
-
-    def __contains__(self, group: Hashable) -> bool:
-        return group in self._aggregator
-
-    def groups(self) -> Iterator[bytes]:
-        return self._aggregator.groups()
-
-    def estimate(self, group: Hashable) -> float:
-        return self._aggregator.estimate(group)
-
-    def estimates(self) -> dict[bytes, float]:
-        return self._aggregator.estimates()
-
-    def top(self, count: int) -> list[tuple[bytes, float]]:
-        """The ``count`` groups with the largest estimates (argpartition)."""
-        return self._aggregator.top(count)
-
-    def group_sketch(self, group: Hashable):
-        """A private copy of one group's sketch (``None`` for unseen groups)."""
-        return self._aggregator.group_sketch(group)
 
     # -- maintenance ----------------------------------------------------------
 

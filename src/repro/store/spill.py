@@ -35,7 +35,8 @@ from typing import Any, Hashable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from repro.aggregate import DistinctCountAggregator
+from repro.aggregate import DistinctCountAggregator, segment
+from repro.hashing import to_bytes
 from repro.storage.serialization import (
     IncompleteRecordError,
     SerializationError,
@@ -46,6 +47,7 @@ from repro.storage.serialization import (
     write_record,
     write_uvarint,
 )
+from repro.store.durable import atomic_write
 from repro.store.sketchstore import (
     RECORD_HASHES,
     _FILE_HEADER_BYTES,
@@ -62,7 +64,7 @@ _META_NAME = "spill.meta"
 
 
 def write_spill_meta(directory, config, partitions: int) -> None:
-    """Persist a spill directory's configuration sidecar (atomic rename).
+    """Persist a spill directory's configuration sidecar (atomic, synced).
 
     The sidecar is what lets a *different* process — a query-serving
     reader that never wrote a byte of the spill — reconstruct partition
@@ -74,11 +76,7 @@ def write_spill_meta(directory, config, partitions: int) -> None:
     buffer.extend((t, d, p, 1 if sparse else 0))
     write_uvarint(buffer, seed)
     write_uvarint(buffer, partitions)
-    directory = pathlib.Path(directory)
-    path = directory / _META_NAME
-    temporary = path.with_suffix(".tmp")
-    temporary.write_bytes(bytes(buffer))
-    os.replace(temporary, path)
+    atomic_write(pathlib.Path(directory) / _META_NAME, buffer)
 
 
 def read_spill_meta(directory) -> tuple[tuple[int, int, int, bool, int], int]:
@@ -268,22 +266,21 @@ class SpilledGroupBy:
     ) -> None:
         self._directory = pathlib.Path(directory)
         self._partitions = partitions
-        # The scatter (hashing + factorisation) is the aggregator's own;
-        # this instance holds configuration and never accumulates groups.
-        self._scatter = DistinctCountAggregator(t, d, p, sparse, seed)
+        # Building an (empty) aggregator validates the sketch parameters.
+        self._configuration = DistinctCountAggregator(t, d, p, sparse, seed).config
         self._writer = SpillWriter(self._directory, partitions)
         # Persist (or validate against) the configuration sidecar so a
         # reader process can attach to these files later.
         try:
             on_disk, disk_partitions = read_spill_meta(self._directory)
         except FileNotFoundError:
-            write_spill_meta(self._directory, self._scatter._config, partitions)
+            write_spill_meta(self._directory, self.config, partitions)
         else:
-            if on_disk != self._scatter._config or disk_partitions != partitions:
+            if on_disk != self.config or disk_partitions != partitions:
                 raise ValueError(
                     f"spill directory {self._directory} was written with "
                     f"configuration {on_disk} and {disk_partitions} partitions, "
-                    f"requested {self._scatter._config} and {partitions}"
+                    f"requested {self.config} and {partitions}"
                 )
 
     @classmethod
@@ -304,7 +301,7 @@ class SpilledGroupBy:
         groupby = object.__new__(cls)
         groupby._directory = directory
         groupby._partitions = partitions
-        groupby._scatter = DistinctCountAggregator(*config)
+        groupby._configuration = DistinctCountAggregator(*config).config
         groupby._writer = None
         return groupby
 
@@ -318,7 +315,7 @@ class SpilledGroupBy:
 
     @property
     def config(self) -> tuple[int, int, int, bool, int]:
-        return self._scatter._config
+        return self._configuration
 
     @property
     def records_spilled(self) -> int:
@@ -348,7 +345,7 @@ class SpilledGroupBy:
         (:func:`repro.parallel.parallel_spill_write`): workers own
         disjoint partition sets and write their files independently.
         """
-        segments = self._scatter._segments(groups, items)
+        segments = segment(groups, items, self.config[4])
         if segments:
             self.write_segments(segments, workers)
         return self
@@ -411,11 +408,7 @@ class SpilledGroupBy:
             for key, hashes in read_spill_file(
                 path, tolerate_torn_tail=self._writer is None
             ):
-                sketch = aggregator._groups.get(key)
-                if sketch is None:
-                    sketch = aggregator._new_sketch()
-                    aggregator._groups[key] = sketch
-                sketch.add_hashes(hashes)
+                aggregator.fold(key, hashes)
         return aggregator
 
     def iter_estimates(self) -> Iterator[tuple[bytes, float]]:
@@ -463,11 +456,11 @@ class SpilledGroupBy:
         the rebuild reads ``1/partitions`` of the spill files. Returns
         ``None`` for unseen groups.
         """
-        key = DistinctCountAggregator._group_key(group)
+        key = to_bytes(group)
         if self._writer is not None:
             self._writer.flush()
         partial = self._partition_aggregator(_partition_of(key, self._partitions))
-        return partial._groups.get(key)
+        return partial.sketches().get(key)
 
     def groups(self) -> Iterator[bytes]:
         """All observed group keys, streamed partition by partition."""

@@ -26,7 +26,6 @@ scan from :func:`scan_floor`.
 
 from __future__ import annotations
 
-import os
 import pathlib
 from dataclasses import dataclass
 from typing import Iterable
@@ -39,6 +38,7 @@ from repro.storage.serialization import (
     write_record,
     write_uvarint,
 )
+from repro.store.durable import atomic_write
 
 #: The single record kind inside an index file.
 RECORD_INDEX = 0x01
@@ -113,20 +113,15 @@ def rebuild_wal_index(
 
     Used by writer recovery: after a crash the on-disk index may lag the
     WAL or point past a truncated tail, so it is rebuilt wholesale from
-    the replay scan (temp file + rename keeps a concurrent reader from
-    ever seeing a half-written index).
+    the replay scan (:func:`repro.store.durable.atomic_write` keeps a
+    concurrent reader from ever seeing a half-written index, and syncs
+    the rename).
     """
     from repro.store.sketchstore import _file_header
 
-    path = pathlib.Path(path)
     buffer = bytearray(_file_header(TAG_WAL_INDEX))
     _encode_entries(buffer, entries)
-    temporary = path.with_suffix(".tmp")
-    with open(temporary, "wb") as handle:
-        handle.write(buffer)
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(temporary, path)
+    atomic_write(path, buffer)
 
 
 def load_wal_index(path) -> dict[bytes, list[WalIndexEntry]]:

@@ -76,7 +76,7 @@ class SlidingWindowDistinctCounter:
         self._p = p
         self._seed = seed
         if store is not None:
-            store_t, store_d, store_p, _, store_seed = store.aggregator._config
+            store_t, store_d, store_p, _, store_seed = store.config
             if (store_t, store_d, store_p) != (t, d, p):
                 raise ValueError(
                     f"store sketches are (t, d, p)=({store_t}, {store_d}, "

@@ -1,10 +1,10 @@
 """FastBulkBackend: bit-identity, selection API, and zero-copy guarantees.
 
-The cache-blocked (and, where numba exists, JIT) kernels must be
-indistinguishable from the reference NumPy kernels in results — only in
-speed. These tests pin the identity across register widths (including the
-t=0 extremes), the backend-selection surface (env variable, programmatic,
-scoped), and the no-copy contracts the hot path relies on
+The cache-blocked kernels must be indistinguishable from the reference
+NumPy kernels in results — only in speed. These tests pin the identity
+across register widths (including the t=0 extremes), the
+backend-selection surface (env variable, programmatic, scoped), and the
+no-copy contracts the hot path relies on
 (``np.shares_memory`` on chunk views, in-place clobber of the bit smear).
 """
 
@@ -16,7 +16,6 @@ import numpy as np
 import pytest
 
 from repro.backends import (
-    HAVE_NUMBA,
     FastBulkBackend,
     ReferenceBulkBackend,
     active_backend,
@@ -63,7 +62,7 @@ def random_hashes(seed: int, count: int) -> np.ndarray:
 
 @pytest.fixture
 def fast() -> FastBulkBackend:
-    return FastBulkBackend(jit=False)
+    return FastBulkBackend()
 
 
 # -- bit-identity --------------------------------------------------------------
@@ -124,31 +123,6 @@ def test_duplicate_heavy_stream(fast):
     )
 
 
-@pytest.mark.skipif(not HAVE_NUMBA, reason="numba not installed")
-@pytest.mark.parametrize("t,d,p", PARAM_SETS)
-def test_jit_matches_reference(t, d, p):
-    params = params_of(t, d, p)
-    backend = FastBulkBackend(jit=True, name="numba")
-    hashes = random_hashes(19, 3000)
-    assert np.array_equal(
-        backend.fold(hashes, params), reference_exaloglog_registers(hashes, params)
-    )
-    index, k = split_hashes(hashes, params)
-    assert np.array_equal(
-        backend.registers_from_pairs(index, k, params),
-        reference_registers_from_pairs(index, k, params),
-    )
-    r2 = reference_exaloglog_registers(random_hashes(20, 40), params)
-    assert np.array_equal(
-        backend.merge_registers(
-            backend.fold(hashes, params), r2, params.d
-        ),
-        reference_merge_registers(
-            reference_exaloglog_registers(hashes, params), r2, params.d
-        ),
-    )
-
-
 # -- selection API -------------------------------------------------------------
 
 
@@ -157,9 +131,7 @@ def test_default_backend_is_reference():
 
 
 def test_available_backends_names():
-    names = available_backends()
-    assert "numpy" in names and "fast" in names
-    assert ("numba" in names) == HAVE_NUMBA
+    assert available_backends() == ["numpy", "fast"]
 
 
 def test_set_backend_by_name_and_restore():
@@ -184,14 +156,6 @@ def test_use_backend_scopes_selection():
 def test_unknown_backend_name_raises():
     with pytest.raises(ValueError, match="unknown backend"):
         set_backend("telepathy")
-
-
-@pytest.mark.skipif(HAVE_NUMBA, reason="numba is installed here")
-def test_numba_backend_requires_numba():
-    with pytest.raises(RuntimeError, match="numba"):
-        set_backend("numba")
-    with pytest.raises(RuntimeError, match="numba"):
-        FastBulkBackend(jit=True)
 
 
 def test_env_variable_fallback_warns(monkeypatch):

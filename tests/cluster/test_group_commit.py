@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from repro.aggregate import DistinctCountAggregator
+from repro.aggregate import segment
 from repro.cluster import ShardedStore
 from repro.store import wal_path
 
@@ -46,8 +46,7 @@ def test_add_batch_writes_the_bytes_of_one_append_per_segment(tmp_path):
         state = batched.to_aggregator().to_bytes()
     with ShardedStore.open(tmp_path / "single", shards=3, **CONFIG) as single:
         for groups, items in batches:
-            scratch = DistinctCountAggregator(*single.config)
-            for key, hashes in scratch._segments(groups, items):
+            for key, hashes in segment(groups, items, single.config[4]):
                 single.append_hashes(key, hashes)
         single_files = _shard_files(single)
         assert single.to_aggregator().to_bytes() == state

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.backends import exaloglog_state, pcsa_state
 from repro.baselines.pcsa import PCSA
 from repro.compression.codec import (
     compress_bitmaps,
@@ -11,7 +12,6 @@ from repro.compression.codec import (
     decompress_registers,
 )
 from repro.compression.entropy import theoretical_compressed_bytes
-from repro.core.batch import exaloglog_state, pcsa_state
 from repro.core.params import make_params
 
 

@@ -3,12 +3,12 @@
 import numpy as np
 import pytest
 
+from repro.backends import exaloglog_state
 from repro.compression.sketch_codec import (
     compress_sketch,
     compression_ratio,
     decompress_sketch,
 )
-from repro.core.batch import exaloglog_state
 from repro.core.exaloglog import ExaLogLog
 from repro.core.params import make_params
 from repro.storage.serialization import SerializationError

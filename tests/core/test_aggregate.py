@@ -266,3 +266,115 @@ class TestSelectiveGroupRead:
         key = DistinctCountAggregator._group_key("y")
         sketch = DistinctCountAggregator.read_group_from_bytes(view, key)
         assert sketch.to_bytes() == aggregator._groups[key].to_bytes()
+
+
+
+class TestWriteApi:
+    """fold / merge_sketch / drop_group / sketches / segment."""
+
+    def test_fold_matches_per_item_add(self):
+        from repro.hashing.batch import hash_items
+
+        items = [f"user-{i}" for i in range(300)]
+        looped = DistinctCountAggregator(p=6, seed=3)
+        for item in items:
+            looped.add("g", item)
+        folded = DistinctCountAggregator(p=6, seed=3)
+        folded.fold("g", hash_items(items[:100], 3)).fold(b"g", hash_items(items[100:], 3))
+        assert folded.to_bytes() == looped.to_bytes()
+
+    @pytest.mark.parametrize("sparse", [True, False])
+    def test_merge_sketch_adopts_own_representation(self, sparse):
+        from repro.core.exaloglog import ExaLogLog
+        from repro.core.sparse import SparseExaLogLog
+
+        incoming = SparseExaLogLog(2, 20, 8).add_batch(range(40))
+        before = incoming.to_bytes()
+        aggregator = DistinctCountAggregator(sparse=sparse).merge_sketch("g", incoming)
+        sketch = aggregator.sketches()[b"g"]
+        assert isinstance(sketch, SparseExaLogLog if sparse else ExaLogLog)
+        assert incoming.to_bytes() == before  # the argument is left unchanged
+        expected = incoming if sparse else incoming.copy().densify()
+        assert sketch.to_bytes() == expected.to_bytes()
+
+    def test_merge_sketch_rejects_unmergeable(self):
+        from repro.core.exaloglog import ExaLogLog
+
+        aggregator = DistinctCountAggregator(p=8)
+        with pytest.raises(ValueError, match="parameters differ"):
+            aggregator.merge_sketch("g", ExaLogLog(2, 20, 10))
+        with pytest.raises(TypeError):
+            aggregator.merge_sketch("g", {"not": "a sketch"})
+        assert len(aggregator) == 0
+
+    def test_drop_group(self):
+        aggregator = build([("a", 1), ("b", 2)])
+        aggregator.drop_group("a").drop_group("never-seen")
+        assert list(aggregator.groups()) == [b"b"]
+
+    def test_sketches_is_a_live_read_only_view(self):
+        aggregator = build([("a", 1)])
+        view = aggregator.sketches()
+        sketch = view[b"a"]
+        aggregator.add("a", 2).add("b", 3)
+        assert list(view) == [b"a", b"b"]
+        assert view[b"a"] is sketch  # no copies: the group's own sketch
+        assert sketch.estimate() == aggregator.estimate("a")
+        with pytest.raises(TypeError):
+            view[b"c"] = sketch
+
+    def test_segment_scatters_by_first_appearance(self):
+        import numpy as np
+
+        from repro.aggregate import segment
+        from repro.hashing.batch import hash_items
+
+        groups = ["x", "y", "x", "z", "y", "x"]
+        items = np.arange(6, dtype=np.int64)
+        hashes = hash_items(items, 7)
+        segments = segment(groups, items, 7)
+        assert [key for key, _ in segments] == [b"x", b"y", b"z"]
+        assert segments[0][1].tolist() == hashes[[0, 2, 5]].tolist()
+        assert segment([], [], 0) == []
+        with pytest.raises(ValueError, match="length mismatch"):
+            segment(["x"], [1, 2], 0)
+
+
+def test_only_the_aggregator_touches_its_group_map():
+    """No module but aggregate.py reaches into an aggregator's privates.
+
+    Group-map access (get-or-create, adoption on merge, drop) and the
+    batch scatter live in one place; everything else goes through
+    ``fold`` / ``merge_sketch`` / ``drop_group`` / ``sketches`` /
+    ``segment`` and ``repro.hashing.to_bytes`` for canonical keys.
+    """
+    import ast
+    import pathlib
+
+    import repro
+
+    private = {
+        "_groups", "_new_sketch", "_segments", "_group_key", "_config",
+        "_from_keyed_hashes",
+    }
+    root = pathlib.Path(repro.__file__).parent
+    hits = []
+    for path in sorted(root.rglob("*.py")):
+        if path == root / "aggregate.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr in private:
+                name = node.attr
+            elif (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id in ("getattr", "hasattr", "setattr", "delattr")
+                and len(node.args) >= 2
+                and isinstance(node.args[1], ast.Constant)
+                and node.args[1].value in private
+            ):
+                name = node.args[1].value
+            else:
+                continue
+            hits.append(f"{path.relative_to(root)}:{node.lineno}: {name}")
+    assert not hits, "\n".join(hits)

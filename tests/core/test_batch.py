@@ -3,10 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.baselines.hyperloglog import HyperLogLog
-from repro.baselines.pcsa import PCSA
-from repro.baselines.spikesketch import SpikeSketch
-from repro.core.batch import (
+from repro.backends import (
     exaloglog_state,
     hyperloglog_state,
     nlz64_array,
@@ -15,6 +12,9 @@ from repro.core.batch import (
     spikesketch_state,
     split_hashes,
 )
+from repro.baselines.hyperloglog import HyperLogLog
+from repro.baselines.pcsa import PCSA
+from repro.baselines.spikesketch import SpikeSketch
 from repro.core.exaloglog import ExaLogLog
 from repro.core.params import make_params
 from tests.conftest import SMALL_PARAMS

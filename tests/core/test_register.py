@@ -210,7 +210,7 @@ class TestRegisterPmf:
         """Empirical state frequencies match the Poissonized PMF."""
         import numpy as np
 
-        from repro.core.batch import exaloglog_state
+        from repro.backends import exaloglog_state
 
         n = 30
         runs = 4000

@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.core.batch import exaloglog_state, hyperloglog_state
+from repro.backends import exaloglog_state, hyperloglog_state
 from repro.core.mlestimation import compute_coefficients, estimate_from_coefficients
 from repro.core.params import make_params
 from repro.theory.mvp import mvp_hll, mvp_ml_dense, theoretical_relative_rmse

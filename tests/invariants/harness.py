@@ -122,10 +122,8 @@ def _merge_sketch(scenario: Scenario, step: Step):
 
 
 def _apply_sketch_step(aggregator: DistinctCountAggregator, scenario, step) -> None:
-    from repro.store.sketchstore import _merge_sketch_into
-
     key = DistinctCountAggregator._group_key(step.group)
-    _merge_sketch_into(aggregator, key, _merge_sketch(scenario, step))
+    aggregator.merge_sketch(key, _merge_sketch(scenario, step))
 
 
 # -- builders: one per layer ---------------------------------------------------
@@ -197,9 +195,8 @@ def build_fast_backend(scenario: Scenario, backend: str = "fast") -> DistinctCou
     """Kernel-backend path: the bulk builder under a non-default backend.
 
     ``backend`` is a :func:`repro.backends.set_backend` name — ``"fast"``
-    exercises the cache-blocked NumPy kernels (and the JIT kernels where
-    numba is installed); the selection is scoped so other builders keep
-    running on whatever the session default is.
+    exercises the cache-blocked NumPy kernels. The selection is scoped:
+    the other layers keep running on the default backend.
     """
     from repro.backends import use_backend
 

@@ -48,16 +48,6 @@ def test_fast_backend_matches_scalar(scenario, reference):
     )
 
 
-def test_numba_backend_matches_scalar(scenario, reference):
-    from repro.backends import HAVE_NUMBA
-
-    if not HAVE_NUMBA:
-        pytest.skip("numba not installed")
-    assert_identical(
-        reference, build_fast_backend(scenario, "numba"), "numba backend vs add_hash"
-    )
-
-
 def test_store_replay_matches_scalar(scenario, reference, tmp_path):
     recovered = build_store(scenario, tmp_path / "store")
     assert_identical(reference, recovered, "store-replayed vs add_hash")

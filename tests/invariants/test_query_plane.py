@@ -133,3 +133,33 @@ def test_estimates_match_per_source_native_surface(seed, tmp_path):
             )
     finally:
         close()
+
+
+@pytest.mark.parametrize("seed", rounds(3))
+def test_direct_read_surface_agrees_across_layers(seed, tmp_path):
+    """``len``, ``in``, ``groups``, ``estimate``, ``estimates``, ``top`` and
+    ``group_sketch`` called directly on the store, reader and follower
+    equal the aggregator's answers, for seen and unseen keys alike."""
+    scenario = random_scenario(10000 + seed)
+    sources, close = build_query_plane_sources(scenario, tmp_path)
+    try:
+        reference = sources["aggregator"]
+        keys = [*scenario.groups, "never-seen", b"\x00never", 12345]
+        for name in ("store", "reader", "follower"):
+            source = sources[name]
+            assert len(source) == len(reference), name
+            assert list(source.groups()) == list(reference.groups()), name
+            assert source.estimates() == reference.estimates(), name
+            for count in (1, 3, len(reference) + 1):
+                assert source.top(count) == reference.top(count), (name, count)
+            for key in keys:
+                assert (key in source) == (key in reference), (name, key)
+                assert source.estimate(key) == reference.estimate(key), (name, key)
+                expected = reference.group_sketch(key)
+                actual = source.group_sketch(key)
+                if expected is None:
+                    assert actual is None, (name, key)
+                else:
+                    assert actual.to_bytes() == expected.to_bytes(), (name, key)
+    finally:
+        close()

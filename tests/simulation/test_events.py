@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.batch import exaloglog_state
+from repro.backends import exaloglog_state
 from repro.core.params import make_params
 from repro.simulation.events import (
     filter_state_changes,

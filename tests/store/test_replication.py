@@ -86,6 +86,47 @@ class TestFollowerStore:
         assert replica_wal == leader_wal
 
 
+    def test_snapshot_install_syncs_directory_before_unlinking(
+        self, leader, tmp_path, monkeypatch
+    ):
+        """A power cut during a reseed leaves the replica a whole snapshot.
+
+        The new snapshot's rename and the new WAL's creation must reach
+        the directory (an fsync on it) before the previous generation's
+        files are unlinked.
+        """
+        import os
+        import stat
+
+        replica = tmp_path / "replica"
+        follower = FollowerStore.open(replica)
+        shipper = WalShipper(leader.directory)
+        shipper.sync(follower)
+        leader.append_hashes("FR", _hashes(9, 30))  # the follower falls behind
+        leader.compact()
+        new_files = {"snapshot-00000001.bin", "wal-00000001.log"}
+        events = []
+        real_fsync, real_unlink = os.fsync, os.unlink
+
+        def recording_fsync(fd):
+            status = os.fstat(fd)
+            if stat.S_ISDIR(status.st_mode) and status.st_ino == replica.stat().st_ino:
+                events.append(("sync", new_files <= set(os.listdir(replica))))
+            real_fsync(fd)
+
+        def recording_unlink(path, *args, **kwargs):
+            events.append(("unlink", os.path.basename(path)))
+            real_unlink(path, *args, **kwargs)
+
+        monkeypatch.setattr(os, "fsync", recording_fsync)
+        monkeypatch.setattr(os, "unlink", recording_unlink)
+        assert shipper.sync(follower).snapshot_installed
+        follower.close()
+        kinds = [kind for kind, _ in events]
+        assert "unlink" in kinds, events
+        assert ("sync", True) in events[: kinds.index("unlink")], events
+
+
 class TestWalShipper:
     def test_missing_leader_rejected(self, tmp_path):
         with pytest.raises(FileNotFoundError):

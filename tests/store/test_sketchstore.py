@@ -130,7 +130,7 @@ class TestConfiguration:
         with SketchStore.open(tmp_path / "s", t=1, d=9, p=6, sparse=False, seed=5):
             pass
         with SketchStore.open(tmp_path / "s") as store:
-            assert store.aggregator._config == (1, 9, 6, False, 5)
+            assert store.aggregator.config == (1, 9, 6, False, 5)
 
     def test_mismatched_config_rejected(self, tmp_path):
         SketchStore.open(tmp_path / "s", p=8).close()
@@ -140,7 +140,7 @@ class TestConfiguration:
     def test_defaults_do_not_conflict(self, tmp_path):
         SketchStore.open(tmp_path / "s", t=1, d=9, p=6).close()
         with SketchStore.open(tmp_path / "s") as store:  # no explicit params
-            assert store.aggregator._config[:3] == (1, 9, 6)
+            assert store.aggregator.config[:3] == (1, 9, 6)
 
 
 class TestCompaction:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.aggregate import DistinctCountAggregator
+from repro.aggregate import DistinctCountAggregator, segment
 from repro.parallel import parallel_spill_write, shard_of
 from repro.storage.serialization import SerializationError
 from repro.store import SpilledGroupBy, SpillWriter, read_spill_file, spill_files
@@ -114,7 +114,7 @@ class TestPartitioningAndWriters:
     def test_parallel_spill_write_spawn(self, tmp_path):
         groups, items = _batch(4000, 60, seed=8)
         reference = DistinctCountAggregator(2, 20, 8).add_batch(groups, items)
-        segments = DistinctCountAggregator(2, 20, 8)._segments(groups, items)
+        segments = segment(groups, items, 0)
         written = parallel_spill_write(
             segments, tmp_path / "s", 4, workers=2, start_method="spawn"
         )
