@@ -3,10 +3,8 @@
 Measures items/sec per sketch at ``n in {1e4, 1e6, 1e7}`` (quick mode:
 ``{1e4, 1e5}``) over precomputed 64-bit hashes, plus the raw-item path
 (``add_batch`` over a NumPy integer array, which includes vectorised
-Murmur3 hashing), plus the kernel-backend section: the reference NumPy
-fold against :class:`repro.backends.FastBulkBackend` (cache-blocked,
-workspace-reusing), single core, bit-identity asserted per measurement. Results go to
-``BENCH_bulk_ingest.json`` and a text table under ``benchmarks/output/``.
+Murmur3 hashing). Results go to ``BENCH_bulk_ingest.json`` and a text
+table under ``benchmarks/output/``.
 
 The headline check: ExaLogLog bulk ingestion must be >= 10x the scalar
 loop at n = 1e6 (the PR's acceptance criterion). Scalar timing is capped
@@ -99,56 +97,6 @@ def bench_sketch(name: str, factory, hashes: np.ndarray) -> dict:
     }
 
 
-def bench_fast_backend(hashes: np.ndarray) -> list[dict]:
-    """Reference NumPy kernels vs the blocked backend, single core."""
-    from repro.backends import FastBulkBackend
-    from repro.backends.bulk import reference_exaloglog_registers
-
-    n = len(hashes)
-    params = ExaLogLog(2, 20, 8).params
-    reference_exaloglog_registers(hashes[: max(1, n // 100)], params)  # warm
-
-    reference_seconds = float("inf")
-    for _ in range(BULK_ROUNDS):
-        start = time.perf_counter()
-        expected = reference_exaloglog_registers(hashes, params)
-        reference_seconds = min(reference_seconds, time.perf_counter() - start)
-    reference_rate = _rate(reference_seconds, n)
-
-    backends = [("fast (numpy blocked)", FastBulkBackend())]
-    rows = [
-        {
-            "sketch": "backend: reference numpy fold",
-            "n": n,
-            "scalar_measured_n": n,
-            "scalar_items_per_s": reference_rate,
-            "bulk_items_per_s": reference_rate,
-            "speedup": 1.0,
-        }
-    ]
-    for label, backend in backends:
-        backend.fold(hashes[: max(1, n // 100)], params)  # warm
-        seconds = float("inf")
-        for _ in range(BULK_ROUNDS):
-            start = time.perf_counter()
-            folded = backend.fold(hashes, params)
-            seconds = min(seconds, time.perf_counter() - start)
-        if not np.array_equal(folded, expected):
-            raise AssertionError(f"{label} fold diverged from the reference")
-        rate = _rate(seconds, n)
-        rows.append(
-            {
-                "sketch": f"backend: {label}",
-                "n": n,
-                "scalar_measured_n": n,
-                "scalar_items_per_s": reference_rate,
-                "bulk_items_per_s": rate,
-                "speedup": rate / reference_rate,
-            }
-        )
-    return rows
-
-
 def bench_raw_items(n: int) -> dict:
     """The raw-item path: vectorised hashing + bulk insert vs add() loop."""
     items = np.arange(n, dtype=np.int64)
@@ -209,13 +157,6 @@ def main(argv: list[str] | None = None) -> int:
             f"{'(raw int64 items via add_batch)':36s} n={n:>9,d}"
             f"  speedup {rows[-1]['speedup']:>7.1f}x"
         )
-        for row in bench_fast_backend(hashes):
-            rows.append(row)
-            print(
-                f"{row['sketch']:36s} n={n:>9,d}"
-                f"  {row['bulk_items_per_s']:>14,.0f}/s"
-                f"  vs reference {row['speedup']:>5.2f}x"
-            )
 
     # The acceptance gate: >= 10x for ExaLogLog at n = 1e6 (full mode).
     # Quick mode guards the same path with a relaxed 3x bar at its largest n.
@@ -225,20 +166,12 @@ def main(argv: list[str] | None = None) -> int:
         for row in rows
         if row["sketch"].startswith("ExaLogLog") and row["n"] >= gate_n
     ]
-    fast_rows = [
-        row
-        for row in rows
-        if row["sketch"] == "backend: fast (numpy blocked)" and row["n"] == max(sizes)
-    ]
     payload = {
         "quick": args.quick,
         "sizes": sizes,
         "results": rows,
         "headline_min_exaloglog_speedup": (
             min(row["speedup"] for row in headline) if headline else None
-        ),
-        "headline_fast_backend_speedup": (
-            fast_rows[0]["speedup"] if fast_rows else None
         ),
     }
     args.output.write_text(json.dumps(payload, indent=2) + "\n")

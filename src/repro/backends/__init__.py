@@ -3,9 +3,10 @@
 Promotes the exact NumPy bulk machinery that used to live private to the
 simulation harness into a first-class layer: the
 :class:`~repro.backends.protocol.BulkBackend` protocol, bit primitives,
-and per-sketch state builders. Every sketch's ``add_hashes`` routes
-through here; the contract is that bulk state equals the sequential
-``add_hash`` loop state bit for bit (see :mod:`repro.backends.protocol`).
+and per-sketch state builders, including the one ExaLogLog fold and merge
+kernel. Every sketch's ``add_hashes`` routes through here; the contract
+is that bulk state equals the sequential ``add_hash`` loop state bit for
+bit (see :mod:`repro.backends.protocol`).
 """
 
 from repro.backends.bitops import (
@@ -16,7 +17,6 @@ from repro.backends.bitops import (
 )
 from repro.backends.bulk import (
     BULK_CHUNK,
-    ReferenceBulkBackend,
     exaloglog_registers,
     exaloglog_registers_from_pairs,
     exaloglog_state,
@@ -25,9 +25,7 @@ from repro.backends.bulk import (
     merge_exaloglog_registers,
     pcsa_bitmaps,
     pcsa_state,
-    reference_exaloglog_registers,
-    reference_merge_registers,
-    reference_registers_from_pairs,
+    pick_chunk,
     spikesketch_pairs,
     spikesketch_state,
     split_hashes,
@@ -35,23 +33,12 @@ from repro.backends.bulk import (
     token_hashes,
     tokenize_hashes,
 )
-from repro.backends.fast import FastBulkBackend, pick_chunk
 from repro.backends.protocol import BulkBackend, scalar_add_hashes, supports_bulk
-from repro.backends.select import (
-    active_backend,
-    available_backends,
-    set_backend,
-    use_backend,
-)
 
 __all__ = [
     "BULK_CHUNK",
     "BulkBackend",
-    "FastBulkBackend",
-    "ReferenceBulkBackend",
-    "active_backend",
     "as_hash_array",
-    "available_backends",
     "bit_length_u64",
     "exaloglog_registers",
     "exaloglog_registers_from_pairs",
@@ -64,11 +51,7 @@ __all__ = [
     "pcsa_bitmaps",
     "pcsa_state",
     "pick_chunk",
-    "reference_exaloglog_registers",
-    "reference_merge_registers",
-    "reference_registers_from_pairs",
     "scalar_add_hashes",
-    "set_backend",
     "spikesketch_pairs",
     "spikesketch_state",
     "split_hashes",
@@ -76,5 +59,4 @@ __all__ = [
     "supports_int64_registers",
     "token_hashes",
     "tokenize_hashes",
-    "use_backend",
 ]

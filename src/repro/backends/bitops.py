@@ -17,8 +17,9 @@ def bit_length_u64(values: np.ndarray, clobber: bool = False) -> np.ndarray:
 
     ``clobber=True`` runs the bit smear in place when ``values`` is a
     writeable uint64 array the caller owns and no longer needs, skipping
-    the defensive copy — the fold hot path hands in a freshly built
-    temporary once per chunk, so that copy was pure overhead.
+    the defensive copy — the token, HyperLogLog and PCSA builders hand in
+    a freshly built temporary once per chunk, so that copy was pure
+    overhead.
     """
     if clobber and values.dtype == _U64 and values.flags.writeable:
         x = values

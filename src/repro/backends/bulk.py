@@ -19,12 +19,11 @@ Register arrays are held as int64; callers must guard ``register_bits <=
 63`` (``d`` up to 57 with t=0) and fall back to the scalar loop beyond
 that — :func:`supports_int64_registers` spells the condition out.
 
-The three ExaLogLog hot-path entry points — :func:`exaloglog_registers`,
-:func:`exaloglog_registers_from_pairs`, :func:`merge_exaloglog_registers` —
-dispatch through the active kernel backend (:mod:`repro.backends.select`);
-the ``reference_*`` functions here are the pure-NumPy implementations the
-default backend uses and every other backend is checked bit-identical
-against.
+The ExaLogLog kernel is three plain functions —
+:func:`exaloglog_registers`, :func:`exaloglog_registers_from_pairs` and
+:func:`merge_exaloglog_registers` — checked against the scalar
+``add_hash`` and ``merge_register`` (the paper's Algorithms 2 and 5),
+which stay the only oracle.
 """
 
 from __future__ import annotations
@@ -39,6 +38,7 @@ from repro.core.params import ExaLogLogParams
 from repro.obs import metrics as _metrics
 
 _U64 = np.uint64
+_I64 = np.int64
 
 # Instrumentation handles (no-ops until REPRO_METRICS enables collection;
 # the enabled() guard at each call site keeps the disabled cost to one
@@ -52,27 +52,26 @@ _HASHES_FOLDED = _metrics.counter(
 _FOLD_SECONDS = _metrics.counter(
     "backend.fold_seconds", "Wall seconds spent inside bulk folds."
 )
+_FOLDS = _metrics.counter("backend.folds", "Bulk ExaLogLog folds.")
 _MERGES = _metrics.counter(
     "backend.register_merges", "Algorithm 5 register-array merges."
 )
-#: Per-backend fold counters, cached by backend name: registry lookups
-#: canonicalize labels, which is too slow for the per-batch hot path.
-#: Handles stay valid across Registry.reset() (values are zeroed in place).
-_FOLD_COUNTERS: "dict[str, _metrics.Counter]" = {}
 
-#: Batches are folded in chunks of this many hashes: the ~10 temporary
-#: arrays of a fold then stay cache-resident, which measures ~3x faster
-#: than one pass over a 10M-element batch (merges between chunk folds are
-#: O(m) and exact, so chunking never changes the resulting state).
+#: Hashes per chunk of the HyperLogLog and PCSA folds (and the default
+#: slice of the other batch loops): the temporaries of a fold then stay
+#: cache-resident, which measures ~3x faster than one pass over a
+#: 10M-element batch. ExaLogLog folds size their chunks by register count
+#: (:func:`pick_chunk`).
 BULK_CHUNK = 1 << 18
 
 
-def _chunks(hashes: np.ndarray):
-    if len(hashes) <= BULK_CHUNK:
-        yield hashes
+def _chunks(values: np.ndarray, size: int = BULK_CHUNK):
+    """Views of ``values`` at most ``size`` long (one view when it fits)."""
+    if len(values) <= size:
+        yield values
     else:
-        for start in range(0, len(hashes), BULK_CHUNK):
-            yield hashes[start : start + BULK_CHUNK]
+        for start in range(0, len(values), size):
+            yield values[start : start + size]
 
 
 def supports_int64_registers(params: ExaLogLogParams) -> bool:
@@ -83,22 +82,139 @@ def supports_int64_registers(params: ExaLogLogParams) -> bool:
 # -- ExaLogLog ----------------------------------------------------------------
 
 
+def pick_chunk(m: int) -> int:
+    """Hashes per chunk of an ExaLogLog fold over ``m`` registers.
+
+    The merge between two chunk folds costs O(m), so the chunk grows with
+    the register count: ``max(2**16, min(2**20, 64 * m))`` measured faster
+    than any fixed size at every precision tested. Chunk folds merge
+    exactly (Algorithm 5), so chunking never changes the result.
+    """
+    return max(1 << 16, min(1 << 20, 64 * m))
+
+
 def split_hashes(
     hashes: np.ndarray, params: ExaLogLogParams
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorised Algorithm 2 front end: (register index, update value)."""
-    t = _U64(params.t)
     hashes = hashes.astype(_U64, copy=False)
-    index = (hashes >> t) & _U64(params.m - 1)
-    masked = hashes | _U64((1 << (params.p + params.t)) - 1)
-    # ``masked`` is a fresh temporary owned by this frame, so the bit
-    # smear may destroy it in place instead of copying it first.
-    nlz = nlz64_array(masked, clobber=True)
-    k = (nlz << params.t) + (hashes & _U64((1 << params.t) - 1)).astype(np.int64) + 1
-    return index.astype(np.int64), k
+    return _split_into(hashes, params, np.empty((4, len(hashes)), dtype=_I64))
 
 
-def reference_registers_from_pairs(
+def _split_into(
+    hashes: np.ndarray, params: ExaLogLogParams, scratch: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`split_hashes` of uint64 ``hashes``, written into ``scratch``.
+
+    Returns views of scratch rows 2 and 3; rows 0 and 1 are clobbered.
+    """
+    n, t = len(hashes), params.t
+    index, k = scratch[2, :n], scratch[3, :n]
+    masked, guard = scratch[0, :n].view(_U64), scratch[1, :n].view(_U64)
+    np.right_shift(hashes, _U64(t), out=index.view(_U64))
+    np.bitwise_and(index, _I64(params.m - 1), out=index)
+    np.bitwise_or(hashes, _U64((1 << (params.p + t)) - 1), out=masked)
+    # bit_length(masked) = L is the float64 exponent, once rounding cannot
+    # carry the value up to 2**L: clearing bit L - 54 (where the top bit of
+    # masked >> 53 sits) keeps it below the rounding midpoint.
+    np.right_shift(masked, _U64(53), out=guard)
+    np.invert(guard, out=guard)
+    masked &= guard
+    np.copyto(guard.view(np.float64), masked, casting="unsafe")
+    np.right_shift(guard.view(_I64), 52, out=k)  # exponent 1022 + L
+    # k = (nlz << t) + (low t bits) + 1 with nlz = 64 - L = 1086 - exponent.
+    np.left_shift(k, t, out=k)
+    np.subtract(_I64((1086 << t) + 1), k, out=k)
+    if t:
+        k += np.bitwise_and(hashes, _U64((1 << t) - 1), out=masked).view(_I64)
+    return index, k
+
+
+def _fold_pairs(
+    index: np.ndarray, k: np.ndarray, params: ExaLogLogParams, scratch: np.ndarray
+) -> np.ndarray:
+    """One chunk of (register, update value) pairs into a fresh array.
+
+    The per-event passes write into scratch rows 0 and 1; ``index`` and
+    ``k`` are only read.
+    """
+    m, d, n = params.m, params.d, len(index)
+    u = np.zeros(m, dtype=_I64)
+    np.maximum.at(u, index, k)
+    if d == 0:
+        return u
+    u_at = np.take(u, index, out=scratch[0, :n])
+    # How far each event sits under its register's maximum.
+    below = np.subtract(u_at, k, out=scratch[1, :n])
+    if n > 32 * m:
+        # Many events per register: most fall below their register's window.
+        kept = (below <= d).nonzero()[0]
+        index, u_at, below = index[kept], u_at[kept], below[kept]
+    top = _I64(1 << d)
+    # Each event sets its window bit d - below (below == 0 is the maximum
+    # itself, whose bit d is masked off) and its register's deterministic
+    # value-0 bit d - u, present while u <= d (see repro.core.register).
+    # Shifts past d leave nothing, so clamping them at d + 1 is exact.
+    bits = np.right_shift(top, np.minimum(below, d + 1, out=below), out=below)
+    bits |= np.right_shift(top, np.minimum(u_at, d + 1, out=u_at), out=u_at)
+    bits &= top - 1
+    registers = u << d
+    np.bitwise_or.at(registers, index, bits)
+    return registers
+
+
+def _merge(r1: np.ndarray, r2: np.ndarray, d: int) -> np.ndarray:
+    """Algorithm 5 on every lane of two reachable register arrays.
+
+    The larger register keeps its value; the smaller one's window, with
+    its implicit bit ``2**d``, shifts right by the difference of the two
+    maxima and ORs in. An empty smaller register would carry the value-0
+    bit ``d - u``, which a reachable register with ``1 <= u <= d``
+    already holds, so it changes nothing and needs no mask.
+    """
+    hi = np.maximum(r1, r2)
+    lo = np.minimum(r1, r2)
+    delta = hi >> d
+    delta -= lo >> d
+    # Shifting by more than d + 1 always yields 0; clamp to keep shifts valid.
+    np.minimum(delta, d + 1, out=delta)
+    window = _I64((1 << d) - 1)
+    lo &= window
+    lo += _I64(1 << d)
+    lo >>= delta
+    lo &= window  # equal maxima (delta == 0): drop the implicit bit again
+    hi |= lo
+    return hi
+
+
+def exaloglog_registers(hashes: np.ndarray, params: ExaLogLogParams) -> np.ndarray:
+    """Fresh ExaLogLog register array for a hash batch (chunked fold)."""
+    if _metrics.enabled():
+        started = _perf_counter()
+        registers = _fold_hashes(hashes, params)
+        _FOLD_SECONDS.inc(_perf_counter() - started)
+        _FOLD_BATCH_SIZE.observe(len(hashes))
+        _HASHES_FOLDED.inc(len(hashes))
+        _FOLDS.inc()
+        return registers
+    return _fold_hashes(hashes, params)
+
+
+def _fold_hashes(hashes: np.ndarray, params: ExaLogLogParams) -> np.ndarray:
+    hashes = hashes.astype(_U64, copy=False)
+    chunk = pick_chunk(params.m)
+    # One scratch block per call, reused by every chunk: fresh temporaries
+    # of this size would be page-faulted in again for each chunk.
+    scratch = np.empty((4, min(len(hashes), chunk)), dtype=_I64)
+    registers = None
+    for part in _chunks(hashes, chunk):
+        index, k = _split_into(part, params, scratch)
+        batch = _fold_pairs(index, k, params, scratch)
+        registers = batch if registers is None else _merge(registers, batch, params.d)
+    return registers
+
+
+def exaloglog_registers_from_pairs(
     index: np.ndarray, k: np.ndarray, params: ExaLogLogParams
 ) -> np.ndarray:
     """Fold ``(register, update value)`` pairs into a fresh register array.
@@ -107,45 +223,12 @@ def reference_registers_from_pairs(
     also the bulk route for event schedules, whose events are exactly such
     pairs.
     """
-    m = params.m
-    d = params.d
-
-    u = np.zeros(m, dtype=np.int64)
-    np.maximum.at(u, index, k)
-
-    low = np.zeros(m, dtype=np.int64)
-    if d > 0:
-        u_at_event = u[index]
-        in_window = (k < u_at_event) & (k >= u_at_event - d)
-        if in_window.any():
-            positions = d - (u_at_event[in_window] - k[in_window])
-            bits = np.int64(1) << positions
-            np.bitwise_or.at(low, index[in_window], bits)
-        # The deterministic value-0 bit for registers with 1 <= u <= d.
-        phantom = (u >= 1) & (u <= d)
-        low[phantom] |= np.int64(1) << (d - u[phantom])
-
-    return (u << d) | low
-
-
-def reference_exaloglog_registers(
-    hashes: np.ndarray, params: ExaLogLogParams
-) -> np.ndarray:
-    """Fresh ExaLogLog register array for a hash batch (chunked fold).
-
-    Uses only reference kernels internally, so it stays a valid baseline
-    even while a different backend is active.
-    """
+    chunk = pick_chunk(params.m)
+    scratch = np.empty((2, min(len(index), chunk)), dtype=_I64)
     registers = None
-    for chunk in _chunks(hashes):
-        index, k = split_hashes(chunk, params)
-        batch = reference_registers_from_pairs(index, k, params)
-        if registers is None:
-            registers = batch
-        else:
-            registers = reference_merge_registers(registers, batch, params.d)
-    if registers is None:
-        registers = np.zeros(params.m, dtype=np.int64)
+    for part_index, part_k in zip(_chunks(index, chunk), _chunks(k, chunk)):
+        batch = _fold_pairs(part_index, part_k, params, scratch)
+        registers = batch if registers is None else _merge(registers, batch, params.d)
     return registers
 
 
@@ -154,99 +237,26 @@ def exaloglog_state(hashes: np.ndarray, params: ExaLogLogParams) -> list[int]:
     return exaloglog_registers(hashes, params).tolist()
 
 
-def reference_merge_registers(
+def merge_exaloglog_registers(
     existing: Sequence[int], batch: np.ndarray, d: int
 ) -> np.ndarray:
     """Vectorised Algorithm 5: merge a batch register array into ``existing``.
 
-    Equivalent to ``merge_register(existing[i], batch[i], d)`` per register;
-    the result equals the state of the union of the two element streams.
+    Equivalent to ``merge_register(existing[i], batch[i], d)`` per register
+    for every reachable register state; the result equals the state of the
+    union of the two element streams.
     """
-    r1 = np.asarray(existing, dtype=np.int64)
-    r2 = batch.astype(np.int64, copy=False)
-    u1 = r1 >> d
-    u2 = r2 >> d
-    window = np.int64((1 << d) - 1)
-    implicit = np.int64(1 << d)
-    # Shifting by more than d+1 always yields 0; clamp to keep shifts valid.
-    delta12 = np.minimum(u1 - u2, d + 1, dtype=np.int64)
-    delta21 = np.minimum(u2 - u1, d + 1, dtype=np.int64)
-    out = r1 | r2
-    mask = (u1 > u2) & (u2 > 0)
-    if mask.any():
-        out[mask] = r1[mask] | ((implicit + (r2[mask] & window)) >> delta12[mask])
-    mask = (u2 > u1) & (u1 > 0)
-    if mask.any():
-        out[mask] = r2[mask] | ((implicit + (r1[mask] & window)) >> delta21[mask])
-    return out
-
-
-class ReferenceBulkBackend:
-    """The pure-NumPy kernels as a backend object (the default)."""
-
-    __slots__ = ()
-    name = "numpy"
-
-    def fold(self, hashes, params: ExaLogLogParams) -> np.ndarray:
-        return reference_exaloglog_registers(hashes, params)
-
-    def registers_from_pairs(self, index, k, params: ExaLogLogParams) -> np.ndarray:
-        return reference_registers_from_pairs(index, k, params)
-
-    def merge_registers(self, existing, batch, d: int) -> np.ndarray:
-        return reference_merge_registers(existing, batch, d)
-
-    def __repr__(self) -> str:
-        return "ReferenceBulkBackend()"
-
-
-# -- backend dispatch (the public hot-path entry points) ----------------------
-
-
-def _backend():
-    from repro.backends.select import active_backend
-
-    return active_backend()
-
-
-def exaloglog_registers(hashes: np.ndarray, params: ExaLogLogParams) -> np.ndarray:
-    """Fresh ExaLogLog register array for a hash batch (active backend)."""
-    backend = _backend()
-    if _metrics.enabled():
-        started = _perf_counter()
-        registers = backend.fold(hashes, params)
-        _FOLD_SECONDS.inc(_perf_counter() - started)
-        _FOLD_BATCH_SIZE.observe(len(hashes))
-        _HASHES_FOLDED.inc(len(hashes))
-        folds = _FOLD_COUNTERS.get(backend.name)
-        if folds is None:
-            folds = _FOLD_COUNTERS.setdefault(
-                backend.name,
-                _metrics.counter(
-                    "backend.folds",
-                    "Bulk folds dispatched, by kernel backend.",
-                    labels={"backend": backend.name},
-                ),
-            )
-        folds.inc()
-        return registers
-    return backend.fold(hashes, params)
-
-
-def exaloglog_registers_from_pairs(
-    index: np.ndarray, k: np.ndarray, params: ExaLogLogParams
-) -> np.ndarray:
-    """Fold ``(register, update value)`` pairs (active backend)."""
-    return _backend().registers_from_pairs(index, k, params)
-
-
-def merge_exaloglog_registers(
-    existing: Sequence[int], batch: np.ndarray, d: int
-) -> np.ndarray:
-    """Vectorised Algorithm 5 merge (active backend)."""
     if _metrics.enabled():
         _MERGES.inc()
-    return _backend().merge_registers(existing, batch, d)
+    r1 = np.asarray(existing, dtype=_I64)
+    r2 = np.asarray(batch, dtype=_I64)
+    if 4 * np.count_nonzero(r2) < len(r2):
+        lanes = r2.nonzero()[0]
+        # A small batch touches few registers: merge only those lanes.
+        merged = r1.copy()
+        merged[lanes] = _merge(r1[lanes], r2[lanes], d)
+        return merged
+    return _merge(r1, r2, d)
 
 
 # -- sparse-mode tokens -------------------------------------------------------
@@ -260,7 +270,7 @@ def tokenize_hashes(hashes: np.ndarray, v: int) -> np.ndarray:
     """
     hashes = hashes.astype(_U64, copy=False)
     mask = _U64((1 << v) - 1)
-    nlz = nlz64_array(hashes | mask)
+    nlz = nlz64_array(hashes | mask, clobber=True)
     if v + 6 > 63:
         return ((hashes & mask) << _U64(6)) | nlz.astype(_U64)
     return ((hashes & mask).astype(np.int64) << 6) | nlz
@@ -290,7 +300,7 @@ def hyperloglog_registers(hashes: np.ndarray, p: int) -> np.ndarray:
         chunk = chunk.astype(_U64, copy=False)
         index = (chunk >> _U64(64 - p)).astype(np.int64)
         masked = chunk & _U64((1 << (64 - p)) - 1)
-        k = 64 - p - bit_length_u64(masked) + 1
+        k = 64 - p - bit_length_u64(masked, clobber=True) + 1
         np.maximum.at(registers, index, k)
     return registers
 
@@ -310,7 +320,7 @@ def pcsa_bitmaps(hashes: np.ndarray, p: int) -> np.ndarray:
         chunk = chunk.astype(_U64, copy=False)
         index = (chunk >> _U64(64 - p)).astype(np.int64)
         masked = chunk & _U64((1 << (64 - p)) - 1)
-        levels = np.minimum(64 - p - bit_length_u64(masked), 64 - p - 1)
+        levels = np.minimum(64 - p - bit_length_u64(masked, clobber=True), 64 - p - 1)
         np.bitwise_or.at(bitmaps, index, np.int64(1) << levels)
     return bitmaps
 

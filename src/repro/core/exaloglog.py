@@ -205,7 +205,7 @@ class ExaLogLog:
         (the :class:`repro.backends.BulkBackend` contract).
 
         ``workers`` opts into the process-pool fan-out of
-        :class:`repro.parallel.ParallelBulkIngestor`: chunk-aligned
+        :class:`repro.parallel.ParallelBulkIngestor`: contiguous
         slices fold on separate processes and their register arrays
         reduce through the exact Algorithm 5 merge, so the final state
         stays bit-identical regardless of worker count. Worth it for
@@ -226,10 +226,9 @@ class ExaLogLog:
             batch = ParallelBulkIngestor(params, workers).registers(hashes)
         else:
             batch = backends.exaloglog_registers(hashes, params)
-        if any(self._registers):
-            batch = backends.merge_exaloglog_registers(
-                self._registers, batch, params.d
-            )
+        existing = self.registers_array()  # cached by the previous bulk call
+        if existing.any():
+            batch = backends.merge_exaloglog_registers(existing, batch, params.d)
         self._registers = batch.tolist()
         batch.setflags(write=False)
         self._array = batch

@@ -1,11 +1,12 @@
 """Multi-core ingest: persistent pool fan-out and sharded aggregation.
 
 Builds the ROADMAP's parallel execution layer on top of the bulk-ingest
-backends. :class:`PersistentIngestPool` (usually via :func:`get_pool`)
-keeps worker processes alive across calls and ships hash batches through
-shared memory; :class:`ParallelBulkIngestor` fans chunk-aligned hash
-slices across it and reduces the per-slice register arrays exactly
-(bit-identical to the sequential fold); :func:`parallel_group_fold`
+backends. :class:`PersistentIngestPool` (usually via :func:`get_pool`) is
+the one transport of every ``workers=`` call: it keeps worker processes
+alive across calls and ships hash batches through shared memory;
+:class:`ParallelBulkIngestor` fans contiguous hash slices across it and
+reduces the per-slice register arrays exactly (bit-identical to the
+sequential fold); :func:`parallel_group_fold`
 hash-partitions group keys into worker shards that build partial
 :class:`~repro.aggregate.DistinctCountAggregator`\\ s merged by the
 existing exact merge; :func:`parallel_spill_write` streams shards into
@@ -18,7 +19,6 @@ and ``SlidingWindowDistinctCounter.add_hashes``.
 from repro.parallel.ingest import (
     ParallelBulkIngestor,
     parallel_exaloglog_registers,
-    preferred_start_method,
 )
 from repro.parallel.pool import (
     PersistentIngestPool,
@@ -26,6 +26,7 @@ from repro.parallel.pool import (
     attach_slice,
     get_pool,
     pool_task,
+    preferred_start_method,
     shutdown_default_pool,
 )
 from repro.parallel.shard import (

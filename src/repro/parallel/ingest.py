@@ -1,41 +1,22 @@
 """Process-pool fan-out for the ExaLogLog bulk fold (multi-core ingest).
 
-The chunk folds in :mod:`repro.backends.bulk` are pure functions of a hash
-slice, and :func:`~repro.backends.bulk.merge_exaloglog_registers` is exact,
-so a batch parallelises without approximation: split the hash array into
-:data:`~repro.backends.bulk.BULK_CHUNK`-aligned slices, fold each slice on
-its own worker process, and reduce the per-slice register arrays with the
-vectorised Algorithm 5 merge. The reduction is associative and
-commutative, so the result is **bit-identical** to the sequential
-``add_hashes`` fold — and therefore to the scalar ``add_hash`` loop (the
-:class:`repro.backends.BulkBackend` contract survives the pool).
+The fold in :mod:`repro.backends.bulk` is a pure function of a hash slice,
+and :func:`~repro.backends.bulk.merge_exaloglog_registers` is exact, so a
+batch parallelises without approximation: split the hash array into
+contiguous slices, fold each slice on its own worker process, and reduce
+the per-slice register arrays with the vectorised Algorithm 5 merge. The
+reduction is associative and commutative, so the result is
+**bit-identical** to the sequential ``add_hashes`` fold — and therefore to
+the scalar ``add_hash`` loop (the :class:`repro.backends.BulkBackend`
+contract survives the pool).
 
-Two worker transports, chosen by start method:
-
-* ``fork`` (Linux default) — the parent publishes the hash array in a
-  module global right before forking the pool, so workers inherit it
-  copy-on-write and receive only ``(start, stop)`` bounds: no per-slice
-  pickling of hash data.
-* ``spawn`` / ``forkserver`` — workers are fresh interpreters, so each
-  job carries its hash slice (pickled once per slice). Both worker
-  functions live at module top level and take picklable arguments
-  (:class:`~repro.core.params.ExaLogLogParams` is a plain frozen
-  dataclass), so every start method works.
-
-By default batches run on the module-level persistent pool
-(:mod:`repro.parallel.pool`): workers stay alive across calls and hash
-slices travel through shared memory, so the steady-state cost of a
-``workers=`` call is one memcpy into the transport segment. The legacy
-per-call transports below remain for callers that pin an explicit
-``start_method`` (and as the simplest-possible reference for tests): fork
-publishes the hash array in a module global for copy-on-write
-inheritance; spawn/forkserver pickle each slice.
+Slices run on the persistent worker pool (:mod:`repro.parallel.pool`):
+workers stay alive across calls and read their slice zero-copy from one
+shared-memory segment, so the steady-state cost of a ``workers=`` call is
+one memcpy into that segment plus dispatch.
 """
 
 from __future__ import annotations
-
-import multiprocessing
-import threading
 
 import numpy as np
 
@@ -43,40 +24,14 @@ from repro.backends.bitops import as_hash_array
 from repro.backends.bulk import (
     BULK_CHUNK,
     exaloglog_registers,
-    merge_exaloglog_registers,
     supports_int64_registers,
 )
 from repro.core.params import ExaLogLogParams
-
-#: Hash array published to fork workers (copy-on-write inheritance). Only
-#: set between acquiring :data:`_FORK_LOCK` and the fork itself — workers
-#: capture their copy at fork time, so the parent resets it immediately
-#: after the pool exists (nothing is pinned, concurrent callers can't
-#: observe each other's payload).
-_FORK_PAYLOAD: np.ndarray | None = None
-_FORK_LOCK = threading.Lock()
-
-
-def preferred_start_method() -> str:
-    """The platform's cheapest safe start method (fork where available)."""
-    return "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
-
-
-def _fold_fork_bounds(job: tuple[int, int, ExaLogLogParams]) -> np.ndarray:
-    """Fold a slice of the fork-inherited payload (fork transport)."""
-    start, stop, params = job
-    assert _FORK_PAYLOAD is not None
-    return exaloglog_registers(_FORK_PAYLOAD[start:stop], params)
-
-
-def _fold_slice(job: tuple[np.ndarray, ExaLogLogParams]) -> np.ndarray:
-    """Fold an explicit hash slice (spawn/forkserver transport)."""
-    hashes, params = job
-    return exaloglog_registers(hashes, params)
+from repro.parallel.pool import get_pool
 
 
 class ParallelBulkIngestor:
-    """Fan an ExaLogLog hash batch out to a process pool.
+    """Fan an ExaLogLog hash batch out to the persistent worker pool.
 
     Parameters
     ----------
@@ -85,29 +40,25 @@ class ParallelBulkIngestor:
         like every vectorised bulk path).
     workers:
         Number of worker processes. ``1`` degenerates to the in-process
-        fold (no pool is created).
+        fold (the pool is not used).
     chunk:
-        Slice alignment; per-worker slices are multiples of this, so the
-        workers' internal chunking matches the sequential fold exactly.
-        Defaults to :data:`~repro.backends.bulk.BULK_CHUNK`; tests shrink
-        it to exercise the pool on small batches.
-    start_method:
-        ``None`` (default) routes batches through the persistent
-        shared-memory pool. Pinning an explicit method opts back into
-        the legacy per-call pool with that method's transport.
+        Slice granularity: per-worker slices are whole multiples of this
+        many hashes, so a batch of at most one chunk stays in process.
+        Merges are exact, so where the slices start never changes the
+        result. Defaults to :data:`~repro.backends.bulk.BULK_CHUNK`; tests
+        shrink it to exercise the pool on small batches.
     pool:
-        The :class:`~repro.parallel.pool.PersistentIngestPool` to use on
-        the pooled path; ``None`` uses the process-wide default.
+        The :class:`~repro.parallel.pool.PersistentIngestPool` to use;
+        ``None`` uses the process-wide default.
     """
 
-    __slots__ = ("_chunk", "_explicit_method", "_params", "_pool", "_workers")
+    __slots__ = ("_chunk", "_params", "_pool", "_workers")
 
     def __init__(
         self,
         params: ExaLogLogParams,
         workers: int,
         chunk: int = BULK_CHUNK,
-        start_method: str | None = None,
         pool=None,
     ) -> None:
         if workers < 1:
@@ -119,32 +70,20 @@ class ParallelBulkIngestor:
                 f"{params} registers exceed int64; parallel ingest requires "
                 "the vectorised fold (register_bits <= 63)"
             )
-        if start_method is not None and start_method not in (
-            methods := multiprocessing.get_all_start_methods()
-        ):
-            raise ValueError(
-                f"unknown start method {start_method!r}; available: {methods}"
-            )
         self._params = params
         self._workers = workers
         self._chunk = chunk
-        self._explicit_method = start_method
         self._pool = pool
 
     @property
     def workers(self) -> int:
         return self._workers
 
-    @property
-    def start_method(self) -> str:
-        return self._explicit_method or preferred_start_method()
-
     def slice_bounds(self, n: int) -> list[tuple[int, int]]:
-        """Chunk-aligned ``(start, stop)`` bounds, at most one per worker.
+        """Contiguous ``(start, stop)`` bounds, at most one per worker.
 
-        Each worker folds a contiguous run of whole chunks (the last slice
-        takes the remainder), so slice-internal chunking is identical to
-        the sequential fold's.
+        Each worker folds a run of whole chunks (the last slice takes the
+        remainder).
         """
         if n <= 0:
             return []
@@ -158,50 +97,19 @@ class ParallelBulkIngestor:
         Bit-identical to ``exaloglog_registers(hashes, params)``; callers
         merge it into existing state exactly as the sequential path does.
         """
-        global _FORK_PAYLOAD
-
         hashes = as_hash_array(hashes)
         bounds = self.slice_bounds(len(hashes))
         if len(bounds) <= 1 or self._workers == 1:
             return exaloglog_registers(hashes, self._params)
-        if self._explicit_method is None:
-            from repro.parallel.pool import get_pool
-
-            pool = self._pool if self._pool is not None else get_pool()
-            return pool.fold_registers(
-                hashes, bounds, self._params, workers=self._workers
-            )
-        context = multiprocessing.get_context(self._explicit_method)
-        if self._explicit_method == "fork":
-            worker = _fold_fork_bounds
-            jobs = [(start, stop, self._params) for start, stop in bounds]
-            # Workers capture the payload at fork time (pool creation);
-            # reset right after so nothing stays pinned and concurrent
-            # callers never see each other's array.
-            with _FORK_LOCK:
-                _FORK_PAYLOAD = hashes
-                try:
-                    pool = context.Pool(min(self._workers, len(jobs)))
-                finally:
-                    _FORK_PAYLOAD = None
-        else:
-            worker = _fold_slice
-            jobs = [(hashes[start:stop], self._params) for start, stop in bounds]
-            pool = context.Pool(min(self._workers, len(jobs)))
-        try:
-            partials = pool.map(worker, jobs)
-        finally:
-            pool.close()
-            pool.join()
-        reduced = partials[0]
-        for partial in partials[1:]:
-            reduced = merge_exaloglog_registers(reduced, partial, self._params.d)
-        return reduced
+        pool = self._pool if self._pool is not None else get_pool()
+        return pool.fold_registers(
+            hashes, bounds, self._params, workers=self._workers
+        )
 
     def __repr__(self) -> str:
         return (
             f"ParallelBulkIngestor({self._params}, workers={self._workers}, "
-            f"chunk={self._chunk}, start_method={self.start_method!r})"
+            f"chunk={self._chunk})"
         )
 
 
@@ -210,10 +118,7 @@ def parallel_exaloglog_registers(
     params: ExaLogLogParams,
     workers: int,
     chunk: int = BULK_CHUNK,
-    start_method: str | None = None,
     pool=None,
 ) -> np.ndarray:
     """Functional shorthand for :meth:`ParallelBulkIngestor.registers`."""
-    return ParallelBulkIngestor(
-        params, workers, chunk, start_method, pool=pool
-    ).registers(hashes)
+    return ParallelBulkIngestor(params, workers, chunk, pool=pool).registers(hashes)

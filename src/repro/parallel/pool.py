@@ -1,8 +1,8 @@
-"""Persistent shared-memory worker pool for all parallel entry points.
+"""Persistent shared-memory worker pool: the one transport of ``workers=``.
 
-``BENCH_parallel_ingest.json`` showed the per-call pools of the original
-parallel plane *losing* to single-process bulk: every ``workers=`` call
-paid pool start-up plus hash pickling. This module replaces both costs:
+Every ``workers=`` entry point (fold fan-out, sharded GROUP BY, parallel
+spill, simulation replays) runs its jobs here, so no call pays pool
+start-up or hash pickling:
 
 * **Persistent workers.** One module-level pool (:func:`get_pool`) keeps
   worker processes alive across calls — lazily spawned on first use,
@@ -15,18 +15,18 @@ paid pool start-up plus hash pickling. This module replaces both costs:
   ``multiprocessing.shared_memory`` segment: the parent packs arrays
   into the segment (one memcpy), jobs carry only :class:`ShmSlice`
   descriptors, and workers map the segment and read **zero-copy** —
-  identical cost under ``fork`` and ``spawn``, unlike the old transports
-  (fork-global publishing / per-slice pickling).
+  identical cost under ``fork`` and ``spawn``.
 * **Fork safety.** A pool object inherited through ``os.fork`` silently
   resets in the child: inherited worker handles, queues and segments
   belong to the parent and are abandoned (never closed or unlinked), and
   the child lazily spawns its own workers on first use.
 
 Tasks are registered by name (:func:`pool_task`) as top-level functions,
-so every ``multiprocessing`` start method works. Jobs carry the parent's
-active kernel-backend name where folding is involved, so worker folds
-dispatch exactly like the parent's would — keeping the pool inside the
-library-wide bit-identity contract.
+so every ``multiprocessing`` start method works: the pool's
+``start_method`` defaults to :func:`preferred_start_method` (fork where
+the platform has it; Windows has only spawn). Worker folds run the same
+kernel as the parent, which keeps the pool inside the library-wide
+bit-identity contract.
 """
 
 from __future__ import annotations
@@ -49,7 +49,6 @@ import numpy as np
 
 from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
-from repro.parallel.ingest import preferred_start_method
 
 logger = logging.getLogger(__name__)
 
@@ -85,6 +84,11 @@ _ATTACH_CAP = 8
 
 #: Alignment of packed arrays inside a segment (cache-line friendly).
 _ALIGN = 64
+
+
+def preferred_start_method() -> str:
+    """The platform's cheapest safe start method (fork where available)."""
+    return "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
 
 
 def _idle_timeout_default() -> float:
@@ -173,35 +177,28 @@ def pool_task(name: str):
 def _task_fold(payload) -> np.ndarray:
     """Fold a hash slice into a fresh register array (pure, retryable)."""
     from repro.backends.bulk import exaloglog_registers
-    from repro.backends.select import use_backend
 
-    hashes = attach_slice(payload["hashes"])
-    with use_backend(payload["backend"]):
-        return exaloglog_registers(hashes, payload["params"])
+    return exaloglog_registers(attach_slice(payload["hashes"]), payload["params"])
 
 
 @pool_task("group_fold")
 def _task_group_fold(payload) -> bytes:
     """Build one shard's partial aggregator (pure, retryable)."""
-    from repro.backends.select import use_backend
     from repro.parallel.shard import fold_partial
 
     segments = [(key, attach_slice(item)) for key, item in payload["segments"]]
-    with use_backend(payload["backend"]):
-        return fold_partial(payload["config"], segments).to_bytes()
+    return fold_partial(payload["config"], segments).to_bytes()
 
 
 @pool_task("spill")
 def _task_spill(payload) -> int:
     """Append one shard's segments to its spill files (NOT retryable)."""
-    from repro.store.spill import SpillWriter
+    from repro.parallel.shard import spill_segments
 
     segments = [(key, attach_slice(item)) for key, item in payload["segments"]]
-    with SpillWriter(
-        payload["directory"], payload["partitions"], payload["writer_id"]
-    ) as writer:
-        writer.write_segments(segments)
-        return writer.records_written
+    return spill_segments(
+        payload["directory"], payload["partitions"], payload["writer_id"], segments
+    )
 
 
 @pool_task("replay")
@@ -618,11 +615,6 @@ class PersistentIngestPool:
 
     # -- wired entry points ----------------------------------------------------
 
-    def _backend_name(self) -> str:
-        from repro.backends.select import active_backend
-
-        return active_backend().name
-
     def fold_registers(self, hashes: np.ndarray, bounds, params,
                        workers: int | None = None) -> np.ndarray:
         """Fold slice bounds of ``hashes`` across workers; merged result.
@@ -632,16 +624,11 @@ class PersistentIngestPool:
         """
         from repro.backends.bulk import merge_exaloglog_registers
 
-        backend = self._backend_name()
         self._check_fork()
         with self._lock:
             base = self._pack_locked([hashes])[0]
             payloads = [
-                {
-                    "hashes": base.sub(start, stop),
-                    "params": params,
-                    "backend": backend,
-                }
+                {"hashes": base.sub(start, stop), "params": params}
                 for start, stop in bounds
             ]
             partials = self._map_locked(
@@ -655,14 +642,12 @@ class PersistentIngestPool:
     def group_fold(self, config, keyed_hashes, shard_indices,
                    workers: int | None = None) -> list[bytes]:
         """Build per-shard partial aggregators; serialized blobs in order."""
-        backend = self._backend_name()
         self._check_fork()
         with self._lock:
             slices = self._pack_locked([hashes for _, hashes in keyed_hashes])
             payloads = [
                 {
                     "config": config,
-                    "backend": backend,
                     "segments": [
                         (keyed_hashes[i][0], slices[i]) for i in shard
                     ],

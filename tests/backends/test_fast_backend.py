@@ -1,41 +1,34 @@
-"""FastBulkBackend: bit-identity, selection API, and zero-copy guarantees.
+"""The ExaLogLog bulk kernel against the scalar oracle, plus zero-copy guarantees.
 
-The cache-blocked kernels must be indistinguishable from the reference
-NumPy kernels in results — only in speed. These tests pin the identity
-across register widths (including the t=0 extremes), the
-backend-selection surface (env variable, programmatic, scoped), and the
-no-copy contracts the hot path relies on
-(``np.shares_memory`` on chunk views, in-place clobber of the bit smear).
+The reference here is the paper's scalar algorithms: the ``add_hash``
+loop (Algorithm 2) for the fold and the pair fold, and per-register
+``merge_register`` (Algorithm 5) for the merge. The tests pin the
+identity across register widths (including the t=0 extremes), batch
+sizes from empty to past one chunk, hashes at float64 rounding edges
+(the fold reads nlz off a float exponent), and duplicate-heavy streams,
+plus the no-copy contracts the hot path relies on (``np.shares_memory``
+on chunk views, in-place clobber of the bit smear).
 """
 
 from __future__ import annotations
 
-import warnings
+import itertools
 
 import numpy as np
 import pytest
 
 from repro.backends import (
-    FastBulkBackend,
-    ReferenceBulkBackend,
-    active_backend,
-    available_backends,
     exaloglog_registers,
+    exaloglog_registers_from_pairs,
+    merge_exaloglog_registers,
     pick_chunk,
-    set_backend,
-    use_backend,
 )
 from repro.backends.bitops import bit_length_u64
-from repro.backends.bulk import (
-    _chunks,
-    reference_exaloglog_registers,
-    reference_merge_registers,
-    reference_registers_from_pairs,
-    split_hashes,
-)
-from repro.backends.fast import _workspace, release_workspaces
+from repro.backends.bulk import _chunks, split_hashes
 from repro.core.exaloglog import ExaLogLog
 from repro.core.params import ExaLogLogParams
+from repro.core.register import enumerate_reachable
+from repro.core.register import merge as merge_register
 
 #: Register-geometry extremes plus the named configurations: the widest
 #: int64 register (t=0, d=57), the narrowest window (d=1), d=0 (no window
@@ -60,9 +53,23 @@ def random_hashes(seed: int, count: int) -> np.ndarray:
     return rng.integers(0, 1 << 64, size=count, dtype=np.uint64)
 
 
-@pytest.fixture
-def fast() -> FastBulkBackend:
-    return FastBulkBackend()
+def edge_hashes() -> np.ndarray:
+    """Hashes at float64 rounding edges: 2**L - 2**(L-54) rounds up to 2**L."""
+    values = set()
+    for length in range(1, 65):
+        low = 1 << max(length - 54, 0)
+        for value in (1 << (length - 1), (1 << length) - 1,
+                      (1 << length) - low, (1 << length) - low - 1):
+            values.add(value % (1 << 64))
+    return np.array(sorted(values), dtype=np.uint64)
+
+
+def scalar_registers(hashes: np.ndarray, params: ExaLogLogParams) -> list[int]:
+    """The oracle: registers after the sequential ``add_hash`` loop."""
+    sketch = ExaLogLog(params.t, params.d, params.p)
+    for hash_value in hashes.tolist():
+        sketch.add_hash(hash_value)
+    return list(sketch.registers)
 
 
 # -- bit-identity --------------------------------------------------------------
@@ -70,129 +77,82 @@ def fast() -> FastBulkBackend:
 
 @pytest.mark.parametrize("t,d,p", PARAM_SETS)
 @pytest.mark.parametrize("seed", [1, 2])
-def test_fold_matches_reference(t, d, p, seed, fast):
+def test_fold_matches_reference(t, d, p, seed):
     params = params_of(t, d, p)
     hashes = random_hashes(seed, 5000)
-    expected = reference_exaloglog_registers(hashes, params)
-    assert np.array_equal(fast.fold(hashes, params), expected)
+    folded = exaloglog_registers(hashes, params)
+    assert folded.tolist() == scalar_registers(hashes, params)
 
 
 @pytest.mark.parametrize("t,d,p", PARAM_SETS)
-def test_pairs_match_reference(t, d, p, fast):
+def test_single_hashes_at_rounding_edges(t, d, p):
+    """nlz is read off a float64 exponent; no rounding edge may carry it."""
     params = params_of(t, d, p)
-    index, k = split_hashes(random_hashes(3, 4000), params)
-    expected = reference_registers_from_pairs(index, k, params)
-    assert np.array_equal(fast.registers_from_pairs(index, k, params), expected)
+    for hash_value in edge_hashes():
+        one = np.array([hash_value], dtype=np.uint64)
+        assert exaloglog_registers(one, params).tolist() == scalar_registers(one, params)
 
 
 @pytest.mark.parametrize("t,d,p", PARAM_SETS)
-def test_merge_matches_reference(t, d, p, fast):
+def test_pairs_match_reference(t, d, p):
     params = params_of(t, d, p)
-    r1 = reference_exaloglog_registers(random_hashes(5, 2000), params)
-    r2 = reference_exaloglog_registers(random_hashes(6, 50), params)
-    expected = reference_merge_registers(r1, r2, params.d)
-    assert np.array_equal(fast.merge_registers(r1, r2, params.d), expected)
+    hashes = random_hashes(3, 4000)
+    index, k = split_hashes(hashes, params)
+    folded = exaloglog_registers_from_pairs(index, k, params)
+    assert folded.tolist() == scalar_registers(hashes, params)
+
+
+@pytest.mark.parametrize("t,d,p", PARAM_SETS)
+def test_merge_matches_reference(t, d, p):
+    params = params_of(t, d, p)
+    r1 = scalar_registers(random_hashes(5, 2000), params)
+    r2 = scalar_registers(random_hashes(6, 50), params)
+    expected = [merge_register(a, b, d) for a, b in zip(r1, r2)]
+    assert merge_exaloglog_registers(r1, np.array(r2), d).tolist() == expected
+    assert merge_exaloglog_registers(r2, np.array(r1), d).tolist() == expected
+
+
+@pytest.mark.parametrize("t,d,p", [(0, 0, 2), (0, 2, 2), (1, 2, 2), (2, 1, 2)])
+def test_merge_every_reachable_pair(t, d, p):
+    """Every pair of reachable register states merges like Algorithm 5."""
+    params = params_of(t, d, p)
+    states = list(enumerate_reachable(params))
+    pairs = list(itertools.product(states, repeat=2))
+    r1 = np.array([a for a, _ in pairs], dtype=np.int64)
+    r2 = np.array([b for _, b in pairs], dtype=np.int64)
+    expected = [merge_register(a, b, d) for a, b in pairs]
+    assert merge_exaloglog_registers(r1, r2, d).tolist() == expected
 
 
 @pytest.mark.parametrize("count", [0, 1, 2, 7])
-def test_tiny_batches(count, fast):
+def test_tiny_batches(count):
     params = params_of(2, 20, 8)
     hashes = random_hashes(11, count)
-    assert np.array_equal(
-        fast.fold(hashes, params), reference_exaloglog_registers(hashes, params)
-    )
+    folded = exaloglog_registers(hashes, params)
+    assert folded.tolist() == scalar_registers(hashes, params)
+    index, k = split_hashes(hashes, params)
+    paired = exaloglog_registers_from_pairs(index, k, params)
+    assert paired.tolist() == scalar_registers(hashes, params)
 
 
-def test_blocked_fold_crosses_chunk_boundary(fast):
-    """A batch larger than one cache block folds and merges identically."""
+def test_blocked_fold_crosses_chunk_boundary():
+    """A batch longer than one chunk folds and merges identically."""
     params = params_of(1, 9, 4)  # m = 16 -> pick_chunk floor of 2**16
     count = pick_chunk(params.m) + 1234
     hashes = random_hashes(13, count)
-    assert np.array_equal(
-        fast.fold(hashes, params), reference_exaloglog_registers(hashes, params)
-    )
+    expected = scalar_registers(hashes, params)
+    assert exaloglog_registers(hashes, params).tolist() == expected
+    index, k = split_hashes(hashes, params)
+    assert exaloglog_registers_from_pairs(index, k, params).tolist() == expected
 
 
-def test_duplicate_heavy_stream(fast):
+def test_duplicate_heavy_stream():
     params = params_of(2, 20, 8)
     rng = np.random.Generator(np.random.PCG64(17))
     pool = rng.integers(0, 1 << 64, size=100, dtype=np.uint64)
     hashes = rng.choice(pool, size=5000)
-    assert np.array_equal(
-        fast.fold(hashes, params), reference_exaloglog_registers(hashes, params)
-    )
-
-
-# -- selection API -------------------------------------------------------------
-
-
-def test_default_backend_is_reference():
-    assert isinstance(active_backend(), ReferenceBulkBackend)
-
-
-def test_available_backends_names():
-    assert available_backends() == ["numpy", "fast"]
-
-
-def test_set_backend_by_name_and_restore():
-    previous = active_backend()
-    try:
-        chosen = set_backend("fast")
-        assert isinstance(chosen, FastBulkBackend)
-        assert active_backend() is chosen
-    finally:
-        set_backend(previous)
-    assert active_backend() is previous
-
-
-def test_use_backend_scopes_selection():
-    previous = active_backend()
-    with use_backend("fast") as chosen:
-        assert active_backend() is chosen
-        assert chosen.name == "fast"
-    assert active_backend() is previous
-
-
-def test_unknown_backend_name_raises():
-    with pytest.raises(ValueError, match="unknown backend"):
-        set_backend("telepathy")
-
-
-def test_env_variable_fallback_warns(monkeypatch):
-    """A bad REPRO_BACKEND value warns and falls back instead of breaking."""
-    from repro.backends import select
-
-    monkeypatch.setenv(select.ENV_VAR, "warp-drive")
-    with pytest.warns(RuntimeWarning, match="REPRO_BACKEND"):
-        backend = select._startup_backend()
-    assert isinstance(backend, ReferenceBulkBackend)
-
-
-def test_env_variable_selects_fast(monkeypatch):
-    from repro.backends import select
-
-    monkeypatch.setenv(select.ENV_VAR, "fast")
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        backend = select._startup_backend()
-    assert isinstance(backend, FastBulkBackend)
-
-
-def test_dispatch_follows_active_backend():
-    """The public entry points route through whichever backend is active."""
-    params = params_of(2, 20, 8)
-    hashes = random_hashes(23, 2000)
-    baseline = exaloglog_registers(hashes, params)
-    with use_backend("fast"):
-        assert np.array_equal(exaloglog_registers(hashes, params), baseline)
-
-
-def test_sketch_ingest_identical_under_fast_backend():
-    hashes = random_hashes(29, 6000)
-    reference_sketch = ExaLogLog(2, 20, 8).add_hashes(hashes)
-    with use_backend("fast"):
-        fast_sketch = ExaLogLog(2, 20, 8).add_hashes(hashes)
-    assert fast_sketch.to_bytes() == reference_sketch.to_bytes()
+    folded = exaloglog_registers(hashes, params)
+    assert folded.tolist() == scalar_registers(hashes, params)
 
 
 # -- zero-copy contracts -------------------------------------------------------
@@ -216,45 +176,3 @@ def test_bit_length_clobber_skips_the_copy():
     result = bit_length_u64(owned, clobber=True)
     assert np.array_equal(result, expected)
     assert not np.array_equal(owned, values)  # smear ran in the caller's buffer
-
-
-def test_fold_workspace_reused_across_calls(fast):
-    params = params_of(2, 16, 8)
-    release_workspaces()
-    fast.fold(random_hashes(41, 3000), params)
-    first = _workspace(1)
-    fast.fold(random_hashes(42, 3000), params)
-    assert _workspace(1) is first
-    release_workspaces()
-
-
-def test_batch_workspace_reused_across_calls():
-    """``register_coefficients`` reuses its thread-local scratch buffers."""
-    from repro.estimation.batch import (
-        _WORKSPACE_LOCAL,
-        register_coefficients,
-        release_batch_workspaces,
-    )
-
-    params = params_of(2, 16, 8)
-    rng = np.random.Generator(np.random.PCG64(43))
-    matrix = np.array(
-        [
-            ExaLogLog(2, 16, 8)
-            .add_hashes(rng.integers(0, 1 << 64, size=1500, dtype=np.uint64))
-            .registers
-            for _ in range(3)
-        ],
-        dtype=np.int64,
-    )
-    release_batch_workspaces()
-    first_result = register_coefficients(matrix, params)
-    workspace = _WORKSPACE_LOCAL.workspace
-    assert workspace is not None
-    second_result = register_coefficients(matrix, params)
-    assert _WORKSPACE_LOCAL.workspace is workspace  # buffers reused, not realloced
-    assert np.shares_memory(workspace.i32, _WORKSPACE_LOCAL.workspace.i32)
-    assert np.array_equal(first_result.alpha_scaled, second_result.alpha_scaled)
-    assert np.array_equal(first_result.beta, second_result.beta)
-    release_batch_workspaces()
-    assert _WORKSPACE_LOCAL.workspace is None

@@ -358,3 +358,35 @@ def test_replay_checkpoints_match_scalar_solve():
     dense_beta = [scalar.beta.get(u, 0) for u in range(66)]
     expected, _ = _ml_estimate(scalar.alpha_scaled, dense_beta, params, factor)
     assert result.ml_estimates[-1] == expected
+
+
+def test_batch_workspace_reused_across_calls():
+    """``register_coefficients`` reuses its thread-local scratch buffers."""
+    from repro.estimation.batch import (
+        _WORKSPACE_LOCAL,
+        register_coefficients,
+        release_batch_workspaces,
+    )
+
+    params = make_params(2, 16, 8)
+    rng = np.random.Generator(np.random.PCG64(43))
+    matrix = np.array(
+        [
+            ExaLogLog(2, 16, 8)
+            .add_hashes(rng.integers(0, 1 << 64, size=1500, dtype=np.uint64))
+            .registers
+            for _ in range(3)
+        ],
+        dtype=np.int64,
+    )
+    release_batch_workspaces()
+    first_result = register_coefficients(matrix, params)
+    workspace = _WORKSPACE_LOCAL.workspace
+    assert workspace is not None
+    second_result = register_coefficients(matrix, params)
+    assert _WORKSPACE_LOCAL.workspace is workspace  # buffers reused, not realloced
+    assert np.shares_memory(workspace.i32, _WORKSPACE_LOCAL.workspace.i32)
+    assert np.array_equal(first_result.alpha_scaled, second_result.alpha_scaled)
+    assert np.array_equal(first_result.beta, second_result.beta)
+    release_batch_workspaces()
+    assert _WORKSPACE_LOCAL.workspace is None

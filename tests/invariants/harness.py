@@ -191,19 +191,6 @@ def build_parallel(scenario: Scenario, workers: int = 2) -> DistinctCountAggrega
     return aggregator
 
 
-def build_fast_backend(scenario: Scenario, backend: str = "fast") -> DistinctCountAggregator:
-    """Kernel-backend path: the bulk builder under a non-default backend.
-
-    ``backend`` is a :func:`repro.backends.set_backend` name — ``"fast"``
-    exercises the cache-blocked NumPy kernels. The selection is scoped:
-    the other layers keep running on the default backend.
-    """
-    from repro.backends import use_backend
-
-    with use_backend(backend):
-        return build_bulk(scenario)
-
-
 def build_warm_pool(scenario: Scenario, workers: int = 2) -> DistinctCountAggregator:
     """Persistent-pool path: parallel folds over pre-warmed shared workers.
 

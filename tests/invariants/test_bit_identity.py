@@ -11,7 +11,6 @@ import pytest
 from tests.invariants.harness import (
     assert_identical,
     build_bulk,
-    build_fast_backend,
     build_follower,
     build_group_commit_cluster,
     build_instrumented,
@@ -40,12 +39,6 @@ def reference(scenario):
 
 def test_bulk_matches_scalar(scenario, reference):
     assert_identical(reference, build_bulk(scenario), "add_hashes vs add_hash")
-
-
-def test_fast_backend_matches_scalar(scenario, reference):
-    assert_identical(
-        reference, build_fast_backend(scenario), "fast backend vs add_hash"
-    )
 
 
 def test_store_replay_matches_scalar(scenario, reference, tmp_path):

@@ -80,14 +80,6 @@ class TestBitIdentical:
         merged = merge_exaloglog_registers(parallel.registers, batch, PARAMS.d)
         assert merged.tolist() == list(sequential.registers)
 
-    def test_spawn_start_method(self):
-        hashes = _hashes(8_000, seed=5)
-        expected = exaloglog_registers(hashes, PARAMS)
-        ingestor = ParallelBulkIngestor(
-            PARAMS, 2, chunk=1 << 12, start_method="spawn"
-        )
-        assert np.array_equal(ingestor.registers(hashes), expected)
-
     def test_small_batch_degenerates_in_process(self):
         # One slice: no pool, same result.
         hashes = _hashes(100, seed=9)
@@ -110,10 +102,6 @@ class TestValidation:
         wide = make_params(0, 64, 8)  # 70-bit registers exceed int64
         with pytest.raises(ValueError):
             ParallelBulkIngestor(wide, 2)
-
-    def test_bad_start_method(self):
-        with pytest.raises(ValueError):
-            ParallelBulkIngestor(PARAMS, 2, start_method="telepathy")
 
     def test_preferred_start_method_is_available(self):
         assert preferred_start_method() in multiprocessing.get_all_start_methods()

@@ -17,7 +17,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.backends.bulk import reference_exaloglog_registers
+from repro.backends.bulk import exaloglog_registers
 from repro.core.params import ExaLogLogParams
 from repro.parallel.pool import (
     PersistentIngestPool,
@@ -74,7 +74,7 @@ def _task_crash_always(payload):
 def test_fold_matches_sequential(pool):
     hashes = random_hashes(1, 20000)
     folded = pool.fold_registers(hashes, halves(len(hashes)), PARAMS, workers=2)
-    assert np.array_equal(folded, reference_exaloglog_registers(hashes, PARAMS))
+    assert np.array_equal(folded, exaloglog_registers(hashes, PARAMS))
 
 
 def test_workers_survive_across_calls(pool):
@@ -86,7 +86,7 @@ def test_workers_survive_across_calls(pool):
         hashes = random_hashes(seed, 5000)
         folded = pool.fold_registers(hashes, halves(len(hashes)), PARAMS, workers=2)
         assert np.array_equal(
-            folded, reference_exaloglog_registers(hashes, PARAMS)
+            folded, exaloglog_registers(hashes, PARAMS)
         )
     assert sorted(pool.worker_pids()) == pids  # same processes served all calls
     assert pool.spawn_count == spawned  # ... without a single respawn
@@ -128,7 +128,7 @@ def test_idle_reap_retires_workers():
         hashes = random_hashes(5, 4000)
         folded = pool.fold_registers(hashes, halves(len(hashes)), PARAMS, workers=2)
         assert np.array_equal(
-            folded, reference_exaloglog_registers(hashes, PARAMS)
+            folded, exaloglog_registers(hashes, PARAMS)
         )
         assert pool.spawn_count > spawned
     finally:
@@ -150,7 +150,7 @@ def test_killed_idle_worker_respawns(pool):
         time.sleep(0.02)
     hashes = random_hashes(7, 8000)
     folded = pool.fold_registers(hashes, halves(len(hashes)), PARAMS, workers=2)
-    assert np.array_equal(folded, reference_exaloglog_registers(hashes, PARAMS))
+    assert np.array_equal(folded, exaloglog_registers(hashes, PARAMS))
     assert pool.spawn_count == spawned + 1  # exactly the victim was replaced
     assert len(pool.worker_pids()) == 2
 
@@ -210,7 +210,7 @@ def test_non_retryable_crash_raises(tmp_path):
 
 def test_worker_exception_surfaces(pool):
     with pytest.raises(RuntimeError, match="pool task"):
-        pool.map("fold", [{"hashes": None, "params": None, "backend": "numpy"}])
+        pool.map("fold", [{"hashes": None, "params": None}])
 
 
 # -- fork safety ---------------------------------------------------------------
@@ -237,7 +237,7 @@ def test_fork_after_pool_resets_child_state():
                     hashes, halves(len(hashes)), PARAMS, workers=2
                 )
                 if not np.array_equal(
-                    folded, reference_exaloglog_registers(hashes, PARAMS)
+                    folded, exaloglog_registers(hashes, PARAMS)
                 ):
                     status = 3
                 pool.shutdown()
@@ -251,7 +251,7 @@ def test_fork_after_pool_resets_child_state():
         hashes = random_hashes(13, 3000)
         folded = pool.fold_registers(hashes, halves(len(hashes)), PARAMS, workers=2)
         assert np.array_equal(
-            folded, reference_exaloglog_registers(hashes, PARAMS)
+            folded, exaloglog_registers(hashes, PARAMS)
         )
     finally:
         pool.shutdown()
@@ -266,14 +266,57 @@ def test_spawn_pool_fold_identical():
         hashes = random_hashes(17, 10000)
         folded = pool.fold_registers(hashes, halves(len(hashes)), PARAMS, workers=2)
         assert np.array_equal(
-            folded, reference_exaloglog_registers(hashes, PARAMS)
+            folded, exaloglog_registers(hashes, PARAMS)
         )
         pids = sorted(pool.worker_pids())
         folded = pool.fold_registers(hashes, halves(len(hashes)), PARAMS, workers=2)
         assert np.array_equal(
-            folded, reference_exaloglog_registers(hashes, PARAMS)
+            folded, exaloglog_registers(hashes, PARAMS)
         )
         assert sorted(pool.worker_pids()) == pids  # spawn workers persist too
+    finally:
+        pool.shutdown()
+
+
+def test_spawn_pool_group_fold_identical():
+    from repro.aggregate import DistinctCountAggregator
+
+    pool = PersistentIngestPool(workers=2, start_method="spawn", idle_timeout=0.0)
+    try:
+        config = (2, 16, 8, False, 0)
+        keyed = [
+            (f"g{i}".encode(), random_hashes(40 + i, 2000)) for i in range(4)
+        ]
+        shards = [[0, 2], [1, 3]]
+        blobs = pool.group_fold(config, keyed, shards, workers=2)
+        for shard, blob in zip(shards, blobs):
+            expected = DistinctCountAggregator(*config)
+            for i in shard:
+                expected.fold(*keyed[i])
+            assert blob == expected.to_bytes()
+    finally:
+        pool.shutdown()
+
+
+def test_spawn_pool_spill_identical(tmp_path):
+    from repro.aggregate import DistinctCountAggregator
+    from repro.store import SpilledGroupBy
+
+    pool = PersistentIngestPool(workers=2, start_method="spawn", idle_timeout=0.0)
+    try:
+        config = (2, 20, 8, True, 0)
+        keyed = [
+            (f"g{i}".encode(), random_hashes(50 + i, 300)) for i in range(6)
+        ]
+        written = pool.spill(
+            str(tmp_path), 4, keyed, [[0, 2, 4], [1, 3, 5]], "xspawn", workers=2
+        )
+        assert written == len(keyed)  # one record per segment
+        expected = DistinctCountAggregator(*config)
+        for key, hashes in keyed:
+            expected.fold(key, hashes)
+        spill = SpilledGroupBy(tmp_path, p=8, partitions=4)
+        assert spill.to_aggregator().to_bytes() == expected.to_bytes()
     finally:
         pool.shutdown()
 

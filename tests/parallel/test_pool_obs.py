@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.backends.bulk import reference_exaloglog_registers
+from repro.backends.bulk import exaloglog_registers
 from repro.core.params import ExaLogLogParams
 from repro.obs import metrics
 from repro.parallel.pool import PersistentIngestPool
@@ -65,14 +65,13 @@ def test_worker_metrics_merge_into_parent(start_method):
         workers=2, start_method=start_method, idle_timeout=0.0
     )
     try:
+        hashes = random_hashes(41, 12000)
+        expected = exaloglog_registers(hashes, PARAMS)  # before collection starts
         metrics.enable()
         before = _counter_value("backend.hashes_folded")
-        hashes = random_hashes(41, 12000)
         ranges = [(0, 6000), (6000, 12000)]
         folded = pool.fold_registers(hashes, ranges, PARAMS, workers=2)
-        assert np.array_equal(
-            folded, reference_exaloglog_registers(hashes, PARAMS)
-        )
+        assert np.array_equal(folded, expected)
         # Worker-side folds covered every hash exactly once; the drained
         # deltas merged additively into this (parent) registry.
         assert _counter_value("backend.hashes_folded") - before == 12000
@@ -129,7 +128,7 @@ def test_killed_worker_increments_respawn_counter(caplog):
                 hashes, [(0, 3000), (3000, 6000)], PARAMS, workers=2
             )
         assert np.array_equal(
-            folded, reference_exaloglog_registers(hashes, PARAMS)
+            folded, exaloglog_registers(hashes, PARAMS)
         )
         assert pool.respawn_count == 1
         assert _counter_value("pool.worker_respawns") == before + 1

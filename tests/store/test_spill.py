@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.aggregate import DistinctCountAggregator, segment
-from repro.parallel import parallel_spill_write, shard_of
+from repro.aggregate import DistinctCountAggregator
+from repro.parallel import shard_of
 from repro.storage.serialization import SerializationError
 from repro.store import SpilledGroupBy, SpillWriter, read_spill_file, spill_files
 
@@ -110,17 +110,6 @@ class TestPartitioningAndWriters:
             for path in paths
         }
         assert len(writers) >= 2
-
-    def test_parallel_spill_write_spawn(self, tmp_path):
-        groups, items = _batch(4000, 60, seed=8)
-        reference = DistinctCountAggregator(2, 20, 8).add_batch(groups, items)
-        segments = segment(groups, items, 0)
-        written = parallel_spill_write(
-            segments, tmp_path / "s", 4, workers=2, start_method="spawn"
-        )
-        assert written == len(segments)
-        spill = SpilledGroupBy(tmp_path / "s", p=8, partitions=4)
-        assert spill.to_aggregator().to_bytes() == reference.to_bytes()
 
     def test_aggregator_spill_with_workers(self, tmp_path):
         """workers= composes with spill= (parallel partition writes)."""
