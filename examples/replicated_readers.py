@@ -3,7 +3,7 @@
 One writer ingests into a :class:`~repro.store.SketchStore`; meanwhile
 
 * a :class:`~repro.store.SnapshotReader` serves queries off the same
-  directory without any locking — it maps the newest immutable snapshot
+  directory without any locking — it loads the newest immutable snapshot
   and tails the WAL up to the durable horizon, and
 * a :class:`~repro.store.WalShipper` streams the WAL records into a
   :class:`~repro.store.FollowerStore` replica that applies them
@@ -90,11 +90,6 @@ def main() -> None:
                 f"{name:<8} {writer_estimates[key]:>10.1f} "
                 f"{reader_estimates[key]:>10.1f} {replica_estimates[key]:>10.1f}"
             )
-
-        # Selective replay: one group straight from snapshot + WAL index.
-        print(f"\nselective DE estimate: {reader.estimate_group('DE'):.1f} "
-              f"(equals full view: "
-              f"{reader.estimate_group('DE') == reader.estimate('DE')})")
 
         reader.close()
         follower.close()

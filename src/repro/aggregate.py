@@ -334,9 +334,11 @@ class DistinctCountAggregator:
     def group_sketch(self, group: Hashable):
         """A private copy of one group's sketch (``None`` for unseen groups).
 
-        The :class:`repro.query.SketchSource` selective-read surface:
-        callers may merge the result in place without affecting this
-        aggregator's state.
+        The :class:`repro.query.SketchSource` point read, and the one
+        behind every store-backed source: the store, the reader, the
+        follower and each cluster shard answer ``group_sketch`` from
+        their aggregator through it. Callers may merge the result in
+        place without affecting this aggregator's state.
         """
         sketch = self._groups.get(to_bytes(group))
         return sketch.copy() if sketch is not None else None
@@ -465,44 +467,6 @@ class DistinctCountAggregator:
                 f"{len(data) - offset} trailing bytes after aggregator payload"
             )
         return aggregator
-
-    @classmethod
-    def read_group_from_bytes(cls, data, key: bytes):
-        """Deserialize only ``key``'s sketch from a serialized aggregator.
-
-        The selective-read counterpart of :meth:`from_bytes` for the
-        store's snapshot files: entries are skipped by their length
-        prefixes, so the scan touches no other group's sketch payload —
-        and since :meth:`to_bytes` writes keys in sorted order, the scan
-        stops at the first key past the target. Returns ``None`` for an
-        absent group. ``data`` may be any buffer (bytes, memoryview over
-        an ``mmap``).
-        """
-        offset = read_header(data, TAG_AGGREGATOR)
-        if len(data) < offset + 4:
-            raise SerializationError("truncated aggregator parameters")
-        sparse_flag = data[offset + 3]
-        offset += 4
-        _seed, offset = read_uvarint(data, offset)
-        count, offset = read_uvarint(data, offset)
-        for _ in range(count):
-            key_length, offset = read_uvarint(data, offset)
-            entry_key = bytes(data[offset : offset + key_length])
-            if len(entry_key) != key_length:
-                raise SerializationError("truncated aggregator group key")
-            offset += key_length
-            blob_length, offset = read_uvarint(data, offset)
-            if offset + blob_length > len(data):
-                raise SerializationError("truncated aggregator group payload")
-            if entry_key == key:
-                blob = bytes(data[offset : offset + blob_length])
-                if sparse_flag:
-                    return SparseExaLogLog.from_bytes(blob)
-                return ExaLogLog.from_bytes(blob)
-            if entry_key > key:
-                return None  # keys are sorted: the target cannot follow
-            offset += blob_length
-        return None
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DistinctCountAggregator):

@@ -61,6 +61,7 @@ from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
 from repro.parallel.shard import shard_of
 from repro.query.source import DelegatingSource
+from repro.store.durable import make_dirs
 from repro.store.sketchstore import SketchStore, sketch_to_blob
 
 _REBALANCES = _metrics.counter(
@@ -177,7 +178,7 @@ class ShardedStore(DelegatingSource):
                 )
             if shards < 1:
                 raise ValueError(f"shards must be >= 1, got {shards}")
-            store._root.mkdir(parents=True, exist_ok=True)
+            make_dirs(store._root)
             for index in range(shards):
                 store._shards.append(
                     store._open_shard(index, t=t, d=d, p=p, sparse=sparse, seed=seed)

@@ -18,9 +18,9 @@ Nodes
     All groups of one named source (leaf).
 ``Filter(child, keys= | prefix= | predicate=)``
     Keep only matching group keys. An explicit ``keys`` tuple is the
-    plannable selective form (the planner turns it into WAL-index replay
-    or single-partition reads); ``prefix`` and ``predicate`` filter
-    during a scan.
+    plannable selective form (the planner turns it into one point read
+    per key: a dict lookup, or a single-partition read on a spill);
+    ``prefix`` and ``predicate`` filter during a scan.
 ``Window(child, duration, end=)``
     Collapse the bucket-keyed groups overlapping the trailing
     ``duration`` of time (ending at ``end``, or the execution-time

@@ -3,10 +3,12 @@
 The logical plan says *which* groups a query touches; each source offers
 up to three ways to fetch them, with very different costs:
 
-* **selective** (``group_sketch`` per key) — WAL-index replay on a
-  :class:`~repro.store.SnapshotReader`, a single-partition read on a
-  :class:`~repro.store.SpilledGroupBy`, a dict lookup elsewhere. Wins
-  when the filter names an explicit, small key set.
+* **selective** (``group_sketch`` per key) — a single-partition read on
+  a :class:`~repro.store.SpilledGroupBy`, a dict lookup on every other
+  source (the store, reader and follower answer from their materialised
+  aggregator). Wins whenever the filter names an explicit key set: on a
+  spill a scan would read every partition to list the groups and then
+  fetch the matching keys one by one anyway.
 * **scan** — materialise every group of an in-memory-backed source and
   filter as they stream by. Wins for prefix/predicate filters and full
   scans, where per-key selective fetches would re-pay their fixed cost.
@@ -35,11 +37,6 @@ from repro.query.plan import (
     Window,
 )
 
-#: Above this many explicit keys a scan usually beats per-key selective
-#: fetches on sources whose selective path re-reads files (reader WAL
-#: replay); dict-backed sources stay selective at any count.
-SELECTIVE_KEY_LIMIT = 64
-
 
 @dataclass(frozen=True)
 class AccessPath:
@@ -55,46 +52,20 @@ def is_partitioned(source) -> bool:
     return hasattr(source, "partition_aggregators")
 
 
-def has_cheap_selective(source) -> bool:
-    """True when ``group_sketch`` is an in-memory lookup, not file replay.
-
-    A :class:`~repro.store.SnapshotReader` rebuilds a group by selective
-    WAL-index replay and a spill re-reads the group's partition; every
-    other source answers from a dict. A sharded cluster routes each key
-    to exactly one member, so it is as cheap as its members.
-    """
-    members = getattr(source, "shard_sources", None)
-    if members is not None:
-        return all(has_cheap_selective(member) for member in members)
-    return not (
-        hasattr(source, "_group_sketch_selective")
-        or hasattr(source, "partition_aggregators")
-    )
-
-
 def access_path(source, filter_node: "Filter | None" = None) -> AccessPath:
     """Choose the physical access path for one scan of ``source``.
 
     An explicit key filter goes selective (each layer's cheapest
-    point-read) unless the key set is large and the source's selective
-    path re-reads files, in which case one scan amortises better. Spill
-    sources without an explicit key set iterate partition by partition;
-    everything else scans its materialised view.
+    point-read), however many keys it names. Spill sources without an
+    explicit key set iterate partition by partition; everything else
+    scans its materialised view.
     """
     keys = filter_node.keys if filter_node is not None else None
     if keys is not None:
-        if has_cheap_selective(source) or len(keys) <= SELECTIVE_KEY_LIMIT:
-            return AccessPath(
-                "selective",
-                keys=keys,
-                reason=f"{len(keys)} explicit key(s) via group_sketch",
-            )
-        # A reader's selective path replays WAL records per key; past the
-        # limit the single full scan it already materialised is cheaper.
         return AccessPath(
-            "scan",
-            reason=f"{len(keys)} keys exceed the selective limit "
-            f"({SELECTIVE_KEY_LIMIT}); one scan amortises better",
+            "selective",
+            keys=keys,
+            reason=f"{len(keys)} explicit key(s) via group_sketch",
         )
     if is_partitioned(source):
         return AccessPath(

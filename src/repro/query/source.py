@@ -15,8 +15,9 @@ durable :class:`~repro.store.SketchStore`, the lock-free
 * ``groups()`` — iterator of canonical ``bytes`` group keys.
 * ``group_sketch(key)`` — one group's sketch, private to the caller
   (safe to merge in place), ``None`` for unseen groups. This is each
-  layer's *selective* path: WAL-index replay on a reader, a
-  single-partition read on a spill, a dict lookup elsewhere.
+  layer's *selective* path: a single-partition read on a spill, a dict
+  lookup in the materialised aggregator everywhere else (the reader
+  included).
 * ``estimates()`` / ``top(n)`` — whole-source estimates through the
   batched one-solve path of :mod:`repro.estimation.batch`.
 

@@ -34,7 +34,7 @@ TAG_MEMMAP_REGISTERS = 0x40
 TAG_WAL = 0x41
 TAG_SNAPSHOT = 0x42
 TAG_SPILL = 0x43
-TAG_WAL_INDEX = 0x44
+# 0x44 is retired (a group-level WAL index); do not reuse it.
 TAG_SPILL_META = 0x45
 
 

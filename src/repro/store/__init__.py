@@ -14,13 +14,12 @@ mergeable, serializable sketch state — operational:
   the log into a fresh snapshot;
 * :class:`~repro.store.reader.SnapshotReader` — lock-free concurrent
   query serving against a live writer: immutable snapshot + read-only
-  WAL tail, refreshable, with a monotone durable horizon;
+  WAL tail, refreshable, with a monotone durable horizon; every read,
+  point reads included, answers from that one materialised view;
 * :class:`~repro.store.replicate.WalShipper` /
   :class:`~repro.store.replicate.FollowerStore` — async replication by
   shipping the self-delimiting checksummed WAL records, applied
   idempotently by LSN (catch-up ⇒ bit-identical registers);
-* :mod:`~repro.store.walindex` — group-level WAL index for selective
-  single-group replay;
 * :class:`~repro.store.spill.SpilledGroupBy` — external GROUP BY over
   hash-partitioned spill files, exact and memory-bounded at millions of
   groups; :meth:`~repro.store.spill.SpilledGroupBy.attach` opens an
@@ -47,7 +46,6 @@ from repro.store.sketchstore import (
     read_snapshot_header,
     replay_wal,
     snapshot_path,
-    wal_index_path,
     wal_path,
 )
 from repro.store.spill import (
@@ -57,7 +55,6 @@ from repro.store.spill import (
     read_spill_file,
     spill_files,
 )
-from repro.store.walindex import WalIndexEntry, load_wal_index
 
 __all__ = [
     "DEFAULT_PARTITIONS",
@@ -73,16 +70,13 @@ __all__ = [
     "SnapshotReader",
     "SpillWriter",
     "SpilledGroupBy",
-    "WalIndexEntry",
     "WalShipper",
     "apply_wal_record",
     "latest_generation",
-    "load_wal_index",
     "read_snapshot_header",
     "read_spill_file",
     "replay_wal",
     "snapshot_path",
     "spill_files",
-    "wal_index_path",
     "wal_path",
 ]

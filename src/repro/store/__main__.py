@@ -14,11 +14,11 @@ Commands
     ``query /tmp/s "top 10 where key startswith 'country:'"`` (default
     query: ``estimate all``). ``--reader`` answers through a lock-free
     :class:`~repro.store.reader.SnapshotReader` instead — strictly
-    read-only (never truncates a torn WAL tail), safe against a live
-    writer, and single-key filters go through selective WAL-index
-    replay (``--explain`` shows the chosen access path). ``--expect N
-    --tolerance F`` turns a single-row result into a check (exit 1 on
-    miss) for smoke tests.
+    read-only (never truncates a torn WAL tail) and safe against a live
+    writer; key filters read their groups from the reader's
+    materialised view (``--explain`` shows the chosen access path).
+    ``--expect N --tolerance F`` turns a single-row result into a check
+    (exit 1 on miss) for smoke tests.
 ``serve``
     A long-running query process: open a reader, refresh on an
     interval, report the durable horizon (and optionally the top-k
@@ -123,8 +123,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--reader",
         action="store_true",
         help="answer through a lock-free read-only SnapshotReader "
-        "(safe against a live writer; single-key filters use selective "
-        "WAL-index replay)",
+        "(safe against a live writer; the durable prefix at open time)",
     )
     query.add_argument(
         "--explain",

@@ -1,13 +1,14 @@
 """Durable file replacement: the one write sequence every store file uses.
 
-A file that must survive a power cut intact — a snapshot, a fresh WAL, a
-WAL index, the spill and cluster sidecars — is never written in place.
+A file that must survive a power cut intact — a snapshot, a fresh WAL,
+the spill and cluster sidecars — is never written in place.
 :func:`atomic_write` writes a temporary sibling, fsyncs it, renames it
 over the target and fsyncs the directory, so after a crash at any point
 the target holds either its previous bytes or all of the new ones, and
 a completed call survives a power cut. :func:`sync_dir` is the directory
 half on its own: it makes renames, creations and unlinks in one
-directory durable.
+directory durable. :func:`make_dirs` creates a store, cluster or replica
+directory so that its own entry survives a power cut too.
 
 Every fsync goes through ``os.fsync`` (looked up on the module at call
 time), so tests and benchmarks that count or fail fsyncs by patching
@@ -32,6 +33,23 @@ def sync_dir(directory) -> None:
         os.fsync(fd)
     finally:
         os.close(fd)
+
+
+def make_dirs(directory) -> None:
+    """Create ``directory`` and its missing parents, durably.
+
+    Each directory this call creates is synced into its parent, so a
+    power cut cannot drop a directory whose files were already fsynced.
+    An existing directory costs nothing: no creation, no fsync.
+    """
+    directory = pathlib.Path(directory)
+    missing = []
+    while not directory.is_dir():
+        missing.append(directory)
+        directory = directory.parent
+    for path in reversed(missing):
+        path.mkdir(exist_ok=True)
+        sync_dir(path.parent)
 
 
 def atomic_write(path, data: bytes) -> None:

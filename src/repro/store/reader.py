@@ -4,22 +4,24 @@ The store's file layout was designed so that queries never need the
 writer's cooperation:
 
 * snapshot files are **immutable** once their rename lands — a reader can
-  map one and parse at leisure, regardless of what the writer does next;
+  read one and parse at leisure, regardless of what the writer does next;
 * WAL records are **self-delimiting and checksummed** — a reader tailing
   the log can always tell "complete record" from "the writer is halfway
   through an append" and stop exactly at the durable horizon;
 * every record carries an **LSN** — the reader can prove it observed a
   gapless prefix of the writer's history, and report how far it got.
 
-:class:`SnapshotReader` builds a query process on those properties: open
-the newest snapshot generation (``mmap``-ed, so the aggregator blob parses
-straight out of the page cache without slurping the file), replay the WAL
-tail past the snapshot's ``base_lsn``, and serve ``estimate`` /
-``estimates`` / ``top`` through the batched solver — all strictly
-read-only (never truncates a torn tail; that may be a live writer's
-in-flight append). :meth:`SnapshotReader.refresh` advances the view:
-new WAL records apply incrementally, and a compaction swaps the reader to
-the new generation without ever mixing files of different generations.
+:class:`SnapshotReader` builds a query process on those properties: load
+the newest snapshot generation (through
+:func:`~repro.store.sketchstore.parse_snapshot`, the store's one snapshot
+parser), replay the WAL tail past the snapshot's ``base_lsn``, and serve
+every read — ``estimate`` / ``estimates`` / ``top`` through the batched
+solver, ``group_sketch`` as a lookup — from that one materialised view,
+all strictly read-only (never truncates a torn tail; that may be a live
+writer's in-flight append). :meth:`SnapshotReader.refresh` advances the
+view: new WAL records apply incrementally, and a compaction swaps the
+reader to the new generation without ever mixing files of different
+generations.
 
 Consistency model:
 
@@ -31,41 +33,31 @@ Consistency model:
   ≥ any LSN a reader had proven durable before the compaction);
 * any number of readers may run against one writer, each at its own
   horizon, with no locks anywhere.
-
-Selective replay: :meth:`SnapshotReader.group_sketch` reconstructs a
-single group without replaying the whole log, by seeking to that group's
-records via the group-level WAL index (:mod:`repro.store.walindex`) and
-scanning only the small unindexed tail.
 """
 
 from __future__ import annotations
 
-import mmap
-import os
 import pathlib
 import time
 from dataclasses import dataclass
 from typing import Hashable
 
 from repro.aggregate import DistinctCountAggregator
-from repro.hashing import to_bytes
 from repro.obs import metrics as _metrics
 from repro.query.source import DelegatingSource
 from repro.storage.serialization import (
     IncompleteRecordError,
     SerializationError,
     read_lsn_record_from,
-    read_uvarint,
 )
 from repro.store.sketchstore import (
     _FILE_HEADER_BYTES,
     _check_file_header,
-    TAG_SNAPSHOT,
     TAG_WAL,
     apply_wal_record,
     latest_generation,
+    parse_snapshot,
     snapshot_path,
-    wal_index_path,
     wal_path,
 )
 
@@ -106,42 +98,6 @@ class RefreshResult:
     """The reader's horizon after the refresh."""
 
 
-def _load_snapshot_mmap(path) -> tuple[DistinctCountAggregator, int, int]:
-    """Parse ``(aggregator, generation, base_lsn)`` out of a mapped snapshot.
-
-    The file is mapped read-only and the aggregator parses directly from
-    the mapping — the OS pages in only what the parse touches, and the
-    mapping drops immediately after (snapshot files are immutable, so
-    nothing can change underneath the parse).
-    """
-    with open(path, "rb") as handle:
-        size = os.fstat(handle.fileno()).st_size
-        if size < _FILE_HEADER_BYTES:
-            raise SerializationError(f"{path}: too short to hold a file header")
-        mapped = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
-        try:
-            offset = _check_file_header(mapped[:_FILE_HEADER_BYTES], TAG_SNAPSHOT, path)
-            generation, offset = read_uvarint(mapped, offset)
-            base_lsn, offset = read_uvarint(mapped, offset)
-            # Parse through a memoryview: per-group sketch blobs are
-            # copied out individually, the bulk of the file is never
-            # slurped into one bytes object.
-            view = memoryview(mapped)
-            try:
-                aggregator = DistinctCountAggregator.from_bytes(view[offset:])
-            finally:
-                view.release()
-        finally:
-            try:
-                mapped.close()
-            except BufferError:
-                # A propagating parse error's traceback still references a
-                # view slice; the map is unmapped on interpreter cleanup
-                # and must not mask the real (corruption) error here.
-                pass
-    return aggregator, generation, base_lsn
-
-
 class SnapshotReader(DelegatingSource):
     """A read-only, incrementally refreshing view of a sketch store.
 
@@ -152,9 +108,10 @@ class SnapshotReader(DelegatingSource):
 
     Strictly non-mutating: opens every file read-only, never truncates,
     never sweeps. Safe to run in any number of processes concurrently
-    with one live writer. Reads answer from the materialised
-    :attr:`aggregator` (see :class:`~repro.query.source.DelegatingSource`),
-    except :meth:`group_sketch`, which replays one group selectively.
+    with one live writer. Every read, :meth:`group_sketch` included,
+    answers from the materialised :attr:`aggregator` (see
+    :class:`~repro.query.source.DelegatingSource`), so all of them see
+    the same horizon until the next :meth:`refresh`.
     """
 
     def __init__(self, *args, **kwargs) -> None:
@@ -172,7 +129,6 @@ class SnapshotReader(DelegatingSource):
         reader._generation = -1
         reader._base_lsn = 0
         reader._durable_lsn = 0
-        reader._index_cache = None
         reader._last_refresh_at = None
         last_error: Exception | None = None
         for _ in range(_OPEN_RETRIES):
@@ -199,9 +155,8 @@ class SnapshotReader(DelegatingSource):
 
     def _switch_generation(self, generation: int) -> None:
         """Load snapshot ``generation`` and point the tail at its WAL."""
-        aggregator, stored_generation, base_lsn = _load_snapshot_mmap(
-            snapshot_path(self._directory, generation)
-        )
+        path = snapshot_path(self._directory, generation)
+        aggregator, stored_generation, base_lsn = parse_snapshot(path.read_bytes(), path)
         if stored_generation != generation:
             raise SerializationError(
                 f"{self._directory}: snapshot file for generation {generation} "
@@ -363,151 +318,15 @@ class SnapshotReader(DelegatingSource):
         """The materialised view (snapshot + applied WAL tail)."""
         return self._aggregator
 
-    # -- selective single-group replay ----------------------------------------
-
     def group_sketch(self, group: Hashable):
-        """Reconstruct one group's sketch via the group-level WAL index.
+        """A private copy of one group's sketch at this view's horizon.
 
-        Starts from the snapshot's copy of the group and applies only
-        that group's WAL records: indexed records by direct seek, plus a
-        scan of the unindexed tail (the index is advisory and may lag the
-        log — see :mod:`repro.store.walindex`). At any quiesced point the
-        result is bit-identical to the full-log replay this reader's
-        ``aggregator`` performs; records past this view's durable horizon
-        are deliberately excluded so the two stay comparable.
-
-        Returns ``None`` for a group with no state at this horizon.
-        Compaction-safe: should the writer sweep this generation's files
-        mid-query, the answer falls back to the already-materialised view
-        (which is the same state at this horizon, just not selectively
-        rebuilt).
+        ``None`` for a group with no state at this horizon. Defined here
+        rather than inherited so that instrumentation which wraps methods
+        on this class (``benchmarks/system/tracing.py``) can time the
+        reader's point reads.
         """
-        key = to_bytes(group)
-        try:
-            return self._group_sketch_selective(key)
-        except FileNotFoundError:
-            # The writer compacted this generation away between our tail
-            # and this query; the tailed view itself is still a correct
-            # (and complete) answer at this horizon.
-            return self._aggregator.group_sketch(key)
-
-    def _group_sketch_selective(self, key: bytes):
-        from repro.store.walindex import scan_floor
-
-        scratch = DistinctCountAggregator(*self.config)
-        sketch = self._read_snapshot_group(key)
-        base_lsn = self._base_lsn
-        if sketch is not None:
-            # Merging into an empty group reproduces the snapshot's state.
-            scratch.merge_sketch(key, sketch)
-        index = self._load_group_index()
-        applied = set()
-        try:
-            handle = open(wal_path(self._directory, self._generation), "rb")
-        except FileNotFoundError:
-            if self._durable_lsn == base_lsn:
-                return scratch.sketches().get(key)  # nothing was ever tailed
-            raise  # tailed records exist but their log is gone: fall back
-        with handle:
-            _check_file_header(
-                handle.read(_FILE_HEADER_BYTES), TAG_WAL, handle.name
-            )
-            for entry in index.get(key, ()):
-                if not base_lsn < entry.lsn <= self._durable_lsn:
-                    continue
-                handle.seek(entry.offset)
-                try:
-                    record = read_lsn_record_from(handle)
-                except IncompleteRecordError:
-                    continue  # entry points past the durable prefix
-                if record is None:
-                    continue
-                lsn, kind, record_key, payload = record
-                if lsn != entry.lsn or record_key != key:
-                    raise SerializationError(
-                        f"WAL index entry (lsn={entry.lsn}, "
-                        f"offset={entry.offset}) does not match the "
-                        f"record found there (lsn={lsn})"
-                    )
-                apply_wal_record(scratch, kind, key, payload)
-                applied.add(lsn)
-            # Unindexed tail: records the index has not caught up to.
-            handle.seek(max(scan_floor(index), _FILE_HEADER_BYTES))
-            while True:
-                try:
-                    record = read_lsn_record_from(handle)
-                except IncompleteRecordError:
-                    break
-                if record is None:
-                    break
-                lsn, kind, record_key, payload = record
-                if record_key != key or lsn in applied:
-                    continue
-                if not base_lsn < lsn <= self._durable_lsn:
-                    continue
-                apply_wal_record(scratch, kind, key, payload)
-                applied.add(lsn)
-        return scratch.sketches().get(key)
-
-    def _load_group_index(self):
-        """The generation's WAL index, cached on (generation, file size).
-
-        Repeat selective queries against an unchanged index skip the
-        re-parse; any append to the index (or a generation switch) grows
-        the size and invalidates the cache.
-        """
-        from repro.store.walindex import load_wal_index
-
-        path = wal_index_path(self._directory, self._generation)
-        try:
-            size = os.path.getsize(path)
-        except FileNotFoundError:
-            size = -1
-        cached = self._index_cache
-        if (
-            cached is not None
-            and cached[0] == self._generation
-            and cached[1] == size
-        ):
-            return cached[2]
-        index = load_wal_index(path)
-        self._index_cache = (self._generation, size, index)
-        return index
-
-    def _read_snapshot_group(self, key: bytes):
-        """One group's sketch out of this generation's (immutable) snapshot.
-
-        Unlike :func:`_load_snapshot_mmap` this never materialises the
-        other groups: entries are skipped by their length prefixes on the
-        mapping, so selective replay stays selective on the snapshot side
-        too.
-        """
-        path = snapshot_path(self._directory, self._generation)
-        with open(path, "rb") as handle:
-            mapped = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
-            try:
-                offset = _check_file_header(
-                    mapped[:_FILE_HEADER_BYTES], TAG_SNAPSHOT, path
-                )
-                _generation, offset = read_uvarint(mapped, offset)
-                _base_lsn, offset = read_uvarint(mapped, offset)
-                view = memoryview(mapped)
-                try:
-                    return DistinctCountAggregator.read_group_from_bytes(
-                        view[offset:], key
-                    )
-                finally:
-                    view.release()
-            finally:
-                try:
-                    mapped.close()
-                except BufferError:  # see _load_snapshot_mmap
-                    pass
-
-    def estimate_group(self, group: Hashable) -> float:
-        """One group's estimate via selective replay (0 for unseen groups)."""
-        sketch = self.group_sketch(group)
-        return sketch.estimate() if sketch is not None else 0.0
+        return super().group_sketch(group)
 
     # -- lifecycle -------------------------------------------------------------
 

@@ -43,12 +43,10 @@ from repro.query.source import DelegatingSource
 from repro.storage.serialization import (
     IncompleteRecordError,
     SerializationError,
-    TAG_SNAPSHOT,
     read_lsn_record_from,
-    read_uvarint,
     write_lsn_record,
 )
-from repro.store.durable import atomic_write
+from repro.store.durable import atomic_write, make_dirs
 from repro.store.sketchstore import (
     _FILE_HEADER_BYTES,
     _check_file_header,
@@ -56,6 +54,7 @@ from repro.store.sketchstore import (
     TAG_WAL,
     apply_wal_record,
     latest_generation,
+    parse_snapshot,
     read_snapshot_header,
     snapshot_path,
     wal_path,
@@ -133,7 +132,7 @@ class FollowerStore(DelegatingSource):
         follower._generation = None
         follower._applied_lsn = 0
         follower._failed = False
-        follower._directory.mkdir(parents=True, exist_ok=True)
+        make_dirs(follower._directory)
         generation = latest_generation(follower._directory)
         if generation is not None:
             from repro.store.sketchstore import SketchStore
@@ -190,15 +189,12 @@ class FollowerStore(DelegatingSource):
         snapshot at or behind the current horizon is rejected (it would
         travel back in time).
         """
-        offset = _check_file_header(data, TAG_SNAPSHOT, "snapshot blob")
-        generation, offset = read_uvarint(data, offset)
-        base_lsn, offset = read_uvarint(data, offset)
+        aggregator, generation, base_lsn = parse_snapshot(data, "snapshot blob")
         if self.initialized and base_lsn < self._applied_lsn:
             raise ValueError(
                 f"snapshot base LSN {base_lsn} is behind the replica's "
                 f"applied horizon {self._applied_lsn}"
             )
-        aggregator = DistinctCountAggregator.from_bytes(data[offset:])
         if self._wal_handle is not None:
             self._wal_handle.close()
             self._wal_handle = None

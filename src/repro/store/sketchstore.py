@@ -12,8 +12,6 @@ Directory layout (``gen`` is the zero-padded compaction generation)::
       snapshot-<gen>.bin   header 0x42 | uvarint gen | uvarint base_lsn
                            | aggregator blob
       wal-<gen>.log        header 0x41 | LSN-stamped checksummed records
-      walidx-<gen>.log     header 0x44 | group-level index (advisory,
-                           see :mod:`repro.store.walindex`)
 
 Each WAL record uses the LSN framing of
 :func:`repro.storage.serialization.write_lsn_record` with two record kinds:
@@ -43,14 +41,14 @@ records by LSN.
 :meth:`~SketchStore.merge_sketch`, :meth:`~SketchStore.drop_group`,
 :meth:`~SketchStore.append_cutover` — is validated, then staged with its
 LSN. A *commit* writes every staged record with one ``write`` (and, with
-``fsync=True``, one ``os.fsync``), appends their WAL-index entries in one
-write, then applies them to memory through :func:`apply_wal_record`, so
-the writer folds exactly what recovery replays. A single call is a
-commit of one record; ``with store.batch():`` groups every record
-written inside it into one commit. :func:`apply_wal_record` changes the
-in-memory :class:`~repro.aggregate.DistinctCountAggregator` only through
-its write API (``fold``, ``merge_sketch``, ``drop_group``), and every
-read (``estimate``, ``top``, ...) is answered by that aggregator through
+``fsync=True``, one ``os.fsync``), then applies them to memory through
+:func:`apply_wal_record`, so the writer folds exactly what recovery
+replays. A single call is a commit of one record; ``with
+store.batch():`` groups every record written inside it into one commit.
+:func:`apply_wal_record` changes the in-memory
+:class:`~repro.aggregate.DistinctCountAggregator` only through its write
+API (``fold``, ``merge_sketch``, ``drop_group``), and every read
+(``estimate``, ``top``, ...) is answered by that aggregator through
 :class:`~repro.query.source.DelegatingSource`.
 
 Commit rule: a batch is acknowledged after one fsync (a
@@ -71,9 +69,11 @@ mutate a live writer's files and instead just stops at the durable
 horizon. Any other corruption raises
 :class:`~repro.storage.serialization.SerializationError` rather than
 loading garbage. :meth:`compact` folds the WAL into a fresh snapshot
-and starts an empty log. Snapshots, fresh WALs and WAL-index rebuilds
-are all written by :func:`repro.store.durable.atomic_write` (temp file,
-fsync, rename, directory fsync).
+and starts an empty log. Snapshots and fresh WALs are both written by
+:func:`repro.store.durable.atomic_write` (temp file, fsync, rename,
+directory fsync), and a new store directory is created by
+:func:`repro.store.durable.make_dirs`, which syncs it into its parent.
+Every snapshot, whoever reads it, is decoded by :func:`parse_snapshot`.
 """
 
 from __future__ import annotations
@@ -83,7 +83,7 @@ import os
 import pathlib
 import re
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Hashable, Iterator
 
 import numpy as np
@@ -107,7 +107,7 @@ from repro.storage.serialization import (
     write_lsn_record,
     write_uvarint,
 )
-from repro.store.durable import atomic_write
+from repro.store.durable import atomic_write, make_dirs
 
 #: WAL record kinds.
 RECORD_HASHES = 0x01
@@ -145,7 +145,6 @@ _REPLAY_RECORDS = _metrics.counter(
 
 _SNAPSHOT_PATTERN = re.compile(r"^snapshot-(\d{8})\.bin$")
 _WAL_PATTERN = re.compile(r"^wal-(\d{8})\.log$")
-_WALIDX_PATTERN = re.compile(r"^walidx-(\d{8})\.log$")
 
 _FILE_HEADER_BYTES = 4
 
@@ -171,10 +170,6 @@ def snapshot_path(directory, generation: int) -> pathlib.Path:
 
 def wal_path(directory, generation: int) -> pathlib.Path:
     return pathlib.Path(directory) / f"wal-{generation:08d}.log"
-
-
-def wal_index_path(directory, generation: int) -> pathlib.Path:
-    return pathlib.Path(directory) / f"walidx-{generation:08d}.log"
 
 
 def latest_generation(directory) -> "int | None":
@@ -204,6 +199,23 @@ def read_snapshot_header(path) -> tuple[int, int, int]:
     generation, offset = read_uvarint(head, offset)
     base_lsn, offset = read_uvarint(head, offset)
     return generation, base_lsn, offset
+
+
+def parse_snapshot(data: bytes, origin) -> tuple[DistinctCountAggregator, int, int]:
+    """Decode a whole snapshot into ``(aggregator, generation, base_lsn)``.
+
+    The one parser of the snapshot format: writer recovery, the reader
+    and the follower's install all call it and then check the result
+    against what they expect. The aggregator blob parses through a
+    ``memoryview``, so the file's bytes are never copied a second time.
+    ``origin`` (a path, or a description of where the bytes came from)
+    names the source in errors.
+    """
+    offset = _check_file_header(data, TAG_SNAPSHOT, origin)
+    generation, offset = read_uvarint(data, offset)
+    base_lsn, offset = read_uvarint(data, offset)
+    aggregator = DistinctCountAggregator.from_bytes(memoryview(data)[offset:])
+    return aggregator, generation, base_lsn
 
 
 def sketch_to_blob(sketch) -> bytes:
@@ -238,10 +250,6 @@ class WalReplay:
 
     last_lsn: int = 0
     """LSN of the last applied record (the caller's ``base_lsn`` if none)."""
-
-    entries: list = field(default_factory=list)
-    """``(key, lsn, offset, length)`` of every applied record, in order —
-    exactly what :func:`repro.store.walindex.rebuild_wal_index` wants."""
 
 
 def replay_wal(
@@ -282,7 +290,6 @@ def replay_wal(
             replay.records += 1
             replay.last_lsn = lsn
             replay.durable_bytes = handle.tell()
-            replay.entries.append((key, lsn, start, replay.durable_bytes - start))
     return replay
 
 
@@ -292,9 +299,9 @@ def apply_wal_record(
     """Apply one decoded WAL record to an aggregator.
 
     The single state-transition function shared by the writer's commit,
-    recovery, the concurrent reader's tail and selective replay, and
-    follower replication — every path folds the same bytes through the
-    aggregator's own write API (:meth:`~DistinctCountAggregator.fold`,
+    recovery, the concurrent reader's tail, and follower replication —
+    every path folds the same bytes through the aggregator's own write
+    API (:meth:`~DistinctCountAggregator.fold`,
     :meth:`~DistinctCountAggregator.merge_sketch`,
     :meth:`~DistinctCountAggregator.drop_group`), which is what the
     bit-identity guarantees rest on.
@@ -340,9 +347,9 @@ class SketchStore(DelegatingSource):
 
     ``read_only=True`` opens a *foreign* store without mutating anything:
     no directory creation, no torn-tail truncation, no stale-generation
-    sweep, no index rebuild — safe against a live writer's files. The
-    loaded state is the durable prefix at open time; for an incrementally
-    refreshing view use :class:`repro.store.reader.SnapshotReader`.
+    sweep — safe against a live writer's files. The loaded state is the
+    durable prefix at open time; for an incrementally refreshing view use
+    :class:`repro.store.reader.SnapshotReader`.
 
     Reads (``estimate``, ``estimates``, ``top``, ``group_sketch``, ``len``,
     ``in``, ``groups``, ``config``) answer from the live
@@ -384,13 +391,12 @@ class SketchStore(DelegatingSource):
         store._auto_compact_bytes = auto_compact_bytes
         store._read_only = read_only
         store._wal_handle = None
-        store._index_writer = None
-        store._pending = []  # staged (kind, key, payload, end offset in _pending_bytes)
+        store._pending = []  # staged (kind, key, payload)
         store._pending_bytes = bytearray()
         store._depth = 0  # open batch() scopes
         store._failed = False
         if not read_only:
-            store._directory.mkdir(parents=True, exist_ok=True)
+            make_dirs(store._directory)
         elif not store._directory.is_dir():
             raise FileNotFoundError(
                 f"read-only open of missing store directory {store._directory}"
@@ -415,7 +421,6 @@ class SketchStore(DelegatingSource):
             store._write_snapshot(0)
             store._wal_records = 0
             store._open_wal(truncate_to=None)
-            store._open_index(rebuild_from=[])
         else:
             store._generation = generation
             store._aggregator, store._base_lsn = store._load_snapshot(generation)
@@ -439,12 +444,10 @@ class SketchStore(DelegatingSource):
                 _REPLAY_RECORDS.inc(replay.records)
                 if not read_only:
                     store._open_wal(truncate_to=replay.durable_bytes)
-                    store._open_index(rebuild_from=replay.entries)
             else:
                 store._wal_records = 0
                 if not read_only:
                     store._open_wal(truncate_to=None)
-                    store._open_index(rebuild_from=[])
             if not read_only:
                 store._sweep_stale(generation)
         return store
@@ -458,14 +461,16 @@ class SketchStore(DelegatingSource):
         return wal_path(self._directory, generation)
 
     def _sweep_stale(self, generation: int) -> None:
-        """Delete files a crashed compaction left behind (older generations)."""
+        """Delete files a crashed compaction left behind (older generations).
+
+        Also deletes every ``walidx-<gen>.log``, whatever its generation:
+        the retired group-level WAL index that stores written by earlier
+        versions kept beside each WAL.
+        """
         for entry in os.listdir(self._directory):
-            match = (
-                _SNAPSHOT_PATTERN.match(entry)
-                or _WAL_PATTERN.match(entry)
-                or _WALIDX_PATTERN.match(entry)
-            )
-            if match and int(match.group(1)) < generation:
+            match = _SNAPSHOT_PATTERN.match(entry) or _WAL_PATTERN.match(entry)
+            stale = match is not None and int(match.group(1)) < generation
+            if stale or re.match(r"^walidx-\d{8}\.log$", entry):
                 (self._directory / entry).unlink()
 
     # -- snapshot & WAL files -------------------------------------------------
@@ -483,15 +488,12 @@ class SketchStore(DelegatingSource):
 
     def _load_snapshot(self, generation: int) -> tuple[DistinctCountAggregator, int]:
         path = self._snapshot_path(generation)
-        data = path.read_bytes()
-        offset = _check_file_header(data, TAG_SNAPSHOT, path)
-        stored_generation, offset = read_uvarint(data, offset)
+        aggregator, stored_generation, base_lsn = parse_snapshot(path.read_bytes(), path)
         if stored_generation != generation:
             raise SerializationError(
                 f"{path}: names generation {generation} but holds {stored_generation}"
             )
-        base_lsn, offset = read_uvarint(data, offset)
-        return DistinctCountAggregator.from_bytes(data[offset:]), base_lsn
+        return aggregator, base_lsn
 
     def _open_wal(self, truncate_to: int | None) -> None:
         path = self._wal_path(self._generation)
@@ -506,13 +508,6 @@ class SketchStore(DelegatingSource):
                 handle.truncate(truncate_to)
                 os.fsync(handle.fileno())
         self._wal_handle = open(path, "ab")
-
-    def _open_index(self, rebuild_from: list) -> None:
-        from repro.store.walindex import WalIndexWriter, rebuild_wal_index
-
-        path = wal_index_path(self._directory, self._generation)
-        rebuild_wal_index(path, rebuild_from)
-        self._index_writer = WalIndexWriter(path)
 
     # -- the write path: stage, then commit ----------------------------------
 
@@ -533,10 +528,10 @@ class SketchStore(DelegatingSource):
 
         Records are staged as they are written and committed when the
         outermost scope exits: one WAL write, one fsync (``fsync=True``),
-        one WAL-index write, then the fold into memory. Scopes nest. A
-        scope left by an exception discards the records staged inside it
-        and writes nothing. Reads inside a scope see the state from before
-        it, and :meth:`compact` inside one raises.
+        then the fold into memory. Scopes nest. A scope left by an
+        exception discards the records staged inside it and writes
+        nothing. Reads inside a scope see the state from before it, and
+        :meth:`compact` inside one raises.
         """
         self._check_writable()
         records, staged_bytes = len(self._pending), len(self._pending_bytes)
@@ -557,10 +552,10 @@ class SketchStore(DelegatingSource):
         with self.batch():
             lsn = self._durable_lsn + len(self._pending) + 1
             write_lsn_record(self._pending_bytes, lsn, kind, key, payload)
-            self._pending.append((kind, key, payload, len(self._pending_bytes)))
+            self._pending.append((kind, key, payload))
 
     def _commit(self) -> None:
-        """Write, sync, index, then apply every staged record, in order."""
+        """Write, sync, then apply every staged record, in order."""
         records, buffer = self._pending, self._pending_bytes
         if not records:
             return
@@ -570,7 +565,6 @@ class SketchStore(DelegatingSource):
             raise ValueError("store is closed")
         try:
             with _trace.span("store.commit", records=len(records), bytes=len(buffer)):
-                offset = handle.tell()
                 handle.write(buffer)
                 handle.flush()
                 if self._fsync:
@@ -580,19 +574,9 @@ class SketchStore(DelegatingSource):
                         _FSYNC_SECONDS.observe(time.perf_counter() - started)
                     else:
                         os.fsync(handle.fileno())
-                first_lsn = self._durable_lsn + 1
                 self._durable_lsn += len(records)
                 self._wal_records += len(records)
-                # Index entries go *after* the WAL bytes are out: the index
-                # may lag the log (readers scan the unindexed tail) but must
-                # never point past it.
-                if self._index_writer is not None:
-                    entries, start = [], 0
-                    for lsn, (_, key, _, end) in enumerate(records, first_lsn):
-                        entries.append((key, lsn, offset + start, end - start))
-                        start = end
-                    self._index_writer.append_many(entries)
-                for kind, key, payload, _ in records:
+                for kind, key, payload in records:
                     apply_wal_record(self._aggregator, kind, key, payload)
         except BaseException:
             self._fail()
@@ -607,15 +591,13 @@ class SketchStore(DelegatingSource):
 
         The WAL may hold some, all or none of the commit's bytes, so the
         next free LSN is only known after a reopen replays the file:
-        close both handles and refuse every later write.
+        close the WAL and refuse every later write.
         """
         self._failed = True
-        handles = (self._wal_handle, self._index_writer)
-        self._wal_handle = self._index_writer = None
-        for handle in handles:
-            if handle is not None:
-                with contextlib.suppress(OSError):
-                    handle.close()
+        handle, self._wal_handle = self._wal_handle, None
+        if handle is not None:
+            with contextlib.suppress(OSError):
+                handle.close()
 
     def _maybe_auto_compact(self) -> None:
         """Compact when the WAL outgrew its bound.
@@ -745,14 +727,11 @@ class SketchStore(DelegatingSource):
         started = time.perf_counter()
         with _trace.span("store.compact", generation=self._generation + 1):
             self._wal_handle.close()
-            if self._index_writer is not None:
-                self._index_writer.close()
             self._generation += 1
             self._write_snapshot(self._generation)
             self._wal_records = 0
             self._wal_handle = None
             self._open_wal(truncate_to=None)
-            self._open_index(rebuild_from=[])
             self._sweep_stale(self._generation)
         if _metrics.enabled():
             _COMPACTIONS.inc()
@@ -766,9 +745,6 @@ class SketchStore(DelegatingSource):
             os.fsync(self._wal_handle.fileno())
             self._wal_handle.close()
             self._wal_handle = None
-        if self._index_writer is not None:
-            self._index_writer.close()
-            self._index_writer = None
 
     def __enter__(self) -> "SketchStore":
         return self

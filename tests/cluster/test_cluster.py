@@ -252,7 +252,7 @@ def test_replicas_chain_through_rebalance(tmp_path):
 def test_query_plane_over_cluster(tmp_path):
     """The planner/executor treat a cluster as just another source."""
     from repro.query import Estimate, Filter, Scan, TopK, execute
-    from repro.query.planner import access_path, has_cheap_selective
+    from repro.query.planner import access_path
 
     cluster = _fill(ShardedStore.open(tmp_path / "c", shards=3, p=8))
     single = _fill(SketchStore.open(tmp_path / "single", p=8))
@@ -263,9 +263,7 @@ def test_query_plane_over_cluster(tmp_path):
         TopK(Filter(Scan(), prefix="g"), 2),
     ):
         assert execute(plan, cluster).rows == execute(plan, single).rows
-    # Live stores answer group_sketch from a dict, so the routed cluster
-    # is cheap-selective; an explicit key filter goes selective.
-    assert has_cheap_selective(cluster)
+    # An explicit key filter goes selective: one routed point read per key.
     path = access_path(cluster, Filter(Scan(), keys=(b"g0",)))
     assert path.kind == "selective"
     cluster.close()
@@ -281,13 +279,16 @@ def test_planner_describes_cluster(tmp_path):
 
 
 def test_reader_backed_cluster_selective_path(tmp_path):
-    """Reader members make the cluster *not* cheap-selective (WAL replay)."""
-    from repro.query.planner import has_cheap_selective
+    """Reader members answer point reads from their views: key filters
+    on a reader-backed cluster plan selective."""
+    from repro.query import Estimate, Filter, Scan, access_path, execute
 
-    with _fill(ShardedStore.open(tmp_path / "c", shards=2, p=8)):
-        pass
+    plan = Estimate(Filter(Scan(), keys=(b"g0", b"g5")))
+    with _fill(ShardedStore.open(tmp_path / "c", shards=2, p=8)) as cluster:
+        expected = execute(plan, cluster).rows
     with ClusterSource.open(tmp_path / "c", reader=True) as readers:
-        assert not has_cheap_selective(readers)
+        assert access_path(readers, plan.child).kind == "selective"
+        assert execute(plan, readers).rows == expected
 
 
 # -- CLI -----------------------------------------------------------------------

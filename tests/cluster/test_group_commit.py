@@ -20,11 +20,11 @@ def _batch(seed, rows=300, keys=40):
 
 
 def _shard_files(cluster):
-    """Every shard's WAL and WAL-index bytes, by shard and file name."""
+    """Every shard's WAL bytes, by shard and file name."""
     files = {}
     for index, shard in enumerate(cluster.shard_stores):
         for path in sorted(shard.directory.iterdir()):
-            if path.name.startswith(("wal-", "walidx-")):
+            if path.name.startswith("wal-"):
                 files[index, path.name] = path.read_bytes()
     return files
 
@@ -51,7 +51,7 @@ def test_add_batch_writes_the_bytes_of_one_append_per_segment(tmp_path):
         single_files = _shard_files(single)
         assert single.to_aggregator().to_bytes() == state
     assert batched_files.keys() == single_files.keys()
-    assert len(batched_files) == 6
+    assert len(batched_files) == 3
     for name, data in batched_files.items():
         assert data == single_files[name], f"{name} differs"
 

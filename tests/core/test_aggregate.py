@@ -237,38 +237,6 @@ class TestSparseDensifiedRoundTrip:
         assert rehydrated.estimates() == direct.estimates()
 
 
-class TestSelectiveGroupRead:
-    """read_group_from_bytes: one group out of a serialized aggregator."""
-
-    def test_reads_exactly_the_stored_sketch(self):
-        for sparse in (True, False):
-            aggregator = DistinctCountAggregator(2, 20, 6, sparse=sparse)
-            aggregator.add_batch(["b", "a", "c", "a"], [1, 2, 3, 4])
-            blob = aggregator.to_bytes()
-            for group in ("a", "b", "c"):
-                key = DistinctCountAggregator._group_key(group)
-                sketch = DistinctCountAggregator.read_group_from_bytes(blob, key)
-                assert sketch.to_bytes() == aggregator._groups[key].to_bytes()
-
-    def test_absent_group_returns_none(self):
-        aggregator = DistinctCountAggregator(2, 20, 6)
-        aggregator.add("b", 1)
-        blob = aggregator.to_bytes()
-        # Before, between and after the stored keys (sorted early exit).
-        for group in ("a", "bb", "z"):
-            key = DistinctCountAggregator._group_key(group)
-            assert DistinctCountAggregator.read_group_from_bytes(blob, key) is None
-
-    def test_works_on_memoryview(self):
-        aggregator = DistinctCountAggregator(2, 20, 6)
-        aggregator.add_batch(["x", "y"], [1, 2])
-        view = memoryview(aggregator.to_bytes())
-        key = DistinctCountAggregator._group_key("y")
-        sketch = DistinctCountAggregator.read_group_from_bytes(view, key)
-        assert sketch.to_bytes() == aggregator._groups[key].to_bytes()
-
-
-
 class TestWriteApi:
     """fold / merge_sketch / drop_group / sketches / segment."""
 

@@ -9,7 +9,6 @@ so failures are reproducible from the seed alone.
 import numpy as np
 import pytest
 
-from repro.aggregate import DistinctCountAggregator
 from repro.store import (
     FollowerStore,
     SketchStore,
@@ -63,30 +62,6 @@ def test_reader_interleaved_with_writer(seed, tmp_path):
     assert reader.aggregator.to_bytes() == store.aggregator.to_bytes()
     assert horizons == sorted(horizons), "durable horizon regressed"
     reader.close()
-    store.close()
-
-
-@pytest.mark.parametrize("seed", rounds())
-def test_selective_replay_equals_full_replay(seed, tmp_path):
-    """WAL-index single-group replay == the full-log view, for every group."""
-    scenario = random_scenario(3000 + seed)
-    t, d, p, sparse, config_seed = scenario.config
-    store = SketchStore.open(
-        tmp_path / "s", t=t, d=d, p=p, sparse=sparse, seed=config_seed
-    )
-    _run_schedule(scenario, store, lambda index, step: None)
-    with SnapshotReader.open(tmp_path / "s") as reader:
-        for group in scenario.groups:
-            key = DistinctCountAggregator._group_key(group)
-            full = reader.aggregator._groups.get(key)
-            selective = reader.group_sketch(group)
-            if full is None:
-                assert selective is None
-                continue
-            assert selective.to_bytes() == full.to_bytes(), (
-                f"selective replay of group {group!r} diverges from full replay"
-            )
-            assert reader.estimate_group(group) == reader.estimate(group)
     store.close()
 
 

@@ -12,6 +12,7 @@ from repro.query import (
     TopK,
     Window,
     WindowedSource,
+    access_path,
     as_source,
     execute,
     execute_sketches,
@@ -68,6 +69,23 @@ class TestFilter:
             Estimate(Filter(Scan(), keys=("city:berlin", "missing"))), countries
         ).rows
         assert [key for key, _ in rows] == [b"city:berlin"]
+
+    def test_many_explicit_keys_on_a_spill_plan_selective(self, tmp_path):
+        """65 keys still plan one point read each: a scan of a spill would
+        read every partition to list its groups before the same reads."""
+        from repro.store import SpilledGroupBy
+
+        groups = [f"g{index}" for index in range(80) for _ in range(3)]
+        items = list(range(len(groups)))
+        aggregator = DistinctCountAggregator(p=8)
+        aggregator.add_batch(groups, items)
+        plan = Estimate(Filter(Scan(), keys=tuple(f"g{index}" for index in range(65))))
+        with SpilledGroupBy(tmp_path / "spill", p=8, partitions=4) as spill:
+            spill.add_batch(groups, items)
+            assert access_path(spill, plan.child).kind == "selective"
+            rows = execute(plan, spill).rows
+        assert len(rows) == 65
+        assert rows == execute(plan, aggregator).rows
 
     def test_predicate(self, countries):
         rows = execute(

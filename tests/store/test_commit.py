@@ -6,6 +6,7 @@ logged, and the torn-tail cut made by recovery is synced.
 """
 
 import errno
+import io
 import os
 import re
 
@@ -15,14 +16,8 @@ import pytest
 from repro.aggregate import DistinctCountAggregator
 from repro.core.exaloglog import ExaLogLog
 from repro.core.sparse import SparseExaLogLog
-from repro.store import (
-    FollowerStore,
-    SketchStore,
-    WalShipper,
-    load_wal_index,
-    wal_index_path,
-    wal_path,
-)
+from repro.storage.serialization import read_lsn_record_from
+from repro.store import FollowerStore, SketchStore, WalShipper, wal_path
 
 
 def _hashes(seed, count):
@@ -156,9 +151,11 @@ def test_crash_inside_a_commit_leaves_a_record_prefix(tmp_path):
             for group, hashes in SEGMENTS:
                 store.append_hashes(group, hashes)
     data = wal_path(directory, 0).read_bytes()
-    index = load_wal_index(wal_index_path(directory, 0))
-    ends = sorted(entry.end for entries in index.values() for entry in entries)
-    ends = [end for end in ends if end > start]
+    handle = io.BytesIO(data)
+    handle.seek(start)
+    ends = []
+    while read_lsn_record_from(handle) is not None:
+        ends.append(handle.tell())
     assert len(ends) == len(SEGMENTS) and ends[-1] == len(data)
     expected = [
         _reference(prefix + SEGMENTS[:complete]).to_bytes()

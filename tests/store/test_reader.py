@@ -1,10 +1,10 @@
-"""SnapshotReader: lock-free reads, refresh semantics, selective replay."""
+"""SnapshotReader: lock-free reads, refresh semantics, point reads."""
 
 import numpy as np
 import pytest
 
 from repro.storage.serialization import SerializationError
-from repro.store import SketchStore, SnapshotReader, wal_index_path, wal_path
+from repro.store import SketchStore, SnapshotReader, wal_path
 
 
 def _hashes(seed, count):
@@ -84,41 +84,14 @@ def test_reader_without_wal_file_serves_snapshot(tmp_path):
         assert round(reader.estimate("DE")) > 0
 
 
-def test_selective_replay_without_index(tmp_path):
-    """A missing index degrades selective replay to a scan, not an error."""
-    with SketchStore.open(tmp_path / "s") as store:
-        store.append_hashes("DE", _hashes(9, 300))
-        store.append_hashes("AT", _hashes(10, 40))
-        store.append_hashes("DE", _hashes(11, 30))
-        expected = store.aggregator._groups[b"DE"].to_bytes()
-    wal_index_path(tmp_path / "s", 0).unlink()
-    with SnapshotReader.open(tmp_path / "s") as reader:
-        assert reader.group_sketch("DE").to_bytes() == expected
-
-
-def test_selective_replay_with_lagging_index(tmp_path):
-    """Index truncated behind the WAL: the unindexed tail is scanned."""
-    with SketchStore.open(tmp_path / "s") as store:
-        store.append_hashes("DE", _hashes(12, 300))
-        store.append_hashes("DE", _hashes(13, 200))
-        store.append_hashes("AT", _hashes(14, 10))
-        expected = store.aggregator._groups[b"DE"].to_bytes()
-    index_file = wal_index_path(tmp_path / "s", 0)
-    data = index_file.read_bytes()
-    index_file.write_bytes(data[: len(data) // 2])  # lose the later entries
-    with SnapshotReader.open(tmp_path / "s") as reader:
-        assert reader.group_sketch("DE").to_bytes() == expected
-        assert reader.estimate_group("FR") == 0.0
-
-
-def test_selective_replay_respects_horizon(tmp_path):
-    """Records past the reader's horizon are excluded from selective replay."""
+def test_group_sketch_answers_at_the_view_horizon(tmp_path):
+    """group_sketch answers at the view's horizon until refresh()."""
     with SketchStore.open(tmp_path / "s") as store:
         store.append_hashes("DE", _hashes(15, 200))
         with SnapshotReader.open(tmp_path / "s") as reader:
             before = reader.group_sketch("DE").to_bytes()
             store.append_hashes("DE", _hashes(16, 200))
-            # No refresh: the selective replay must match the *old* view.
+            # No refresh: the point read must match the *old* view.
             assert reader.group_sketch("DE").to_bytes() == before
             assert before == reader.aggregator._groups[b"DE"].to_bytes()
             reader.refresh()
@@ -161,7 +134,7 @@ def test_reader_rejects_garbage_wal(tmp_path):
 
 
 def test_reader_rejects_corrupt_snapshot(tmp_path):
-    """Corruption surfaces as SerializationError, not a masked BufferError."""
+    """Corruption inside the aggregator blob surfaces as SerializationError."""
     with SketchStore.open(tmp_path / "s") as store:
         store.append_hashes("DE", _hashes(20, 50))
         store.compact()
@@ -174,7 +147,7 @@ def test_reader_rejects_corrupt_snapshot(tmp_path):
 
 
 def test_group_sketch_survives_concurrent_sweep(tmp_path):
-    """Selective replay falls back to the tailed view when the writer
+    """A point read answers from the tailed view even when the writer
     sweeps this generation's files mid-query — never a crash, never a
     silently stale (snapshot-only) answer."""
     with SketchStore.open(tmp_path / "s") as store:
@@ -193,7 +166,8 @@ def test_group_sketch_survives_concurrent_sweep(tmp_path):
 
 
 def test_group_sketch_index_cache_tracks_appends(tmp_path):
-    """The cached index invalidates when the writer appends more records."""
+    """Repeat point reads agree, and follow the writer's appends once the
+    view refreshes."""
     with SketchStore.open(tmp_path / "s") as store:
         store.append_hashes("DE", _hashes(23, 100))
         with SnapshotReader.open(tmp_path / "s") as reader:

@@ -154,11 +154,7 @@ class TestCompaction:
             assert store.wal_records == 0
             assert store.aggregator.to_bytes() == blob
         names = sorted(p.name for p in (tmp_path / "s").iterdir())
-        assert names == [
-            "snapshot-00000001.bin",
-            "wal-00000001.log",
-            "walidx-00000001.log",
-        ]
+        assert names == ["snapshot-00000001.bin", "wal-00000001.log"]
         with SketchStore.open(tmp_path / "s") as reopened:
             assert reopened.generation == 1
             assert reopened.aggregator.to_bytes() == blob
@@ -189,17 +185,16 @@ class TestCompaction:
         with SketchStore.open(tmp_path / "s") as store:
             store.append_hashes("DE", BATCHES[0][1])
             store.compact()
-        # Simulate a crash that left generation-0 files behind.
+        # Simulate a crash that left generation-0 files behind, plus the
+        # WAL-index files of both generations that older stores kept.
         (tmp_path / "s" / "snapshot-00000000.bin").write_bytes(b"stale")
         (tmp_path / "s" / "wal-00000000.log").write_bytes(b"stale")
+        (tmp_path / "s" / "walidx-00000000.log").write_bytes(b"stale")
+        (tmp_path / "s" / "walidx-00000001.log").write_bytes(b"stale")
         with SketchStore.open(tmp_path / "s") as store:
             assert store.generation == 1
         names = sorted(p.name for p in (tmp_path / "s").iterdir())
-        assert names == [
-            "snapshot-00000001.bin",
-            "wal-00000001.log",
-            "walidx-00000001.log",
-        ]
+        assert names == ["snapshot-00000001.bin", "wal-00000001.log"]
 
 
 class TestCorruption:
