@@ -1,16 +1,12 @@
-"""Durable-store benchmarks: memmap fold overhead, WAL ingest, spill GROUP BY.
+"""Durable-store benchmarks: WAL ingest and spill GROUP BY.
 
-Three sections, results to ``BENCH_store.json`` and a text table under
+Two sections, results to ``BENCH_store.json`` and a text table under
 ``benchmarks/output/``:
 
-1. **memmap vs in-memory fold** — ``ExaLogLog.add_hashes`` against
-   :class:`repro.store.MemmapRegisters.add_hashes` over the same hash
-   batches (bit-identity verified); the overhead ratio is the price of a
-   disk-backed, OS-paged register array.
-2. **WAL ingest** — :class:`repro.store.SketchStore` append throughput
+1. **WAL ingest** — :class:`repro.store.SketchStore` append throughput
    (the durable path pays one log write per batch) plus recovery time of
    the resulting WAL.
-3. **spill GROUP BY at many groups** — :class:`repro.store.SpilledGroupBy`
+2. **spill GROUP BY at many groups** — :class:`repro.store.SpilledGroupBy`
    end-to-end (spill + partition merge, streamed estimates) at
    ``SPILL_GROUPS`` groups with a **bounded-RSS assertion**: peak RSS may
    grow by at most ``RSS_BOUND_MB`` while the modelled in-memory
@@ -36,9 +32,8 @@ import numpy as np
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
-from repro.core.exaloglog import ExaLogLog
 from repro.experiments.common import format_table
-from repro.store import MemmapRegisters, SketchStore, SpilledGroupBy
+from repro.store import SketchStore, SpilledGroupBy
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 OUTPUT_JSON = REPO_ROOT / "BENCH_store.json"
@@ -70,45 +65,6 @@ def _max_rss_mb() -> float:
     # ru_maxrss is KiB on Linux, bytes on macOS.
     scale = 1024.0 if sys.platform == "darwin" else 1.0
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * scale / 1024.0
-
-
-def bench_memmap_fold(n: int, workdir: pathlib.Path) -> list[dict]:
-    rng = np.random.Generator(np.random.PCG64(7))
-    hashes = rng.integers(0, 1 << 64, size=n, dtype=np.uint64)
-
-    memory_seconds, memory_sketch = _best_of(
-        lambda: ExaLogLog(2, 20, 8).add_hashes(hashes)
-    )
-
-    def build_memmap():
-        path = workdir / "bench.reg"
-        if path.exists():
-            path.unlink()
-        with MemmapRegisters.create(path, "exaloglog", 2, 20, 8) as registers:
-            registers.add_hashes(hashes)
-            return registers.to_sketch()
-
-    memmap_seconds, memmap_sketch = _best_of(build_memmap)
-    if memmap_sketch.to_bytes() != memory_sketch.to_bytes():
-        raise SystemExit("BIT-IDENTITY FAILURE: memmap fold diverged from in-memory")
-    return [
-        {
-            "section": "memmap_fold",
-            "mode": "in-memory add_hashes",
-            "n": n,
-            "items_per_s": _rate(memory_seconds, n),
-            "overhead_vs_memory": 1.0,
-            "bit_identical": True,
-        },
-        {
-            "section": "memmap_fold",
-            "mode": "memmap add_hashes (create+fold+flush)",
-            "n": n,
-            "items_per_s": _rate(memmap_seconds, n),
-            "overhead_vs_memory": memmap_seconds / memory_seconds,
-            "bit_identical": True,
-        },
-    ]
 
 
 def bench_wal_ingest(n: int, batch: int, workdir: pathlib.Path) -> list[dict]:
@@ -225,7 +181,6 @@ def main() -> int:
     )
     arguments = parser.parse_args()
 
-    fold_n = 200_000 if arguments.quick else 1_000_000
     wal_n = 100_000 if arguments.quick else 1_000_000
     spill_groups = 100_000 if arguments.quick else 1_000_000
     items_per_group = 2
@@ -233,11 +188,10 @@ def main() -> int:
     rows: list[dict] = []
     with tempfile.TemporaryDirectory(prefix="bench_store_") as workdir:
         workdir = pathlib.Path(workdir)
-        rows += bench_memmap_fold(fold_n, workdir)
         rows += bench_wal_ingest(wal_n, 1 << 16, workdir)
         rows += bench_spill_groupby(spill_groups, items_per_group, workdir)
 
-    text = "== Durable store: memmap fold / WAL ingest / spill GROUP BY ==\n"
+    text = "== Durable store: WAL ingest / spill GROUP BY ==\n"
     text += format_table(rows)
     print("\n" + text)
     OUTPUT_TXT.parent.mkdir(exist_ok=True)

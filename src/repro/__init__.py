@@ -42,7 +42,7 @@ from repro.setops import (
     union_estimate,
 )
 from repro.query import query
-from repro.store import MemmapRegisters, SketchStore, SpilledGroupBy
+from repro.store import SketchStore, SpilledGroupBy
 from repro.windowed import SlidingWindowDistinctCounter
 
 __version__ = "1.0.0"
@@ -53,7 +53,6 @@ __all__ = [
     "ExaLogLog",
     "ExaLogLogParams",
     "MartingaleExaLogLog",
-    "MemmapRegisters",
     "ParallelBulkIngestor",
     "SketchStore",
     "SlidingWindowDistinctCounter",

@@ -374,20 +374,6 @@ class DistinctCountAggregator:
 
         return batch_top(self._groups, count)
 
-    def _top_scalar(self, count: int) -> list[tuple[bytes, float]]:
-        """Scalar top-k via ``heapq.nlargest`` (same ranking semantics).
-
-        ``nlargest`` is equivalent to a stable descending sort prefix, so
-        ties break by insertion order exactly like :meth:`top`.
-        """
-        import heapq
-
-        return heapq.nlargest(
-            count,
-            ((key, sketch.estimate()) for key, sketch in self._groups.items()),
-            key=lambda kv: kv[1],
-        )
-
     def total_memory_bytes(self) -> int:
         """Modelled footprint across all groups."""
         return sum(sketch.memory_bytes for sketch in self._groups.values())

@@ -6,7 +6,6 @@ from repro.estimation.batch import (
     batch_estimate_sketches,
     batch_estimates_by_key,
     batch_top,
-    estimate_register_stacks,
     estimate_registers,
     register_coefficients,
     release_batch_workspaces,
@@ -32,7 +31,6 @@ __all__ = [
     "batch_estimate_sketches",
     "batch_estimates_by_key",
     "batch_top",
-    "estimate_register_stacks",
     "estimate_registers",
     "f_transformed",
     "log_likelihood",

@@ -636,24 +636,6 @@ def estimate_registers(
     return estimates
 
 
-def estimate_register_stacks(rows, params, bias_correction: bool = True) -> np.ndarray:
-    """Batched estimates for same-parameter register rows from anywhere.
-
-    ``rows`` is an iterable of length-``m`` register vectors — Python
-    lists, ndarrays, or ``np.memmap`` views straight over *another
-    process's* register files (the concurrent-reader query path). Rows
-    are only ever read: they are gathered into one fresh extraction-dtype
-    matrix, so read-only and foreign-mmap inputs are safe, and the
-    estimates are bit-identical to per-row scalar estimation.
-    """
-    rows = list(rows)
-    dtype = np.int32 if params.register_bits <= 31 else np.int64
-    matrix = np.empty((len(rows), params.m), dtype=dtype)
-    for position, row in enumerate(rows):
-        matrix[position] = row
-    return estimate_registers(matrix, params, bias_correction)
-
-
 def batch_estimate_sketches(sketches, bias_correction: bool = True) -> list[float]:
     """Estimates for a mixed sketch collection via one simultaneous solve.
 

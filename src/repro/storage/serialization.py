@@ -30,7 +30,7 @@ TAG_CPC = 0x21
 TAG_HLLL = 0x22
 TAG_SPIKESKETCH = 0x23
 #: Durable-store file tags (see :mod:`repro.store`).
-TAG_MEMMAP_REGISTERS = 0x40
+# 0x40 is retired (np.memmap register files); do not reuse it.
 TAG_WAL = 0x41
 TAG_SNAPSHOT = 0x42
 TAG_SPILL = 0x43

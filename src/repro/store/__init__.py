@@ -4,9 +4,6 @@ Everything in-memory about this library dies with the process; this
 package is the disk layer that makes the paper's selling point — tiny,
 mergeable, serializable sketch state — operational:
 
-* :class:`~repro.store.registers.MemmapRegisters` — ``np.memmap``-backed
-  register arrays the bulk backends fold straight into (bit-identical to
-  the in-memory path, resident pages managed by the OS);
 * :class:`~repro.store.sketchstore.SketchStore` — a keyed, crash-
   recoverable store: append-only WAL of LSN-stamped hash batches +
   periodic snapshots, WAL-tail replay on
@@ -28,12 +25,12 @@ mergeable, serializable sketch state — operational:
 Entry points elsewhere: ``DistinctCountAggregator.add_batch(spill=...)``,
 ``SlidingWindowDistinctCounter(store=...)`` (buckets retire durably on
 eviction), and the ``python -m repro.store`` CLI
-(ingest/query/compact/serve/replicate) — ``query`` speaks the
-:mod:`repro.query` dialect over the store or a lock-free reader.
+(ingest/query/info/stats/compact/serve/replicate/cluster), which opens a
+directory as a store or a :mod:`repro.cluster` root by its layout —
+``query`` speaks the :mod:`repro.query` dialect over either, read-only.
 """
 
 from repro.store.reader import RefreshResult, SnapshotReader
-from repro.store.registers import MemmapRegisters
 from repro.store.replicate import FollowerStore, ShipResult, WalShipper
 from repro.store.sketchstore import (
     RECORD_CUTOVER,
@@ -59,7 +56,6 @@ from repro.store.spill import (
 __all__ = [
     "DEFAULT_PARTITIONS",
     "FollowerStore",
-    "MemmapRegisters",
     "RECORD_CUTOVER",
     "RECORD_DROP",
     "RECORD_HASHES",

@@ -1,51 +1,63 @@
 """Durable-store CLI: ``python -m repro.store <command> <directory>``.
 
+Every command first looks at the directory's layout: a directory with
+``cluster.json`` is a cluster root (:mod:`repro.cluster`), a directory
+with a snapshot is a store, and anything else is neither. ``ingest``,
+``query``, ``info``, ``stats`` and ``compact`` serve stores and clusters
+alike; a cluster answers every query exactly as one store would,
+because its shards own disjoint groups and sketches merge exactly. A
+command given a directory of the wrong kind exits 2 and names it;
+only ``ingest``, ``replicate`` and ``cluster init`` create anything.
+
 Commands
 --------
 
 ``ingest``
     Append items to a group, either literal (``--items a b c``) or
     synthetic (``--count N`` distinct integers, offset by ``--offset``).
-    ``--crash`` hard-kills the process (``os._exit``) after the WAL
-    writes, before any clean shutdown — the honest half of a
-    crash-recovery drill.
+    On a cluster root the group routes to its owner shard. A directory
+    that holds neither kind becomes a new store. ``--crash`` hard-kills
+    the process (``os._exit``) after the WAL writes, before any clean
+    shutdown — the honest half of a crash-recovery drill.
 ``query``
-    Run one :mod:`repro.query` dialect query over the store, e.g.
+    Run one :mod:`repro.query` dialect query, e.g.
     ``query /tmp/s "top 10 where key startswith 'country:'"`` (default
-    query: ``estimate all``). ``--reader`` answers through a lock-free
-    :class:`~repro.store.reader.SnapshotReader` instead — strictly
-    read-only (never truncates a torn WAL tail) and safe against a live
-    writer; key filters read their groups from the reader's
+    query: ``estimate all``). Strictly read-only: it never truncates a
+    torn WAL tail. It opens a read-only store (every shard, on a
+    cluster); ``--reader`` answers through lock-free
+    :class:`~repro.store.reader.SnapshotReader` views instead, safe
+    against a live writer. Key filters read their groups from the
     materialised view (``--explain`` shows the chosen access path).
     ``--expect N --tolerance F`` turns a single-row result into a check
     (exit 1 on miss) for smoke tests.
 ``serve``
-    A long-running query process: open a reader, refresh on an
-    interval, report the durable horizon (and optionally the top-k
-    groups) after each refresh. Any number of ``serve`` processes can
-    run against one live writer.
+    A long-running query process over one store: open a reader, refresh
+    on an interval, report the durable horizon (and optionally the
+    top-k groups) after each refresh. Any number of ``serve`` processes
+    can run against one live writer.
 ``replicate``
     WAL-shipping replication: sync a follower directory from a leader
     store, idempotently by LSN (``--once`` for a single catch-up; the
-    default loops like ``serve``).
+    default loops like ``serve``). A leader directory that does not
+    exist yet is waited for. ``serve`` and ``replicate`` take one store
+    (a cluster's shard directory), never a cluster root.
 ``compact``
-    Fold the WAL into a fresh snapshot generation.
+    Fold the WAL into a fresh snapshot generation (every shard's, on a
+    cluster).
 ``info``
-    Show generation, LSNs, WAL size, and group count.
+    A store's generation, LSNs, WAL size and group count; on a cluster
+    root, one line per shard with the same fields, plus the skew gauge.
+``stats``
+    Observability snapshot: enable :mod:`repro.obs.metrics`, run one
+    read pass (replay + refresh + one batched estimate solve) over the
+    store or every shard, and export every metric — human-readable by
+    default, ``--json`` or ``--prom`` (Prometheus text exposition) for
+    machines.
 ``cluster``
     Horizontal sharding (see :mod:`repro.cluster`):
     ``cluster init DIR --shards N`` creates a hash-partitioned cluster,
-    ``cluster ingest`` routes batches by ``shard_of(key, N)``,
-    ``cluster query`` scatter-gathers the same dialect over every shard
-    (``--reader`` for lock-free per-shard readers), ``cluster rebalance
-    --shards M`` ships whole group sketches to their new owners behind
-    cutover fences, and ``cluster status`` prints per-shard health plus
-    the skew gauge.
-``stats``
-    Observability snapshot: enable :mod:`repro.obs.metrics`, run one
-    read pass (replay + refresh + a batched estimate solve) over the
-    store, and export every metric — human-readable by default,
-    ``--json`` or ``--prom`` (Prometheus text exposition) for machines.
+    and ``cluster rebalance DIR --shards M`` ships whole group sketches
+    to their new owners behind cutover fences.
 
 ``serve`` and ``replicate`` emit one structured heartbeat line per
 iteration (``refresh``/``sync`` with ``key=value`` fields including the
@@ -66,14 +78,26 @@ import os
 import sys
 
 from repro.aggregate import DistinctCountAggregator
-from repro.store import FollowerStore, SketchStore, SnapshotReader, WalShipper
+from repro.cluster import ClusterSource, ShardedStore
+from repro.cluster.meta import META_NAME
+from repro.store import (
+    FollowerStore,
+    SketchStore,
+    SnapshotReader,
+    WalShipper,
+    latest_generation,
+)
 
 #: Exit status of a ``--crash`` ingest (distinguishable from real errors).
 CRASH_EXIT_CODE = 3
 
+#: Directory layouts told apart by :func:`_layout`.
+CLUSTER = "cluster"
+STORE = "store"
+
 
 def _add_store_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("directory", help="store directory (created if absent)")
+    parser.add_argument("directory", help="store directory or cluster root")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -84,14 +108,19 @@ def build_parser() -> argparse.ArgumentParser:
     commands = parser.add_subparsers(dest="command", required=True)
 
     ingest = commands.add_parser("ingest", help="append items to a group")
-    _add_store_arguments(ingest)
+    ingest.add_argument(
+        "directory",
+        help="store directory or cluster root (a new store is created "
+        "when it holds neither)",
+    )
     ingest.add_argument("--group", default="default", help="group key (string)")
     ingest.add_argument("--items", nargs="+", help="literal items to add")
     ingest.add_argument("--count", type=int, help="add COUNT synthetic distinct integers")
     ingest.add_argument("--offset", type=int, default=0, help="first synthetic integer")
     ingest.add_argument("--batch", type=int, default=8192, help="items per WAL record")
-    # None means "persisted configuration wins" for an existing store
-    # (SketchStore.open falls back to ELL(2, 20) at p=8 when creating).
+    # None means "persisted configuration wins" for an existing store or
+    # cluster (SketchStore.open falls back to ELL(2, 20) at p=8 when
+    # creating).
     ingest.add_argument("--t", type=int, default=None)
     ingest.add_argument("--d", type=int, default=None)
     ingest.add_argument("--p", type=int, default=None)
@@ -100,7 +129,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--compact-every",
         type=int,
         metavar="BYTES",
-        help="auto-compact when the WAL exceeds BYTES",
+        help="auto-compact when a WAL (each shard's, on a cluster) exceeds BYTES",
     )
     ingest.add_argument(
         "--crash",
@@ -109,7 +138,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     query = commands.add_parser(
-        "query", help="run a repro.query dialect query over the store"
+        "query", help="run a read-only repro.query dialect query"
     )
     _add_store_arguments(query)
     query.add_argument(
@@ -122,8 +151,8 @@ def build_parser() -> argparse.ArgumentParser:
     query.add_argument(
         "--reader",
         action="store_true",
-        help="answer through a lock-free read-only SnapshotReader "
-        "(safe against a live writer; the durable prefix at open time)",
+        help="answer through lock-free SnapshotReaders, one per shard on a "
+        "cluster (safe against a live writer; the durable prefix at open time)",
     )
     query.add_argument(
         "--explain",
@@ -157,7 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
         "serve",
         help="long-running reader: refresh on an interval, report the horizon",
     )
-    _add_store_arguments(serve)
+    serve.add_argument("directory", help="store directory")
     serve.add_argument(
         "--interval",
         type=float,
@@ -263,65 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
     cluster_init.add_argument("--d", type=int, default=None)
     cluster_init.add_argument("--p", type=int, default=None)
 
-    cluster_ingest = cluster_commands.add_parser(
-        "ingest", help="append items, routed to each group's owner shard"
-    )
-    cluster_ingest.add_argument("directory", help="cluster root directory")
-    cluster_ingest.add_argument("--group", default="default", help="group key (string)")
-    cluster_ingest.add_argument("--items", nargs="+", help="literal items to add")
-    cluster_ingest.add_argument(
-        "--count", type=int, help="add COUNT synthetic distinct integers"
-    )
-    cluster_ingest.add_argument(
-        "--offset", type=int, default=0, help="first synthetic integer"
-    )
-    cluster_ingest.add_argument(
-        "--batch", type=int, default=8192, help="items per WAL record"
-    )
-    cluster_ingest.add_argument(
-        "--fsync", action="store_true", help="fsync every WAL record"
-    )
-    cluster_ingest.add_argument(
-        "--crash",
-        action="store_true",
-        help=f"os._exit({CRASH_EXIT_CODE}) after ingest, skipping clean shutdown",
-    )
-
-    cluster_query = cluster_commands.add_parser(
-        "query", help="scatter-gather one dialect query over every shard"
-    )
-    cluster_query.add_argument("directory", help="cluster root directory")
-    cluster_query.add_argument(
-        "text", nargs="?", default="estimate all", help='dialect query (default: "estimate all")'
-    )
-    cluster_query.add_argument(
-        "--reader",
-        action="store_true",
-        help="open lock-free per-shard SnapshotReaders instead of read-only stores",
-    )
-    cluster_query.add_argument(
-        "--explain", action="store_true", help="print the physical plan before the rows"
-    )
-    cluster_query.add_argument(
-        "--analyze",
-        action="store_true",
-        help="execute with per-plan-node timing (EXPLAIN ANALYZE)",
-    )
-    cluster_query.add_argument(
-        "--now", type=float, help="time anchor for 'window' clauses"
-    )
-    cluster_query.add_argument(
-        "--expect",
-        type=float,
-        help="expected value of a single-row result (exit 1 on miss)",
-    )
-    cluster_query.add_argument(
-        "--tolerance",
-        type=float,
-        default=0.1,
-        help="allowed relative error against --expect (default 0.1)",
-    )
-
     cluster_rebalance = cluster_commands.add_parser(
         "rebalance",
         help="change the shard fan-out by shipping whole group sketches",
@@ -331,19 +301,48 @@ def build_parser() -> argparse.ArgumentParser:
         "--shards", type=int, required=True, help="new number of hash partitions"
     )
 
-    cluster_status = cluster_commands.add_parser(
-        "status", help="per-shard health plus the cluster skew gauge"
-    )
-    cluster_status.add_argument("directory", help="cluster root directory")
     return parser
+
+
+def _layout(directory) -> "str | None":
+    """What ``directory`` holds: :data:`CLUSTER`, :data:`STORE` or ``None``.
+
+    A cluster root is recognised by its ``cluster.json``, a store by its
+    newest snapshot. Looking creates nothing, so a mistyped path stays
+    missing.
+    """
+    if os.path.exists(os.path.join(directory, META_NAME)):
+        return CLUSTER
+    if latest_generation(directory) is not None:
+        return STORE
+    return None
+
+
+def _refuse(command: str, directory, layout: "str | None") -> int:
+    """Name a directory of the wrong kind on stderr; exit status 2."""
+    reason = {
+        None: "is neither a store nor a cluster root",
+        STORE: "is a store, not a cluster root",
+        CLUSTER: "is a cluster root; name one shard's store directory",
+    }[layout]
+    print(f"{command}: {directory} {reason}", file=sys.stderr)
+    return 2
+
+
+def _open_writer(directory, layout: "str | None", **options):
+    """A writer over ``directory``: the cluster, or a (possibly new) store."""
+    if layout == CLUSTER:
+        return ShardedStore.open(directory, **options)
+    return SketchStore.open(directory, **options)
 
 
 def _command_ingest(arguments: argparse.Namespace) -> int:
     if arguments.items is None and arguments.count is None:
         print("ingest: need --items or --count", file=sys.stderr)
         return 2
-    store = SketchStore.open(
+    target = _open_writer(
         arguments.directory,
+        _layout(arguments.directory),
         t=arguments.t,
         d=arguments.d,
         p=arguments.p,
@@ -352,7 +351,7 @@ def _command_ingest(arguments: argparse.Namespace) -> int:
     )
     appended = 0
     if arguments.items:
-        store.append(arguments.group, arguments.items)
+        target.append(arguments.group, arguments.items)
         appended += len(arguments.items)
     if arguments.count:
         import numpy as np
@@ -362,44 +361,52 @@ def _command_ingest(arguments: argparse.Namespace) -> int:
             values = np.arange(
                 arguments.offset + start, arguments.offset + stop, dtype=np.int64
             )
-            store.append(arguments.group, values)
+            target.append(arguments.group, values)
             appended += len(values)
-    print(
-        f"appended {appended} items to group {arguments.group!r} "
-        f"({store.wal_records} WAL records, {store.wal_bytes} WAL bytes)"
-    )
+    print(f"appended {appended} items to group {arguments.group!r}")
     if arguments.crash:
         print("simulating crash: exiting without clean shutdown", flush=True)
         os._exit(CRASH_EXIT_CODE)
-    store.close()
+    target.close()
     return 0
 
 
-def _run_dialect_query(source, arguments: argparse.Namespace, footer=None) -> int:
-    """Parse/plan/execute one dialect query over an opened ``source``.
+def _command_query(arguments: argparse.Namespace) -> int:
+    """One dialect query, planned and executed by :mod:`repro.query`.
 
-    Shared by ``query`` (single store or reader) and ``cluster query``
-    (scatter-gather); ``footer()`` prints source-specific trailer lines
-    between the rows and the ``--expect`` verdict.
+    Read-only on both layouts: a read-only store (or, with ``--reader``,
+    a lock-free reader) binds the plan's default scan, one per shard on
+    a cluster; every estimate resolves through the batched one-solve
+    path.
     """
     from repro.query import DEFAULT_SOURCE, ParseError, execute, explain, parse
 
+    layout = _layout(arguments.directory)
+    if layout is None:
+        return _refuse("query", arguments.directory, layout)
     try:
         plan = parse(arguments.text)
     except ParseError as error:
         print(f"query: {error}", file=sys.stderr)
         return 2
-    if arguments.explain and not arguments.analyze:
-        for line in explain(plan, {DEFAULT_SOURCE: source}):
-            print(line)
-    result = execute(plan, source, now=arguments.now, analyze=arguments.analyze)
-    if arguments.analyze:
-        for line in explain(plan, {DEFAULT_SOURCE: source}, profile=result.profile):
-            print(line)
-    for key, estimate in result.rows:
-        print(f"{DistinctCountAggregator.decode_key(key)}\t{estimate:.1f}")
-    if footer is not None:
-        footer()
+    if layout == CLUSTER:
+        source = ClusterSource.open(arguments.directory, reader=arguments.reader)
+    elif arguments.reader:
+        source = SnapshotReader.open(arguments.directory)
+    else:
+        source = SketchStore.open(arguments.directory, read_only=True)
+    with source:
+        if arguments.explain and not arguments.analyze:
+            for line in explain(plan, {DEFAULT_SOURCE: source}):
+                print(line)
+        result = execute(plan, source, now=arguments.now, analyze=arguments.analyze)
+        if arguments.analyze:
+            for line in explain(plan, {DEFAULT_SOURCE: source}, profile=result.profile):
+                print(line)
+        for key, estimate in result.rows:
+            print(f"{DistinctCountAggregator.decode_key(key)}\t{estimate:.1f}")
+        if isinstance(source, SnapshotReader):
+            print(f"generation {source.generation}, durable LSN {source.durable_lsn}")
     if arguments.expect is not None:
         if len(result.rows) != 1:
             print(
@@ -416,26 +423,6 @@ def _run_dialect_query(source, arguments: argparse.Namespace, footer=None) -> in
         )
         return 0 if status == "ok" else 1
     return 0
-
-
-def _command_query(arguments: argparse.Namespace) -> int:
-    """One dialect query, planned and executed by :mod:`repro.query`.
-
-    The store (or reader, with ``--reader``) binds the plan's default
-    scan; every estimate resolves through the batched one-solve path.
-    """
-    opener = SnapshotReader.open if arguments.reader else SketchStore.open
-    with opener(arguments.directory) as source:
-        footer = None
-        if arguments.reader:
-
-            def footer():
-                print(
-                    f"generation {source.generation}, durable LSN "
-                    f"{source.durable_lsn}"
-                )
-
-        return _run_dialect_query(source, arguments, footer)
 
 
 #: Exceptions the serve/replicate loops survive with backoff: filesystem
@@ -520,6 +507,9 @@ def _retry_loop(arguments, step, heartbeat, metric_prefixes, stop) -> int:
 
 def _command_serve(arguments: argparse.Namespace) -> int:
     """Poll-refresh loop of one query-serving reader process."""
+    layout = _layout(arguments.directory)
+    if layout != STORE:
+        return _refuse("serve", arguments.directory, layout)
     with SnapshotReader.open(arguments.directory) as reader:
 
         def heartbeat(iteration, result):
@@ -550,6 +540,8 @@ def _command_serve(arguments: argparse.Namespace) -> int:
 
 def _command_replicate(arguments: argparse.Namespace) -> int:
     """Shipper loop: leader WAL records -> follower, idempotent by LSN."""
+    if _layout(arguments.directory) == CLUSTER:
+        return _refuse("replicate", arguments.directory, CLUSTER)
     # Constructed inside the retried step: a leader directory that does
     # not exist *yet* (FileNotFoundError is an OSError) is just another
     # transient the backoff loop waits out.
@@ -586,13 +578,35 @@ def _command_replicate(arguments: argparse.Namespace) -> int:
 
 
 def _command_compact(arguments: argparse.Namespace) -> int:
-    with SketchStore.open(arguments.directory) as store:
-        generation = store.compact()
-        print(f"compacted to generation {generation} ({len(store)} groups)")
+    layout = _layout(arguments.directory)
+    if layout is None:
+        return _refuse("compact", arguments.directory, layout)
+    with _open_writer(arguments.directory, layout) as target:
+        generation = target.compact()
+        print(f"compacted to generation {generation} ({len(target)} groups)")
     return 0
 
 
 def _command_info(arguments: argparse.Namespace) -> int:
+    layout = _layout(arguments.directory)
+    if layout is None:
+        return _refuse("info", arguments.directory, layout)
+    if layout == CLUSTER:
+        with ShardedStore.open(arguments.directory) as cluster:
+            print(
+                f"cluster:  {cluster.root} ({cluster.shards} shards, "
+                f"epoch {cluster.epoch}, {len(cluster)} groups)"
+            )
+            for status in cluster.status():
+                print(
+                    f"shard {status.index:4d}: groups={status.groups} "
+                    f"generation={status.generation} "
+                    f"wal_records={status.wal_records} "
+                    f"wal_bytes={status.wal_bytes} "
+                    f"durable_lsn={status.durable_lsn}"
+                )
+            print(f"skew:     {cluster.skew():.3f} (1.0 = balanced)")
+        return 0
     with SketchStore.open(arguments.directory) as store:
         config = store.config
         print(f"directory:   {store.directory}")
@@ -610,29 +624,40 @@ def _command_stats(arguments: argparse.Namespace) -> int:
     """One instrumented read pass, then export every metric it produced.
 
     Enables :mod:`repro.obs.metrics` programmatically (no environment
-    variable needed), opens the store through a read-only
-    :class:`SnapshotReader` (safe against a live writer), refreshes, and
-    runs the batched estimate solve so the estimation metrics populate
-    too — then prints the registry.
+    variable needed), opens the store (every shard, on a cluster)
+    through read-only :class:`SnapshotReader` views (safe against a live
+    writer), refreshes, and runs one batched estimate solve so the
+    estimation metrics populate too — then prints the registry.
     """
     from repro.obs import metrics as _metrics
 
+    layout = _layout(arguments.directory)
+    if layout is None:
+        return _refuse("stats", arguments.directory, layout)
     _metrics.enable()
-    with SnapshotReader.open(arguments.directory) as reader:
-        reader.refresh()
+    if layout == CLUSTER:
+        source = ClusterSource.open(arguments.directory, reader=True)
+    else:
+        source = SnapshotReader.open(arguments.directory)
+    with source:
+        source.refresh()
         if not arguments.no_estimates:
-            reader.estimates()
-        generation = reader.generation
-        durable_lsn = reader.durable_lsn
-        groups = len(reader)
+            source.estimates()
+        if layout == CLUSTER:
+            header = [("shards", source.shards)]
+        else:
+            header = [
+                ("generation", source.generation),
+                ("durable lsn", source.durable_lsn),
+            ]
+        header.append(("groups", len(source)))
     if arguments.json:
         print(_metrics.to_json(indent=2))
     elif arguments.prom:
         sys.stdout.write(_metrics.to_prometheus())
     else:
-        print(f"generation:  {generation}")
-        print(f"durable lsn: {durable_lsn}")
-        print(f"groups:      {groups}")
+        for label, value in header:
+            print(f"{label + ':':<12} {value}")
         print()
         for metric in _metrics.REGISTRY.metrics():
             name = metric.name + metric._label_suffix()
@@ -650,11 +675,11 @@ def _command_stats(arguments: argparse.Namespace) -> int:
 
 
 def _command_cluster(arguments: argparse.Namespace) -> int:
-    """Dispatch ``cluster init|ingest|query|rebalance|status``."""
-    from repro.cluster import ClusterSource, ShardedStore
-
-    command = arguments.cluster_command
-    if command == "init":
+    """Dispatch ``cluster init|rebalance``."""
+    layout = _layout(arguments.directory)
+    if arguments.cluster_command == "init":
+        if layout == STORE:
+            return _refuse("cluster init", arguments.directory, layout)
         with ShardedStore.open(
             arguments.directory,
             shards=arguments.shards,
@@ -667,64 +692,16 @@ def _command_cluster(arguments: argparse.Namespace) -> int:
                 f"{cluster.shards} shards (config {cluster.config})"
             )
         return 0
-    if command == "ingest":
-        if arguments.items is None and arguments.count is None:
-            print("cluster ingest: need --items or --count", file=sys.stderr)
-            return 2
-        cluster = ShardedStore.open(arguments.directory, fsync=arguments.fsync)
-        appended = 0
-        if arguments.items:
-            cluster.append(arguments.group, arguments.items)
-            appended += len(arguments.items)
-        if arguments.count:
-            import numpy as np
-
-            for start in range(0, arguments.count, arguments.batch):
-                stop = min(start + arguments.batch, arguments.count)
-                values = np.arange(
-                    arguments.offset + start, arguments.offset + stop, dtype=np.int64
-                )
-                cluster.append(arguments.group, values)
-                appended += len(values)
-        owner = cluster.shard_of(arguments.group)
+    if layout != CLUSTER:
+        return _refuse("cluster rebalance", arguments.directory, layout)
+    with ShardedStore.open(arguments.directory) as cluster:
+        result = cluster.rebalance(arguments.shards)
         print(
-            f"appended {appended} items to group {arguments.group!r} "
-            f"(shard {owner} of {cluster.shards})"
+            f"rebalanced {result.from_shards} -> {result.to_shards} shards "
+            f"(epoch {result.epoch}): moved {result.moved_groups} groups, "
+            f"shipped {result.shipped_bytes} sketch bytes"
         )
-        if arguments.crash:
-            print("simulating crash: exiting without clean shutdown", flush=True)
-            os._exit(CRASH_EXIT_CODE)
-        cluster.close()
-        return 0
-    if command == "query":
-        with ClusterSource.open(arguments.directory, reader=arguments.reader) as source:
-            return _run_dialect_query(source, arguments)
-    if command == "rebalance":
-        with ShardedStore.open(arguments.directory) as cluster:
-            result = cluster.rebalance(arguments.shards)
-            print(
-                f"rebalanced {result.from_shards} -> {result.to_shards} shards "
-                f"(epoch {result.epoch}): moved {result.moved_groups} groups, "
-                f"shipped {result.shipped_bytes} sketch bytes"
-            )
-        return 0
-    if command == "status":
-        with ShardedStore.open(arguments.directory) as cluster:
-            print(
-                f"cluster:  {cluster.root} ({cluster.shards} shards, "
-                f"epoch {cluster.epoch}, {len(cluster)} groups)"
-            )
-            for status in cluster.status():
-                print(
-                    f"shard {status.index:4d}: groups={status.groups} "
-                    f"generation={status.generation} "
-                    f"wal_records={status.wal_records} "
-                    f"wal_bytes={status.wal_bytes} "
-                    f"durable_lsn={status.durable_lsn}"
-                )
-            print(f"skew:     {cluster.skew():.3f} (1.0 = balanced)")
-        return 0
-    raise AssertionError(f"unknown cluster command {command!r}")
+    return 0
 
 
 def main(argv: "list[str] | None" = None) -> int:

@@ -223,18 +223,21 @@ class SnapshotReader(DelegatingSource):
             start = handle.tell()
             try:
                 record = read_lsn_record_from(handle)
+                if record is None:
+                    break
+                lsn, kind, key, payload = record
+                if lsn != self._durable_lsn + 1:
+                    raise SerializationError(
+                        f"LSN {lsn}, expected {self._durable_lsn + 1}"
+                    )
+                apply_wal_record(self._aggregator, kind, key, payload)
             except IncompleteRecordError:
                 handle.seek(start)
                 break
-            if record is None:
-                break
-            lsn, kind, key, payload = record
-            if lsn != self._durable_lsn + 1:
+            except SerializationError as error:
                 raise SerializationError(
-                    f"WAL record at offset {start} has LSN {lsn}, "
-                    f"expected {self._durable_lsn + 1}"
-                )
-            apply_wal_record(self._aggregator, kind, key, payload)
+                    f"{handle.name}: record at offset {start}: {error}"
+                ) from error
             self._durable_lsn = lsn
             applied += 1
         return applied

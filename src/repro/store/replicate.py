@@ -371,13 +371,17 @@ class WalShipper:
                     start = handle.tell()
                     try:
                         record = read_lsn_record_from(handle)
+                        if record is None:
+                            break
+                        lsn, kind, key, payload = record
+                        if follower.apply_record(lsn, kind, key, payload):
+                            shipped += 1
                     except IncompleteRecordError:
                         break  # the leader's in-flight append: not durable yet
-                    if record is None:
-                        break
-                    lsn, kind, key, payload = record
-                    if follower.apply_record(lsn, kind, key, payload):
-                        shipped += 1
+                    except SerializationError as error:
+                        raise SerializationError(
+                            f"{handle.name}: record at offset {start}: {error}"
+                        ) from error
                     self._cursor = (generation, handle.tell(), lsn)
         return ShipResult(
             snapshot_installed=snapshot_installed,

@@ -264,7 +264,7 @@ def replay_wal(
     A torn tail after the last complete record is ignored (the *writer*
     truncates it before appending more; a read-only open leaves it
     alone). Corruption inside the durable prefix raises
-    :class:`SerializationError`.
+    :class:`SerializationError` naming the file and the record's offset.
     """
     replay = WalReplay(last_lsn=base_lsn)
     with open(path, "rb") as handle:
@@ -276,17 +276,20 @@ def replay_wal(
             start = handle.tell()
             try:
                 record = read_lsn_record_from(handle)
+                if record is None:
+                    break
+                lsn, kind, key, payload = record
+                if lsn != replay.last_lsn + 1:
+                    raise SerializationError(
+                        f"LSN {lsn}, expected {replay.last_lsn + 1}"
+                    )
+                apply_wal_record(aggregator, kind, key, payload)
             except IncompleteRecordError:
                 break  # torn tail write: durable prefix ends at the last full record
-            if record is None:
-                break
-            lsn, kind, key, payload = record
-            if lsn != replay.last_lsn + 1:
+            except SerializationError as error:
                 raise SerializationError(
-                    f"{path}: record at offset {start} has LSN {lsn}, "
-                    f"expected {replay.last_lsn + 1}"
-                )
-            apply_wal_record(aggregator, kind, key, payload)
+                    f"{path}: record at offset {start}: {error}"
+                ) from error
             replay.records += 1
             replay.last_lsn = lsn
             replay.durable_bytes = handle.tell()

@@ -298,12 +298,12 @@ def test_cli_cluster_lifecycle(tmp_path, capsys):
     root = str(tmp_path / "c")
     assert main(["cluster", "init", root, "--shards", "4", "--p", "10"]) == 0
     assert (
-        main(["cluster", "ingest", root, "--group", "demo", "--count", "20000"]) == 0
+        main(["ingest", root, "--group", "demo", "--count", "20000"]) == 0
     )
     assert (
         main(
             [
-                "cluster", "query", root, "estimate 'demo'",
+                "query", root, "estimate 'demo'",
                 "--expect", "20000", "--tolerance", "0.2",
             ]
         )
@@ -312,7 +312,7 @@ def test_cli_cluster_lifecycle(tmp_path, capsys):
     assert (
         main(
             [
-                "cluster", "query", root, "estimate 'demo'",
+                "query", root, "estimate 'demo'",
                 "--reader", "--expect", "999999", "--tolerance", "0.01",
             ]
         )
@@ -322,13 +322,13 @@ def test_cli_cluster_lifecycle(tmp_path, capsys):
     assert (
         main(
             [
-                "cluster", "query", root, "estimate 'demo'",
+                "query", root, "estimate 'demo'",
                 "--expect", "20000", "--tolerance", "0.2",
             ]
         )
         == 0
     )
-    assert main(["cluster", "status", root]) == 0
+    assert main(["info", root]) == 0
     output = capsys.readouterr().out
     assert "rebalanced 4 -> 6 shards" in output
     assert "skew:" in output
@@ -337,14 +337,14 @@ def test_cli_cluster_lifecycle(tmp_path, capsys):
 def test_cli_cluster_ingest_needs_items_or_count(tmp_path):
     root = str(tmp_path / "c")
     assert main(["cluster", "init", root, "--shards", "2"]) == 0
-    assert main(["cluster", "ingest", root]) == 2
+    assert main(["ingest", root]) == 2
 
 
 def test_cli_cluster_query_explain_names_shards(tmp_path, capsys):
     root = str(tmp_path / "c")
     main(["cluster", "init", root, "--shards", "3"])
-    main(["cluster", "ingest", root, "--group", "g", "--items", "a", "b"])
-    assert main(["cluster", "query", root, "estimate all", "--explain"]) == 0
+    main(["ingest", root, "--group", "g", "--items", "a", "b"])
+    assert main(["query", root, "estimate all", "--explain"]) == 0
     assert "ClusterSource[3 shards]" in capsys.readouterr().out
 
 

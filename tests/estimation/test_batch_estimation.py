@@ -277,8 +277,10 @@ def test_aggregator_scalar_top_fallback_matches_batched():
     groups = rng.integers(0, 25, size=3000)
     items = rng.integers(0, 1 << 62, size=3000)
     aggregator.add_batch(groups, items)
+    # sorted() is stable, so ties keep insertion order, as top() promises.
+    ranked = sorted(aggregator.estimates().items(), key=lambda kv: -kv[1])
     for count in (1, 5, 25, 100):
-        assert aggregator._top_scalar(count) == aggregator.top(count)
+        assert aggregator.top(count) == ranked[:count]
 
 
 def test_registers_array_is_read_only():
@@ -320,19 +322,6 @@ def test_spilled_groupby_top(tmp_path):
     ranked = sorted(estimates.items(), key=lambda kv: -kv[1])
     assert groupby.top(5) == ranked[:5]
     groupby.cleanup()
-
-
-def test_memmap_estimate_matches_sketch(tmp_path):
-    from repro.store.registers import MemmapRegisters
-
-    rng = np.random.Generator(np.random.PCG64(18))
-    hashes = rng.integers(0, 1 << 64, size=4000, dtype=np.uint64)
-    for kind, args in (("exaloglog", (2, 20, 8)), ("hyperloglog", (0, 0, 10))):
-        path = tmp_path / f"{kind}.reg"
-        mapped = MemmapRegisters.create(path, kind, *args)
-        mapped.add_hashes(hashes)
-        assert mapped.estimate() == mapped.to_sketch().estimate()
-        mapped.close()
 
 
 def test_replay_checkpoints_match_scalar_solve():

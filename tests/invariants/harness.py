@@ -256,32 +256,6 @@ def build_follower(scenario: Scenario, leader_directory, follower_directory):
     return follower.aggregator
 
 
-def build_memmap_registers(scenario: Scenario, directory) -> dict[str, np.ndarray]:
-    """Disk-backed fold targets: one register file per group.
-
-    Only meaningful for dense-register comparison; the caller densifies
-    the reference aggregator's sketches to compare register values.
-    """
-    from repro.store import MemmapRegisters
-
-    t, d, p, _, _ = scenario.config
-    arrays: dict[str, np.ndarray] = {}
-    per_group: dict[str, list] = {}
-    for step in scenario.steps:
-        if step.op == OP_HASHES:
-            per_group.setdefault(step.group, []).append(step.hashes)
-        elif step.op == OP_SKETCH:
-            per_group.setdefault(step.group, []).append(step.hashes)
-    for group, streams in per_group.items():
-        with MemmapRegisters.create(
-            directory / f"{group}.reg", "exaloglog", t, d, p
-        ) as registers:
-            for stream in streams:
-                registers.add_hashes(stream)
-            arrays[group] = np.asarray(registers.registers).copy()
-    return arrays
-
-
 def build_instrumented(scenario: Scenario, directory) -> DistinctCountAggregator:
     """Observability path: the durable pipeline with metrics + tracing on.
 

@@ -14,7 +14,6 @@ from tests.invariants.harness import (
     build_follower,
     build_group_commit_cluster,
     build_instrumented,
-    build_memmap_registers,
     build_parallel,
     build_rebalanced_cluster,
     build_scalar,
@@ -101,19 +100,6 @@ def test_instrumented_matches_uninstrumented(scenario, reference, tmp_path):
     assert appended is not None and appended.value > 0
 
 
-def test_memmap_registers_match_scalar(scenario, reference, tmp_path):
-    arrays = build_memmap_registers(scenario, tmp_path)
-    from repro.aggregate import DistinctCountAggregator
-
-    for group, array in arrays.items():
-        key = DistinctCountAggregator._group_key(group)
-        sketch = reference._groups[key].copy()
-        dense = sketch.densify() if hasattr(sketch, "densify") else sketch
-        assert array.tolist() == list(dense._registers), (
-            f"memmap registers of group {group!r} differ from the scalar fold"
-        )
-
-
 def test_batched_estimates_match_scalar(scenario, reference):
     """``estimates()`` (one simultaneous solve) vs per-sketch ``estimate()``."""
     batched = reference.estimates()
@@ -123,9 +109,9 @@ def test_batched_estimates_match_scalar(scenario, reference):
         )
 
 
-def test_estimate_register_stacks_matches_scalar(scenario, reference):
-    """The foreign-row batched solve equals scalar estimation row by row."""
-    from repro.estimation.batch import estimate_register_stacks
+def test_estimate_registers_matches_scalar(scenario, reference):
+    """The batched register-matrix solve equals scalar estimation row by row."""
+    from repro.estimation.batch import estimate_registers
 
     dense = {
         key: (
@@ -137,8 +123,8 @@ def test_estimate_register_stacks_matches_scalar(scenario, reference):
         pytest.skip("scenario produced no groups")
     params = next(iter(dense.values()))._params
     keys = sorted(dense)
-    stacked = estimate_register_stacks(
-        [dense[key]._registers for key in keys], params
+    stacked = estimate_registers(
+        np.array([dense[key]._registers for key in keys], dtype=np.int64), params
     )
     for key, value in zip(keys, stacked.tolist()):
         assert value == dense[key].estimate()

@@ -182,3 +182,60 @@ class TestCrashRecovery:
             "query", directory, "estimate 'demo'", "--expect", "30000", "--tolerance", "0.2"
         )
         assert recovered.returncode == 0, recovered.stdout + recovered.stderr
+
+
+class TestLayout:
+    """Every command opens its directory by layout: store, cluster or neither."""
+
+    @pytest.mark.parametrize("command", ["query", "info", "stats", "compact", "serve"])
+    def test_missing_directory_exits_2_and_creates_nothing(
+        self, tmp_path, capsys, command
+    ):
+        directory = tmp_path / "typo"
+        assert main([command, str(directory)]) == 2
+        assert str(directory) in capsys.readouterr().err
+        assert not directory.exists()
+
+    def test_ingest_on_a_cluster_root_routes_to_its_shards(self, tmp_path, capsys):
+        root = tmp_path / "c"
+        assert main(["cluster", "init", str(root), "--shards", "2"]) == 0
+        assert main(["ingest", str(root), "--group", "b", "--count", "3000"]) == 0
+        assert main(
+            ["query", str(root), "estimate 'b'", "--expect", "3000", "--tolerance", "0.2"]
+        ) == 0
+        stats = _run("stats", str(root))
+        assert stats.returncode == 0, stats.stderr
+        assert "groups:      1" in stats.stdout
+        assert not list(root.glob("snapshot-*")) and not list(root.glob("wal-*"))
+
+    def test_query_leaves_a_torn_tail_alone(self, tmp_path):
+        directory = tmp_path / "s"
+        main(["ingest", str(directory), "--group", "g", "--count", "1000"])
+        main(["ingest", str(directory), "--group", "h", "--items", "x", "y"])
+        wal = directory / "wal-00000000.log"
+        torn = wal.read_bytes()[:-5]  # cut into the last record
+        wal.write_bytes(torn)
+        assert main(
+            ["query", str(directory), "estimate 'g'", "--expect", "1000", "--tolerance", "0.2"]
+        ) == 0
+        assert wal.read_bytes() == torn
+
+    @pytest.mark.parametrize("command", ["serve", "replicate"])
+    def test_per_store_commands_refuse_a_cluster_root(self, tmp_path, capsys, command):
+        root = tmp_path / "c"
+        assert main(["cluster", "init", str(root), "--shards", "2"]) == 0
+        replica = tmp_path / "replica"
+        extra = [str(replica)] if command == "replicate" else []
+        loop = ["--interval", "0.01", "--iterations", "1", "--max-retries", "0"]
+        assert main([command, str(root), *extra, *loop]) == 2
+        assert str(root) in capsys.readouterr().err
+        assert not replica.exists()
+
+    @pytest.mark.parametrize("command", ["init", "rebalance"])
+    def test_cluster_commands_refuse_a_store(self, tmp_path, capsys, command):
+        directory = tmp_path / "s"
+        main(["ingest", str(directory), "--group", "g", "--items", "a"])
+        before = sorted(path.name for path in directory.iterdir())
+        assert main(["cluster", command, str(directory), "--shards", "2"]) == 2
+        assert str(directory) in capsys.readouterr().err
+        assert sorted(path.name for path in directory.iterdir()) == before

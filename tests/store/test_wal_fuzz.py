@@ -13,7 +13,7 @@ import pytest
 
 from repro.aggregate import DistinctCountAggregator
 from repro.storage.serialization import SerializationError
-from repro.store import SketchStore
+from repro.store import FollowerStore, SketchStore, SnapshotReader, WalShipper
 from repro.store.sketchstore import _FILE_HEADER_BYTES
 
 
@@ -120,14 +120,46 @@ def test_byte_flip_never_loads_garbage(populated_store, tmp_path):
         (target / "wal-00000000.log").write_bytes(bytes(mutated))
         try:
             store = SketchStore.open(target)
-        except SerializationError:
-            pass  # refusing corrupt data is always acceptable
+        except SerializationError as error:
+            # Refusing corrupt data is always acceptable, if it says where.
+            assert str(target / "wal-00000000.log") in str(error), (
+                f"flip at {position}: {error}"
+            )
         else:
             # If recovery succeeded it must be an exact prefix state —
             # e.g. a flipped length made the tail look torn.
             assert store.aggregator.to_bytes() in prefix_states
             store.close()
         shutil.rmtree(target)
+
+
+def test_bad_record_names_the_file_and_offset(populated_store, tmp_path):
+    """Every WAL record loop names the file and the bad record's offset."""
+    wal_path = populated_store / "wal-00000000.log"
+    wal_bytes = bytearray(wal_path.read_bytes())
+    boundaries = _record_boundaries(bytes(wal_bytes))
+    wal_bytes[boundaries[2] - 1] ^= 0x5A  # last CRC byte of the second record
+    wal_path.write_bytes(bytes(wal_bytes))
+
+    def ship(directory):
+        with FollowerStore.open(tmp_path / "replica") as follower:
+            WalShipper(directory).sync(follower)
+
+    openers = {
+        "writer": SketchStore.open,
+        "read-only": lambda directory: SketchStore.open(directory, read_only=True),
+        "reader": SnapshotReader.open,
+        "shipper": ship,
+    }
+    for name, opener in openers.items():
+        with pytest.raises(SerializationError) as caught:
+            opener(populated_store)
+        message = str(caught.value)
+        assert message.startswith(
+            f"{wal_path}: record at offset {boundaries[1]}: "
+        ), f"{name}: {message}"
+        assert "checksum mismatch" in message, f"{name}: {message}"
+    assert wal_path.read_bytes() == wal_bytes  # no opener cut the bad record
 
 
 def test_wal_cut_to_header_only_recovers_snapshot(populated_store):
