@@ -6,6 +6,13 @@ Measures items/sec per sketch at ``n in {1e4, 1e6, 1e7}`` (quick mode:
 Murmur3 hashing). Results go to ``BENCH_bulk_ingest.json`` and a text
 table under ``benchmarks/output/``.
 
+One relative row gates grouped ingest: ``DistinctCountAggregator.add_batch``
+items/sec over ``GROUPED_KEYS`` Zipf(1.1) integer groups, fed in
+``GROUPED_BATCH``-row batches, divided by the single-sketch ``add_hashes``
+rate at the same ``n``. Most of those groups stay in sparse token mode,
+like the system benchmark's ``ingest_durable``. Quick and full mode both
+record it at ``GROUPED_N``, so ``perf_smoke.py`` compares it.
+
 The headline check: ExaLogLog bulk ingestion must be >= 10x the scalar
 loop at n = 1e6 (the PR's acceptance criterion). Scalar timing is capped
 at ``SCALAR_CAP`` insertions per measurement (the loop rate is flat in n,
@@ -29,6 +36,7 @@ import numpy as np
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
+from repro.aggregate import DistinctCountAggregator
 from repro.baselines.hyperloglog import HyperLogLog
 from repro.baselines.pcsa import PCSA
 from repro.baselines.ultraloglog import UltraLogLog
@@ -55,6 +63,13 @@ SKETCHES = [
 #: Timed repetitions of the bulk call (best-of); one cold call is dominated
 #: by allocator page faults, not by the ingestion path being measured.
 BULK_ROUNDS = 3
+
+#: The grouped-ingest row: rows, Zipf(GROUPED_EXPONENT) integer groups and
+#: rows per add_batch call; one size shared by quick and full mode.
+GROUPED_N = 102_400
+GROUPED_KEYS = 10_000
+GROUPED_EXPONENT = 1.1
+GROUPED_BATCH = 2048
 
 
 def _rate(elapsed: float, count: int) -> float:
@@ -128,6 +143,56 @@ def bench_raw_items(n: int) -> dict:
     }
 
 
+def bench_grouped(n: int) -> dict:
+    """Grouped ``add_batch`` rate over Zipf groups, relative to one sketch."""
+    rng = np.random.Generator(np.random.PCG64(0x6F0B))
+    weights = np.arange(1, GROUPED_KEYS + 1, dtype=np.float64) ** -GROUPED_EXPONENT
+    ranks = np.searchsorted(np.cumsum(weights) / weights.sum(), rng.random(n))
+    groups = rng.permutation(GROUPED_KEYS)[np.minimum(ranks, GROUPED_KEYS - 1)]
+    items = rng.integers(0, 1 << 63, size=n, dtype=np.int64)
+    batches = [
+        (groups[start : start + GROUPED_BATCH], items[start : start + GROUPED_BATCH])
+        for start in range(0, n, GROUPED_BATCH)
+    ]
+
+    def grouped() -> DistinctCountAggregator:
+        aggregator = DistinctCountAggregator(2, 20, 8)
+        for batch_groups, batch_items in batches:
+            aggregator.add_batch(batch_groups, batch_items)
+        return aggregator
+
+    grouped()  # warm ufuncs/allocator
+    grouped_seconds = single_seconds = float("inf")
+    for _ in range(BULK_ROUNDS):
+        start = time.perf_counter()
+        aggregator = grouped()
+        grouped_seconds = min(grouped_seconds, time.perf_counter() - start)
+    hashes = rng.integers(0, 1 << 64, size=n, dtype=np.uint64)
+    for _ in range(BULK_ROUNDS):
+        sketch = ExaLogLog(2, 20, 8)
+        start = time.perf_counter()
+        sketch.add_hashes(hashes)
+        single_seconds = min(single_seconds, time.perf_counter() - start)
+
+    # Batching is invisible in the result: one add_batch of every row.
+    whole = DistinctCountAggregator(2, 20, 8).add_batch(groups, items)
+    if aggregator.to_bytes() != whole.to_bytes():
+        raise AssertionError("batched grouped ingest diverged from one add_batch")
+
+    grouped_rate = _rate(grouped_seconds, n)
+    single_rate = _rate(single_seconds, n)
+    return {
+        "sketch": (
+            f"DistinctCountAggregator add_batch ({GROUPED_KEYS} Zipf({GROUPED_EXPONENT}) "
+            "int groups) / ExaLogLog add_hashes"
+        ),
+        "n": n,
+        "grouped_items_per_s": grouped_rate,
+        "single_items_per_s": single_rate,
+        "speedup": grouped_rate / single_rate,
+    }
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
@@ -157,6 +222,13 @@ def main(argv: list[str] | None = None) -> int:
             f"{'(raw int64 items via add_batch)':36s} n={n:>9,d}"
             f"  speedup {rows[-1]['speedup']:>7.1f}x"
         )
+
+    rows.append(bench_grouped(GROUPED_N))
+    print(
+        f"{'(grouped add_batch / one add_hashes)':36s} n={GROUPED_N:>9,d}"
+        f"  grouped {rows[-1]['grouped_items_per_s']:>12,.0f}/s"
+        f"  ratio {rows[-1]['speedup']:>9.5f}"
+    )
 
     # The acceptance gate: >= 10x for ExaLogLog at n = 1e6 (full mode).
     # Quick mode guards the same path with a relaxed 3x bar at its largest n.

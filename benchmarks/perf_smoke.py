@@ -90,13 +90,13 @@ def compare(label: str, fresh: dict, baseline: dict, key_fields, metric) -> list
         floor = expected * (1.0 - TOLERANCE)
         status = "ok" if measured >= floor else "REGRESSED"
         print(
-            f"  {label} {key}: {metric} {measured:.2f} "
-            f"(baseline {expected:.2f}, floor {floor:.2f}) {status}"
+            f"  {label} {key}: {metric} {measured:.3g} "
+            f"(baseline {expected:.3g}, floor {floor:.3g}) {status}"
         )
         if measured < floor:
             failures.append(
-                f"{label} {key}: {metric} {measured:.2f} < "
-                f"{floor:.2f} (baseline {expected:.2f} - {TOLERANCE:.0%})"
+                f"{label} {key}: {metric} {measured:.3g} < "
+                f"{floor:.3g} (baseline {expected:.3g} - {TOLERANCE:.0%})"
             )
     return failures
 

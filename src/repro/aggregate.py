@@ -52,35 +52,105 @@ from repro.storage.serialization import (
 TAG_AGGREGATOR = 0x30
 
 
+#: Group-array dtype kinds whose distinct values have distinct canonical
+#: keys, so rows group by sorting the array itself: bool, ints, str and
+#: bytes.
+_SORTABLE_KINDS = frozenset("biuUS")
+
+
 def segment(
     groups: "Iterable[Hashable]", items: Any, seed: int
 ) -> list[tuple[bytes, Any]]:
     """One batch's per-group hash segments: ``(canonical key, hashes)``.
 
-    One vectorised hash pass over ``items``, then a factorise + stable
-    sort scatter; the shared front end of the in-memory, sharded and
-    spilled GROUP BY paths. Segments come in first-appearance order of
-    their group, each holding its rows' hashes in input order.
+    One vectorised hash pass over ``items``, then one stable sort that
+    both factorises the groups and scatters the hashes; the shared front
+    end of the in-memory, sharded and spilled GROUP BY paths. Segments
+    come in first-appearance order of their group, each holding its
+    rows' hashes in input order.
+
+    Bool, integer, ``U`` and ``S`` ndarrays sort as they are, float
+    ndarrays on their bit patterns (sorting values would merge ``0.0``
+    with ``-0.0`` and NaNs of different payloads, whose keys differ),
+    and each distinct group's key is encoded once. Object arrays and
+    other iterables encode every row with
+    :func:`repro.hashing.to_bytes`, so ``1``, ``1.0`` and ``True`` stay
+    three groups. Either way a key equals ``to_bytes`` of the row's
+    ``tolist()`` value.
     """
     import numpy as np
 
     from repro.hashing.batch import hash_items
 
     hashes = hash_items(items, seed)
-    # ndarray.tolist() yields Python scalars, which the canonical
-    # to_bytes key encoding accepts (NumPy scalars are not ints).
-    groups = groups.tolist() if isinstance(groups, np.ndarray) else list(groups)
-    if len(groups) != len(hashes):
+    flat = isinstance(groups, np.ndarray) and groups.ndim == 1
+    kind = groups.dtype.kind if flat else ""
+    keys = None
+    if kind in _SORTABLE_KINDS:
+        values = groups
+    elif kind == "f" and groups.dtype.itemsize <= 8:
+        values = groups.astype(np.float64, copy=False).view(np.int64)
+    else:
+        keys, values = _encode_rows(groups)
+    if len(values) != len(hashes):
         raise ValueError(
-            f"group/item length mismatch: {len(groups)} vs {len(hashes)}"
+            f"group/item length mismatch: {len(values)} vs {len(hashes)}"
         )
-    if not groups:
+    if not len(values):
         return []
-    # Factorise group keys to integer codes (first-appearance order).
+    # Each group is one run of the stable sort, its rows in input order;
+    # a run's first row is its group's first appearance.
+    order = np.argsort(values, kind="stable")
+    ranked = values[order]
+    starts = np.flatnonzero(np.concatenate(([True], ranked[1:] != ranked[:-1])))
+    del ranked
+    first = order[starts]
+    appearance = np.argsort(first)
+    if keys is None:
+        # tolist() yields the Python values the per-row path encodes.
+        keys = [to_bytes(value) for value in groups[first[appearance]].tolist()]
+    scattered = hashes[order]
+    bounds = np.append(starts, len(order)).tolist()
+    return [
+        (key, scattered[bounds[run] : bounds[run + 1]])
+        for key, run in zip(keys, appearance.tolist())
+    ]
+
+
+#: Rows of small sparse slices :meth:`DistinctCountAggregator.fold_segments`
+#: tokenises in one call: one call per run of records, while the token
+#: list of a big batch of small groups stays a few hundred KB.
+TOKENISE_ROWS = 1 << 14
+
+
+def _add_tokenised(small: "dict[int, list]") -> None:
+    """Tokenise gathered ``(sketch, hashes)`` slices in one call per ``v``.
+
+    Each sketch then takes its slice of the tokens through
+    :meth:`SparseExaLogLog.add_hashes`.
+    """
+    import numpy as np
+
+    from repro import backends
+
+    for v, slices in small.items():
+        batch = np.concatenate([hashes for _, hashes in slices])
+        tokens = backends.tokenize_hashes(batch, v).tolist()
+        end = 0
+        for sketch, hashes in slices:
+            start, end = end, end + len(hashes)
+            sketch.add_hashes(hashes, tokens=tokens[start:end])
+
+
+def _encode_rows(groups) -> "tuple[list[bytes], Any]":
+    """Canonical keys in first-appearance order, and each row's index."""
+    import numpy as np
+
+    rows = groups.tolist() if isinstance(groups, np.ndarray) else list(groups)
     keys: list[bytes] = []
     code_of: dict[bytes, int] = {}
-    codes = np.empty(len(groups), dtype=np.int64)
-    for position, group in enumerate(groups):
+    codes = np.empty(len(rows), dtype=np.int64)
+    for position, group in enumerate(rows):
         key = to_bytes(group)
         code = code_of.get(key)
         if code is None:
@@ -88,16 +158,7 @@ def segment(
             code_of[key] = code
             keys.append(key)
         codes[position] = code
-    # Scatter: stable sort by code, then one slice per segment.
-    order = np.argsort(codes, kind="stable")
-    sorted_codes = codes[order]
-    boundaries = np.flatnonzero(np.diff(sorted_codes)) + 1
-    starts = np.concatenate(([0], boundaries))
-    ends = np.concatenate((boundaries, [len(order)]))
-    return [
-        (keys[int(sorted_codes[start])], hashes[order[start:end]])
-        for start, end in zip(starts.tolist(), ends.tolist())
-    ]
+    return keys, codes
 
 
 class DistinctCountAggregator:
@@ -109,8 +170,9 @@ class DistinctCountAggregator:
 
     The aggregator is the only owner of its group map. Every layer that
     keeps group state in one (store, reader, follower, cluster, spill)
-    changes it through :meth:`fold`, :meth:`merge_sketch` and
-    :meth:`drop_group`, and reads it through :meth:`sketches`.
+    changes it through :meth:`fold_segments` (or :meth:`fold`),
+    :meth:`merge_sketch` and :meth:`drop_group`, and reads it through
+    :meth:`sketches`.
     """
 
     __slots__ = ("_d", "_groups", "_p", "_seed", "_sparse", "_t")
@@ -209,10 +271,11 @@ class DistinctCountAggregator:
         """Record ``items[i]`` under ``groups[i]`` for a whole batch.
 
         One vectorised hash pass over ``items`` (NumPy integer/float
-        arrays hash without a Python-level loop), then a per-group
-        scatter feeding each group's sketch through its bulk
-        ``add_hashes`` path. Estimates are exactly those of the
-        equivalent per-item :meth:`add` loop.
+        arrays hash without a Python-level loop), one factorise and
+        scatter (:func:`segment`), then one :meth:`fold_segments` call
+        for the whole batch: one fold per batch, not one per group.
+        Estimates are exactly those of the equivalent per-item
+        :meth:`add` loop.
 
         ``workers`` opts into the sharded fold of
         :func:`repro.parallel.parallel_group_fold`: group keys are
@@ -251,19 +314,54 @@ class DistinctCountAggregator:
             for partial in parallel_group_fold(self.config, segments, workers):
                 self.merge_inplace(partial)
             return self
-        for key, segment_hashes in segments:
-            self.fold(key, segment_hashes)
+        return self.fold_segments(segments)
+
+    def fold_segments(self, segments) -> "DistinctCountAggregator":
+        """Fold ``(group, hashes)`` segments, a whole batch at once; returns ``self``.
+
+        The bulk write every ingest path shares: the batch scatter above,
+        the store's commit, WAL replay, the reader's tail, spill
+        partition merges and the sharded partial aggregators. Each
+        segment's sketch is resolved once (created on first use), and a
+        group may appear in several segments. The slices of groups in
+        token mode that cannot pass break-even are tokenised together,
+        one :func:`~repro.backends.tokenize_hashes` call per token
+        parameter ``v`` and :data:`TOKENISE_ROWS` rows, and each group
+        takes its tokens through :meth:`SparseExaLogLog.add_hashes`, a
+        set update. Every other slice (dense groups, and slices long
+        enough to densify theirs) folds through ``add_hashes`` alone.
+        Inserts are commutative and idempotent and token mode densifies
+        losslessly (Sec. 4.3), so the result is bit-identical to folding
+        the segments one by one.
+        """
+        from repro import backends
+
+        small: dict[int, list] = {}  # token parameter v -> [(sketch, hashes)]
+        rows = 0
+        for group, hashes in segments:
+            sketch = self._sketch(to_bytes(group))
+            hashes = backends.as_hash_array(hashes)
+            if (
+                isinstance(sketch, SparseExaLogLog)
+                and sketch.is_sparse
+                and sketch.token_count + len(hashes) <= sketch.break_even_tokens
+            ):
+                small.setdefault(sketch.v, []).append((sketch, hashes))
+                rows += len(hashes)
+                if rows >= TOKENISE_ROWS:
+                    _add_tokenised(small)
+                    small, rows = {}, 0
+            else:
+                sketch.add_hashes(hashes)
+        _add_tokenised(small)
         return self
 
     def fold(self, group: Hashable, hashes) -> "DistinctCountAggregator":
         """Fold pre-hashed values into ``group``'s sketch; returns ``self``.
 
-        The bulk write every ingest path shares: the batch scatter above,
-        WAL replay, spill partition merges and the sharded partial
-        builders. The group's sketch is created on first use.
+        The one-segment case of :meth:`fold_segments`.
         """
-        self._sketch(to_bytes(group)).add_hashes(hashes)
-        return self
+        return self.fold_segments(((group, hashes),))
 
     def check_mergeable(self, sketch) -> None:
         """Raise unless :meth:`merge_sketch` can merge ``sketch`` here.

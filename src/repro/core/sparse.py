@@ -121,7 +121,7 @@ class SparseExaLogLog:
 
         return self.add_hashes(hash_items(items, seed))
 
-    def add_hashes(self, hashes) -> "SparseExaLogLog":
+    def add_hashes(self, hashes, tokens=None) -> "SparseExaLogLog":
         """Vectorised bulk insert with correct bulk-triggered densification.
 
         While sparse, the batch is tokenised vectorised; crossing the
@@ -131,7 +131,21 @@ class SparseExaLogLog:
         state transition (``p + t <= v``), so it does not matter which
         prefix of the stream was recorded as tokens — collected tokens
         and the raw remainder replay to the same registers.
+
+        ``tokens`` may hand in ``tokenize_hashes(hashes, self.v)`` as
+        Python ints, computed by the caller for a whole batch
+        (:meth:`~repro.aggregate.DistinctCountAggregator.fold_segments`).
+        While the token count plus ``len(hashes)`` cannot pass
+        :attr:`break_even_tokens`, they are a set update; otherwise they
+        are ignored and the insert runs as above.
         """
+        if (
+            tokens is not None
+            and self._tokens is not None
+            and len(self._tokens) + len(hashes) <= self.break_even_tokens
+        ):
+            self._tokens.update(tokens)
+            return self
         from repro import backends
         import numpy as np
 

@@ -48,7 +48,10 @@ def to_bytes(obj: Any) -> bytes:
     complement layout of at least 8 bytes, widened as needed so arbitrary
     Python ints (e.g. raw 64-bit hash values used as keys) are accepted
     (so ``1`` and ``"1"`` hash differently, as users expect from e.g.
-    database distinct-count semantics); bytes pass through.
+    database distinct-count semantics); bytes pass through. NumPy integer
+    and bool scalars encode like the Python value of ``.item()``, the
+    value ``ndarray.tolist()`` yields (``np.float64`` and ``np.str_``
+    already subclass ``float`` and ``str``).
     """
     if isinstance(obj, bytes):
         return obj
@@ -65,6 +68,10 @@ def to_bytes(obj: Any) -> bytes:
         import struct
 
         return struct.pack("<d", obj)
+    import numpy as np
+
+    if isinstance(obj, (np.integer, np.bool_)):
+        return to_bytes(obj.item())
     raise TypeError(f"cannot hash object of type {type(obj).__name__}; pass bytes or str")
 
 

@@ -64,15 +64,13 @@ def fold_partial(
 ) -> "DistinctCountAggregator":
     """One shard's partial aggregator: every segment folded under its key.
 
-    Each segment goes through :meth:`DistinctCountAggregator.fold`, exactly
-    as the sequential scatter feeds it.
+    The segments go through one
+    :meth:`DistinctCountAggregator.fold_segments` call, exactly as the
+    sequential scatter feeds a whole batch.
     """
     from repro.aggregate import DistinctCountAggregator
 
-    aggregator = DistinctCountAggregator(*config)
-    for key, hashes in keyed_hashes:
-        aggregator.fold(key, hashes)
-    return aggregator
+    return DistinctCountAggregator(*config).fold_segments(keyed_hashes)
 
 
 def spill_segments(

@@ -45,18 +45,15 @@ from typing import Hashable
 from repro.aggregate import DistinctCountAggregator
 from repro.obs import metrics as _metrics
 from repro.query.source import DelegatingSource
-from repro.storage.serialization import (
-    IncompleteRecordError,
-    SerializationError,
-    read_lsn_record_from,
-)
+from repro.storage.serialization import SerializationError
 from repro.store.sketchstore import (
     _FILE_HEADER_BYTES,
     _check_file_header,
     TAG_WAL,
-    apply_wal_record,
+    WalReplay,
     latest_generation,
     parse_snapshot,
+    replay_records,
     snapshot_path,
     wal_path,
 )
@@ -211,36 +208,21 @@ class SnapshotReader(DelegatingSource):
     def _tail_wal(self) -> int:
         """Apply complete WAL records past the current horizon; count them.
 
-        Stops at the first incomplete record (the writer's in-flight
-        append) and seeks back to its start so the next refresh retries
-        from there. Never writes.
+        Records fold in runs (:func:`~repro.store.sketchstore.replay_records`),
+        and the horizon advances only by runs applied, so the view is
+        the state at the horizon, also after a tail that raised. Stops
+        at the first incomplete record (the writer's in-flight append)
+        and seeks back to its start so the next refresh retries from
+        there. Never writes.
         """
         if not self._ensure_wal_handle():
             return 0
-        handle = self._wal_handle
-        applied = 0
-        while True:
-            start = handle.tell()
-            try:
-                record = read_lsn_record_from(handle)
-                if record is None:
-                    break
-                lsn, kind, key, payload = record
-                if lsn != self._durable_lsn + 1:
-                    raise SerializationError(
-                        f"LSN {lsn}, expected {self._durable_lsn + 1}"
-                    )
-                apply_wal_record(self._aggregator, kind, key, payload)
-            except IncompleteRecordError:
-                handle.seek(start)
-                break
-            except SerializationError as error:
-                raise SerializationError(
-                    f"{handle.name}: record at offset {start}: {error}"
-                ) from error
-            self._durable_lsn = lsn
-            applied += 1
-        return applied
+        progress = WalReplay(last_lsn=self._durable_lsn)
+        try:
+            replay_records(self._wal_handle, self._aggregator, progress)
+        finally:
+            self._durable_lsn = progress.last_lsn
+        return progress.records
 
     def refresh(self) -> RefreshResult:
         """Advance the view: tail new WAL records, follow compactions.

@@ -53,6 +53,7 @@ from repro.store.sketchstore import (
     _file_header,
     TAG_WAL,
     apply_wal_record,
+    check_wal_record,
     latest_generation,
     parse_snapshot,
     read_snapshot_header,
@@ -220,9 +221,11 @@ class FollowerStore(DelegatingSource):
         silently diverge from the leader; the shipper must install a
         snapshot instead.
 
-        Durability order matches the leader's: the record is framed
+        Durability order matches the leader's: the record is checked
+        (:func:`~repro.store.sketchstore.check_wal_record`), framed
         (byte-identically — the framing is deterministic) and written to
-        the replica's WAL before it folds into the in-memory state.
+        the replica's WAL before it folds into the in-memory state, as a
+        run of one: the LSN contract is per record.
         """
         if self._aggregator is None:
             raise ValueError("follower is uninitialised (no snapshot installed)")
@@ -239,6 +242,7 @@ class FollowerStore(DelegatingSource):
                 f"record LSN {lsn} leaves a gap after applied horizon "
                 f"{self._applied_lsn}; a snapshot install is required"
             )
+        check_wal_record(kind, payload)
         buffer = bytearray()
         write_lsn_record(buffer, lsn, kind, key, payload)
         try:
@@ -246,7 +250,7 @@ class FollowerStore(DelegatingSource):
             self._wal_handle.flush()
             if self._fsync:
                 os.fsync(self._wal_handle.fileno())
-            apply_wal_record(self._aggregator, kind, key, payload)
+            apply_wal_record(self._aggregator, ((kind, key, payload),))
         except BaseException:
             # The WAL may or may not hold the record now: appending it
             # again would log its LSN twice, so stop until a reopen.

@@ -41,14 +41,16 @@ records by LSN.
 :meth:`~SketchStore.merge_sketch`, :meth:`~SketchStore.drop_group`,
 :meth:`~SketchStore.append_cutover` — is validated, then staged with its
 LSN. A *commit* writes every staged record with one ``write`` (and, with
-``fsync=True``, one ``os.fsync``), then applies them to memory through
-:func:`apply_wal_record`, so the writer folds exactly what recovery
-replays. A single call is a commit of one record; ``with
+``fsync=True``, one ``os.fsync``), then applies them to memory as one
+run through :func:`apply_wal_record`, so the writer folds exactly what
+recovery replays. A single call is a commit of one record; ``with
 store.batch():`` groups every record written inside it into one commit.
 :func:`apply_wal_record` changes the in-memory
 :class:`~repro.aggregate.DistinctCountAggregator` only through its write
-API (``fold``, ``merge_sketch``, ``drop_group``), and every read
-(``estimate``, ``top``, ...) is answered by that aggregator through
+API (``fold_segments``, ``merge_sketch``, ``drop_group``): consecutive
+hash records fold in one ``fold_segments`` call, one fold per run of
+records rather than one per record. Every read (``estimate``, ``top``,
+...) is answered by that aggregator through
 :class:`~repro.query.source.DelegatingSource`.
 
 Commit rule: a batch is acknowledged after one fsync (a
@@ -63,7 +65,9 @@ WAL, and the store refuses writes until it is reopened, so no LSN is
 ever logged twice.
 
 :meth:`SketchStore.open` replays the WAL tail on top of the newest
-snapshot; a torn final record (crash mid-write) is truncated away —
+snapshot, in runs of records of up to :data:`RUN_BYTES`
+(:func:`replay_records`, shared with the reader's tail); a torn final
+record (crash mid-write) is truncated away —
 **unless** the store is opened with ``read_only=True``, which must never
 mutate a live writer's files and instead just stops at the durable
 horizon. Any other corruption raises
@@ -84,7 +88,7 @@ import pathlib
 import re
 import time
 from dataclasses import dataclass
-from typing import Any, Hashable, Iterator
+from typing import Any, Hashable, Iterable, Iterator
 
 import numpy as np
 
@@ -252,6 +256,41 @@ class WalReplay:
     """LSN of the last applied record (the caller's ``base_lsn`` if none)."""
 
 
+#: Bytes of keys and payloads one run of records may gather before it
+#: is applied, on every path that reads records back: WAL replay, the
+#: reader's tail and the spill partition merge. Memory stays O(one run)
+#: while each run still tokenises in one call.
+RUN_BYTES = 16 << 10
+
+
+class RecordRun:
+    """Records gathered to be applied in one call, up to :data:`RUN_BYTES`.
+
+    ``apply`` receives each run as a list; :meth:`add` applies the run
+    once it is full, :meth:`flush` whatever it holds.
+    """
+
+    __slots__ = ("_apply", "records", "size")
+
+    def __init__(self, apply) -> None:
+        self._apply = apply
+        self.records: list = []
+        self.size = 0
+
+    def add(self, record, size: int) -> None:
+        """Gather ``record`` of ``size`` bytes; apply the run once it is full."""
+        self.records.append(record)
+        self.size += size
+        if self.size >= RUN_BYTES:
+            self.flush()
+
+    def flush(self) -> None:
+        """Apply the gathered records, if any, and start an empty run."""
+        if self.records:
+            records, self.records, self.size = self.records, [], 0
+            self._apply(records)
+
+
 def replay_wal(
     path, aggregator: DistinctCountAggregator, base_lsn: int = 0
 ) -> WalReplay:
@@ -265,68 +304,123 @@ def replay_wal(
     truncates it before appending more; a read-only open leaves it
     alone). Corruption inside the durable prefix raises
     :class:`SerializationError` naming the file and the record's offset.
+    Records fold in runs through :func:`replay_records`.
     """
     replay = WalReplay(last_lsn=base_lsn)
     with open(path, "rb") as handle:
-        # Streamed record by record, so replay memory stays O(one record)
-        # even for a WAL that was never compacted.
+        # Streamed run by run, so replay memory stays O(one run) even for
+        # a WAL that was never compacted.
         _check_file_header(handle.read(_FILE_HEADER_BYTES), TAG_WAL, path)
-        replay.durable_bytes = handle.tell()
-        while True:
-            start = handle.tell()
-            try:
-                record = read_lsn_record_from(handle)
-                if record is None:
-                    break
-                lsn, kind, key, payload = record
-                if lsn != replay.last_lsn + 1:
-                    raise SerializationError(
-                        f"LSN {lsn}, expected {replay.last_lsn + 1}"
-                    )
-                apply_wal_record(aggregator, kind, key, payload)
-            except IncompleteRecordError:
-                break  # torn tail write: durable prefix ends at the last full record
-            except SerializationError as error:
-                raise SerializationError(
-                    f"{path}: record at offset {start}: {error}"
-                ) from error
-            replay.records += 1
-            replay.last_lsn = lsn
-            replay.durable_bytes = handle.tell()
+        replay_records(handle, aggregator, replay)
     return replay
 
 
-def apply_wal_record(
-    aggregator: DistinctCountAggregator, kind: int, key: bytes, payload: bytes
-) -> None:
-    """Apply one decoded WAL record to an aggregator.
+def replay_records(handle, aggregator: DistinctCountAggregator, replay: WalReplay) -> None:
+    """Apply the complete WAL records from ``handle``'s position, run by run.
 
-    The single state-transition function shared by the writer's commit,
-    recovery, the concurrent reader's tail, and follower replication —
-    every path folds the same bytes through the aggregator's own write
-    API (:meth:`~DistinctCountAggregator.fold`,
-    :meth:`~DistinctCountAggregator.merge_sketch`,
-    :meth:`~DistinctCountAggregator.drop_group`), which is what the
-    bit-identity guarantees rest on.
+    ``replay`` holds the LSN the records must continue; its ``records``
+    and ``last_lsn`` advance by each run once :func:`apply_wal_record`
+    has applied it, so they name the state ``aggregator`` holds, also
+    when this raises. A run (:class:`RecordRun`) gathers consecutive
+    hash records; any other record is applied alone, after the run
+    before it, so a failure to apply it names it. Every record is
+    checked as it is read (CRC, LSN, :func:`check_wal_record`), and a
+    failure applies the run before it, then raises
+    :class:`SerializationError` naming the file and the record's offset.
+    An incomplete record (a torn tail, or a live writer's in-flight
+    append) ends the replay with the handle back at its start. On
+    return, ``durable_bytes`` is the end of the last complete record.
+    """
+
+    def apply(records: list) -> None:
+        apply_wal_record(aggregator, records)
+        replay.records += len(records)
+        replay.last_lsn += len(records)
+
+    run = RecordRun(apply)
+    while True:
+        start = handle.tell()
+        try:
+            record = read_lsn_record_from(handle)
+            if record is None:
+                break
+            lsn, kind, key, payload = record
+            expected = replay.last_lsn + len(run.records) + 1
+            if lsn != expected:
+                raise SerializationError(f"LSN {lsn}, expected {expected}")
+            check_wal_record(kind, payload)
+            if kind != RECORD_HASHES:
+                run.flush()
+            run.add((kind, key, payload), len(key) + len(payload))
+            if kind != RECORD_HASHES:
+                run.flush()
+        except IncompleteRecordError:
+            handle.seek(start)  # torn tail write: the durable prefix ends here
+            break
+        except SerializationError as error:
+            run.flush()
+            raise SerializationError(
+                f"{handle.name}: record at offset {start}: {error}"
+            ) from error
+    run.flush()
+    replay.durable_bytes = handle.tell()
+
+
+def check_wal_record(kind: int, payload: bytes) -> None:
+    """Raise :class:`SerializationError` for a record no replay can apply.
+
+    The checks a record's own bytes can fail: a hash payload that is not
+    a multiple of 8 bytes, a drop record with a payload, an unknown kind.
+    Record loops run it as each record is read, so the error names that
+    record.
     """
     if kind == RECORD_HASHES:
         if len(payload) % 8:
             raise SerializationError(
                 f"hash record payload of {len(payload)} bytes is not a multiple of 8"
             )
-        aggregator.fold(key, np.frombuffer(payload, dtype="<u8"))
-    elif kind == RECORD_SKETCH:
-        aggregator.merge_sketch(key, sketch_from_blob(payload))
     elif kind == RECORD_DROP:
         if payload:
             raise SerializationError(
                 f"drop record carries a {len(payload)}-byte payload"
             )
-        aggregator.drop_group(key)
-    elif kind == RECORD_CUTOVER:
-        pass  # cluster rebalance fence: no state transition
-    else:
+    elif kind not in (RECORD_SKETCH, RECORD_CUTOVER):
         raise SerializationError(f"unknown WAL record kind {kind:#x}")
+
+
+def apply_wal_record(
+    aggregator: DistinctCountAggregator, records: "Iterable[tuple[int, bytes, bytes]]"
+) -> None:
+    """Apply a run of decoded ``(kind, key, payload)`` WAL records, in order.
+
+    The single state-transition function shared by the writer's commit,
+    recovery, the concurrent reader's tail, and follower replication —
+    every path folds the same bytes through the aggregator's own write
+    API (:meth:`~DistinctCountAggregator.fold_segments`,
+    :meth:`~DistinctCountAggregator.merge_sketch`,
+    :meth:`~DistinctCountAggregator.drop_group`), which is what the
+    bit-identity guarantees rest on. Consecutive ``RECORD_HASHES``
+    records fold through one ``fold_segments`` call; a sketch, drop or
+    cutover record flushes that run first, so records whose order
+    matters keep their place. The records are well-formed: a commit's
+    come from the store's own stagers, and every record read back has
+    passed :func:`check_wal_record` as it was read.
+    """
+    segments: list = []
+    for kind, key, payload in records:
+        if kind == RECORD_HASHES:
+            segments.append((key, np.frombuffer(payload, dtype="<u8")))
+            continue
+        if segments:
+            aggregator.fold_segments(segments)
+            segments = []
+        if kind == RECORD_SKETCH:
+            aggregator.merge_sketch(key, sketch_from_blob(payload))
+        elif kind == RECORD_DROP:
+            aggregator.drop_group(key)
+        # RECORD_CUTOVER: a cluster rebalance fence, no state transition
+    if segments:
+        aggregator.fold_segments(segments)
 
 
 class SketchStore(DelegatingSource):
@@ -579,8 +673,7 @@ class SketchStore(DelegatingSource):
                         os.fsync(handle.fileno())
                 self._durable_lsn += len(records)
                 self._wal_records += len(records)
-                for kind, key, payload in records:
-                    apply_wal_record(self._aggregator, kind, key, payload)
+                apply_wal_record(self._aggregator, records)
         except BaseException:
             self._fail()
             raise

@@ -50,6 +50,7 @@ from repro.storage.serialization import (
 from repro.store.durable import atomic_write
 from repro.store.sketchstore import (
     RECORD_HASHES,
+    RecordRun,
     _FILE_HEADER_BYTES,
     _check_file_header,
     _file_header,
@@ -212,32 +213,56 @@ def read_spill_file(
     ``tolerate_torn_tail=True``: iteration stops cleanly at the last
     complete record, the WAL discipline — the writer's in-flight append
     is simply not part of that query's view. CRC failures on *complete*
-    records stay fatal either way.
+    records stay fatal either way. Errors read ``<path>: record at offset
+    <n>: <reason>``, like the WAL's.
     """
     path = pathlib.Path(path)
     with open(path, "rb") as handle:
-        # Streamed so the merge pass holds one record, not one file: a
+        # Streamed, so the merge pass holds one run of records (see
+        # SpilledGroupBy._partition_aggregator), not one file: a
         # partition's raw hash payloads can dwarf its sketch states.
         _check_file_header(handle.read(_FILE_HEADER_BYTES), TAG_SPILL, path)
         while True:
             try:
                 record = read_record_from(handle)
+                if record is None:
+                    return
+                kind, key, payload = record
+                if kind != RECORD_HASHES:
+                    raise SerializationError(f"unexpected spill record kind {kind:#x}")
+                if len(payload) % 8:
+                    raise SerializationError(
+                        f"hash payload of {len(payload)} bytes is not a multiple of 8"
+                    )
             except IncompleteRecordError as error:
                 if tolerate_torn_tail:
                     return
-                raise SerializationError(f"{path}: truncated spill record") from error
-            if record is None:
-                return
-            kind, key, payload = record
-            if kind != RECORD_HASHES:
                 raise SerializationError(
-                    f"{path}: unexpected spill record kind {kind:#x}"
-                )
-            if len(payload) % 8:
+                    f"{path}: record at offset {_record_start(handle)}: "
+                    "truncated spill record"
+                ) from error
+            except SerializationError as error:
                 raise SerializationError(
-                    f"{path}: hash payload of {len(payload)} bytes is not a multiple of 8"
-                )
+                    f"{path}: record at offset {_record_start(handle)}: {error}"
+                ) from error
             yield key, np.frombuffer(payload, dtype="<u8")
+
+
+def _record_start(handle) -> int:
+    """Start of the record that ends at, or failed before, ``handle``'s position.
+
+    Found by reading the file again from its header, on the error path
+    only, so reading a sound file tracks no offsets.
+    """
+    position = handle.tell()
+    handle.seek(_FILE_HEADER_BYTES)
+    while True:
+        start = handle.tell()
+        try:
+            if read_record_from(handle) is None or handle.tell() >= position:
+                return start
+        except SerializationError:
+            return start
 
 
 class SpilledGroupBy:
@@ -402,13 +427,17 @@ class SpilledGroupBy:
     def _partition_aggregator(self, partition: int) -> DistinctCountAggregator:
         files = spill_files(self._directory).get(partition, [])
         aggregator = DistinctCountAggregator(*self.config)
+        # Records fold in runs, one fold_segments call each: memory stays
+        # O(one run).
+        run = RecordRun(aggregator.fold_segments)
         for path in files:
             # Attached readers run concurrently with writers, so a torn
             # tail is "not yet durable", not corruption.
             for key, hashes in read_spill_file(
                 path, tolerate_torn_tail=self._writer is None
             ):
-                aggregator.fold(key, hashes)
+                run.add((key, hashes), len(key) + hashes.nbytes)
+        run.flush()
         return aggregator
 
     def iter_estimates(self) -> Iterator[tuple[bytes, float]]:

@@ -176,11 +176,10 @@ def test_drop_and_cutover_ship_to_followers(tmp_path):
 
 
 def test_drop_record_rejects_payload(tmp_path):
-    from repro.store import apply_wal_record
+    from repro.store.sketchstore import check_wal_record
 
-    aggregator = DistinctCountAggregator(2, 20, 8)
     with pytest.raises(SerializationError, match="payload"):
-        apply_wal_record(aggregator, 0x03, b"key", b"junk")
+        check_wal_record(0x03, b"junk")
 
 
 def test_rebalance_writes_cutover_fences(tmp_path):

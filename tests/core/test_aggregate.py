@@ -291,6 +291,19 @@ class TestWriteApi:
         with pytest.raises(TypeError):
             view[b"c"] = sketch
 
+    def test_numpy_scalar_groups_address_array_built_groups(self):
+        import numpy as np
+
+        aggregator = DistinctCountAggregator(p=8)
+        aggregator.add_batch(np.array([1, 2, 3]), np.array([10, 20, 30]))
+        assert aggregator.estimate(np.int64(1)) == aggregator.estimate(1) > 0
+        assert aggregator.group_sketch(np.int64(2)).to_bytes() == (
+            aggregator.group_sketch(2).to_bytes()
+        )
+        assert np.int64(1) in aggregator
+        aggregator.add_batch(list(np.array([1, 2])), [40, 50])
+        assert len(aggregator) == 3
+
     def test_segment_scatters_by_first_appearance(self):
         import numpy as np
 

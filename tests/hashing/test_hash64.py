@@ -34,6 +34,19 @@ class TestToBytes:
         with pytest.raises(TypeError):
             to_bytes(["list"])
 
+    def test_numpy_scalars_encode_like_their_python_value(self):
+        import numpy as np
+
+        from repro.hashing.batch import hash_items
+
+        assert to_bytes(np.int64(5)) == to_bytes(5)
+        assert to_bytes(np.uint64(2**63)) == to_bytes(2**63)
+        assert to_bytes(np.int8(-1)) == to_bytes(-1)
+        assert to_bytes(np.bool_(True)) == to_bytes(True)
+        assert to_bytes(np.float64(0.5)) == to_bytes(0.5)
+        assert to_bytes(np.str_("DE")) == b"DE"
+        assert hash64(np.int64(5)) == int(hash_items(np.array([5]), 0)[0])
+
 
 class TestHash64:
     def test_deterministic(self):

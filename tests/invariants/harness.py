@@ -162,6 +162,26 @@ def build_bulk(scenario: Scenario) -> DistinctCountAggregator:
     return aggregator
 
 
+def build_segmented(scenario: Scenario) -> DistinctCountAggregator:
+    """Batch path: each run of consecutive hash steps in one ``fold_segments``.
+
+    Sketch merges fall between runs, as a sketch record flushes a run in
+    :func:`repro.store.sketchstore.apply_wal_record`. A group may appear
+    several times in one run and cross break-even anywhere inside it.
+    """
+    from itertools import groupby
+
+    aggregator = DistinctCountAggregator(*scenario.config)
+    steps = [step for step in scenario.steps if step.op != OP_COMPACT]
+    for hashing, run in groupby(steps, key=lambda step: step.op == OP_HASHES):
+        if hashing:
+            aggregator.fold_segments([(step.group, step.hashes) for step in run])
+        else:
+            for step in run:
+                _apply_sketch_step(aggregator, scenario, step)
+    return aggregator
+
+
 def build_parallel(scenario: Scenario, workers: int = 2) -> DistinctCountAggregator:
     """Process-pool path: each group's full stream folds with ``workers``.
 

@@ -17,6 +17,7 @@ from tests.invariants.harness import (
     build_parallel,
     build_rebalanced_cluster,
     build_scalar,
+    build_segmented,
     build_sharded_cluster,
     build_store,
     build_warm_pool,
@@ -38,6 +39,10 @@ def reference(scenario):
 
 def test_bulk_matches_scalar(scenario, reference):
     assert_identical(reference, build_bulk(scenario), "add_hashes vs add_hash")
+
+
+def test_segmented_matches_scalar(scenario, reference):
+    assert_identical(reference, build_segmented(scenario), "fold_segments runs vs add_hash")
 
 
 def test_store_replay_matches_scalar(scenario, reference, tmp_path):

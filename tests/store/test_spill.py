@@ -149,6 +149,36 @@ class TestSpillFileFormat:
         with pytest.raises(SerializationError, match="truncated"):
             list(read_spill_file(path))
 
+    def test_record_errors_name_the_file_and_offset(self, tmp_path):
+        from repro.storage.serialization import read_record
+        from repro.store.sketchstore import _FILE_HEADER_BYTES
+
+        spill = SpilledGroupBy(tmp_path / "s", p=8, partitions=1)
+        spill.add_batch(*_batch(500, 10, seed=11))
+        spill.close()
+        [[path]] = spill_files(tmp_path / "s").values()
+        intact = path.read_bytes()
+        second = read_record(intact, _FILE_HEADER_BYTES)[-1]
+        third = read_record(intact, second)[-1]
+        data = bytearray(intact)
+        data[third - 6] ^= 0x5A  # a payload byte of the second record
+        path.write_bytes(bytes(data))
+        for name, open_spill in {
+            "writer": lambda: SpilledGroupBy(tmp_path / "s", p=8, partitions=1),
+            "attached": lambda: SpilledGroupBy.attach(tmp_path / "s"),
+        }.items():
+            with pytest.raises(SerializationError) as caught:
+                open_spill().top(3)
+            message = str(caught.value)
+            assert message.startswith(f"{path}: record at offset {second}: "), name
+            assert "checksum mismatch" in message, name
+        path.write_bytes(intact[: third + 3])
+        with pytest.raises(
+            SerializationError,
+            match=f"record at offset {third}: truncated spill record",
+        ):
+            list(read_spill_file(path))
+
     def test_foreign_file_raises(self, tmp_path):
         path = tmp_path / "part-0000-w1.spill"
         path.write_bytes(b"not a spill file")
