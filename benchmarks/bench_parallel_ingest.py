@@ -9,9 +9,9 @@ measured **cold** (a fresh :class:`~repro.parallel.PersistentIngestPool`
 spun up and shut down inside every timed round — what the old per-call
 pools always paid) and **warm** (the module-level pool with workers
 already alive, the steady-state path of repeated ``workers=`` calls) —
-plus the sharded GROUP BY (``DistinctCountAggregator.add_batch(workers=
-...)``). Results go to ``BENCH_parallel_ingest.json`` and a text table
-under ``benchmarks/output/``.
+plus the in-process GROUP BY (``DistinctCountAggregator.add_batch``).
+Results go to ``BENCH_parallel_ingest.json`` and a text table under
+``benchmarks/output/``.
 
 The headline check: with >= 4 physical cores, *warm* parallel ingest at
 4 workers must be >= 2x the single-process bulk fold at n = 1e7. On
@@ -61,7 +61,7 @@ ROUNDS = 3
 
 WORKER_COUNTS = (1, 2, 4)
 
-#: Group count for the sharded GROUP BY section.
+#: Group count for the GROUP BY section.
 AGGREGATE_GROUPS = 256
 
 
@@ -169,47 +169,24 @@ def bench_exaloglog(n: int, hashes: np.ndarray, workers: tuple[int, ...]) -> lis
     return rows
 
 
-def bench_aggregate(n: int, hashes: np.ndarray, workers: tuple[int, ...]) -> list[dict]:
+def bench_aggregate(n: int, hashes: np.ndarray) -> list[dict]:
     rng = np.random.Generator(np.random.PCG64(n))
     groups = rng.integers(0, AGGREGATE_GROUPS, size=n).astype(np.int64)
     items = hashes.view(np.int64)
 
-    bulk_seconds, bulk_aggregator = _best_of(
+    bulk_seconds, _ = _best_of(
         lambda: DistinctCountAggregator(p=8).add_batch(groups, items)
     )
-    bulk_rate = _rate(bulk_seconds, n)
-    rows = [
+    return [
         {
             "section": "group-by",
             "mode": "bulk add_batch (1 process)",
             "n": n,
             "measured_n": n,
-            "items_per_s": bulk_rate,
+            "items_per_s": _rate(bulk_seconds, n),
             "speedup_vs_bulk": 1.0,
         }
     ]
-    for count in workers:
-        if count == 1:
-            continue
-        seconds, sharded = _best_of(
-            lambda: DistinctCountAggregator(p=8).add_batch(groups, items, workers=count)
-        )
-        if sharded != bulk_aggregator:
-            raise AssertionError(
-                f"sharded aggregator diverged from bulk state at workers={count}"
-            )
-        rate = _rate(seconds, n)
-        rows.append(
-            {
-                "section": "group-by",
-                "mode": f"sharded add_batch ({count} workers)",
-                "n": n,
-                "measured_n": n,
-                "items_per_s": rate,
-                "speedup_vs_bulk": rate / bulk_rate,
-            }
-        )
-    return rows
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -238,7 +215,7 @@ def main(argv: list[str] | None = None) -> int:
                 f"  {row['items_per_s']:>14,.0f}/s"
                 f"  vs bulk {row['speedup_vs_bulk']:>6.2f}x"
             )
-        for row in bench_aggregate(n, hashes, workers):
+        for row in bench_aggregate(n, hashes):
             rows.append(row)
             print(
                 f"{row['mode']:34s} n={n:>10,d}"

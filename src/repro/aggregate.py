@@ -65,7 +65,7 @@ def segment(
 
     One vectorised hash pass over ``items``, then one stable sort that
     both factorises the groups and scatters the hashes; the shared front
-    end of the in-memory, sharded and spilled GROUP BY paths. Segments
+    end of the in-memory and spilled GROUP BY paths. Segments
     come in first-appearance order of their group, each holding its
     rows' hashes in input order.
 
@@ -265,7 +265,6 @@ class DistinctCountAggregator:
         self,
         groups: "Iterable[Hashable]",
         items: Any,
-        workers: int | None = None,
         spill=None,
     ) -> "DistinctCountAggregator":
         """Record ``items[i]`` under ``groups[i]`` for a whole batch.
@@ -275,14 +274,10 @@ class DistinctCountAggregator:
         scatter (:func:`segment`), then one :meth:`fold_segments` call
         for the whole batch: one fold per batch, not one per group.
         Estimates are exactly those of the equivalent per-item
-        :meth:`add` loop.
-
-        ``workers`` opts into the sharded fold of
-        :func:`repro.parallel.parallel_group_fold`: group keys are
-        hash-partitioned across worker shards (the shuffle stage of a
-        distributed GROUP BY), partial aggregators build in parallel and
-        merge back through the exact :meth:`merge_inplace` — same final
-        state as the single-process scatter.
+        :meth:`add` loop. The fold runs in this process, with no
+        ``workers=`` fan-out: sharding a batch over pool workers adds
+        serial work here (partitioning keys, merging partials back) and
+        measured slower than this fold.
 
         ``spill`` routes the batch to a
         :class:`repro.store.SpilledGroupBy` (or any object with
@@ -290,8 +285,6 @@ class DistinctCountAggregator:
         groups: the external GROUP BY path for aggregations whose group
         count exceeds RAM. The spill target — not ``self`` — then owns
         the batch's state; results come from its partition merge.
-        ``workers`` composes: the segments are forwarded for a parallel
-        spill write (shard workers appending their own partition files).
         """
         segments = segment(groups, items, self._seed)
         if not segments:
@@ -303,16 +296,7 @@ class DistinctCountAggregator:
                     f"spill target configuration {spill_config} differs from "
                     f"aggregator configuration {self.config}"
                 )
-            if workers is not None and workers > 1 and len(segments) > 1:
-                spill.write_segments(segments, workers=workers)
-            else:
-                spill.write_segments(segments)
-            return self
-        if workers is not None and workers > 1 and len(segments) > 1:
-            from repro.parallel import parallel_group_fold
-
-            for partial in parallel_group_fold(self.config, segments, workers):
-                self.merge_inplace(partial)
+            spill.write_segments(segments)
             return self
         return self.fold_segments(segments)
 
@@ -320,10 +304,10 @@ class DistinctCountAggregator:
         """Fold ``(group, hashes)`` segments, a whole batch at once; returns ``self``.
 
         The bulk write every ingest path shares: the batch scatter above,
-        the store's commit, WAL replay, the reader's tail, spill
-        partition merges and the sharded partial aggregators. Each
-        segment's sketch is resolved once (created on first use), and a
-        group may appear in several segments. The slices of groups in
+        the store's commit, WAL replay, the reader's tail and spill
+        partition merges, all in this process. Each segment's sketch is
+        resolved once (created on first use), and a group may appear in
+        several segments. The slices of groups in
         token mode that cannot pass break-even are tokenised together,
         one :func:`~repro.backends.tokenize_hashes` call per token
         parameter ``v`` and :data:`TOKENISE_ROWS` rows, and each group

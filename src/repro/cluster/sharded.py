@@ -62,7 +62,7 @@ from repro.obs import trace as _trace
 from repro.parallel.shard import shard_of
 from repro.query.source import DelegatingSource
 from repro.store.durable import make_dirs
-from repro.store.sketchstore import SketchStore, sketch_to_blob
+from repro.store.sketchstore import SketchStore
 
 _REBALANCES = _metrics.counter(
     "cluster.rebalances", "Committed shard-count changes."
@@ -473,7 +473,7 @@ class ShardedStore(DelegatingSource):
                     if owner == index:
                         continue
                     sketch = shard.group_sketch(key)
-                    shipped += len(sketch_to_blob(sketch))
+                    shipped += len(sketch.to_bytes())
                     self._shards[owner].merge_sketch(key, sketch)
                     moved += 1
             self._crash_point("copy")

@@ -1,4 +1,4 @@
-"""Multi-core ingest: persistent pool fan-out and sharded aggregation.
+"""Multi-core ingest: the persistent pool and the single-sketch fan-out.
 
 Builds the ROADMAP's parallel execution layer on top of the bulk-ingest
 backends. :class:`PersistentIngestPool` (usually via :func:`get_pool`) is
@@ -6,14 +6,17 @@ the one transport of every ``workers=`` call: it keeps worker processes
 alive across calls and ships hash batches through shared memory;
 :class:`ParallelBulkIngestor` fans contiguous hash slices across it and
 reduces the per-slice register arrays exactly (bit-identical to the
-sequential fold); :func:`parallel_group_fold`
-hash-partitions group keys into worker shards that build partial
-:class:`~repro.aggregate.DistinctCountAggregator`\\ s merged by the
-existing exact merge; :func:`parallel_spill_write` streams shards into
-spill files; :func:`repro.simulation.replay.replay_many` fans simulation
-replays out the same way. Entry points are the opt-in ``workers=``
-parameters on ``ExaLogLog.add_hashes``, ``DistinctCountAggregator.add_batch``
-and ``SlidingWindowDistinctCounter.add_hashes``.
+sequential fold); :func:`repro.simulation.replay.replay_many` fans
+simulation replays out the same way. Entry points are the opt-in
+``workers=`` parameters on ``ExaLogLog.add_hashes``,
+``SlidingWindowDistinctCounter.add_batch``/``add_hashes`` and
+``replay_many``.
+
+Grouped ingest (``DistinctCountAggregator.add_batch``, the spill) has no
+``workers=``: one in-process ``fold_segments`` call folds a whole batch,
+and sharding it over workers only added serial work in the parent.
+:func:`shard_of` routes group keys to cluster shards and spill
+partitions.
 """
 
 from repro.parallel.ingest import (
@@ -29,12 +32,7 @@ from repro.parallel.pool import (
     preferred_start_method,
     shutdown_default_pool,
 )
-from repro.parallel.shard import (
-    parallel_group_fold,
-    parallel_spill_write,
-    partition_groups,
-    shard_of,
-)
+from repro.parallel.shard import shard_of
 
 __all__ = [
     "ParallelBulkIngestor",
@@ -43,9 +41,6 @@ __all__ = [
     "attach_slice",
     "get_pool",
     "parallel_exaloglog_registers",
-    "parallel_group_fold",
-    "parallel_spill_write",
-    "partition_groups",
     "pool_task",
     "preferred_start_method",
     "shard_of",

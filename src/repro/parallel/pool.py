@@ -1,16 +1,16 @@
 """Persistent shared-memory worker pool: the one transport of ``workers=``.
 
-Every ``workers=`` entry point (fold fan-out, sharded GROUP BY, parallel
-spill, simulation replays) runs its jobs here, so no call pays pool
-start-up or hash pickling:
+Every ``workers=`` entry point (the single-sketch fold fan-out and
+simulation replays) runs its jobs here, so no call pays pool start-up or
+hash pickling:
 
 * **Persistent workers.** One module-level pool (:func:`get_pool`) keeps
   worker processes alive across calls — lazily spawned on first use,
   grown on demand, reaped after an idle timeout (``REPRO_POOL_IDLE``
   seconds, default 30), and shut down at interpreter exit. A crashed
   worker is detected (at dispatch time and mid-call), respawned, and its
-  lost jobs retried once when the task is pure; non-idempotent tasks
-  (spill appends) raise instead of silently double-writing.
+  lost jobs retried once: every task is pure, so a retry cannot
+  double-apply anything.
 * **Shared-memory transport.** Hash batches travel through one reusable
   ``multiprocessing.shared_memory`` segment: the parent packs arrays
   into the segment (one memcpy), jobs carry only :class:`ShmSlice`
@@ -179,26 +179,6 @@ def _task_fold(payload) -> np.ndarray:
     from repro.backends.bulk import exaloglog_registers
 
     return exaloglog_registers(attach_slice(payload["hashes"]), payload["params"])
-
-
-@pool_task("group_fold")
-def _task_group_fold(payload) -> bytes:
-    """Build one shard's partial aggregator (pure, retryable)."""
-    from repro.parallel.shard import fold_partial
-
-    segments = [(key, attach_slice(item)) for key, item in payload["segments"]]
-    return fold_partial(payload["config"], segments).to_bytes()
-
-
-@pool_task("spill")
-def _task_spill(payload) -> int:
-    """Append one shard's segments to its spill files (NOT retryable)."""
-    from repro.parallel.shard import spill_segments
-
-    segments = [(key, attach_slice(item)) for key, item in payload["segments"]]
-    return spill_segments(
-        payload["directory"], payload["partitions"], payload["writer_id"], segments
-    )
 
 
 @pool_task("replay")
@@ -498,10 +478,10 @@ class PersistentIngestPool:
 
     # -- dispatch --------------------------------------------------------------
 
-    def map(self, task: str, payloads, workers: int | None = None,
-            retryable: bool = True) -> list:
+    def map(self, task: str, payloads, workers: int | None = None) -> list:
         """Run registry task ``task`` over ``payloads``; ordered results.
 
+        Tasks must be pure: a job whose worker dies is retried once.
         Payloads must be picklable; large arrays should be packed via the
         higher-level entry points (which hold the lock across pack+map so
         the segment cannot be repacked mid-flight).
@@ -511,9 +491,9 @@ class PersistentIngestPool:
         if not payloads:
             return []
         with self._lock:
-            return self._map_locked(task, payloads, workers, retryable)
+            return self._map_locked(task, payloads, workers)
 
-    def _map_locked(self, task, payloads, workers, retryable) -> list:
+    def _map_locked(self, task, payloads, workers) -> list:
         count = min(workers or self._default_workers, len(payloads))
         self._ensure_workers_locked(count)
         active = self._workers[:count]
@@ -538,15 +518,8 @@ class PersistentIngestPool:
                     job_id, ok, value, captured = self._result_queue.get(
                         timeout=0.1
                     )
-                except queue.Empty:
-                    self._handle_dead_locked(
-                        task, pending, attempts, retryable, count, obs
-                    )
-                    continue
-                except (EOFError, OSError):
-                    self._handle_dead_locked(
-                        task, pending, attempts, retryable, count, obs
-                    )
+                except (queue.Empty, EOFError, OSError):
+                    self._handle_dead_locked(task, pending, attempts, count, obs)
                     continue
                 if captured:
                     # Worker-side deltas merge like partial sketches do.
@@ -565,9 +538,9 @@ class PersistentIngestPool:
         self._last_used = time.monotonic()
         return results
 
-    def _handle_dead_locked(self, task, pending, attempts, retryable, count,
+    def _handle_dead_locked(self, task, pending, attempts, count,
                             obs: bool = False):
-        """Respawn crashed workers; re-dispatch or fail their lost jobs."""
+        """Respawn crashed workers; re-dispatch their lost jobs once."""
         dead_slots = [
             slot for slot in range(count) if not self._workers[slot].alive
         ]
@@ -598,11 +571,6 @@ class PersistentIngestPool:
                 if job_slot == slot and job_id not in queued_ids
             ]
             for job_id in lost:
-                if not retryable:
-                    raise RuntimeError(
-                        f"pool worker died (exit code {exitcode}) running "
-                        f"non-retryable task {task!r}"
-                    )
                 if attempts[job_id] >= 2:
                     raise RuntimeError(
                         f"pool task {task!r} crashed its worker twice "
@@ -631,59 +599,11 @@ class PersistentIngestPool:
                 {"hashes": base.sub(start, stop), "params": params}
                 for start, stop in bounds
             ]
-            partials = self._map_locked(
-                "fold", payloads, workers or len(payloads), True
-            )
+            partials = self._map_locked("fold", payloads, workers or len(payloads))
         reduced = partials[0]
         for partial in partials[1:]:
             reduced = merge_exaloglog_registers(reduced, partial, params.d)
         return reduced
-
-    def group_fold(self, config, keyed_hashes, shard_indices,
-                   workers: int | None = None) -> list[bytes]:
-        """Build per-shard partial aggregators; serialized blobs in order."""
-        self._check_fork()
-        with self._lock:
-            slices = self._pack_locked([hashes for _, hashes in keyed_hashes])
-            payloads = [
-                {
-                    "config": config,
-                    "segments": [
-                        (keyed_hashes[i][0], slices[i]) for i in shard
-                    ],
-                }
-                for shard in shard_indices
-            ]
-            return self._map_locked(
-                "group_fold", payloads, workers or len(payloads), True
-            )
-
-    def spill(self, directory: str, partitions: int, keyed_hashes,
-              shard_indices, writer_suffix: str,
-              workers: int | None = None) -> int:
-        """Spill shards to disk; returns total records written.
-
-        Spill appends are not idempotent, so a worker crash raises
-        instead of retrying (partial files are ignored by recovery).
-        """
-        self._check_fork()
-        with self._lock:
-            slices = self._pack_locked([hashes for _, hashes in keyed_hashes])
-            payloads = [
-                {
-                    "directory": directory,
-                    "partitions": partitions,
-                    "writer_id": f"s{index}{writer_suffix}",
-                    "segments": [
-                        (keyed_hashes[i][0], slices[i]) for i in shard
-                    ],
-                }
-                for index, shard in enumerate(shard_indices)
-            ]
-            counts = self._map_locked(
-                "spill", payloads, workers or len(payloads), False
-            )
-        return sum(counts)
 
     def replay_schedules(self, schedules, params, checkpoints,
                          bias_correction: bool = True,
@@ -709,9 +629,7 @@ class PersistentIngestPool:
                 }
                 for i, schedule in enumerate(schedules)
             ]
-            return self._map_locked(
-                "replay", payloads, workers or len(payloads), True
-            )
+            return self._map_locked("replay", payloads, workers or len(payloads))
 
     def __repr__(self) -> str:
         return (

@@ -69,8 +69,9 @@ snapshot, in runs of records of up to :data:`RUN_BYTES`
 (:func:`replay_records`, shared with the reader's tail); a torn final
 record (crash mid-write) is truncated away —
 **unless** the store is opened with ``read_only=True``, which must never
-mutate a live writer's files and instead just stops at the durable
-horizon. Any other corruption raises
+mutate a live writer's files: it loads through
+:meth:`SnapshotReader.open <repro.store.reader.SnapshotReader.open>`
+and stops at the durable horizon. Any other corruption raises
 :class:`~repro.storage.serialization.SerializationError` rather than
 loading garbage. :meth:`compact` folds the WAL into a fresh snapshot
 and starts an empty log. Snapshots and fresh WALs are both written by
@@ -222,11 +223,6 @@ def parse_snapshot(data: bytes, origin) -> tuple[DistinctCountAggregator, int, i
     return aggregator, generation, base_lsn
 
 
-def sketch_to_blob(sketch) -> bytes:
-    """Serialize any dense/sparse ExaLogLog for a ``RECORD_SKETCH`` payload."""
-    return sketch.to_bytes()
-
-
 def sketch_from_blob(blob: bytes):
     """Deserialize a ``RECORD_SKETCH`` payload (dense or sparse, by tag)."""
     from repro.core.exaloglog import ExaLogLog
@@ -300,10 +296,10 @@ def replay_wal(
     the file's records must continue it gaplessly (``base_lsn + 1,
     base_lsn + 2, ...``) — any other sequence means the snapshot and WAL
     belong to different histories and raises :class:`SerializationError`.
-    A torn tail after the last complete record is ignored (the *writer*
-    truncates it before appending more; a read-only open leaves it
-    alone). Corruption inside the durable prefix raises
-    :class:`SerializationError` naming the file and the record's offset.
+    A torn tail after the last complete record is ignored (the writer
+    truncates it before appending more). Corruption inside the durable
+    prefix raises :class:`SerializationError` naming the file and the
+    record's offset.
     Records fold in runs through :func:`replay_records`.
     """
     replay = WalReplay(last_lsn=base_lsn)
@@ -444,9 +440,10 @@ class SketchStore(DelegatingSource):
 
     ``read_only=True`` opens a *foreign* store without mutating anything:
     no directory creation, no torn-tail truncation, no stale-generation
-    sweep — safe against a live writer's files. The loaded state is the
-    durable prefix at open time; for an incrementally refreshing view use
-    :class:`repro.store.reader.SnapshotReader`.
+    sweep — safe against a live writer's files. The state loads through
+    :class:`repro.store.reader.SnapshotReader` and is the durable prefix
+    at open time; for an incrementally refreshing view use the reader
+    itself.
 
     Reads (``estimate``, ``estimates``, ``top``, ``group_sketch``, ``len``,
     ``in``, ``groups``, ``config``) answer from the live
@@ -478,9 +475,12 @@ class SketchStore(DelegatingSource):
         Opening an existing store recovers it: the newest snapshot loads,
         the matching WAL replays up to its last complete record, and a
         torn tail (if the previous process died mid-write) is truncated.
-        With ``read_only=True`` nothing on disk is touched — the torn
-        tail stays (it may be a live writer's in-flight append), and
-        mutating methods raise.
+        With ``read_only=True`` the state loads through
+        :meth:`SnapshotReader.open <repro.store.reader.SnapshotReader.open>`,
+        the one read-only loader, which follows a writer that compacts
+        while it opens: nothing on disk is touched, the torn tail stays
+        (it may be a live writer's in-flight append), and mutating
+        methods raise.
         """
         store = cls._new()
         store._directory = pathlib.Path(path)
@@ -492,20 +492,22 @@ class SketchStore(DelegatingSource):
         store._pending_bytes = bytearray()
         store._depth = 0  # open batch() scopes
         store._failed = False
-        if not read_only:
-            make_dirs(store._directory)
-        elif not store._directory.is_dir():
-            raise FileNotFoundError(
-                f"read-only open of missing store directory {store._directory}"
-            )
-
         requested = (t, d, p, sparse, seed)
+        if read_only:
+            from repro.store.reader import SnapshotReader
+
+            with SnapshotReader.open(store._directory) as reader:
+                store._aggregator = reader.aggregator
+                store._generation = reader.generation
+                store._base_lsn = reader.base_lsn
+                store._durable_lsn = reader.durable_lsn
+            store._wal_records = store._durable_lsn - store._base_lsn
+            store._check_config(requested)
+            return store
+
+        make_dirs(store._directory)
         generation = latest_generation(store._directory)
         if generation is None:
-            if read_only:
-                raise SerializationError(
-                    f"{store._directory}: no snapshot found (uninitialised store)"
-                )
             defaults = (2, 20, 8, True, 0)
             config = tuple(
                 value if value is not None else default
@@ -522,32 +524,31 @@ class SketchStore(DelegatingSource):
             store._generation = generation
             store._aggregator, store._base_lsn = store._load_snapshot(generation)
             store._durable_lsn = store._base_lsn
-            persisted = store._aggregator.config
-            mismatched = [
-                (value, on_disk)
-                for value, on_disk in zip(requested, persisted)
-                if value is not None and value != on_disk
-            ]
-            if mismatched:
-                raise ValueError(
-                    f"store at {store._directory} has configuration "
-                    f"(t, d, p, sparse, seed)={persisted}, requested {requested}"
-                )
+            store._check_config(requested)
             path_ = wal_path(store._directory, generation)
             if path_.exists():
                 replay = replay_wal(path_, store._aggregator, store._base_lsn)
                 store._wal_records = replay.records
                 store._durable_lsn = replay.last_lsn
                 _REPLAY_RECORDS.inc(replay.records)
-                if not read_only:
-                    store._open_wal(truncate_to=replay.durable_bytes)
+                store._open_wal(truncate_to=replay.durable_bytes)
             else:
                 store._wal_records = 0
-                if not read_only:
-                    store._open_wal(truncate_to=None)
-            if not read_only:
-                store._sweep_stale(generation)
+                store._open_wal(truncate_to=None)
+            store._sweep_stale(generation)
         return store
+
+    def _check_config(self, requested: tuple) -> None:
+        """Raise unless every explicitly requested parameter is the persisted one."""
+        persisted = self._aggregator.config
+        if any(
+            value is not None and value != on_disk
+            for value, on_disk in zip(requested, persisted)
+        ):
+            raise ValueError(
+                f"store at {self._directory} has configuration "
+                f"(t, d, p, sparse, seed)={persisted}, requested {requested}"
+            )
 
     # -- paths ----------------------------------------------------------------
 
@@ -741,7 +742,7 @@ class SketchStore(DelegatingSource):
         staged: a logged record that cannot merge would fail every replay.
         """
         self._aggregator.check_mergeable(sketch)
-        self._stage(RECORD_SKETCH, to_bytes(group), sketch_to_blob(sketch))
+        self._stage(RECORD_SKETCH, to_bytes(group), sketch.to_bytes())
         return self
 
     def drop_group(self, group: Hashable) -> "SketchStore":

@@ -21,17 +21,19 @@ group count.
 Partition files use the shared record framing of
 :mod:`repro.storage.serialization` (kind ``RECORD_HASHES``) behind a
 4-byte ``TAG_SPILL`` file header. File names carry a writer id —
-``part-<partition>-<writer>.spill`` — so independent writers (the shard
-workers of :func:`repro.parallel.parallel_spill_write`, or several
-processes feeding one aggregation) append to their own files without
-coordination; the merge pass reads every file of a partition.
+``part-<partition>-<writer>.spill`` — so several processes feeding one
+aggregation append to their own files without coordination; the merge
+pass reads every file of a partition. Each writer appends in process:
+fanning the appends out over pool workers measured slower than one
+writer, because the parent still partitions, packs and ships every
+segment.
 """
 
 from __future__ import annotations
 
 import os
 import pathlib
-from typing import Any, Hashable, Iterable, Iterator, Sequence
+from typing import Any, Hashable, Iterable, Iterator
 
 import numpy as np
 
@@ -361,42 +363,19 @@ class SpilledGroupBy:
 
     # -- ingest ---------------------------------------------------------------
 
-    def add_batch(
-        self, groups: "Iterable[Hashable]", items: Any, workers: int | None = None
-    ) -> "SpilledGroupBy":
-        """Spill one ``(groups, items)`` batch; returns ``self``.
-
-        ``workers`` fans the partition writes out across a process pool
-        (:func:`repro.parallel.parallel_spill_write`): workers own
-        disjoint partition sets and write their files independently.
-        """
+    def add_batch(self, groups: "Iterable[Hashable]", items: Any) -> "SpilledGroupBy":
+        """Spill one ``(groups, items)`` batch; returns ``self``."""
         segments = segment(groups, items, self.config[4])
         if segments:
-            self.write_segments(segments, workers)
+            self.write_segments(segments)
         return self
 
-    def write_segments(
-        self,
-        segments: Iterable[tuple[bytes, np.ndarray]],
-        workers: int | None = None,
-    ) -> None:
+    def write_segments(self, segments: Iterable[tuple[bytes, np.ndarray]]) -> None:
         """Spill pre-scattered ``(canonical key, hashes)`` segments.
 
-        The hand-off point of ``DistinctCountAggregator.add_batch(spill=...)``;
-        ``workers`` fans the writes out across a process pool.
+        The hand-off point of ``DistinctCountAggregator.add_batch(spill=...)``.
         """
-        writer = self._require_writer()
-        if workers is not None and workers > 1:
-            from repro.parallel import parallel_spill_write
-
-            segments = list(segments)
-            if len(segments) > 1:
-                writer.flush()
-                writer._records += parallel_spill_write(
-                    segments, self._directory, self._partitions, workers
-                )
-                return
-        writer.write_segments(segments)
+        self._require_writer().write_segments(segments)
 
     def add_pairs(self, pairs: Iterable[tuple[Hashable, Any]]) -> "SpilledGroupBy":
         """Spill an iterable of ``(group, item)`` pairs in bounded chunks."""

@@ -4,8 +4,9 @@ The pool's pitch is *warm* calls — workers and the shared-memory segment
 persist between ``workers=`` calls — so these tests pin the lifecycle
 properties that make that safe: identical results to the sequential fold,
 stable worker identity across calls, idle-timeout retirement, crash
-detection with retry-once (and refusal to retry non-idempotent spills),
-and a clean reset when a pool object is inherited through ``os.fork``.
+detection with retry-once (every task is pure, so a lost job always
+retries), and a clean reset when a pool object is inherited through
+``os.fork``.
 """
 
 from __future__ import annotations
@@ -188,26 +189,6 @@ def test_double_crash_gives_up(tmp_path):
         pool.shutdown()
 
 
-@pytest.mark.skipif(
-    "fork" not in __import__("multiprocessing").get_all_start_methods(),
-    reason="crash tasks are registered in this module; workers must fork",
-)
-def test_non_retryable_crash_raises(tmp_path):
-    pool = PersistentIngestPool(workers=1, start_method="fork", idle_timeout=0.0)
-    try:
-        flag = tmp_path / "crash-once"
-        flag.touch()
-        with pytest.raises(RuntimeError, match="non-retryable"):
-            pool.map(
-                "test_crash_once",
-                [{"flag": str(flag), "value": 42}],
-                workers=1,
-                retryable=False,
-            )
-    finally:
-        pool.shutdown()
-
-
 def test_worker_exception_surfaces(pool):
     with pytest.raises(RuntimeError, match="pool task"):
         pool.map("fold", [{"hashes": None, "params": None}])
@@ -278,49 +259,6 @@ def test_spawn_pool_fold_identical():
         pool.shutdown()
 
 
-def test_spawn_pool_group_fold_identical():
-    from repro.aggregate import DistinctCountAggregator
-
-    pool = PersistentIngestPool(workers=2, start_method="spawn", idle_timeout=0.0)
-    try:
-        config = (2, 16, 8, False, 0)
-        keyed = [
-            (f"g{i}".encode(), random_hashes(40 + i, 2000)) for i in range(4)
-        ]
-        shards = [[0, 2], [1, 3]]
-        blobs = pool.group_fold(config, keyed, shards, workers=2)
-        for shard, blob in zip(shards, blobs):
-            expected = DistinctCountAggregator(*config)
-            for i in shard:
-                expected.fold(*keyed[i])
-            assert blob == expected.to_bytes()
-    finally:
-        pool.shutdown()
-
-
-def test_spawn_pool_spill_identical(tmp_path):
-    from repro.aggregate import DistinctCountAggregator
-    from repro.store import SpilledGroupBy
-
-    pool = PersistentIngestPool(workers=2, start_method="spawn", idle_timeout=0.0)
-    try:
-        config = (2, 20, 8, True, 0)
-        keyed = [
-            (f"g{i}".encode(), random_hashes(50 + i, 300)) for i in range(6)
-        ]
-        written = pool.spill(
-            str(tmp_path), 4, keyed, [[0, 2, 4], [1, 3, 5]], "xspawn", workers=2
-        )
-        assert written == len(keyed)  # one record per segment
-        expected = DistinctCountAggregator(*config)
-        for key, hashes in keyed:
-            expected.fold(key, hashes)
-        spill = SpilledGroupBy(tmp_path, p=8, partitions=4)
-        assert spill.to_aggregator().to_bytes() == expected.to_bytes()
-    finally:
-        pool.shutdown()
-
-
 # -- shared-memory descriptors -------------------------------------------------
 
 
@@ -337,32 +275,6 @@ def test_attach_slice_passthrough():
 
 
 # -- higher-level entry points through the pool --------------------------------
-
-
-def test_group_fold_matches_sequential(pool):
-    from repro.aggregate import DistinctCountAggregator
-
-    config = (2, 16, 8, False, 0)
-    keyed = [
-        (f"g{i}".encode(), random_hashes(20 + i, 2000)) for i in range(4)
-    ]
-    shards = [[0, 2], [1, 3]]
-    blobs = pool.group_fold(config, keyed, shards, workers=2)
-    for shard, blob in zip(shards, blobs):
-        expected = DistinctCountAggregator(*config)
-        for i in shard:
-            expected.fold(*keyed[i])
-        assert blob == expected.to_bytes()
-
-
-def test_spill_via_pool_writes_all_segments(pool, tmp_path):
-    keyed = [
-        (f"g{i}".encode(), random_hashes(30 + i, 500)) for i in range(4)
-    ]
-    shards = [[0, 1], [2, 3]]
-    written = pool.spill(str(tmp_path), 4, keyed, shards, "xtest", workers=2)
-    assert written == 4  # one record per segment
-    assert any(tmp_path.iterdir())
 
 
 def test_replay_many_matches_sequential(pool):

@@ -1,10 +1,13 @@
 """SnapshotReader: lock-free reads, refresh semantics, point reads."""
 
+import sys
+
 import numpy as np
 import pytest
 
 from repro.storage.serialization import SerializationError
-from repro.store import SketchStore, SnapshotReader, wal_path
+from repro.store import SketchStore, SnapshotReader, snapshot_path, wal_path
+from repro.store import sketchstore
 
 
 def _hashes(seed, count):
@@ -199,3 +202,43 @@ def test_foreign_snapshot_error_names_the_directory(tmp_path):
         SnapshotReader.open(tmp_path / "s")
     assert str(tmp_path / "s") in str(excinfo.value)
     assert "holds generation" in str(excinfo.value)
+
+
+READ_ONLY_OPENERS = {
+    "store": lambda directory: SketchStore.open(directory, read_only=True),
+    "reader": SnapshotReader.open,
+}
+
+
+@pytest.mark.parametrize("opener", sorted(READ_ONLY_OPENERS))
+def test_read_only_open_follows_a_compaction_after_its_listing(
+    tmp_path, monkeypatch, opener
+):
+    """A writer that compacts between a read-only open's directory listing
+    and its read sweeps the generation the listing named; the open rescans
+    and loads the newest generation instead of failing on the swept file."""
+    directory = tmp_path / "s"
+    with SketchStore.open(directory, p=8) as store:
+        store.append_hashes("DE", _hashes(41, 200))
+        store.compact()
+        store.append_hashes("AT", _hashes(42, 20))
+        expected = store.aggregator.to_bytes()
+    assert not snapshot_path(directory, 0).exists()
+
+    listed = sketchstore.latest_generation
+    calls = []
+
+    def stale_first_listing(path):
+        calls.append(path)
+        return 0 if len(calls) == 1 else listed(path)
+
+    for name, module in list(sys.modules.items()):
+        if name.partition(".")[0] == "repro" and getattr(
+            module, "latest_generation", None
+        ) is listed:
+            monkeypatch.setattr(module, "latest_generation", stale_first_listing)
+    with READ_ONLY_OPENERS[opener](directory) as view:
+        assert len(calls) >= 2  # the stale listing, then a rescan
+        assert view.generation == 1
+        assert view.durable_lsn == 2
+        assert view.aggregator.to_bytes() == expected

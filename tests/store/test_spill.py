@@ -97,36 +97,6 @@ class TestPartitioningAndWriters:
         right._writer.flush()
         assert left.to_aggregator().to_bytes() == reference.to_bytes()
 
-    def test_parallel_spill_write_equivalent(self, tmp_path):
-        groups, items = _batch(10000, 300, seed=7)
-        reference = DistinctCountAggregator(2, 20, 8).add_batch(groups, items)
-        spill = SpilledGroupBy(tmp_path / "s", p=8, partitions=8)
-        spill.add_batch(groups, items, workers=2)
-        assert spill.to_aggregator().to_bytes() == reference.to_bytes()
-        # Multiple writer ids present (one per shard).
-        writers = {
-            path.name.rsplit("-", 1)[1]
-            for paths in spill_files(tmp_path / "s").values()
-            for path in paths
-        }
-        assert len(writers) >= 2
-
-    def test_aggregator_spill_with_workers(self, tmp_path):
-        """workers= composes with spill= (parallel partition writes)."""
-        groups, items = _batch(8000, 150, seed=11)
-        reference = DistinctCountAggregator(2, 20, 8).add_batch(groups, items)
-        spill = SpilledGroupBy(tmp_path / "s", p=8, partitions=8)
-        DistinctCountAggregator(2, 20, 8).add_batch(
-            groups, items, workers=2, spill=spill
-        )
-        assert spill.to_aggregator().to_bytes() == reference.to_bytes()
-        writers = {
-            path.name.rsplit("-", 1)[1]
-            for paths in spill_files(tmp_path / "s").values()
-            for path in paths
-        }
-        assert len(writers) >= 2
-
     def test_writer_id_validation(self, tmp_path):
         with pytest.raises(ValueError, match="writer_id"):
             SpillWriter(tmp_path, 4, writer_id="has-dash")
