@@ -1,23 +1,28 @@
-"""Parallel ingest throughput: scalar vs bulk vs process-pool fan-out.
+"""Parallel ingest throughput: scalar vs bulk vs thread fan-out.
 
 Measures ExaLogLog ingestion at ``n in {1e6, 1e7}`` (quick mode:
-``{6e5}``, still beyond two ``BULK_CHUNK``\\ s so the pool genuinely
-spins up) over precomputed 64-bit hashes four ways: the scalar
-``add_hash`` loop (capped, rate is flat in n), the single-process bulk
-``add_hashes`` fold, and the persistent-pool fan-out at 1/2/4 workers
-measured **cold** (a fresh :class:`~repro.parallel.PersistentIngestPool`
-spun up and shut down inside every timed round — what the old per-call
-pools always paid) and **warm** (the module-level pool with workers
-already alive, the steady-state path of repeated ``workers=`` calls) —
-plus the in-process GROUP BY (``DistinctCountAggregator.add_batch``).
-Results go to ``BENCH_parallel_ingest.json`` and a text table under
+``{6e5}``, still beyond two ``BULK_CHUNK``\\ s so the fold genuinely
+fans out) over precomputed 64-bit hashes: the scalar ``add_hash`` loop
+(capped, rate is flat in n), the single-thread bulk ``add_hashes`` fold,
+and ``add_hashes(workers=)`` at 1/2/4 workers — plus the in-process
+GROUP BY (``DistinctCountAggregator.add_batch``). A second section times
+the fold alone, ``ParallelBulkIngestor.registers`` against
+``exaloglog_registers``, on its own seed. Results go to
+``BENCH_parallel_ingest.json`` and a text table under
 ``benchmarks/output/``.
 
-The headline check: with >= 4 physical cores, *warm* parallel ingest at
-4 workers must be >= 2x the single-process bulk fold at n = 1e7. On
-smaller machines the fan-out cannot beat the fold (there is nothing to
-fan out to), so the gate reports the core count and is skipped — the
-bit-identity check against the bulk state always runs.
+The gates, checked in full mode on machines with the cores each needs:
+
+* the headline: ``add_hashes(workers=4)`` must be >= 2x the
+  single-thread ``add_hashes`` at n = 1e7 (>= 4 cores);
+* the fold floors (:data:`FLOORS`), best of :data:`FLOOR_ROUNDS` at
+  n = 1e7: 1 worker >= 0.95x (>= 4 cores; the fan-out may not *cost*
+  anything), 2 workers >= 1.3x (>= 2 cores), 4 workers >= 1.8x
+  (>= 4 cores).
+
+On smaller machines the fan-out has nothing to fan out to, so those
+gates report SKIP; the bit-identity check of every fan-out against the
+bulk state always runs.
 
 Run directly::
 
@@ -28,7 +33,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import multiprocessing
+import os
 import pathlib
 import sys
 import time
@@ -38,14 +43,11 @@ import numpy as np
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 from repro.aggregate import DistinctCountAggregator
+from repro.backends.bulk import exaloglog_registers
 from repro.core.exaloglog import ExaLogLog
+from repro.core.params import ExaLogLogParams
 from repro.experiments.common import format_table
-from repro.parallel import (
-    PersistentIngestPool,
-    get_pool,
-    parallel_exaloglog_registers,
-    preferred_start_method,
-)
+from repro.parallel import ParallelBulkIngestor
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 OUTPUT_JSON = REPO_ROOT / "BENCH_parallel_ingest.json"
@@ -56,13 +58,23 @@ OUTPUT_TXT = (
 #: Upper bound on sequentially timed insertions (rate is flat in n).
 SCALAR_CAP = 500_000
 
-#: Timed repetitions (best-of); first calls pay allocator/pool warm-up.
+#: Timed repetitions (best-of); first calls pay allocator warm-up.
 ROUNDS = 3
 
 WORKER_COUNTS = (1, 2, 4)
 
 #: Group count for the GROUP BY section.
 AGGREGATE_GROUPS = 256
+
+PARAMS = ExaLogLogParams(2, 20, 8)
+
+#: Fold-level floors: (workers, floor, cores the floor needs). Each is
+#: ``ParallelBulkIngestor.registers`` ÷ ``exaloglog_registers``, best of
+#: FLOOR_ROUNDS over FLOOR_N hashes drawn from FLOOR_SEED.
+FLOORS = ((1, 0.95, 4), (2, 1.3, 2), (4, 1.8, 4))
+FLOOR_N = 10_000_000
+FLOOR_ROUNDS = 4
+FLOOR_SEED = 0x9001_4E05E
 
 
 def _rate(elapsed: float, count: int) -> float:
@@ -105,48 +117,14 @@ def bench_exaloglog(n: int, hashes: np.ndarray, workers: tuple[int, ...]) -> lis
         },
         {
             "section": "exaloglog",
-            "mode": "bulk add_hashes (1 process)",
+            "mode": "bulk add_hashes (1 thread)",
             "n": n,
             "measured_n": n,
             "items_per_s": bulk_rate,
             "speedup_vs_bulk": 1.0,
         },
     ]
-    params = bulk_sketch.params
-    bulk_registers = list(bulk_sketch._registers)
-
-    def cold_fold(count: int) -> np.ndarray:
-        # Every timed round pays pool spawn + transport setup + teardown:
-        # the cost profile of the pre-persistent-pool per-call design.
-        pool = PersistentIngestPool(workers=count, idle_timeout=0.0)
-        try:
-            return parallel_exaloglog_registers(
-                hashes, params, workers=count, pool=pool
-            )
-        finally:
-            pool.shutdown()
-
     for count in workers:
-        cold_seconds, cold_registers = _best_of(lambda: cold_fold(count))
-        if cold_registers.tolist() != bulk_registers:
-            raise AssertionError(
-                f"cold-pool state diverged from bulk state at workers={count}"
-            )
-        cold_rate = _rate(cold_seconds, n)
-        rows.append(
-            {
-                "section": "exaloglog",
-                "mode": f"parallel cold-pool ({count} workers)",
-                "n": n,
-                "measured_n": n,
-                "items_per_s": cold_rate,
-                "speedup_vs_bulk": cold_rate / bulk_rate,
-            }
-        )
-
-        # Warm path: the module-level pool's workers are already alive, so
-        # each round is one segment memcpy + dispatch — the steady state.
-        get_pool().warm(count)
         seconds, parallel_sketch = _best_of(
             lambda: ExaLogLog(2, 20, 8).add_hashes(hashes, workers=count)
         )
@@ -159,7 +137,45 @@ def bench_exaloglog(n: int, hashes: np.ndarray, workers: tuple[int, ...]) -> lis
         rows.append(
             {
                 "section": "exaloglog",
-                "mode": f"parallel warm-pool ({count} workers)",
+                "mode": f"parallel fan-out ({count} workers)",
+                "n": n,
+                "measured_n": n,
+                "items_per_s": rate,
+                "speedup_vs_bulk": rate / bulk_rate,
+            }
+        )
+    return rows
+
+
+def bench_fold(n: int, workers: tuple[int, ...]) -> list[dict]:
+    """The floors' method: fan-out fold ÷ bulk fold, best of FLOOR_ROUNDS."""
+    rng = np.random.Generator(np.random.PCG64(FLOOR_SEED))
+    hashes = rng.integers(0, 1 << 64, size=n, dtype=np.uint64)
+    exaloglog_registers(hashes[: n // 100], PARAMS)  # warm ufuncs/allocator
+    bulk_seconds, expected = _best_of(
+        lambda: exaloglog_registers(hashes, PARAMS), FLOOR_ROUNDS
+    )
+    bulk_rate = _rate(bulk_seconds, n)
+    rows = [
+        {
+            "section": "fold",
+            "mode": "bulk fold (1 thread)",
+            "n": n,
+            "measured_n": n,
+            "items_per_s": bulk_rate,
+            "speedup_vs_bulk": 1.0,
+        }
+    ]
+    for count in workers:
+        ingestor = ParallelBulkIngestor(PARAMS, count)
+        seconds, registers = _best_of(lambda: ingestor.registers(hashes), FLOOR_ROUNDS)
+        if not np.array_equal(registers, expected):
+            raise AssertionError(f"fan-out fold diverged at workers={count}")
+        rate = _rate(seconds, n)
+        rows.append(
+            {
+                "section": "fold",
+                "mode": f"fold fan-out ({count} workers)",
                 "n": n,
                 "measured_n": n,
                 "items_per_s": rate,
@@ -180,13 +196,21 @@ def bench_aggregate(n: int, hashes: np.ndarray) -> list[dict]:
     return [
         {
             "section": "group-by",
-            "mode": "bulk add_batch (1 process)",
+            "mode": "bulk add_batch (1 thread)",
             "n": n,
             "measured_n": n,
             "items_per_s": _rate(bulk_seconds, n),
             "speedup_vs_bulk": 1.0,
         }
     ]
+
+
+def _print_row(row: dict) -> None:
+    print(
+        f"{row['mode']:34s} n={row['n']:>10,d}"
+        f"  {row['items_per_s']:>14,.0f}/s"
+        f"  vs bulk {row['speedup_vs_bulk']:>6.2f}x"
+    )
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -199,52 +223,58 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    # Quick mode still exceeds two BULK_CHUNKs so the pool genuinely spins up.
+    # Quick mode still exceeds two BULK_CHUNKs so the fold genuinely fans out.
     sizes = [600_000] if args.quick else [1_000_000, 10_000_000]
+    fold_n = 600_000 if args.quick else FLOOR_N
     workers = (1, 2) if args.quick else WORKER_COUNTS
-    cpu_count = multiprocessing.cpu_count()
+    cpu_count = os.cpu_count() or 1
     rng = np.random.Generator(np.random.PCG64(0x9A7A11E1))
 
     rows: list[dict] = []
     for n in sizes:
         hashes = rng.integers(0, 1 << 64, size=n, dtype=np.uint64)
-        for row in bench_exaloglog(n, hashes, workers):
-            rows.append(row)
-            print(
-                f"{row['mode']:34s} n={n:>10,d}"
-                f"  {row['items_per_s']:>14,.0f}/s"
-                f"  vs bulk {row['speedup_vs_bulk']:>6.2f}x"
-            )
-        for row in bench_aggregate(n, hashes):
-            rows.append(row)
-            print(
-                f"{row['mode']:34s} n={n:>10,d}"
-                f"  {row['items_per_s']:>14,.0f}/s"
-                f"  vs bulk {row['speedup_vs_bulk']:>6.2f}x"
-            )
+        rows.extend(bench_exaloglog(n, hashes, workers))
+        rows.extend(bench_aggregate(n, hashes))
+    del hashes
+    rows.extend(bench_fold(fold_n, workers))
+    for row in rows:
+        _print_row(row)
 
-    headline = [
-        row["speedup_vs_bulk"]
-        for row in rows
-        if row["section"] == "exaloglog"
-        and row["n"] == 10_000_000
-        and row["mode"].startswith("parallel warm-pool")
-        and "4 workers" in row["mode"]
+    def speedup(section: str, n: int, count: int):
+        matches = [
+            row["speedup_vs_bulk"]
+            for row in rows
+            if row["section"] == section
+            and row["n"] == n
+            and row["mode"].endswith(f"fan-out ({count} workers)")
+        ]
+        return matches[0] if matches else None
+
+    headline = speedup("exaloglog", 10_000_000, 4)
+    floors = [
+        (count, floor)
+        for count, floor, cores in FLOORS
+        if cpu_count >= cores and not args.quick
     ]
     payload = {
         "quick": args.quick,
         "cpu_count": cpu_count,
-        "start_method": preferred_start_method(),
         "sizes": sizes,
         "workers": list(workers),
         "results": rows,
-        "headline_parallel_4w_speedup_at_1e7": headline[0] if headline else None,
+        "headline_parallel_4w_speedup_at_1e7": headline,
+        "fold_speedups": {str(count): speedup("fold", fold_n, count) for count in workers},
+        "fold_floors": {
+            "n": fold_n,
+            "floors": {str(count): floor for count, floor, _ in FLOORS},
+            "evaluated": [count for count, _ in floors],
+        },
     }
     args.output.write_text(json.dumps(payload, indent=2) + "\n")
     OUTPUT_TXT.parent.mkdir(exist_ok=True)
     OUTPUT_TXT.write_text(
-        "== parallel ingest: scalar vs bulk vs process-pool fan-out ==\n"
-        f"(cpu_count={cpu_count}, start_method={preferred_start_method()})\n"
+        "== parallel ingest: scalar vs bulk vs thread fan-out ==\n"
+        f"(cpu_count={cpu_count})\n"
         + format_table(
             rows, ["section", "mode", "n", "items_per_s", "speedup_vs_bulk"]
         )
@@ -252,23 +282,35 @@ def main(argv: list[str] | None = None) -> int:
     )
     print(f"\nwrote {args.output} and {OUTPUT_TXT}")
 
-    # The acceptance gate: >= 2x over the single-process bulk fold at
-    # n = 1e7 with 4 workers — only meaningful with >= 4 cores to fan to.
     if args.quick:
-        print("OK: quick mode (equivalence checked, no speedup gate)")
+        print("OK: quick mode (equivalence checked, no speedup gates)")
         return 0
+    failed = False
+    # The headline: >= 2x over the single-thread bulk fold at n = 1e7
+    # with 4 workers — only meaningful with >= 4 cores to fan to.
     if cpu_count < 4:
         print(
-            f"SKIP: speedup gate needs >= 4 cores, this machine has {cpu_count} "
-            "(bit-identity to the bulk state was still verified)"
+            f"SKIP: the 4-worker headline needs >= 4 cores, this machine has "
+            f"{cpu_count} (bit-identity to the bulk state was still verified)"
         )
-        return 0
-    if not headline or headline[0] < 2.0:
-        measured = headline[0] if headline else float("nan")
+    elif headline is None or headline < 2.0:
+        failed = True
+        measured = headline if headline is not None else float("nan")
         print(f"FAIL: parallel(4 workers) speedup {measured:.2f}x < 2x at n = 1e7")
-        return 1
-    print(f"OK: parallel(4 workers) speedup {headline[0]:.2f}x >= 2x at n = 1e7")
-    return 0
+    else:
+        print(f"OK: parallel(4 workers) speedup {headline:.2f}x >= 2x at n = 1e7")
+    for count, floor, cores in FLOORS:
+        if cpu_count < cores:
+            print(
+                f"SKIP: the {count}-worker fold floor needs >= {cores} cores, "
+                f"this machine has {cpu_count}"
+            )
+    for count, floor in floors:
+        measured = speedup("fold", fold_n, count)
+        status = "OK" if measured >= floor else "FAIL"
+        failed |= status == "FAIL"
+        print(f"{status}: fold fan-out @{count} workers {measured:.2f}x bulk (floor {floor}x)")
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

@@ -1,6 +1,6 @@
 """Perf smoke: quick benches vs checked-in baselines, relative metrics only.
 
-Runs the quick-mode ingest, estimation, and pool benches into a scratch
+Runs the quick-mode ingest, estimation, and parallel benches into a scratch
 directory and compares their **relative** metrics (speedup ratios — the
 numbers that survive a machine change, unlike items/sec) against the
 checked-in ``BENCH_*.json`` baselines. Rows are matched by workload key
@@ -55,13 +55,6 @@ BENCHES = [
         "bench_parallel_ingest",
         "BENCH_parallel_ingest.json",
         ("section", "mode", "n"),
-        "speedup_vs_bulk",
-    ),
-    (
-        "pool_reuse",
-        "bench_pool_reuse",
-        "BENCH_pool_reuse.json",
-        ("mode", "n"),
         "speedup_vs_bulk",
     ),
 ]

@@ -275,8 +275,8 @@ class DistinctCountAggregator:
         for the whole batch: one fold per batch, not one per group.
         Estimates are exactly those of the equivalent per-item
         :meth:`add` loop. The fold runs in this process, with no
-        ``workers=`` fan-out: sharding a batch over pool workers adds
-        serial work here (partitioning keys, merging partials back) and
+        ``workers=`` fan-out: sharding a batch over workers adds serial
+        work here (partitioning keys, merging partials back) and
         measured slower than this fold.
 
         ``spill`` routes the batch to a

@@ -204,13 +204,13 @@ class ExaLogLog:
         result is bit-identical to the sequential :meth:`add_hash` loop
         (the :class:`repro.backends.BulkBackend` contract).
 
-        ``workers`` opts into the process-pool fan-out of
+        ``workers`` opts into the thread fan-out of
         :class:`repro.parallel.ParallelBulkIngestor`: contiguous
-        slices fold on separate processes and their register arrays
+        slices fold on separate threads and their register arrays
         reduce through the exact Algorithm 5 merge, so the final state
         stays bit-identical regardless of worker count. Worth it for
         batches far beyond one chunk; ``None``/``1`` keeps the
-        single-process fold.
+        single-thread fold.
         """
         from repro import backends
 

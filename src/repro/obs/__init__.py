@@ -4,14 +4,12 @@ Two sibling modules, both process-local, both near-zero cost until
 switched on by environment variable:
 
 * :mod:`repro.obs.metrics` (``REPRO_METRICS``) — Counter / Gauge /
-  Histogram primitives with snapshot/merge semantics (pool workers ship
-  their deltas back like partial sketches) and JSON + Prometheus
-  exposition.
+  Histogram primitives with JSON + Prometheus exposition.
 * :mod:`repro.obs.trace` (``REPRO_TRACE``) — nested context-manager
   spans in a bounded ring buffer, exported as Chrome trace-event JSON.
 
 Every plane of the engine reports through them: the bulk kernels, the
-persistent worker pool, the WAL/snapshot store, the lock-free reader,
+WAL/snapshot store, the lock-free reader,
 WAL-shipping replication, batched estimation, and the query executor
 (whose per-plan-node spans feed ``explain(analyze=True)`` and the CLI's
 ``query ... --analyze``). ``python -m repro.store stats DIR`` is the

@@ -1,37 +1,30 @@
-"""Mergeable process-local metrics: counters, gauges, histograms.
+"""Process-local metrics: counters, gauges, histograms.
 
-The engine spans five planes (vectorized ingest, the persistent worker
-pool, the WAL/snapshot store, WAL-shipping replication, the unified
-query plane) and most of them run in processes the operator never sees —
-pool workers, ``serve`` readers, ``replicate`` shippers. This module is
-the one substrate they all report through:
+The engine spans four planes (vectorized ingest, the WAL/snapshot store,
+WAL-shipping replication, the unified query plane), and some of them run
+in processes the operator never sees — ``serve`` readers, ``replicate``
+shippers. This module is the one substrate they all report through:
 
 * **Primitives.** :class:`Counter` (monotone sum), :class:`Gauge`
-  (last-written value, with ``max``/``sum`` merge modes), and
-  :class:`Histogram` (fixed exponential buckets + sum + count, with
-  quantile estimation) live in a process-local :class:`Registry`.
+  (last-written value), and :class:`Histogram` (fixed exponential
+  buckets + sum + count, with quantile estimation) live in a
+  process-local :class:`Registry`. ``workers=`` folds run on threads of
+  this process, so their fold metrics land in the same registry; each
+  metric's read-modify-write updates hold its own lock, so concurrent
+  threads lose no update.
 * **Near-zero cost when disabled.** Collection is off unless the
   ``REPRO_METRICS`` environment variable is truthy (or :func:`enable`
   is called): every mutator starts with one module-flag check and
   returns — no locks, no allocation, no clock reads. Instrumented hot
   paths additionally guard whole blocks with :func:`enabled` so even
   argument computation is skipped.
-* **Snapshot/merge semantics.** Sketches made the whole engine
-  parallelisable because partial states merge exactly; metrics follow
-  the same scheme. :meth:`Registry.snapshot` captures a plain picklable
-  dict, :meth:`Registry.drain` captures-and-zeroes (delta semantics),
-  and :meth:`Registry.merge_snapshot` folds a snapshot into another
-  registry — counters and histogram buckets add, gauges combine by
-  their declared mode. The worker pool ships each job's drained
-  snapshot back over its existing result channel, so worker-side
-  metrics land in the parent exactly like partial sketches do.
 * **Exposition.** :meth:`Registry.to_json` for tooling and
   :meth:`Registry.to_prometheus` for the standard text format
   (``repro_``-prefixed, dots mapped to underscores, labels rendered).
 
 Everything here is pure stdlib and import-cheap: instrumented modules
 create their metric handles at import time and the handles stay valid
-across :func:`reset`/:meth:`~Registry.drain` (values zero in place).
+across :func:`reset` (values zero in place).
 """
 
 from __future__ import annotations
@@ -40,7 +33,6 @@ import json
 import math
 import os
 import threading
-import time
 from bisect import bisect_left
 from typing import Iterable, Mapping
 
@@ -123,6 +115,7 @@ class Metric:
         self.name = name
         self.help = help
         self.labels = labels
+        self._lock = threading.Lock()
 
     @property
     def key(self) -> tuple:
@@ -136,7 +129,7 @@ class Metric:
 
 
 class Counter(Metric):
-    """A monotonically increasing sum (merges by addition)."""
+    """A monotonically increasing sum."""
 
     kind = "counter"
 
@@ -149,36 +142,20 @@ class Counter(Metric):
             return
         if amount < 0:
             raise ValueError(f"counter {self.name} cannot decrease (inc {amount})")
-        self.value += amount
-
-    def _state(self) -> dict:
-        return {"value": self.value}
-
-    def _merge(self, state: dict) -> None:
-        self.value += state["value"]
+        with self._lock:
+            self.value += amount
 
     def _reset(self) -> None:
         self.value = 0.0
 
 
 class Gauge(Metric):
-    """A point-in-time value.
-
-    ``mode`` declares how snapshots merge: ``"last"`` (a merged value
-    overwrites, the default — right for horizons and depths reported by
-    one process), ``"max"`` (high-water marks), or ``"sum"`` (additive
-    gauges like live worker counts across processes).
-    """
+    """A point-in-time value (the last one written)."""
 
     kind = "gauge"
 
-    def __init__(
-        self, name: str, help: str = "", labels: tuple = (), mode: str = "last"
-    ) -> None:
-        if mode not in ("last", "max", "sum"):
-            raise ValueError(f"unknown gauge merge mode {mode!r}")
+    def __init__(self, name: str, help: str = "", labels: tuple = ()) -> None:
         super().__init__(name, help, labels)
-        self.mode = mode
         self.value = 0.0
 
     def set(self, value: float) -> None:
@@ -189,22 +166,11 @@ class Gauge(Metric):
     def inc(self, amount: float = 1.0) -> None:
         if not _ENABLED:
             return
-        self.value += amount
+        with self._lock:
+            self.value += amount
 
     def dec(self, amount: float = 1.0) -> None:
         self.inc(-amount)
-
-    def _state(self) -> dict:
-        return {"value": self.value, "mode": self.mode}
-
-    def _merge(self, state: dict) -> None:
-        other = state["value"]
-        if self.mode == "sum":
-            self.value += other
-        elif self.mode == "max":
-            self.value = max(self.value, other)
-        else:
-            self.value = other
 
     def _reset(self) -> None:
         self.value = 0.0
@@ -216,8 +182,7 @@ class Histogram(Metric):
     ``buckets`` are the inclusive upper bounds of each bucket (a final
     +inf bucket is implicit); observations land in the first bucket
     whose bound is >= the value, Prometheus-style cumulative counts are
-    produced at exposition time. Merging adds bucket counts — exact, no
-    information loss beyond the shared boundaries.
+    produced at exposition time.
     """
 
     kind = "histogram"
@@ -242,9 +207,10 @@ class Histogram(Metric):
         """Record ``value`` (``count`` identical observations at once)."""
         if not _ENABLED:
             return
-        self.counts[bisect_left(self.bounds, value)] += count
-        self.sum += value * count
-        self.count += count
+        with self._lock:
+            self.counts[bisect_left(self.bounds, value)] += count
+            self.sum += value * count
+            self.count += count
 
     def quantile(self, q: float) -> float:
         """Estimate the ``q``-quantile by interpolating within its bucket.
@@ -275,31 +241,10 @@ class Histogram(Metric):
     def mean(self) -> float:
         return self.sum / self.count if self.count else math.nan
 
-    def _state(self) -> dict:
-        return {
-            "bounds": self.bounds,
-            "counts": list(self.counts),
-            "sum": self.sum,
-            "count": self.count,
-        }
-
-    def _merge(self, state: dict) -> None:
-        if tuple(state["bounds"]) != self.bounds:
-            raise ValueError(
-                f"histogram {self.name}: cannot merge mismatched buckets"
-            )
-        for index, bucket_count in enumerate(state["counts"]):
-            self.counts[index] += bucket_count
-        self.sum += state["sum"]
-        self.count += state["count"]
-
     def _reset(self) -> None:
         self.counts = [0] * (len(self.bounds) + 1)
         self.sum = 0.0
         self.count = 0
-
-
-_KINDS = {"counter": Counter, "gauge": Gauge, "histogram": Histogram}
 
 
 # -- the registry --------------------------------------------------------------
@@ -328,8 +273,8 @@ class Registry:
     def counter(self, name, help: str = "", labels=None) -> Counter:
         return self._get_or_create(Counter, name, help, labels)
 
-    def gauge(self, name, help: str = "", labels=None, mode: str = "last") -> Gauge:
-        return self._get_or_create(Gauge, name, help, labels, mode=mode)
+    def gauge(self, name, help: str = "", labels=None) -> Gauge:
+        return self._get_or_create(Gauge, name, help, labels)
 
     def histogram(self, name, help: str = "", labels=None, buckets=None) -> Histogram:
         return self._get_or_create(Histogram, name, help, labels, buckets=buckets)
@@ -344,72 +289,6 @@ class Registry:
 
     def __len__(self) -> int:
         return len(self._metrics)
-
-    # -- snapshot / merge ------------------------------------------------------
-
-    def snapshot(self) -> dict:
-        """A plain picklable capture of every metric's current state."""
-        with self._lock:
-            return {
-                "metrics": [
-                    {
-                        "kind": metric.kind,
-                        "name": metric.name,
-                        "help": metric.help,
-                        "labels": metric.labels,
-                        "state": metric._state(),
-                    }
-                    for metric in self._metrics.values()
-                ],
-                "captured_at": time.time(),
-            }
-
-    def drain(self) -> dict:
-        """Snapshot, then zero every value in place (delta semantics).
-
-        This is what pool workers ship after each job: repeated drains
-        merge additively without double counting, exactly like partial
-        sketches merged per batch.
-        """
-        with self._lock:
-            captured = {
-                "metrics": [
-                    {
-                        "kind": metric.kind,
-                        "name": metric.name,
-                        "help": metric.help,
-                        "labels": metric.labels,
-                        "state": metric._state(),
-                    }
-                    for metric in self._metrics.values()
-                ],
-                "captured_at": time.time(),
-            }
-            for metric in self._metrics.values():
-                metric._reset()
-            return captured
-
-    def merge_snapshot(self, snapshot: "Mapping | None") -> None:
-        """Fold a :meth:`snapshot`/:meth:`drain` capture into this registry.
-
-        Metrics absent here are created with the snapshot's identity, so
-        a parent process learns about worker-only metrics too.
-        """
-        if not snapshot:
-            return
-        for entry in snapshot["metrics"]:
-            cls = _KINDS[entry["kind"]]
-            options = {}
-            state = entry["state"]
-            if entry["kind"] == "gauge":
-                options["mode"] = state.get("mode", "last")
-            elif entry["kind"] == "histogram":
-                options["buckets"] = state["bounds"]
-            labels = dict(entry["labels"]) if entry["labels"] else None
-            metric = self._get_or_create(
-                cls, entry["name"], entry["help"], labels, **options
-            )
-            metric._merge(state)
 
     def reset(self) -> None:
         """Zero every metric's value (handles stay registered and valid)."""
@@ -520,26 +399,14 @@ def counter(name: str, help: str = "", labels=None) -> Counter:
     return REGISTRY.counter(name, help, labels)
 
 
-def gauge(name: str, help: str = "", labels=None, mode: str = "last") -> Gauge:
+def gauge(name: str, help: str = "", labels=None) -> Gauge:
     """Get-or-create a gauge in the default registry."""
-    return REGISTRY.gauge(name, help, labels, mode=mode)
+    return REGISTRY.gauge(name, help, labels)
 
 
 def histogram(name: str, help: str = "", labels=None, buckets=None) -> Histogram:
     """Get-or-create a histogram in the default registry."""
     return REGISTRY.histogram(name, help, labels, buckets=buckets)
-
-
-def snapshot() -> dict:
-    return REGISTRY.snapshot()
-
-
-def drain() -> dict:
-    return REGISTRY.drain()
-
-
-def merge_snapshot(captured) -> None:
-    REGISTRY.merge_snapshot(captured)
 
 
 def reset() -> None:

@@ -2,8 +2,8 @@
 
 Metrics (:mod:`repro.obs.metrics`) say *how much*; spans say *where the
 time went* inside one request — which plan node dominated a query, how
-long a refresh spent in WAL tail replay vs snapshot switching, what a
-pool dispatch overlapped with. The design constraints mirror metrics:
+long a refresh spent in WAL tail replay vs snapshot switching. The
+design constraints mirror metrics:
 
 * **Near-zero cost when disabled.** Off unless ``REPRO_TRACE`` is
   truthy (or :func:`enable` is called); a disabled :func:`span` returns

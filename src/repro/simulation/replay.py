@@ -232,36 +232,3 @@ def replay(
         newton_iterations_max=newton_max,
     )
 
-
-def replay_many(
-    schedules: "Sequence[EventSchedule]",
-    params: ExaLogLogParams,
-    checkpoints: Sequence[float],
-    bias_correction: bool = True,
-    workers: int | None = None,
-    pool=None,
-) -> list[ReplayResult]:
-    """Replay many independent schedules, optionally across the pool.
-
-    Simulation runs are embarrassingly parallel — each schedule replays
-    against its own fresh state — so with ``workers > 1`` the schedules
-    fan out over the persistent shared-memory pool
-    (:mod:`repro.parallel.pool`): event arrays travel through the
-    transport segment, workers replay zero-copy, and only the (small)
-    :class:`ReplayResult` objects come back. Results are in schedule
-    order and identical to sequential :func:`replay` calls (replay is
-    deterministic; processes share nothing).
-    """
-    schedules = list(schedules)
-    if workers is None or workers <= 1 or len(schedules) <= 1:
-        return [
-            replay(schedule, params, checkpoints, bias_correction)
-            for schedule in schedules
-        ]
-    if pool is None:
-        from repro.parallel.pool import get_pool
-
-        pool = get_pool()
-    return pool.replay_schedules(
-        schedules, params, checkpoints, bias_correction, workers=workers
-    )

@@ -149,54 +149,6 @@ def write_record(buffer: bytearray, kind: int, key: bytes, payload: bytes) -> No
     buffer.extend(crc.to_bytes(4, "little"))
 
 
-def read_record(data: bytes, offset: int) -> tuple[int, bytes, bytes, int]:
-    """Read one record, returning ``(kind, key, payload, new_offset)``.
-
-    Raises :class:`IncompleteRecordError` when the buffer ends inside the
-    record (a torn tail write) and plain :class:`SerializationError` when
-    a complete record fails its CRC — the caller decides which of the two
-    is survivable.
-    """
-    import zlib
-
-    def read_length(at: int) -> tuple[int, int]:
-        # A varint cut off by EOF is a torn tail; an over-long varint
-        # inside available bytes is corruption and stays fatal.
-        try:
-            return read_uvarint(data, at)
-        except IncompleteRecordError:
-            raise
-        except SerializationError as error:
-            if str(error) == "truncated varint":
-                raise IncompleteRecordError(str(error)) from error
-            raise
-
-    start = offset
-    if offset >= len(data):
-        raise IncompleteRecordError("empty record")
-    kind = data[offset]
-    offset += 1
-    key_length, offset = read_length(offset)
-    if offset + key_length > len(data):
-        raise IncompleteRecordError("record key runs past end of buffer")
-    key = bytes(data[offset : offset + key_length])
-    offset += key_length
-    payload_length, offset = read_length(offset)
-    if offset + payload_length + 4 > len(data):
-        raise IncompleteRecordError("record payload runs past end of buffer")
-    payload = bytes(data[offset : offset + payload_length])
-    offset += payload_length
-    stored_crc = int.from_bytes(data[offset : offset + 4], "little")
-    offset += 4
-    actual_crc = zlib.crc32(data[start : offset - 4])
-    if stored_crc != actual_crc:
-        raise SerializationError(
-            f"record checksum mismatch at offset {start}: "
-            f"stored {stored_crc:#010x}, computed {actual_crc:#010x}"
-        )
-    return kind, key, payload, offset
-
-
 def write_lsn_record(
     buffer: bytearray, lsn: int, kind: int, key: bytes, payload: bytes
 ) -> None:
@@ -227,52 +179,6 @@ def write_lsn_record(
     buffer.extend(payload)
     crc = zlib.crc32(buffer[start:])
     buffer.extend(crc.to_bytes(4, "little"))
-
-
-def read_lsn_record(data: bytes, offset: int) -> tuple[int, int, bytes, bytes, int]:
-    """Read one LSN-stamped record, returning ``(lsn, kind, key, payload, new_offset)``.
-
-    Error split mirrors :func:`read_record`: :class:`IncompleteRecordError`
-    for a buffer ending inside the record, :class:`SerializationError` for
-    a complete record with a bad CRC.
-    """
-    import zlib
-
-    def read_length(at: int) -> tuple[int, int]:
-        try:
-            return read_uvarint(data, at)
-        except IncompleteRecordError:
-            raise
-        except SerializationError as error:
-            if str(error) == "truncated varint":
-                raise IncompleteRecordError(str(error)) from error
-            raise
-
-    start = offset
-    if offset >= len(data):
-        raise IncompleteRecordError("empty record")
-    kind = data[offset]
-    offset += 1
-    lsn, offset = read_length(offset)
-    key_length, offset = read_length(offset)
-    if offset + key_length > len(data):
-        raise IncompleteRecordError("record key runs past end of buffer")
-    key = bytes(data[offset : offset + key_length])
-    offset += key_length
-    payload_length, offset = read_length(offset)
-    if offset + payload_length + 4 > len(data):
-        raise IncompleteRecordError("record payload runs past end of buffer")
-    payload = bytes(data[offset : offset + payload_length])
-    offset += payload_length
-    stored_crc = int.from_bytes(data[offset : offset + 4], "little")
-    offset += 4
-    actual_crc = zlib.crc32(data[start : offset - 4])
-    if stored_crc != actual_crc:
-        raise SerializationError(
-            f"record checksum mismatch at offset {start}: "
-            f"stored {stored_crc:#010x}, computed {actual_crc:#010x}"
-        )
-    return lsn, kind, key, payload, offset
 
 
 def read_lsn_record_from(handle) -> "tuple[int, int, bytes, bytes] | None":
@@ -330,9 +236,8 @@ def read_lsn_record_from(handle) -> "tuple[int, int, bytes, bytes] | None":
 def read_record_from(handle) -> "tuple[int, bytes, bytes] | None":
     """Read one record incrementally from a binary file handle.
 
-    The streaming counterpart of :func:`read_record` for files too large
-    to slurp (spill partitions, long WALs): only one record's bytes are
-    resident at a time. Returns ``(kind, key, payload)``, or ``None`` at
+    Reads the :func:`write_record` framing from files too large to slurp
+    (spill partitions): only one record's bytes are resident at a time. Returns ``(kind, key, payload)``, or ``None`` at
     a clean end of file (no bytes left). EOF *inside* a record raises
     :class:`IncompleteRecordError`; a CRC mismatch raises
     :class:`SerializationError`.

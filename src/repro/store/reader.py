@@ -74,7 +74,7 @@ _RECORDS_APPLIED = _metrics.counter(
     "reader.records_applied", "WAL records applied to reader views."
 )
 _DURABLE_LSN = _metrics.gauge(
-    "reader.durable_lsn", "Durable horizon of the most recent refresh.", mode="max"
+    "reader.durable_lsn", "Durable horizon of the most recent refresh."
 )
 _GENERATION_SWITCHES = _metrics.counter(
     "reader.generation_switches", "Compactions followed by readers."

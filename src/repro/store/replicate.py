@@ -83,7 +83,6 @@ _SYNC_SECONDS = _metrics.histogram(
 _FOLLOWER_LSN = _metrics.gauge(
     "replicate.follower_lsn",
     "Follower applied horizon after the most recent sync.",
-    mode="max",
 )
 _LSN_LAG = _metrics.gauge(
     "replicate.lsn_lag",

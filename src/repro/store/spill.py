@@ -24,8 +24,8 @@ Partition files use the shared record framing of
 ``part-<partition>-<writer>.spill`` — so several processes feeding one
 aggregation append to their own files without coordination; the merge
 pass reads every file of a partition. Each writer appends in process:
-fanning the appends out over pool workers measured slower than one
-writer, because the parent still partitions, packs and ships every
+fanning the appends out over worker processes measured slower than one
+writer, because the parent still partitioned, packed and shipped every
 segment.
 """
 
@@ -400,11 +400,11 @@ class SpilledGroupBy:
         """
         if self._writer is not None:
             self._writer.flush()
-        for partition in sorted(spill_files(self._directory)):
-            yield self._partition_aggregator(partition)
+        for _, files in sorted(spill_files(self._directory).items()):
+            yield self._partition_aggregator(files)
 
-    def _partition_aggregator(self, partition: int) -> DistinctCountAggregator:
-        files = spill_files(self._directory).get(partition, [])
+    def _partition_aggregator(self, files) -> DistinctCountAggregator:
+        """One partition's exact partial aggregator, folded from ``files``."""
         aggregator = DistinctCountAggregator(*self.config)
         # Records fold in runs, one fold_segments call each: memory stays
         # O(one run).
@@ -467,8 +467,9 @@ class SpilledGroupBy:
         key = to_bytes(group)
         if self._writer is not None:
             self._writer.flush()
-        partial = self._partition_aggregator(_partition_of(key, self._partitions))
-        return partial.sketches().get(key)
+        partition = _partition_of(key, self._partitions)
+        files = spill_files(self._directory).get(partition, [])
+        return self._partition_aggregator(files).sketches().get(key)
 
     def groups(self) -> Iterator[bytes]:
         """All observed group keys, streamed partition by partition."""

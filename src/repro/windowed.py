@@ -215,7 +215,7 @@ class SlidingWindowDistinctCounter:
         skips, which only happen at first appearance — occur exactly as
         in the sequential loop; the final state is identical.
 
-        ``workers`` forwards to each bucket sketch's parallel
+        ``workers`` forwards to each bucket sketch's thread
         :meth:`~repro.core.exaloglog.ExaLogLog.add_hashes` fan-out
         (worthwhile when single buckets receive very large segments).
         """

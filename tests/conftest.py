@@ -30,6 +30,23 @@ def fsynced_inodes(monkeypatch) -> list[int]:
     return inodes
 
 
+@pytest.fixture
+def slice_counts(monkeypatch) -> list[int]:
+    """Slice count of every ``ParallelBulkIngestor`` fold, in call order."""
+    from repro.parallel import ParallelBulkIngestor
+
+    counts: list[int] = []
+    real = ParallelBulkIngestor.slice_bounds
+
+    def recording(self, n):
+        bounds = real(self, n)
+        counts.append(len(bounds))
+        return bounds
+
+    monkeypatch.setattr(ParallelBulkIngestor, "slice_bounds", recording)
+    return counts
+
+
 def random_hashes(seed: int, count: int) -> list[int]:
     """Deterministic list of 64-bit pseudo-hash values."""
     generator = random.Random(seed)

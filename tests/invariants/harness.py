@@ -1,16 +1,15 @@
 """Randomized cross-layer invariant harness: one generator, every ingest path.
 
-The library's core promise — repeated by every PR since the bulk backend
-landed — is that all ingest and query paths are *bit-identical*: scalar
-``add_hash`` loops, vectorised ``add_hashes``, process-pool parallel
-folds, mmap-backed registers, WAL-replayed stores, WAL-shipped follower
-replicas, and scalar vs simultaneous batched estimation all produce
-exactly the same register bytes and exactly the same floats. Before this
-harness each PR asserted its own corner with bespoke fixtures; this
-module generates one seeded scenario — parameters, per-group hash
-streams, a merge/compaction/window schedule — and hands it to *every*
-layer, so a new path joins the identity matrix by adding one builder
-instead of a new test file.
+The library's core promise is that all ingest and query paths are
+*bit-identical*: scalar ``add_hash`` loops, vectorised ``add_hashes``,
+segmented batch folds, ``workers=`` thread fan-outs, WAL-replayed
+stores, WAL-shipped follower replicas, sharded clusters, and scalar vs
+simultaneous batched estimation all produce exactly the same register
+bytes and exactly the same floats. Rather than one bespoke fixture per
+path, this module generates one seeded scenario — parameters, per-group
+hash streams, a merge/compaction/window schedule — and hands it to
+*every* layer, so a new path joins the identity matrix through one more
+``build_*`` function instead of a new test file.
 
 Scenario generation is deterministic per seed (``numpy.random.PCG64``),
 so a CI failure reproduces locally with just the seed from the test id.
@@ -26,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.aggregate import DistinctCountAggregator
+from repro.backends import BULK_CHUNK
 
 #: Configurations covering the structural regimes: sparse/dense start,
 #: the ML-optimal ELL(2, 20), small-register ELL(1, 9), a batched-solve
@@ -110,6 +110,23 @@ def random_scenario(seed: int, with_compaction: bool = True) -> Scenario:
     return Scenario(seed=seed, config=config, steps=tuple(steps))
 
 
+def fan_out_scenario(seed: int) -> Scenario:
+    """A dense :func:`random_scenario` plus one stream that fans out.
+
+    Random streams stay far below the one ``BULK_CHUNK`` a ``workers=``
+    fold must exceed to split, so this adds more than two chunks of
+    hashes to one group: at ``workers=2`` its fold runs two slices.
+    """
+    base = random_scenario(seed)
+    rng = np.random.Generator(np.random.PCG64([seed, 1]))
+    dense = [config for config in CONFIG_POOL if not config[3]]
+    config = dense[int(rng.integers(len(dense)))]
+    size = 2 * BULK_CHUNK + int(rng.integers(1, 4096))
+    hashes = rng.integers(0, 1 << 64, size=size, dtype=np.uint64)
+    big = Step(OP_HASHES, base.hash_steps()[0].group, hashes)
+    return Scenario(seed=seed, config=config, steps=base.steps + (big,))
+
+
 def _merge_sketch(scenario: Scenario, step: Step):
     """The sketch a ``OP_SKETCH`` step merges (deterministic per step)."""
     t, d, p, sparse, _ = scenario.config
@@ -183,7 +200,7 @@ def build_segmented(scenario: Scenario) -> DistinctCountAggregator:
 
 
 def build_parallel(scenario: Scenario, workers: int = 2) -> DistinctCountAggregator:
-    """Process-pool path: each group's full stream folds with ``workers``.
+    """Thread fan-out path: each group's full stream folds with ``workers``.
 
     Insertions are commutative and idempotent and the Algorithm 5 merge
     is exact, so rebatching per group cannot change the result — which
@@ -209,19 +226,6 @@ def build_parallel(scenario: Scenario, workers: int = 2) -> DistinctCountAggrega
         if step.op == OP_SKETCH:
             _apply_sketch_step(aggregator, scenario, step)
     return aggregator
-
-
-def build_warm_pool(scenario: Scenario, workers: int = 2) -> DistinctCountAggregator:
-    """Persistent-pool path: parallel folds over pre-warmed shared workers.
-
-    Warming first means the folds hit the shared-memory transport of
-    already-alive workers — the steady-state production path — rather
-    than paying (and implicitly testing only) first-call spawns.
-    """
-    from repro.parallel import get_pool
-
-    get_pool().warm(workers)
-    return build_parallel(scenario, workers=workers)
 
 
 def build_store(scenario: Scenario, directory) -> DistinctCountAggregator:

@@ -1,10 +1,12 @@
-"""Metrics primitives: buckets, quantiles, merge semantics, exposition."""
+"""Metrics primitives: buckets, quantiles, exposition."""
 
 from __future__ import annotations
 
 import json
 import math
 import re
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -34,23 +36,6 @@ def test_disabled_mutations_are_noops():
     assert c.value == 0.0
     assert g.value == 0.0
     assert h.count == 0
-
-
-def test_gauge_modes_merge():
-    with metrics.instrumented():
-        last = metrics.gauge("t.g.last")
-        peak = metrics.gauge("t.g.max", mode="max")
-        total = metrics.gauge("t.g.sum", mode="sum")
-        for g in (last, peak, total):
-            g.set(10)
-        snap = metrics.drain()  # zeroes in place, returns the delta
-        assert last.value == 0.0
-        for g in (last, peak, total):
-            g.set(4)
-        metrics.merge_snapshot(snap)
-        assert last.value == 10.0  # merged value overwrites
-        assert peak.value == 10.0  # max survives
-        assert total.value == 14.0  # sums
 
 
 def test_labels_key_distinct_metrics():
@@ -101,22 +86,6 @@ def test_empty_histogram_quantile_is_nan():
     assert math.isnan(h.mean)
 
 
-def test_histogram_merge_requires_matching_buckets():
-    with metrics.instrumented():
-        h = metrics.histogram("t.h.merge", buckets=(1.0, 2.0))
-        h.observe(0.5)
-        snap = metrics.drain()
-        h.observe(1.5)
-        metrics.merge_snapshot(snap)
-        assert h.counts == [1, 1, 0]
-        bad = json.loads(json.dumps(snap))  # deep copy
-        for entry in bad["metrics"]:
-            if entry["name"] == "t.h.merge":
-                entry["state"]["bounds"] = [3.0, 4.0]
-        with pytest.raises(ValueError, match="mismatched buckets"):
-            metrics.merge_snapshot(bad)
-
-
 def test_observe_with_count_matches_repeats():
     with metrics.instrumented():
         a = metrics.histogram("t.h.bulk", buckets=(1.0, 2.0))
@@ -127,30 +96,28 @@ def test_observe_with_count_matches_repeats():
         assert a.counts == b.counts and a.sum == b.sum and a.count == b.count
 
 
-# -- snapshot / drain / merge --------------------------------------------------
+def test_concurrent_updates_are_not_lost():
+    """``workers=`` threads share metric handles: no update may be lost."""
+    threads, per_thread = 8, 2_000
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with metrics.instrumented():
+            c = metrics.counter("t.race.counter")
+            h = metrics.histogram("t.race.hist", buckets=(1.0,))
 
+            def work():
+                for _ in range(per_thread):
+                    c.inc()
+                    h.observe(0.5)
 
-def test_drain_is_delta_merge_is_sum():
-    with metrics.instrumented():
-        c = metrics.counter("t.drain")
-        c.inc(5)
-        first = metrics.drain()
-        assert c.value == 0.0  # drained
-        c.inc(2)
-        second = metrics.drain()
-        metrics.merge_snapshot(first)
-        metrics.merge_snapshot(second)
-        assert c.value == 7.0  # deltas never double count
-
-
-def test_merge_snapshot_creates_missing_metrics():
-    with metrics.instrumented():
-        metrics.counter("t.fresh").inc(3)
-        snap = metrics.snapshot()
-        metrics.REGISTRY.reset()
-        other = metrics.Registry()
-        other.merge_snapshot(snap)
-        assert other.get("t.fresh").value == 3.0
+            with ThreadPoolExecutor(max_workers=threads) as executor:
+                for future in [executor.submit(work) for _ in range(threads)]:
+                    future.result(timeout=60)
+    finally:
+        sys.setswitchinterval(previous)
+    assert c.value == threads * per_thread
+    assert h.count == h.counts[0] == threads * per_thread
 
 
 # -- exposition ----------------------------------------------------------------

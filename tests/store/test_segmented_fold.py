@@ -8,6 +8,7 @@ the randomized equivalence lives in ``tests/invariants`` (the
 ``build_segmented`` builder).
 """
 
+import io
 import math
 import struct
 
@@ -17,7 +18,11 @@ import pytest
 from repro.aggregate import DistinctCountAggregator, segment
 from repro.hashing import to_bytes
 from repro.hashing.batch import hash_items
-from repro.storage.serialization import SerializationError, write_lsn_record
+from repro.storage.serialization import (
+    SerializationError,
+    read_lsn_record_from,
+    write_lsn_record,
+)
 from repro.store import (
     RECORD_HASHES,
     FollowerStore,
@@ -219,12 +224,11 @@ def _written_store(directory, records=6):
 
 
 def _record_ends(data):
-    from repro.storage.serialization import read_lsn_record
-
-    ends, offset = [], sketchstore._FILE_HEADER_BYTES
-    while offset < len(data):
-        offset = read_lsn_record(data, offset)[-1]
-        ends.append(offset)
+    handle = io.BytesIO(data)
+    handle.seek(sketchstore._FILE_HEADER_BYTES)
+    ends = []
+    while read_lsn_record_from(handle) is not None:
+        ends.append(handle.tell())
     return ends
 
 

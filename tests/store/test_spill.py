@@ -1,11 +1,13 @@
 """Spill-to-disk GROUP BY: exactness, partitioning, independent writers."""
 
+import io
+
 import numpy as np
 import pytest
 
 from repro.aggregate import DistinctCountAggregator
 from repro.parallel import shard_of
-from repro.storage.serialization import SerializationError
+from repro.storage.serialization import SerializationError, read_record_from
 from repro.store import SpilledGroupBy, SpillWriter, read_spill_file, spill_files
 
 
@@ -97,6 +99,23 @@ class TestPartitioningAndWriters:
         right._writer.flush()
         assert left.to_aggregator().to_bytes() == reference.to_bytes()
 
+    def test_one_directory_listing_per_top(self, tmp_path, monkeypatch):
+        from repro.store import spill as spill_module
+
+        groups, items = _batch(4000, 100, seed=12)
+        reference = DistinctCountAggregator(2, 20, 8).add_batch(groups, items)
+        spill = SpilledGroupBy(tmp_path / "s", p=8, partitions=8)
+        spill.add_batch(groups, items)
+        listings = []
+
+        def counting(directory):
+            listings.append(directory)
+            return spill_files(directory)
+
+        monkeypatch.setattr(spill_module, "spill_files", counting)
+        assert spill.top(5) == reference.top(5)
+        assert len(listings) == 1
+
     def test_writer_id_validation(self, tmp_path):
         with pytest.raises(ValueError, match="writer_id"):
             SpillWriter(tmp_path, 4, writer_id="has-dash")
@@ -120,7 +139,6 @@ class TestSpillFileFormat:
             list(read_spill_file(path))
 
     def test_record_errors_name_the_file_and_offset(self, tmp_path):
-        from repro.storage.serialization import read_record
         from repro.store.sketchstore import _FILE_HEADER_BYTES
 
         spill = SpilledGroupBy(tmp_path / "s", p=8, partitions=1)
@@ -128,8 +146,12 @@ class TestSpillFileFormat:
         spill.close()
         [[path]] = spill_files(tmp_path / "s").values()
         intact = path.read_bytes()
-        second = read_record(intact, _FILE_HEADER_BYTES)[-1]
-        third = read_record(intact, second)[-1]
+        handle = io.BytesIO(intact)
+        handle.seek(_FILE_HEADER_BYTES)
+        read_record_from(handle)
+        second = handle.tell()
+        read_record_from(handle)
+        third = handle.tell()
         data = bytearray(intact)
         data[third - 6] ^= 0x5A  # a payload byte of the second record
         path.write_bytes(bytes(data))

@@ -6,13 +6,14 @@ recover cleanly to the last complete record or raise
 prefix states, never an in-between or corrupted one.
 """
 
+import io
 import shutil
 
 import numpy as np
 import pytest
 
 from repro.aggregate import DistinctCountAggregator
-from repro.storage.serialization import SerializationError
+from repro.storage.serialization import SerializationError, read_lsn_record_from
 from repro.store import FollowerStore, SketchStore, SnapshotReader, WalShipper
 from repro.store.sketchstore import _FILE_HEADER_BYTES
 
@@ -59,13 +60,11 @@ def populated_store(tmp_path):
 
 def _record_boundaries(wal_bytes):
     """Offsets at which a record ends (including the file header)."""
-    from repro.storage.serialization import read_lsn_record
-
+    handle = io.BytesIO(wal_bytes)
+    handle.seek(_FILE_HEADER_BYTES)
     boundaries = [_FILE_HEADER_BYTES]
-    offset = _FILE_HEADER_BYTES
-    while offset < len(wal_bytes):
-        _, _, _, _, offset = read_lsn_record(wal_bytes, offset)
-        boundaries.append(offset)
+    while read_lsn_record_from(handle) is not None:
+        boundaries.append(handle.tell())
     return boundaries
 
 
