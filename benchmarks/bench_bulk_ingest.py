@@ -6,12 +6,15 @@ Measures items/sec per sketch at ``n in {1e4, 1e6, 1e7}`` (quick mode:
 Murmur3 hashing). Results go to ``BENCH_bulk_ingest.json`` and a text
 table under ``benchmarks/output/``.
 
-One relative row gates grouped ingest: ``DistinctCountAggregator.add_batch``
-items/sec over ``GROUPED_KEYS`` Zipf(1.1) integer groups, fed in
-``GROUPED_BATCH``-row batches, divided by the single-sketch ``add_hashes``
-rate at the same ``n``. Most of those groups stay in sparse token mode,
-like the system benchmark's ``ingest_durable``. Quick and full mode both
-record it at ``GROUPED_N``, so ``perf_smoke.py`` compares it.
+Two relative rows gate grouped ingest: ``DistinctCountAggregator.add_batch``
+items/sec divided by the single-sketch ``add_hashes`` rate at the same
+``n``. The first feeds ``GROUPED_KEYS`` Zipf(1.1) integer groups in
+``GROUPED_BATCH``-row batches; most of those groups stay in sparse token
+mode, like the system benchmark's ``ingest_durable``. The second feeds
+``DENSE_KEYS`` uniform integer groups in ``DENSE_BATCH``-row batches, the
+shape of its ``ingest_mem``: every group is dense from the second batch,
+so the batches fold stacked. Quick and full mode both record them at
+``GROUPED_N`` and ``DENSE_N``, so ``perf_smoke.py`` compares them.
 
 The headline check: ExaLogLog bulk ingestion must be >= 10x the scalar
 loop at n = 1e6 (the PR's acceptance criterion). Scalar timing is capped
@@ -70,6 +73,12 @@ GROUPED_N = 102_400
 GROUPED_KEYS = 10_000
 GROUPED_EXPONENT = 1.1
 GROUPED_BATCH = 2048
+
+#: The dense grouped row: rows, uniform integer groups and rows per
+#: add_batch call; one size shared by quick and full mode.
+DENSE_N = 1 << 20
+DENSE_KEYS = 64
+DENSE_BATCH = 16_384
 
 
 def _rate(elapsed: float, count: int) -> float:
@@ -143,16 +152,22 @@ def bench_raw_items(n: int) -> dict:
     }
 
 
-def bench_grouped(n: int) -> dict:
-    """Grouped ``add_batch`` rate over Zipf groups, relative to one sketch."""
-    rng = np.random.Generator(np.random.PCG64(0x6F0B))
+def zipf_groups(rng: np.random.Generator, n: int) -> np.ndarray:
+    """``n`` integer groups of ``GROUPED_KEYS``, Zipf(``GROUPED_EXPONENT``)."""
     weights = np.arange(1, GROUPED_KEYS + 1, dtype=np.float64) ** -GROUPED_EXPONENT
     ranks = np.searchsorted(np.cumsum(weights) / weights.sum(), rng.random(n))
-    groups = rng.permutation(GROUPED_KEYS)[np.minimum(ranks, GROUPED_KEYS - 1)]
+    return rng.permutation(GROUPED_KEYS)[np.minimum(ranks, GROUPED_KEYS - 1)]
+
+
+def bench_grouped(
+    label: str, groups: np.ndarray, batch: int, rng: np.random.Generator
+) -> dict:
+    """Grouped ``add_batch`` rate over ``groups``, relative to one sketch."""
+    n = len(groups)
     items = rng.integers(0, 1 << 63, size=n, dtype=np.int64)
     batches = [
-        (groups[start : start + GROUPED_BATCH], items[start : start + GROUPED_BATCH])
-        for start in range(0, n, GROUPED_BATCH)
+        (groups[start : start + batch], items[start : start + batch])
+        for start in range(0, n, batch)
     ]
 
     def grouped() -> DistinctCountAggregator:
@@ -177,15 +192,12 @@ def bench_grouped(n: int) -> dict:
     # Batching is invisible in the result: one add_batch of every row.
     whole = DistinctCountAggregator(2, 20, 8).add_batch(groups, items)
     if aggregator.to_bytes() != whole.to_bytes():
-        raise AssertionError("batched grouped ingest diverged from one add_batch")
+        raise AssertionError(f"batched grouped ingest diverged from one add_batch ({label})")
 
     grouped_rate = _rate(grouped_seconds, n)
     single_rate = _rate(single_seconds, n)
     return {
-        "sketch": (
-            f"DistinctCountAggregator add_batch ({GROUPED_KEYS} Zipf({GROUPED_EXPONENT}) "
-            "int groups) / ExaLogLog add_hashes"
-        ),
+        "sketch": f"DistinctCountAggregator add_batch ({label}) / ExaLogLog add_hashes",
         "n": n,
         "grouped_items_per_s": grouped_rate,
         "single_items_per_s": single_rate,
@@ -223,12 +235,30 @@ def main(argv: list[str] | None = None) -> int:
             f"  speedup {rows[-1]['speedup']:>7.1f}x"
         )
 
-    rows.append(bench_grouped(GROUPED_N))
-    print(
-        f"{'(grouped add_batch / one add_hashes)':36s} n={GROUPED_N:>9,d}"
-        f"  grouped {rows[-1]['grouped_items_per_s']:>12,.0f}/s"
-        f"  ratio {rows[-1]['speedup']:>9.5f}"
+    grouped_rng = np.random.Generator(np.random.PCG64(0x6F0B))
+    rows.append(
+        bench_grouped(
+            f"{GROUPED_KEYS} Zipf({GROUPED_EXPONENT}) int groups",
+            zipf_groups(grouped_rng, GROUPED_N),
+            GROUPED_BATCH,
+            grouped_rng,
+        )
     )
+    dense_rng = np.random.Generator(np.random.PCG64(0xDE45))
+    rows.append(
+        bench_grouped(
+            f"{DENSE_KEYS} uniform int groups, {DENSE_BATCH}-row batches",
+            dense_rng.integers(0, DENSE_KEYS, size=DENSE_N, dtype=np.int64),
+            DENSE_BATCH,
+            dense_rng,
+        )
+    )
+    for row in rows[-2:]:
+        print(
+            f"{'(grouped add_batch / one add_hashes)':36s} n={row['n']:>9,d}"
+            f"  grouped {row['grouped_items_per_s']:>12,.0f}/s"
+            f"  ratio {row['speedup']:>9.5f}"
+        )
 
     # The acceptance gate: >= 10x for ExaLogLog at n = 1e6 (full mode).
     # Quick mode guards the same path with a relaxed 3x bar at its largest n.

@@ -38,6 +38,7 @@ from types import MappingProxyType
 from typing import Any, Hashable, Iterable, Iterator, Mapping
 
 from repro.core.exaloglog import ExaLogLog
+from repro.core.params import make_params
 from repro.core.sparse import SparseExaLogLog
 from repro.hashing import hash64, to_bytes
 from repro.storage.serialization import (
@@ -77,6 +78,12 @@ def segment(
     :func:`repro.hashing.to_bytes`, so ``1``, ``1.0`` and ``True`` stay
     three groups. Either way a key equals ``to_bytes`` of the row's
     ``tolist()`` value.
+
+    Integer sort keys (integer arrays, float bit patterns, the row
+    codes of encoded groups) whose span ``max - min`` is below ``2**16``
+    sort on ``values - min`` as uint8 or uint16, where NumPy's stable
+    sort is a radix sort: an order-preserving map, so the segments are
+    those of sorting the values.
     """
     import numpy as np
 
@@ -100,7 +107,7 @@ def segment(
         return []
     # Each group is one run of the stable sort, its rows in input order;
     # a run's first row is its group's first appearance.
-    order = np.argsort(values, kind="stable")
+    order = np.argsort(_narrow(values), kind="stable")
     ranked = values[order]
     starts = np.flatnonzero(np.concatenate(([True], ranked[1:] != ranked[:-1])))
     del ranked
@@ -115,6 +122,27 @@ def segment(
         (key, scattered[bounds[run] : bounds[run + 1]])
         for key, run in zip(keys, appearance.tolist())
     ]
+
+
+def _narrow(values):
+    """``values``, or ``values - min`` as uint8/uint16 when the span fits.
+
+    The same stable order either way; the narrow copy radix-sorts. The
+    span is computed in Python ints, so int64 and uint64 extremes
+    cannot overflow it, and the subtraction's wrap-around is undone by
+    the narrowing cast.
+    """
+    import numpy as np
+
+    if values.dtype.kind not in "iu":
+        return values
+    low = int(values.min())
+    span = int(values.max()) - low
+    if span >= 1 << 16:
+        return values
+    return (values - values.dtype.type(low)).astype(
+        np.uint8 if span < 1 << 8 else np.uint16
+    )
 
 
 #: Rows of small sparse slices :meth:`DistinctCountAggregator.fold_segments`
@@ -140,6 +168,39 @@ def _add_tokenised(small: "dict[int, list]") -> None:
         for sketch, hashes in slices:
             start, end = end, end + len(hashes)
             sketch.add_hashes(hashes, tokens=tokens[start:end])
+
+
+#: Registers of one stacked fold in
+#: :meth:`DistinctCountAggregator.fold_segments` (256 rows at ``p = 8``):
+#: the block and its merge stay at 512 KB of int64 each, however many
+#: dense groups a batch holds. A group of more registers folds alone.
+STACK_REGISTERS = 1 << 16
+
+
+def _fold_stacked(stacked: "dict[bytes, tuple]", params) -> None:
+    """Fold gathered dense rows with one kernel call and one merge.
+
+    ``stacked`` maps a key to its dense sketch and the hash slices the
+    run gathered for it; row ``i`` of the folded block is the sketch of
+    key ``i``'s slices.
+    """
+    import numpy as np
+
+    from repro import backends
+
+    if not stacked:
+        return
+    rows = list(stacked.values())
+    parts = [part for _, slices in rows for part in slices]
+    bounds = np.cumsum([0] + [sum(map(len, slices)) for _, slices in rows])
+    block = backends.exaloglog_registers(
+        np.concatenate(parts) if len(parts) > 1 else parts[0], params, bounds
+    )
+    current = np.stack([dense.registers_array() for dense, _ in rows])
+    if current.any():
+        block = backends.merge_exaloglog_registers(current, block, params.d)
+    for (dense, _), registers in zip(rows, block):
+        dense.adopt_registers(registers)
 
 
 def _encode_rows(groups) -> "tuple[list[bytes], Any]":
@@ -307,36 +368,66 @@ class DistinctCountAggregator:
         the store's commit, WAL replay, the reader's tail and spill
         partition merges, all in this process. Each segment's sketch is
         resolved once (created on first use), and a group may appear in
-        several segments. The slices of groups in
-        token mode that cannot pass break-even are tokenised together,
-        one :func:`~repro.backends.tokenize_hashes` call per token
-        parameter ``v`` and :data:`TOKENISE_ROWS` rows, and each group
-        takes its tokens through :meth:`SparseExaLogLog.add_hashes`, a
-        set update. Every other slice (dense groups, and slices long
-        enough to densify theirs) folds through ``add_hashes`` alone.
-        Inserts are commutative and idempotent and token mode densifies
-        losslessly (Sec. 4.3), so the result is bit-identical to folding
-        the segments one by one.
+        several segments. Inserts are commutative and idempotent, the
+        Algorithm 5 merge is exact and token mode densifies losslessly
+        (Sec. 4.3), so the result is bit-identical to folding the
+        segments one by one. The slices take three routes:
+
+        * Dense groups (with registers that fit int64) fold stacked:
+          each is one row of a ``(rows, m)`` block, however many of the
+          run's segments it holds, and each block of at most
+          :data:`STACK_REGISTERS` registers takes one
+          :func:`~repro.backends.exaloglog_registers` call and one
+          :func:`~repro.backends.merge_exaloglog_registers` call with
+          the rows' current registers; every sketch then adopts a copy
+          of its row (:meth:`ExaLogLog.adopt_registers`).
+        * Slices of token-mode groups that cannot pass break-even are
+          tokenised together, one
+          :func:`~repro.backends.tokenize_hashes` call per token
+          parameter ``v`` and :data:`TOKENISE_ROWS` rows, and each group
+          takes its tokens through :meth:`SparseExaLogLog.add_hashes`,
+          a set update.
+        * Every other slice (slices long enough to densify their group,
+          and registers wider than int64) folds through its sketch's
+          ``add_hashes``.
         """
         from repro import backends
 
+        params = make_params(self._t, self._d, self._p)
+        stack_rows = (
+            max(1, STACK_REGISTERS // params.m)
+            if backends.supports_int64_registers(params)
+            else 0
+        )
+        stacked: dict[bytes, tuple] = {}  # key -> (dense sketch, [hashes])
         small: dict[int, list] = {}  # token parameter v -> [(sketch, hashes)]
         rows = 0
         for group, hashes in segments:
-            sketch = self._sketch(to_bytes(group))
+            key = to_bytes(group)
+            sketch = self._sketch(key)
             hashes = backends.as_hash_array(hashes)
-            if (
-                isinstance(sketch, SparseExaLogLog)
-                and sketch.is_sparse
-                and sketch.token_count + len(hashes) <= sketch.break_even_tokens
-            ):
-                small.setdefault(sketch.v, []).append((sketch, hashes))
-                rows += len(hashes)
-                if rows >= TOKENISE_ROWS:
-                    _add_tokenised(small)
-                    small, rows = {}, 0
+            if isinstance(sketch, SparseExaLogLog) and sketch.is_sparse:
+                if sketch.token_count + len(hashes) <= sketch.break_even_tokens:
+                    small.setdefault(sketch.v, []).append((sketch, hashes))
+                    rows += len(hashes)
+                    if rows >= TOKENISE_ROWS:
+                        _add_tokenised(small)
+                        small, rows = {}, 0
+                else:
+                    sketch.add_hashes(hashes)
+            elif stack_rows and sketch.params == params:
+                row = stacked.get(key)
+                if row is None:
+                    if len(stacked) == stack_rows:
+                        _fold_stacked(stacked, params)
+                        stacked = {}
+                    if isinstance(sketch, SparseExaLogLog):
+                        sketch = sketch.densify()  # already dense: its inner sketch
+                    row = stacked[key] = (sketch, [])
+                row[1].append(hashes)
             else:
                 sketch.add_hashes(hashes)
+        _fold_stacked(stacked, params)
         _add_tokenised(small)
         return self
 

@@ -23,7 +23,9 @@ The ExaLogLog kernel is three plain functions —
 :func:`exaloglog_registers`, :func:`exaloglog_registers_from_pairs` and
 :func:`merge_exaloglog_registers` — checked against the scalar
 ``add_hash`` and ``merge_register`` (the paper's Algorithms 2 and 5),
-which stay the only oracle.
+which stay the only oracle. The fold and the merge take one sketch's
+registers or a stacked ``(rows, m)`` block of several sketches, which
+they treat as one array of ``rows * m`` registers.
 """
 
 from __future__ import annotations
@@ -131,22 +133,29 @@ def _split_into(
 
 
 def _fold_pairs(
-    index: np.ndarray, k: np.ndarray, params: ExaLogLogParams, scratch: np.ndarray
+    index: np.ndarray,
+    k: np.ndarray,
+    params: ExaLogLogParams,
+    scratch: np.ndarray,
+    size: int | None = None,
 ) -> np.ndarray:
     """One chunk of (register, update value) pairs into a fresh array.
 
-    The per-event passes write into scratch rows 0 and 1; ``index`` and
-    ``k`` are only read.
+    ``size`` registers (default ``m``): a stacked fold passes flattened
+    ``row * m + register`` indices and ``rows * m``. The per-event
+    passes write into scratch rows 0 and 1; ``index`` and ``k`` are only
+    read.
     """
-    m, d, n = params.m, params.d, len(index)
-    u = np.zeros(m, dtype=_I64)
+    d, n = params.d, len(index)
+    size = params.m if size is None else size
+    u = np.zeros(size, dtype=_I64)
     np.maximum.at(u, index, k)
     if d == 0:
         return u
     u_at = np.take(u, index, out=scratch[0, :n])
     # How far each event sits under its register's maximum.
     below = np.subtract(u_at, k, out=scratch[1, :n])
-    if n > 32 * m:
+    if n > 32 * size:
         # Many events per register: most fall below their register's window.
         kept = (below <= d).nonzero()[0]
         index, u_at, below = index[kept], u_at[kept], below[kept]
@@ -187,31 +196,57 @@ def _merge(r1: np.ndarray, r2: np.ndarray, d: int) -> np.ndarray:
     return hi
 
 
-def exaloglog_registers(hashes: np.ndarray, params: ExaLogLogParams) -> np.ndarray:
-    """Fresh ExaLogLog register array for a hash batch (chunked fold)."""
+def exaloglog_registers(
+    hashes: np.ndarray, params: ExaLogLogParams, bounds: Sequence[int] | None = None
+) -> np.ndarray:
+    """Fresh ExaLogLog register arrays for a hash batch (chunked fold).
+
+    Without ``bounds``, one ``(m,)`` array: the sketch of every hash.
+    With ``bounds`` (``rows + 1`` ascending offsets into ``hashes``, the
+    first 0 and the last ``len(hashes)``), a ``(rows, m)`` block whose
+    row ``i`` is the sketch of ``hashes[bounds[i]:bounds[i + 1]]``: every
+    row folds in one pass over flattened ``row * m + register`` indices,
+    in hash chunks that :func:`pick_chunk` sizes for ``rows * m``
+    registers. The single-sketch fold is the one-row case.
+    """
     if _metrics.enabled():
         started = _perf_counter()
-        registers = _fold_hashes(hashes, params)
+        registers = _fold_hashes(hashes, params, bounds)
         _FOLD_SECONDS.inc(_perf_counter() - started)
         _FOLD_BATCH_SIZE.observe(len(hashes))
         _HASHES_FOLDED.inc(len(hashes))
         _FOLDS.inc()
         return registers
-    return _fold_hashes(hashes, params)
+    return _fold_hashes(hashes, params, bounds)
 
 
-def _fold_hashes(hashes: np.ndarray, params: ExaLogLogParams) -> np.ndarray:
+def _fold_hashes(
+    hashes: np.ndarray, params: ExaLogLogParams, bounds: Sequence[int] | None
+) -> np.ndarray:
     hashes = hashes.astype(_U64, copy=False)
-    chunk = pick_chunk(params.m)
+    m = params.m
+    if bounds is None:
+        rows = offsets = None
+        size = m
+    else:
+        rows = len(bounds) - 1
+        size = rows * m
+        # Each hash's row offset, added to its register index.
+        offsets = np.repeat(np.arange(0, size, m, dtype=_I64), np.diff(bounds))
+        if len(offsets) != len(hashes):
+            raise ValueError(f"bounds cover {len(offsets)} of {len(hashes)} hashes")
+    chunk = pick_chunk(size)
     # One scratch block per call, reused by every chunk: fresh temporaries
     # of this size would be page-faulted in again for each chunk.
     scratch = np.empty((4, min(len(hashes), chunk)), dtype=_I64)
     registers = None
-    for part in _chunks(hashes, chunk):
-        index, k = _split_into(part, params, scratch)
-        batch = _fold_pairs(index, k, params, scratch)
+    for start in range(0, max(len(hashes), 1), chunk):
+        index, k = _split_into(hashes[start : start + chunk], params, scratch)
+        if offsets is not None:
+            index += offsets[start : start + chunk]
+        batch = _fold_pairs(index, k, params, scratch, size)
         registers = batch if registers is None else _merge(registers, batch, params.d)
-    return registers
+    return registers if rows is None else registers.reshape(rows, m)
 
 
 def exaloglog_registers_from_pairs(
@@ -238,23 +273,28 @@ def exaloglog_state(hashes: np.ndarray, params: ExaLogLogParams) -> list[int]:
 
 
 def merge_exaloglog_registers(
-    existing: Sequence[int], batch: np.ndarray, d: int
+    existing: Sequence[int] | np.ndarray, batch: np.ndarray, d: int
 ) -> np.ndarray:
     """Vectorised Algorithm 5: merge a batch register array into ``existing``.
 
     Equivalent to ``merge_register(existing[i], batch[i], d)`` per register
     for every reachable register state; the result equals the state of the
-    union of the two element streams.
+    union of the two element streams. Both arguments have one shape: one
+    sketch's ``(m,)`` registers, or a stacked ``(rows, m)`` block, which
+    merges row by row in the same single pass.
     """
     if _metrics.enabled():
         _MERGES.inc()
     r1 = np.asarray(existing, dtype=_I64)
     r2 = np.asarray(batch, dtype=_I64)
-    if 4 * np.count_nonzero(r2) < len(r2):
-        lanes = r2.nonzero()[0]
-        # A small batch touches few registers: merge only those lanes.
+    if r1.shape != r2.shape:
+        raise ValueError(f"cannot merge registers of shape {r2.shape} into {r1.shape}")
+    if 4 * np.count_nonzero(r2) < r2.size:
+        # A small batch touches few registers: merge only those lanes,
+        # indexed flat so that a block's lanes are single registers.
+        lanes = np.flatnonzero(r2)
         merged = r1.copy()
-        merged[lanes] = _merge(r1[lanes], r2[lanes], d)
+        merged.reshape(-1)[lanes] = _merge(r1.ravel()[lanes], r2.ravel()[lanes], d)
         return merged
     return _merge(r1, r2, d)
 

@@ -100,10 +100,12 @@ class ExaLogLog:
             raise ValueError(f"expected {params.m} registers, got {len(registers)}")
         sketch = cls._empty(params)
         maximum = params.max_register_value
-        for r in registers:
-            if not 0 <= r <= maximum:
-                raise ValueError(f"register value {r} out of range [0, {maximum}]")
-        sketch._registers = list(registers)
+        values = list(registers)
+        # min/max scan in C; the loop only runs to name a bad value.
+        if values and not (0 <= min(values) and max(values) <= maximum):
+            bad = next(r for r in values if not 0 <= r <= maximum)
+            raise ValueError(f"register value {bad} out of range [0, {maximum}]")
+        sketch._registers = values
         return sketch
 
     # -- core properties -------------------------------------------------------
@@ -200,9 +202,14 @@ class ExaLogLog:
         """Vectorised bulk insert of 64-bit hashes (ndarray or iterable).
 
         Inserts are commutative and idempotent, so the batch folds
-        set-wise into a register array and merges via Algorithm 5; the
-        result is bit-identical to the sequential :meth:`add_hash` loop
-        (the :class:`repro.backends.BulkBackend` contract).
+        set-wise into a register array
+        (:func:`~repro.backends.exaloglog_registers`), merges into the
+        current registers via Algorithm 5
+        (:func:`~repro.backends.merge_exaloglog_registers`), and the
+        sketch adopts the result (:meth:`adopt_registers`); the state is
+        bit-identical to the sequential :meth:`add_hash` loop (the
+        :class:`repro.backends.BulkBackend` contract). Registers wider
+        than int64 take that scalar loop instead.
 
         ``workers`` opts into the thread fan-out of
         :class:`repro.parallel.ParallelBulkIngestor`: contiguous
@@ -210,10 +217,12 @@ class ExaLogLog:
         reduce through the exact Algorithm 5 merge, so the final state
         stays bit-identical regardless of worker count. Worth it for
         batches far beyond one chunk; ``None``/``1`` keeps the
-        single-thread fold.
+        single-thread fold, and a count below 1 raises ``ValueError``.
         """
         from repro import backends
 
+        if workers is not None and workers < 1:
+            raise ValueError(f"workers must be >= 1, got {workers}")
         params = self._params
         if not backends.supports_int64_registers(params):
             return backends.scalar_add_hashes(self, hashes)
@@ -229,9 +238,33 @@ class ExaLogLog:
         existing = self.registers_array()  # cached by the previous bulk call
         if existing.any():
             batch = backends.merge_exaloglog_registers(existing, batch, params.d)
-        self._registers = batch.tolist()
-        batch.setflags(write=False)
-        self._array = batch
+        return self.adopt_registers(batch)
+
+    def adopt_registers(self, registers) -> "ExaLogLog":
+        """Take an int64 register array as the whole state; returns ``self``.
+
+        The one write of a bulk insert: :meth:`add_hashes` adopts its
+        merged fold, and
+        :meth:`~repro.aggregate.DistinctCountAggregator.fold_segments`
+        adopts each dense group's row of a stacked fold. An array that
+        does not own its memory (such a row) is copied first, so a
+        sketch never pins a larger block or shares memory with another
+        sketch. The adopted array turns read-only and becomes the
+        :meth:`registers_array` cache. No reachability validation: the
+        values come from the bulk kernel.
+        """
+        import numpy as np
+
+        if registers.shape != (self._params.m,) or registers.dtype != np.int64:
+            raise ValueError(
+                f"expected {self._params.m} int64 registers, got "
+                f"{registers.dtype} of shape {registers.shape}"
+            )
+        if not registers.flags.owndata:
+            registers = registers.copy()
+        self._registers = registers.tolist()
+        registers.setflags(write=False)
+        self._array = registers
         self._array_source = self._registers
         return self
 

@@ -113,11 +113,23 @@ class PackedArray:
         return bytes(self._data)
 
     def to_list(self) -> list[int]:
-        """Unpack all registers into a list (bulk path, faster than per-item)."""
+        """Unpack all registers into a list (bulk path, faster than per-item).
+
+        Registers of up to 63 bits unpack in NumPy: the MSB-first bit
+        string, one row of ``width`` bits per register, times the bit
+        weights. Wider ones shift one big integer per register.
+        """
         width = self._width
         count = self._count
         if count == 0:
             return []
+        if width <= 63:
+            import numpy as np
+
+            data = np.frombuffer(self._data, dtype=np.uint8)
+            bits = np.unpackbits(data, count=count * width).reshape(count, width)
+            weights = np.left_shift(1, np.arange(width - 1, -1, -1, dtype=np.int64))
+            return (bits @ weights).tolist()
         window = int.from_bytes(self._data, "big")
         total_bits = len(self._data) * 8
         mask = (1 << width) - 1

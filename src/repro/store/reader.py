@@ -141,7 +141,12 @@ class SnapshotReader(DelegatingSource):
                 # newest generation moved on. Rescan.
                 last_error = error
                 continue
-            reader._tail_wal()
+            try:
+                reader._tail_wal()
+            except BaseException:
+                # The caller never gets the reader: release its WAL handle.
+                reader.close()
+                raise
             return reader
         raise SerializationError(
             f"{directory}: could not open a stable generation "

@@ -82,6 +82,40 @@ def test_chunked_fold_equals_single_fold():
     assert chunked.tolist() == halves.tolist()
 
 
+@pytest.mark.parametrize("params", SMALL_PARAMS, ids=str)
+def test_stacked_fold_rows_equal_one_sketch_folds(params):
+    # Slices of uneven length, one of them empty, over more than one
+    # chunk of a small block.
+    sizes = [0, 7, 3 * params.m, 1, 70_000]
+    hashes = random_hashes(91, sum(sizes))
+    bounds = np.cumsum([0] + sizes)
+    block = exaloglog_registers(hashes, params, bounds)
+    assert block.shape == (len(sizes), params.m)
+    for row, start, stop in zip(block, bounds[:-1], bounds[1:]):
+        assert row.tolist() == exaloglog_registers(hashes[start:stop], params).tolist()
+
+
+@pytest.mark.parametrize("params", SMALL_PARAMS, ids=str)
+def test_stacked_merge_equals_row_by_row_merges(params):
+    # Few hashes per row: the batch touches under a quarter of the
+    # block's lanes, so the lane-by-lane shortcut runs.
+    sizes = [2, 0, 0, 0, 0, 0, 0, 3]
+    existing = np.stack(
+        [exaloglog_registers(random_hashes(row, 5 * params.m), params) for row in range(8)]
+    )
+    bounds = np.cumsum([0] + sizes)
+    batch = exaloglog_registers(random_hashes(92, sum(sizes)), params, bounds)
+    assert 4 * np.count_nonzero(batch) < batch.size
+    merged = merge_exaloglog_registers(existing, batch, params.d)
+    for row in range(8):
+        assert merged[row].tolist() == [
+            merge_register(r1, r2, params.d)
+            for r1, r2 in zip(existing[row].tolist(), batch[row].tolist())
+        ]
+    with pytest.raises(ValueError, match="shape"):
+        merge_exaloglog_registers(existing[0], batch, params.d)
+
+
 def test_supports_int64_registers_guard():
     assert supports_int64_registers(make_params(2, 20, 8))
     assert not supports_int64_registers(make_params(0, 60, 4))

@@ -47,6 +47,26 @@ def slice_counts(monkeypatch) -> list[int]:
     return counts
 
 
+@pytest.fixture
+def kernel_rows(monkeypatch) -> list:
+    """Rows of every ``backends.exaloglog_registers`` call, in call order.
+
+    ``None`` marks a one-sketch fold (no ``bounds``); a stacked fold
+    records its row count.
+    """
+    from repro import backends
+
+    rows: list = []
+    real = backends.exaloglog_registers
+
+    def recording(hashes, params, bounds=None):
+        rows.append(None if bounds is None else len(bounds) - 1)
+        return real(hashes, params, bounds)
+
+    monkeypatch.setattr(backends, "exaloglog_registers", recording)
+    return rows
+
+
 def random_hashes(seed: int, count: int) -> list[int]:
     """Deterministic list of 64-bit pseudo-hash values."""
     generator = random.Random(seed)

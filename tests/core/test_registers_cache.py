@@ -147,3 +147,17 @@ def test_from_registers_and_copy_are_coherent():
     clone.add_hash(int(_hashes(45, 1)[0]))
     _assert_coherent(clone)
     _assert_coherent(sketch)  # the original must not see the clone's write
+
+
+def test_adopt_registers_takes_a_private_read_only_copy_of_a_row():
+    """A stacked fold's row is copied on adoption, never kept as a view."""
+    from repro.backends import exaloglog_registers
+
+    sketch = ExaLogLog(2, 20, 6)
+    block = exaloglog_registers(_hashes(46, 900), sketch.params, [0, 300, 900])
+    sketch.adopt_registers(block[1])
+    _assert_coherent(sketch)
+    assert not np.shares_memory(sketch.registers_array(), block)
+    assert block.flags.writeable
+    with pytest.raises(ValueError, match="int64 registers"):
+        sketch.adopt_registers(block)

@@ -127,6 +127,35 @@ def fan_out_scenario(seed: int) -> Scenario:
     return Scenario(seed=seed, config=config, steps=base.steps + (big,))
 
 
+def stacked_scenario(seed: int) -> Scenario:
+    """Runs of several segments over groups that are all dense.
+
+    A first run gives 3 to 5 groups more hashes than any configuration's
+    break-even, so every group is dense after it; each later run then
+    holds every group once plus repeats, in random order and sizes,
+    between sketch merges. :func:`build_segmented` folds such a run's
+    dense groups as rows of one stacked fold.
+    """
+    rng = np.random.Generator(np.random.PCG64([seed, 2]))
+    config = CONFIG_POOL[int(rng.integers(len(CONFIG_POOL)))]
+    groups = [f"g{index}" for index in range(int(rng.integers(3, 6)))]
+
+    def hashes(size: int) -> np.ndarray:
+        return rng.integers(0, 1 << 64, size=size, dtype=np.uint64)
+
+    def pick() -> str:
+        return groups[int(rng.integers(len(groups)))]
+
+    steps = [Step(OP_HASHES, group, hashes(3000)) for group in groups]
+    for _ in range(int(rng.integers(2, 4))):
+        steps.append(Step(OP_SKETCH, pick(), hashes(100)))
+        run = groups + [pick() for _ in range(4)]
+        for position in rng.permutation(len(run)).tolist():
+            size = int(rng.integers(1, 400))
+            steps.append(Step(OP_HASHES, run[position], hashes(size)))
+    return Scenario(seed=seed, config=config, steps=tuple(steps))
+
+
 def _merge_sketch(scenario: Scenario, step: Step):
     """The sketch a ``OP_SKETCH`` step merges (deterministic per step)."""
     t, d, p, sparse, _ = scenario.config

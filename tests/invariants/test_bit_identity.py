@@ -24,6 +24,7 @@ from tests.invariants.harness import (
     random_scenario,
     register_bytes,
     rounds,
+    stacked_scenario,
 )
 
 
@@ -153,3 +154,13 @@ def test_parallel_matches_scalar(seed, slice_counts):
     parallel = build_parallel(scenario, workers=2)
     assert max(slice_counts) >= 2
     assert register_bytes(reference) == register_bytes(parallel)
+
+
+@pytest.mark.parametrize("seed", rounds(3))
+def test_stacked_segmented_matches_scalar(seed, kernel_rows):
+    """Runs of dense groups fold as rows of one stacked block."""
+    scenario = stacked_scenario(2000 + seed)
+    reference = build_scalar(scenario)
+    segmented = build_segmented(scenario)
+    assert max(rows or 0 for rows in kernel_rows) >= 2
+    assert_identical(reference, segmented, "stacked fold_segments vs add_hash")

@@ -105,8 +105,27 @@ class TestMetrics:
 
 class TestValidation:
     def test_bad_workers(self):
-        with pytest.raises(ValueError):
-            ParallelBulkIngestor(PARAMS, 0)
+        hashes = _hashes(100)
+        windowed = SlidingWindowDistinctCounter(window=60.0, buckets=6, p=6)
+        for workers in (0, -2):
+            calls = {
+                "ingestor": lambda: ParallelBulkIngestor(PARAMS, workers),
+                "add_hashes": lambda: ExaLogLog(2, 20, 8).add_hashes(hashes, workers=workers),
+                "windowed add_batch": lambda: windowed.add_batch(
+                    np.arange(100), at=1.0, workers=workers
+                ),
+                "windowed add_hashes": lambda: windowed.add_hashes(
+                    hashes, at=np.full(100, 2.0), workers=workers
+                ),
+            }
+            for call in calls.values():
+                with pytest.raises(ValueError, match=f"workers must be >= 1, got {workers}"):
+                    call()
+        # None still folds in this process.
+        assert (
+            ExaLogLog(2, 20, 8).add_hashes(hashes, workers=None).to_bytes()
+            == ExaLogLog(2, 20, 8).add_hashes(hashes).to_bytes()
+        )
 
     def test_unsupported_registers(self):
         wide = make_params(0, 64, 8)  # 70-bit registers exceed int64

@@ -8,9 +8,11 @@ the randomized equivalence lives in ``tests/invariants`` (the
 ``build_segmented`` builder).
 """
 
+import gc
 import io
 import math
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -155,6 +157,100 @@ def test_groups_of_another_token_parameter_tokenise_with_their_own_v():
     assert aggregator.sketches()[b"g"] == _scalar(segments[1:2]).sketches()[b"g"]
 
 
+def test_a_key_repeated_inside_one_run_folds_into_one_row(kernel_rows):
+    segments = [
+        ("a", _hashes(50, 30)),
+        ("b", _hashes(51, 20)),
+        ("a", _hashes(52, 40)),
+        ("a", _hashes(50, 30)),  # the same hashes again: idempotent
+    ]
+    config = (2, 20, 8, False, 0)
+    folded = DistinctCountAggregator(*config).fold_segments(segments)
+    assert kernel_rows == [2]
+    assert folded.to_bytes() == _scalar(segments, config).to_bytes()
+
+
+def test_dense_rows_fold_beside_a_token_mode_group_and_one_crossing_break_even(
+    kernel_rows,
+):
+    aggregator = DistinctCountAggregator(2, 20, 8)
+    break_even = aggregator._new_sketch().break_even_tokens
+    warm = [("d1", _hashes(60, 2000)), ("d2", _hashes(61, 2000))]
+    aggregator.fold_segments(warm)
+    kernel_rows.clear()
+    run = [
+        ("d1", _hashes(62, 100)),
+        ("tokens", _hashes(63, 5)),
+        ("crossing", _hashes(64, break_even - 10)),
+        ("d2", _hashes(65, 70)),
+        ("crossing", _hashes(66, 40)),
+        ("d1", _hashes(67, 30)),
+    ]
+    aggregator.fold_segments(run)
+    # One stacked fold of the dense pair, then the crossing group's
+    # densification, a one-sketch fold inside its own add_hashes.
+    assert kernel_rows == [2, None]
+    assert aggregator.to_bytes() == _scalar(warm + run).to_bytes()
+    sketches = aggregator.sketches()
+    assert sketches[b"tokens"].is_sparse
+    assert not sketches[b"crossing"].is_sparse
+
+
+def test_a_stacked_fold_split_by_a_small_block_cap_equals_one_unsplit_fold(
+    kernel_rows, monkeypatch
+):
+    from repro import aggregate
+
+    config = (2, 20, 8, False, 0)
+    segments = [(f"g{index % 7}", _hashes(70 + index, 25)) for index in range(21)]
+    whole = DistinctCountAggregator(*config).fold_segments(segments)
+    assert kernel_rows == [7]
+    monkeypatch.setattr(aggregate, "STACK_REGISTERS", 2 * 256)
+    kernel_rows.clear()
+    split = DistinctCountAggregator(*config).fold_segments(segments)
+    # Each block holds two rows; a key seen again after its block
+    # folded starts a row in the next one.
+    assert kernel_rows == [2] * 10 + [1]
+    assert split.to_bytes() == whole.to_bytes() == _scalar(segments, config).to_bytes()
+
+
+def test_adopted_register_arrays_are_read_only_and_share_no_memory():
+    segments = [(f"g{index}", _hashes(90 + index, 300)) for index in range(5)]
+    aggregator = DistinctCountAggregator(2, 20, 8, sparse=False)
+    aggregator.fold_segments(segments).fold_segments(segments[::-1])
+    arrays = [sketch.registers_array() for sketch in aggregator.sketches().values()]
+    assert not any(array.flags.writeable for array in arrays)
+    assert all(array.flags.owndata for array in arrays)
+    for index, array in enumerate(arrays):
+        for other in arrays[index + 1 :]:
+            assert not np.shares_memory(array, other)
+
+
+def test_d_zero_folds_stacked(kernel_rows):
+    config = (2, 0, 8, False, 0)
+    segments = [
+        ("a", _hashes(100, 400)),
+        ("b", _hashes(101, 300)),
+        ("a", _hashes(102, 9)),
+    ]
+    folded = DistinctCountAggregator(*config).fold_segments(segments)
+    folded.fold_segments(segments[1:])
+    assert kernel_rows == [2, 2]
+    assert folded.to_bytes() == _scalar(segments + segments[1:], config).to_bytes()
+
+
+def test_64_bit_registers_keep_the_scalar_route(kernel_rows):
+    config = (2, 56, 8, False, 0)
+    segments = [
+        ("a", _hashes(110, 200)),
+        ("b", _hashes(111, 100)),
+        ("a", _hashes(112, 50)),
+    ]
+    folded = DistinctCountAggregator(*config).fold_segments(segments)
+    assert kernel_rows == []
+    assert folded.to_bytes() == _scalar(segments, config).to_bytes()
+
+
 def test_fold_is_the_one_segment_case():
     hashes = _hashes(8, 300)
     one = DistinctCountAggregator(2, 20, 8).fold("g", hashes)
@@ -290,6 +386,21 @@ def test_a_bad_payload_length_mid_run_names_that_records_offset(tmp_path):
         ), name
 
 
+def test_an_open_that_raises_mid_tail_closes_the_wal_it_opened(tmp_path):
+    _store_with_bad_record(tmp_path / "s")
+    openers = {
+        "reader": SnapshotReader.open,
+        "read-only store": lambda directory: SketchStore.open(directory, read_only=True),
+    }
+    for name, opener in openers.items():
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            with pytest.raises(SerializationError, match="not a multiple of 8"):
+                opener(tmp_path / "s")
+            gc.collect()
+        assert [str(w.message) for w in caught if w.category is ResourceWarning] == [], name
+
+
 def test_a_refresh_that_raises_leaves_the_view_at_its_horizon(tmp_path):
     directory = tmp_path / "s"
     SketchStore.open(directory, p=8).close()
@@ -343,8 +454,30 @@ def test_float_keys_factorise_on_bit_patterns():
         np.array([True, False, True, True, False, False]),
         np.array(["DE", "AT", "DE", "", "AT", "CH"]),
         np.array([1, 1.0, True, "1", b"1", 1], dtype=object),
+        # Spans at the narrow sort's edges, with values that would
+        # collide if it truncated to a type too narrow for the span.
+        np.array([2**16 - 1, 0, 256, 255, 2**16 - 1, 0, 256], dtype=np.int64),
+        np.array([-3, 2**16 - 3, 7, -3, 2**16 - 3], dtype=np.int64),
+        np.array([-(2**63), 2**63 - 1, 0, -(2**63), 2**63 - 1], dtype=np.int64),
+        np.array([300 - 2**63, -(2**63), 44 - 2**63, 300 - 2**63], dtype=np.int64),
+        np.array([2**64 - 1, 2**64 - 257, 2**64 - 1, 2**64 - 2], dtype=np.uint64),
+        np.array([127, -128, 0, -128, 127, 5], dtype=np.int8),
+        np.array([65535, 0, 300, 44, 300, 65535, 0, 44], dtype=np.uint16),
     ],
-    ids=["int64", "uint64-high", "bool", "str", "object"],
+    ids=[
+        "int64",
+        "uint64-high",
+        "bool",
+        "str",
+        "object",
+        "span-2**16-1",
+        "span-2**16",
+        "int64-min-and-max",
+        "int64-min-narrow",
+        "uint64-max-narrow",
+        "int8",
+        "uint16",
+    ],
 )
 def test_vectorised_factorise_equals_the_per_row_loop(groups):
     items = np.arange(len(groups), dtype=np.int64) * 7919
