@@ -10,6 +10,16 @@ Measures the query side that PR 4 vectorises:
   ``estimates()`` (stacked register matrix, simultaneous Newton solve).
 * **family-wide** — ``HyperLogLog.estimate_ml_many`` over a sketch fleet
   (context row, not gated).
+* **point** — one dense ``ExaLogLog(2, 20, 8)`` through
+  ``batch_estimate_sketches([sketch])``, the query plane's point read,
+  against the scalar pipeline on the same sketch.
+* **mixed groups** — ``estimates()`` over 10^4 groups of a
+  ``sparse=True`` aggregator, most in token mode and some dense, against
+  the scalar pipeline per group (Alg. 3 + 8 for dense groups, Alg. 7 + 8
+  for token groups).
+
+The point and mixed-groups rows run at the same n in quick and full
+mode, so ``perf_smoke.py`` compares them with the full-mode baseline.
 
 Every comparison asserts bit-identical results before reporting a
 speedup — the batched engine's contract is exact equality, not
@@ -42,6 +52,8 @@ from repro.aggregate import DistinctCountAggregator
 from repro.baselines.hyperloglog import HyperLogLog
 from repro.core.exaloglog import ExaLogLog
 from repro.core.mlestimation import compute_coefficients, estimate_from_coefficients
+from repro.core.token import estimate_from_tokens
+from repro.estimation.batch import batch_estimate_sketches
 from repro.experiments.common import format_table
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -51,6 +63,17 @@ OUTPUT_TXT = pathlib.Path(__file__).resolve().parent / "output" / "bench_estimat
 #: Timed repetitions of the batched call (best-of; first calls pay
 #: allocator and table-build costs that are not the estimation path).
 BATCH_ROUNDS = 3
+
+#: Interleaved scalar/batched rounds of the point row (best of each).
+POINT_ROUNDS = 100
+
+#: The point row's items (about 20 per register at p = 8).
+POINT_N = 5_000
+
+#: The mixed-groups row: one row per group, then Zipf(1.1) rows over the
+#: same keys, so about 160 of the groups pass break-even and go dense.
+MIXED_GROUPS = 10_000
+MIXED_N = 400_000
 
 
 def _scalar_estimate(sketch) -> float:
@@ -129,6 +152,81 @@ def bench_groups(p: int, groups: int, items_per_group: int, rng) -> dict:
     }
 
 
+def bench_point(n: int, rng) -> dict:
+    """One dense sketch through the batch entry point, as a point read."""
+    sketch = ExaLogLog(2, 20, 8)
+    sketch.add_hashes(rng.integers(0, 1 << 64, size=n, dtype=np.uint64))
+    batch_estimate_sketches([sketch])  # warm tables and the LUT plan
+
+    scalar_seconds = batched_seconds = float("inf")
+    for _ in range(POINT_ROUNDS):
+        start = time.perf_counter()
+        scalar = _scalar_estimate(sketch)
+        middle = time.perf_counter()
+        (batched,) = batch_estimate_sketches([sketch])
+        end = time.perf_counter()
+        scalar_seconds = min(scalar_seconds, middle - start)
+        batched_seconds = min(batched_seconds, end - middle)
+
+    if batched != scalar:
+        raise AssertionError(f"point estimate diverged: {batched!r} != {scalar!r}")
+    return {
+        "section": "point",
+        "config": "ELL(2,20) p=8",
+        "rows": 1,
+        "n": n,
+        "scalar_s": scalar_seconds,
+        "batched_s": batched_seconds,
+        "speedup": scalar_seconds / batched_seconds,
+    }
+
+
+def _scalar_group_estimate(sketch) -> float:
+    """The scalar pipeline for one ``SparseExaLogLog`` group."""
+    if sketch.is_sparse:
+        return estimate_from_tokens(sketch._tokens, sketch.v)
+    return _scalar_estimate(sketch.densify())
+
+
+def bench_mixed_groups(groups: int, n: int, rng) -> dict:
+    weights = np.arange(1, groups + 1, dtype=np.float64) ** -1.1
+    zipf = rng.choice(groups, size=n - groups, p=weights / weights.sum())
+    keys = np.concatenate([np.arange(groups), zipf])
+    aggregator = DistinctCountAggregator(t=2, d=20, p=8, sparse=True)
+    aggregator.add_batch(keys, rng.integers(0, 1 << 62, size=n, dtype=np.int64))
+    sketches = list(aggregator.sketches().values())
+    dense = sum(not sketch.is_sparse for sketch in sketches)
+    if not 0 < dense < len(sketches):
+        raise AssertionError(f"expected token and dense groups, got {dense} dense")
+
+    aggregator.estimates()  # warm tables and the LUT plan
+    scalar_seconds = batched_seconds = float("inf")
+    for _ in range(BATCH_ROUNDS):
+        start = time.perf_counter()
+        scalar = [_scalar_group_estimate(sketch) for sketch in sketches]
+        middle = time.perf_counter()
+        batched = aggregator.estimates()
+        end = time.perf_counter()
+        scalar_seconds = min(scalar_seconds, middle - start)
+        batched_seconds = min(batched_seconds, end - middle)
+
+    if list(batched.values()) != scalar:
+        raise AssertionError(
+            f"batched mixed-group estimates diverged from the scalar pipeline "
+            f"({groups} groups, {dense} dense)"
+        )
+    return {
+        "section": "mixed groups",
+        "config": "estimates() p=8",
+        "rows": groups,
+        "dense_rows": dense,
+        "n": n,
+        "scalar_s": scalar_seconds,
+        "batched_s": batched_seconds,
+        "speedup": scalar_seconds / batched_seconds,
+    }
+
+
 def bench_hyperloglog(p: int, count: int, items_per_sketch: int, rng) -> dict:
     sketches = []
     for _ in range(count):
@@ -194,6 +292,13 @@ def main(argv: "list[str] | None" = None) -> int:
         rows.append(bench_single(14, 200_000, rng, scalar_rounds=5))
         rows.append(bench_groups(10, 10_000, 8_000, rng))
         rows.append(bench_hyperloglog(12, 2_000, 20_000, rng))
+    # Own generators: the same data in quick and full mode.
+    rows.append(bench_point(POINT_N, np.random.Generator(np.random.PCG64(0x9017))))
+    rows.append(
+        bench_mixed_groups(
+            MIXED_GROUPS, MIXED_N, np.random.Generator(np.random.PCG64(0x3172))
+        )
+    )
 
     for row in rows:
         print(

@@ -517,19 +517,19 @@ class DistinctCountAggregator:
         return sketch.copy() if sketch is not None else None
 
     def estimates(self) -> dict[bytes, float]:
-        """All group estimates, computed in one batched solve.
+        """All group estimates, batched.
 
-        Every group's sketch is stacked into one coefficient matrix —
-        dense registers through the vectorised Algorithm 3, sparse token
-        groups through Algorithm 7 — and a single simultaneous Newton
-        iteration (:func:`repro.estimation.batch.solve_ml_equations`)
-        produces all estimates at once, bit-identical to calling
-        ``sketch.estimate()`` per group but orders of magnitude faster at
-        scale. A million-group aggregation resolves in one call::
+        Every group's sketch joins a coefficient block — dense registers
+        through the vectorised Algorithm 3, sparse token groups through
+        Algorithm 7 — and one :func:`repro.estimation.batch.solve_ml_equations`
+        call per block of up to ``ESTIMATE_CHUNK_ROWS`` groups produces the
+        estimates, bit-identical to calling ``sketch.estimate()`` per group
+        but orders of magnitude faster at scale. A million-group
+        aggregation resolves in one call, in bounded memory::
 
             agg = DistinctCountAggregator(p=8)
             agg.add_batch(group_array, item_array)   # ... many batches
-            by_group = agg.estimates()               # one vectorised solve
+            by_group = agg.estimates()               # one solve per 16,384 groups
             heaviest = agg.top(10)                   # top-k without full sort
         """
         from repro.estimation.batch import batch_estimates_by_key

@@ -31,9 +31,14 @@ from repro.storage.serialization import (
     TAG_SPARSE_EXALOGLOG,
     read_header,
     read_uvarint,
+    read_uvarints,
     write_header,
     write_uvarint,
 )
+
+#: ``break_even_tokens`` keyed by ``(id(params), v)``. Each entry holds its
+#: params object, so no other object can take that id while it is cached.
+_BREAK_EVEN: "dict[tuple[int, int], tuple[ExaLogLogParams, int]]" = {}
 
 
 class SparseExaLogLog:
@@ -87,8 +92,19 @@ class SparseExaLogLog:
 
     @property
     def break_even_tokens(self) -> int:
-        """Token count at which the dense array becomes smaller."""
-        return self._params.dense_bytes // token_bytes(self._v)
+        """Token count at which the dense array becomes smaller.
+
+        Computed once per (params, v): the batch folds ask for it once per
+        group and batch.
+        """
+        entry = _BREAK_EVEN.get((id(self._params), self._v))
+        if entry is None:
+            params = self._params
+            entry = _BREAK_EVEN[id(params), self._v] = (
+                params,
+                params.dense_bytes // token_bytes(self._v),
+            )
+        return entry[1]
 
     @property
     def memory_bytes(self) -> int:
@@ -307,14 +323,11 @@ class SparseExaLogLog:
         offset += 5
         sketch = cls(t, d, p, v)
         if mode == 0:
+            import numpy as np
+
             count, offset = read_uvarint(data, offset)
-            tokens = set()
-            value = 0
-            for _ in range(count):
-                delta, offset = read_uvarint(data, offset)
-                value += delta
-                tokens.add(value)
-            sketch._tokens = tokens
+            deltas, offset = read_uvarints(data, offset, count)
+            sketch._tokens = set(np.cumsum(deltas, dtype=np.uint64).tolist())
             # Deserialized token sets may legitimately exceed the break-even
             # point (serialization never densifies); keep them as-is.
             return sketch

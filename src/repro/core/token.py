@@ -91,6 +91,12 @@ def token_coefficients(tokens: Iterable[int], v: int) -> tuple[float, dict[int, 
     ``alpha' = 2**64 - sum over tokens of 2**(64-j)`` is accumulated as an
     exact integer, exactly as the paper prescribes for an unsigned 64-bit
     register (Python integers make the wrap-around bookkeeping explicit).
+
+    This is the scalar oracle. Its batched twin is the token path of
+    :func:`repro.estimation.batch.batch_estimate_sketches`: alpha' depends
+    only on the histogram of ``j``, so one ``bincount`` over (row, j)
+    pairs gives the coefficients of every token set in a chunk, with
+    alpha' taken modulo 2**64 in int64.
     """
     _check_v(v)
     alpha_scaled = 1 << 64

@@ -15,17 +15,21 @@ time. This module computes the same quantities with NumPy:
   non-empty row. Window-bit counting uses either packed per-half count
   LUTs (``d <= 24``) or a per-offset loop, both integer-exact.
 
-* :func:`solve_ml_equations` iterates Algorithm 8 on all rows of a
-  ``(k, u)`` beta matrix simultaneously with a convergence mask. Every
-  float operation is performed per row in exactly the scalar solver's
-  order, so results are bit-identical — including the two transcendental
-  steps (the Lemma B.3 starting point and the final ``log1p``), which go
+* :func:`solve_ml_equations` runs Algorithm 8 on every row of a
+  ``(k, u)`` beta matrix. Up to :data:`SCALAR_SOLVE_ROWS` rows (a point
+  read is one) go row by row through the scalar solver; larger calls
+  iterate all rows simultaneously with a convergence mask. Every float
+  operation is performed per row in exactly the scalar solver's order,
+  so results are bit-identical — including the two transcendental steps
+  (the Lemma B.3 starting point and the final ``log1p``), which go
   through ``math.*`` per row because NumPy's SIMD ``expm1``/``log1p`` may
   differ from libm in the last ulp.
 
-* :func:`batch_estimate_sketches` stacks a mixed collection of sketches —
-  dense ExaLogLog registers, sparse token mode, several parameterisations —
-  into one coefficient set and runs a single simultaneous Newton solve.
+* :func:`batch_estimate_sketches` estimates a mixed collection of
+  sketches — dense ExaLogLog registers, sparse token mode, several
+  parameterisations — in chunks of :data:`ESTIMATE_CHUNK_ROWS` rows, one
+  solve per chunk. Token-mode rows get Algorithm 7's coefficients from one
+  ``bincount`` over (row, j) per chunk, with no per-token Python loop.
 
 The contract, asserted by the equivalence tests and by
 ``benchmarks/bench_estimate.py``: batched estimates equal the scalar
@@ -36,14 +40,16 @@ from __future__ import annotations
 
 import math
 import threading
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 
 import numpy as np
 
 from repro.core.distribution import omega_scaled_table, phi_table
 from repro.core.params import ExaLogLogParams
-from repro.estimation.newton import MAX_ITERATIONS
+from repro.estimation.newton import MAX_ITERATIONS, solve_ml_equation
 from repro.obs import metrics as _metrics
 
 _U64 = np.uint64
@@ -487,25 +493,44 @@ def register_coefficients(
     )
 
 
-# -- Algorithm 8, simultaneous -------------------------------------------------
+# -- Algorithm 8: row by row or simultaneous -----------------------------------
+
+#: Solves of at most this many rows run row by row through the scalar
+#: :func:`repro.estimation.newton.solve_ml_equation`, the oracle. The
+#: simultaneous solve makes about the same NumPy calls whatever its row
+#: count, so it only pays off above a few dozen rows. Swept over 1-128
+#: rows (best of 60 on a 2-vCPU host): one ELL(2, 20, 8) register row
+#: takes 0.022 ms scalar and 0.59 ms simultaneous, 32 rows 0.42 ms and
+#: 0.64 ms, and the routes meet at about 48 register rows and at about
+#: 40 token rows.
+SCALAR_SOLVE_ROWS = 32
+
+#: ``2**-u`` per exponent column (exact powers of two).
+_POWERS = np.ldexp(1.0, -np.arange(EXPONENT_AXIS))
 
 
 def solve_ml_equations(alpha, beta) -> BatchMLSolution:
-    """Iterate Algorithm 8 on all rows of ``(alpha, beta)`` at once.
+    """Algorithm 8 for every row of ``(alpha, beta)``.
 
     ``alpha`` is float64 ``(k,)``, ``beta`` an integer ``(k, u)`` count
-    matrix keyed by exponent (column index). Per row, every floating-point
-    operation replays the scalar :func:`repro.estimation.newton.solve_ml_equation`
-    exactly — multiplication-only recursions (20)-(22)/(30), Lemma B.3
-    starting point, monotone Newton updates with per-row convergence — so
-    ``nu``, ``iterations`` and ``saturated`` are bit-identical to solving
-    each row alone.
+    matrix keyed by exponent (column index). Each row's ML equation is
+    independent (Alg. 8 converges monotonically from Lemma B.3's
+    starting point, row by row), so the route is chosen by size: at most
+    :data:`SCALAR_SOLVE_ROWS` rows go through the scalar solver one by
+    one, larger solves iterate all rows at once. Per row, every
+    floating-point operation of the simultaneous route replays the
+    scalar solver exactly — multiplication-only recursions
+    (20)-(22)/(30), Lemma B.3 starting point, monotone Newton updates
+    with per-row convergence — so ``nu``, ``iterations`` and
+    ``saturated`` are bit-identical to solving each row alone on either
+    route, and both record the same ``estimation.solve_batch_size`` and
+    ``estimation.newton_iterations`` observations.
     """
     alpha = np.ascontiguousarray(alpha, dtype=np.float64)
     beta = np.ascontiguousarray(beta, dtype=np.int64)
     if beta.ndim != 2:
         raise ValueError(f"expected a (k, u) beta matrix, got shape {beta.shape}")
-    k, n_exp = beta.shape
+    k = beta.shape[0]
     if alpha.shape != (k,):
         raise ValueError(f"alpha shape {alpha.shape} does not match {k} beta rows")
     if np.any(alpha < 0.0):
@@ -519,7 +544,68 @@ def solve_ml_equations(alpha, beta) -> BatchMLSolution:
 
     if _metrics.enabled():
         _SOLVE_BATCH_SIZE.observe(float(k))
+    if k <= SCALAR_SOLVE_ROWS:
+        solution = _solve_rows(alpha, beta)
+    else:
+        solution = _solve_simultaneous(alpha, beta)
+    if _metrics.enabled():
+        # Empty and saturated rows take no iteration on either route.
+        iterations = solution.iterations
+        values, counts = np.unique(iterations[iterations > 0], return_counts=True)
+        for value, count in zip(values.tolist(), counts.tolist()):
+            _NEWTON_ITERATIONS.observe(float(value), count=int(count))
+    return solution
 
+
+def _solve_rows(alpha, beta) -> BatchMLSolution:
+    """Algorithm 8 row by row through the scalar solver (bit-identical by
+    construction)."""
+    solutions = [
+        solve_ml_equation(value, {u: count for u, count in enumerate(row) if count})
+        for value, row in zip(alpha.tolist(), beta.tolist())
+    ]
+    return BatchMLSolution(
+        nu=np.array([solution.nu for solution in solutions], dtype=np.float64),
+        iterations=np.array(
+            [solution.iterations for solution in solutions], dtype=np.int64
+        ),
+        saturated=np.array(
+            [solution.saturated for solution in solutions], dtype=bool
+        ),
+    )
+
+
+def _sigma_sums(band, first: int):
+    """Per row, ``sigma0 = sum_u beta_u`` and ``sigma1 = sum_u beta_u 2**-u``.
+
+    ``band`` holds the beta columns from exponent ``first`` on, and must
+    cover every nonzero count of the rows whose sums are used. Both sums
+    equal the scalar solver's ascending-exponent loop bit for bit:
+    ``np.cumsum`` accumulates sequentially, while ``np.sum`` adds pairwise
+    and rounds ``sigma1`` differently on most rows, and zero-count terms
+    add exactly 0.0. ``sigma0``'s partial sums are integers below 2**53,
+    so its integer total is exact in any order.
+    """
+    sigma0 = band.sum(axis=1).astype(np.float64)
+    terms = band * _POWERS[first : first + band.shape[1]]
+    np.cumsum(terms, axis=1, out=terms)
+    return sigma0, terms[:, -1].copy()
+
+
+def _offset_counts(beta, u_min, u_max, width: int):
+    """float64 ``(k, width)``: ``beta[:, u_max - o]`` at offset ``o``, zero
+    below each row's ``u_min``."""
+    columns = u_max[:, None] - np.arange(width, dtype=np.int64)
+    outside = columns < u_min[:, None]
+    np.clip(columns, 0, beta.shape[1] - 1, out=columns)
+    counts = np.take_along_axis(beta, columns, axis=1).astype(np.float64)
+    counts[outside] = 0.0
+    return counts
+
+
+def _solve_simultaneous(alpha, beta) -> BatchMLSolution:
+    """Algorithm 8 on all rows at once, with a per-row convergence mask."""
+    k, n_exp = beta.shape
     nu = np.zeros(k)
     iterations = np.zeros(k, dtype=np.int64)
     nonzero = beta > 0
@@ -533,32 +619,28 @@ def solve_ml_equations(alpha, beta) -> BatchMLSolution:
     u_min = nonzero.argmax(axis=1).astype(np.int64)
     u_max = np.int64(n_exp - 1) - nonzero[:, ::-1].argmax(axis=1).astype(np.int64)
 
-    # sigma sums in ascending-exponent order, matching the scalar solver
-    # (zero-count terms add exactly 0.0 and change nothing).
-    sigma0 = np.zeros(k)
-    sigma1 = np.zeros(k)
-    for col in range(n_exp):
-        counts = beta[:, col].astype(np.float64)
-        sigma0 += counts
-        sigma1 += counts * math.ldexp(1.0, -col)
-
+    # Every solving row's counts lie within [u_min, u_max]; empty rows
+    # would widen the band, and their sums are never read.
+    first = int(u_min[solving].min())
+    sigma0, sigma1 = _sigma_sums(beta[:, first : int(u_max[solving].max()) + 1], first)
     scale = np.ldexp(1.0, u_max.astype(np.int32))
     sigma1 = sigma1 * scale
     a_scaled = alpha * scale
     with np.errstate(all="ignore"):
         x = sigma1 / a_scaled
-    # Lemma B.3 lower bound; math.* keeps bit-identity with the scalar path.
-    for i in np.flatnonzero(solving & (u_min < u_max)).tolist():
-        x[i] = math.expm1(
-            math.log1p(float(x[i])) * (float(sigma0[i]) / float(sigma1[i]))
-        )
+    # Lemma B.3 lower bound through math.* for bit-identity with the
+    # scalar path (NumPy's SIMD expm1/log1p may differ in the last ulp).
+    rows = np.flatnonzero(solving & (u_min < u_max))
+    if len(rows):
+        x[rows] = [
+            math.expm1(math.log1p(value) * (s0 / s1))
+            for value, s0, s1 in zip(
+                x[rows].tolist(), sigma0[rows].tolist(), sigma1[rows].tolist()
+            )
+        ]
 
     span = u_max - u_min
-    offsets = np.arange(max(int(span[solving].max()) + 1, 1), dtype=np.int64)
-    columns = u_max[:, None] - offsets[None, :]
-    beta_off = np.take_along_axis(beta, np.clip(columns, 0, n_exp - 1), axis=1)
-    beta_off[columns < u_min[:, None]] = 0
-    beta_off = beta_off.astype(np.float64)
+    beta_off = _offset_counts(beta, u_min, u_max, int(span[solving].max()) + 1)
 
     active = solving.copy()
     x_cur = np.where(active, x, 0.0)
@@ -605,12 +687,11 @@ def solve_ml_equations(alpha, beta) -> BatchMLSolution:
             break
 
     # nu = 2**u_max * log1p(x); math.log1p for bit-identity with the scalar.
-    for i in np.flatnonzero(solving).tolist():
-        nu[i] = (2.0 ** int(u_max[i])) * math.log1p(float(x_cur[i]))
-    if _metrics.enabled():
-        values, counts = np.unique(iterations[solving], return_counts=True)
-        for value, count in zip(values.tolist(), counts.tolist()):
-            _NEWTON_ITERATIONS.observe(float(value), count=int(count))
+    rows = np.flatnonzero(solving)
+    nu[rows] = [
+        (2.0 ** u) * math.log1p(value)
+        for u, value in zip(u_max[rows].tolist(), x_cur[rows].tolist())
+    ]
     return BatchMLSolution(nu=nu, iterations=iterations, saturated=saturated)
 
 
@@ -636,38 +717,62 @@ def estimate_registers(
     return estimates
 
 
+#: :func:`batch_estimate_sketches` assembles and solves at most this many
+#: rows at a time, so no ``(rows x EXPONENT_AXIS)`` block spans a whole
+#: collection: a ``top(10)`` over a million groups stays in bounded
+#: memory. Rows are independent, so chunking changes no result, and
+#: 2**14 rows split no solve that a benchmark workload makes.
+ESTIMATE_CHUNK_ROWS = 1 << 14
+
+#: Algorithm 7's ``2**(64 - j)`` per token exponent ``j`` in ``[1, 64]``,
+#: as int64 modulo 2**64 (column 0 and 65 never occur).
+_TOKEN_WEIGHTS = np.array(
+    [_as_int64(1 << (64 - j)) if 1 <= j <= 64 else 0 for j in range(EXPONENT_AXIS)],
+    dtype=np.int64,
+)
+_TOKEN_WEIGHTS.setflags(write=False)
+
+
 def batch_estimate_sketches(sketches, bias_correction: bool = True) -> list[float]:
-    """Estimates for a mixed sketch collection via one simultaneous solve.
+    """Estimates for a mixed sketch collection, row chunk by row chunk.
 
     Accepts :class:`~repro.core.exaloglog.ExaLogLog` (and subclasses that
     inherit its ML ``estimate``) plus :class:`~repro.core.sparse.SparseExaLogLog`
-    in either mode; dense register rows are stacked per parameterisation
-    into matrices for the vectorised Algorithm 3, sparse groups contribute
-    their Algorithm 7 token coefficients, and every row is solved in one
-    :func:`solve_ml_equations` call. Anything unbatchable (overridden
+    in either mode. Rows go in chunks of :data:`ESTIMATE_CHUNK_ROWS`, each
+    one :func:`solve_ml_equations` call (which takes a point read's single
+    row through the scalar Algorithm 8). Within a chunk, dense register
+    rows are stacked per parameterisation for the vectorised Algorithm 3,
+    and token-mode rows get their Algorithm 7 coefficients from one
+    ``bincount`` over (row, j) pairs. Anything unbatchable (overridden
     estimators, register widths beyond int64) falls back to its own
     ``estimate()``. Results are bit-identical to per-sketch estimation.
     """
+    return _estimate_vector(sketches, bias_correction).tolist()
+
+
+def _estimate_vector(sketches, bias_correction: bool = True) -> np.ndarray:
+    """:func:`batch_estimate_sketches` as a float64 array."""
     from repro.backends.bulk import supports_int64_registers
     from repro.core.exaloglog import ExaLogLog
-    from repro.core.mlestimation import bias_correction_factor
     from repro.core.sparse import SparseExaLogLog
-    from repro.core.token import token_coefficients
 
-    results = [0.0] * len(sketches)
-    dense_groups: dict[int, list] = {}  # id(params) -> [params, (i, sketch)...]
-    token_rows: list = []
-    # Parameter objects are interned (make_params caches), so batchability
-    # resolves through one id()-keyed dict probe per sketch.
+    estimates = np.zeros(len(sketches))
+    # Blocks of rows: (is_tokens, params or v, positions, sketches or token
+    # sets). Parameter objects are interned (make_params caches), so
+    # batchability resolves through one id()-keyed dict probe per sketch.
+    dense: dict[int, tuple] = {}
+    tokens: dict[int, tuple] = {}
     batchable: dict[tuple, bool] = {}
     for i, sketch in enumerate(sketches):
         target = sketch
         if isinstance(target, SparseExaLogLog):
-            if target.is_sparse:
-                alpha_value, beta_counts = token_coefficients(
-                    target._tokens, target.v
-                )
-                token_rows.append((i, alpha_value, beta_counts))
+            token_set = target._tokens
+            if token_set is not None:
+                block = tokens.get(target._v)
+                if block is None:
+                    block = tokens[target._v] = (True, target._v, array("q"), [])
+                block[2].append(i)
+                block[3].append(token_set)
                 continue
             target = target._dense
         if isinstance(target, ExaLogLog):
@@ -680,33 +785,111 @@ def batch_estimate_sketches(sketches, bias_correction: bool = True) -> list[floa
                     and supports_int64_registers(params)
                 )
             if ok:
-                group = dense_groups.get(id(params))
-                if group is None:
-                    group = dense_groups[id(params)] = [params]
-                group.append((i, target))
+                block = dense.get(id(params))
+                if block is None:
+                    block = dense[id(params)] = (False, params, array("q"), [])
+                block[2].append(i)
+                block[3].append(target)
                 continue
-        results[i] = sketch.estimate()
+        estimates[i] = sketch.estimate()
+    # Dense blocks first: within a chunk, token rows are then one tail.
+    blocks = [*dense.values(), *tokens.values()]
+    for pieces, rows in _row_chunks(blocks, ESTIMATE_CHUNK_ROWS):
+        _estimate_chunk(pieces, rows, bias_correction, estimates)
+    return estimates
 
-    total = sum(len(group) - 1 for group in dense_groups.values()) + len(token_rows)
-    if not total:
-        return results
-    alpha = np.empty(total)
-    beta = np.zeros((total, EXPONENT_AXIS), dtype=np.int64)
-    scale = np.empty(total)
-    bias = np.ones(total)
-    out_index = np.empty(total, dtype=np.int64)
+
+def _row_chunks(blocks, size: int):
+    """Cut the blocks' rows into consecutive chunks of at most ``size``.
+
+    Yields ``(pieces, rows)``, each piece a ``(block, start, stop)`` slice.
+    """
+    pieces, filled = [], 0
+    for block in blocks:
+        count = len(block[3])
+        start = 0
+        while start < count:
+            stop = min(count, start + size - filled)
+            pieces.append((block, start, stop))
+            filled += stop - start
+            start = stop
+            if filled == size:
+                yield pieces, filled
+                pieces, filled = [], 0
+    if pieces:
+        yield pieces, filled
+
+
+def _token_keys(token_sets, v: int, first_row: int) -> np.ndarray:
+    """Keys ``row * EXPONENT_AXIS + j`` of Algorithm 7, one per token.
+
+    ``j = min(v + 1 + nlz, 64)`` reads the token's 6-bit nlz field. Tokens
+    take 64 bits at ``v = 58``, so they are gathered as uint64 there.
+    """
+    lengths = [len(token_set) for token_set in token_sets]
+    dtype = np.uint64 if v + 6 > 63 else np.int64
+    keys = np.fromiter(
+        chain.from_iterable(token_sets), dtype=dtype, count=sum(lengths)
+    )
+    keys &= dtype(63)
+    keys = keys.view(np.int64)
+    keys += v + 1
+    np.minimum(keys, 64, out=keys)
+    first = first_row * EXPONENT_AXIS
+    keys += np.repeat(
+        np.arange(first, first + len(lengths) * EXPONENT_AXIS, EXPONENT_AXIS),
+        lengths,
+    )
+    return keys
+
+
+def _token_counts(pieces, first_row: int, rows: int) -> np.ndarray:
+    """The chunk's int64 ``(rows, EXPONENT_AXIS)`` beta block.
+
+    Its token rows, from ``first_row`` on, get Algorithm 7's counts from
+    one bincount over (row, j); dense rows read zero until their
+    coefficients land.
+    """
+    keys = []
+    row = first_row
+    for (is_tokens, v, _, token_sets), start, stop in pieces:
+        if is_tokens:
+            keys.append(_token_keys(token_sets[start:stop], v, row))
+            row += stop - start
+    if len(keys) != 1:  # one piece is the common case: no copy then
+        keys = [np.concatenate(keys) if keys else np.zeros(0, dtype=np.int64)]
+    return np.bincount(keys[0], minlength=rows * EXPONENT_AXIS).reshape(
+        rows, EXPONENT_AXIS
+    )
+
+
+def _estimate_chunk(pieces, rows: int, bias_correction: bool, estimates) -> None:
+    """Coefficients, one solve and the scatter for one chunk of rows."""
+    from repro.core.mlestimation import bias_correction_factor
+
+    dense_rows = sum(stop - start for block, start, stop in pieces if not block[0])
+    beta = _token_counts(pieces, dense_rows, rows)
+    alpha = np.empty(rows)
+    scale = np.ones(rows)
+    bias = np.ones(rows)
+    if dense_rows < rows:
+        # Algorithm 7: alpha' = 2**64 - sum_j beta_j * 2**(64-j), exact
+        # modulo 2**64.
+        weighted = np.einsum("kj,j->k", beta[dense_rows:], _TOKEN_WEIGHTS)
+        alpha_scaled = np.negative(weighted).view(_U64)
+        alpha[dense_rows:] = np.ldexp(alpha_scaled.astype(np.float64), -64)
     row = 0
-    for group in dense_groups.values():
-        params = group[0]
-        members = group[1:]
-        count = len(members)
+    for (is_tokens, params, _, members), start, stop in pieces:
+        if is_tokens:
+            continue
+        count = stop - start
         # Assemble straight into the extraction dtype (row assignment
         # narrows the cached int64 arrays on the fly).
         matrix = np.empty(
             (count, params.m),
             dtype=np.int32 if params.register_bits <= 31 else np.int64,
         )
-        for offset, (_, sketch) in enumerate(members):
+        for offset, sketch in enumerate(members[start:stop]):
             matrix[offset] = sketch.registers_array()
         coefficients = register_coefficients(matrix, params)
         alpha[row : row + count] = coefficients.alpha
@@ -714,26 +897,22 @@ def batch_estimate_sketches(sketches, bias_correction: bool = True) -> list[floa
         scale[row : row + count] = params.m
         if bias_correction:
             bias[row : row + count] = bias_correction_factor(params)
-        out_index[row : row + count] = [i for i, _ in members]
         row += count
-    for i, alpha_value, beta_counts in token_rows:
-        alpha[row] = alpha_value
-        for exponent, count in beta_counts.items():
-            beta[row, exponent] = count
-        scale[row] = 1.0
-        out_index[row] = i
-        row += 1
 
     solution = solve_ml_equations(alpha, beta)
-    estimates = scale * solution.nu
-    estimates = np.where(estimates > 0.0, estimates * bias, estimates)
-    for position, i in enumerate(out_index.tolist()):
-        results[i] = float(estimates[position])
-    return results
+    values = scale * solution.nu
+    values = np.where(values > 0.0, values * bias, values)
+    row = 0
+    for (_, _, positions, _), start, stop in pieces:
+        count = stop - start
+        estimates[np.frombuffer(positions, dtype=np.int64)[start:stop]] = values[
+            row : row + count
+        ]
+        row += count
 
 
 def batch_estimates_by_key(sketches) -> "dict[bytes, float]":
-    """All estimates of a keyed sketch mapping in one simultaneous solve.
+    """All estimates of a keyed sketch mapping, batched.
 
     The shared implementation behind every keyed read surface
     (:meth:`repro.aggregate.DistinctCountAggregator.estimates`, the
@@ -758,7 +937,7 @@ def batch_top(sketches, count: int) -> "list[tuple[bytes, float]]":
     if count <= 0 or not sketches:
         return []
     keys = list(sketches)
-    values = np.asarray(batch_estimate_sketches([sketches[key] for key in keys]))
+    values = _estimate_vector([sketches[key] for key in keys])
     total = len(keys)
     if count >= total:
         order = np.argsort(-values, kind="stable")

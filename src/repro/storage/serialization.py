@@ -109,6 +109,36 @@ def read_uvarint(data: bytes, offset: int) -> tuple[int, int]:
             raise SerializationError("varint too long")
 
 
+def read_uvarints(data: bytes, offset: int, count: int):
+    """Read ``count`` consecutive uvarints below ``2**64`` in one pass.
+
+    Returns ``(values, new_offset)`` with ``values`` a uint64 NumPy array:
+    the vectorised :func:`read_uvarint` for long runs, such as a sparse
+    sketch's token deltas. A varint of more than 10 bytes cannot hold a
+    64-bit value and is rejected.
+    """
+    import numpy as np
+
+    if count == 0:
+        return np.zeros(0, dtype=np.uint64), offset
+    window = np.frombuffer(
+        data, dtype=np.uint8, count=min(len(data) - offset, 10 * count), offset=offset
+    )
+    ends = np.flatnonzero(window < 0x80)[:count]
+    if len(ends) < count:
+        raise SerializationError(
+            "varint too long" if len(window) == 10 * count else "truncated varint"
+        )
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    lengths = ends - starts + 1
+    if int(lengths.max()) > 10:
+        raise SerializationError("varint too long")
+    stop = int(ends[-1]) + 1
+    shifts = 7 * (np.arange(stop) - np.repeat(starts, lengths))
+    parts = (window[:stop] & 0x7F).astype(np.uint64) << shifts.astype(np.uint64)
+    return np.add.reduceat(parts, starts), offset + stop
+
+
 def uvarint_size(value: int) -> int:
     """Number of bytes :func:`write_uvarint` uses for ``value``."""
     if value < 0:

@@ -151,6 +151,21 @@ class TestSerialization:
         assert restored == sketch
         assert restored.is_sparse
 
+    def test_sparse_roundtrip_64_bit_tokens(self):
+        sketch = SparseExaLogLog(2, 20, 8, v=58)
+        for h in random_hashes(15, 100):
+            sketch.add_hash(h)
+        assert max(sketch.tokens) >= 1 << 63
+        restored = SparseExaLogLog.from_bytes(sketch.to_bytes())
+        assert restored == sketch
+
+    def test_truncated_token_run(self):
+        sketch = SparseExaLogLog(2, 20, 8)
+        for h in random_hashes(16, 100):
+            sketch.add_hash(h)
+        with pytest.raises(SerializationError, match="truncated varint"):
+            SparseExaLogLog.from_bytes(sketch.to_bytes()[:-1])
+
     def test_dense_roundtrip(self):
         sketch = SparseExaLogLog(2, 20, 8)
         for h in random_hashes(13, 2000):

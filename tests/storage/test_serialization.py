@@ -11,6 +11,7 @@ from repro.storage.serialization import (
     TAG_HYPERLOGLOG,
     read_header,
     read_uvarint,
+    read_uvarints,
     uvarint_size,
     write_header,
     write_uvarint,
@@ -74,3 +75,30 @@ class TestUvarint:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             write_uvarint(bytearray(), -1)
+
+
+class TestUvarintRuns:
+    @given(st.lists(st.integers(min_value=0, max_value=(1 << 64) - 1), max_size=40))
+    def test_equals_one_varint_at_a_time(self, values):
+        buffer = bytearray(b"\x07")  # a leading byte: reads start at offset 1
+        for value in values:
+            write_uvarint(buffer, value)
+        buffer.extend(b"\xff\xff")  # trailing bytes stay unread
+        decoded, offset = read_uvarints(bytes(buffer), 1, len(values))
+        expected_offset = 1
+        expected = []
+        for _ in values:
+            value, expected_offset = read_uvarint(bytes(buffer), expected_offset)
+            expected.append(value)
+        assert decoded.tolist() == expected == values
+        assert offset == expected_offset
+
+    def test_truncated_run(self):
+        buffer = bytearray()
+        write_uvarint(buffer, 300)
+        with pytest.raises(SerializationError, match="truncated"):
+            read_uvarints(bytes(buffer) + b"\x80", 0, 2)
+
+    def test_varint_longer_than_ten_bytes(self):
+        with pytest.raises(SerializationError, match="too long"):
+            read_uvarints(b"\xff" * 11 + b"\x01", 0, 1)
