@@ -16,6 +16,13 @@ shape of its ``ingest_mem``: every group is dense from the second batch,
 so the batches fold stacked. Quick and full mode both record them at
 ``GROUPED_N`` and ``DENSE_N``, so ``perf_smoke.py`` compares them.
 
+A third relative row guards the sliding-window counter's batch ingest:
+``SlidingWindowDistinctCounter.add_hashes`` with per-item timestamps,
+``WINDOWED_N`` hashes in ``WINDOWED_BATCH``-row batches over
+``WINDOWED_BUCKETS`` buckets, the timestamps rising through
+``WINDOWED_WINDOWS`` windows so that buckets are created and evicted;
+against the single-sketch rate at the same ``n``, in both modes.
+
 The headline check: ExaLogLog bulk ingestion must be >= 10x the scalar
 loop at n = 1e6 (the PR's acceptance criterion). Scalar timing is capped
 at ``SCALAR_CAP`` insertions per measurement (the loop rate is flat in n,
@@ -46,6 +53,7 @@ from repro.baselines.ultraloglog import UltraLogLog
 from repro.core.exaloglog import ExaLogLog
 from repro.core.sparse import SparseExaLogLog
 from repro.experiments.common import format_table
+from repro.windowed import SlidingWindowDistinctCounter
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 OUTPUT_JSON = REPO_ROOT / "BENCH_bulk_ingest.json"
@@ -79,6 +87,14 @@ GROUPED_BATCH = 2048
 DENSE_N = 1 << 20
 DENSE_KEYS = 64
 DENSE_BATCH = 16_384
+
+#: The windowed row: hashes, buckets per window, rows per add_hashes
+#: call, and windows the timestamps rise through; one size shared by
+#: quick and full mode.
+WINDOWED_N = 1 << 20
+WINDOWED_BUCKETS = 8
+WINDOWED_BATCH = 16_384
+WINDOWED_WINDOWS = 3
 
 
 def _rate(elapsed: float, count: int) -> float:
@@ -159,6 +175,17 @@ def zipf_groups(rng: np.random.Generator, n: int) -> np.ndarray:
     return rng.permutation(GROUPED_KEYS)[np.minimum(ranks, GROUPED_KEYS - 1)]
 
 
+def _single_rate(hashes: np.ndarray) -> float:
+    """Best-of-``BULK_ROUNDS`` rate of one ``ExaLogLog.add_hashes`` call."""
+    seconds = float("inf")
+    for _ in range(BULK_ROUNDS):
+        sketch = ExaLogLog(2, 20, 8)
+        start = time.perf_counter()
+        sketch.add_hashes(hashes)
+        seconds = min(seconds, time.perf_counter() - start)
+    return _rate(seconds, len(hashes))
+
+
 def bench_grouped(
     label: str, groups: np.ndarray, batch: int, rng: np.random.Generator
 ) -> dict:
@@ -177,17 +204,12 @@ def bench_grouped(
         return aggregator
 
     grouped()  # warm ufuncs/allocator
-    grouped_seconds = single_seconds = float("inf")
+    grouped_seconds = float("inf")
     for _ in range(BULK_ROUNDS):
         start = time.perf_counter()
         aggregator = grouped()
         grouped_seconds = min(grouped_seconds, time.perf_counter() - start)
-    hashes = rng.integers(0, 1 << 64, size=n, dtype=np.uint64)
-    for _ in range(BULK_ROUNDS):
-        sketch = ExaLogLog(2, 20, 8)
-        start = time.perf_counter()
-        sketch.add_hashes(hashes)
-        single_seconds = min(single_seconds, time.perf_counter() - start)
+    single_rate = _single_rate(rng.integers(0, 1 << 64, size=n, dtype=np.uint64))
 
     # Batching is invisible in the result: one add_batch of every row.
     whole = DistinctCountAggregator(2, 20, 8).add_batch(groups, items)
@@ -195,13 +217,63 @@ def bench_grouped(
         raise AssertionError(f"batched grouped ingest diverged from one add_batch ({label})")
 
     grouped_rate = _rate(grouped_seconds, n)
-    single_rate = _rate(single_seconds, n)
     return {
         "sketch": f"DistinctCountAggregator add_batch ({label}) / ExaLogLog add_hashes",
         "n": n,
         "grouped_items_per_s": grouped_rate,
         "single_items_per_s": single_rate,
         "speedup": grouped_rate / single_rate,
+    }
+
+
+def bench_windowed(rng: np.random.Generator) -> dict:
+    """Windowed ``add_hashes`` rate with per-item timestamps, relative to one sketch.
+
+    Timestamps rise through ``WINDOWED_WINDOWS`` windows with up to one
+    bucket width of jitter, so a batch interleaves two or three buckets
+    and the stream creates and evicts buckets as it goes.
+    """
+    n = WINDOWED_N
+    window = 60.0
+    width = window / WINDOWED_BUCKETS
+    hashes = rng.integers(0, 1 << 64, size=n, dtype=np.uint64)
+    times = np.sort(rng.uniform(0.0, WINDOWED_WINDOWS * window, size=n))
+    times += rng.uniform(0.0, width, size=n)
+    batches = [
+        (hashes[start : start + WINDOWED_BATCH], times[start : start + WINDOWED_BATCH])
+        for start in range(0, n, WINDOWED_BATCH)
+    ]
+
+    def windowed() -> SlidingWindowDistinctCounter:
+        counter = SlidingWindowDistinctCounter(window, buckets=WINDOWED_BUCKETS)
+        for batch_hashes, batch_times in batches:
+            counter.add_hashes(batch_hashes, at=batch_times)
+        return counter
+
+    windowed()  # warm ufuncs/allocator
+    windowed_seconds = float("inf")
+    for _ in range(BULK_ROUNDS):
+        start = time.perf_counter()
+        counter = windowed()
+        windowed_seconds = min(windowed_seconds, time.perf_counter() - start)
+    single_rate = _single_rate(hashes)
+
+    # Batching is invisible in the result: one add_hashes of every hash.
+    whole = SlidingWindowDistinctCounter(window, buckets=WINDOWED_BUCKETS)
+    whole.add_hashes(hashes, at=times)
+    if counter.aggregator != whole.aggregator:
+        raise AssertionError("batched windowed ingest diverged from one add_hashes")
+
+    windowed_rate = _rate(windowed_seconds, n)
+    return {
+        "sketch": (
+            "SlidingWindowDistinctCounter add_hashes (per-item timestamps, "
+            f"{WINDOWED_BUCKETS} buckets) / ExaLogLog add_hashes"
+        ),
+        "n": n,
+        "grouped_items_per_s": windowed_rate,
+        "single_items_per_s": single_rate,
+        "speedup": windowed_rate / single_rate,
     }
 
 
@@ -253,9 +325,10 @@ def main(argv: list[str] | None = None) -> int:
             dense_rng,
         )
     )
-    for row in rows[-2:]:
+    rows.append(bench_windowed(np.random.Generator(np.random.PCG64(0x3D0A))))
+    for row in rows[-3:]:
         print(
-            f"{'(grouped add_batch / one add_hashes)':36s} n={row['n']:>9,d}"
+            f"{'(grouped ingest / one add_hashes)':36s} n={row['n']:>9,d}"
             f"  grouped {row['grouped_items_per_s']:>12,.0f}/s"
             f"  ratio {row['speedup']:>9.5f}"
         )

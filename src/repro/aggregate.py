@@ -105,22 +105,33 @@ def segment(
         )
     if not len(values):
         return []
-    # Each group is one run of the stable sort, its rows in input order;
-    # a run's first row is its group's first appearance.
+    first, runs = scatter(values, hashes)
+    if keys is None:
+        # tolist() yields the Python values the per-row path encodes.
+        keys = [to_bytes(value) for value in groups[first].tolist()]
+    return list(zip(keys, runs))
+
+
+def scatter(values, hashes) -> "tuple[Any, list]":
+    """``hashes`` split into runs of equal ``values``, in first-appearance order.
+
+    Returns each run's first row index and its hashes, in input order.
+    One stable sort groups the rows (a radix sort when :func:`_narrow`
+    applies): each value is one run, and a run's first row is its value's
+    first appearance.
+    """
+    import numpy as np
+
     order = np.argsort(_narrow(values), kind="stable")
     ranked = values[order]
     starts = np.flatnonzero(np.concatenate(([True], ranked[1:] != ranked[:-1])))
     del ranked
     first = order[starts]
     appearance = np.argsort(first)
-    if keys is None:
-        # tolist() yields the Python values the per-row path encodes.
-        keys = [to_bytes(value) for value in groups[first[appearance]].tolist()]
     scattered = hashes[order]
     bounds = np.append(starts, len(order)).tolist()
-    return [
-        (key, scattered[bounds[run] : bounds[run + 1]])
-        for key, run in zip(keys, appearance.tolist())
+    return first[appearance], [
+        scattered[bounds[run] : bounds[run + 1]] for run in appearance.tolist()
     ]
 
 
@@ -230,8 +241,9 @@ class DistinctCountAggregator:
     aggregations with many small groups stay small (Sec. 4.3's motivation).
 
     The aggregator is the only owner of its group map. Every layer that
-    keeps group state in one (store, reader, follower, cluster, spill)
-    changes it through :meth:`fold_segments` (or :meth:`fold`),
+    keeps group state in one (store, reader, follower, cluster, spill,
+    sliding-window counter) changes it through :meth:`fold_segments`
+    (or :meth:`fold`, or :meth:`add_hash` one hash at a time),
     :meth:`merge_sketch` and :meth:`drop_group`, and reads it through
     :meth:`sketches`.
     """
@@ -302,7 +314,11 @@ class DistinctCountAggregator:
 
     def add(self, group: Hashable, item: Any) -> "DistinctCountAggregator":
         """Record ``item`` under ``group``; returns ``self``."""
-        self._sketch(to_bytes(group)).add_hash(hash64(item, self._seed))
+        return self.add_hash(group, hash64(item, self._seed))
+
+    def add_hash(self, group: Hashable, hash_value: int) -> "DistinctCountAggregator":
+        """Record a pre-hashed value under ``group``; returns ``self``."""
+        self._sketch(to_bytes(group)).add_hash(hash_value)
         return self
 
     def add_pairs(self, pairs: Iterable[tuple[Hashable, Any]]) -> "DistinctCountAggregator":

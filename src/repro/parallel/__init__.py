@@ -2,13 +2,13 @@
 
 :class:`ParallelBulkIngestor` folds contiguous hash slices on threads and
 reduces the per-slice register arrays exactly (bit-identical to the
-sequential fold). Entry points are the opt-in ``workers=`` parameters on
-``ExaLogLog.add_hashes`` and ``SlidingWindowDistinctCounter.add_batch``/
-``add_hashes``.
+sequential fold). Its entry point is the opt-in ``workers=`` parameter
+of ``ExaLogLog.add_hashes``.
 
-Grouped ingest (``DistinctCountAggregator.add_batch``, the spill) has no
-``workers=``: one in-process ``fold_segments`` call folds a whole batch,
-and sharding it over workers only added serial work in the caller.
+Grouped ingest (``DistinctCountAggregator.add_batch``, the spill, the
+sliding-window counter's buckets) has no ``workers=``: one in-process
+``fold_segments`` call folds a whole batch, and sharding it over
+workers only added serial work in the caller.
 :func:`shard_of` routes group keys to cluster shards and spill
 partitions.
 """

@@ -5,7 +5,7 @@
 
 * :mod:`repro.query.source` — the :class:`SketchSource` protocol every
   read surface implements (aggregator, store, reader, follower, spill,
-  windowed adapter).
+  cluster, windowed counter).
 * :mod:`repro.query.plan` — the logical plan algebra (``Scan``,
   ``Filter``, ``Window``, ``SetOp``, ``TopK``, ``Estimate``).
 * :mod:`repro.query.planner` — per-scan physical access-path choice
@@ -37,16 +37,10 @@ from repro.query.plan import (
     sources_of,
 )
 from repro.query.planner import AccessPath, access_path, explain
-from repro.query.source import (
-    BucketedSource,
-    SketchSource,
-    WindowedSource,
-    as_source,
-)
+from repro.query.source import SketchSource, as_source
 
 __all__ = [
     "AccessPath",
-    "BucketedSource",
     "DEFAULT_SOURCE",
     "Estimate",
     "Filter",
@@ -59,7 +53,6 @@ __all__ = [
     "SketchSource",
     "TopK",
     "Window",
-    "WindowedSource",
     "access_path",
     "as_source",
     "execute",
@@ -81,8 +74,8 @@ def query(
     """Run one query — dialect string or plan tree — over any source.
 
     ``source`` is anything implementing :class:`SketchSource` (an
-    aggregator, store, reader, follower, spill, windowed counter, or
-    adapter); it binds the plan's default scan. ``sources`` binds
+    aggregator, store, reader, follower, spill, cluster or windowed
+    counter); it binds the plan's default scan. ``sources`` binds
     additional named scans (``from <name>`` in the dialect). ``text``
     may be a dialect string, an already-built :class:`PlanNode`, or
     ``None`` for "estimate everything". ``now`` anchors ``window``

@@ -27,11 +27,11 @@ Examples::
     top 3 (from live union from history)
 
 With no action the query is sketch-valued and the executor applies an
-implicit ``estimate all``. ``window`` resolves its bucket layout from
-the scanned source (a windowed counter or a
-:class:`~repro.query.BucketedSource`) unless ``bucket`` overrides it;
-``ending`` anchors the window's newest edge at an absolute time instead
-of execution-time ``now``.
+implicit ``estimate all``. ``window`` takes its bucket layout from the
+scanned source when that is a windowed counter; ``bucket`` overrides
+it, and a window over any other source (a store of retired buckets)
+needs it. ``ending`` anchors the window's newest edge at an absolute
+time instead of execution-time ``now``.
 """
 
 from __future__ import annotations

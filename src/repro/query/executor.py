@@ -17,6 +17,7 @@ is bit-identical to scalar estimation.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from typing import Any, Iterator, Mapping
@@ -96,6 +97,8 @@ class _Context:
         now: "float | None",
         profile: "dict[int, float] | None" = None,
     ) -> None:
+        if now is not None and not math.isfinite(now):
+            raise ValueError(f"now must be finite, got {now!r}")
         self.sources = {name: as_source(obj) for name, obj in sources.items()}
         self.now = now
         self.profile = profile
@@ -288,8 +291,8 @@ def _window_keys(node: Window, source, ctx: _Context) -> "tuple[list[bytes], str
         bucket_width = getattr(source, "bucket_width", None)
     if bucket_width is None:
         raise ValueError(
-            "Window needs bucket_width: scan a WindowedSource/BucketedSource "
-            "or set Window(bucket_width=...)"
+            "Window needs bucket_width: scan a SlidingWindowDistinctCounter "
+            "or set Window(bucket_width=...) ('bucket' in the dialect)"
         )
     prefix = node.prefix
     if prefix is None:
@@ -299,8 +302,6 @@ def _window_keys(node: Window, source, ctx: _Context) -> "tuple[list[bytes], str
         raise ValueError(
             "Window has no end anchor: set Window(end=...) or pass now="
         )
-    import math
-
     highest = int(end // bucket_width)
     count = max(1, math.ceil(node.duration / bucket_width - 1e-9))
     lowest = highest - count + 1

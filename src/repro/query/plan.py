@@ -7,7 +7,8 @@ executes unchanged over an in-memory
 :class:`~repro.store.SnapshotReader`, a replicated
 :class:`~repro.store.FollowerStore`, a spilled
 :class:`~repro.store.SpilledGroupBy`, a durable
-:class:`~repro.store.SketchStore`, or a windowed adapter. That property
+:class:`~repro.store.SketchStore`, or a
+:class:`~repro.windowed.SlidingWindowDistinctCounter`. That property
 rests on the paper's Algorithm 5 guarantee: merges are exact, so any
 source's group sketch is a valid query operand.
 
@@ -21,7 +22,7 @@ Nodes
     plannable selective form (the planner turns it into one point read
     per key: a dict lookup, or a single-partition read on a spill);
     ``prefix`` and ``predicate`` filter during a scan.
-``Window(child, duration, end=)``
+``Window(child, duration, end=, bucket_width=, prefix=)``
     Collapse the bucket-keyed groups overlapping the trailing
     ``duration`` of time (ending at ``end``, or the execution-time
     ``now``) into **one** merged sketch.
@@ -42,6 +43,7 @@ dialect of :mod:`repro.query.dialect`::
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -114,15 +116,16 @@ class Window(PlanNode):
 
     ``end`` anchors the window's newest edge; when ``None`` the
     execution-time ``now`` is used. ``bucket_width`` and ``prefix``
-    normally resolve from the scanned source (a
-    :class:`repro.query.WindowedSource` or
-    :class:`repro.query.BucketedSource`); setting them on the node
-    overrides the source's values.
+    resolve from the scanned source when it is a
+    :class:`~repro.windowed.SlidingWindowDistinctCounter`; setting them
+    on the node overrides the source's values. A window over any other
+    source (say, a store holding the buckets a counter retired) must
+    set ``bucket_width``; ``prefix`` defaults to ``"bucket:"``.
 
-    The window is bucket-aligned like
-    :class:`~repro.windowed.SlidingWindowDistinctCounter`: it covers the
+    The window is bucket-aligned like the counter: it covers the
     ``ceil(duration / bucket_width)`` buckets up to and including the
-    bucket containing ``end``.
+    bucket containing ``end``. ``duration`` and ``bucket_width`` must
+    be finite and > 0, and ``end`` finite.
     """
 
     child: PlanNode
@@ -132,8 +135,13 @@ class Window(PlanNode):
     prefix: "str | None" = None
 
     def __post_init__(self) -> None:
-        if self.duration <= 0.0:
-            raise ValueError("window duration must be positive")
+        if not 0.0 < self.duration < math.inf:
+            raise ValueError(f"duration must be finite and > 0, got {self.duration!r}")
+        width = self.bucket_width
+        if width is not None and not 0.0 < width < math.inf:
+            raise ValueError(f"bucket_width must be finite and > 0, got {width!r}")
+        if self.end is not None and not math.isfinite(self.end):
+            raise ValueError(f"end must be finite, got {self.end!r}")
 
 
 @dataclass(frozen=True)

@@ -25,21 +25,18 @@ The aggregator implements the surface itself. The store, reader,
 follower and sharded store hold no sketches of their own: they inherit
 it from :class:`DelegatingSource`, which forwards every read to one
 inner view (their live aggregator, or the cluster's scatter-gather
-source). :func:`live_sketches` is the one probe for a source's live
-``key → sketch`` mapping, which scans read without copying.
-
-:class:`~repro.windowed.SlidingWindowDistinctCounter` predates group
-keys (its state is bucket-indexed), so :class:`WindowedSource` adapts it
-into the protocol; :class:`BucketedSource` declares the bucket layout of
-a store holding retired window buckets so ``Window`` plans can address
-them. :func:`as_source` normalises any of the above.
+source). The :class:`~repro.windowed.SlidingWindowDistinctCounter`
+forwards the five reads to its bucket aggregator itself, so there are
+no adapters: a ``Window`` plan takes its bucket layout from the counter,
+or from its own ``bucket_width``/``prefix`` over a store of retired
+buckets. :func:`live_sketches` is the one probe for a source's live
+``key → sketch`` mapping, which scans read without copying, and
+:func:`as_source` checks the protocol.
 """
 
 from __future__ import annotations
 
 from typing import Any, Hashable, Iterator, Mapping, Protocol, runtime_checkable
-
-from repro.hashing import to_bytes
 
 
 @runtime_checkable
@@ -111,15 +108,12 @@ class DelegatingSource:
 def live_sketches(source) -> "Mapping[bytes, Any] | None":
     """A source's live ``key → sketch`` mapping without copies, or ``None``.
 
-    Looks through :class:`BucketedSource` wrappers and ``aggregator``
-    views to a ``sketches()`` mapping. A sharded source (anything with
-    ``shard_sources``) yields the union of its members' mappings — shards
-    own disjoint key sets, so the union is exactly the single-store
-    mapping — or ``None`` when any member has none. The sketches are
-    shared: callers copy before mutating.
+    Looks through ``aggregator`` views to a ``sketches()`` mapping. A
+    sharded source (anything with ``shard_sources``) yields the union of
+    its members' mappings — shards own disjoint key sets, so the union
+    is exactly the single-store mapping — or ``None`` when any member
+    has none. The sketches are shared: callers copy before mutating.
     """
-    while isinstance(source, BucketedSource):
-        source = source.source
     members = getattr(source, "shard_sources", None)
     if members is not None:
         merged: "dict[bytes, Any]" = {}
@@ -134,154 +128,12 @@ def live_sketches(source) -> "Mapping[bytes, Any] | None":
     return sketches() if callable(sketches) else None
 
 
-class WindowedSource:
-    """A :class:`~repro.windowed.SlidingWindowDistinctCounter` as a source.
-
-    Live buckets become groups keyed ``<prefix><bucket index>`` — the
-    exact keys the counter itself uses when retiring evicted buckets
-    into an attached store, so a plan addressing bucket keys runs
-    unchanged over the live window and over the store holding its
-    history.
-
-    >>> from repro.windowed import SlidingWindowDistinctCounter
-    >>> counter = SlidingWindowDistinctCounter(window=60.0, buckets=6)
-    >>> counter.add("alice", at=10.0)
-    >>> source = WindowedSource(counter)
-    >>> list(source.groups())
-    [b'bucket:1']
-    """
-
-    def __init__(self, counter, prefix: str = "bucket:") -> None:
-        self._counter = counter
-        self._prefix = prefix
-
-    @property
-    def counter(self):
-        return self._counter
-
-    @property
-    def config(self) -> tuple:
-        return self._counter.config
-
-    @property
-    def bucket_width(self) -> float:
-        return self._counter.bucket_width
-
-    @property
-    def prefix(self) -> str:
-        return self._prefix
-
-    def bucket_key(self, bucket: int) -> bytes:
-        """The canonical group key of one bucket index."""
-        return f"{self._prefix}{bucket}".encode()
-
-    def groups(self) -> Iterator[bytes]:
-        for bucket in self._counter._sketches:
-            yield self.bucket_key(bucket)
-
-    def group_sketch(self, key: Any):
-        sketch = self._counter._sketches.get(self._parse_bucket(key))
-        return sketch.copy() if sketch is not None else None
-
-    def _parse_bucket(self, key: Any) -> "int | None":
-        raw = to_bytes(key)
-        prefix = self._prefix.encode()
-        if not raw.startswith(prefix):
-            return None
-        try:
-            return int(raw[len(prefix) :])
-        except ValueError:
-            return None
-
-    def sketches(self) -> "dict[bytes, Any]":
-        """Live bucket sketches keyed by bucket key (no copies)."""
-        return {
-            self.bucket_key(bucket): sketch
-            for bucket, sketch in self._counter._sketches.items()
-        }
-
-    def estimates(self) -> "dict[bytes, float]":
-        from repro.estimation.batch import batch_estimates_by_key
-
-        return batch_estimates_by_key(self.sketches())
-
-    def top(self, count: int) -> "list[tuple[bytes, float]]":
-        from repro.estimation.batch import batch_top
-
-        return batch_top(self.sketches(), count)
-
-    def __repr__(self) -> str:
-        return f"WindowedSource({self._counter!r}, prefix={self._prefix!r})"
-
-
-class BucketedSource:
-    """A keyed source whose groups include time-bucketed keys.
-
-    Wraps any :class:`SketchSource` (typically a store or reader holding
-    buckets a :class:`~repro.windowed.SlidingWindowDistinctCounter`
-    retired via ``store=``) and declares the bucket layout —
-    ``bucket_width`` and key ``prefix`` — that ``Window`` plan nodes
-    need to map a time range onto group keys. All protocol methods
-    delegate to the wrapped source.
-    """
-
-    def __init__(self, source, bucket_width: float, prefix: str = "bucket:") -> None:
-        if bucket_width <= 0.0:
-            raise ValueError("bucket_width must be positive")
-        self._source = as_source(source)
-        self._bucket_width = bucket_width
-        self._prefix = prefix
-
-    @property
-    def source(self):
-        return self._source
-
-    @property
-    def config(self) -> tuple:
-        return self._source.config
-
-    @property
-    def bucket_width(self) -> float:
-        return self._bucket_width
-
-    @property
-    def prefix(self) -> str:
-        return self._prefix
-
-    def bucket_key(self, bucket: int) -> bytes:
-        return f"{self._prefix}{bucket}".encode()
-
-    def groups(self) -> Iterator[bytes]:
-        return self._source.groups()
-
-    def group_sketch(self, key: Any):
-        return self._source.group_sketch(key)
-
-    def estimates(self) -> "dict[bytes, float]":
-        return self._source.estimates()
-
-    def top(self, count: int) -> "list[tuple[bytes, float]]":
-        return self._source.top(count)
-
-    def __repr__(self) -> str:
-        return (
-            f"BucketedSource({self._source!r}, "
-            f"bucket_width={self._bucket_width}, prefix={self._prefix!r})"
-        )
-
-
 def as_source(obj) -> SketchSource:
-    """Normalise ``obj`` into a :class:`SketchSource`.
+    """``obj`` itself, once checked against the :class:`SketchSource` protocol.
 
-    Objects already implementing the protocol (aggregator, store,
-    reader, follower, spill, the adapters above) pass through; a
-    :class:`~repro.windowed.SlidingWindowDistinctCounter` is wrapped in
-    a :class:`WindowedSource`.
+    Every read surface (aggregator, store, reader, follower, spill,
+    cluster, windowed counter) implements it directly.
     """
-    from repro.windowed import SlidingWindowDistinctCounter
-
-    if isinstance(obj, SlidingWindowDistinctCounter):
-        return WindowedSource(obj)
     if isinstance(obj, SketchSource):
         return obj
     raise TypeError(

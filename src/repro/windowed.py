@@ -5,26 +5,30 @@ port-scan detection; this module provides the standard bucketed-window
 construction on ExaLogLog: time is divided into fixed-width buckets, each
 bucket owns a small sketch, and a query merges the sketches of the buckets
 overlapping the window. Expired buckets are dropped, so memory is bounded
-by ``buckets_in_window + 1`` sketches.
+by ``buckets`` sketches.
 
 The window is *bucket-aligned*: a query covers between ``window`` and
 ``window + bucket_width`` of history (the usual trade-off of the bucketed
 approach; exact sliding windows need timestamped registers and lose
 ExaLogLog's fixed-size state).
 
-Live buckets are RAM-only and vanish when the bucket ages out — unless a
-:class:`repro.store.SketchStore` is attached (``store=``), in which case
-every evicted bucket's sketch retires durably into the store under
-``<store_prefix><bucket index>`` before being dropped, so the full
-history remains queryable (and crash-recoverable) after the window moved
-on.
+The buckets are the groups of one dense
+:class:`~repro.aggregate.DistinctCountAggregator`, keyed
+``<store_prefix><bucket index>``, and the counter answers the
+:class:`repro.query.SketchSource` reads from it. Live buckets vanish
+when they age out — unless a :class:`repro.store.SketchStore` is
+attached (``store=``), in which case every evicted bucket's sketch
+retires durably into the store under the same key before being dropped,
+so the full history remains queryable (and crash-recoverable) after the
+window moved on.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from typing import TYPE_CHECKING, Any
+import math
+from typing import TYPE_CHECKING, Any, Hashable, Iterator
 
+from repro.aggregate import DistinctCountAggregator, scatter
 from repro.core.exaloglog import ExaLogLog
 from repro.hashing import hash64
 
@@ -40,18 +44,19 @@ class SlidingWindowDistinctCounter:
     >>> counter.add("bob", at=30.0)
     >>> round(counter.estimate(now=30.0))
     2
+    >>> list(counter.groups())
+    [b'bucket:0', b'bucket:3']
     """
 
     __slots__ = (
+        "_aggregator",
         "_bucket_width",
         "_buckets",
-        "_d",
-        "_p",
+        "_newest",
+        "_newest_key",
         "_seed",
-        "_sketches",
         "_store",
         "_store_prefix",
-        "_t",
     )
 
     def __init__(
@@ -65,15 +70,12 @@ class SlidingWindowDistinctCounter:
         store: "SketchStore | None" = None,
         store_prefix: str = "bucket:",
     ) -> None:
-        if window <= 0.0:
-            raise ValueError("window must be positive")
+        if not 0.0 < window < math.inf:
+            raise ValueError(f"window must be finite and > 0, got {window!r}")
         if buckets < 1:
             raise ValueError("need at least one bucket")
         self._bucket_width = window / buckets
         self._buckets = buckets
-        self._t = t
-        self._d = d
-        self._p = p
         self._seed = seed
         if store is not None:
             store_t, store_d, store_p, _, store_seed = store.config
@@ -91,8 +93,11 @@ class SlidingWindowDistinctCounter:
                 )
         self._store = store
         self._store_prefix = store_prefix
-        #: bucket index -> sketch, oldest first.
-        self._sketches: OrderedDict[int, ExaLogLog] = OrderedDict()
+        self._aggregator = DistinctCountAggregator(t, d, p, sparse=False, seed=seed)
+        #: The newest bucket seen and its key. Every live bucket lies in
+        #: the ``buckets`` indices ending at it, so no read scans more.
+        self._newest: int | None = None
+        self._newest_key = b""
 
     @property
     def window(self) -> float:
@@ -100,47 +105,79 @@ class SlidingWindowDistinctCounter:
         return self._bucket_width * self._buckets
 
     @property
-    def config(self) -> tuple[int, int, int, bool, int]:
-        """``(t, d, p, sparse, seed)`` of the bucket sketches.
-
-        Buckets are always dense :class:`~repro.core.exaloglog.ExaLogLog`
-        instances, so the sparse flag is ``False``; the tuple matches the
-        attached store's configuration when one is present (checked in
-        ``__init__`` up to the sparse flag, which stores may set freely —
-        dense and sparse sketches of one parameterisation merge exactly).
-        """
-        return (self._t, self._d, self._p, False, self._seed)
-
-    @property
     def bucket_width(self) -> float:
         return self._bucket_width
 
     @property
+    def prefix(self) -> str:
+        """The key prefix of bucket groups, live and retired (``store_prefix``)."""
+        return self._store_prefix
+
+    @property
+    def aggregator(self) -> DistinctCountAggregator:
+        """The live buckets, one group per bucket (read it, don't write it)."""
+        return self._aggregator
+
+    @property
     def active_buckets(self) -> int:
         """Number of bucket sketches currently held."""
-        return len(self._sketches)
+        return len(self._aggregator)
 
     @property
     def memory_bytes(self) -> int:
         """Modelled footprint of all bucket sketches."""
-        return sum(sketch.memory_bytes for sketch in self._sketches.values())
+        return self._aggregator.total_memory_bytes()
 
-    def _bucket_of(self, at: float) -> int:
-        return int(at // self._bucket_width)
+    def _key(self, bucket: int) -> bytes:
+        return f"{self._store_prefix}{bucket}".encode()
 
-    def _evict_before(self, bucket: int) -> None:
-        cutoff = bucket - self._buckets
-        while self._sketches:
-            oldest = next(iter(self._sketches))
-            if oldest > cutoff:
-                break
-            self._retire(oldest, self._sketches[oldest])
-            del self._sketches[oldest]
+    def _bucket_of(self, at: float, name: str = "at") -> int:
+        try:
+            return int(at // self._bucket_width)
+        except ValueError:  # a NaN or infinite time floors to NaN
+            raise ValueError(f"{name} must be finite, got {at!r}") from None
 
-    def _retire(self, bucket: int, sketch: ExaLogLog) -> None:
-        """Persist an evicted bucket into the attached store (if any)."""
-        if self._store is not None and not sketch.is_empty:
-            self._store.merge_sketch(f"{self._store_prefix}{bucket}", sketch)
+    def _admit(self, bucket: int) -> bytes | None:
+        """``bucket``'s group key, evicting what a new newest bucket pushes out.
+
+        ``None`` for a bucket older than the window ending at the newest
+        bucket seen: its items are skipped, never folded into a bucket
+        that is evicted at once.
+        """
+        newest = self._newest
+        if bucket == newest:
+            return self._newest_key
+        key = self._key(bucket)
+        if newest is None or bucket > newest:
+            if newest is not None:
+                self._evict(newest, bucket)
+            self._newest, self._newest_key = bucket, key
+        elif bucket <= newest - self._buckets:
+            return None
+        return key
+
+    def _evict(self, newest: int, bucket: int) -> None:
+        """Retire and drop, oldest first, the buckets ``bucket`` pushes out."""
+        cutoff = min(bucket - self._buckets, newest)
+        for _, key, sketch in self._live(newest - self._buckets + 1, cutoff):
+            if self._store is not None and not sketch.is_empty:
+                self._store.merge_sketch(key, sketch)
+            self._aggregator.drop_group(key)
+
+    def _live(self, lowest: int, highest: int) -> "list[tuple[int, bytes, Any]]":
+        """``(bucket, key, sketch)`` of each live bucket in ``[lowest, highest]``."""
+        sketches = self._aggregator.sketches()
+        live = []
+        for bucket in range(lowest, highest + 1):
+            key = self._key(bucket)
+            sketch = sketches.get(key)
+            if sketch is not None:
+                live.append((bucket, key, sketch))
+        return live
+
+    def _covering(self, now: float) -> "list[tuple[int, bytes, Any]]":
+        current = self._bucket_of(now, "now")
+        return self._live(current - self._buckets + 1, current)
 
     def flush_to_store(self) -> int:
         """Retire all *live* buckets into the store without evicting them.
@@ -153,10 +190,12 @@ class SlidingWindowDistinctCounter:
         """
         if self._store is None:
             raise ValueError("no store attached to this counter")
+        if self._newest is None:
+            return 0
         flushed = 0
-        for bucket, sketch in self._sketches.items():
+        for _, key, sketch in self._live(self._newest - self._buckets + 1, self._newest):
             if not sketch.is_empty:
-                self._store.merge_sketch(f"{self._store_prefix}{bucket}", sketch)
+                self._store.merge_sketch(key, sketch)
                 flushed += 1
         return flushed
 
@@ -167,57 +206,30 @@ class SlidingWindowDistinctCounter:
         self.add_hash(hash64(item, self._seed), at)
 
     def add_hash(self, hash_value: int, at: float) -> None:
-        bucket = self._bucket_of(at)
-        sketch = self._sketch_for(bucket)
-        if sketch is not None:
-            sketch.add_hash(hash_value)
+        key = self._admit(self._bucket_of(at))
+        if key is not None:
+            self._aggregator.add_hash(key, hash_value)
 
-    def _sketch_for(self, bucket: int) -> ExaLogLog | None:
-        """The bucket's sketch, creating (and evicting) as needed.
-
-        Returns ``None`` for a bucket that is already expired — older
-        than the whole window relative to the newest bucket seen. (A
-        created-then-evicted sketch would silently swallow the caller's
-        writes; the explicit skip also saves the wasted allocation.)
-        """
-        sketch = self._sketches.get(bucket)
-        if sketch is not None:
-            return sketch
-        newest = next(reversed(self._sketches)) if self._sketches else None
-        if newest is not None and bucket <= newest - self._buckets:
-            return None
-        sketch = ExaLogLog(self._t, self._d, self._p)
-        self._sketches[bucket] = sketch
-        if newest is not None and bucket < newest:
-            # Out-of-order (but in-window) creation: rotate the larger
-            # keys behind the new one — O(buckets) on this rare path
-            # instead of re-sorting the whole dict on every creation.
-            for key in [k for k in self._sketches if k > bucket]:
-                self._sketches.move_to_end(key)
-        else:
-            # New newest bucket: insertion order is already sorted; old
-            # buckets may now have fallen out of the window.
-            self._evict_before(bucket)
-        return sketch
-
-    def add_batch(self, items: Any, at, workers: int | None = None) -> None:
+    def add_batch(self, items: Any, at) -> None:
         """Record a batch of items; ``at`` is one time or one per item."""
         from repro.hashing.batch import hash_items
 
-        self.add_hashes(hash_items(items, self._seed), at, workers)
+        self.add_hashes(hash_items(items, self._seed), at)
 
-    def add_hashes(self, hashes, at, workers: int | None = None) -> None:
+    def add_hashes(self, hashes, at) -> None:
         """Bulk insert hashes observed at time(s) ``at``.
 
-        ``at`` may be a scalar (whole batch in one bucket) or an array of
-        per-item timestamps. Buckets are processed in first-appearance
+        ``at`` may be a scalar (the whole batch in one bucket, one
+        :meth:`~repro.aggregate.DistinctCountAggregator.fold`) or an array
+        of per-item timestamps. Buckets are admitted in first-appearance
         order, so creations — and therefore evictions and expired-bucket
         skips, which only happen at first appearance — occur exactly as
-        in the sequential loop; the final state is identical.
-
-        ``workers`` forwards to each bucket sketch's thread
-        :meth:`~repro.core.exaloglog.ExaLogLog.add_hashes` fan-out
-        (worthwhile when single buckets receive very large segments).
+        in the sequential loop; the final state is identical. The
+        buckets' segments fold together through
+        :meth:`~repro.aggregate.DistinctCountAggregator.fold_segments`,
+        flushed early only when a new bucket would evict one of them.
+        Timestamps must be finite: a batch holding a NaN or infinite one
+        raises ``ValueError`` naming its first index, and ingests nothing.
         """
         import numpy as np
 
@@ -228,49 +240,46 @@ class SlidingWindowDistinctCounter:
             return
         at_array = np.asarray(at, dtype=np.float64)
         if at_array.ndim == 0:
-            sketch = self._sketch_for(self._bucket_of(float(at_array)))
-            if sketch is not None:
-                sketch.add_hashes(hashes, workers)
+            key = self._admit(self._bucket_of(float(at_array)))
+            if key is not None:
+                self._aggregator.fold(key, hashes)
             return
         at_array = at_array.reshape(-1)
         if len(at_array) != len(hashes):
             raise ValueError(
                 f"timestamp/hash length mismatch: {len(at_array)} vs {len(hashes)}"
             )
+        bad = np.flatnonzero(~np.isfinite(at_array))
+        if len(bad):
+            raise ValueError(
+                f"at[{bad[0]}] must be finite, got {float(at_array[bad[0]])!r}"
+            )
         buckets = np.floor_divide(at_array, self._bucket_width).astype(np.int64)
-        unique_buckets, first_positions = np.unique(buckets, return_index=True)
-        appearance = np.argsort(first_positions, kind="stable")
-        # One stable sort + segment slicing (as in the aggregator scatter)
-        # instead of a full-array mask per bucket.
-        order = np.argsort(buckets, kind="stable")
-        sorted_buckets = buckets[order]
-        starts = np.searchsorted(sorted_buckets, unique_buckets, side="left")
-        ends = np.searchsorted(sorted_buckets, unique_buckets, side="right")
-        for position in appearance.tolist():
-            bucket = int(unique_buckets[position])
-            sketch = self._sketch_for(bucket)
-            if sketch is None:
-                continue
-            segment = order[starts[position] : ends[position]]
-            sketch.add_hashes(hashes[segment], workers)
+        first, runs = scatter(buckets, hashes)
+        segments: list = []
+        lowest = 0  # the oldest bucket with a gathered segment
+        for bucket, run in zip(buckets[first].tolist(), runs):
+            if segments and lowest <= bucket - self._buckets:
+                # Admitting ``bucket`` evicts a gathered one: fold it first.
+                self._aggregator.fold_segments(segments)
+                segments = []
+            key = self._admit(bucket)
+            if key is not None:
+                lowest = min(lowest, bucket) if segments else bucket
+                segments.append((key, run))
+        self._aggregator.fold_segments(segments)
 
     # -- queries --------------------------------------------------------------------
 
     def estimate(self, now: float) -> float:
         """Distinct count of the buckets overlapping ``(now - window, now]``."""
-        current = self._bucket_of(now)
-        lowest = current - self._buckets + 1
-        merged: ExaLogLog | None = None
-        for bucket, sketch in self._sketches.items():
-            if lowest <= bucket <= current:
-                if merged is None:
-                    merged = sketch.copy()
-                else:
-                    merged.merge_inplace(sketch)
-        return merged.estimate() if merged is not None else 0.0
+        merged = ExaLogLog(*self.config[:3])  # empty: Alg. 5's merge identity
+        for _, _, sketch in self._covering(now):
+            merged.merge_inplace(sketch)
+        return merged.estimate()
 
     def estimate_per_bucket(self, now: float) -> list[tuple[int, float]]:
-        """(bucket index, estimate) for each live bucket in the window.
+        """(bucket index, estimate) for each live bucket in the window, ascending.
 
         All bucket sketches resolve in one simultaneous Newton solve
         (:func:`repro.estimation.batch.batch_estimate_sketches`),
@@ -278,15 +287,36 @@ class SlidingWindowDistinctCounter:
         """
         from repro.estimation.batch import batch_estimate_sketches
 
-        current = self._bucket_of(now)
-        lowest = current - self._buckets + 1
-        live = [
-            (bucket, sketch)
-            for bucket, sketch in self._sketches.items()
-            if lowest <= bucket <= current
-        ]
-        values = batch_estimate_sketches([sketch for _, sketch in live])
-        return [(bucket, value) for (bucket, _), value in zip(live, values)]
+        live = self._covering(now)
+        values = batch_estimate_sketches([sketch for _, _, sketch in live])
+        return [(bucket, value) for (bucket, _, _), value in zip(live, values)]
+
+    # -- the SketchSource reads, answered by the bucket aggregator -------------------
+
+    @property
+    def config(self) -> tuple[int, int, int, bool, int]:
+        """``(t, d, p, sparse, seed)`` of the bucket sketches.
+
+        Buckets are always dense :class:`~repro.core.exaloglog.ExaLogLog`
+        instances, so the sparse flag is ``False``; the tuple matches the
+        attached store's configuration when one is present (checked in
+        ``__init__`` up to the sparse flag, which stores may set freely —
+        dense and sparse sketches of one parameterisation merge exactly).
+        """
+        return self._aggregator.config
+
+    def groups(self) -> Iterator[bytes]:
+        """The live bucket keys, in bucket creation order."""
+        return self._aggregator.groups()
+
+    def group_sketch(self, key: Hashable):
+        return self._aggregator.group_sketch(key)
+
+    def estimates(self) -> "dict[bytes, float]":
+        return self._aggregator.estimates()
+
+    def top(self, count: int) -> "list[tuple[bytes, float]]":
+        return self._aggregator.top(count)
 
     def __repr__(self) -> str:
         return (

@@ -111,7 +111,7 @@ def test_windowed_paths_stay_coherent():
     counter.add_batch(list(range(100, 160)), at=4.0)
     counter.add("later", at=9.0)
     counter.add_batch(list(range(200, 230)), at=12.0)  # evicts the oldest bucket
-    for sketch in counter._sketches.values():
+    for sketch in counter.aggregator.sketches().values():
         _assert_coherent(sketch)
     # Per-bucket and total estimates agree with pristine rebuilds.
     total = counter.estimate(now=12.0)

@@ -1,8 +1,18 @@
 """Sliding-window distinct counting."""
 
+import math
+
+import numpy as np
 import pytest
 
 from repro.windowed import SlidingWindowDistinctCounter
+
+
+def bucket_bytes(counter):
+    """Each live bucket's serialized sketch, by bucket key."""
+    return {
+        key: sketch.to_bytes() for key, sketch in counter.aggregator.sketches().items()
+    }
 
 
 class TestBasics:
@@ -77,8 +87,6 @@ class TestQueries:
         simultaneous Newton solve; the floats must be *bit*-identical to
         estimating each bucket sketch on its own, not just close.
         """
-        import numpy as np
-
         rng = np.random.Generator(np.random.PCG64(21))
         counter = SlidingWindowDistinctCounter(window=60.0, buckets=6, p=8)
         for at in (1.0, 11.0, 21.0, 31.0, 41.0, 51.0):
@@ -88,8 +96,9 @@ class TestQueries:
             )
         batched = counter.estimate_per_bucket(now=51.0)
         assert len(batched) == counter.active_buckets
+        sketches = counter.aggregator.sketches()
         for bucket, value in batched:
-            assert value == counter._sketches[bucket].estimate(), (
+            assert value == sketches[f"bucket:{bucket}".encode()].estimate(), (
                 f"bucket {bucket}: batched estimate is not bit-identical"
             )
 
@@ -112,10 +121,9 @@ class TestQueries:
 class TestExpiredBucketRegression:
     """Late events older than the window must hit an explicit skip path.
 
-    Regression: ``_sketch_for`` used to create a sketch for an expired
+    Regression: the counter used to create a sketch for an expired
     bucket, evict it immediately, and hand the detached sketch back —
-    writes landed in state that was silently discarded (and every
-    creation re-sorted the whole bucket dict).
+    writes landed in state that was silently discarded.
     """
 
     def _counter(self):
@@ -125,18 +133,23 @@ class TestExpiredBucketRegression:
         return counter
 
     def test_sketch_for_expired_bucket_is_none(self):
+        """An expired add creates no group."""
         counter = self._counter()
-        assert counter._sketch_for(0) is None
-        assert counter._sketch_for(counter._bucket_of(10.0)) is None
+        groups = list(counter.groups())
+        counter.add("ancient", at=0.0)
+        counter.add("ancient", at=10.0)
+        assert list(counter.groups()) == groups
+        assert counter.group_sketch(b"bucket:0") is None
+        assert counter.group_sketch(b"bucket:1") is None
 
     def test_expired_add_leaves_state_unchanged(self):
         counter = self._counter()
-        sketches = counter._sketches
         before = (
             counter.active_buckets,
             counter.memory_bytes,
             counter.estimate(now=1040.0),
-            {bucket: sketch.to_bytes() for bucket, sketch in sketches.items()},
+            list(counter.groups()),
+            bucket_bytes(counter),
         )
         for i in range(50):
             counter.add(f"ancient-{i}", at=float(i))
@@ -144,15 +157,12 @@ class TestExpiredBucketRegression:
             counter.active_buckets,
             counter.memory_bytes,
             counter.estimate(now=1040.0),
-            {bucket: sketch.to_bytes() for bucket, sketch in counter._sketches.items()},
+            list(counter.groups()),
+            bucket_bytes(counter),
         )
         assert after == before
-        # No re-sort churn either: the bucket dict is never rebound.
-        assert counter._sketches is sketches
 
     def test_scalar_and_bulk_drop_expired_identically(self):
-        import numpy as np
-
         rng = np.random.Generator(np.random.PCG64(12))
         items = rng.integers(0, 1 << 62, size=2000, dtype=np.int64)
         # Half recent, half far older than the window, interleaved unsorted.
@@ -174,27 +184,127 @@ class TestExpiredBucketRegression:
             scalar.add_hash(hash64(item, 0), at)
         bulk.add_batch(items, at=times)
 
-        assert {
-            bucket: sketch.to_bytes() for bucket, sketch in bulk._sketches.items()
-        } == {bucket: sketch.to_bytes() for bucket, sketch in scalar._sketches.items()}
+        assert bucket_bytes(bulk) == bucket_bytes(scalar)
         assert bulk.estimate(now=1050.0) == scalar.estimate(now=1050.0)
 
     def test_whole_expired_batch_scalar_timestamp(self):
         counter = self._counter()
-        before = {b: s.to_bytes() for b, s in counter._sketches.items()}
-        import numpy as np
-
+        before = bucket_bytes(counter)
         counter.add_batch(np.arange(500, dtype=np.int64), at=3.0)
-        assert {b: s.to_bytes() for b, s in counter._sketches.items()} == before
+        assert bucket_bytes(counter) == before
 
     def test_out_of_order_in_window_creation_keeps_sorted_order(self):
+        """Per-bucket reads ascend by bucket; groups() keeps creation order."""
         counter = SlidingWindowDistinctCounter(window=50.0, buckets=5, p=6)
         counter.add("newest", at=100.0)
         counter.add("late-but-live", at=70.0)  # older bucket, still in window
         counter.add("middle", at=85.0)
-        buckets = list(counter._sketches)
-        assert buckets == sorted(buckets)
+        buckets = [bucket for bucket, _ in counter.estimate_per_bucket(now=100.0)]
+        assert buckets == [7, 8, 10]
+        assert list(counter.groups()) == [b"bucket:10", b"bucket:7", b"bucket:8"]
         assert counter.estimate(now=100.0) == pytest.approx(3.0, abs=0.5)
+
+
+class TestRetirementOrder:
+    """Evicted buckets reach an attached store complete and oldest first."""
+
+    def test_buckets_evicted_together_retire_oldest_first(self, tmp_path):
+        from repro.store import SketchStore
+
+        with SketchStore.open(tmp_path / "s", p=6) as store:
+            counter = SlidingWindowDistinctCounter(
+                window=50.0, buckets=5, p=6, store=store
+            )
+            for at in (100.0, 70.0, 60.0):
+                counter.add(f"at-{at}", at=at)
+            counter.add("far-ahead", at=200.0)  # evicts buckets 10, 7 and 6
+            assert list(store.groups()) == [b"bucket:6", b"bucket:7", b"bucket:10"]
+
+    def test_batch_folds_a_bucket_before_evicting_it(self, tmp_path):
+        """A bucket that a later bucket of its own batch evicts retires with its items."""
+        from repro.store import SketchStore
+
+        rng = np.random.Generator(np.random.PCG64(31))
+        hashes = rng.integers(0, 1 << 64, size=600, dtype=np.uint64)
+        at = np.concatenate(
+            [np.full(200, 5.0), np.full(200, 25.0), np.full(200, 95.0)]
+        )  # buckets 0 and 2, then bucket 9 evicts both
+        with SketchStore.open(tmp_path / "loop", p=6) as loop_store, SketchStore.open(
+            tmp_path / "batch", p=6
+        ) as batch_store:
+            loop = SlidingWindowDistinctCounter(
+                window=50.0, buckets=5, p=6, store=loop_store
+            )
+            for hash_value, time in zip(hashes.tolist(), at.tolist()):
+                loop.add_hash(hash_value, time)
+            batch = SlidingWindowDistinctCounter(
+                window=50.0, buckets=5, p=6, store=batch_store
+            )
+            batch.add_hashes(hashes, at=at)
+            assert bucket_bytes(batch) == bucket_bytes(loop)
+            assert list(batch_store.groups()) == [b"bucket:0", b"bucket:2"]
+            assert batch_store.aggregator == loop_store.aggregator
+
+
+class TestTimeValidation:
+    """Window lengths must be finite and > 0; timestamps and ``now`` finite."""
+
+    @pytest.mark.parametrize("window", [math.nan, math.inf, 0.0, -10.0])
+    def test_window_must_be_finite_and_positive(self, window):
+        with pytest.raises(ValueError, match=f"window must be finite and > 0, got {window!r}"):
+            SlidingWindowDistinctCounter(window=window)
+
+    @pytest.mark.parametrize("at", [math.nan, math.inf, -math.inf])
+    def test_scalar_timestamp_must_be_finite(self, at):
+        counter = SlidingWindowDistinctCounter(window=60.0, buckets=6, p=6)
+        with pytest.raises(ValueError, match=f"at must be finite, got {at!r}"):
+            counter.add("x", at=at)
+        assert counter.active_buckets == 0
+
+    def test_batch_at_one_time_must_be_finite(self):
+        counter = SlidingWindowDistinctCounter(window=60.0, buckets=6, p=6)
+        with pytest.raises(ValueError, match="at must be finite, got nan"):
+            counter.add_hashes(np.arange(10, dtype=np.uint64), at=math.nan)
+        assert counter.active_buckets == 0
+
+    def test_batch_names_first_bad_timestamp(self):
+        counter = SlidingWindowDistinctCounter(window=60.0, buckets=6, p=6)
+        at = np.array([1.0, 2.0, np.inf, np.nan])
+        with pytest.raises(ValueError, match=r"at\[2\] must be finite, got inf"):
+            counter.add_hashes(np.arange(4, dtype=np.uint64), at=at)
+
+    def test_refused_batch_ingests_nothing(self):
+        counter = SlidingWindowDistinctCounter(window=60.0, buckets=6, p=6)
+        counter.add_batch(np.arange(100, dtype=np.int64), at=5.0)
+        before = (counter.active_buckets, counter.estimate_per_bucket(now=15.0))
+        at = np.full(100, 15.0)
+        at[-1] = np.nan
+        with pytest.raises(ValueError, match=r"at\[99\]"):
+            counter.add_batch(np.arange(100, 200, dtype=np.int64), at=at)
+        assert (counter.active_buckets, counter.estimate_per_bucket(now=15.0)) == before
+
+    def test_refused_batch_retires_nothing_into_store(self, tmp_path):
+        from repro.store import SketchStore
+
+        with SketchStore.open(tmp_path / "s", p=6) as store:
+            counter = SlidingWindowDistinctCounter(
+                window=60.0, buckets=6, p=6, store=store
+            )
+            at = np.full(100, 5.0)
+            at[0] = np.nan
+            with pytest.raises(ValueError, match=r"at\[0\] must be finite"):
+                counter.add_hashes(np.arange(100, dtype=np.uint64), at=at)
+            counter.flush_to_store()
+            assert list(store.groups()) == []
+
+    @pytest.mark.parametrize("now", [math.nan, math.inf])
+    def test_now_must_be_finite(self, now):
+        counter = SlidingWindowDistinctCounter(window=60.0, buckets=6, p=6)
+        counter.add("x", at=5.0)
+        with pytest.raises(ValueError, match=f"now must be finite, got {now!r}"):
+            counter.estimate(now=now)
+        with pytest.raises(ValueError, match=f"now must be finite, got {now!r}"):
+            counter.estimate_per_bucket(now=now)
 
 
 class TestBulkIngestion:
@@ -208,14 +318,9 @@ class TestBulkIngestion:
 
     @staticmethod
     def _state(counter):
-        return {
-            bucket: sketch.to_bytes()
-            for bucket, sketch in counter._sketches.items()
-        }
+        return bucket_bytes(counter)
 
     def test_scalar_timestamp_batch(self):
-        import numpy as np
-
         items = np.arange(500, dtype=np.int64)
         reference = self._reference(
             [(int(i), 7.0) for i in items], window=60.0, buckets=6, p=6
@@ -225,8 +330,6 @@ class TestBulkIngestion:
         assert self._state(bulk) == self._state(reference)
 
     def test_per_item_timestamps_with_expiry(self):
-        import numpy as np
-
         rng = np.random.Generator(np.random.PCG64(8))
         items = rng.integers(0, 1 << 62, size=3000, dtype=np.int64)
         times = np.sort(rng.uniform(0.0, 500.0, size=3000))
@@ -239,8 +342,6 @@ class TestBulkIngestion:
         assert bulk.estimate(now=500.0) == reference.estimate(now=500.0)
 
     def test_out_of_order_timestamps(self):
-        import numpy as np
-
         rng = np.random.Generator(np.random.PCG64(9))
         items = rng.integers(0, 1 << 62, size=2000, dtype=np.int64)
         times = rng.uniform(0.0, 300.0, size=2000)  # unsorted
@@ -252,8 +353,6 @@ class TestBulkIngestion:
         assert self._state(bulk) == self._state(reference)
 
     def test_chunked_equals_single_batch(self):
-        import numpy as np
-
         rng = np.random.Generator(np.random.PCG64(10))
         items = rng.integers(0, 1 << 62, size=1500, dtype=np.int64)
         times = np.sort(rng.uniform(0.0, 200.0, size=1500))
@@ -265,8 +364,6 @@ class TestBulkIngestion:
         assert self._state(chunked) == self._state(single)
 
     def test_length_mismatch_raises(self):
-        import numpy as np
-
         counter = SlidingWindowDistinctCounter(window=10.0)
         with pytest.raises(ValueError):
             counter.add_hashes(

@@ -2,14 +2,15 @@
 
 The library's core promise is that all ingest and query paths are
 *bit-identical*: scalar ``add_hash`` loops, vectorised ``add_hashes``,
-segmented batch folds, ``workers=`` thread fan-outs, WAL-replayed
-stores, WAL-shipped follower replicas, sharded clusters, and scalar vs
-simultaneous batched estimation all produce exactly the same register
-bytes and exactly the same floats. Rather than one bespoke fixture per
-path, this module generates one seeded scenario — parameters, per-group
-hash streams, a merge/compaction/window schedule — and hands it to
-*every* layer, so a new path joins the identity matrix through one more
-``build_*`` function instead of a new test file.
+segmented batch folds, ``workers=`` thread fan-outs, sliding-window
+buckets, WAL-replayed stores, WAL-shipped follower replicas, sharded
+clusters, and scalar vs simultaneous batched estimation all produce
+exactly the same register bytes and exactly the same floats. Rather
+than one bespoke fixture per path, this module generates one seeded
+scenario — parameters, per-group hash streams, a merge/compaction/window
+schedule — and hands it to *every* layer, so a new path joins the
+identity matrix through one more ``build_*`` function instead of a new
+test file.
 
 Scenario generation is deterministic per seed (``numpy.random.PCG64``),
 so a CI failure reproduces locally with just the seed from the test id.
@@ -254,6 +255,55 @@ def build_parallel(scenario: Scenario, workers: int = 2) -> DistinctCountAggrega
     for step in scenario.steps:
         if step.op == OP_SKETCH:
             _apply_sketch_step(aggregator, scenario, step)
+    return aggregator
+
+
+def windowed_scenario(scenario: Scenario) -> Scenario:
+    """``scenario``'s hash steps under a dense copy of its configuration.
+
+    The sliding-window counter keeps dense buckets and takes no sketch
+    merges, so :func:`build_windowed` compares against this scenario.
+    """
+    t, d, p, _, seed = scenario.config
+    return Scenario(scenario.seed, (t, d, p, False, seed), tuple(scenario.hash_steps()))
+
+
+def build_windowed(scenario: Scenario, path: str) -> DistinctCountAggregator:
+    """Sliding-window path: group ``groups[i]`` is time bucket ``i``.
+
+    The counter has one unit-wide bucket per group and a window that
+    holds them all, so nothing is evicted. ``path`` is ``"per-item"``
+    (every hash step in one ``add_hashes`` call with per-item
+    timestamps ``i + 0.5``, so buckets arrive out of order) or
+    ``"scalar"`` (one ``add_hashes`` call per step at its bucket's
+    time). Each live bucket is then re-keyed to its group by
+    ``merge_sketch`` into a fresh dense aggregator.
+    """
+    from repro.windowed import SlidingWindowDistinctCounter
+
+    t, d, p, sparse, seed = scenario.config
+    assert not sparse, "window buckets are dense: use windowed_scenario()"
+    groups = scenario.groups
+    counter = SlidingWindowDistinctCounter(
+        window=len(groups), buckets=len(groups), t=t, d=d, p=p, seed=seed
+    )
+    time_of = {group: index + 0.5 for index, group in enumerate(groups)}
+    steps = scenario.hash_steps()
+    if path == "per-item":
+        counter.add_hashes(
+            np.concatenate([step.hashes for step in steps]),
+            at=np.concatenate(
+                [np.full(len(step.hashes), time_of[step.group]) for step in steps]
+            ),
+        )
+    else:
+        assert path == "scalar", path
+        for step in steps:
+            counter.add_hashes(step.hashes, at=time_of[step.group])
+    aggregator = DistinctCountAggregator(*scenario.config)
+    buckets = counter.aggregator.sketches()
+    for index, group in enumerate(groups):
+        aggregator.merge_sketch(group, buckets[f"{counter.prefix}{index}".encode()])
     return aggregator
 
 

@@ -20,11 +20,13 @@ from tests.invariants.harness import (
     build_segmented,
     build_sharded_cluster,
     build_store,
+    build_windowed,
     fan_out_scenario,
     random_scenario,
     register_bytes,
     rounds,
     stacked_scenario,
+    windowed_scenario,
 )
 
 
@@ -44,6 +46,14 @@ def test_bulk_matches_scalar(scenario, reference):
 
 def test_segmented_matches_scalar(scenario, reference):
     assert_identical(reference, build_segmented(scenario), "fold_segments runs vs add_hash")
+
+
+@pytest.mark.parametrize("path", ["per-item", "scalar"])
+def test_windowed_matches_scalar(scenario, path):
+    """Sliding-window buckets fold like groups, with timestamps in any order."""
+    dense = windowed_scenario(scenario)
+    windowed = build_windowed(dense, path)
+    assert_identical(build_scalar(dense), windowed, f"windowed {path} vs add_hash")
 
 
 def test_store_replay_matches_scalar(scenario, reference, tmp_path):

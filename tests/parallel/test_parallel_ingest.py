@@ -8,7 +8,6 @@ from repro.core.exaloglog import ExaLogLog
 from repro.core.params import make_params
 from repro.obs import metrics
 from repro.parallel import ParallelBulkIngestor
-from repro.windowed import SlidingWindowDistinctCounter
 
 PARAMS = make_params(2, 20, 8)
 
@@ -106,17 +105,10 @@ class TestMetrics:
 class TestValidation:
     def test_bad_workers(self):
         hashes = _hashes(100)
-        windowed = SlidingWindowDistinctCounter(window=60.0, buckets=6, p=6)
         for workers in (0, -2):
             calls = {
                 "ingestor": lambda: ParallelBulkIngestor(PARAMS, workers),
                 "add_hashes": lambda: ExaLogLog(2, 20, 8).add_hashes(hashes, workers=workers),
-                "windowed add_batch": lambda: windowed.add_batch(
-                    np.arange(100), at=1.0, workers=workers
-                ),
-                "windowed add_hashes": lambda: windowed.add_hashes(
-                    hashes, at=np.full(100, 2.0), workers=workers
-                ),
             }
             for call in calls.values():
                 with pytest.raises(ValueError, match=f"workers must be >= 1, got {workers}"):
@@ -131,23 +123,3 @@ class TestValidation:
         wide = make_params(0, 64, 8)  # 70-bit registers exceed int64
         with pytest.raises(ValueError):
             ParallelBulkIngestor(wide, 2)
-
-
-class TestWindowedWorkers:
-    def test_windowed_counter_workers_equivalence(self, slice_counts):
-        rng = np.random.Generator(np.random.PCG64(21))
-        # The newest bucket, t in [290, 300), takes more than two chunks,
-        # so its fold fans out and it is still in the window at the end.
-        busy = 2 * BULK_CHUNK + 500
-        items = rng.integers(0, 1 << 62, size=5_000 + busy, dtype=np.int64)
-        times = np.concatenate(
-            [rng.uniform(0.0, 300.0, size=5_000), rng.uniform(290.0, 300.0, size=busy)]
-        )
-        plain = SlidingWindowDistinctCounter(window=60.0, buckets=6, p=6)
-        plain.add_batch(items, at=times)
-        fanned = SlidingWindowDistinctCounter(window=60.0, buckets=6, p=6)
-        fanned.add_batch(items, at=times, workers=2)
-        assert max(slice_counts) >= 2
-        assert {
-            bucket: sketch.to_bytes() for bucket, sketch in fanned._sketches.items()
-        } == {bucket: sketch.to_bytes() for bucket, sketch in plain._sketches.items()}

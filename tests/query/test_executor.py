@@ -1,17 +1,17 @@
-"""Executor semantics over in-memory and adapted sources."""
+"""Executor semantics over in-memory and windowed sources."""
+
+import math
 
 import pytest
 
 from repro.aggregate import DistinctCountAggregator
 from repro.query import (
-    BucketedSource,
     Estimate,
     Filter,
     Scan,
     SetOp,
     TopK,
     Window,
-    WindowedSource,
     access_path,
     as_source,
     execute,
@@ -200,10 +200,9 @@ class TestWindow:
         with pytest.raises(ValueError, match="bucket_width"):
             execute(Window(Scan(), duration=10.0), countries, now=1.0)
 
-    def test_bucketed_source_provides_layout(self, tmp_path):
+    def test_window_over_retired_buckets_takes_bucket_width(self, tmp_path):
         from repro.store import SketchStore
 
-        counter = SlidingWindowDistinctCounter(window=60.0, buckets=6, p=10)
         with SketchStore.open(tmp_path / "s", p=10) as store:
             retiring = SlidingWindowDistinctCounter(
                 window=60.0, buckets=6, p=10, store=store
@@ -213,10 +212,11 @@ class TestWindow:
             for i in range(50):
                 retiring.add(f"new-{i}", at=500.0)  # evicts bucket 0 into the store
             retiring.flush_to_store()
-            source = BucketedSource(store, bucket_width=10.0)
-            result = execute(Window(Scan(), duration=10.0, end=5.0), source)
+            plan = Window(Scan(), duration=10.0, end=5.0, bucket_width=10.0)
+            result = execute(plan, store)
             assert result.value == pytest.approx(150, rel=0.1)
-        del counter
+            dialect = query(store, "window 10s bucket 10s ending 5")
+            assert dialect.value == result.value
 
     def test_empty_window_returns_no_rows(self):
         counter = self._counter()
@@ -224,12 +224,19 @@ class TestWindow:
         assert result.rows == ()
 
 
+class TestTimeValidation:
+    @pytest.mark.parametrize("now", [math.nan, math.inf, -math.inf])
+    def test_now_must_be_finite(self, now):
+        counter = SlidingWindowDistinctCounter(window=60.0, buckets=6, p=10)
+        counter.add("x", at=5.0)
+        with pytest.raises(ValueError, match=f"now must be finite, got {now!r}"):
+            execute(Window(Scan(), duration=10.0), counter, now=now)
+
+
 class TestSources:
-    def test_as_source_wraps_counter(self):
+    def test_as_source_returns_counter_itself(self):
         counter = SlidingWindowDistinctCounter(window=60.0, buckets=6)
-        source = as_source(counter)
-        assert isinstance(source, WindowedSource)
-        assert as_source(source) is source
+        assert as_source(counter) is counter
 
     def test_as_source_rejects_unknown(self):
         with pytest.raises(TypeError, match="SketchSource"):
@@ -239,12 +246,12 @@ class TestSources:
         counter = SlidingWindowDistinctCounter(window=60.0, buckets=6, p=10)
         counter.add("alice", at=10.0)
         counter.add("bob", at=10.0)
-        source = WindowedSource(counter)
-        assert list(source.groups()) == [b"bucket:1"]
-        assert source.group_sketch(b"bucket:1").estimate() == pytest.approx(2, abs=0.5)
-        assert source.group_sketch(b"bucket:9") is None
-        assert source.group_sketch(b"unrelated") is None
-        assert source.top(1)[0][0] == b"bucket:1"
+        assert list(counter.groups()) == [b"bucket:1"]
+        assert counter.group_sketch(b"bucket:1").estimate() == pytest.approx(2, abs=0.5)
+        assert counter.group_sketch(b"bucket:9") is None
+        assert counter.group_sketch(b"unrelated") is None
+        assert counter.top(1)[0][0] == b"bucket:1"
+        assert counter.estimates() == {b"bucket:1": counter.estimate(now=10.0)}
 
 
 class TestResultSurface:

@@ -1,5 +1,7 @@
 """Logical plan algebra: construction, validation, canonicalisation."""
 
+import math
+
 import pytest
 
 from repro.query import (
@@ -54,6 +56,36 @@ class TestConstruction:
         with pytest.raises(Exception):
             plan.count = 5  # frozen dataclass
         assert hash(plan) == hash(TopK(Filter(Scan(), prefix="g"), 3))
+
+
+class TestWindowValues:
+    """Durations and bucket widths must be finite and > 0; ``end`` finite."""
+
+    @pytest.mark.parametrize("duration", [math.nan, math.inf])
+    def test_duration_must_be_finite(self, duration):
+        with pytest.raises(
+            ValueError, match=f"duration must be finite and > 0, got {duration!r}"
+        ):
+            Window(Scan(), duration=duration)
+
+    @pytest.mark.parametrize("bucket_width", [0.0, -1.0])
+    def test_bucket_width_must_be_positive(self, bucket_width):
+        with pytest.raises(
+            ValueError, match=f"bucket_width must be finite and > 0, got {bucket_width!r}"
+        ):
+            Window(Scan(), 10.0, end=5.0, bucket_width=bucket_width)
+
+    @pytest.mark.parametrize("bucket_width", [math.nan, math.inf])
+    def test_bucket_width_must_be_finite(self, bucket_width):
+        with pytest.raises(
+            ValueError, match=f"bucket_width must be finite and > 0, got {bucket_width!r}"
+        ):
+            Window(Scan(), 10.0, end=5.0, bucket_width=bucket_width)
+
+    @pytest.mark.parametrize("end", [math.nan, math.inf, -math.inf])
+    def test_end_must_be_finite(self, end):
+        with pytest.raises(ValueError, match=f"end must be finite, got {end!r}"):
+            Window(Scan(), 10.0, end=end)
 
 
 class TestSourcesOf:

@@ -69,7 +69,10 @@ class TestRetirement:
             window=10.0, buckets=5, p=8, store=store
         )
         _drive(counter, 60)
-        del store  # no close(): recovery must come from the WAL
+        # Crash: no close(), which would fsync; recovery must come from
+        # the WAL. Only the log's file handle is released.
+        store._wal_handle.close()
+        del store
         recovered = SketchStore.open(tmp_path / "s")
         assert len(recovered) == 25
         assert _store_history_estimate(recovered) > 0
