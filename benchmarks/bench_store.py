@@ -1,6 +1,6 @@
-"""Durable-store benchmarks: WAL ingest and spill GROUP BY.
+"""Durable-store benchmarks: WAL ingest, spill GROUP BY, the durable paths.
 
-Two sections, results to ``BENCH_store.json`` and a text table under
+Three sections, results to ``BENCH_store.json`` and a text table under
 ``benchmarks/output/``:
 
 1. **WAL ingest** — :class:`repro.store.SketchStore` append throughput
@@ -12,10 +12,19 @@ Two sections, results to ``BENCH_store.json`` and a text table under
    grow by at most ``RSS_BOUND_MB`` while the modelled in-memory
    aggregator footprint for the same group count is reported alongside —
    the point is that disk, not RAM, absorbs the group count.
+3. **durable paths** — ``DURABLE_N`` rows in 2048-row Zipf(1.1) batches
+   over 10^4 int keys through a 2-shard ``ShardedStore.add_batch``
+   (``fsync=False``: the system benchmark owns fsync), its reopen with
+   WAL replay, ``sync_replicas()`` into empty followers, a 64-partition
+   spill write and the spill's ``top(10)``. Each rate is divided by one
+   ``ExaLogLog.add_hashes`` of the same rows' hashes measured in the
+   same run, so the ratios survive a host change; the rows have one
+   size in quick and full mode, and ``perf_smoke.py`` compares them.
+   Every path is checked bit-identical to one in-memory ``add_batch``.
 
 Run directly::
 
-    PYTHONPATH=src python benchmarks/bench_store.py [--quick]
+    PYTHONPATH=src python benchmarks/bench_store.py [--quick] [--output PATH]
 """
 
 from __future__ import annotations
@@ -24,6 +33,7 @@ import argparse
 import json
 import pathlib
 import resource
+import shutil
 import sys
 import tempfile
 import time
@@ -32,8 +42,13 @@ import numpy as np
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
+from repro.aggregate import DistinctCountAggregator
+from repro.cluster import ShardedStore
+from repro.cluster.meta import replica_path
+from repro.core.exaloglog import ExaLogLog
 from repro.experiments.common import format_table
-from repro.store import SketchStore, SpilledGroupBy
+from repro.hashing.batch import hash_items
+from repro.store import FollowerStore, SketchStore, SpilledGroupBy
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 OUTPUT_JSON = REPO_ROOT / "BENCH_store.json"
@@ -44,6 +59,13 @@ ROUNDS = 3
 
 #: Peak-RSS growth allowed for the spill GROUP BY section.
 RSS_BOUND_MB = 400
+
+#: The durable-path rows: rows, rows per batch, Zipf(DURABLE_EXPONENT)
+#: integer keys; one size shared by quick and full mode.
+DURABLE_N = 102_400
+DURABLE_BATCH = 2048
+DURABLE_KEYS = 10_000
+DURABLE_EXPONENT = 1.1
 
 
 def _rate(elapsed: float, count: int) -> float:
@@ -102,6 +124,84 @@ def bench_wal_ingest(n: int, batch: int, workdir: pathlib.Path) -> list[dict]:
             "items_per_s": _rate(recover_seconds, n),
             "recover_seconds": recover_seconds,
         },
+    ]
+
+
+def bench_durable_paths(workdir: pathlib.Path) -> list[dict]:
+    """The durable write, replay, catch-up and spill paths, relative to one fold.
+
+    Each row times only its call — the ``add_batch`` loop, the reopen,
+    ``sync_replicas()``, the spill's ``add_batch`` loop, ``top(10)`` —
+    and, right before it, the best of ``ROUNDS`` one-sketch
+    ``add_hashes`` calls over the same rows' hashes, so a slow spell of
+    the host scales both sides of a ratio. Each row keeps the round
+    with the best ratio, of ``ROUNDS``; opening fresh directories and
+    closing stay outside the timer.
+    """
+    rng = np.random.Generator(np.random.PCG64(0x5704))
+    weights = np.arange(1, DURABLE_KEYS + 1, dtype=np.float64) ** -DURABLE_EXPONENT
+    ranks = np.searchsorted(np.cumsum(weights) / weights.sum(), rng.random(DURABLE_N))
+    groups = rng.permutation(DURABLE_KEYS)[np.minimum(ranks, DURABLE_KEYS - 1)]
+    items = rng.integers(0, 1 << 62, size=DURABLE_N, dtype=np.int64)
+    batches = [
+        (groups[start : start + DURABLE_BATCH], items[start : start + DURABLE_BATCH])
+        for start in range(0, DURABLE_N, DURABLE_BATCH)
+    ]
+    reference = DistinctCountAggregator(2, 20, 8).add_batch(groups, items)
+    state = reference.to_bytes()
+    hashes = hash_items(items)
+    root, spill_dir = workdir / "cluster", workdir / "spill"
+    best = {}  # mode -> (seconds, one-sketch seconds) of its best-ratio round
+
+    def timed(mode: str, call):
+        single, _ = _best_of(lambda: ExaLogLog(2, 20, 8).add_hashes(hashes))
+        start = time.perf_counter()
+        result = call()
+        elapsed = time.perf_counter() - start
+        if mode not in best or single / elapsed > best[mode][1] / best[mode][0]:
+            best[mode] = (elapsed, single)
+        return result
+
+    def ingest(target) -> None:
+        for batch_groups, batch_items in batches:
+            target.add_batch(batch_groups, batch_items)
+
+    for _ in range(ROUNDS):
+        shutil.rmtree(root, ignore_errors=True)
+        with ShardedStore.open(root, shards=2, p=8) as cluster:
+            timed("cluster add_batch (2 shards, fsync=False)", lambda: ingest(cluster))
+            written = cluster.to_aggregator().to_bytes()
+        reopened = timed("cluster open() with WAL replay", lambda: ShardedStore.open(root))
+        with reopened:
+            replayed = reopened.to_aggregator().to_bytes()
+            for index in range(2):
+                shutil.rmtree(replica_path(root, index), ignore_errors=True)
+            timed("sync_replicas() into empty followers", reopened.sync_replicas)
+        replicas = DistinctCountAggregator(2, 20, 8)
+        for index in range(2):
+            with FollowerStore.open(replica_path(root, index)) as follower:
+                replicas.merge_inplace(follower.aggregator)
+        shutil.rmtree(spill_dir, ignore_errors=True)
+        with SpilledGroupBy(spill_dir, p=8, partitions=64) as spill:
+            timed("spill write (64 partitions)", lambda: ingest(spill))
+            spilled = spill.to_aggregator().to_bytes()
+        attached = SpilledGroupBy.attach(spill_dir)
+        top = timed("spill top(10)", lambda: attached.top(10))
+        # Every path reaches the state of one in-memory add_batch.
+        if not written == replayed == replicas.to_bytes() == spilled == state:
+            raise AssertionError("a durable path diverged from one add_batch")
+        if top != reference.top(10):
+            raise AssertionError("spill top(10) diverged from add_batch")
+    return [
+        {
+            "section": "durable_paths",
+            "mode": f"{mode} / ExaLogLog add_hashes",
+            "n": DURABLE_N,
+            "items_per_s": _rate(elapsed, DURABLE_N),
+            "single_items_per_s": _rate(single, DURABLE_N),
+            "speedup": single / elapsed,
+        }
+        for mode, (elapsed, single) in best.items()
     ]
 
 
@@ -174,12 +274,15 @@ def bench_spill_groupby(
     ]
 
 
-def main() -> int:
+def main(argv: "list[str] | None" = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
         "--quick", action="store_true", help="CI-sized runs (smaller n and groups)"
     )
-    arguments = parser.parse_args()
+    parser.add_argument(
+        "--output", type=pathlib.Path, default=OUTPUT_JSON, help="JSON output path"
+    )
+    arguments = parser.parse_args(argv)
 
     wal_n = 100_000 if arguments.quick else 1_000_000
     spill_groups = 100_000 if arguments.quick else 1_000_000
@@ -190,16 +293,17 @@ def main() -> int:
         workdir = pathlib.Path(workdir)
         rows += bench_wal_ingest(wal_n, 1 << 16, workdir)
         rows += bench_spill_groupby(spill_groups, items_per_group, workdir)
+        rows += bench_durable_paths(workdir)
 
     text = "== Durable store: WAL ingest / spill GROUP BY ==\n"
     text += format_table(rows)
     print("\n" + text)
     OUTPUT_TXT.parent.mkdir(exist_ok=True)
     OUTPUT_TXT.write_text(text + "\n")
-    OUTPUT_JSON.write_text(
-        json.dumps({"quick": arguments.quick, "rows": rows}, indent=2) + "\n"
+    arguments.output.write_text(
+        json.dumps({"quick": arguments.quick, "results": rows}, indent=2) + "\n"
     )
-    print(f"\nwrote {OUTPUT_JSON} and {OUTPUT_TXT}")
+    print(f"\nwrote {arguments.output} and {OUTPUT_TXT}")
 
     rss_row = next(row for row in rows if row["mode"] == "peak-RSS growth")
     if not rss_row["bounded"]:

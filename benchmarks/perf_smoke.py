@@ -1,7 +1,7 @@
 """Perf smoke: quick benches vs checked-in baselines, relative metrics only.
 
-Runs the quick-mode ingest, estimation, and parallel benches into a scratch
-directory and compares their **relative** metrics (speedup ratios — the
+Runs the quick-mode ingest, estimation, parallel and store benches into a
+scratch directory and compares their **relative** metrics (speedup ratios — the
 numbers that survive a machine change, unlike items/sec) against the
 checked-in ``BENCH_*.json`` baselines. Rows are matched by workload key
 (sketch/config/mode plus n), so only measurements of the *same* workload
@@ -57,21 +57,29 @@ BENCHES = [
         ("section", "mode", "n"),
         "speedup_vs_bulk",
     ),
+    (
+        "store",
+        "bench_store",
+        "BENCH_store.json",
+        ("section", "mode", "n"),
+        "speedup",
+    ),
 ]
 
 
-def _rows_by_key(payload: dict, key_fields: tuple) -> dict:
+def _rows_by_key(payload: dict, key_fields: tuple, metric: str) -> dict:
+    """Rows that carry the key fields and the metric, by key."""
     return {
         tuple(row[field] for field in key_fields): row
         for row in payload.get("results", [])
-        if all(field in row for field in key_fields)
+        if all(field in row for field in (*key_fields, metric))
     }
 
 
 def compare(label: str, fresh: dict, baseline: dict, key_fields, metric) -> list[str]:
     """Regression messages for every matched row below tolerance."""
-    fresh_rows = _rows_by_key(fresh, key_fields)
-    base_rows = _rows_by_key(baseline, key_fields)
+    fresh_rows = _rows_by_key(fresh, key_fields, metric)
+    base_rows = _rows_by_key(baseline, key_fields, metric)
     common = sorted(set(fresh_rows) & set(base_rows), key=str)
     if not common:
         print(f"  {label}: no workload rows in common with the baseline (skipped)")

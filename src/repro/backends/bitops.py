@@ -57,6 +57,8 @@ def as_hash_array(hashes) -> np.ndarray:
     """
     if isinstance(hashes, np.ndarray):
         if hashes.dtype == np.uint64:
+            if hashes.ndim == 1 and hashes.flags.c_contiguous:
+                return hashes
             return np.ascontiguousarray(hashes).reshape(-1)
         if hashes.dtype == np.int64:
             return hashes.reshape(-1).view(np.uint64)

@@ -59,7 +59,7 @@ from repro.cluster.source import ClusterSource
 from repro.hashing import to_bytes
 from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
-from repro.parallel.shard import shard_of
+from repro.parallel.shard import shard_of, shards_of
 from repro.query.source import DelegatingSource
 from repro.store.durable import make_dirs
 from repro.store.sketchstore import SketchStore
@@ -125,7 +125,8 @@ class ShardedStore(DelegatingSource):
 
     Implements the :class:`~repro.query.source.SketchSource` protocol, so
     the query planner/executor (and the CLI dialect) treat a cluster as
-    just another source. Writes route by ``shard_of(key, N)``; reads
+    just another source. Writes route by ``shard_of(key, N)`` (a batch
+    by one :func:`~repro.parallel.shards_of` pass); reads
     scatter-gather through :attr:`source`, a
     :class:`~repro.cluster.ClusterSource` (see
     :class:`~repro.query.source.DelegatingSource`).
@@ -217,15 +218,18 @@ class ShardedStore(DelegatingSource):
             journal = read_journal(store._root)
             if journal is not None:
                 store._recover_rebalance(journal)
-        store._counters = [
+        store._counters = store._record_counters()
+        return store
+
+    def _record_counters(self) -> list:
+        return [
             _metrics.counter(
                 "cluster.append_records",
                 "WAL records routed to each shard.",
                 labels={"shard": str(index)},
             )
-            for index in range(len(store._shards))
+            for index in range(len(self._shards))
         ]
-        return store
 
     def _open_shard(self, index: int, **config) -> SketchStore:
         return SketchStore.open(
@@ -277,7 +281,7 @@ class ShardedStore(DelegatingSource):
         key = to_bytes(group)
         index = shard_of(key, len(self._shards))
         self._shards[index].append_hashes(key, hashes)
-        if _metrics.enabled():
+        if _metrics.enabled() and not self._depth:
             self._counters[index].inc()
         return self
 
@@ -286,13 +290,19 @@ class ShardedStore(DelegatingSource):
         """Group every write inside the scope into one commit per shard.
 
         Enters every shard's :meth:`SketchStore.batch`: on exit each shard
-        that received records commits them with one WAL write and, with
-        ``fsync=True``, one fsync. Shards commit independently, so a crash
-        in the middle leaves each shard a record-granular prefix of its
-        part. A scope left by an exception writes nothing, reads inside
-        it see the state from before it, and :meth:`compact` or
-        :meth:`rebalance` inside it raise.
+        that received writes commits them with one WAL write and, with
+        ``fsync=True``, one fsync. A shard's run of hash writes is one
+        record, so a crash leaves each shard all or none of its part of
+        a batch of hash writes. Shards commit independently, so a
+        cluster batch is not atomic across shards: a crash in the middle
+        may leave one shard its part and another none. A scope left by
+        an exception writes nothing, reads inside it see the state from
+        before it, and :meth:`compact` or :meth:`rebalance` inside it
+        raise.
         """
+        counted = _metrics.enabled() and not self._depth
+        if counted:
+            before = [shard.durable_lsn for shard in self._shards]
         with contextlib.ExitStack() as scopes:
             for shard in self._shards:
                 scopes.enter_context(shard.batch())
@@ -301,6 +311,9 @@ class ShardedStore(DelegatingSource):
                 yield self
             finally:
                 self._depth -= 1
+        if counted:
+            for counter, shard, lsn in zip(self._counters, self._shards, before):
+                counter.inc(shard.durable_lsn - lsn)
 
     def add_batch(
         self, groups: "Iterable[Hashable]", items: Any
@@ -308,16 +321,22 @@ class ShardedStore(DelegatingSource):
         """Scatter one ``(groups, items)`` batch across the shards.
 
         One vectorised hash + scatter pass
-        (:func:`repro.aggregate.segment`, the shared front end), then
-        each per-group segment routes to its owning shard as one WAL
-        record, all inside one :meth:`batch`. The batch is
-        acknowledged after one commit per shard that received records:
-        one WAL write and, with ``fsync=True``, one fsync. A crash in the
-        middle leaves each shard a record-granular prefix of its part.
+        (:func:`repro.aggregate.segment`, the shared front end), one
+        :func:`~repro.parallel.shards_of` pass that routes every
+        segment's key, then each segment goes to its owner shard's
+        :meth:`~SketchStore.append_hashes`, all inside one
+        :meth:`batch`. Each shard that received segments commits them as
+        one ``RECORD_SEGMENTS`` record: one WAL write and, with
+        ``fsync=True``, one fsync. A crash leaves each shard all or none
+        of its part of the batch; the batch is not atomic across shards.
         """
+        segments = segment(groups, items, self._meta.config[4])
+        if not segments:
+            return self
+        owners = shards_of([key for key, _ in segments], len(self._shards))
         with self.batch():
-            for key, hashes in segment(groups, items, self._meta.config[4]):
-                self.append_hashes(key, hashes)
+            for (key, hashes), owner in zip(segments, owners.tolist()):
+                self._shards[owner].append_hashes(key, hashes)
         return self
 
     def merge_sketch(self, group: Hashable, sketch) -> "ShardedStore":
@@ -325,7 +344,7 @@ class ShardedStore(DelegatingSource):
         key = to_bytes(group)
         index = shard_of(key, len(self._shards))
         self._shards[index].merge_sketch(key, sketch)
-        if _metrics.enabled():
+        if _metrics.enabled() and not self._depth:
             self._counters[index].inc()
         return self
 
@@ -497,14 +516,7 @@ class ShardedStore(DelegatingSource):
             self._crash_point("meta")
             self._cleanup_rebalance(new_shards)
             clear_journal(self._root)
-        self._counters = [
-            _metrics.counter(
-                "cluster.append_records",
-                "WAL records routed to each shard.",
-                labels={"shard": str(index)},
-            )
-            for index in range(len(self._shards))
-        ]
+        self._counters = self._record_counters()
         if _metrics.enabled():
             _REBALANCES.inc()
             _REBALANCE_MOVED.inc(moved)

@@ -10,13 +10,14 @@ sliding-window counter's buckets) has no ``workers=``: one in-process
 ``fold_segments`` call folds a whole batch, and sharding it over
 workers only added serial work in the caller.
 :func:`shard_of` routes group keys to cluster shards and spill
-partitions.
+partitions; :func:`shards_of` routes a batch's keys in one pass.
 """
 
 from repro.parallel.ingest import ParallelBulkIngestor
-from repro.parallel.shard import shard_of
+from repro.parallel.shard import shard_of, shards_of
 
 __all__ = [
     "ParallelBulkIngestor",
     "shard_of",
+    "shards_of",
 ]

@@ -302,7 +302,9 @@ def _window_keys(node: Window, source, ctx: _Context) -> "tuple[list[bytes], str
         raise ValueError(
             "Window has no end anchor: set Window(end=...) or pass now="
         )
-    highest = int(end // bucket_width)
+    from repro.windowed import bucket_index
+
+    highest = bucket_index(end, bucket_width, "end" if node.end is not None else "now")
     count = max(1, math.ceil(node.duration / bucket_width - 1e-9))
     lowest = highest - count + 1
     keys = [f"{prefix}{bucket}".encode() for bucket in range(lowest, highest + 1)]

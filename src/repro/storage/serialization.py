@@ -129,6 +129,8 @@ def read_uvarints(data: bytes, offset: int, count: int):
         raise SerializationError(
             "varint too long" if len(window) == 10 * count else "truncated varint"
         )
+    if ends[-1] == count - 1:  # every varint is one byte
+        return window[:count].astype(np.uint64), offset + count
     starts = np.concatenate(([0], ends[:-1] + 1))
     lengths = ends - starts + 1
     if int(lengths.max()) > 10:
@@ -137,6 +139,32 @@ def read_uvarints(data: bytes, offset: int, count: int):
     shifts = 7 * (np.arange(stop) - np.repeat(starts, lengths))
     parts = (window[:stop] & 0x7F).astype(np.uint64) << shifts.astype(np.uint64)
     return np.add.reduceat(parts, starts), offset + stop
+
+
+def write_uvarints(buffer: bytearray, values) -> None:
+    """Append each of ``values`` (non-negative, below ``2**64``) as a uvarint.
+
+    The vectorised :func:`write_uvarint`, the inverse of
+    :func:`read_uvarints`: one pass however many values there are.
+    """
+    import numpy as np
+
+    values = np.asarray(values, dtype=np.uint64)
+    if not len(values):
+        return
+    if int(values.max()) < 0x80:
+        buffer.extend(values.astype(np.uint8).tobytes())
+        return
+    sizes = np.ones(len(values), dtype=np.int64)
+    rest = values >> np.uint64(7)
+    while rest.any():
+        sizes += rest > 0
+        rest >>= np.uint64(7)
+    starts = np.cumsum(sizes) - sizes
+    position = np.arange(int(sizes.sum())) - np.repeat(starts, sizes)
+    parts = (np.repeat(values, sizes) >> (7 * position).astype(np.uint64)) & np.uint64(0x7F)
+    more = position < np.repeat(sizes, sizes) - 1
+    buffer.extend((parts.astype(np.uint8) | (more.astype(np.uint8) << 7)).tobytes())
 
 
 def uvarint_size(value: int) -> int:
@@ -175,7 +203,7 @@ def write_record(buffer: bytearray, kind: int, key: bytes, payload: bytes) -> No
     buffer.extend(key)
     write_uvarint(buffer, len(payload))
     buffer.extend(payload)
-    crc = zlib.crc32(buffer[start:])
+    crc = zlib.crc32(memoryview(buffer)[start:])
     buffer.extend(crc.to_bytes(4, "little"))
 
 
@@ -207,8 +235,16 @@ def write_lsn_record(
     buffer.extend(key)
     write_uvarint(buffer, len(payload))
     buffer.extend(payload)
-    crc = zlib.crc32(buffer[start:])
+    crc = zlib.crc32(memoryview(buffer)[start:])
     buffer.extend(crc.to_bytes(4, "little"))
+
+
+def _zeros_to_end(handle) -> bool:
+    """True when every byte from ``handle``'s position to the end is zero."""
+    while chunk := handle.read(1 << 16):
+        if chunk.strip(b"\x00"):
+            return False
+    return True
 
 
 def read_lsn_record_from(handle) -> "tuple[int, int, bytes, bytes] | None":
@@ -218,6 +254,13 @@ def read_lsn_record_from(handle) -> "tuple[int, int, bytes, bytes] | None":
     file. EOF inside the record raises :class:`IncompleteRecordError` —
     for a live WAL being tailed that means "the writer is mid-append";
     the caller seeks back to the record start and retries later.
+
+    So does a record that fails its checksum when the file ends in zero
+    bytes that begin inside it, or at its start: the stored CRC's last
+    byte and every byte after the record are zero. A power cut that
+    persisted a commit's new file size but not its last pages leaves
+    that shape, so it is a torn tail, not corruption. A zero run with
+    any byte after it that is not zero still raises.
     """
     import zlib
 
@@ -256,6 +299,8 @@ def read_lsn_record_from(handle) -> "tuple[int, int, bytes, bytes] | None":
         raise IncompleteRecordError("record checksum runs past end of file")
     stored_crc = int.from_bytes(stored, "little")
     if stored_crc != actual_crc:
+        if stored[3] == 0 and _zeros_to_end(handle):
+            raise IncompleteRecordError("record ends in a zero-filled tail")
         raise SerializationError(
             f"record checksum mismatch: stored {stored_crc:#010x}, "
             f"computed {actual_crc:#010x}"
@@ -313,3 +358,105 @@ def read_record_from(handle) -> "tuple[int, bytes, bytes] | None":
             f"computed {actual_crc:#010x}"
         )
     return kind, key, payload
+
+
+# -- segments payloads ---------------------------------------------------------
+#
+# A batch's ``(key, hashes)`` segments under one record (the WAL's and the
+# spill's ``RECORD_SEGMENTS``)::
+#
+#     uvarint segment_count
+#     | segment_count x (uvarint key_len, uvarint hash_count)
+#     | the keys, concatenated
+#     | the hashes as little-endian uint64, concatenated in segment order
+
+
+def encode_segments(segments) -> bytearray:
+    """The segments payload of ``(key bytes, uint64 hashes)`` pairs, in order.
+
+    Every segment holds at least one hash: :func:`segments_layout`
+    refuses an empty one.
+    """
+    import numpy as np
+
+    keys = [key for key, _ in segments]
+    arrays = [hashes for _, hashes in segments]
+    payload = bytearray()
+    write_uvarint(payload, len(keys))
+    fields = np.empty(2 * len(keys), dtype=np.uint64)
+    fields[0::2] = [len(key) for key in keys]
+    fields[1::2] = [len(hashes) for hashes in arrays]
+    write_uvarints(payload, fields)
+    payload += b"".join(keys)
+    hashes = arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+    payload += hashes.astype("<u8", copy=False).data
+    return payload
+
+
+def segments_layout(payload: bytes) -> "tuple[int, list[int], list[int]]":
+    """Check a segments payload; return ``(keys_at, key_ends, hash_ends)``.
+
+    ``keys_at`` is the offset of the keys block, and the ends are
+    cumulative: segment ``i``'s key is ``keys[key_ends[i-1]:key_ends[i]]``
+    of that block, its hashes the same slice of the hash block that
+    follows it. Raises :class:`SerializationError` for a payload that
+    holds no segment, a segment that holds no hash, a key that runs past
+    the keys block, or counts that do not add up to the payload length.
+    The header decodes in one :func:`read_uvarints` call.
+    """
+    import numpy as np
+
+    count, offset = read_uvarint(payload, 0)
+    if not count:
+        raise SerializationError("segments record holds no segment")
+    fields, offset = read_uvarints(payload, offset, 2 * count)
+    key_lengths, hash_counts = fields[0::2], fields[1::2]
+    body = len(payload) - offset
+    # Each count is bounded before the sums, so they cannot wrap.
+    if int(hash_counts.max()) > body // 8 or int(key_lengths.max()) > body:
+        raise SerializationError(
+            f"segment counts run past the {len(payload)}-byte payload"
+        )
+    hash_ends = np.cumsum(hash_counts)
+    keys_size = body - 8 * int(hash_ends[-1])
+    if keys_size < 0:
+        raise SerializationError(
+            f"{int(hash_ends[-1])} hashes run past the {len(payload)}-byte payload"
+        )
+    key_ends = np.cumsum(key_lengths)
+    if int(key_ends[-1]) > keys_size:
+        index = int(np.flatnonzero(key_ends > keys_size)[0])
+        raise SerializationError(
+            f"key of segment {index} runs past the {keys_size}-byte keys block"
+        )
+    if int(key_ends[-1]) != keys_size:
+        raise SerializationError(
+            f"segment counts do not add up to the {len(payload)}-byte payload "
+            f"({keys_size - int(key_ends[-1])} bytes unclaimed)"
+        )
+    empty = np.flatnonzero(hash_counts == 0)
+    if len(empty):
+        raise SerializationError(f"segment {int(empty[0])} holds no hash")
+    return offset, key_ends.tolist(), hash_ends.tolist()
+
+
+def decode_segments(payload: bytes) -> list:
+    """The ``(key, hashes)`` segments of a payload :func:`segments_layout` accepts.
+
+    The hashes decode with one ``np.frombuffer`` (copied once if the
+    block is unaligned), and each segment's hashes are a slice of it.
+    """
+    import numpy as np
+
+    keys_at, key_ends, hash_ends = segments_layout(payload)
+    hashes_at = keys_at + key_ends[-1]
+    keys = bytes(payload[keys_at:hashes_at])
+    hashes = np.frombuffer(payload, dtype="<u8", count=hash_ends[-1], offset=hashes_at)
+    if not hashes.flags.aligned:
+        hashes = hashes.copy()
+    return [
+        (keys[key_start:key_end], hashes[hash_start:hash_end])
+        for key_start, key_end, hash_start, hash_end in zip(
+            [0, *key_ends], key_ends, [0, *hash_ends], hash_ends
+        )
+    ]

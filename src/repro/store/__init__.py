@@ -5,8 +5,9 @@ package is the disk layer that makes the paper's selling point — tiny,
 mergeable, serializable sketch state — operational:
 
 * :class:`~repro.store.sketchstore.SketchStore` — a keyed, crash-
-  recoverable store: append-only WAL of LSN-stamped hash batches +
-  periodic snapshots, WAL-tail replay on
+  recoverable store: append-only WAL of LSN-stamped hash batches (one
+  record per commit's run of hash writes) + periodic snapshots,
+  WAL-tail replay on
   :meth:`~repro.store.sketchstore.SketchStore.open`, compaction folding
   the log into a fresh snapshot;
 * :class:`~repro.store.reader.SnapshotReader` — lock-free concurrent
@@ -36,6 +37,7 @@ from repro.store.sketchstore import (
     RECORD_CUTOVER,
     RECORD_DROP,
     RECORD_HASHES,
+    RECORD_SEGMENTS,
     RECORD_SKETCH,
     SketchStore,
     apply_wal_record,
@@ -59,6 +61,7 @@ __all__ = [
     "RECORD_CUTOVER",
     "RECORD_DROP",
     "RECORD_HASHES",
+    "RECORD_SEGMENTS",
     "RECORD_SKETCH",
     "RefreshResult",
     "ShipResult",

@@ -220,11 +220,18 @@ class FollowerStore(DelegatingSource):
         silently diverge from the leader; the shipper must install a
         snapshot instead.
 
+        A record holds what the leader committed under one LSN: a
+        ``RECORD_SEGMENTS`` record is a whole commit's run of hash
+        writes (a cluster shard's part of a batch), so one call folds
+        all its segments in one ``fold_segments`` call; an older
+        ``RECORD_HASHES`` record holds one segment.
+
         Durability order matches the leader's: the record is checked
         (:func:`~repro.store.sketchstore.check_wal_record`), framed
-        (byte-identically — the framing is deterministic) and written to
-        the replica's WAL before it folds into the in-memory state, as a
-        run of one: the LSN contract is per record.
+        (byte-identically — the framing is deterministic, so the
+        replica's WAL equals the leader's) and written to the replica's
+        WAL before it folds into the in-memory state, as a run of one:
+        the LSN contract is per record.
         """
         if self._aggregator is None:
             raise ValueError("follower is uninitialised (no snapshot installed)")

@@ -14,10 +14,18 @@ Directory layout (``gen`` is the zero-padded compaction generation)::
       wal-<gen>.log        header 0x41 | LSN-stamped checksummed records
 
 Each WAL record uses the LSN framing of
-:func:`repro.storage.serialization.write_lsn_record` with two record kinds:
+:func:`repro.storage.serialization.write_lsn_record` with five record
+kinds:
 
+* ``RECORD_SEGMENTS`` (0x05) — empty frame key; the payload holds a run
+  of ``(key, hashes)`` segments (:func:`~repro.storage.serialization.encode_segments`:
+  ``uvarint segment_count``, then ``(uvarint key_len, uvarint
+  hash_count)`` per segment, the keys concatenated, the hashes as
+  little-endian uint64 concatenated in segment order), each folded into
+  its key's sketch. The only kind the store writes for hashes;
 * ``RECORD_HASHES`` (0x01) — payload is ``n * 8`` little-endian uint64
-  hash values folded into the key's sketch,
+  hash values folded into the key's sketch. Written by older versions,
+  one per group; still read everywhere, alone or mixed with 0x05;
 * ``RECORD_SKETCH`` (0x02) — payload is a serialized sketch merged into
   the key's sketch (how retired sliding-window buckets persist and how
   a cluster rebalance ships whole groups between shards),
@@ -37,32 +45,39 @@ the last record it could prove durable (the *durable horizon*), and a
 :class:`~repro.store.replicate.FollowerStore` deduplicates re-shipped
 records by LSN.
 
-**One write path.** Every record — :meth:`~SketchStore.append_hashes`,
+**One write path.** Every write — :meth:`~SketchStore.append_hashes`,
 :meth:`~SketchStore.merge_sketch`, :meth:`~SketchStore.drop_group`,
-:meth:`~SketchStore.append_cutover` — is validated, then staged with its
-LSN. A *commit* writes every staged record with one ``write`` (and, with
-``fsync=True``, one ``os.fsync``), then applies them to memory as one
-run through :func:`apply_wal_record`, so the writer folds exactly what
-recovery replays. A single call is a commit of one record; ``with
-store.batch():`` groups every record written inside it into one commit.
+:meth:`~SketchStore.append_cutover` — is validated, then staged as a
+``(kind, key, payload-or-hashes)`` entry; nothing is framed yet. A
+*commit* turns each maximal run of consecutive staged hash entries into
+one ``RECORD_SEGMENTS`` record and every other entry into its own
+record, in staging order, frames them at consecutive LSNs, writes them
+with one ``write`` (and, with ``fsync=True``, one ``os.fsync``), then
+applies them to memory as one run through :func:`apply_wal_record`, so
+the writer folds exactly what recovery replays. A single call is a
+commit of one entry; ``with store.batch():`` groups every entry written
+inside it into one commit, so a batch of hash writes is one record.
+The insert is commutative and idempotent and the merge exact (Alg. 2
+and 5), so how segments are grouped into records changes no register.
 :func:`apply_wal_record` changes the in-memory
 :class:`~repro.aggregate.DistinctCountAggregator` only through its write
-API (``fold_segments``, ``merge_sketch``, ``drop_group``): consecutive
-hash records fold in one ``fold_segments`` call, one fold per run of
-records rather than one per record. Every read (``estimate``, ``top``,
-...) is answered by that aggregator through
+API (``fold_segments``, ``merge_sketch``, ``drop_group``): the segments
+of consecutive hash records fold in one ``fold_segments`` call, one fold
+per run of records rather than one per segment. Every read
+(``estimate``, ``top``, ...) is answered by that aggregator through
 :class:`~repro.query.source.DelegatingSource`.
 
 Commit rule: a batch is acknowledged after one fsync (a
 :class:`~repro.cluster.ShardedStore` batch: one per shard that received
 records; the default ``fsync=False`` leaves syncing to the OS like most
-databases in ``fsync=off`` mode). A crash in the middle of a batch
-leaves a record-granular prefix of it per shard: every complete record
-replays, a torn final one is cut away. Reads inside a ``batch()`` scope
-see the state from before the scope; a scope left by an exception writes
-nothing. A commit that fails (a ``write`` or ``fsync`` error) closes the
-WAL, and the store refuses writes until it is reopened, so no LSN is
-ever logged twice.
+databases in ``fsync=off`` mode). A commit's hash writes are one record,
+so a crash leaves a store all or none of them; a commit that mixes in
+sketch, drop or cutover writes keeps a record-granular prefix, and a
+torn final record is cut away. Reads inside a ``batch()`` scope see the
+state from before the scope; a scope left by an exception drops only
+the entries staged inside it. A commit that fails (a ``write`` or
+``fsync`` error) closes the WAL, and the store refuses writes until it
+is reopened, so no LSN is ever logged twice.
 
 :meth:`SketchStore.open` replays the WAL tail on top of the newest
 snapshot, in runs of records of up to :data:`RUN_BYTES`
@@ -71,7 +86,10 @@ record (crash mid-write) is truncated away —
 **unless** the store is opened with ``read_only=True``, which must never
 mutate a live writer's files: it loads through
 :meth:`SnapshotReader.open <repro.store.reader.SnapshotReader.open>`
-and stops at the durable horizon. Any other corruption raises
+and stops at the durable horizon. A record that fails its checksum in a
+zero-filled end of the file is a torn tail too (see
+:func:`~repro.storage.serialization.read_lsn_record_from`). Any other
+corruption raises
 :class:`~repro.storage.serialization.SerializationError` rather than
 loading garbage. :meth:`compact` folds the WAL into a fresh snapshot
 and starts an empty log. Snapshots and fresh WALs are both written by
@@ -94,6 +112,7 @@ from typing import Any, Hashable, Iterable, Iterator
 import numpy as np
 
 from repro.aggregate import DistinctCountAggregator
+from repro.backends import as_hash_array
 from repro.hashing import to_bytes
 from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
@@ -107,18 +126,25 @@ from repro.storage.serialization import (
     TAG_SNAPSHOT,
     TAG_SPARSE_EXALOGLOG,
     TAG_WAL,
+    decode_segments,
+    encode_segments,
     read_lsn_record_from,
     read_uvarint,
+    segments_layout,
     write_lsn_record,
     write_uvarint,
 )
 from repro.store.durable import atomic_write, make_dirs
 
-#: WAL record kinds.
+#: WAL record kinds. ``RECORD_HASHES`` is read, never written.
 RECORD_HASHES = 0x01
 RECORD_SKETCH = 0x02
 RECORD_DROP = 0x03
 RECORD_CUTOVER = 0x04
+RECORD_SEGMENTS = 0x05
+
+#: The kinds that carry hashes, which replay gathers into one run.
+_HASH_KINDS = (RECORD_SEGMENTS, RECORD_HASHES)
 
 # Observability handles (collection off unless REPRO_METRICS is set).
 _WAL_APPEND_BYTES = _metrics.counter(
@@ -318,8 +344,10 @@ def replay_records(handle, aggregator: DistinctCountAggregator, replay: WalRepla
     and ``last_lsn`` advance by each run once :func:`apply_wal_record`
     has applied it, so they name the state ``aggregator`` holds, also
     when this raises. A run (:class:`RecordRun`) gathers consecutive
-    hash records; any other record is applied alone, after the run
-    before it, so a failure to apply it names it. Every record is
+    hash records of either kind (``RECORD_SEGMENTS`` or the older
+    ``RECORD_HASHES``), whose segments fold in one ``fold_segments``
+    call; any other record is applied alone, after the run before it,
+    so a failure to apply it names it. Every record is
     checked as it is read (CRC, LSN, :func:`check_wal_record`), and a
     failure applies the run before it, then raises
     :class:`SerializationError` naming the file and the record's offset.
@@ -345,10 +373,10 @@ def replay_records(handle, aggregator: DistinctCountAggregator, replay: WalRepla
             if lsn != expected:
                 raise SerializationError(f"LSN {lsn}, expected {expected}")
             check_wal_record(kind, payload)
-            if kind != RECORD_HASHES:
+            if kind not in _HASH_KINDS:
                 run.flush()
             run.add((kind, key, payload), len(key) + len(payload))
-            if kind != RECORD_HASHES:
+            if kind not in _HASH_KINDS:
                 run.flush()
         except IncompleteRecordError:
             handle.seek(start)  # torn tail write: the durable prefix ends here
@@ -365,12 +393,17 @@ def replay_records(handle, aggregator: DistinctCountAggregator, replay: WalRepla
 def check_wal_record(kind: int, payload: bytes) -> None:
     """Raise :class:`SerializationError` for a record no replay can apply.
 
-    The checks a record's own bytes can fail: a hash payload that is not
-    a multiple of 8 bytes, a drop record with a payload, an unknown kind.
-    Record loops run it as each record is read, so the error names that
-    record.
+    The checks a record's own bytes can fail: a segments payload that
+    :func:`~repro.storage.serialization.segments_layout` refuses (no
+    segment, a segment with no hash, a key past the keys block, counts
+    that do not add up to the payload length), a hash payload that is
+    not a multiple of 8 bytes, a drop record with a payload, an unknown
+    kind. Record loops run it as each record is read, so the error names
+    that record.
     """
-    if kind == RECORD_HASHES:
+    if kind == RECORD_SEGMENTS:
+        segments_layout(payload)
+    elif kind == RECORD_HASHES:
         if len(payload) % 8:
             raise SerializationError(
                 f"hash record payload of {len(payload)} bytes is not a multiple of 8"
@@ -395,15 +428,20 @@ def apply_wal_record(
     API (:meth:`~DistinctCountAggregator.fold_segments`,
     :meth:`~DistinctCountAggregator.merge_sketch`,
     :meth:`~DistinctCountAggregator.drop_group`), which is what the
-    bit-identity guarantees rest on. Consecutive ``RECORD_HASHES``
-    records fold through one ``fold_segments`` call; a sketch, drop or
-    cutover record flushes that run first, so records whose order
-    matters keep their place. The records are well-formed: a commit's
-    come from the store's own stagers, and every record read back has
-    passed :func:`check_wal_record` as it was read.
+    bit-identity guarantees rest on. A ``RECORD_SEGMENTS`` record
+    extends the run's segments with the segments it decodes to, a
+    ``RECORD_HASHES`` record with its one segment, and each run of
+    consecutive hash records folds through one ``fold_segments`` call;
+    a sketch, drop or cutover record flushes that run first, so records
+    whose order matters keep their place. The records are well-formed:
+    a commit's come from the store's own stagers, and every record read
+    back has passed :func:`check_wal_record` as it was read.
     """
     segments: list = []
     for kind, key, payload in records:
+        if kind == RECORD_SEGMENTS:
+            segments += decode_segments(payload)
+            continue
         if kind == RECORD_HASHES:
             segments.append((key, np.frombuffer(payload, dtype="<u8")))
             continue
@@ -488,8 +526,7 @@ class SketchStore(DelegatingSource):
         store._auto_compact_bytes = auto_compact_bytes
         store._read_only = read_only
         store._wal_handle = None
-        store._pending = []  # staged (kind, key, payload)
-        store._pending_bytes = bytearray()
+        store._pending = []  # staged (kind, key, payload-or-hashes)
         store._depth = 0  # open batch() scopes
         store._failed = False
         requested = (t, d, p, sparse, seed)
@@ -622,45 +659,71 @@ class SketchStore(DelegatingSource):
 
     @contextlib.contextmanager
     def batch(self) -> Iterator["SketchStore"]:
-        """Group every record written inside the scope into one commit.
+        """Group every write inside the scope into one commit.
 
-        Records are staged as they are written and committed when the
-        outermost scope exits: one WAL write, one fsync (``fsync=True``),
-        then the fold into memory. Scopes nest. A scope left by an
-        exception discards the records staged inside it and writes
-        nothing. Reads inside a scope see the state from before it, and
-        :meth:`compact` inside one raises.
+        Writes are staged as they are made and committed when the
+        outermost scope exits: each maximal run of consecutive hash
+        writes becomes one ``RECORD_SEGMENTS`` record, and each sketch,
+        drop or cutover write its own record, in the order written
+        (hash, sketch, hash is three records). Then one WAL write, one
+        fsync (``fsync=True``), and the fold into memory. Scopes nest. A
+        scope left by an exception drops the writes staged inside it and
+        writes nothing. Reads inside a scope see the state from before
+        it, and :meth:`compact` inside one raises.
         """
         self._check_writable()
-        records, staged_bytes = len(self._pending), len(self._pending_bytes)
+        staged = len(self._pending)
         self._depth += 1
         try:
             yield self
         except BaseException:
-            del self._pending[records:]
-            del self._pending_bytes[staged_bytes:]
+            del self._pending[staged:]
             raise
         finally:
             self._depth -= 1
         if not self._depth:
             self._commit()
 
-    def _stage(self, kind: int, key: bytes, payload: bytes) -> None:
-        """Frame one validated record at the next LSN; a scope of one."""
+    def _stage(self, kind: int, key: bytes, data) -> None:
+        """Stage one validated write; a scope of one."""
         with self.batch():
-            lsn = self._durable_lsn + len(self._pending) + 1
-            write_lsn_record(self._pending_bytes, lsn, kind, key, payload)
-            self._pending.append((kind, key, payload))
+            self._pending.append((kind, key, data))
+
+    @staticmethod
+    def _commit_records(entries: list) -> list:
+        """The ``(kind, key, payload)`` records a commit writes for ``entries``.
+
+        Each maximal run of hash entries (staged as ``RECORD_SEGMENTS``
+        with a hash array) becomes one segments record; every other
+        entry is a record as staged.
+        """
+        records: list = []
+        run: list = []
+        for kind, key, data in entries:
+            if kind == RECORD_SEGMENTS:
+                run.append((key, data))
+                continue
+            if run:
+                records.append((RECORD_SEGMENTS, b"", encode_segments(run)))
+                run = []
+            records.append((kind, key, data))
+        if run:
+            records.append((RECORD_SEGMENTS, b"", encode_segments(run)))
+        return records
 
     def _commit(self) -> None:
-        """Write, sync, then apply every staged record, in order."""
-        records, buffer = self._pending, self._pending_bytes
-        if not records:
+        """Frame, write, sync, then apply every staged write, in order."""
+        entries = self._pending
+        if not entries:
             return
-        self._pending, self._pending_bytes = [], bytearray()
+        self._pending = []
         handle = self._wal_handle
         if handle is None:
             raise ValueError("store is closed")
+        records = self._commit_records(entries)
+        buffer = bytearray()
+        for lsn, (kind, key, payload) in enumerate(records, self._durable_lsn + 1):
+            write_lsn_record(buffer, lsn, kind, key, payload)
         try:
             with _trace.span("store.commit", records=len(records), bytes=len(buffer)):
                 handle.write(buffer)
@@ -722,17 +785,22 @@ class SketchStore(DelegatingSource):
     def append_hashes(self, group: Hashable, hashes) -> "SketchStore":
         """Durably record pre-hashed values under ``group``; returns ``self``.
 
-        The record commits alone, or with the rest of an enclosing
-        :meth:`batch`: its WAL bytes go out first, and only then does it
-        fold into the in-memory sketch, so anything a reader can observe
-        is also recoverable.
+        The hashes commit alone, as a one-segment ``RECORD_SEGMENTS``
+        record, or as one segment of the record that holds the run of
+        hash writes around them in an enclosing :meth:`batch`; inside a
+        scope this only stages them. The WAL bytes go out first, and
+        only then do the hashes fold into the in-memory sketch, so
+        anything a reader can observe is also recoverable.
         """
-        from repro.backends import as_hash_array
-
         hashes = as_hash_array(hashes)
         if len(hashes) == 0:
             return self
-        self._stage(RECORD_HASHES, to_bytes(group), hashes.astype("<u8", copy=False).tobytes())
+        if self._depth:
+            # Read at commit: stage a private copy, so the caller may
+            # reuse the array inside the scope.
+            self._pending.append((RECORD_SEGMENTS, to_bytes(group), hashes.copy()))
+        else:
+            self._stage(RECORD_SEGMENTS, to_bytes(group), hashes)
         return self
 
     def merge_sketch(self, group: Hashable, sketch) -> "SketchStore":

@@ -6,9 +6,11 @@ dominate, not the registers. This module runs the classic external
 hash-aggregation plan instead:
 
 1. **Partition & spill** — incoming ``(group, hashes)`` segments are
-   hash-partitioned by :func:`repro.parallel.shard_of` and appended to
-   per-partition files. A group lives entirely inside one partition, and
-   writers never buffer more than the batch at hand.
+   hash-partitioned by :func:`repro.parallel.shard_of` (a batch's keys
+   in one :func:`repro.parallel.shards_of` pass) and appended to
+   per-partition files, one record per partition per batch. A group
+   lives entirely inside one partition, and writers never buffer more
+   than the batch at hand.
 2. **Merge** — partitions are read back *one at a time*; each builds a
    partial aggregator holding only its own groups (``1/partitions`` of
    the total) and yields it. Sketch folds are commutative/idempotent and
@@ -19,8 +21,11 @@ Peak memory is therefore ``O(largest partition)`` regardless of total
 group count.
 
 Partition files use the shared record framing of
-:mod:`repro.storage.serialization` (kind ``RECORD_HASHES``) behind a
-4-byte ``TAG_SPILL`` file header. File names carry a writer id —
+:mod:`repro.storage.serialization` behind a 4-byte ``TAG_SPILL`` file
+header. A batch's segments for one partition are one ``RECORD_SEGMENTS``
+record (empty key, the WAL's segments payload); files written by older
+versions hold one ``RECORD_HASHES`` record per segment, and both kinds
+still merge. File names carry a writer id —
 ``part-<partition>-<writer>.spill`` — so several processes feeding one
 aggregation append to their own files without coordination; the merge
 pass reads every file of a partition. Each writer appends in process:
@@ -44,6 +49,8 @@ from repro.storage.serialization import (
     SerializationError,
     TAG_SPILL,
     TAG_SPILL_META,
+    decode_segments,
+    encode_segments,
     read_record_from,
     read_uvarint,
     write_record,
@@ -52,6 +59,7 @@ from repro.storage.serialization import (
 from repro.store.durable import atomic_write
 from repro.store.sketchstore import (
     RECORD_HASHES,
+    RECORD_SEGMENTS,
     RecordRun,
     _FILE_HEADER_BYTES,
     _check_file_header,
@@ -116,12 +124,14 @@ def _partition_of(key: bytes, partitions: int) -> int:
 
 
 class SpillWriter:
-    """Appends ``(key, hashes)`` records to hash-partitioned spill files.
+    """Appends ``(key, hashes)`` segments to hash-partitioned spill files.
 
-    Multiple writers may target one directory concurrently: each owns its
-    own set of files, distinguished by ``writer_id`` (default:
-    ``w<pid>``). Files are created lazily on the first record for their
-    partition.
+    Each :meth:`write_segments` call routes its keys in one pass and
+    appends one ``RECORD_SEGMENTS`` record per partition it touches;
+    :meth:`write` is the one-segment case. Multiple writers may target
+    one directory concurrently: each owns its own set of files,
+    distinguished by ``writer_id`` (default: ``w<pid>``). Files are
+    created lazily on the first record for their partition.
     """
 
     def __init__(self, directory, partitions: int = DEFAULT_PARTITIONS, writer_id: str | None = None) -> None:
@@ -146,6 +156,7 @@ class SpillWriter:
 
     @property
     def records_written(self) -> int:
+        """Records appended: one per partition per :meth:`write_segments` call."""
         return self._records
 
     def _handle(self, partition: int):
@@ -161,19 +172,33 @@ class SpillWriter:
 
     def write(self, key: bytes, hashes: np.ndarray) -> None:
         """Append one group segment (canonical key, uint64 hash array)."""
-        from repro.backends import as_hash_array
-
-        hashes = as_hash_array(hashes)
-        if len(hashes) == 0:
-            return
-        buffer = bytearray()
-        write_record(buffer, RECORD_HASHES, key, hashes.astype("<u8", copy=False).tobytes())
-        self._handle(_partition_of(key, self._partitions)).write(buffer)
-        self._records += 1
+        self.write_segments([(key, hashes)])
 
     def write_segments(self, segments: Iterable[tuple[bytes, np.ndarray]]) -> None:
+        """Append a batch's segments: one record per partition they route to.
+
+        Segments without hashes are skipped; each record keeps its
+        segments in input order.
+        """
+        from repro.backends import as_hash_array
+        from repro.parallel import shards_of
+
+        batch = []
         for key, hashes in segments:
-            self.write(key, hashes)
+            hashes = as_hash_array(hashes)
+            if len(hashes):
+                batch.append((key, hashes))
+        if not batch:
+            return
+        parts: dict[int, list] = {}
+        owners = shards_of([key for key, _ in batch], self._partitions)
+        for part, item in zip(owners.tolist(), batch):
+            parts.setdefault(part, []).append(item)
+        for part, run in parts.items():
+            buffer = bytearray()
+            write_record(buffer, RECORD_SEGMENTS, b"", encode_segments(run))
+            self._handle(part).write(buffer)
+        self._records += len(parts)
 
     def flush(self) -> None:
         for handle in self._handles.values():
@@ -206,7 +231,10 @@ def spill_files(directory) -> dict[int, list[pathlib.Path]]:
 def read_spill_file(
     path, tolerate_torn_tail: bool = False
 ) -> Iterator[tuple[bytes, np.ndarray]]:
-    """Yield the ``(key, hashes)`` records of one spill file.
+    """Yield the ``(key, hashes)`` segments of one spill file, in order.
+
+    A ``RECORD_SEGMENTS`` record yields each of its segments, a
+    ``RECORD_HASHES`` record (older files) its one segment.
 
     For the *writing* aggregation, spill files are transient (written and
     read inside one run), so a torn tail is not survivable — any
@@ -230,12 +258,16 @@ def read_spill_file(
                 if record is None:
                     return
                 kind, key, payload = record
-                if kind != RECORD_HASHES:
+                if kind == RECORD_SEGMENTS:
+                    segments = decode_segments(payload)
+                elif kind == RECORD_HASHES:
+                    if len(payload) % 8:
+                        raise SerializationError(
+                            f"hash payload of {len(payload)} bytes is not a multiple of 8"
+                        )
+                    segments = [(key, np.frombuffer(payload, dtype="<u8"))]
+                else:
                     raise SerializationError(f"unexpected spill record kind {kind:#x}")
-                if len(payload) % 8:
-                    raise SerializationError(
-                        f"hash payload of {len(payload)} bytes is not a multiple of 8"
-                    )
             except IncompleteRecordError as error:
                 if tolerate_torn_tail:
                     return
@@ -247,7 +279,7 @@ def read_spill_file(
                 raise SerializationError(
                     f"{path}: record at offset {_record_start(handle)}: {error}"
                 ) from error
-            yield key, np.frombuffer(payload, dtype="<u8")
+            yield from segments
 
 
 def _record_start(handle) -> int:
@@ -346,6 +378,7 @@ class SpilledGroupBy:
 
     @property
     def records_spilled(self) -> int:
+        """Records this writer appended: one per partition per batch."""
         return self._writer.records_written if self._writer is not None else 0
 
     @property

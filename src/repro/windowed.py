@@ -35,6 +35,28 @@ from repro.hashing import hash64
 if TYPE_CHECKING:
     from repro.store import SketchStore
 
+#: Bucket indices are int64: a time whose index falls outside is refused.
+_INDEX_BOUND = 2.0**63
+
+
+def bucket_index(at: float, width: float, name: str = "at") -> int:
+    """The index of the ``width``-wide bucket holding time ``at``.
+
+    Raises ``ValueError`` naming ``name`` and the value when ``at`` is
+    not finite, or when its index is outside int64: a finite time over a
+    small width can overflow to an infinite index.
+    """
+    try:
+        at = float(at)
+    except OverflowError:  # an int beyond the float range
+        raise ValueError(f"{name}={at!r} puts its bucket index outside int64") from None
+    if not math.isfinite(at):
+        raise ValueError(f"{name} must be finite, got {at!r}")
+    index = at // width
+    if not -_INDEX_BOUND <= index < _INDEX_BOUND:
+        raise ValueError(f"{name}={at!r} puts its bucket index outside int64")
+    return int(index)
+
 
 class SlidingWindowDistinctCounter:
     """Approximate distinct count over the trailing ``window`` time units.
@@ -132,10 +154,7 @@ class SlidingWindowDistinctCounter:
         return f"{self._store_prefix}{bucket}".encode()
 
     def _bucket_of(self, at: float, name: str = "at") -> int:
-        try:
-            return int(at // self._bucket_width)
-        except ValueError:  # a NaN or infinite time floors to NaN
-            raise ValueError(f"{name} must be finite, got {at!r}") from None
+        return bucket_index(at, self._bucket_width, name)
 
     def _admit(self, bucket: int) -> bytes | None:
         """``bucket``'s group key, evicting what a new newest bucket pushes out.
@@ -221,15 +240,19 @@ class SlidingWindowDistinctCounter:
 
         ``at`` may be a scalar (the whole batch in one bucket, one
         :meth:`~repro.aggregate.DistinctCountAggregator.fold`) or an array
-        of per-item timestamps. Buckets are admitted in first-appearance
-        order, so creations — and therefore evictions and expired-bucket
-        skips, which only happen at first appearance — occur exactly as
-        in the sequential loop; the final state is identical. The
-        buckets' segments fold together through
+        of per-item timestamps. The sequential loop skips an item whose
+        bucket is at or below the newest bucket seen before it (the
+        counter's own newest included) minus ``buckets``; those items
+        are dropped first. The rest are admitted bucket by bucket in
+        first-appearance order, so creations and evictions occur exactly
+        as in the loop, and the final state — live buckets and buckets
+        retired into a store — is identical. The buckets' segments fold
+        together through
         :meth:`~repro.aggregate.DistinctCountAggregator.fold_segments`,
         flushed early only when a new bucket would evict one of them.
-        Timestamps must be finite: a batch holding a NaN or infinite one
-        raises ``ValueError`` naming its first index, and ingests nothing.
+        Timestamps must be finite, with bucket indices inside int64: a
+        batch holding any other raises ``ValueError`` naming its first
+        such index, and ingests nothing.
         """
         import numpy as np
 
@@ -249,12 +272,24 @@ class SlidingWindowDistinctCounter:
             raise ValueError(
                 f"timestamp/hash length mismatch: {len(at_array)} vs {len(hashes)}"
             )
-        bad = np.flatnonzero(~np.isfinite(at_array))
+        with np.errstate(over="ignore", invalid="ignore"):
+            indices = np.floor_divide(at_array, self._bucket_width)
+        bad = np.flatnonzero(~((indices >= -_INDEX_BOUND) & (indices < _INDEX_BOUND)))
         if len(bad):
-            raise ValueError(
-                f"at[{bad[0]}] must be finite, got {float(at_array[bad[0]])!r}"
-            )
-        buckets = np.floor_divide(at_array, self._bucket_width).astype(np.int64)
+            name, value = f"at[{bad[0]}]", float(at_array[bad[0]])
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
+            raise ValueError(f"{name}={value!r} puts its bucket index outside int64")
+        buckets = indices.astype(np.int64)
+        newest = np.maximum.accumulate(buckets)
+        if self._newest is not None:
+            np.maximum(newest, self._newest, out=newest)
+        # newest >= buckets, so the uint64 difference is exact.
+        admitted = newest.view(np.uint64) - buckets.view(np.uint64) < self._buckets
+        if not admitted.all():
+            buckets, hashes = buckets[admitted], hashes[admitted]
+            if not len(buckets):
+                return
         first, runs = scatter(buckets, hashes)
         segments: list = []
         lowest = 0  # the oldest bucket with a gathered segment

@@ -37,7 +37,7 @@ def _wal_inodes(cluster):
 
 
 def test_add_batch_writes_the_bytes_of_one_append_per_segment(tmp_path):
-    """Group commit changes how records reach the disk, not which bytes."""
+    """add_batch writes what per-segment appends inside one batch() write."""
     batches = [_batch(1), _batch(2)]
     with ShardedStore.open(tmp_path / "batched", shards=3, **CONFIG) as batched:
         for groups, items in batches:
@@ -46,8 +46,9 @@ def test_add_batch_writes_the_bytes_of_one_append_per_segment(tmp_path):
         state = batched.to_aggregator().to_bytes()
     with ShardedStore.open(tmp_path / "single", shards=3, **CONFIG) as single:
         for groups, items in batches:
-            for key, hashes in segment(groups, items, single.config[4]):
-                single.append_hashes(key, hashes)
+            with single.batch():
+                for key, hashes in segment(groups, items, single.config[4]):
+                    single.append_hashes(key, hashes)
         single_files = _shard_files(single)
         assert single.to_aggregator().to_bytes() == state
     assert batched_files.keys() == single_files.keys()
@@ -69,12 +70,13 @@ def test_add_batch_fsyncs_once_per_shard_that_received_records(
         fsynced_inodes.clear()
         cluster.add_batch(groups, np.arange(len(groups), dtype=np.int64))
         assert sorted(fsynced_inodes) == sorted(wal_inodes[i] for i in owners)
-        # A batch over many groups reaches every shard: one fsync each.
+        # A batch over many groups reaches every shard: one fsync and one
+        # record each, however many groups it holds.
         fsynced_inodes.clear()
         cluster.add_batch(*_batch(3))
         assert sorted(fsynced_inodes) == sorted(wal_inodes)
-        records = sum(shard.wal_records for shard in cluster.shard_stores)
-        assert records > len(wal_inodes)  # many records, still 4 fsyncs
+        records = [shard.wal_records for shard in cluster.shard_stores]
+        assert records == [1 + (index in owners) for index in range(4)]
 
 
 def test_empty_scope_writes_nothing(tmp_path, fsynced_inodes):

@@ -1,10 +1,13 @@
 """Sliding-window distinct counting."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from repro.query.executor import execute
+from repro.query.plan import Estimate, Scan, Window
 from repro.windowed import SlidingWindowDistinctCounter
 
 
@@ -245,6 +248,37 @@ class TestRetirementOrder:
             assert list(batch_store.groups()) == [b"bucket:0", b"bucket:2"]
             assert batch_store.aggregator == loop_store.aggregator
 
+    @pytest.mark.parametrize(
+        "times",
+        [[5.0, 200.0, 5.0], [5.0, 30.0, 200.0, 5.0, 30.0, 210.0, 199.0]],
+        ids=["late-item", "late-items-of-two-buckets"],
+    )
+    def test_late_items_of_a_bucket_evicted_before_them_are_skipped_as_in_the_loop(
+        self, tmp_path, times
+    ):
+        """An item whose bucket the batch evicted before it never reaches the store."""
+        from repro.store import SketchStore
+
+        rng = np.random.Generator(np.random.PCG64(len(times)))
+        hashes = rng.integers(0, 1 << 64, size=len(times) + 1, dtype=np.uint64)
+        at = np.array(times)
+        stores = {}
+        for mode in ("loop", "batch"):
+            with SketchStore.open(tmp_path / mode, p=6) as store:
+                counter = SlidingWindowDistinctCounter(
+                    window=50.0, buckets=5, p=6, store=store
+                )
+                counter.add_hash(int(hashes[-1]), 0.0)
+                hashes_in_batch = hashes[:-1]
+                if mode == "loop":
+                    for hash_value, time in zip(hashes_in_batch.tolist(), at.tolist()):
+                        counter.add_hash(hash_value, time)
+                else:
+                    counter.add_hashes(hashes_in_batch, at=at)
+                counter.flush_to_store()
+                stores[mode] = (bucket_bytes(counter), store.aggregator.to_bytes())
+        assert stores["batch"] == stores["loop"]
+
 
 class TestTimeValidation:
     """Window lengths must be finite and > 0; timestamps and ``now`` finite."""
@@ -296,6 +330,49 @@ class TestTimeValidation:
                 counter.add_hashes(np.arange(100, dtype=np.uint64), at=at)
             counter.flush_to_store()
             assert list(store.groups()) == []
+
+    @pytest.mark.parametrize(
+        "entry, call",
+        [
+            ("add_hash", lambda counter: counter.add_hash(2, at=1e308)),
+            (
+                "add_hashes",
+                lambda counter: counter.add_hashes(np.arange(3, dtype=np.uint64), at=1e308),
+            ),
+            ("estimate", lambda counter: counter.estimate(now=1e308)),
+            ("estimate_per_bucket", lambda counter: counter.estimate_per_bucket(now=-1e308)),
+            (
+                "query window",
+                lambda counter: execute(
+                    Estimate(Window(Scan(), duration=0.008, end=1e308)), counter
+                ),
+            ),
+        ],
+        ids=["add_hash", "add_hashes", "estimate", "estimate_per_bucket", "query_window"],
+    )
+    def test_a_bucket_index_outside_int64_is_refused(self, entry, call):
+        """A finite time whose bucket index overflows int64 raises ValueError."""
+        counter = SlidingWindowDistinctCounter(window=0.008, buckets=8, p=6)
+        counter.add_hash(1, at=0.0)
+        name = {"add_hash": "at", "add_hashes": "at", "query window": "end"}.get(entry, "now")
+        with pytest.raises(ValueError, match=rf"^{name}=-?1e\+308 puts its bucket index outside int64$"):
+            call(counter)
+        assert list(counter.groups()) == [b"bucket:0"]
+
+    def test_a_batch_names_its_first_index_outside_int64_and_ingests_nothing(self, tmp_path):
+        from repro.store import SketchStore
+
+        with SketchStore.open(tmp_path / "s", p=6) as store:
+            counter = SlidingWindowDistinctCounter(
+                window=0.008, buckets=8, p=6, store=store
+            )
+            at = np.array([0.0, 100.0, 1e308, -1e308, np.nan])
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match=r"at\[2\]=1e\+308 puts its bucket index outside int64"):
+                    counter.add_hashes(np.arange(5, dtype=np.uint64), at=at)
+            assert counter.active_buckets == 0
+            assert counter.flush_to_store() == 0 and len(store) == 0
 
     @pytest.mark.parametrize("now", [math.nan, math.inf])
     def test_now_must_be_finite(self, now):

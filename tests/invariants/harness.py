@@ -334,9 +334,11 @@ def build_store(scenario: Scenario, directory) -> DistinctCountAggregator:
 def build_follower(scenario: Scenario, leader_directory, follower_directory):
     """Replication path: run the schedule on a leader, ship every record.
 
-    Syncs mid-schedule (after every compaction, where the follower must
-    fall back to a snapshot install) and once at the end; returns the
-    caught-up follower's aggregator.
+    Each run of steps between compactions commits in one
+    ``store.batch()``, so the follower applies multi-segment records,
+    with sketch merges between them. Syncs mid-schedule (after every
+    compaction, where the follower must fall back to a snapshot install)
+    and once at the end; returns the caught-up follower's aggregator.
     """
     from repro.store import FollowerStore, SketchStore, WalShipper
 
@@ -344,14 +346,25 @@ def build_follower(scenario: Scenario, leader_directory, follower_directory):
     store = SketchStore.open(leader_directory, t=t, d=d, p=p, sparse=sparse, seed=seed)
     follower = FollowerStore.open(follower_directory)
     shipper = WalShipper(leader_directory)
+    pending: list = []
+
+    def commit() -> None:
+        with store.batch():
+            for step in pending:
+                if step.op == OP_HASHES:
+                    store.append_hashes(step.group, step.hashes)
+                else:
+                    store.merge_sketch(step.group, _merge_sketch(scenario, step))
+        pending.clear()
+
     for step in scenario.steps:
-        if step.op == OP_HASHES:
-            store.append_hashes(step.group, step.hashes)
-        elif step.op == OP_SKETCH:
-            store.merge_sketch(step.group, _merge_sketch(scenario, step))
-        elif step.op == OP_COMPACT:
+        if step.op == OP_COMPACT:
+            commit()
             shipper.sync(follower)  # sometimes catch up just before the log dies
             store.compact()
+        elif step.op in (OP_HASHES, OP_SKETCH):
+            pending.append(step)
+    commit()
     shipper.sync(follower)
     assert follower.applied_lsn == store.durable_lsn
     store.close()

@@ -23,7 +23,8 @@ import numpy as np
 import pytest
 
 import repro
-from repro.parallel.shard import shard_of
+from repro.hashing import to_bytes
+from repro.parallel.shard import shard_of, shards_of
 
 #: Pinned routing values: these are forever. A change here is a cluster
 #: corruption bug (every existing cluster directory routes by them), not
@@ -133,3 +134,29 @@ def test_ownership_is_total_after_resharding():
     # A fan-out change moves *some* keys (else rebalance is vacuous) but
     # far from all (consistent modulo routing keeps 1/lcm residues home).
     assert moved and stayed
+
+
+#: The batch router's table: every key encoding a batch can hold, and
+#: the lengths around the 16-byte Murmur3 block boundary.
+ROUTED_KEYS = [
+    *(to_bytes(value) for value in (0, 1, -1, 255, -(1 << 63), (1 << 63) - 1, 1 << 63, (1 << 64) - 1)),
+    *(to_bytes(value) for value in (0.0, -0.0, 1.5, float("inf"), float("nan"))),
+    b"country",  # 7 bytes
+    "ärger".encode(),  # 7 bytes of UTF-8
+    b"",
+    b"k" * 15,
+    b"k" * 16,
+    b"k" * 40,
+    *sorted({key for key, _ in PINNED}),
+]
+
+
+@pytest.mark.parametrize("shards", [1, 2, 3, 16, 64, 1024, (1 << 40) + 3])
+def test_the_batch_router_equals_shard_of_on_a_table_of_keys(shards):
+    expected = [shard_of(key, shards) for key in ROUTED_KEYS]
+    assert shards_of(ROUTED_KEYS, shards).tolist() == expected
+    # One key length per batch takes the unmasked path; mixed lengths
+    # and keys of 16 bytes or more take the masked and scalar ones.
+    for key in ROUTED_KEYS:
+        assert shards_of([key] * 3, shards).tolist() == [shard_of(key, shards)] * 3
+    assert shards_of([], shards).tolist() == []

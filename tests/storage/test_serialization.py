@@ -15,6 +15,7 @@ from repro.storage.serialization import (
     uvarint_size,
     write_header,
     write_uvarint,
+    write_uvarints,
 )
 
 
@@ -92,6 +93,17 @@ class TestUvarintRuns:
             expected.append(value)
         assert decoded.tolist() == expected == values
         assert offset == expected_offset
+
+    @given(st.lists(st.integers(min_value=0, max_value=(1 << 64) - 1), max_size=40))
+    def test_writing_a_run_equals_one_varint_at_a_time(self, values):
+        import numpy as np
+
+        expected = bytearray(b"\x07")
+        for value in values:
+            write_uvarint(expected, value)
+        buffer = bytearray(b"\x07")
+        write_uvarints(buffer, np.array(values, dtype=np.uint64))
+        assert buffer == expected
 
     def test_truncated_run(self):
         buffer = bytearray()

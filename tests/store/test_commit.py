@@ -1,4 +1,7 @@
-"""SketchStore's one write path: staged records, one commit per batch() scope.
+"""SketchStore's one write path: staged writes, one commit per batch() scope.
+
+A commit writes each run of consecutive hash writes as one
+``RECORD_SEGMENTS`` record, so a scope of hash writes is one record.
 
 Also pins the failure rules of that path: a failed commit closes the WAL
 until a reopen, a sketch that cannot merge is refused before it is
@@ -69,7 +72,8 @@ class TestBatchScope:
                 assert len(store) == 0 and store.durable_lsn == 0
                 assert store.wal_bytes == 4  # just the file header
             assert fsynced_inodes == [wal_inode]
-            assert store.durable_lsn == store.wal_records == len(SEGMENTS)
+            # The scope's four hash writes are one segments record.
+            assert store.durable_lsn == store.wal_records == 1
             assert store.aggregator.to_bytes() == _reference(SEGMENTS).to_bytes()
             # New groups keep their staging order (top-k tie-breaks use it).
             assert list(store.groups()) == [b"DE", b"AT", b"CH"]
@@ -102,7 +106,8 @@ class TestBatchScope:
                         store.append_hashes(*SEGMENTS[1])
                         raise KeyError("inner")
                 store.append_hashes(*SEGMENTS[2])
-            assert store.durable_lsn == 2
+            # The two surviving hash writes are one segments record.
+            assert store.durable_lsn == 1
             expected = _reference([SEGMENTS[0], SEGMENTS[2]])
             assert store.aggregator.to_bytes() == expected.to_bytes()
         with SketchStore.open(tmp_path / "s") as reopened:
@@ -140,8 +145,8 @@ class TestBatchScope:
             assert store.wal_bytes == 4 and store.durable_lsn == 0
 
 
-def test_crash_inside_a_commit_leaves_a_record_prefix(tmp_path):
-    """Cut the WAL at every byte of one commit: recovery keeps whole records."""
+def test_crash_inside_a_commit_leaves_all_or_none_of_its_hash_writes(tmp_path):
+    """Cut the WAL at every byte of one commit: recovery keeps all or none of it."""
     directory = tmp_path / "s"
     prefix = [("pre", _hashes(9, 6))]
     with SketchStore.open(directory) as store:
@@ -153,17 +158,12 @@ def test_crash_inside_a_commit_leaves_a_record_prefix(tmp_path):
     data = wal_path(directory, 0).read_bytes()
     handle = io.BytesIO(data)
     handle.seek(start)
-    ends = []
-    while read_lsn_record_from(handle) is not None:
-        ends.append(handle.tell())
-    assert len(ends) == len(SEGMENTS) and ends[-1] == len(data)
-    expected = [
-        _reference(prefix + SEGMENTS[:complete]).to_bytes()
-        for complete in range(len(SEGMENTS) + 1)
-    ]
+    assert read_lsn_record_from(handle) is not None
+    assert handle.tell() == len(data)  # the commit is one record
+    expected = [_reference(prefix).to_bytes(), _reference(prefix + SEGMENTS).to_bytes()]
     for cut in range(start, len(data) + 1):
         wal_path(directory, 0).write_bytes(data[:cut])
-        complete = sum(end <= cut for end in ends)
+        complete = int(cut == len(data))
         with SketchStore.open(directory) as recovered:
             assert recovered.durable_lsn == 1 + complete, f"cut at {cut}"
             assert recovered.aggregator.to_bytes() == expected[complete], f"cut at {cut}"

@@ -44,32 +44,35 @@ class TestFollowerStore:
             follower.apply_record(1, RECORD_HASHES, b"DE", _payload(4, 5))
 
     def test_apply_is_idempotent_by_lsn(self, leader, tmp_path):
-        follower = FollowerStore.open(tmp_path / "replica")
-        WalShipper(leader.directory).sync(follower)
-        assert follower.applied_lsn == 3
-        # Re-applying any shipped LSN is a no-op, not a double fold.
-        before = follower.aggregator.to_bytes()
-        assert follower.apply_record(2, RECORD_HASHES, b"DE", _payload(3, 7)) is False
-        assert follower.aggregator.to_bytes() == before
+        with FollowerStore.open(tmp_path / "replica") as follower:
+            WalShipper(leader.directory).sync(follower)
+            assert follower.applied_lsn == 3
+            # Re-applying any shipped LSN is a no-op, not a double fold.
+            before = follower.aggregator.to_bytes()
+            assert follower.apply_record(2, RECORD_HASHES, b"DE", _payload(3, 7)) is False
+            assert follower.aggregator.to_bytes() == before
 
     def test_gap_is_rejected(self, leader, tmp_path):
-        follower = FollowerStore.open(tmp_path / "replica")
-        WalShipper(leader.directory).sync(follower)
-        with pytest.raises(SerializationError, match="gap"):
-            follower.apply_record(10, RECORD_HASHES, b"DE", _payload(5, 3))
+        with FollowerStore.open(tmp_path / "replica") as follower:
+            WalShipper(leader.directory).sync(follower)
+            with pytest.raises(SerializationError, match="gap"):
+                follower.apply_record(10, RECORD_HASHES, b"DE", _payload(5, 3))
 
     def test_snapshot_behind_horizon_is_rejected(self, leader, tmp_path):
-        follower = FollowerStore.open(tmp_path / "replica")
-        WalShipper(leader.directory).sync(follower)
-        stale = (leader.directory / "snapshot-00000000.bin").read_bytes()
-        with pytest.raises(ValueError, match="behind"):
-            follower.install_snapshot(stale)
+        with FollowerStore.open(tmp_path / "replica") as follower:
+            WalShipper(leader.directory).sync(follower)
+            stale = (leader.directory / "snapshot-00000000.bin").read_bytes()
+            with pytest.raises(ValueError, match="behind"):
+                follower.install_snapshot(stale)
 
     def test_follower_recovers_after_restart(self, leader, tmp_path):
         follower = FollowerStore.open(tmp_path / "replica")
         WalShipper(leader.directory).sync(follower)
         state = follower.aggregator.to_bytes()
-        del follower  # no clean close: records were flushed per apply
+        # A crash, not a clean close: records were flushed per apply, and
+        # the WAL handle is released without close()'s fsync.
+        follower._wal_handle.close()
+        del follower
         reopened = FollowerStore.open(tmp_path / "replica")
         assert reopened.initialized
         assert reopened.applied_lsn == 3
@@ -140,56 +143,56 @@ class TestWalShipper:
 
     def test_catch_up_guarantee(self, leader, tmp_path):
         """Applied to the horizon ⇒ bit-identical registers, every group."""
-        follower = FollowerStore.open(tmp_path / "replica")
-        result = WalShipper(leader.directory).sync(follower)
-        assert result.follower_lsn == leader.durable_lsn
-        for key, sketch in leader.aggregator._groups.items():
-            assert follower.aggregator._groups[key].to_bytes() == sketch.to_bytes()
-        assert follower.aggregator.to_bytes() == leader.aggregator.to_bytes()
+        with FollowerStore.open(tmp_path / "replica") as follower:
+            result = WalShipper(leader.directory).sync(follower)
+            assert result.follower_lsn == leader.durable_lsn
+            for key, sketch in leader.aggregator._groups.items():
+                assert follower.aggregator._groups[key].to_bytes() == sketch.to_bytes()
+            assert follower.aggregator.to_bytes() == leader.aggregator.to_bytes()
 
     def test_incremental_sync_ships_only_new_records(self, leader, tmp_path):
-        follower = FollowerStore.open(tmp_path / "replica")
-        shipper = WalShipper(leader.directory)
-        assert shipper.sync(follower).records_shipped == 3
-        assert shipper.sync(follower).records_shipped == 0
-        leader.append_hashes("CH", _hashes(6, 30))
-        result = shipper.sync(follower)
-        assert result.records_shipped == 1 and not result.snapshot_installed
-        assert follower.aggregator.to_bytes() == leader.aggregator.to_bytes()
+        with FollowerStore.open(tmp_path / "replica") as follower:
+            shipper = WalShipper(leader.directory)
+            assert shipper.sync(follower).records_shipped == 3
+            assert shipper.sync(follower).records_shipped == 0
+            leader.append_hashes("CH", _hashes(6, 30))
+            result = shipper.sync(follower)
+            assert result.records_shipped == 1 and not result.snapshot_installed
+            assert follower.aggregator.to_bytes() == leader.aggregator.to_bytes()
 
     def test_compaction_forces_snapshot_install(self, leader, tmp_path):
-        follower = FollowerStore.open(tmp_path / "replica")
-        shipper = WalShipper(leader.directory)
-        # Never synced before the leader compacts: the old log is gone.
-        leader.compact()
-        leader.append_hashes("DE", _hashes(7, 20))
-        result = shipper.sync(follower)
-        assert result.snapshot_installed
-        assert result.records_shipped == 1
-        assert follower.generation == 1
-        assert follower.aggregator.to_bytes() == leader.aggregator.to_bytes()
+        with FollowerStore.open(tmp_path / "replica") as follower:
+            shipper = WalShipper(leader.directory)
+            # Never synced before the leader compacts: the old log is gone.
+            leader.compact()
+            leader.append_hashes("DE", _hashes(7, 20))
+            result = shipper.sync(follower)
+            assert result.snapshot_installed
+            assert result.records_shipped == 1
+            assert follower.generation == 1
+            assert follower.aggregator.to_bytes() == leader.aggregator.to_bytes()
 
     def test_caught_up_follower_survives_leader_compaction(self, leader, tmp_path):
         """A follower at the horizon needs no snapshot when the leader
         compacts — its LSN already covers the new snapshot's base."""
-        follower = FollowerStore.open(tmp_path / "replica")
-        shipper = WalShipper(leader.directory)
-        shipper.sync(follower)
-        leader.compact()
-        leader.append_hashes("AT", _hashes(8, 20))
-        result = shipper.sync(follower)
-        assert not result.snapshot_installed
-        assert result.records_shipped == 1
-        assert follower.aggregator.to_bytes() == leader.aggregator.to_bytes()
+        with FollowerStore.open(tmp_path / "replica") as follower:
+            shipper = WalShipper(leader.directory)
+            shipper.sync(follower)
+            leader.compact()
+            leader.append_hashes("AT", _hashes(8, 20))
+            result = shipper.sync(follower)
+            assert not result.snapshot_installed
+            assert result.records_shipped == 1
+            assert follower.aggregator.to_bytes() == leader.aggregator.to_bytes()
 
     def test_sketch_merge_records_replicate(self, leader, tmp_path):
         from repro.core.exaloglog import ExaLogLog
 
         bucket = ExaLogLog(2, 20, 8).add_hashes(_hashes(9, 100))
         leader.merge_sketch("bucket:1", bucket)
-        follower = FollowerStore.open(tmp_path / "replica")
-        WalShipper(leader.directory).sync(follower)
-        assert follower.aggregator.to_bytes() == leader.aggregator.to_bytes()
+        with FollowerStore.open(tmp_path / "replica") as follower:
+            WalShipper(leader.directory).sync(follower)
+            assert follower.aggregator.to_bytes() == leader.aggregator.to_bytes()
 
     def test_replica_serves_readers(self, leader, tmp_path):
         follower = FollowerStore.open(tmp_path / "replica")
@@ -205,7 +208,7 @@ class TestWalShipper:
         wal_file = wal_path(leader.directory, 0)
         torn = wal_file.read_bytes() + b"\x01\x15partial-append"
         wal_file.write_bytes(torn)
-        follower = FollowerStore.open(tmp_path / "replica")
-        result = WalShipper(leader.directory).sync(follower)
+        with FollowerStore.open(tmp_path / "replica") as follower:
+            result = WalShipper(leader.directory).sync(follower)
         assert result.follower_lsn == 3
         assert wal_file.read_bytes() == torn, "shipper mutated the leader WAL"

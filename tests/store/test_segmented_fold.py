@@ -278,10 +278,11 @@ def test_drop_then_hashes_of_the_same_key_in_one_commit_keep_their_order(tmp_pat
 
 
 def test_a_run_split_by_a_small_cap_equals_one_unsplit_run(tmp_path, monkeypatch):
+    # Twelve commits, twelve one-segment records: a run gathers records,
+    # so the cap splits between them.
     store = SketchStore.open(tmp_path / "s", p=8)
-    with store.batch():
-        for index in range(12):
-            store.append_hashes(f"g{index % 5}", _hashes(20 + index, 30))
+    for index in range(12):
+        store.append_hashes(f"g{index % 5}", _hashes(20 + index, 30))
     state = store.aggregator.to_bytes()
     store.close()
     calls = _count_folds(monkeypatch)

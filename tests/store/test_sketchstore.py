@@ -82,7 +82,9 @@ class TestRecovery:
         store = SketchStore.open(tmp_path / "s")
         for group, hashes in BATCHES:
             store.append_hashes(group, hashes)
-        # Drop the handle without close(): the WAL was flushed per append.
+        # Drop the store without close(): the WAL was flushed per append.
+        # A crash releases the WAL handle without close()'s fsync.
+        store._wal_handle.close()
         del store
         recovered = SketchStore.open(tmp_path / "s")
         assert recovered.aggregator.to_bytes() == _reference(BATCHES).to_bytes()
@@ -92,6 +94,7 @@ class TestRecovery:
     def test_recovered_store_accepts_more_appends(self, tmp_path):
         store = SketchStore.open(tmp_path / "s")
         store.append_hashes("DE", BATCHES[0][1])
+        store._wal_handle.close()  # a crash: no close(), no fsync
         del store
         with SketchStore.open(tmp_path / "s") as recovered:
             for group, hashes in BATCHES[1:]:
@@ -110,6 +113,7 @@ class TestRecovery:
         store = SketchStore.open(tmp_path / "s")
         store.merge_sketch("bucket:7", bucket)
         store.merge_sketch("bucket:7", bucket)  # idempotent merge
+        store._wal_handle.close()  # a crash: no close(), no fsync
         del store
         with SketchStore.open(tmp_path / "s") as recovered:
             assert recovered.estimate("bucket:7") == bucket.estimate()
@@ -164,6 +168,7 @@ class TestCompaction:
         store.append_hashes("DE", BATCHES[0][1])
         store.compact()
         store.append_hashes("AT", BATCHES[1][1])
+        store._wal_handle.close()  # a crash: no close(), no fsync
         del store
         with SketchStore.open(tmp_path / "s") as recovered:
             expected = _reference(BATCHES[:2])
