@@ -14,9 +14,10 @@ Three sections, results to ``BENCH_store.json`` and a text table under
    the point is that disk, not RAM, absorbs the group count.
 3. **durable paths** — ``DURABLE_N`` rows in 2048-row Zipf(1.1) batches
    over 10^4 int keys through a 2-shard ``ShardedStore.add_batch``
-   (``fsync=False``: the system benchmark owns fsync), its reopen with
-   WAL replay, ``sync_replicas()`` into empty followers, a 64-partition
-   spill write and the spill's ``top(10)``. Each rate is divided by one
+   (``fsync=False``: the system benchmark owns fsync), the refresh of
+   reader views opened before the write, its reopen with WAL replay,
+   ``sync_replicas()`` into empty followers, a 64-partition spill write
+   and the spill's ``top(10)``. Each rate is divided by one
    ``ExaLogLog.add_hashes`` of the same rows' hashes measured in the
    same run, so the ratios survive a host change; the rows have one
    size in quick and full mode, and ``perf_smoke.py`` compares them.
@@ -43,7 +44,7 @@ import numpy as np
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 from repro.aggregate import DistinctCountAggregator
-from repro.cluster import ShardedStore
+from repro.cluster import ClusterSource, ShardedStore
 from repro.cluster.meta import replica_path
 from repro.core.exaloglog import ExaLogLog
 from repro.experiments.common import format_table
@@ -130,8 +131,10 @@ def bench_wal_ingest(n: int, batch: int, workdir: pathlib.Path) -> list[dict]:
 def bench_durable_paths(workdir: pathlib.Path) -> list[dict]:
     """The durable write, replay, catch-up and spill paths, relative to one fold.
 
-    Each row times only its call — the ``add_batch`` loop, the reopen,
-    ``sync_replicas()``, the spill's ``add_batch`` loop, ``top(10)`` —
+    Each row times only its call — the ``add_batch`` loop, the
+    ``refresh()`` of readers opened on the empty cluster (they tail all
+    of the write's records), the reopen, ``sync_replicas()``, the
+    spill's ``add_batch`` loop, ``top(10)`` —
     and, right before it, the best of ``ROUNDS`` one-sketch
     ``add_hashes`` calls over the same rows' hashes, so a slow spell of
     the host scales both sides of a ratio. Each row keeps the round
@@ -169,8 +172,13 @@ def bench_durable_paths(workdir: pathlib.Path) -> list[dict]:
     for _ in range(ROUNDS):
         shutil.rmtree(root, ignore_errors=True)
         with ShardedStore.open(root, shards=2, p=8) as cluster:
-            timed("cluster add_batch (2 shards, fsync=False)", lambda: ingest(cluster))
-            written = cluster.to_aggregator().to_bytes()
+            with ClusterSource.open(root, reader=True) as readers:
+                timed("cluster add_batch (2 shards, fsync=False)", lambda: ingest(cluster))
+                written = cluster.to_aggregator().to_bytes()
+                timed("cluster reader refresh() over the write", readers.refresh)
+                refreshed = DistinctCountAggregator(2, 20, 8)
+                for reader in readers.shard_sources:
+                    refreshed.merge_inplace(reader.aggregator)
         reopened = timed("cluster open() with WAL replay", lambda: ShardedStore.open(root))
         with reopened:
             replayed = reopened.to_aggregator().to_bytes()
@@ -188,7 +196,10 @@ def bench_durable_paths(workdir: pathlib.Path) -> list[dict]:
         attached = SpilledGroupBy.attach(spill_dir)
         top = timed("spill top(10)", lambda: attached.top(10))
         # Every path reaches the state of one in-memory add_batch.
-        if not written == replayed == replicas.to_bytes() == spilled == state:
+        if not (
+            written == refreshed.to_bytes() == replayed == replicas.to_bytes()
+            == spilled == state
+        ):
             raise AssertionError("a durable path diverged from one add_batch")
         if top != reference.top(10):
             raise AssertionError("spill top(10) diverged from add_batch")

@@ -162,7 +162,8 @@ class ShardedStore(DelegatingSource):
         Creating needs ``shards``; the sketch parameters default like
         :meth:`SketchStore.open`. On an existing cluster the persisted
         topology and configuration win, and explicitly passed values are
-        validated against them.
+        validated against them. An open that raises closes every shard
+        it opened.
         """
         store = object.__new__(cls)
         store._root = pathlib.Path(root)
@@ -170,54 +171,61 @@ class ShardedStore(DelegatingSource):
         store._auto_compact_bytes = auto_compact_bytes
         store._shards: "list[SketchStore]" = []
         store._depth = 0  # open batch() scopes
-        meta = read_meta(store._root)
-        if meta is None:
-            if shards is None:
-                raise ValueError(
-                    f"{store._root}: uninitialised cluster — pass shards=N "
-                    "to create one"
-                )
-            if shards < 1:
-                raise ValueError(f"shards must be >= 1, got {shards}")
-            make_dirs(store._root)
-            for index in range(shards):
-                store._shards.append(
-                    store._open_shard(index, t=t, d=d, p=p, sparse=sparse, seed=seed)
-                )
-            meta = ClusterMeta(
-                shards=shards, epoch=0, config=store._shards[0].config
-            )
-            write_meta(store._root, meta)
-            store._meta = meta
-        else:
-            if shards is not None and shards != meta.shards:
-                raise ValueError(
-                    f"cluster at {store._root} has {meta.shards} shards, "
-                    f"requested {shards} (use rebalance() to change the "
-                    "fan-out)"
-                )
-            mt, md, mp, msparse, mseed = meta.config
-            requested = (t, d, p, sparse, seed)
-            mismatched = [
-                (value, on_disk)
-                for value, on_disk in zip(requested, meta.config)
-                if value is not None and value != on_disk
-            ]
-            if mismatched:
-                raise ValueError(
-                    f"cluster at {store._root} has configuration "
-                    f"(t, d, p, sparse, seed)={meta.config}, requested {requested}"
-                )
-            store._meta = meta
-            for index in range(meta.shards):
-                store._shards.append(
-                    store._open_shard(
-                        index, t=mt, d=md, p=mp, sparse=msparse, seed=mseed
+        try:
+            meta = read_meta(store._root)
+            if meta is None:
+                if shards is None:
+                    raise ValueError(
+                        f"{store._root}: uninitialised cluster — pass shards=N "
+                        "to create one"
                     )
+                if shards < 1:
+                    raise ValueError(f"shards must be >= 1, got {shards}")
+                make_dirs(store._root)
+                for index in range(shards):
+                    store._shards.append(
+                        store._open_shard(index, t=t, d=d, p=p, sparse=sparse, seed=seed)
+                    )
+                meta = ClusterMeta(
+                    shards=shards, epoch=0, config=store._shards[0].config
                 )
-            journal = read_journal(store._root)
-            if journal is not None:
-                store._recover_rebalance(journal)
+                write_meta(store._root, meta)
+                store._meta = meta
+            else:
+                if shards is not None and shards != meta.shards:
+                    raise ValueError(
+                        f"cluster at {store._root} has {meta.shards} shards, "
+                        f"requested {shards} (use rebalance() to change the "
+                        "fan-out)"
+                    )
+                mt, md, mp, msparse, mseed = meta.config
+                requested = (t, d, p, sparse, seed)
+                mismatched = [
+                    (value, on_disk)
+                    for value, on_disk in zip(requested, meta.config)
+                    if value is not None and value != on_disk
+                ]
+                if mismatched:
+                    raise ValueError(
+                        f"cluster at {store._root} has configuration "
+                        f"(t, d, p, sparse, seed)={meta.config}, requested {requested}"
+                    )
+                store._meta = meta
+                for index in range(meta.shards):
+                    store._shards.append(
+                        store._open_shard(
+                            index, t=mt, d=md, p=mp, sparse=msparse, seed=mseed
+                        )
+                    )
+                journal = read_journal(store._root)
+                if journal is not None:
+                    store._recover_rebalance(journal)
+        except BaseException:
+            # Release every shard opened so far; keep the original error.
+            for shard in store._shards:
+                with contextlib.suppress(OSError):
+                    shard.close()
+            raise
         store._counters = store._record_counters()
         return store
 
@@ -395,11 +403,7 @@ class ShardedStore(DelegatingSource):
 
     def skew(self) -> float:
         """Largest shard's group count over the mean (1.0 = balanced)."""
-        counts = [len(shard) for shard in self._shards]
-        total = sum(counts)
-        if not total:
-            return 1.0
-        return max(counts) * len(counts) / total
+        return self.source.skew()
 
     def sync_replicas(self) -> "list":
         """Ship every shard's WAL to its follower (``replica-NNNN``).

@@ -167,6 +167,14 @@ class ClusterSource:
     def __len__(self) -> int:
         return sum(len(source) for source in self._sources)
 
+    def skew(self) -> float:
+        """Largest shard's group count over the mean (1.0 = balanced)."""
+        counts = [len(source) for source in self._sources]
+        total = sum(counts)
+        if not total:
+            return 1.0
+        return max(counts) * len(counts) / total
+
     def __contains__(self, group: Hashable) -> bool:
         return group in self.source_for(group)
 

@@ -17,7 +17,9 @@ mergeable, serializable sketch state — operational:
 * :class:`~repro.store.replicate.WalShipper` /
   :class:`~repro.store.replicate.FollowerStore` — async replication by
   shipping the self-delimiting checksummed WAL records, applied
-  idempotently by LSN (catch-up ⇒ bit-identical registers);
+  idempotently by LSN (catch-up ⇒ bit-identical registers); a follower
+  is a store whose records come only from its leader, so it logs them
+  through the store's own WAL append and reopens by store recovery;
 * :class:`~repro.store.spill.SpilledGroupBy` — external GROUP BY over
   hash-partitioned spill files, exact and memory-bounded at millions of
   groups; :meth:`~repro.store.spill.SpilledGroupBy.attach` opens an

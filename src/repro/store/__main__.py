@@ -47,6 +47,9 @@ Commands
 ``info``
     A store's generation, LSNs, WAL size and group count; on a cluster
     root, one line per shard with the same fields, plus the skew gauge.
+    Read-only like ``query``: it never truncates a torn tail, and on a
+    cluster with a pending rebalance it says so and leaves it to the
+    next writer open, which completes it.
 ``stats``
     Observability snapshot: enable :mod:`repro.obs.metrics`, run one
     read pass (replay + refresh + one batched estimate solve) over the
@@ -79,7 +82,7 @@ import sys
 
 from repro.aggregate import DistinctCountAggregator
 from repro.cluster import ClusterSource, ShardedStore
-from repro.cluster.meta import META_NAME
+from repro.cluster.meta import META_NAME, read_journal, read_meta
 from repro.store import (
     FollowerStore,
     SketchStore,
@@ -592,22 +595,30 @@ def _command_info(arguments: argparse.Namespace) -> int:
     if layout is None:
         return _refuse("info", arguments.directory, layout)
     if layout == CLUSTER:
-        with ShardedStore.open(arguments.directory) as cluster:
+        root = arguments.directory
+        with ClusterSource.open(root) as cluster:
             print(
-                f"cluster:  {cluster.root} ({cluster.shards} shards, "
-                f"epoch {cluster.epoch}, {len(cluster)} groups)"
+                f"cluster:  {root} ({cluster.shards} shards, "
+                f"epoch {read_meta(root).epoch}, {len(cluster)} groups)"
             )
-            for status in cluster.status():
+            for index, shard in enumerate(cluster.shard_sources):
                 print(
-                    f"shard {status.index:4d}: groups={status.groups} "
-                    f"generation={status.generation} "
-                    f"wal_records={status.wal_records} "
-                    f"wal_bytes={status.wal_bytes} "
-                    f"durable_lsn={status.durable_lsn}"
+                    f"shard {index:4d}: groups={len(shard)} "
+                    f"generation={shard.generation} "
+                    f"wal_records={shard.wal_records} "
+                    f"wal_bytes={shard.wal_bytes} "
+                    f"durable_lsn={shard.durable_lsn}"
                 )
             print(f"skew:     {cluster.skew():.3f} (1.0 = balanced)")
+        journal = read_journal(root)
+        if journal is not None:
+            epoch, from_shards, to_shards = journal
+            print(
+                f"rebalance: {from_shards} -> {to_shards} shards (epoch {epoch}) "
+                "pending; the next writer open completes it"
+            )
         return 0
-    with SketchStore.open(arguments.directory) as store:
+    with SketchStore.open(arguments.directory, read_only=True) as store:
         config = store.config
         print(f"directory:   {store.directory}")
         print(f"config:      t={config[0]} d={config[1]} p={config[2]} sparse={config[3]} seed={config[4]}")

@@ -12,12 +12,14 @@ Two halves:
   cooperation from the writer** (same read-only discipline as
   :class:`~repro.store.reader.SnapshotReader`: never truncate, stop at
   the durable horizon) and pushes what the follower is missing.
-* :class:`FollowerStore` owns a replica directory with the same layout as
-  a leader store (snapshot + LSN-stamped WAL), applies shipped records
+* :class:`FollowerStore` is a :class:`~repro.store.sketchstore.SketchStore`
+  whose records come only from its leader. It applies shipped records
   **idempotently by LSN** — a record at or below ``applied_lsn`` is
   dropped, so at-least-once shipping (retries, overlapping syncs,
-  restarts) never double-folds — and persists them before acknowledging,
-  so a crashed follower recovers to its exact pre-crash horizon.
+  restarts) never double-folds — and logs each through the store's own
+  WAL append before acknowledging it, so a crashed follower recovers, by
+  store recovery, to its exact pre-crash horizon. A reseed runs the
+  store's own generation start, the sequence a compaction runs.
 
 Catch-up guarantee (asserted by the invariant harness): once a follower
 has applied every record up to the leader's durable horizon, its register
@@ -30,8 +32,6 @@ read-only :meth:`SketchStore.open`) can serve queries from the replica.
 
 from __future__ import annotations
 
-import contextlib
-import os
 import pathlib
 import time
 from dataclasses import dataclass
@@ -39,20 +39,17 @@ from dataclasses import dataclass
 from repro.aggregate import DistinctCountAggregator
 from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
-from repro.query.source import DelegatingSource
 from repro.storage.serialization import (
     IncompleteRecordError,
     SerializationError,
     read_lsn_record_from,
-    write_lsn_record,
 )
-from repro.store.durable import atomic_write, make_dirs
+from repro.store.durable import make_dirs
 from repro.store.sketchstore import (
     _FILE_HEADER_BYTES,
     _check_file_header,
-    _file_header,
     TAG_WAL,
-    apply_wal_record,
+    SketchStore,
     check_wal_record,
     latest_generation,
     parse_snapshot,
@@ -61,6 +58,7 @@ from repro.store.sketchstore import (
     wal_path,
 )
 
+_UNINITIALISED = "follower is uninitialised (no snapshot installed)"
 
 _RECORDS_SHIPPED = _metrics.counter(
     "replicate.records_shipped",
@@ -104,56 +102,31 @@ class ShipResult:
     """The follower's applied horizon after the sync."""
 
 
-class FollowerStore(DelegatingSource):
-    """A durable replica that applies shipped WAL records idempotently.
+class FollowerStore(SketchStore):
+    """A durable replica: a store whose records come only from its leader.
 
-    The directory mirrors the leader's layout, so the replica can be
-    opened by any store reader. ``open`` on an empty directory yields an
-    *uninitialised* follower (``initialized`` False) that only
-    :meth:`install_snapshot` can seed; an existing replica recovers its
-    state — and its ``applied_lsn`` — from its own snapshot + WAL, with
-    the usual writer-side torn-tail truncation (the follower owns these
-    files; a torn tail here is its *own* crashed append, not a live
-    writer's). Reads answer from :attr:`aggregator` (see
-    :class:`~repro.query.source.DelegatingSource`) and raise on an
-    uninitialised follower.
+    ``open`` on a directory with no snapshot yields an *uninitialised*
+    follower (``initialized`` False) that only :meth:`install_snapshot`
+    can seed; on any other it is :meth:`SketchStore.open`'s recovery
+    (the follower owns its files, so a torn tail is its *own* crashed
+    append). Reads answer from :attr:`aggregator` and raise while it is
+    uninitialised. Its one writer is the :class:`WalShipper`, through
+    :meth:`install_snapshot` and :meth:`apply_record`. A direct write
+    (``append``, ``append_hashes``, ``merge_sketch``, ``drop_group``,
+    ``append_cutover``, ``batch``, ``compact``) raises ``ValueError``:
+    it would take an LSN the leader ships later, which the follower
+    would then drop as a duplicate, silently diverging.
     """
-
-    def __init__(self, *args, **kwargs) -> None:
-        raise TypeError("use FollowerStore.open(path, ...)")
 
     @classmethod
     def open(cls, path, fsync: bool = False) -> "FollowerStore":
-        follower = object.__new__(cls)
-        follower._directory = pathlib.Path(path)
-        follower._fsync = fsync
-        follower._wal_handle = None
-        follower._aggregator = None
-        follower._generation = None
-        follower._applied_lsn = 0
-        follower._failed = False
-        make_dirs(follower._directory)
-        generation = latest_generation(follower._directory)
-        if generation is not None:
-            from repro.store.sketchstore import SketchStore
-
-            # Reuse writer-mode recovery wholesale: replay + truncation +
-            # stale-generation sweep behave exactly like a leader's.
-            store = SketchStore.open(follower._directory)
-            follower._aggregator = store.aggregator
-            follower._generation = store.generation
-            follower._applied_lsn = store.durable_lsn
-            store.close()
-            follower._wal_handle = open(
-                wal_path(follower._directory, follower._generation), "ab"
-            )
-        return follower
+        """Open a replica directory, creating it (uninitialised) if absent."""
+        if latest_generation(path) is not None:
+            return super().open(path, fsync=fsync)
+        make_dirs(path)
+        return cls._new(path, fsync)
 
     # -- state -----------------------------------------------------------------
-
-    @property
-    def directory(self) -> pathlib.Path:
-        return self._directory
 
     @property
     def initialized(self) -> bool:
@@ -161,19 +134,14 @@ class FollowerStore(DelegatingSource):
         return self._aggregator is not None
 
     @property
-    def generation(self) -> "int | None":
-        """Leader generation of the installed snapshot (None until seeded)."""
-        return self._generation
-
-    @property
     def applied_lsn(self) -> int:
-        """The replica's horizon: highest LSN durably applied."""
-        return self._applied_lsn
+        """The replica's horizon: highest LSN durably applied (its ``durable_lsn``)."""
+        return self._durable_lsn
 
     @property
     def aggregator(self) -> DistinctCountAggregator:
         if self._aggregator is None:
-            raise ValueError("follower is uninitialised (no snapshot installed)")
+            raise ValueError(_UNINITIALISED)
         return self._aggregator
 
     # -- replication protocol --------------------------------------------------
@@ -181,36 +149,20 @@ class FollowerStore(DelegatingSource):
     def install_snapshot(self, data: bytes) -> None:
         """Seed (or fast-forward) the replica from a leader snapshot blob.
 
-        Validates and parses first, then lands the snapshot and a fresh
-        WAL atomically — only states at a snapshot boundary are ever
-        visible on disk. Both renames are synced to the directory before
-        the previous generation's files are unlinked, so a power cut at
-        any point leaves at least one complete snapshot. Installing a
-        snapshot at or behind the current horizon is rejected (it would
-        travel back in time).
+        Validates and parses first, then runs the store's generation
+        start (the sequence :meth:`~SketchStore.compact` runs) at the
+        leader's generation, so a power cut at any point leaves at least
+        one complete snapshot. Installing a snapshot behind the applied
+        horizon is rejected (it would travel back in time).
         """
         aggregator, generation, base_lsn = parse_snapshot(data, "snapshot blob")
-        if self.initialized and base_lsn < self._applied_lsn:
+        if self.initialized and base_lsn < self._durable_lsn:
             raise ValueError(
                 f"snapshot base LSN {base_lsn} is behind the replica's "
-                f"applied horizon {self._applied_lsn}"
+                f"applied horizon {self._durable_lsn}"
             )
-        if self._wal_handle is not None:
-            self._wal_handle.close()
-            self._wal_handle = None
-        path = snapshot_path(self._directory, generation)
-        atomic_write(path, data)
-        new_wal = wal_path(self._directory, generation)
-        atomic_write(new_wal, _file_header(TAG_WAL))
-        # Drop files of other generations (including our own previous one).
-        for entry in os.listdir(self._directory):
-            full = self._directory / entry
-            if full not in (path, new_wal) and full.suffix != ".tmp":
-                full.unlink()
+        self._start_generation(generation, base_lsn, data)
         self._aggregator = aggregator
-        self._generation = generation
-        self._applied_lsn = base_lsn
-        self._wal_handle = open(new_wal, "ab")
 
     def apply_record(self, lsn: int, kind: int, key: bytes, payload: bytes) -> bool:
         """Apply one shipped record; returns False for an LSN already applied.
@@ -226,68 +178,39 @@ class FollowerStore(DelegatingSource):
         all its segments in one ``fold_segments`` call; an older
         ``RECORD_HASHES`` record holds one segment.
 
-        Durability order matches the leader's: the record is checked
-        (:func:`~repro.store.sketchstore.check_wal_record`), framed
-        (byte-identically — the framing is deterministic, so the
-        replica's WAL equals the leader's) and written to the replica's
-        WAL before it folds into the in-memory state, as a run of one:
-        the LSN contract is per record.
+        The record is checked
+        (:func:`~repro.store.sketchstore.check_wal_record`), then logged
+        and applied by the store's one WAL append at the leader's LSN, so
+        the replica's WAL equals the leader's byte for byte.
         """
         if self._aggregator is None:
-            raise ValueError("follower is uninitialised (no snapshot installed)")
-        if self._failed:
-            raise ValueError(
-                f"follower at {self._directory} stopped after a failed WAL "
-                "append; reopen it with FollowerStore.open() to recover its "
-                "durable prefix"
-            )
-        if lsn <= self._applied_lsn:
+            raise ValueError(_UNINITIALISED)
+        self._check_writable()
+        if lsn <= self._durable_lsn:
             return False
-        if lsn != self._applied_lsn + 1:
+        if lsn != self._durable_lsn + 1:
             raise SerializationError(
                 f"record LSN {lsn} leaves a gap after applied horizon "
-                f"{self._applied_lsn}; a snapshot install is required"
+                f"{self._durable_lsn}; a snapshot install is required"
             )
         check_wal_record(kind, payload)
-        buffer = bytearray()
-        write_lsn_record(buffer, lsn, kind, key, payload)
-        try:
-            self._wal_handle.write(buffer)
-            self._wal_handle.flush()
-            if self._fsync:
-                os.fsync(self._wal_handle.fileno())
-            apply_wal_record(self._aggregator, ((kind, key, payload),))
-        except BaseException:
-            # The WAL may or may not hold the record now: appending it
-            # again would log its LSN twice, so stop until a reopen.
-            self._failed = True
-            handle, self._wal_handle = self._wal_handle, None
-            with contextlib.suppress(OSError):
-                handle.close()
-            raise
-        self._applied_lsn = lsn
+        appended = self._write_records([(kind, key, payload)])
         if _metrics.enabled():
-            _BYTES_APPLIED.inc(len(buffer))
+            _BYTES_APPLIED.inc(appended)
         return True
 
-    # -- lifecycle -------------------------------------------------------------
+    def _refuse_write(self, *args, **kwargs):
+        raise ValueError(
+            f"FollowerStore at {self._directory} is written only by its "
+            "WalShipper: a direct write would take an LSN its leader ships later"
+        )
 
-    def close(self) -> None:
-        if self._wal_handle is not None:
-            self._wal_handle.flush()
-            os.fsync(self._wal_handle.fileno())
-            self._wal_handle.close()
-            self._wal_handle = None
-
-    def __enter__(self) -> "FollowerStore":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
+    append = append_hashes = merge_sketch = drop_group = append_cutover = _refuse_write
+    batch = compact = _refuse_write
 
     def __repr__(self) -> str:
         state = (
-            f"generation={self._generation}, applied_lsn={self._applied_lsn}"
+            f"generation={self._generation}, applied_lsn={self._durable_lsn}"
             if self.initialized
             else "uninitialised"
         )

@@ -59,6 +59,11 @@ commit of one entry; ``with store.batch():`` groups every entry written
 inside it into one commit, so a batch of hash writes is one record.
 The insert is commutative and idempotent and the merge exact (Alg. 2
 and 5), so how segments are grouped into records changes no register.
+That append is the system's only one: a
+:class:`~repro.store.replicate.FollowerStore` is a store whose records
+come from its leader, logged through the same append. Store creation,
+:meth:`~SketchStore.compact` and a follower's reseed share one
+generation start: snapshot, fresh WAL, then other generations deleted.
 :func:`apply_wal_record` changes the in-memory
 :class:`~repro.aggregate.DistinctCountAggregator` only through its write
 API (``fold_segments``, ``merge_sketch``, ``drop_group``): the segments
@@ -489,11 +494,24 @@ class SketchStore(DelegatingSource):
     """
 
     def __init__(self, *args, **kwargs) -> None:
-        raise TypeError("use SketchStore.open(path, ...) to create or open a store")
+        raise TypeError(f"use {type(self).__name__}.open(path, ...) to open one")
 
     @classmethod
-    def _new(cls) -> "SketchStore":
-        return object.__new__(cls)
+    def _new(cls, path, fsync, auto_compact_bytes=None, read_only=False) -> "SketchStore":
+        """An instance over ``path`` holding no state yet: no aggregator, no WAL."""
+        store = object.__new__(cls)
+        store._directory = pathlib.Path(path)
+        store._fsync = fsync
+        store._auto_compact_bytes = auto_compact_bytes
+        store._read_only = read_only
+        store._wal_handle = None
+        store._pending = []  # staged (kind, key, payload-or-hashes)
+        store._depth = 0  # open batch() scopes
+        store._failed = False
+        store._aggregator = None
+        store._generation = None
+        store._base_lsn = store._durable_lsn = store._wal_records = 0
+        return store
 
     @classmethod
     def open(
@@ -520,15 +538,7 @@ class SketchStore(DelegatingSource):
         (it may be a live writer's in-flight append), and mutating
         methods raise.
         """
-        store = cls._new()
-        store._directory = pathlib.Path(path)
-        store._fsync = fsync
-        store._auto_compact_bytes = auto_compact_bytes
-        store._read_only = read_only
-        store._wal_handle = None
-        store._pending = []  # staged (kind, key, payload-or-hashes)
-        store._depth = 0  # open batch() scopes
-        store._failed = False
+        store = cls._new(path, fsync, auto_compact_bytes, read_only)
         requested = (t, d, p, sparse, seed)
         if read_only:
             from repro.store.reader import SnapshotReader
@@ -550,29 +560,23 @@ class SketchStore(DelegatingSource):
                 value if value is not None else default
                 for value, default in zip(requested, defaults)
             )
-            store._generation = 0
-            store._base_lsn = 0
-            store._durable_lsn = 0
             store._aggregator = DistinctCountAggregator(*config)
-            store._write_snapshot(0)
-            store._wal_records = 0
-            store._open_wal(truncate_to=None)
+            store._start_generation(0, 0, store._snapshot(0))
         else:
             store._generation = generation
             store._aggregator, store._base_lsn = store._load_snapshot(generation)
             store._durable_lsn = store._base_lsn
             store._check_config(requested)
             path_ = wal_path(store._directory, generation)
+            durable_bytes = None  # no WAL: a compaction died before creating it
             if path_.exists():
                 replay = replay_wal(path_, store._aggregator, store._base_lsn)
                 store._wal_records = replay.records
                 store._durable_lsn = replay.last_lsn
                 _REPLAY_RECORDS.inc(replay.records)
-                store._open_wal(truncate_to=replay.durable_bytes)
-            else:
-                store._wal_records = 0
-                store._open_wal(truncate_to=None)
-            store._sweep_stale(generation)
+                durable_bytes = replay.durable_bytes
+            store._open_wal(durable_bytes)
+            store._sweep_stale()
         return store
 
     def _check_config(self, requested: tuple) -> None:
@@ -595,8 +599,8 @@ class SketchStore(DelegatingSource):
     def _wal_path(self, generation: int) -> pathlib.Path:
         return wal_path(self._directory, generation)
 
-    def _sweep_stale(self, generation: int) -> None:
-        """Delete files a crashed compaction left behind (older generations).
+    def _sweep_stale(self) -> None:
+        """Delete every generation's files but the current one's.
 
         Also deletes every ``walidx-<gen>.log``, whatever its generation:
         the retired group-level WAL index that stores written by earlier
@@ -604,22 +608,19 @@ class SketchStore(DelegatingSource):
         """
         for entry in os.listdir(self._directory):
             match = _SNAPSHOT_PATTERN.match(entry) or _WAL_PATTERN.match(entry)
-            stale = match is not None and int(match.group(1)) < generation
+            stale = match is not None and int(match.group(1)) != self._generation
             if stale or re.match(r"^walidx-\d{8}\.log$", entry):
                 (self._directory / entry).unlink()
 
     # -- snapshot & WAL files -------------------------------------------------
 
-    def _write_snapshot(self, generation: int) -> None:
-        started = time.perf_counter()
+    def _snapshot(self, generation: int) -> bytearray:
+        """The in-memory state as ``generation``'s snapshot, at :attr:`durable_lsn`."""
         buffer = bytearray(_file_header(TAG_SNAPSHOT))
         write_uvarint(buffer, generation)
         write_uvarint(buffer, self._durable_lsn)
         buffer.extend(self._aggregator.to_bytes())
-        atomic_write(self._snapshot_path(generation), buffer)
-        self._base_lsn = self._durable_lsn
-        if _metrics.enabled():
-            _SNAPSHOT_SECONDS.observe(time.perf_counter() - started)
+        return buffer
 
     def _load_snapshot(self, generation: int) -> tuple[DistinctCountAggregator, int]:
         path = self._snapshot_path(generation)
@@ -630,17 +631,41 @@ class SketchStore(DelegatingSource):
             )
         return aggregator, base_lsn
 
-    def _open_wal(self, truncate_to: int | None) -> None:
+    def _start_generation(self, generation: int, base_lsn: int, snapshot) -> None:
+        """Make ``snapshot`` (at ``base_lsn``) the store's ``generation``.
+
+        The one generation start, for creation, :meth:`compact` and a
+        follower's reseed: the snapshot lands atomically, then a fresh
+        WAL, and only then are other generations' files deleted, so a
+        crash at any point leaves a complete snapshot for :meth:`open`.
+        """
+        if self._wal_handle is not None:
+            self._wal_handle.close()
+            self._wal_handle = None
+        started = time.perf_counter()
+        atomic_write(self._snapshot_path(generation), snapshot)
+        if _metrics.enabled():
+            _SNAPSHOT_SECONDS.observe(time.perf_counter() - started)
+        self._generation = generation
+        self._base_lsn = self._durable_lsn = base_lsn
+        self._wal_records = 0
+        self._open_wal(None)
+        self._sweep_stale()
+
+    def _open_wal(self, durable_bytes: "int | None") -> None:
+        """Open the WAL to append: fresh (``None``), or cut to ``durable_bytes``.
+
+        The one WAL truncate: bytes past ``durable_bytes`` are a torn
+        tail a crash left, and the cut is synced, so a power cut cannot
+        bring them back behind records appended later.
+        """
         path = self._wal_path(self._generation)
-        if not path.exists():
+        if durable_bytes is None:
             atomic_write(path, _file_header(TAG_WAL))
-        elif truncate_to is not None and truncate_to < os.path.getsize(path):
-            # A crash mid-commit left a torn tail; recovery cuts it away and
-            # syncs the cut, so a power cut cannot bring the torn bytes back
-            # behind records appended later.
+        elif durable_bytes < os.path.getsize(path):
             _TORN_TAIL_RECOVERIES.inc()
             with open(path, "r+b") as handle:
-                handle.truncate(truncate_to)
+                handle.truncate(durable_bytes)
                 os.fsync(handle.fileno())
         self._wal_handle = open(path, "ab")
 
@@ -649,13 +674,12 @@ class SketchStore(DelegatingSource):
     def _check_writable(self) -> None:
         if self._read_only:
             raise ValueError("store is read-only")
-        if self._failed:
-            raise ValueError(
-                f"store at {self._directory} stopped after a failed WAL commit; "
-                "reopen it with SketchStore.open() to recover its durable prefix"
-            )
         if self._wal_handle is None:
-            raise ValueError("store is closed")
+            name = type(self).__name__
+            state = "stopped after a failed WAL append" if self._failed else "is closed"
+            raise ValueError(
+                f"{name} at {self._directory} {state}; reopen it with {name}.open()"
+            )
 
     @contextlib.contextmanager
     def batch(self) -> Iterator["SketchStore"]:
@@ -712,18 +736,27 @@ class SketchStore(DelegatingSource):
         return records
 
     def _commit(self) -> None:
-        """Frame, write, sync, then apply every staged write, in order."""
+        """Write every staged write as records, in order, then maybe compact."""
         entries = self._pending
         if not entries:
             return
         self._pending = []
-        handle = self._wal_handle
-        if handle is None:
-            raise ValueError("store is closed")
-        records = self._commit_records(entries)
+        self._check_writable()
+        self._write_records(self._commit_records(entries))
+        self._maybe_auto_compact()
+
+    def _write_records(self, records: list) -> int:
+        """Log, sync, then apply ``(kind, key, payload)`` records: the one WAL append.
+
+        Frames them at the LSNs after :attr:`durable_lsn`, makes one
+        ``write`` (and, with ``fsync=True``, one ``os.fsync``), then
+        applies them as one run through :func:`apply_wal_record`. Any
+        failure stops the store (:meth:`_fail`). Returns the bytes written.
+        """
         buffer = bytearray()
         for lsn, (kind, key, payload) in enumerate(records, self._durable_lsn + 1):
             write_lsn_record(buffer, lsn, kind, key, payload)
+        handle = self._wal_handle
         try:
             with _trace.span("store.commit", records=len(records), bytes=len(buffer)):
                 handle.write(buffer)
@@ -744,12 +777,12 @@ class SketchStore(DelegatingSource):
         if _metrics.enabled():
             _WAL_APPEND_BYTES.inc(len(buffer))
             _WAL_APPEND_RECORDS.inc(len(records))
-        self._maybe_auto_compact()
+        return len(buffer)
 
     def _fail(self) -> None:
-        """Stop writing after a failed commit.
+        """Stop writing after a failed append.
 
-        The WAL may hold some, all or none of the commit's bytes, so the
+        The WAL may hold some, all or none of the append's bytes, so the
         next free LSN is only known after a reopen replays the file:
         close the WAL and refuse every later write.
         """
@@ -880,24 +913,19 @@ class SketchStore(DelegatingSource):
     def compact(self) -> int:
         """Fold the WAL into a fresh snapshot; returns the new generation.
 
-        Write order makes every intermediate crash state recoverable: the
-        new snapshot lands atomically (temp file + rename), the new empty
-        WAL is created, and only then are the previous generation's files
-        deleted — :meth:`open` always finds the newest intact snapshot
-        and ignores older leftovers.
+        Write order makes every intermediate crash state recoverable
+        (:meth:`_start_generation`): the new snapshot lands atomically,
+        the new empty WAL is created, and only then are the previous
+        generation's files deleted — :meth:`open` always finds the newest
+        intact snapshot and ignores older leftovers.
         """
         if self._depth:
             raise ValueError("compact() inside an open batch() scope")
         self._check_writable()
         started = time.perf_counter()
-        with _trace.span("store.compact", generation=self._generation + 1):
-            self._wal_handle.close()
-            self._generation += 1
-            self._write_snapshot(self._generation)
-            self._wal_records = 0
-            self._wal_handle = None
-            self._open_wal(truncate_to=None)
-            self._sweep_stale(self._generation)
+        generation = self._generation + 1
+        with _trace.span("store.compact", generation=generation):
+            self._start_generation(generation, self._durable_lsn, self._snapshot(generation))
         if _metrics.enabled():
             _COMPACTIONS.inc()
             _COMPACTION_SECONDS.observe(time.perf_counter() - started)

@@ -7,6 +7,9 @@ errors, the query-plane integration, WAL semantics of the new record
 kinds, and the ``python -m repro.store cluster`` surface.
 """
 
+import gc
+import warnings
+
 import numpy as np
 import pytest
 
@@ -22,6 +25,7 @@ from repro.cluster import (
     read_journal,
     read_meta,
     shard_path,
+    write_journal,
     write_meta,
 )
 from repro.parallel.shard import shard_of
@@ -331,6 +335,35 @@ def test_cli_cluster_lifecycle(tmp_path, capsys):
     output = capsys.readouterr().out
     assert "rebalanced 4 -> 6 shards" in output
     assert "skew:" in output
+
+
+def test_cli_info_keeps_an_interrupted_rebalance_pending(tmp_path, capsys):
+    """``info`` reads: it names a pending rebalance and leaves it to a writer."""
+    root = tmp_path / "c"
+    _fill(ShardedStore.open(root, shards=2)).close()
+    write_journal(root, 1, 2, 3)
+    capsys.readouterr()
+    assert main(["info", str(root)]) == 0
+    output = capsys.readouterr().out
+    assert "rebalance: 2 -> 3 shards (epoch 1) pending" in output
+    assert "skew:" in output
+    assert read_journal(root) == (1, 2, 3)
+    assert read_meta(root).shards == 2
+    assert not shard_path(root, 2).exists()
+
+
+def test_a_failed_open_releases_the_shards_it_opened(tmp_path):
+    """An open that raises leaves no shard WAL open behind it."""
+    root = tmp_path / "c"
+    _fill(ShardedStore.open(root, shards=2)).close()
+    write_journal(root, 1, 3, 4)  # expects 3 shards; the cluster has 2
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(SerializationError, match="expects 3 shards"):
+            ShardedStore.open(root)
+        gc.collect()
+    leaked = [w for w in caught if issubclass(w.category, ResourceWarning)]
+    assert leaked == []
 
 
 def test_cli_cluster_ingest_needs_items_or_count(tmp_path):

@@ -49,6 +49,20 @@ class TestInProcess:
         output = capsys.readouterr().out
         assert "generation:  1" in output
 
+    def test_info_leaves_a_torn_tail_byte_identical(self, tmp_path, capsys):
+        """``info`` reads: a torn tail may be a live writer's in-flight append."""
+        from repro.store import wal_path
+
+        directory = tmp_path / "s"
+        main(["ingest", str(directory), "--group", "g", "--count", "500"])
+        wal = wal_path(directory, 0)
+        torn = wal.read_bytes() + b"\x05\x15partial"
+        wal.write_bytes(torn)
+        capsys.readouterr()
+        assert main(["info", str(directory)]) == 0
+        assert "wal records: 1" in capsys.readouterr().out
+        assert wal.read_bytes() == torn
+
     def test_default_query_lists_every_group(self, tmp_path, capsys):
         directory = str(tmp_path / "s")
         main(["ingest", directory, "--group", "alpha", "--count", "3000"])

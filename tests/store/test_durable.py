@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.cluster import ShardedStore
-from repro.store import FollowerStore, SketchStore
+from repro.store import FollowerStore, SketchStore, WalShipper
 
 OPENERS = {
     "store": SketchStore.open,
@@ -43,5 +43,21 @@ def test_reopening_an_intact_store_syncs_nothing(tmp_path, fsynced_inodes):
     try:
         assert fsynced_inodes == []
         assert reopened.durable_lsn == 2 and reopened.wal_records == 1
+    finally:
+        reopened.close()
+
+
+def test_reopening_a_seeded_follower_syncs_nothing(tmp_path, fsynced_inodes):
+    """A follower's reopen is store recovery: no second WAL open, no fsync."""
+    rng = np.random.Generator(np.random.PCG64(2))
+    with SketchStore.open(tmp_path / "leader") as leader:
+        leader.append_hashes("DE", rng.integers(0, 1 << 64, size=30, dtype=np.uint64))
+        with FollowerStore.open(tmp_path / "replica", fsync=True) as follower:
+            WalShipper(leader.directory).sync(follower)
+    fsynced_inodes.clear()
+    reopened = FollowerStore.open(tmp_path / "replica", fsync=True)
+    try:
+        assert fsynced_inodes == []
+        assert reopened.applied_lsn == 1 and reopened.wal_records == 1
     finally:
         reopened.close()

@@ -1,8 +1,12 @@
 """WalShipper / FollowerStore: idempotent LSN apply, catch-up identity."""
 
+import errno
+import os
+
 import numpy as np
 import pytest
 
+from repro.core.exaloglog import ExaLogLog
 from repro.storage.serialization import SerializationError
 from repro.store import (
     RECORD_HASHES,
@@ -128,6 +132,63 @@ class TestFollowerStore:
         kinds = [kind for kind, _ in events]
         assert "unlink" in kinds, events
         assert ("sync", True) in events[: kinds.index("unlink")], events
+
+
+#: The seven direct writes a follower refuses: its only writer is the shipper.
+DIRECT_WRITES = {
+    "append": lambda store: store.append("DE", ["x"]),
+    "append_hashes": lambda store: store.append_hashes("DE", _hashes(10, 5)),
+    "merge_sketch": lambda store: store.merge_sketch("DE", ExaLogLog(2, 20, 8)),
+    "drop_group": lambda store: store.drop_group("DE"),
+    "append_cutover": lambda store: store.append_cutover(b"fence"),
+    "batch": lambda store: store.batch().__enter__(),
+    "compact": lambda store: store.compact(),
+}
+
+
+class TestFollowerContract:
+    """A follower is a store whose records come only from its leader."""
+
+    @pytest.mark.parametrize("seeded", [False, True], ids=["uninitialised", "seeded"])
+    @pytest.mark.parametrize("write", sorted(DIRECT_WRITES))
+    def test_direct_writes_raise(self, leader, tmp_path, write, seeded):
+        with FollowerStore.open(tmp_path / "replica") as follower:
+            if seeded:
+                WalShipper(leader.directory).sync(follower)
+            with pytest.raises(ValueError, match="only by its WalShipper"):
+                DIRECT_WRITES[write](follower)
+            assert follower.applied_lsn == (3 if seeded else 0)
+
+    def test_a_reseed_leaves_only_the_new_generation(self, leader, tmp_path):
+        replica = tmp_path / "replica"
+        with FollowerStore.open(replica) as follower:
+            shipper = WalShipper(leader.directory)
+            shipper.sync(follower)
+            leader.append_hashes("FR", _hashes(11, 30))  # the follower falls behind
+            leader.compact()
+            leader.compact()
+            assert shipper.sync(follower).snapshot_installed
+        assert sorted(os.listdir(replica)) == ["snapshot-00000002.bin", "wal-00000002.log"]
+
+    def test_a_failed_append_names_the_follower_open(self, leader, tmp_path, monkeypatch):
+        with FollowerStore.open(tmp_path / "replica", fsync=True) as follower:
+            WalShipper(leader.directory).sync(follower)
+
+            def failing_fsync(fd):
+                raise OSError(errno.EIO, "simulated fsync failure")
+
+            monkeypatch.setattr(os, "fsync", failing_fsync)
+            with pytest.raises(OSError, match="simulated"):
+                follower.apply_record(4, RECORD_HASHES, b"DE", _payload(12, 3))
+            monkeypatch.undo()
+            with pytest.raises(ValueError, match=r"reopen it with FollowerStore\.open\(\)"):
+                follower.apply_record(4, RECORD_HASHES, b"DE", _payload(12, 3))
+
+    def test_a_seeded_followers_durable_lsn_is_its_applied_lsn(self, leader, tmp_path):
+        with FollowerStore.open(tmp_path / "replica") as follower:
+            WalShipper(leader.directory).sync(follower)
+            assert follower.durable_lsn == follower.applied_lsn == leader.durable_lsn
+            assert follower.base_lsn == 0 and follower.wal_records == 3
 
 
 class TestWalShipper:
