@@ -71,8 +71,9 @@ SKETCHES = [
 ]
 
 
-#: Timed repetitions of the bulk call (best-of); one cold call is dominated
-#: by allocator page faults, not by the ingestion path being measured.
+#: Timed repetitions of the bulk call and of the scalar loop (best-of,
+#: each after a warm-up): one cold bulk call is dominated by allocator page
+#: faults, and one short scalar loop by whatever else the host is doing.
 BULK_ROUNDS = 3
 
 #: The grouped-ingest row: rows, Zipf(GROUPED_EXPONENT) integer groups and
@@ -106,12 +107,17 @@ def bench_sketch(name: str, factory, hashes: np.ndarray) -> dict:
     scalar_n = min(n, SCALAR_CAP)
     scalar_hashes = hashes[:scalar_n].tolist()
 
-    sketch = factory()
-    start = time.perf_counter()
-    add_hash = sketch.add_hash
-    for hash_value in scalar_hashes:
-        add_hash(hash_value)
-    scalar_seconds = time.perf_counter() - start
+    warm = factory().add_hash
+    for hash_value in scalar_hashes[:1000]:
+        warm(hash_value)
+    scalar_seconds = float("inf")
+    for _ in range(BULK_ROUNDS):  # timed like the bulk side: best of rounds
+        sketch = factory()
+        start = time.perf_counter()
+        add_hash = sketch.add_hash
+        for hash_value in scalar_hashes:
+            add_hash(hash_value)
+        scalar_seconds = min(scalar_seconds, time.perf_counter() - start)
 
     factory().add_hashes(hashes[: max(1, n // 100)])  # warm ufuncs/allocator
     bulk_seconds = float("inf")
@@ -142,11 +148,17 @@ def bench_raw_items(n: int) -> dict:
     items = np.arange(n, dtype=np.int64)
     scalar_n = min(n, SCALAR_CAP // 4)  # per-item hashing is slower still
 
-    sketch = ExaLogLog(2, 20, 8)
-    start = time.perf_counter()
-    for item in items[:scalar_n].tolist():
-        sketch.add(item)
-    scalar_seconds = time.perf_counter() - start
+    scalar_items = items[:scalar_n].tolist()
+    warm = ExaLogLog(2, 20, 8)
+    for item in scalar_items[:1000]:
+        warm.add(item)
+    scalar_seconds = float("inf")
+    for _ in range(BULK_ROUNDS):  # timed like the bulk side: best of rounds
+        sketch = ExaLogLog(2, 20, 8)
+        start = time.perf_counter()
+        for item in scalar_items:
+            sketch.add(item)
+        scalar_seconds = min(scalar_seconds, time.perf_counter() - start)
 
     ExaLogLog(2, 20, 8).add_batch(items[: max(1, n // 100)])
     bulk_seconds = float("inf")

@@ -117,14 +117,15 @@ def bench_single(p: int, n: int, rng, scalar_rounds: int) -> dict:
 
 def bench_groups(p: int, groups: int, items_per_group: int, rng) -> dict:
     aggregator = DistinctCountAggregator(t=2, d=20, p=p, sparse=False)
-    for group in range(groups):
-        sketch = ExaLogLog(2, 20, p)
-        sketch.add_hashes(
-            rng.integers(0, 1 << 64, size=items_per_group, dtype=np.uint64)
+    aggregator.fold_segments(
+        (
+            str(group).encode(),
+            rng.integers(0, 1 << 64, size=items_per_group, dtype=np.uint64),
         )
-        aggregator._groups[str(group).encode()] = sketch
+        for group in range(groups)
+    )
 
-    sketches = list(aggregator._groups.values())
+    sketches = list(aggregator.sketches().values())
     start = time.perf_counter()
     scalar = [_scalar_estimate(sketch) for sketch in sketches]
     scalar_seconds = time.perf_counter() - start

@@ -11,7 +11,10 @@ Three sections, results to ``BENCH_store.json`` and a text table under
    ``SPILL_GROUPS`` groups with a **bounded-RSS assertion**: peak RSS may
    grow by at most ``RSS_BOUND_MB`` while the modelled in-memory
    aggregator footprint for the same group count is reported alongside —
-   the point is that disk, not RAM, absorbs the group count.
+   the point is that disk, not RAM, absorbs the group count. In full mode
+   its in-memory twin follows: the same rows through one
+   ``DistinctCountAggregator(p=8).add_batch`` per ``IN_MEMORY_BATCH``
+   rows, with its rate, resident-set growth and ``top(10)`` time.
 3. **durable paths** — ``DURABLE_N`` rows in 2048-row Zipf(1.1) batches
    over 10^4 int keys through a 2-shard ``ShardedStore.add_batch``
    (``fsync=False``: the system benchmark owns fsync), the refresh of
@@ -22,6 +25,10 @@ Three sections, results to ``BENCH_store.json`` and a text table under
    same run, so the ratios survive a host change; the rows have one
    size in quick and full mode, and ``perf_smoke.py`` compares them.
    Every path is checked bit-identical to one in-memory ``add_batch``.
+   Two more rows, at the same size in both modes, time a
+   ``SketchStore`` of ``COMPACTED_N`` rows over ``COMPACTED_KEYS`` int
+   keys (mostly token-mode groups): its ``compact()``, and the reopen
+   that loads the snapshot it wrote.
 
 Run directly::
 
@@ -69,6 +76,16 @@ DURABLE_KEYS = 10_000
 DURABLE_EXPONENT = 1.1
 
 
+#: The compacted-store rows: rows over uniform integer keys (about 86%
+#: of the keys occur, most of them in token mode); one size shared by
+#: quick and full mode.
+COMPACTED_N = 200_000
+COMPACTED_KEYS = 100_000
+
+#: Rows per ``add_batch`` call of the in-memory GROUP BY twin.
+IN_MEMORY_BATCH = 1 << 16
+
+
 def _rate(elapsed: float, count: int) -> float:
     return count / elapsed if elapsed > 0 else float("inf")
 
@@ -82,6 +99,18 @@ def _best_of(build, rounds: int = ROUNDS):
         if elapsed < best:
             best, result = elapsed, candidate
     return best, result
+
+
+def _rss_mb() -> float:
+    """The resident set now (Linux ``/proc/self/statm``), else the peak."""
+    import os
+
+    try:
+        with open("/proc/self/statm") as handle:
+            pages = int(handle.read().split()[1])
+    except OSError:
+        return _max_rss_mb()
+    return pages * os.sysconf("SC_PAGE_SIZE") / 1024.0 / 1024.0
 
 
 def _max_rss_mb() -> float:
@@ -216,6 +245,105 @@ def bench_durable_paths(workdir: pathlib.Path) -> list[dict]:
     ]
 
 
+def bench_compacted_store(workdir: pathlib.Path) -> list[dict]:
+    """``compact()`` of a store of many small groups, and the reopen it feeds.
+
+    Each row is divided by the best of ``ROUNDS`` one-sketch
+    ``add_hashes`` calls over the same rows' hashes, timed right before
+    it, and keeps its best-ratio round of ``ROUNDS``. The reopen is
+    checked bit-identical to one in-memory ``add_batch``.
+    """
+    from repro.aggregate import segment
+
+    rng = np.random.Generator(np.random.PCG64(0xC0A1))
+    groups = rng.integers(0, COMPACTED_KEYS, size=COMPACTED_N, dtype=np.int64)
+    items = rng.integers(0, 1 << 62, size=COMPACTED_N, dtype=np.int64)
+    state = DistinctCountAggregator(2, 20, 8).add_batch(groups, items).to_bytes()
+    hashes = hash_items(items)
+    path = workdir / "compacted"
+    best = {}
+
+    def timed(mode: str, call):
+        single, _ = _best_of(lambda: ExaLogLog(2, 20, 8).add_hashes(hashes))
+        start = time.perf_counter()
+        result = call()
+        elapsed = time.perf_counter() - start
+        if mode not in best or single / elapsed > best[mode][1] / best[mode][0]:
+            best[mode] = (elapsed, single)
+        return result
+
+    for _ in range(ROUNDS):
+        shutil.rmtree(path, ignore_errors=True)
+        with SketchStore.open(path, p=8) as store:
+            with store.batch():
+                for key, run in segment(groups, items, 0):
+                    store.append_hashes(key, run)
+            timed(f"compact() of {COMPACTED_KEYS} int keys", store.compact)
+        reopened = timed(
+            f"reopen of a compacted store of {COMPACTED_KEYS} int keys",
+            lambda: SketchStore.open(path),
+        )
+        with reopened:
+            if reopened.aggregator.to_bytes() != state:
+                raise AssertionError("the compacted store's reopen diverged from add_batch")
+    return [
+        {
+            "section": "durable_paths",
+            "mode": f"{mode} / ExaLogLog add_hashes",
+            "n": COMPACTED_N,
+            "items_per_s": _rate(elapsed, COMPACTED_N),
+            "single_items_per_s": _rate(single, COMPACTED_N),
+            "speedup": single / elapsed,
+        }
+        for mode, (elapsed, single) in best.items()
+    ]
+
+
+def bench_in_memory_groupby(group_count: int, items_per_group: int) -> list[dict]:
+    """The spill section's rows through the in-memory aggregator instead.
+
+    Same generator, seed and chunks as :func:`bench_spill_groupby`; the
+    rows go in ``IN_MEMORY_BATCH``-row ``add_batch`` calls. Reports the
+    rate, the growth of the resident set while the aggregator lives, and
+    one ``top(10)``.
+    """
+    total = group_count * items_per_group
+    chunk = 1 << 20
+    rng = np.random.Generator(np.random.PCG64(13))
+    rss_before = _rss_mb()
+    aggregator = DistinctCountAggregator(p=8)
+    seconds = 0.0
+    produced = 0
+    while produced < total:
+        size = min(chunk, total - produced)
+        groups = rng.integers(0, group_count, size=size).astype(np.int64)
+        items = rng.integers(0, 1 << 62, size=size, dtype=np.int64)
+        start = time.perf_counter()
+        for low in range(0, size, IN_MEMORY_BATCH):
+            aggregator.add_batch(
+                groups[low : low + IN_MEMORY_BATCH], items[low : low + IN_MEMORY_BATCH]
+            )
+        seconds += time.perf_counter() - start
+        produced += size
+    del groups, items
+    rss_delta = _rss_mb() - rss_before
+    start = time.perf_counter()
+    aggregator.top(10)
+    top_seconds = time.perf_counter() - start
+    return [
+        {
+            "section": "spill_groupby",
+            "mode": f"in-memory add_batch ({IN_MEMORY_BATCH}-row batches)",
+            "n": total,
+            "groups": len(aggregator),
+            "items_per_s": _rate(seconds, total),
+            "rss_delta_mb": round(rss_delta, 1),
+            "modelled_bytes": aggregator.total_memory_bytes(),
+            "top10_s": round(top_seconds, 3),
+        },
+    ]
+
+
 def bench_spill_groupby(
     group_count: int, items_per_group: int, workdir: pathlib.Path
 ) -> list[dict]:
@@ -304,7 +432,10 @@ def main(argv: "list[str] | None" = None) -> int:
         workdir = pathlib.Path(workdir)
         rows += bench_wal_ingest(wal_n, 1 << 16, workdir)
         rows += bench_spill_groupby(spill_groups, items_per_group, workdir)
+        if not arguments.quick:
+            rows += bench_in_memory_groupby(spill_groups, items_per_group)
         rows += bench_durable_paths(workdir)
+        rows += bench_compacted_store(workdir)
 
     text = "== Durable store: WAL ingest / spill GROUP BY ==\n"
     text += format_table(rows)

@@ -3,7 +3,10 @@
 Query engines expose ``APPROX_COUNT_DISTINCT(x) GROUP BY g`` built on HLL;
 this module provides the equivalent building block on ExaLogLog: one small
 sketch per group, mergeable across partial aggregations (the shuffle/merge
-stage of a distributed GROUP BY), serializable as a whole.
+stage of a distributed GROUP BY), serializable as a whole. The groups are
+held column-wise — one sorted token array for every token-mode group, one
+register block for every dense group — so a batch folds in one pass
+instead of one sketch call per group.
 
 Group keys are stored in the canonical byte encoding of
 :func:`repro.hashing.to_bytes` (strings UTF-8 encoded, ints little-endian
@@ -34,19 +37,22 @@ which ``bytes.fromhex`` recovers the canonical key exactly::
 
 from __future__ import annotations
 
-from types import MappingProxyType
-from typing import Any, Hashable, Iterable, Iterator, Mapping
+from collections.abc import Mapping
+from functools import lru_cache
+from typing import Any, Hashable, Iterable, Iterator
 
 from repro.core.exaloglog import ExaLogLog
-from repro.core.params import make_params
+from repro.core.register import update as update_register
 from repro.core.sparse import SparseExaLogLog
+from repro.core.token import DEFAULT_V, token_bits, token_bytes
 from repro.hashing import hash64, to_bytes
+from repro.storage.packed import PackedArray
 from repro.storage.serialization import (
     SerializationError,
+    read_header,
     read_uvarint,
     write_header,
     write_uvarint,
-    read_header,
 )
 
 #: Sketch tag for serialized aggregators.
@@ -85,6 +91,16 @@ def segment(
     sort is a radix sort: an order-preserving map, so the segments are
     those of sorting the values.
     """
+    keys, hashes, bounds = _columns(groups, items, seed)
+    return list(zip(keys, _split(hashes, bounds)))
+
+
+def _columns(groups, items, seed: int) -> "tuple[list[bytes], Any, Any]":
+    """:func:`segment` as columns: ``(keys, hashes, bounds)``.
+
+    ``hashes`` holds every segment's hashes back to back, in segment
+    order; segment ``i``'s are ``hashes[bounds[i]:bounds[i + 1]]``.
+    """
     import numpy as np
 
     from repro.hashing.batch import hash_items
@@ -104,12 +120,37 @@ def segment(
             f"group/item length mismatch: {len(values)} vs {len(hashes)}"
         )
     if not len(values):
-        return []
-    first, runs = scatter(values, hashes)
+        return [], hashes, np.zeros(1, dtype=np.int64)
+    first, grouped, bounds = _scatter_columns(values, hashes)
     if keys is None:
-        # tolist() yields the Python values the per-row path encodes.
-        keys = [to_bytes(value) for value in groups[first].tolist()]
-    return list(zip(keys, runs))
+        keys = _distinct_keys(groups[first])
+    return keys, grouped, bounds
+
+
+def _split(hashes, bounds) -> list:
+    """The slices ``hashes[bounds[i]:bounds[i + 1]]``, in order."""
+    bounds = bounds.tolist()
+    return [hashes[low:high] for low, high in zip(bounds[:-1], bounds[1:])]
+
+
+def _distinct_keys(values) -> "list[bytes]":
+    """:func:`repro.hashing.to_bytes` of each value's ``tolist()`` form.
+
+    Integers of at most 63 significant bits encode as their 8
+    little-endian two's-complement bytes, so such an integer array's
+    keys are 8-byte slices of one ``astype("<i8")`` buffer; every other
+    value (``-2**63``, a uint64 from ``2**63`` on: 9 bytes each) encodes
+    one by one.
+    """
+    kind = values.dtype.kind
+    narrow = values.dtype.itemsize < 8
+    if (kind == "i" and (narrow or values.min() > -(1 << 63))) or (
+        kind == "u" and (narrow or values.max() < 1 << 63)
+    ):
+        raw = values.astype("<i8").tobytes()
+        return [raw[start : start + 8] for start in range(0, len(raw), 8)]
+    # tolist() yields the Python values the per-row path encodes.
+    return [to_bytes(value) for value in values.tolist()]
 
 
 def scatter(values, hashes) -> "tuple[Any, list]":
@@ -120,6 +161,12 @@ def scatter(values, hashes) -> "tuple[Any, list]":
     applies): each value is one run, and a run's first row is its value's
     first appearance.
     """
+    first, grouped, bounds = _scatter_columns(values, hashes)
+    return first, _split(grouped, bounds)
+
+
+def _scatter_columns(values, hashes):
+    """:func:`scatter` as columns: ``(first rows, hashes run by run, bounds)``."""
     import numpy as np
 
     order = np.argsort(_narrow(values), kind="stable")
@@ -128,11 +175,9 @@ def scatter(values, hashes) -> "tuple[Any, list]":
     del ranked
     first = order[starts]
     appearance = np.argsort(first)
-    scattered = hashes[order]
-    bounds = np.append(starts, len(order)).tolist()
-    return first[appearance], [
-        scattered[bounds[run] : bounds[run + 1]] for run in appearance.tolist()
-    ]
+    lengths = np.diff(np.append(starts, len(order)))[appearance]
+    grouped = hashes[order[_gather(starts[appearance], lengths)]]
+    return first[appearance], grouped, np.concatenate(([0], np.cumsum(lengths)))
 
 
 def _narrow(values):
@@ -156,64 +201,6 @@ def _narrow(values):
     )
 
 
-#: Rows of small sparse slices :meth:`DistinctCountAggregator.fold_segments`
-#: tokenises in one call: one call per run of records, while the token
-#: list of a big batch of small groups stays a few hundred KB.
-TOKENISE_ROWS = 1 << 14
-
-
-def _add_tokenised(small: "dict[int, list]") -> None:
-    """Tokenise gathered ``(sketch, hashes)`` slices in one call per ``v``.
-
-    Each sketch then takes its slice of the tokens through
-    :meth:`SparseExaLogLog.add_hashes`.
-    """
-    import numpy as np
-
-    from repro import backends
-
-    for v, slices in small.items():
-        batch = np.concatenate([hashes for _, hashes in slices])
-        tokens = backends.tokenize_hashes(batch, v).tolist()
-        end = 0
-        for sketch, hashes in slices:
-            start, end = end, end + len(hashes)
-            sketch.add_hashes(hashes, tokens=tokens[start:end])
-
-
-#: Registers of one stacked fold in
-#: :meth:`DistinctCountAggregator.fold_segments` (256 rows at ``p = 8``):
-#: the block and its merge stay at 512 KB of int64 each, however many
-#: dense groups a batch holds. A group of more registers folds alone.
-STACK_REGISTERS = 1 << 16
-
-
-def _fold_stacked(stacked: "dict[bytes, tuple]", params) -> None:
-    """Fold gathered dense rows with one kernel call and one merge.
-
-    ``stacked`` maps a key to its dense sketch and the hash slices the
-    run gathered for it; row ``i`` of the folded block is the sketch of
-    key ``i``'s slices.
-    """
-    import numpy as np
-
-    from repro import backends
-
-    if not stacked:
-        return
-    rows = list(stacked.values())
-    parts = [part for _, slices in rows for part in slices]
-    bounds = np.cumsum([0] + [sum(map(len, slices)) for _, slices in rows])
-    block = backends.exaloglog_registers(
-        np.concatenate(parts) if len(parts) > 1 else parts[0], params, bounds
-    )
-    current = np.stack([dense.registers_array() for dense, _ in rows])
-    if current.any():
-        block = backends.merge_exaloglog_registers(current, block, params.d)
-    for (dense, _), registers in zip(rows, block):
-        dense.adopt_registers(registers)
-
-
 def _encode_rows(groups) -> "tuple[list[bytes], Any]":
     """Canonical keys in first-appearance order, and each row's index."""
     import numpy as np
@@ -233,6 +220,116 @@ def _encode_rows(groups) -> "tuple[list[bytes], Any]":
     return keys, codes
 
 
+#: Rows of small token-mode slices :meth:`DistinctCountAggregator.fold_segments`
+#: tokenises in one call, so the temporaries of a big batch of small
+#: groups stay a few hundred KB.
+TOKENISE_ROWS = 1 << 14
+
+#: Registers of one stacked fold in
+#: :meth:`DistinctCountAggregator.fold_segments` (256 rows at ``p = 8``):
+#: the kernel's block and its merge stay at 512 KB of int64 each,
+#: however many dense groups a batch holds.
+STACK_REGISTERS = 1 << 16
+
+#: Tokens :meth:`DistinctCountAggregator.add_hash` buffers, unsorted,
+#: before one sort merges them into the token array (the insertion
+#: buffer of Heule, Nunkesser and Hall's sparse HyperLogLog++). Every
+#: other operation merges the buffer first.
+PENDING_TOKENS = 1 << 12
+
+#: Bits of a token at the aggregator's token parameter ``v``: a token
+#: row's entries are ``row << _TOKEN_BITS | token``, which fits int64
+#: for 2**31 rows.
+_TOKEN_BITS = token_bits(DEFAULT_V)
+_TOKEN_MASK = (1 << _TOKEN_BITS) - 1
+_V_MASK = (1 << DEFAULT_V) - 1
+
+#: ``_slot`` of a token-mode (or free) row, and of a dropped token row
+#: whose entries still wait in the token array.
+_TOKENS = -1
+_DEAD = -2
+
+#: Register bits :meth:`DistinctCountAggregator.to_bytes` packs (and
+#: :meth:`~DistinctCountAggregator.from_bytes` unpacks) per chunk of
+#: dense rows: their one-int64-per-bit temporaries stay at 1 MB.
+_PACK_BITS = 1 << 17
+
+#: Initial row and block capacities; both double when full.
+_INITIAL_ROWS = 64
+_INITIAL_SLOTS = 8
+
+@lru_cache(maxsize=1 << 12)
+def _uvarint(value: int) -> bytes:
+    """:func:`write_uvarint` of ``value``: a key or blob length of :meth:`to_bytes`."""
+    encoded = bytearray()
+    write_uvarint(encoded, value)
+    return bytes(encoded)
+
+
+def _runs(values):
+    """Distinct values of a sorted array and the length of each run."""
+    import numpy as np
+
+    if not len(values):
+        return values, np.zeros(0, dtype=np.int64)
+    starts = np.flatnonzero(np.concatenate(([True], values[1:] != values[:-1])))
+    return values[starts], np.diff(np.append(starts, len(values)))
+
+
+def _gather(starts, lengths):
+    """Indices of the runs ``[start, start + length)``, concatenated."""
+    import numpy as np
+
+    offsets = np.cumsum(lengths) - lengths
+    return np.repeat(starts - offsets, lengths) + np.arange(int(lengths.sum()))
+
+
+def _pack_registers(block, width: int):
+    """Each row of ``block`` as the MSB-first packed bytes of ``to_bytes``."""
+    import numpy as np
+
+    shifts = np.arange(width - 1, -1, -1, dtype=np.int64)
+    bits = ((block[:, :, None] >> shifts) & 1).astype(np.uint8)
+    return np.packbits(bits.reshape(len(block), -1), axis=1)
+
+
+def _unpack_registers(packed, m: int, width: int):
+    """The ``(rows, m)`` int64 registers of :func:`_pack_registers` rows."""
+    import numpy as np
+
+    bits = np.unpackbits(packed, axis=1, count=m * width).reshape(len(packed), m, width)
+    weights = np.left_shift(1, np.arange(width - 1, -1, -1, dtype=np.int64))
+    return bits @ weights
+
+
+class _SketchView(Mapping):
+    """Read-only live ``key → sketch`` view of an aggregator's groups.
+
+    Keys iterate in insertion order. A value is built from the arrays
+    when it is read, so it is a private sketch of the group's state at
+    that moment: writing it changes nothing here.
+    """
+
+    __slots__ = ("_aggregator",)
+
+    def __init__(self, aggregator: "DistinctCountAggregator") -> None:
+        self._aggregator = aggregator
+
+    def __getitem__(self, key: bytes):
+        aggregator = self._aggregator
+        aggregator._flush()
+        return aggregator._sketch_of(aggregator._rows[key])
+
+    def __contains__(self, key: object) -> bool:
+        return key in self._aggregator._rows
+
+    def __iter__(self) -> Iterator[bytes]:
+        return iter(self._aggregator._rows)
+
+    def __len__(self) -> int:
+        return len(self._aggregator._rows)
+
+
 class DistinctCountAggregator:
     """Per-group approximate distinct counting with mergeable state.
 
@@ -240,15 +337,26 @@ class DistinctCountAggregator:
     ``sparse=True`` (default) starts every group in token mode so that
     aggregations with many small groups stay small (Sec. 4.3's motivation).
 
-    The aggregator is the only owner of its group map. Every layer that
-    keeps group state in one (store, reader, follower, cluster, spill,
-    sliding-window counter) changes it through :meth:`fold_segments`
-    (or :meth:`fold`, or :meth:`add_hash` one hash at a time),
-    :meth:`merge_sketch` and :meth:`drop_group`, and reads it through
-    :meth:`sketches`.
+    The aggregator is the only owner of its group state, which is
+    columnar: ``key → row`` is the only dict. Every token-mode group's
+    Sec. 4.3 tokens live in one sorted int64 array of
+    ``row << 32 | token`` entries, with a token count per row (the
+    sorted sparse list of HyperLogLog++, kept for all groups at once);
+    every dense group's registers are one row of a 2-D register block
+    (int64, or Python ints where registers are wider). Dropped rows and
+    block rows are reused. Every layer that keeps group state in an
+    aggregator (store, reader, follower, cluster, spill, sliding-window
+    counter) changes it through :meth:`fold_segments` (or :meth:`fold`,
+    or :meth:`add_hash` one hash at a time), :meth:`merge_sketch` and
+    :meth:`drop_group`, and reads it through :meth:`estimates`,
+    :meth:`top`, :meth:`group_sketch` and :meth:`sketches`.
     """
 
-    __slots__ = ("_d", "_groups", "_p", "_seed", "_sparse", "_t")
+    __slots__ = (
+        "_block", "_counts", "_d", "_free_rows", "_free_slots", "_keys",
+        "_next_row", "_p", "_params", "_pending", "_rows", "_seed", "_slot",
+        "_sparse", "_stale", "_t", "_used_slots",
+    )
 
     def __init__(
         self,
@@ -258,14 +366,26 @@ class DistinctCountAggregator:
         sparse: bool = True,
         seed: int = 0,
     ) -> None:
+        import numpy as np
+
         self._t = t
         self._d = d
         self._p = p
         self._sparse = sparse
         self._seed = seed
-        self._groups: dict[bytes, ExaLogLog | SparseExaLogLog] = {}
         # Validate parameters eagerly by building a throwaway sketch.
-        self._new_sketch()
+        self._params = self._new_sketch().params
+        self._rows: dict[bytes, int] = {}
+        self._next_row = 0
+        self._free_rows: list[int] = []
+        self._slot = np.full(_INITIAL_ROWS, _TOKENS, dtype=np.int64)
+        self._counts = np.zeros(_INITIAL_ROWS, dtype=np.int64)
+        self._keys = np.zeros(0, dtype=np.int64)
+        self._pending: list[int] = []
+        self._stale: list[int] = []
+        self._block = self._empty_block(_INITIAL_SLOTS)
+        self._used_slots = 0
+        self._free_slots: list[int] = []
 
     def _new_sketch(self) -> ExaLogLog | SparseExaLogLog:
         if self._sparse:
@@ -277,12 +397,15 @@ class DistinctCountAggregator:
         """``group``'s canonical key, :func:`repro.hashing.to_bytes`."""
         return to_bytes(group)
 
-    def _sketch(self, key: bytes) -> ExaLogLog | SparseExaLogLog:
-        """``key``'s sketch, created empty on first use (the one get-or-create)."""
-        sketch = self._groups.get(key)
-        if sketch is None:
-            sketch = self._groups[key] = self._new_sketch()
-        return sketch
+    @property
+    def _int64(self) -> bool:
+        """Whether the block is int64 (registers of at most 63 bits)."""
+        return self._params.register_bits <= 63
+
+    @property
+    def _break_even(self) -> int:
+        """:attr:`SparseExaLogLog.break_even_tokens` of the groups."""
+        return self._params.dense_bytes // token_bytes(DEFAULT_V)
 
     @staticmethod
     def decode_key(key: bytes) -> str:
@@ -310,6 +433,196 @@ class DistinctCountAggregator:
         """
         return (self._t, self._d, self._p, self._sparse, self._seed)
 
+    # -- rows and block slots --------------------------------------------------
+
+    def _empty_block(self, slots: int):
+        import numpy as np
+
+        return np.zeros(
+            (slots, self._params.m), dtype=np.int64 if self._int64 else object
+        )
+
+    def _new_row(self, key: bytes) -> int:
+        """A row for the unseen ``key``: token mode, or dense when not sparse."""
+        if self._free_rows:
+            row = self._free_rows.pop()
+        else:
+            row = self._next_row
+            self._reserve(1)
+        self._rows[key] = row
+        if not self._sparse:
+            self._slot[row] = self._new_slot()
+        return row
+
+    def _new_rows(self, keys: "list[bytes]"):
+        """:meth:`_new_row` for many unseen, distinct ``keys`` at once, in order."""
+        import numpy as np
+
+        reused = [self._free_rows.pop() for _ in range(min(len(keys), len(self._free_rows)))]
+        start = self._next_row
+        self._reserve(len(keys) - len(reused))
+        rows = np.concatenate(
+            (np.array(reused, dtype=np.int64), np.arange(start, self._next_row))
+        )
+        self._rows.update(zip(keys, rows.tolist()))
+        if not self._sparse:
+            self._slot[rows] = [self._new_slot() for _ in range(len(rows))]
+        return rows
+
+    def _reserve(self, count: int) -> None:
+        """Take ``count`` fresh row ids, doubling the per-row arrays when full."""
+        import numpy as np
+
+        self._next_row += count
+        if self._next_row > len(self._slot):
+            capacity = max(2 * len(self._slot), self._next_row)
+            slot = np.full(capacity, _TOKENS, dtype=np.int64)
+            slot[: len(self._slot)] = self._slot
+            counts = np.zeros(capacity, dtype=np.int64)
+            counts[: len(self._counts)] = self._counts
+            self._slot, self._counts = slot, counts
+
+    def _row(self, group: Hashable) -> int:
+        """``group``'s row, created empty on first use (the one get-or-create)."""
+        key = to_bytes(group)
+        row = self._rows.get(key)
+        return self._new_row(key) if row is None else row
+
+    def _new_slot(self) -> int:
+        """A zeroed block row."""
+        if self._free_slots:
+            slot = self._free_slots.pop()
+            self._block[slot] = 0
+            return slot
+        slot = self._used_slots
+        self._used_slots += 1
+        if slot == len(self._block):
+            grown = self._empty_block(2 * slot)
+            grown[:slot] = self._block
+            self._block = grown
+        return slot
+
+    # -- the token array --------------------------------------------------------
+
+    def _flush(self) -> None:
+        """Merge the insertion buffer (every read and write but :meth:`add_hash`)."""
+        if self._pending:
+            pending, self._pending = self._pending, []
+            self._merge_tokens(pending)
+
+    def _purge(self) -> None:
+        """Drop the entries of rows that left token mode; free dropped rows.
+
+        Such entries are never read (only token-mode rows' runs are), so
+        the purge waits for a pass that rebuilds the array anyway, and
+        a dropped token row is reused only after it.
+        """
+        if self._stale:
+            self._keys = self._keys[self._slot[self._keys >> _TOKEN_BITS] == _TOKENS]
+            dead = [row for row in set(self._stale) if self._slot[row] == _DEAD]
+            self._slot[dead] = _TOKENS
+            self._free_rows += dead
+            self._stale = []
+
+    def _merge_tokens(self, entries) -> None:
+        """Merge token entries; every row that gained one past break-even densifies.
+
+        The rule of the per-item :meth:`SparseExaLogLog.add_hash` loop
+        and of a token-mode :meth:`SparseExaLogLog.merge_inplace`, and
+        densification is the sketch's own :meth:`SparseExaLogLog.densify`.
+        """
+        import numpy as np
+
+        grown = self._insert_tokens(np.asarray(entries, dtype=np.int64))
+        for row in grown[self._counts[grown] > self._break_even].tolist():
+            self._put(row, self._sketch_of(row).densify())
+
+    def _insert_tokens(self, entries):
+        """Merge ``row << 32 | token`` entries (any order, repeats allowed).
+
+        One sort, one ``searchsorted`` against the sorted array and one
+        ``np.insert`` of the entries not yet present; each row's
+        count grows by its new tokens. Returns the rows that gained one.
+        """
+        import numpy as np
+
+        new = np.sort(entries)
+        new = new[np.concatenate(([True], new[1:] != new[:-1]))]
+        keys = self._keys
+        if len(keys):
+            at = np.searchsorted(keys, new)
+            present = at < len(keys)
+            present[present] = keys[at[present]] == new[present]
+            if present.any():
+                new, at = new[~present], at[~present]
+            self._keys = np.insert(keys, at, new)
+        else:
+            self._keys = new
+        rows, counts = _runs(new >> _TOKEN_BITS)
+        self._counts[rows] += counts
+        return rows
+
+    def _token_runs(self, rows):
+        """Start and length of each of ``rows``' token runs in the array."""
+        import numpy as np
+
+        rows = np.asarray(rows, dtype=np.int64) << _TOKEN_BITS
+        starts = np.searchsorted(self._keys, rows)
+        stops = np.searchsorted(self._keys, rows + (1 << _TOKEN_BITS))
+        return starts, stops - starts
+
+    def _row_tokens(self, row: int):
+        """One token-mode row's tokens, ascending (int64)."""
+        keys, first = self._keys, row << _TOKEN_BITS
+        low = keys.searchsorted(first)
+        return keys[low : keys.searchsorted(first + (1 << _TOKEN_BITS))] & _TOKEN_MASK
+
+    # -- one row as a sketch, and back ------------------------------------------
+
+    def _sketch_of(self, row: int):
+        """A private sketch of ``row``'s state, of the type the row had before.
+
+        A :class:`SparseExaLogLog` in either mode, or an
+        :class:`ExaLogLog` when the aggregator is not sparse.
+        """
+        slot = int(self._slot[row])
+        if slot < 0:
+            return SparseExaLogLog.from_tokens(
+                self._row_tokens(row).tolist(), self._t, self._d, self._p
+            )
+        if self._int64:
+            dense = ExaLogLog.from_params(self._params).adopt_registers(
+                self._block[slot].copy()
+            )
+        else:
+            dense = ExaLogLog.from_registers(self._params, self._block[slot].tolist())
+        return SparseExaLogLog.from_dense(dense) if self._sparse else dense
+
+    def _put(self, row: int, sketch) -> None:
+        """Write a sketch built from ``row`` by :meth:`_sketch_of` back into it.
+
+        A token-mode result only gains tokens, which are inserted; a
+        dense result is copied into the row's block row, which a row
+        leaving token mode is given (its tokens are purged at the next
+        :meth:`_flush`).
+        """
+        import numpy as np
+
+        if isinstance(sketch, SparseExaLogLog):
+            if sketch.is_sparse:
+                tokens = np.fromiter(sketch.tokens, dtype=np.int64)
+                self._insert_tokens((row << _TOKEN_BITS) | tokens)
+                return
+            sketch = sketch.densify()  # already dense: its inner sketch
+        slot = int(self._slot[row])
+        if slot < 0:
+            slot = self._slot[row] = self._new_slot()
+            self._counts[row] = 0
+            self._stale.append(row)
+        self._block[slot] = (
+            sketch.registers_array() if self._int64 else sketch.registers
+        )
+
     # -- accumulation ----------------------------------------------------------
 
     def add(self, group: Hashable, item: Any) -> "DistinctCountAggregator":
@@ -317,8 +630,33 @@ class DistinctCountAggregator:
         return self.add_hash(group, hash64(item, self._seed))
 
     def add_hash(self, group: Hashable, hash_value: int) -> "DistinctCountAggregator":
-        """Record a pre-hashed value under ``group``; returns ``self``."""
-        self._sketch(to_bytes(group)).add_hash(hash_value)
+        """Record a pre-hashed value under ``group``; returns ``self``.
+
+        A dense group's register is updated in place (Algorithm 2). A
+        token-mode group's token goes to an unsorted insertion buffer of
+        :data:`PENDING_TOKENS` entries, merged by one sort when it fills
+        or before any other operation, so no insert copies the token
+        array.
+        """
+        row = self._row(group)
+        slot = self._slot[row]
+        if slot == _TOKENS:
+            masked = hash_value | _V_MASK
+            self._pending.append(
+                (row << _TOKEN_BITS)
+                | ((hash_value & _V_MASK) << 6)
+                | (64 - masked.bit_length())
+            )
+            if len(self._pending) >= PENDING_TOKENS:
+                self._flush()
+            return self
+        params = self._params
+        t = params.t
+        index = (hash_value >> t) & (params.m - 1)
+        nlz = 64 - (hash_value | ((1 << (params.p + t)) - 1)).bit_length()
+        k = (nlz << t) + (hash_value & ((1 << t) - 1)) + 1
+        block = self._block
+        block[slot, index] = update_register(int(block[slot, index]), k, params.d)
         return self
 
     def add_pairs(self, pairs: Iterable[tuple[Hashable, Any]]) -> "DistinctCountAggregator":
@@ -348,8 +686,9 @@ class DistinctCountAggregator:
 
         One vectorised hash pass over ``items`` (NumPy integer/float
         arrays hash without a Python-level loop), one factorise and
-        scatter (:func:`segment`), then one :meth:`fold_segments` call
-        for the whole batch: one fold per batch, not one per group.
+        scatter (:func:`segment`'s, as columns), then the fold of
+        :meth:`fold_segments` for the whole batch: one fold per batch,
+        not one per group.
         Estimates are exactly those of the equivalent per-item
         :meth:`add` loop. The fold runs in this process, with no
         ``workers=`` fan-out: sharding a batch over workers adds serial
@@ -363,8 +702,12 @@ class DistinctCountAggregator:
         count exceeds RAM. The spill target — not ``self`` — then owns
         the batch's state; results come from its partition merge.
         """
-        segments = segment(groups, items, self._seed)
-        if not segments:
+        from itertools import repeat
+
+        import numpy as np
+
+        keys, hashes, bounds = _columns(groups, items, self._seed)
+        if not keys:
             return self
         if spill is not None:
             spill_config = getattr(spill, "config", None)
@@ -373,79 +716,161 @@ class DistinctCountAggregator:
                     f"spill target configuration {spill_config} differs from "
                     f"aggregator configuration {self.config}"
                 )
-            spill.write_segments(segments)
+            spill.write_segments(list(zip(keys, _split(hashes, bounds))))
             return self
-        return self.fold_segments(segments)
+        # The keys are distinct: resolve them at once, create the new ones
+        # together, and fold the columns as fold_segments would.
+        self._flush()
+        self._purge()
+        rows = np.fromiter(
+            map(self._rows.get, keys, repeat(-1)), dtype=np.int64, count=len(keys)
+        )
+        new = np.flatnonzero(rows < 0)
+        if len(new):
+            rows[new] = self._new_rows([keys[i] for i in new.tolist()])
+        self._fold(rows, hashes, bounds[:-1], np.diff(bounds))
+        return self
 
     def fold_segments(self, segments) -> "DistinctCountAggregator":
         """Fold ``(group, hashes)`` segments, a whole batch at once; returns ``self``.
 
         The bulk write every ingest path shares: the batch scatter above,
         the store's commit, WAL replay, the reader's tail and spill
-        partition merges, all in this process. Each segment's sketch is
-        resolved once (created on first use), and a group may appear in
-        several segments. Inserts are commutative and idempotent, the
+        partition merges, all in this process. Each segment costs one
+        dict lookup for its row (a group may appear in several
+        segments, and an empty segment only creates its group); the rest
+        runs once per batch. Inserts are commutative and idempotent, the
         Algorithm 5 merge is exact and token mode densifies losslessly
         (Sec. 4.3), so the result is bit-identical to folding the
-        segments one by one. The slices take three routes:
+        segments one by one. Each row takes one of three routes, chosen
+        from its state before the batch:
 
-        * Dense groups (with registers that fit int64) fold stacked:
-          each is one row of a ``(rows, m)`` block, however many of the
-          run's segments it holds, and each block of at most
-          :data:`STACK_REGISTERS` registers takes one
-          :func:`~repro.backends.exaloglog_registers` call and one
-          :func:`~repro.backends.merge_exaloglog_registers` call with
-          the rows' current registers; every sketch then adopts a copy
-          of its row (:meth:`ExaLogLog.adopt_registers`).
-        * Slices of token-mode groups that cannot pass break-even are
-          tokenised together, one
-          :func:`~repro.backends.tokenize_hashes` call per token
-          parameter ``v`` and :data:`TOKENISE_ROWS` rows, and each group
-          takes its tokens through :meth:`SparseExaLogLog.add_hashes`,
-          a set update.
-        * Every other slice (slices long enough to densify their group,
-          and registers wider than int64) folds through its sketch's
-          ``add_hashes``.
+        * Dense rows (registers that fit int64) fold stacked, straight
+          into the register block: the batch's hashes are grouped by
+          row, and each block of at most :data:`STACK_REGISTERS`
+          registers takes one :func:`~repro.backends.exaloglog_registers`
+          call and one :func:`~repro.backends.merge_exaloglog_registers`
+          call with the rows' current registers.
+        * Token-mode rows whose count plus their slices cannot pass
+          break-even are tokenised together
+          (:func:`~repro.backends.tokenize_hashes`, :data:`TOKENISE_ROWS`
+          rows a call) and merged into the sorted token array with one
+          sort, one ``searchsorted`` and one ``np.insert``.
+        * Every other row (a token-mode group that may pass break-even,
+          or registers wider than int64) folds its slices, one by one,
+          through its sketch's own ``add_hashes`` — for a crossing group
+          the tested lossless :meth:`SparseExaLogLog.add_hashes`
+          densification — and the result is written back into the
+          arrays.
+        """
+        import numpy as np
+
+        from repro import backends
+
+        self._flush()
+        self._purge()
+        rows: list[int] = []
+        arrays: list = []
+        get, new_row = self._rows.get, self._new_row
+        ndarray, uint64 = np.ndarray, np.dtype(np.uint64)
+        for group, hashes in segments:
+            key = group if type(group) is bytes else to_bytes(group)
+            row = get(key)
+            if row is None:
+                row = new_row(key)
+            rows.append(row)
+            if type(hashes) is not ndarray or hashes.dtype is not uint64 or hashes.ndim != 1:
+                hashes = backends.as_hash_array(hashes)
+            arrays.append(hashes)
+        if rows:
+            lengths = np.fromiter(map(len, arrays), dtype=np.int64, count=len(arrays))
+            self._fold(
+                np.array(rows, dtype=np.int64),
+                np.concatenate(arrays) if len(arrays) > 1 else arrays[0],
+                np.cumsum(lengths) - lengths,
+                lengths,
+            )
+        return self
+
+    def _fold(self, rows, flat, starts, lengths) -> None:
+        """The fold of :meth:`fold_segments`, on columns.
+
+        Segment ``i`` is ``flat[starts[i]:starts[i] + lengths[i]]`` (uint64
+        hashes) into row ``rows[i]``; each route gathers its segments'
+        hashes from ``flat``, grouped by row.
+        """
+        import numpy as np
+
+        from repro import backends
+
+        slots = self._slot[rows]
+        dense = (slots >= 0) & (lengths > 0)
+        stacked = np.flatnonzero(dense & self._int64)
+        alone = np.flatnonzero(dense & (not self._int64))
+        tokens = np.flatnonzero((slots < 0) & (lengths > 0))
+        small = tokens[:0]
+        if len(tokens):
+            # Each token-mode row's total over the batch, by a stable sort.
+            order = np.argsort(rows[tokens], kind="stable")
+            owners, counts = _runs(rows[tokens][order])
+            totals = np.add.reduceat(lengths[tokens][order], np.cumsum(counts) - counts)
+            fits = np.empty(len(tokens), dtype=bool)
+            fits[order] = np.repeat(self._counts[owners] + totals <= self._break_even, counts)
+            small = tokens[fits]
+            alone = np.concatenate((alone, tokens[~fits]))
+
+        if len(stacked):
+            # The dense segments grouped by row: one row of the block each.
+            stacked = stacked[np.argsort(rows[stacked], kind="stable")]
+            owners, counts = _runs(rows[stacked])
+            sizes = np.add.reduceat(lengths[stacked], np.cumsum(counts) - counts)
+            self._fold_stacked(
+                owners,
+                flat[_gather(starts[stacked], lengths[stacked])],
+                np.concatenate(([0], np.cumsum(sizes))),
+            )
+        if len(alone):
+            # Slice by slice, in order: the first that can pass break-even
+            # densifies the group, and the later ones fold into it.
+            alone = alone[np.argsort(rows[alone], kind="stable")]
+            owners, counts = _runs(rows[alone])
+            ends = np.cumsum(counts).tolist()
+            for row, low, high in zip(owners.tolist(), [0, *ends[:-1]], ends):
+                sketch = self._sketch_of(row)
+                for segment in alone[low:high].tolist():
+                    start = starts[segment]
+                    sketch.add_hashes(flat[start : start + lengths[segment]])
+                self._put(row, sketch)
+        if len(small):
+            hashes = flat[_gather(starts[small], lengths[small])]
+            entries = np.repeat(rows[small] << _TOKEN_BITS, lengths[small])
+            for start in range(0, len(hashes), TOKENISE_ROWS):
+                stop = start + TOKENISE_ROWS
+                entries[start:stop] |= backends.tokenize_hashes(
+                    hashes[start:stop], DEFAULT_V
+                )
+            self._insert_tokens(entries)
+
+    def _fold_stacked(self, owners, hashes, bounds) -> None:
+        """Fold each owner's hashes into its dense row, block by block, in place.
+
+        ``hashes[bounds[i]:bounds[i + 1]]`` belong to ``owners[i]``.
         """
         from repro import backends
 
-        params = make_params(self._t, self._d, self._p)
-        stack_rows = (
-            max(1, STACK_REGISTERS // params.m)
-            if backends.supports_int64_registers(params)
-            else 0
-        )
-        stacked: dict[bytes, tuple] = {}  # key -> (dense sketch, [hashes])
-        small: dict[int, list] = {}  # token parameter v -> [(sketch, hashes)]
-        rows = 0
-        for group, hashes in segments:
-            key = to_bytes(group)
-            sketch = self._sketch(key)
-            hashes = backends.as_hash_array(hashes)
-            if isinstance(sketch, SparseExaLogLog) and sketch.is_sparse:
-                if sketch.token_count + len(hashes) <= sketch.break_even_tokens:
-                    small.setdefault(sketch.v, []).append((sketch, hashes))
-                    rows += len(hashes)
-                    if rows >= TOKENISE_ROWS:
-                        _add_tokenised(small)
-                        small, rows = {}, 0
-                else:
-                    sketch.add_hashes(hashes)
-            elif stack_rows and sketch.params == params:
-                row = stacked.get(key)
-                if row is None:
-                    if len(stacked) == stack_rows:
-                        _fold_stacked(stacked, params)
-                        stacked = {}
-                    if isinstance(sketch, SparseExaLogLog):
-                        sketch = sketch.densify()  # already dense: its inner sketch
-                    row = stacked[key] = (sketch, [])
-                row[1].append(hashes)
-            else:
-                sketch.add_hashes(hashes)
-        _fold_stacked(stacked, params)
-        _add_tokenised(small)
-        return self
+        params = self._params
+        per_block = max(1, STACK_REGISTERS // params.m)
+        for first in range(0, len(owners), per_block):
+            last = min(first + per_block, len(owners))
+            low = bounds[first]
+            block = backends.exaloglog_registers(
+                hashes[low : bounds[last]], params, bounds[first : last + 1] - low
+            )
+            slots = self._slot[owners[first:last]]
+            current = self._block[slots]
+            if current.any():
+                block = backends.merge_exaloglog_registers(current, block, params.d)
+            self._block[slots] = block
 
     def fold(self, group: Hashable, hashes) -> "DistinctCountAggregator":
         """Fold pre-hashed values into ``group``'s sketch; returns ``self``.
@@ -463,11 +888,8 @@ class DistinctCountAggregator:
         """
         if not isinstance(sketch, (ExaLogLog, SparseExaLogLog)):
             raise TypeError(f"cannot merge a {type(sketch).__name__} into an aggregator")
-        mine = self._new_sketch()
-        if sketch.params != mine.params or (
-            isinstance(sketch, SparseExaLogLog)
-            and isinstance(mine, SparseExaLogLog)
-            and sketch.v != mine.v
+        if sketch.params != self._params or (
+            isinstance(sketch, SparseExaLogLog) and sketch.v != DEFAULT_V
         ):
             raise ValueError(
                 f"cannot merge {sketch!r}: parameters differ from the aggregator's "
@@ -478,47 +900,92 @@ class DistinctCountAggregator:
         """Merge a whole sketch into ``group`` (Algorithm 5); returns ``self``.
 
         ``sketch`` passes :meth:`check_mergeable` first and is left
-        unchanged. An unseen group starts as an empty sketch in this
-        aggregator's own representation, so later merges and
-        serialization stay uniform.
+        unchanged. An unseen group starts empty in this aggregator's own
+        representation. A token-mode sketch merged into a token-mode
+        group joins the insertion buffer, like :meth:`add_hash`'s
+        tokens; every other merge runs the sketches' own
+        ``merge_inplace`` on the group's row.
         """
         self.check_mergeable(sketch)
-        mine = self._sketch(to_bytes(group))
+        row = self._row(group)
+        if (
+            isinstance(sketch, SparseExaLogLog)
+            and sketch.is_sparse
+            and self._slot[row] == _TOKENS
+            and self._counts[row] <= self._break_even
+        ):
+            base = row << _TOKEN_BITS
+            self._pending += [base | token for token in sketch.tokens]
+            if len(self._pending) >= PENDING_TOKENS:
+                self._flush()
+            return self
+        self._flush()
+        self._merge_row(row, sketch)
+        return self
+
+    def _merge_row(self, row: int, sketch) -> None:
+        """The sketches' own ``merge_inplace`` of ``sketch`` into ``row``."""
+        mine = self._sketch_of(row)
         if not isinstance(mine, SparseExaLogLog) and isinstance(sketch, SparseExaLogLog):
             sketch = sketch.copy().densify()
         mine.merge_inplace(sketch)
-        return self
+        self._put(row, mine)
 
     def drop_group(self, group: Hashable) -> "DistinctCountAggregator":
-        """Remove ``group``'s sketch (a no-op for unseen groups); returns ``self``."""
-        self._groups.pop(to_bytes(group), None)
+        """Remove ``group`` (a no-op for unseen groups); returns ``self``.
+
+        Its row and block row are reused by later groups.
+        """
+        row = self._rows.pop(to_bytes(group), None)
+        if row is None:
+            return self
+        self._flush()
+        slot = int(self._slot[row])
+        self._counts[row] = 0
+        if slot >= 0:
+            self._free_slots.append(slot)
+        if slot >= 0 and not self._stale:
+            self._slot[row] = _TOKENS
+            self._free_rows.append(row)
+        else:  # its tokens leave the array at the next flush
+            self._slot[row] = _DEAD
+            self._stale.append(row)
         return self
 
     # -- queries -----------------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._groups)
+        return len(self._rows)
 
     def __contains__(self, group: Hashable) -> bool:
-        return to_bytes(group) in self._groups
+        return to_bytes(group) in self._rows
 
     def groups(self) -> Iterator[bytes]:
-        """The observed group keys (canonical byte form)."""
-        return iter(self._groups)
+        """The observed group keys (canonical byte form), in insertion order."""
+        return iter(self._rows)
 
     def sketches(self) -> Mapping[bytes, ExaLogLog | SparseExaLogLog]:
         """Read-only live ``key → sketch`` mapping, in insertion order.
 
-        No copies: scans of the query plane and the cluster's gathered
-        solve read every sketch through it. Callers must not mutate the
-        sketches; :meth:`group_sketch` hands out a private copy.
+        Keys come straight from the ``key → row`` dict; a value is built
+        from the arrays only when it is read, and is then the caller's
+        private copy (the same as :meth:`group_sketch`). Reads that want
+        estimates should ask :meth:`estimates`, :meth:`top` or
+        :meth:`estimate`, which build no sketch.
         """
-        return MappingProxyType(self._groups)
+        return _SketchView(self)
+
+    def _all_rows(self):
+        import numpy as np
+
+        return np.fromiter(self._rows.values(), dtype=np.int64, count=len(self._rows))
 
     def estimate(self, group: Hashable) -> float:
         """Distinct-count estimate for one group (0 for unseen groups)."""
-        sketch = self._groups.get(to_bytes(group))
-        return sketch.estimate() if sketch is not None else 0.0
+        row = self._rows.get(to_bytes(group))
+        if row is None:
+            return 0.0
+        return float(self._estimate_rows([row])[0])
 
     def group_sketch(self, group: Hashable):
         """A private copy of one group's sketch (``None`` for unseen groups).
@@ -526,94 +993,319 @@ class DistinctCountAggregator:
         The :class:`repro.query.SketchSource` point read, and the one
         behind every store-backed source: the store, the reader, the
         follower and each cluster shard answer ``group_sketch`` from
-        their aggregator through it. Callers may merge the result in
-        place without affecting this aggregator's state.
+        their aggregator through it. The sketch is built from the row:
+        a :class:`SparseExaLogLog` in either mode, or an
+        :class:`ExaLogLog` when the aggregator is not sparse. Callers
+        may merge it in place without affecting this aggregator.
         """
-        sketch = self._groups.get(to_bytes(group))
-        return sketch.copy() if sketch is not None else None
+        row = self._rows.get(to_bytes(group))
+        if row is None:
+            return None
+        self._flush()
+        return self._sketch_of(row)
 
     def estimates(self) -> dict[bytes, float]:
-        """All group estimates, batched.
+        """All group estimates, batched, in insertion order.
 
-        Every group's sketch joins a coefficient block — dense registers
-        through the vectorised Algorithm 3, sparse token groups through
-        Algorithm 7 — and one :func:`repro.estimation.batch.solve_ml_equations`
-        call per block of up to ``ESTIMATE_CHUNK_ROWS`` groups produces the
-        estimates, bit-identical to calling ``sketch.estimate()`` per group
-        but orders of magnitude faster at scale. A million-group
-        aggregation resolves in one call, in bounded memory::
+        Read straight from the arrays, with no per-group object: dense
+        rows through the vectorised Algorithm 3 on block rows, token
+        rows through Algorithm 7's coefficients from one ``bincount``
+        over (row, j) of the token array, and one
+        :func:`repro.estimation.batch.solve_ml_equations` call per chunk
+        of up to ``ESTIMATE_CHUNK_ROWS`` groups. Bit-identical to calling
+        ``sketch.estimate()`` per group. A million-group aggregation
+        resolves in one call, in bounded memory::
 
             agg = DistinctCountAggregator(p=8)
             agg.add_batch(group_array, item_array)   # ... many batches
             by_group = agg.estimates()               # one solve per 16,384 groups
             heaviest = agg.top(10)                   # top-k without full sort
         """
-        from repro.estimation.batch import batch_estimates_by_key
-
-        return batch_estimates_by_key(self._groups)
+        if not self._rows:
+            return {}
+        return dict(zip(self._rows, self._estimate_rows(self._all_rows()).tolist()))
 
     def top(self, count: int) -> list[tuple[bytes, float]]:
         """The ``count`` groups with the largest estimates.
 
-        Selects via ``np.argpartition`` on the batched estimate vector —
-        O(groups) instead of a full sort — with ties broken by insertion
-        order exactly like a full stable descending sort.
+        Selects via :func:`repro.estimation.batch.top_positions` on the
+        estimate vector — O(groups) instead of a full sort — with ties
+        broken by insertion order exactly like a full stable descending
+        sort.
         """
-        from repro.estimation.batch import batch_top
+        from repro.estimation.batch import top_positions
 
-        return batch_top(self._groups, count)
+        if count <= 0 or not self._rows:
+            return []
+        values = self._estimate_rows(self._all_rows())
+        keys = list(self._rows)
+        return [
+            (keys[i], float(values[i])) for i in top_positions(values, count).tolist()
+        ]
+
+    def _estimate_rows(self, rows):
+        """Estimates of ``rows``, in order: dense rows first in each chunk."""
+        import numpy as np
+
+        from repro.core.mlestimation import bias_correction_factor
+        from repro.estimation.batch import (
+            ESTIMATE_CHUNK_ROWS,
+            EXPONENT_AXIS,
+            register_coefficients,
+            solve_ml_equations,
+            token_coefficients,
+        )
+
+        self._flush()
+        rows = np.asarray(rows, dtype=np.int64)
+        params = self._params
+        out = np.empty(len(rows))
+        slots = self._slot[rows]
+        dense = np.flatnonzero(slots >= 0)
+        if not self._int64:
+            for position in dense.tolist():
+                out[position] = self._sketch_of(int(rows[position])).estimate()
+            dense = dense[:0]
+        order = np.concatenate((dense, np.flatnonzero(slots < 0)))
+        bias = bias_correction_factor(params)
+        for start in range(0, len(order), ESTIMATE_CHUNK_ROWS):
+            chunk = order[start : start + ESTIMATE_CHUNK_ROWS]
+            split = min(max(len(dense) - start, 0), len(chunk))
+            alpha = np.empty(len(chunk))
+            beta = np.empty((len(chunk), EXPONENT_AXIS), dtype=np.int64)
+            if split:
+                coefficients = register_coefficients(
+                    self._block[slots[chunk[:split]]], params
+                )
+                alpha[:split] = coefficients.alpha
+                beta[:split] = coefficients.beta
+            if split < len(chunk):
+                starts, lengths = self._token_runs(rows[chunk[split:]])
+                coefficients = token_coefficients(
+                    np.repeat(np.arange(len(chunk) - split), lengths),
+                    self._keys[_gather(starts, lengths)] & _TOKEN_MASK,
+                    len(chunk) - split,
+                    DEFAULT_V,
+                )
+                alpha[split:] = coefficients.alpha
+                beta[split:] = coefficients.beta
+            values = solve_ml_equations(alpha, beta).nu
+            values[:split] *= params.m
+            np.multiply(values[:split], bias, out=values[:split], where=values[:split] > 0.0)
+            out[chunk] = values
+        return out
 
     def total_memory_bytes(self) -> int:
-        """Modelled footprint across all groups."""
-        return sum(sketch.memory_bytes for sketch in self._groups.values())
+        """Modelled footprint across all groups: each group's sketch model.
+
+        A token-mode group counts its tokens at ``token_bytes(v)`` each, a
+        dense group its packed register array, and every group one
+        object overhead (:attr:`SparseExaLogLog.memory_bytes`,
+        :attr:`ExaLogLog.memory_bytes`).
+        """
+        from repro.baselines.base import OBJECT_OVERHEAD_BYTES
+
+        self._flush()
+        rows = self._all_rows()
+        dense = int((self._slot[rows] >= 0).sum())
+        tokens = int(self._counts[rows].sum())
+        return (
+            len(rows) * OBJECT_OVERHEAD_BYTES
+            + dense * self._params.dense_bytes
+            + tokens * token_bytes(DEFAULT_V)
+        )
 
     # -- merge --------------------------------------------------------------------
 
     def merge_inplace(self, other: "DistinctCountAggregator") -> "DistinctCountAggregator":
-        """Union with another aggregator of identical configuration."""
+        """Union with another aggregator of identical configuration.
+
+        A group unseen here is copied as it is; a group both hold merges
+        as :meth:`merge_sketch` would merge ``other``'s sketch of it.
+        """
+        import numpy as np
+
         if not isinstance(other, DistinctCountAggregator):
             raise TypeError(
                 f"cannot merge DistinctCountAggregator with {type(other).__name__}"
             )
         if self.config != other.config:
             raise ValueError("aggregator configurations differ")
-        for key, sketch in other._groups.items():
-            mine = self._groups.get(key)
+        other._flush()
+        self._flush()
+        copied: list[tuple[int, int]] = []
+        shared: list[tuple[int, int]] = []
+        for key, row in other._rows.items():
+            mine = self._rows.get(key)
             if mine is None:
-                self._groups[key] = sketch.copy()
+                copied.append((self._new_row(key), row))
             else:
-                mine.merge_inplace(sketch)
+                shared.append((mine, row))
+        if copied:
+            mine, theirs = np.array(copied, dtype=np.int64).T
+            self._copy_rows(other, mine, theirs)
+        if shared:
+            mine, theirs = np.array(shared, dtype=np.int64).T
+            # Token sets into token rows that are not past break-even: one
+            # merge, as merge_sketch's buffer would do it.
+            tokens = (
+                (other._slot[theirs] == _TOKENS)
+                & (self._slot[mine] == _TOKENS)
+                & (self._counts[mine] <= self._break_even)
+            )
+            if tokens.any():
+                starts, lengths = other._token_runs(theirs[tokens])
+                entries = other._keys[_gather(starts, lengths)] & _TOKEN_MASK
+                self._merge_tokens(
+                    entries | np.repeat(mine[tokens] << _TOKEN_BITS, lengths)
+                )
+            for row, theirs_row in zip(mine[~tokens].tolist(), theirs[~tokens].tolist()):
+                self._merge_row(row, other._sketch_of(theirs_row))
         return self
+
+    def _copy_rows(self, other, mine, theirs) -> None:
+        """Copy ``other``'s rows ``theirs`` verbatim into this aggregator's fresh ``mine``."""
+        import numpy as np
+
+        slots = other._slot[theirs]
+        tokens = slots < 0
+        if tokens.any():
+            starts, lengths = other._token_runs(theirs[tokens])
+            entries = other._keys[_gather(starts, lengths)] & _TOKEN_MASK
+            entries |= np.repeat(mine[tokens] << _TOKEN_BITS, lengths)
+            self._insert_tokens(entries)
+        for row, slot in zip(mine[~tokens].tolist(), slots[~tokens].tolist()):
+            mine_slot = int(self._slot[row])
+            if mine_slot < 0:
+                mine_slot = self._slot[row] = self._new_slot()
+            self._block[mine_slot] = other._block[slot]
 
     def merge(self, other: "DistinctCountAggregator") -> "DistinctCountAggregator":
         result = self.copy()
         return result.merge_inplace(other)
 
     def copy(self) -> "DistinctCountAggregator":
+        self._flush()
+        self._purge()
         clone = DistinctCountAggregator(
             self._t, self._d, self._p, self._sparse, self._seed
         )
-        clone._groups = {key: sketch.copy() for key, sketch in self._groups.items()}
+        clone._rows = dict(self._rows)
+        clone._next_row = self._next_row
+        clone._free_rows = list(self._free_rows)
+        clone._slot = self._slot.copy()
+        clone._counts = self._counts.copy()
+        clone._keys = self._keys.copy()
+        clone._block = self._block.copy()
+        clone._used_slots = self._used_slots
+        clone._free_slots = list(self._free_slots)
         return clone
 
     # -- serialization ----------------------------------------------------------------
 
     def to_bytes(self) -> bytes:
-        """Serialize all groups (length-prefixed inner sketch blobs)."""
+        """Serialize all groups (length-prefixed inner sketch blobs).
+
+        Groups in key order, each blob byte-identical to its sketch's
+        ``to_bytes``: a :class:`SparseExaLogLog` blob (delta-varint
+        tokens, or the dense payload) when sparse, an :class:`ExaLogLog`
+        blob otherwise. Token deltas encode in one vectorised pass and
+        dense rows pack in row chunks.
+        """
+        import numpy as np
+
+        from repro.storage.serialization import (
+            TAG_EXALOGLOG,
+            TAG_SPARSE_EXALOGLOG,
+            write_uvarints,
+        )
+
+        self._flush()
+        self._purge()
+        params = self._params
+        keys = sorted(self._rows)
+        rows = np.fromiter(
+            (self._rows[key] for key in keys), dtype=np.int64, count=len(keys)
+        )
+        slots = self._slot[rows]
+        blobs: list = [None] * len(keys)
+        dense_head = bytes(write_header(TAG_EXALOGLOG)) + bytes((self._t, self._d, self._p))
+        if self._sparse:
+            sparse_head = bytes(write_header(TAG_SPARSE_EXALOGLOG)) + bytes(
+                (self._t, self._d, self._p, DEFAULT_V)
+            )
+            dense_head = sparse_head + b"\x01" + dense_head
+            positions = np.flatnonzero(slots < 0)
+            starts, lengths = self._token_runs(rows[positions])
+            tokens = self._keys[_gather(starts, lengths)] & _TOKEN_MASK
+            # Each run's first token is its own delta (from 0).
+            deltas = np.diff(tokens, prepend=0)
+            firsts = (np.cumsum(lengths) - lengths)[lengths > 0]
+            deltas[firsts] = tokens[firsts]
+            encoded = bytearray()
+            write_uvarints(encoded, deltas)
+            encoded = bytes(encoded)
+            sizes = np.ones(len(deltas), dtype=np.int64)
+            for bits in range(7, _TOKEN_BITS + 1, 7):
+                sizes += deltas >= 1 << bits
+            run_bytes = np.bincount(
+                np.repeat(np.arange(len(lengths)), lengths),
+                weights=sizes,
+                minlength=len(lengths),
+            ).astype(np.int64)
+            ends = np.cumsum(run_bytes)
+            begins = ends - run_bytes
+            token_head = sparse_head + b"\x00"
+            for position, count, begin, end in zip(
+                positions.tolist(), lengths.tolist(), begins.tolist(), ends.tolist()
+            ):
+                blobs[position] = b"".join(
+                    (token_head, _uvarint(count), encoded[begin:end])
+                )
+        positions = np.flatnonzero(slots >= 0)
+        width = params.register_bits
+        chunk = max(1, _PACK_BITS // (params.m * width))
+        for start in range(0, len(positions), chunk):
+            part = positions[start : start + chunk]
+            block = self._block[slots[part]]
+            if self._int64:
+                packed = [row.tobytes() for row in _pack_registers(block, width)]
+            else:
+                packed = [
+                    PackedArray.from_values(width, row.tolist()).to_bytes()
+                    for row in block
+                ]
+            for position, payload in zip(part.tolist(), packed):
+                blobs[position] = dense_head + payload
         buffer = write_header(TAG_AGGREGATOR)
         buffer.extend((self._t, self._d, self._p, 1 if self._sparse else 0))
         write_uvarint(buffer, self._seed)
-        write_uvarint(buffer, len(self._groups))
-        for key in sorted(self._groups):
-            blob = self._groups[key].to_bytes()
-            write_uvarint(buffer, len(key))
-            buffer.extend(key)
-            write_uvarint(buffer, len(blob))
-            buffer.extend(blob)
-        return bytes(buffer)
+        write_uvarint(buffer, len(keys))
+        pieces = [bytes(buffer)]
+        for key, blob in zip(keys, blobs):
+            pieces += (_uvarint(len(key)), key, _uvarint(len(blob)), blob)
+        return b"".join(pieces)
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "DistinctCountAggregator":
+        """Decode :meth:`to_bytes` output straight into the arrays, in one pass.
+
+        The group framing is read once; then every token-mode group's
+        delta run is decoded by one :func:`read_uvarints` call over the
+        concatenated runs, split by the groups' counts, and every dense
+        payload unpacks into its block row in row chunks. Each group's
+        sketch parameters must be the aggregator's; a run that does not
+        decode to exactly its count of tokens raises
+        :class:`SerializationError`.
+        """
+        import numpy as np
+
+        from repro.storage.serialization import (
+            TAG_EXALOGLOG,
+            TAG_SPARSE_EXALOGLOG,
+            read_uvarints,
+        )
+
         offset = read_header(data, TAG_AGGREGATOR)
         if len(data) < offset + 4:
             raise SerializationError("truncated aggregator parameters")
@@ -622,34 +1314,126 @@ class DistinctCountAggregator:
         seed, offset = read_uvarint(data, offset)
         count, offset = read_uvarint(data, offset)
         aggregator = cls(t, d, p, bool(sparse_flag), seed)
-        for _ in range(count):
+        params = aggregator._params
+        dense_head = bytes(write_header(TAG_EXALOGLOG)) + bytes((t, d, p))
+        sparse_head = bytes(write_header(TAG_SPARSE_EXALOGLOG)) + bytes((t, d, p, DEFAULT_V))
+        dense_size = len(dense_head) + params.dense_bytes
+        if sparse_flag:
+            dense_head = sparse_head + b"\x01" + dense_head
+            dense_size += len(sparse_head) + 1
+        token_head = sparse_head + b"\x00"
+        token_rows, token_counts, token_spans = [], [], []
+        dense_rows, dense_at = [], []
+        rows = aggregator._rows
+        for row in range(count):
             key_length, offset = read_uvarint(data, offset)
             key = bytes(data[offset : offset + key_length])
             if len(key) != key_length:
                 raise SerializationError("truncated aggregator group key")
             offset += key_length
             blob_length, offset = read_uvarint(data, offset)
-            blob = bytes(data[offset : offset + blob_length])
-            if len(blob) != blob_length:
+            end = offset + blob_length
+            if end > len(data):
                 raise SerializationError("truncated aggregator group payload")
-            offset += blob_length
-            if sparse_flag:
-                aggregator._groups[key] = SparseExaLogLog.from_bytes(blob)
+            if key in rows:
+                raise SerializationError(f"group {key!r} appears twice")
+            rows[key] = row
+            head = bytes(data[offset : offset + len(dense_head)])
+            if blob_length == dense_size and head == dense_head:
+                dense_rows.append(row)
+                dense_at.append(offset + len(dense_head))
+            elif sparse_flag and head[: len(token_head)] == token_head:
+                tokens, at = read_uvarint(data, offset + len(token_head))
+                if at > end:
+                    raise SerializationError("truncated varint")
+                token_rows.append(row)
+                token_counts.append(tokens)
+                token_spans.append((at, end))
             else:
-                aggregator._groups[key] = ExaLogLog.from_bytes(blob)
+                raise SerializationError(
+                    f"group {key!r}: sketch blob is not a "
+                    f"{'SparseExaLogLog' if sparse_flag else 'ExaLogLog'} of the "
+                    f"aggregator's parameters (t, d, p)=({t}, {d}, {p}) "
+                    "of the expected size"
+                )
+            offset = end
         if offset != len(data):
             raise SerializationError(
                 f"{len(data) - offset} trailing bytes after aggregator payload"
             )
+        aggregator._next_row = count
+        capacity = max(_INITIAL_ROWS, count)
+        aggregator._slot = np.full(capacity, _TOKENS, dtype=np.int64)
+        aggregator._counts = np.zeros(capacity, dtype=np.int64)
+        view = np.frombuffer(data, dtype=np.uint8)
+        if token_rows:
+            spans = np.array(token_spans, dtype=np.int64).reshape(-1, 2)
+            runs = view[_gather(spans[:, 0], spans[:, 1] - spans[:, 0])]
+            counts = np.array(token_counts, dtype=np.int64)
+            deltas, used = read_uvarints(runs, 0, int(counts.sum()))
+            # Each run holds exactly its count of varint ends, and ends on one.
+            ends = np.cumsum(spans[:, 1] - spans[:, 0])
+            marks = np.concatenate(([0], np.cumsum(runs < 0x80)))
+            last = ends[spans[:, 1] > spans[:, 0]] - 1
+            if (
+                used != len(runs)
+                or not np.array_equal(marks[ends], np.cumsum(counts))
+                or (runs[last] >= 0x80).any()
+            ):
+                raise SerializationError(
+                    "a sparse group's token deltas do not decode to its token count"
+                )
+            # One cumulative sum over every run; each run subtracts the sum
+            # before its first delta.
+            total = np.cumsum(deltas, dtype=np.uint64)
+            before = np.concatenate((np.zeros(1, np.uint64), total))
+            tokens = total - np.repeat(before[np.cumsum(counts) - counts], counts)
+            if len(tokens) and int(tokens.max()) > _TOKEN_MASK:
+                raise SerializationError(
+                    f"a token exceeds the {_TOKEN_BITS} bits of v={DEFAULT_V}"
+                )
+            entries = tokens.astype(np.int64) | np.repeat(
+                np.array(token_rows, dtype=np.int64) << _TOKEN_BITS, counts
+            )
+            if len(entries) > 1 and not (entries[1:] > entries[:-1]).all():
+                entries = np.unique(entries)  # repeated deltas of zero: one token
+            aggregator._keys = entries
+            owners, owned = _runs(entries >> _TOKEN_BITS)
+            aggregator._counts[owners] = owned
+        if dense_rows:
+            aggregator._block = aggregator._empty_block(max(_INITIAL_SLOTS, len(dense_rows)))
+            aggregator._used_slots = len(dense_rows)
+            aggregator._slot[dense_rows] = np.arange(len(dense_rows))
+            width = params.register_bits
+            size = params.dense_bytes
+            at = np.array(dense_at, dtype=np.int64)
+            chunk = max(1, _PACK_BITS // (params.m * width))
+            for start in range(0, len(at), chunk):
+                part = at[start : start + chunk]
+                packed = view[part[:, None] + np.arange(size)]
+                if aggregator._int64:
+                    registers = _unpack_registers(packed, params.m, width)
+                else:
+                    registers = [
+                        PackedArray.from_bytes(width, params.m, bytes(row)).to_list()
+                        for row in packed
+                    ]
+                    registers = np.array(registers, dtype=object).reshape(-1, params.m)
+                if max(map(max, registers.tolist())) > params.max_register_value:
+                    raise SerializationError(
+                        "a register value exceeds the maximum of "
+                        f"{params.max_register_value}"
+                    )
+                aggregator._block[start : start + len(part)] = registers
         return aggregator
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DistinctCountAggregator):
             return NotImplemented
-        return self.config == other.config and self._groups == other._groups
+        return self.config == other.config and self.to_bytes() == other.to_bytes()
 
     def __repr__(self) -> str:
         return (
             f"DistinctCountAggregator(t={self._t}, d={self._d}, p={self._p}, "
-            f"groups={len(self._groups)})"
+            f"groups={len(self._rows)})"
         )

@@ -10,14 +10,23 @@ The routing invariant makes every operation exact, not approximate:
 * each group key lives on exactly one shard (``shard_of(key, N)``), so
   ``groups()`` is a plain concatenation and ``group_sketch`` a single
   routed point-read;
-* ``estimates()`` gathers every shard's sketches and runs **one**
-  batched solve over the concatenated register stacks — bit-identical to
-  per-shard (and per-sketch) estimation, because batch composition never
-  changes a row's result;
+* ``estimates()`` joins every shard's own ``estimates()`` — each shard
+  reads its arrays, and batch composition never changes a row's result,
+  so this is bit-identical to one solve over all groups;
 * ``top(count)`` asks each shard for its local top ``count`` (each local
   estimate already *is* the global estimate — groups don't span shards)
   and exactly re-ranks the ≤ ``N * count`` survivors, ties broken by
   ascending key like the executor's ``TopK``.
+
+A rebalance that a dead writer left behind breaks the first rule: until
+the next writer open completes it, a copied group sits on its old and
+its new owner, a dropped one only on its new owner, and the shard count
+in ``cluster.json`` is the old one. :meth:`ClusterSource.open` sees such
+a journal (its epoch is newer than ``cluster.json``'s), opens every
+shard directory up to the larger of the two shard counts, and answers
+every read from one aggregator that merges all members by Algorithm 5.
+The merge is idempotent, so a group on two shards counts once and the
+answers are those the completed rebalance gives.
 """
 
 from __future__ import annotations
@@ -27,7 +36,6 @@ from typing import Any, Hashable, Iterator, Sequence
 
 from repro.hashing import to_bytes
 from repro.parallel.shard import shard_of
-from repro.query.source import live_sketches
 
 
 class ClusterSource:
@@ -54,6 +62,21 @@ class ClusterSource:
                     "be mergeable (identical parameters)"
                 )
         self._sources = sources
+        self._merged = None  # a pending rebalance's merged view (open())
+
+    def _merge(self):
+        """One aggregator holding every member's groups (Algorithm 5 merges)."""
+        from repro.aggregate import DistinctCountAggregator
+
+        merged = DistinctCountAggregator(*self._sources[0].config)
+        for source in self._sources:
+            merged.merge_inplace(source.aggregator)
+        return merged
+
+    @property
+    def aggregator(self):
+        """The merged view of a pending rebalance's members, else ``None``."""
+        return self._merged
 
     @classmethod
     def open(cls, root, reader: bool = False) -> "ClusterSource":
@@ -64,8 +87,12 @@ class ClusterSource:
         lock-free :class:`~repro.store.SnapshotReader` tails instead —
         safe against live shard writers and refreshable via
         :meth:`refresh`. Close with :meth:`close`.
+
+        When a rebalance journal is newer than ``cluster.json``, every
+        existing shard directory up to the larger shard count opens, and
+        reads answer from their merge (see the module docstring).
         """
-        from repro.cluster.meta import read_meta, shard_path
+        from repro.cluster.meta import read_journal, read_meta, shard_path
         from repro.store import SketchStore, SnapshotReader
 
         root = pathlib.Path(root)
@@ -75,10 +102,15 @@ class ClusterSource:
                 f"{root}: not a cluster directory (no cluster.json; "
                 "initialise with ShardedStore.open(root, shards=N))"
             )
+        journal = read_journal(root)
+        pending = journal is not None and journal[0] > meta.epoch
+        count = max(journal[1], journal[2]) if pending else meta.shards
         sources = []
         try:
-            for index in range(meta.shards):
+            for index in range(count):
                 path = shard_path(root, index)
+                if pending and not path.exists():
+                    continue
                 if reader:
                     sources.append(SnapshotReader.open(path))
                 else:
@@ -87,7 +119,10 @@ class ClusterSource:
             for source in sources:
                 source.close()
             raise
-        return cls(sources)
+        view = cls(sources)
+        if pending:
+            view._merged = view._merge()
+        return view
 
     # -- topology --------------------------------------------------------------
 
@@ -115,11 +150,16 @@ class ClusterSource:
     # -- SketchSource protocol -------------------------------------------------
 
     def groups(self) -> Iterator[bytes]:
+        if self._merged is not None:
+            yield from self._merged.groups()
+            return
         for source in self._sources:
             yield from source.groups()
 
     def group_sketch(self, group: Hashable):
         """One routed point-read (the owning shard's cheapest path)."""
+        if self._merged is not None:
+            return self._merged.group_sketch(group)
         return self.source_for(group).group_sketch(group)
 
     def estimate(self, group: Hashable) -> float:
@@ -131,22 +171,18 @@ class ClusterSource:
         return batch_estimate_sketches([sketch])[0]
 
     def estimates(self) -> "dict[bytes, float]":
-        """All shards' estimates via one batched solve (scatter-gather).
+        """All shards' estimates: their own ``estimates()``, joined.
 
-        The solve runs over the shards' live sketches, gathered without
-        copies; a cluster with a protocol-only member fetches every
-        group through ``group_sketch`` instead.
+        Each member reads its own state (an aggregator's arrays), and
+        no row's estimate depends on the rows solved beside it, so the
+        join equals one solve over every group.
         """
-        from repro.estimation.batch import batch_estimates_by_key
-
-        sketches = live_sketches(self)
-        if sketches is None:
-            sketches = {}
-            for key in self.groups():
-                sketch = self.group_sketch(key)
-                if sketch is not None:
-                    sketches[key] = sketch
-        return batch_estimates_by_key(sketches)
+        if self._merged is not None:
+            return self._merged.estimates()
+        estimates: "dict[bytes, float]" = {}
+        for source in self._sources:
+            estimates.update(source.estimates())
+        return estimates
 
     def top(self, count: int) -> "list[tuple[bytes, float]]":
         """Global top ``count`` from per-shard partial top-``count`` lists.
@@ -158,6 +194,9 @@ class ClusterSource:
         """
         if count <= 0:
             return []
+        if self._merged is not None:
+            ranked = sorted(self._merged.estimates().items(), key=lambda kv: (-kv[1], kv[0]))
+            return ranked[:count]
         survivors: "list[tuple[bytes, float]]" = []
         for source in self._sources:
             survivors.extend(source.top(count))
@@ -165,6 +204,8 @@ class ClusterSource:
         return survivors[:count]
 
     def __len__(self) -> int:
+        if self._merged is not None:
+            return len(self._merged)
         return sum(len(source) for source in self._sources)
 
     def skew(self) -> float:
@@ -176,6 +217,8 @@ class ClusterSource:
         return max(counts) * len(counts) / total
 
     def __contains__(self, group: Hashable) -> bool:
+        if self._merged is not None:
+            return group in self._merged
         return group in self.source_for(group)
 
     # -- lifecycle -------------------------------------------------------------
@@ -187,6 +230,8 @@ class ClusterSource:
             refresh = getattr(source, "refresh", None)
             if callable(refresh):
                 results.append(refresh())
+        if self._merged is not None:
+            self._merged = self._merge()
         return results
 
     def close(self) -> None:

@@ -142,8 +142,8 @@ class ExaLogLog:
 
         The bulk paths (:meth:`add_hashes`) already produce the register
         array and keep it here, so stacking many sketches for the batch
-        estimation engine — ``DistinctCountAggregator.estimates()`` over
-        millions of groups — never converts Python lists. Scalar mutators
+        estimation engine (:func:`repro.estimation.batch.batch_estimate_sketches`)
+        never converts Python lists. Scalar mutators
         (:meth:`add_hash`, :meth:`merge_inplace`) invalidate the cache;
         replacing ``_registers`` wholesale is detected by identity. The
         returned array is read-only (like the ``registers`` tuple) —
@@ -244,12 +244,10 @@ class ExaLogLog:
         """Take an int64 register array as the whole state; returns ``self``.
 
         The one write of a bulk insert: :meth:`add_hashes` adopts its
-        merged fold, and
-        :meth:`~repro.aggregate.DistinctCountAggregator.fold_segments`
-        adopts each dense group's row of a stacked fold. An array that
-        does not own its memory (such a row) is copied first, so a
-        sketch never pins a larger block or shares memory with another
-        sketch. The adopted array turns read-only and becomes the
+        merged fold, and an aggregator's group sketch adopts a copy of
+        its register block row. An array that does not own its memory
+        (a row of a larger block) is copied first, so a sketch never
+        pins a larger block or shares memory with another sketch. The adopted array turns read-only and becomes the
         :meth:`registers_array` cache. No reachability validation: the
         values come from the bulk kernel.
         """

@@ -64,6 +64,24 @@ class SparseExaLogLog:
         self._tokens: set[int] | None = set()
         self._dense: ExaLogLog | None = None
 
+    @classmethod
+    def from_tokens(
+        cls, tokens: Iterable[int], t: int = 2, d: int = 20, p: int = 8, v: int = DEFAULT_V
+    ) -> "SparseExaLogLog":
+        """A token-mode sketch holding ``tokens`` as they are (no densification)."""
+        sketch = cls(t, d, p, v)
+        sketch._tokens = set(tokens)
+        return sketch
+
+    @classmethod
+    def from_dense(cls, dense: ExaLogLog, v: int = DEFAULT_V) -> "SparseExaLogLog":
+        """A dense-mode sketch around ``dense`` (adopted, not copied)."""
+        params = dense.params
+        sketch = cls(params.t, params.d, params.p, v)
+        sketch._tokens = None
+        sketch._dense = dense
+        return sketch
+
     # -- properties -----------------------------------------------------------
 
     @property
@@ -137,7 +155,7 @@ class SparseExaLogLog:
 
         return self.add_hashes(hash_items(items, seed))
 
-    def add_hashes(self, hashes, tokens=None) -> "SparseExaLogLog":
+    def add_hashes(self, hashes) -> "SparseExaLogLog":
         """Vectorised bulk insert with correct bulk-triggered densification.
 
         While sparse, the batch is tokenised vectorised; crossing the
@@ -147,21 +165,7 @@ class SparseExaLogLog:
         state transition (``p + t <= v``), so it does not matter which
         prefix of the stream was recorded as tokens — collected tokens
         and the raw remainder replay to the same registers.
-
-        ``tokens`` may hand in ``tokenize_hashes(hashes, self.v)`` as
-        Python ints, computed by the caller for a whole batch
-        (:meth:`~repro.aggregate.DistinctCountAggregator.fold_segments`).
-        While the token count plus ``len(hashes)`` cannot pass
-        :attr:`break_even_tokens`, they are a set update; otherwise they
-        are ignored and the insert runs as above.
         """
-        if (
-            tokens is not None
-            and self._tokens is not None
-            and len(self._tokens) + len(hashes) <= self.break_even_tokens
-        ):
-            self._tokens.update(tokens)
-            return self
         from repro import backends
         import numpy as np
 

@@ -5,7 +5,6 @@ from repro.estimation.batch import (
     BatchMLSolution,
     batch_estimate_sketches,
     batch_estimates_by_key,
-    batch_top,
     estimate_registers,
     register_coefficients,
     release_batch_workspaces,
@@ -30,7 +29,6 @@ __all__ = [
     "MLSolution",
     "batch_estimate_sketches",
     "batch_estimates_by_key",
-    "batch_top",
     "estimate_registers",
     "f_transformed",
     "log_likelihood",

@@ -733,6 +733,35 @@ _TOKEN_WEIGHTS = np.array(
 _TOKEN_WEIGHTS.setflags(write=False)
 
 
+def token_coefficients(row_index, tokens, rows: int, v: int) -> BatchCoefficients:
+    """Algorithm 7's coefficients for ``rows`` token sets given as arrays.
+
+    Token ``i`` belongs to row ``row_index[i]`` (int64, in ``[0, rows)``);
+    each row's tokens must be distinct. ``beta`` comes from one
+    ``bincount`` over ``row * EXPONENT_AXIS + j`` with
+    ``j = min(v + 1 + nlz, 64)`` read off the token's 6-bit nlz field,
+    and ``alpha' = 2**64 - sum_j beta_j * 2**(64 - j)`` stays exact
+    modulo 2**64. Tokens take 64 bits at ``v = 58``, where they may be
+    uint64.
+    """
+    keys = (np.asarray(tokens) & 63).astype(np.int64)
+    keys += v + 1
+    np.minimum(keys, 64, out=keys)
+    keys += np.asarray(row_index, dtype=np.int64) * EXPONENT_AXIS
+    beta = np.bincount(keys, minlength=rows * EXPONENT_AXIS).reshape(rows, EXPONENT_AXIS)
+    alpha, alpha_scaled = _token_alpha(beta)
+    return BatchCoefficients(alpha=alpha, alpha_scaled=alpha_scaled, beta=beta)
+
+
+def _token_alpha(beta):
+    """Algorithm 7's ``alpha`` of token rows, and ``alpha'`` exact modulo 2**64.
+
+    ``alpha' = 2**64 - sum_j beta_j * 2**(64 - j)``.
+    """
+    alpha_scaled = np.negative(np.einsum("kj,j->k", beta, _TOKEN_WEIGHTS)).view(_U64)
+    return np.ldexp(alpha_scaled.astype(np.float64), -64), alpha_scaled
+
+
 def batch_estimate_sketches(sketches, bias_correction: bool = True) -> list[float]:
     """Estimates for a mixed sketch collection, row chunk by row chunk.
 
@@ -873,11 +902,7 @@ def _estimate_chunk(pieces, rows: int, bias_correction: bool, estimates) -> None
     scale = np.ones(rows)
     bias = np.ones(rows)
     if dense_rows < rows:
-        # Algorithm 7: alpha' = 2**64 - sum_j beta_j * 2**(64-j), exact
-        # modulo 2**64.
-        weighted = np.einsum("kj,j->k", beta[dense_rows:], _TOKEN_WEIGHTS)
-        alpha_scaled = np.negative(weighted).view(_U64)
-        alpha[dense_rows:] = np.ldexp(alpha_scaled.astype(np.float64), -64)
+        alpha[dense_rows:] = _token_alpha(beta[dense_rows:])[0]
     row = 0
     for (is_tokens, params, _, members), start, stop in pieces:
         if is_tokens:
@@ -914,11 +939,10 @@ def _estimate_chunk(pieces, rows: int, bias_correction: bool, estimates) -> None
 def batch_estimates_by_key(sketches) -> "dict[bytes, float]":
     """All estimates of a keyed sketch mapping, batched.
 
-    The shared implementation behind every keyed read surface
-    (:meth:`repro.aggregate.DistinctCountAggregator.estimates`, the
-    store readers, the windowed adapter): stack every sketch through
-    :func:`batch_estimate_sketches` and zip the estimates back onto the
-    mapping's keys, preserving its iteration order.
+    The query executor's estimates over a scan it materialised: stack
+    every sketch through :func:`batch_estimate_sketches` and zip the
+    estimates back onto the mapping's keys, preserving its iteration
+    order.
     """
     if not sketches:
         return {}
@@ -927,26 +951,21 @@ def batch_estimates_by_key(sketches) -> "dict[bytes, float]":
     return dict(zip(keys, values))
 
 
-def batch_top(sketches, count: int) -> "list[tuple[bytes, float]]":
-    """The ``count`` largest-estimate entries of a keyed sketch mapping.
+def top_positions(values, count: int) -> np.ndarray:
+    """Positions of the ``count`` largest of ``values``, largest first.
 
-    Selects via ``np.argpartition`` on the batched estimate vector —
-    O(groups) instead of a full sort — with ties broken by the mapping's
-    iteration order, exactly like a stable descending sort prefix.
+    ``np.argpartition`` finds the ``count``-th largest value in
+    O(len(values)); everything strictly above it plus the earliest ties
+    are then sorted, which is exactly the prefix of a stable descending
+    sort: ties keep their order in ``values``.
     """
-    if count <= 0 or not sketches:
-        return []
-    keys = list(sketches)
-    values = _estimate_vector([sketches[key] for key in keys])
-    total = len(keys)
-    if count >= total:
-        order = np.argsort(-values, kind="stable")
-    else:
-        # k-th largest value, then all strictly above it plus the
-        # earliest-iterated ties — matching stable descending sort.
-        threshold = values[np.argpartition(-values, count - 1)[:count]].min()
-        above = np.flatnonzero(values > threshold)
-        ties = np.flatnonzero(values == threshold)[: count - len(above)]
-        chosen = np.concatenate((above, ties))
-        order = chosen[np.argsort(-values[chosen], kind="stable")]
-    return [(keys[i], float(values[i])) for i in order.tolist()]
+    values = np.asarray(values, dtype=np.float64)
+    if count <= 0 or not len(values):
+        return np.zeros(0, dtype=np.int64)
+    if count >= len(values):
+        return np.argsort(-values, kind="stable")
+    threshold = values[np.argpartition(-values, count - 1)[:count]].min()
+    above = np.flatnonzero(values > threshold)
+    ties = np.flatnonzero(values == threshold)[: count - len(above)]
+    chosen = np.concatenate((above, ties))
+    return chosen[np.argsort(-values[chosen], kind="stable")]

@@ -201,9 +201,10 @@ def _profiled(ctx: _Context, node: PlanNode, thunk):
 def _scan(source, filter_node: "Filter | None", ctx: _Context) -> "dict[bytes, Any]":
     """Materialise one scan, honouring the planner's access path.
 
-    Returned sketches are read-only shared references on the scan paths
-    and private copies on the selective path; callers copy before
-    mutating (see :func:`_collapse`).
+    Returned sketches may be a source's own objects on the scan paths
+    (an aggregator builds private ones from its arrays) and are private
+    copies on the selective path; callers copy before mutating (see
+    :func:`_collapse`).
     """
     path = access_path(source, filter_node)
     if path.kind == "selective":
@@ -216,15 +217,17 @@ def _scan(source, filter_node: "Filter | None", ctx: _Context) -> "dict[bytes, A
     if path.kind == "partitions":
         out = {}
         for partial in source.partition_aggregators():
-            for key, sketch in partial.sketches().items():
+            sketches = partial.sketches()
+            for key in sketches:
                 if filter_node is None or filter_node.matches(key):
-                    out[key] = sketch
+                    out[key] = sketches[key]
         return out
     live = live_sketches(source)
     if live is not None:
+        # Keys first: a value is built only for a key the filter keeps.
         return {
-            key: sketch
-            for key, sketch in live.items()
+            key: live[key]
+            for key in live
             if filter_node is None or filter_node.matches(key)
         }
     # Protocol-only source: enumerate keys, fetch selectively.

@@ -36,6 +36,7 @@ buckets. :func:`live_sketches` is the one probe for a source's live
 
 from __future__ import annotations
 
+from collections import ChainMap
 from typing import Any, Hashable, Iterator, Mapping, Protocol, runtime_checkable
 
 
@@ -106,23 +107,22 @@ class DelegatingSource:
 
 
 def live_sketches(source) -> "Mapping[bytes, Any] | None":
-    """A source's live ``key → sketch`` mapping without copies, or ``None``.
+    """A source's live ``key → sketch`` mapping, or ``None``.
 
-    Looks through ``aggregator`` views to a ``sketches()`` mapping. A
-    sharded source (anything with ``shard_sources``) yields the union of
-    its members' mappings — shards own disjoint key sets, so the union
+    Looks through ``aggregator`` views to a ``sketches()`` mapping,
+    whose values are built only when read, so callers pick keys before
+    they read values. A sharded source (anything with ``shard_sources``
+    and no ``aggregator`` of its own) yields a chain of its members'
+    mappings, copying none — shards own disjoint key sets, so the chain
     is exactly the single-store mapping — or ``None`` when any member
-    has none. The sketches are shared: callers copy before mutating.
+    has none.
     """
     members = getattr(source, "shard_sources", None)
-    if members is not None:
-        merged: "dict[bytes, Any]" = {}
-        for member in members:
-            live = live_sketches(member)
-            if live is None:
-                return None
-            merged.update(live)
-        return merged
+    if members is not None and getattr(source, "aggregator", None) is None:
+        maps = [live_sketches(member) for member in members]
+        if any(live is None for live in maps):
+            return None
+        return ChainMap(*maps)
     view = getattr(source, "aggregator", source)
     sketches = getattr(view, "sketches", None)
     return sketches() if callable(sketches) else None

@@ -440,15 +440,17 @@ def segments_layout(payload: bytes) -> "tuple[int, list[int], list[int]]":
     return offset, key_ends.tolist(), hash_ends.tolist()
 
 
-def decode_segments(payload: bytes) -> list:
+def decode_segments(payload: bytes, layout=None) -> list:
     """The ``(key, hashes)`` segments of a payload :func:`segments_layout` accepts.
 
-    The hashes decode with one ``np.frombuffer`` (copied once if the
-    block is unaligned), and each segment's hashes are a slice of it.
+    ``layout`` is the payload's :func:`segments_layout`, when a record
+    check already parsed it; the header is parsed here otherwise. The
+    hashes decode with one ``np.frombuffer`` (copied once if the block
+    is unaligned), and each segment's hashes are a slice of it.
     """
     import numpy as np
 
-    keys_at, key_ends, hash_ends = segments_layout(payload)
+    keys_at, key_ends, hash_ends = layout or segments_layout(payload)
     hashes_at = keys_at + key_ends[-1]
     keys = bytes(payload[keys_at:hashes_at])
     hashes = np.frombuffer(payload, dtype="<u8", count=hash_ends[-1], offset=hashes_at)

@@ -193,8 +193,8 @@ class FollowerStore(SketchStore):
                 f"record LSN {lsn} leaves a gap after applied horizon "
                 f"{self._durable_lsn}; a snapshot install is required"
             )
-        check_wal_record(kind, payload)
-        appended = self._write_records([(kind, key, payload)])
+        layout = check_wal_record(kind, payload)
+        appended = self._write_records([(kind, key, payload, layout)])
         if _metrics.enabled():
             _BYTES_APPLIED.inc(appended)
         return True

@@ -377,10 +377,10 @@ def replay_records(handle, aggregator: DistinctCountAggregator, replay: WalRepla
             expected = replay.last_lsn + len(run.records) + 1
             if lsn != expected:
                 raise SerializationError(f"LSN {lsn}, expected {expected}")
-            check_wal_record(kind, payload)
+            layout = check_wal_record(kind, payload)
             if kind not in _HASH_KINDS:
                 run.flush()
-            run.add((kind, key, payload), len(key) + len(payload))
+            run.add((kind, key, payload, layout), len(key) + len(payload))
             if kind not in _HASH_KINDS:
                 run.flush()
         except IncompleteRecordError:
@@ -395,7 +395,7 @@ def replay_records(handle, aggregator: DistinctCountAggregator, replay: WalRepla
     replay.durable_bytes = handle.tell()
 
 
-def check_wal_record(kind: int, payload: bytes) -> None:
+def check_wal_record(kind: int, payload: bytes):
     """Raise :class:`SerializationError` for a record no replay can apply.
 
     The checks a record's own bytes can fail: a segments payload that
@@ -404,11 +404,14 @@ def check_wal_record(kind: int, payload: bytes) -> None:
     that do not add up to the payload length), a hash payload that is
     not a multiple of 8 bytes, a drop record with a payload, an unknown
     kind. Record loops run it as each record is read, so the error names
-    that record.
+    that record. Returns a segments record's
+    :func:`~repro.storage.serialization.segments_layout` (``None`` for
+    every other kind), which the loops hand on with the record so that
+    :func:`apply_wal_record` does not parse the header again.
     """
     if kind == RECORD_SEGMENTS:
-        segments_layout(payload)
-    elif kind == RECORD_HASHES:
+        return segments_layout(payload)
+    if kind == RECORD_HASHES:
         if len(payload) % 8:
             raise SerializationError(
                 f"hash record payload of {len(payload)} bytes is not a multiple of 8"
@@ -420,12 +423,13 @@ def check_wal_record(kind: int, payload: bytes) -> None:
             )
     elif kind not in (RECORD_SKETCH, RECORD_CUTOVER):
         raise SerializationError(f"unknown WAL record kind {kind:#x}")
+    return None
 
 
 def apply_wal_record(
     aggregator: DistinctCountAggregator, records: "Iterable[tuple[int, bytes, bytes]]"
 ) -> None:
-    """Apply a run of decoded ``(kind, key, payload)`` WAL records, in order.
+    """Apply a run of decoded ``(kind, key, payload[, layout])`` WAL records, in order.
 
     The single state-transition function shared by the writer's commit,
     recovery, the concurrent reader's tail, and follower replication —
@@ -440,12 +444,13 @@ def apply_wal_record(
     a sketch, drop or cutover record flushes that run first, so records
     whose order matters keep their place. The records are well-formed:
     a commit's come from the store's own stagers, and every record read
-    back has passed :func:`check_wal_record` as it was read.
+    back has passed :func:`check_wal_record` as it was read, and carries
+    the segments layout that check returned.
     """
     segments: list = []
-    for kind, key, payload in records:
+    for kind, key, payload, *layout in records:
         if kind == RECORD_SEGMENTS:
-            segments += decode_segments(payload)
+            segments += decode_segments(payload, *layout)
             continue
         if kind == RECORD_HASHES:
             segments.append((key, np.frombuffer(payload, dtype="<u8")))
@@ -754,7 +759,7 @@ class SketchStore(DelegatingSource):
         failure stops the store (:meth:`_fail`). Returns the bytes written.
         """
         buffer = bytearray()
-        for lsn, (kind, key, payload) in enumerate(records, self._durable_lsn + 1):
+        for lsn, (kind, key, payload, *_) in enumerate(records, self._durable_lsn + 1):
             write_lsn_record(buffer, lsn, kind, key, payload)
         handle = self._wal_handle
         try:

@@ -502,7 +502,7 @@ class SpilledGroupBy:
             self._writer.flush()
         partition = _partition_of(key, self._partitions)
         files = spill_files(self._directory).get(partition, [])
-        return self._partition_aggregator(files).sketches().get(key)
+        return self._partition_aggregator(files).group_sketch(key)
 
     def groups(self) -> Iterator[bytes]:
         """All observed group keys, streamed partition by partition."""

@@ -197,8 +197,8 @@ class TestSparseDensifiedRoundTrip:
     def test_mixed_modes_exist(self):
         aggregator = self._mixed(3000)
         key = aggregator._group_key
-        assert not aggregator._groups[key("heavy")].is_sparse
-        assert aggregator._groups[key("tiny-0")].is_sparse
+        assert not aggregator.group_sketch(key("heavy")).is_sparse
+        assert aggregator.group_sketch(key("tiny-0")).is_sparse
 
     def test_roundtrip_preserves_estimates_exactly(self):
         aggregator = self._mixed(3000)
@@ -286,8 +286,11 @@ class TestWriteApi:
         sketch = view[b"a"]
         aggregator.add("a", 2).add("b", 3)
         assert list(view) == [b"a", b"b"]
-        assert view[b"a"] is sketch  # no copies: the group's own sketch
-        assert sketch.estimate() == aggregator.estimate("a")
+        # Values are built when read: the state now, in a private sketch.
+        assert view[b"a"].token_count == 2 and sketch.token_count == 1
+        assert view[b"a"].estimate() == aggregator.estimate("a")
+        view[b"a"].add("mutation")
+        assert view[b"a"].token_count == 2
         with pytest.raises(TypeError):
             view[b"c"] = sketch
 
@@ -324,10 +327,11 @@ class TestWriteApi:
 def test_only_the_aggregator_touches_its_group_map():
     """No module but aggregate.py reaches into an aggregator's privates.
 
-    Group-map access (get-or-create, adoption on merge, drop) and the
-    batch scatter live in one place; everything else goes through
-    ``fold`` / ``merge_sketch`` / ``drop_group`` / ``sketches`` /
-    ``segment`` and ``repro.hashing.to_bytes`` for canonical keys.
+    Group-state access (get-or-create, merges, drops, the token array
+    and the register block) and the batch scatter live in one place;
+    everything else goes through ``fold`` / ``merge_sketch`` /
+    ``drop_group`` / ``sketches`` / ``group_sketch`` / ``segment`` and
+    ``repro.hashing.to_bytes`` for canonical keys.
     """
     import ast
     import pathlib
@@ -337,6 +341,9 @@ def test_only_the_aggregator_touches_its_group_map():
     private = {
         "_groups", "_new_sketch", "_segments", "_group_key", "_config",
         "_from_keyed_hashes",
+        # The columnar state and the helpers that read or write it.
+        "_rows", "_slot", "_block", "_sketch_of", "_put", "_estimate_rows",
+        "_insert_tokens", "_merge_tokens", "_token_runs", "_row_tokens",
     }
     root = pathlib.Path(repro.__file__).parent
     hits = []

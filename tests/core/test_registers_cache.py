@@ -96,10 +96,10 @@ def test_aggregator_paths_stay_coherent():
     other = DistinctCountAggregator(2, 20, 6, sparse=False)
     other.add_batch(["a", "c"], [5, 6])
     aggregator.merge_inplace(other)
-    for sketch in aggregator._groups.values():
+    for sketch in aggregator.sketches().values():
         _assert_coherent(sketch)
     batched = aggregator.estimates()
-    for key, sketch in aggregator._groups.items():
+    for key, sketch in aggregator.sketches().items():
         assert batched[key] == sketch.estimate()
 
 

@@ -261,7 +261,7 @@ def test_aggregator_estimates_and_top_batched():
         items = rng.integers(0, 1 << 62, size=8000)
         aggregator.add_batch(groups, items)
         estimates = aggregator.estimates()
-        for key, sketch in aggregator._groups.items():
+        for key, sketch in aggregator.sketches().items():
             assert estimates[key] == sketch.estimate()
         ranked = sorted(estimates.items(), key=lambda kv: -kv[1])
         assert aggregator.top(7) == ranked[:7]

@@ -27,6 +27,10 @@ import numpy as np
 
 from repro.aggregate import DistinctCountAggregator
 from repro.backends import BULK_CHUNK
+from repro.core.exaloglog import ExaLogLog
+from repro.core.sparse import SparseExaLogLog
+from repro.hashing import to_bytes
+from repro.storage.serialization import write_header, write_uvarint
 
 #: Configurations covering the structural regimes: sparse/dense start,
 #: the ML-optimal ELL(2, 20), small-register ELL(1, 9), a batched-solve
@@ -129,13 +133,16 @@ def fan_out_scenario(seed: int) -> Scenario:
 
 
 def stacked_scenario(seed: int) -> Scenario:
-    """Runs of several segments over groups that are all dense.
+    """Runs of several segments over dense groups and two small ones.
 
     A first run gives 3 to 5 groups more hashes than any configuration's
-    break-even, so every group is dense after it; each later run then
-    holds every group once plus repeats, in random order and sizes,
-    between sketch merges. :func:`build_segmented` folds such a run's
-    dense groups as rows of one stacked fold.
+    break-even, so they are dense after it; each later run then holds
+    every such group once plus repeats, in random order and sizes,
+    between sketch merges, and three hashes for each of two small groups,
+    which stay in token mode under a sparse configuration.
+    :func:`build_segmented` folds such a run's dense groups as rows of
+    one stacked fold into the register block and the small groups'
+    tokens into the token array.
     """
     rng = np.random.Generator(np.random.PCG64([seed, 2]))
     config = CONFIG_POOL[int(rng.integers(len(CONFIG_POOL)))]
@@ -148,13 +155,84 @@ def stacked_scenario(seed: int) -> Scenario:
         return groups[int(rng.integers(len(groups)))]
 
     steps = [Step(OP_HASHES, group, hashes(3000)) for group in groups]
+    small = ["s0", "s1"]
     for _ in range(int(rng.integers(2, 4))):
         steps.append(Step(OP_SKETCH, pick(), hashes(100)))
         run = groups + [pick() for _ in range(4)]
-        for position in rng.permutation(len(run)).tolist():
-            size = int(rng.integers(1, 400))
-            steps.append(Step(OP_HASHES, run[position], hashes(size)))
+        for position in rng.permutation(len(run) + len(small)).tolist():
+            if position < len(run):
+                size = int(rng.integers(1, 400))
+                steps.append(Step(OP_HASHES, run[position], hashes(size)))
+            else:  # a token-mode row beside the dense ones (sparse configs)
+                steps.append(Step(OP_HASHES, small[position - len(run)], hashes(3)))
     return Scenario(seed=seed, config=config, steps=tuple(steps))
+
+
+class ScalarOracle:
+    """Per-group sketches in a plain dict, fed by the paper's algorithms.
+
+    The reference of every bit-identity check: each group is its own
+    :class:`SparseExaLogLog` (or :class:`ExaLogLog` when not sparse),
+    inserted into by Algorithm 2 (``add_hash``, or the sketch's own bulk
+    ``add_hashes``) and merged by the sketches' own ``merge_inplace``.
+    It never runs an aggregator, so it cannot share the aggregator's
+    arrays or their defects. :meth:`to_bytes` writes the aggregator's
+    snapshot format from the per-group blobs.
+    """
+
+    def __init__(self, t=2, d=20, p=8, sparse=True, seed=0) -> None:
+        self.config = (t, d, p, sparse, seed)
+        self.sketches: "dict[bytes, ExaLogLog | SparseExaLogLog]" = {}
+
+    def sketch(self, group):
+        """``group``'s sketch, created empty on first use."""
+        key = to_bytes(group)
+        sketch = self.sketches.get(key)
+        if sketch is None:
+            t, d, p, sparse, _ = self.config
+            sketch = SparseExaLogLog(t, d, p) if sparse else ExaLogLog(t, d, p)
+            self.sketches[key] = sketch
+        return sketch
+
+    def add_hashes(self, group, hashes, scalar: bool = True) -> "ScalarOracle":
+        """Insert ``hashes``: one ``add_hash`` each, or one sketch ``add_hashes``."""
+        sketch = self.sketch(group)
+        if scalar:
+            for value in np.asarray(hashes, dtype=np.uint64).tolist():
+                sketch.add_hash(value)
+        else:
+            sketch.add_hashes(hashes)
+        return self
+
+    def merge_sketch(self, group, other) -> "ScalarOracle":
+        mine = self.sketch(group)
+        if not isinstance(mine, SparseExaLogLog) and isinstance(other, SparseExaLogLog):
+            other = other.copy().densify()
+        mine.merge_inplace(other)
+        return self
+
+    def drop_group(self, group) -> "ScalarOracle":
+        self.sketches.pop(to_bytes(group), None)
+        return self
+
+    def estimates(self) -> "dict[bytes, float]":
+        """Each group's own scalar ``estimate()``."""
+        return {key: sketch.estimate() for key, sketch in self.sketches.items()}
+
+    def to_bytes(self) -> bytes:
+        """The aggregator snapshot format, written from the per-group blobs."""
+        t, d, p, sparse, seed = self.config
+        buffer = write_header(0x30)
+        buffer.extend((t, d, p, 1 if sparse else 0))
+        write_uvarint(buffer, seed)
+        write_uvarint(buffer, len(self.sketches))
+        for key in sorted(self.sketches):
+            blob = self.sketches[key].to_bytes()
+            write_uvarint(buffer, len(key))
+            buffer.extend(key)
+            write_uvarint(buffer, len(blob))
+            buffer.extend(blob)
+        return bytes(buffer)
 
 
 def _merge_sketch(scenario: Scenario, step: Step):
@@ -168,45 +246,33 @@ def _merge_sketch(scenario: Scenario, step: Step):
     return sketch
 
 
-def _apply_sketch_step(aggregator: DistinctCountAggregator, scenario, step) -> None:
-    key = DistinctCountAggregator._group_key(step.group)
-    aggregator.merge_sketch(key, _merge_sketch(scenario, step))
+def _apply_sketch_step(target, scenario, step) -> None:
+    target.merge_sketch(to_bytes(step.group), _merge_sketch(scenario, step))
 
 
 # -- builders: one per layer ---------------------------------------------------
 
 
-def build_scalar(scenario: Scenario) -> DistinctCountAggregator:
-    """Reference state: per-item ``add_hash`` loops, scalar merges."""
-    aggregator = DistinctCountAggregator(*scenario.config)
+def build_scalar(scenario: Scenario) -> ScalarOracle:
+    """Reference state: per-item ``add_hash`` loops and the sketches' own merges."""
+    oracle = ScalarOracle(*scenario.config)
     for step in scenario.steps:
         if step.op == OP_HASHES:
-            key = DistinctCountAggregator._group_key(step.group)
-            sketch = aggregator._groups.get(key)
-            if sketch is None:
-                sketch = aggregator._new_sketch()
-                aggregator._groups[key] = sketch
-            for value in step.hashes.tolist():
-                sketch.add_hash(value)
+            oracle.add_hashes(step.group, step.hashes)
         elif step.op == OP_SKETCH:
-            _apply_sketch_step(aggregator, scenario, step)
-    return aggregator
+            _apply_sketch_step(oracle, scenario, step)
+    return oracle
 
 
-def build_bulk(scenario: Scenario) -> DistinctCountAggregator:
-    """Vectorised path: per-batch ``add_hashes`` folds."""
-    aggregator = DistinctCountAggregator(*scenario.config)
+def build_bulk(scenario: Scenario) -> ScalarOracle:
+    """Vectorised sketch path: one sketch ``add_hashes`` per batch."""
+    oracle = ScalarOracle(*scenario.config)
     for step in scenario.steps:
         if step.op == OP_HASHES:
-            key = DistinctCountAggregator._group_key(step.group)
-            sketch = aggregator._groups.get(key)
-            if sketch is None:
-                sketch = aggregator._new_sketch()
-                aggregator._groups[key] = sketch
-            sketch.add_hashes(step.hashes)
+            oracle.add_hashes(step.group, step.hashes, scalar=False)
         elif step.op == OP_SKETCH:
-            _apply_sketch_step(aggregator, scenario, step)
-    return aggregator
+            _apply_sketch_step(oracle, scenario, step)
+    return oracle
 
 
 def build_segmented(scenario: Scenario) -> DistinctCountAggregator:
@@ -229,24 +295,20 @@ def build_segmented(scenario: Scenario) -> DistinctCountAggregator:
     return aggregator
 
 
-def build_parallel(scenario: Scenario, workers: int = 2) -> DistinctCountAggregator:
+def build_parallel(scenario: Scenario, workers: int = 2) -> ScalarOracle:
     """Thread fan-out path: each group's full stream folds with ``workers``.
 
     Insertions are commutative and idempotent and the Algorithm 5 merge
     is exact, so rebatching per group cannot change the result — which
     is exactly the invariant being asserted.
     """
-    aggregator = DistinctCountAggregator(*scenario.config)
+    oracle = ScalarOracle(*scenario.config)
     per_group: dict[str, list] = {}
     for step in scenario.steps:
         if step.op == OP_HASHES:
             per_group.setdefault(step.group, []).append(step.hashes)
     for group, arrays in per_group.items():
-        key = DistinctCountAggregator._group_key(group)
-        sketch = aggregator._groups.get(key)
-        if sketch is None:
-            sketch = aggregator._new_sketch()
-            aggregator._groups[key] = sketch
+        sketch = oracle.sketch(group)
         stream = np.concatenate(arrays)
         if hasattr(sketch, "is_sparse") and sketch.is_sparse:
             sketch.add_hashes(stream)  # sparse mode has no workers= knob
@@ -254,8 +316,8 @@ def build_parallel(scenario: Scenario, workers: int = 2) -> DistinctCountAggrega
             sketch.add_hashes(stream, workers=workers)
     for step in scenario.steps:
         if step.op == OP_SKETCH:
-            _apply_sketch_step(aggregator, scenario, step)
-    return aggregator
+            _apply_sketch_step(oracle, scenario, step)
+    return oracle
 
 
 def windowed_scenario(scenario: Scenario) -> Scenario:
@@ -540,12 +602,8 @@ def build_query_plane_sources(scenario: Scenario, directory):
         directory / "spill", t=t, d=d, p=p, sparse=sparse, seed=seed, partitions=4
     )
     for step in steps:
-        key = DistinctCountAggregator._group_key(step.group)
-        sketch = aggregator._groups.get(key)
-        if sketch is None:
-            sketch = aggregator._new_sketch()
-            aggregator._groups[key] = sketch
-        sketch.add_hashes(step.hashes)
+        key = to_bytes(step.group)
+        aggregator.fold(key, step.hashes)
         store.append_hashes(step.group, step.hashes)
         spill.write_segments([(key, step.hashes)])
 
@@ -604,14 +662,18 @@ def build_query_plans(scenario: Scenario) -> dict:
 # -- comparisons ---------------------------------------------------------------
 
 
-def register_bytes(aggregator: DistinctCountAggregator) -> dict[bytes, bytes]:
-    """Per-group serialized sketch bytes (the bit-identity currency)."""
-    return {
-        key: sketch.to_bytes() for key, sketch in sorted(aggregator._groups.items())
-    }
+def register_bytes(state) -> dict[bytes, bytes]:
+    """Per-group serialized sketch bytes (the bit-identity currency).
+
+    ``state`` is a :class:`ScalarOracle` or an aggregator, whose groups
+    are read through its public ``group_sketch``.
+    """
+    if isinstance(state, ScalarOracle):
+        return {key: state.sketches[key].to_bytes() for key in sorted(state.sketches)}
+    return {key: state.group_sketch(key).to_bytes() for key in sorted(state.groups())}
 
 
-def assert_identical(reference: DistinctCountAggregator, other, label: str) -> None:
+def assert_identical(reference, other, label: str) -> None:
     """Byte-level equality of two aggregator states, with a precise diff."""
     mine = register_bytes(reference)
     theirs = register_bytes(other)
@@ -623,3 +685,87 @@ def assert_identical(reference: DistinctCountAggregator, other, label: str) -> N
             f"{label}: registers of group {key!r} are not bit-identical"
         )
     assert reference.to_bytes() == other.to_bytes(), f"{label}: aggregator bytes differ"
+
+
+# -- the columnar aggregator, step by step ------------------------------------
+
+
+def interleaved_scenario(seed: int, config=None) -> "list[tuple]":
+    """A seeded op list for :func:`check_interleaved`, over 6 groups.
+
+    Ops are ``("add_hash", group, hashes)`` (one ``add_hash`` per
+    hash), ``("fold", [(group, hashes), ...])`` (one ``fold_segments``
+    batch: repeated groups, empty slices, and slices that carry a
+    token-mode group past break-even), ``("merge", group, hashes,
+    sparse)``, ``("drop", group)`` and re-adds of dropped groups.
+    """
+    rng = np.random.Generator(np.random.PCG64([seed, 3]))
+    if config is None:
+        config = CONFIG_POOL[int(rng.integers(len(CONFIG_POOL)))]
+    t, d, p, _, _ = config
+    break_even = SparseExaLogLog(t, d, p).break_even_tokens
+    groups = [f"g{index}" for index in range(6)]
+
+    def hashes(size: int) -> np.ndarray:
+        return rng.integers(0, 1 << 64, size=size, dtype=np.uint64)
+
+    ops: "list[tuple]" = []
+    for _ in range(int(rng.integers(10, 16))):
+        roll = rng.random()
+        group = groups[int(rng.integers(len(groups)))]
+        if roll < 0.25:
+            ops.append(("add_hash", group, hashes(int(rng.integers(1, 40)))))
+        elif roll < 0.65:
+            batch = []
+            for _ in range(int(rng.integers(2, 9))):
+                pick = groups[int(rng.integers(len(groups)))]
+                size = int(rng.choice([0, 1, 5, break_even // 2, break_even + 3]))
+                batch.append((pick, hashes(size)))
+            ops.append(("fold", batch))
+        elif roll < 0.85:
+            ops.append(("merge", group, hashes(int(rng.integers(1, 2 * break_even))), rng.random() < 0.5))
+        else:
+            ops.append(("drop", group))
+    return config, ops
+
+
+def _merged_sketch(config, hashes, sparse: bool):
+    t, d, p, _, _ = config
+    sketch = SparseExaLogLog(t, d, p) if sparse else ExaLogLog(t, d, p)
+    return sketch.add_hashes(hashes)
+
+
+def check_interleaved(config, ops) -> DistinctCountAggregator:
+    """Run ``ops`` on two aggregators and on a :class:`ScalarOracle`.
+
+    After every op, the first aggregator's group sketch bytes, its bytes
+    and every estimate must equal the oracle's. The second one is read
+    only once, at the end, so state an aggregator defers to its next
+    read (buffered tokens, rows waiting for reuse) piles up across ops.
+    """
+    aggregator = DistinctCountAggregator(*config)
+    quiet = DistinctCountAggregator(*config)
+    oracle = ScalarOracle(*config)
+    for step, op in enumerate(ops):
+        kind = op[0]
+        if kind == "add_hash":
+            for target in (aggregator, quiet):
+                for value in op[2].tolist():
+                    target.add_hash(op[1], value)
+            oracle.add_hashes(op[1], op[2])
+        elif kind == "fold":
+            for target in (aggregator, quiet):
+                target.fold_segments(op[1])
+            for group, hashes in op[1]:
+                oracle.add_hashes(group, hashes)
+        elif kind == "merge":
+            for target in (aggregator, quiet, oracle):
+                target.merge_sketch(op[1], _merged_sketch(config, op[2], op[3]))
+        else:
+            for target in (aggregator, quiet, oracle):
+                target.drop_group(op[1])
+        label = f"step {step} ({kind})"
+        assert_identical(oracle, aggregator, label)
+        assert aggregator.estimates() == oracle.estimates(), label
+    assert_identical(oracle, quiet, "read only at the end")
+    return aggregator

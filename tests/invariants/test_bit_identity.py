@@ -117,12 +117,16 @@ def test_instrumented_matches_uninstrumented(scenario, reference, tmp_path):
 
 
 def test_batched_estimates_match_scalar(scenario, reference):
-    """``estimates()`` (one simultaneous solve) vs per-sketch ``estimate()``."""
-    batched = reference.estimates()
-    for key, sketch in reference._groups.items():
-        assert batched[key] == sketch.estimate(), (
+    """The aggregator's ``estimates()``, ``estimate()`` and ``top()`` (read
+    off its arrays) vs each oracle sketch's own ``estimate()``."""
+    aggregator = build_segmented(scenario)
+    batched = aggregator.estimates()
+    for key, sketch in reference.sketches.items():
+        assert batched[key] == sketch.estimate() == aggregator.estimate(key), (
             f"batched estimate of group {key!r} differs from the scalar solve"
         )
+    expected = sorted(batched.items(), key=lambda kv: -kv[1])
+    assert aggregator.top(len(batched)) == expected
 
 
 def test_estimate_registers_matches_scalar(scenario, reference):
@@ -146,8 +150,8 @@ def test_estimate_registers_matches_scalar(scenario, reference):
         assert value == dense[key].estimate()
 
 
-def register_items(aggregator):
-    return sorted(aggregator._groups.items())
+def register_items(oracle):
+    return sorted(oracle.sketches.items())
 
 
 @pytest.mark.parametrize("seed", rounds(3))

@@ -90,8 +90,11 @@ def test_follower_sync_points_are_arbitrary(seed, tmp_path):
     again = shipper.sync(follower)
     assert again.records_shipped == 0 and not again.snapshot_installed
     assert follower.aggregator.to_bytes() == store.aggregator.to_bytes()
-    for key, sketch in store.aggregator._groups.items():
-        assert follower.aggregator._groups[key].to_bytes() == sketch.to_bytes()
+    for key in store.aggregator.groups():
+        assert (
+            follower.aggregator.group_sketch(key).to_bytes()
+            == store.aggregator.group_sketch(key).to_bytes()
+        )
     store.close()
     follower.close()
 

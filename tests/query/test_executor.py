@@ -56,7 +56,7 @@ class TestEstimate:
 
     def test_estimates_are_bit_identical_to_scalar(self, countries):
         for key, value in execute(Estimate(Scan()), countries).rows:
-            assert value == countries._groups[key].estimate()
+            assert value == countries.group_sketch(key).estimate()
 
 
 class TestFilter:
@@ -266,9 +266,9 @@ class TestResultSurface:
     def test_execute_sketches_returns_private_copies(self, countries):
         sketches = execute_sketches(Scan(), countries)
         key = b"country:US"
-        before = countries._groups[key].to_bytes()
+        before = countries.group_sketch(key).to_bytes()
         sketches[key].add("mutation")
-        assert countries._groups[key].to_bytes() == before
+        assert countries.group_sketch(key).to_bytes() == before
 
     def test_query_entry_point_accepts_plan_and_text(self, countries):
         plan = TopK(Filter(Scan(), prefix="country:"), 10)

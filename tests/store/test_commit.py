@@ -21,6 +21,7 @@ from repro.core.exaloglog import ExaLogLog
 from repro.core.sparse import SparseExaLogLog
 from repro.storage.serialization import read_lsn_record_from
 from repro.store import FollowerStore, SketchStore, WalShipper, wal_path
+from tests.invariants.harness import ScalarOracle
 
 
 def _hashes(seed, count):
@@ -29,13 +30,11 @@ def _hashes(seed, count):
 
 
 def _reference(segments, config=(2, 20, 8, True, 0)):
-    aggregator = DistinctCountAggregator(*config)
+    """Every segment through its group's own sketch (the scalar oracle)."""
+    oracle = ScalarOracle(*config)
     for group, hashes in segments:
-        key = DistinctCountAggregator._group_key(group)
-        if key not in aggregator._groups:
-            aggregator._groups[key] = aggregator._new_sketch()
-        aggregator._groups[key].add_hashes(hashes)
-    return aggregator
+        oracle.add_hashes(group, hashes)
+    return oracle
 
 
 SEGMENTS = [

@@ -96,11 +96,11 @@ def test_group_sketch_answers_at_the_view_horizon(tmp_path):
             store.append_hashes("DE", _hashes(16, 200))
             # No refresh: the point read must match the *old* view.
             assert reader.group_sketch("DE").to_bytes() == before
-            assert before == reader.aggregator._groups[b"DE"].to_bytes()
+            assert before == reader.aggregator.group_sketch(b"DE").to_bytes()
             reader.refresh()
             assert (
                 reader.group_sketch("DE").to_bytes()
-                == store.aggregator._groups[b"DE"].to_bytes()
+                == store.aggregator.group_sketch(b"DE").to_bytes()
             )
 
 
@@ -158,7 +158,7 @@ def test_group_sketch_survives_concurrent_sweep(tmp_path):
         store.compact()
         store.append_hashes("DE", _hashes(22, 100))  # tailed past the snapshot
         with SnapshotReader.open(tmp_path / "s") as reader:
-            expected = reader.aggregator._groups[b"DE"].to_bytes()
+            expected = reader.aggregator.group_sketch(b"DE").to_bytes()
             # Simulate the sweep of a concurrent compaction: WAL first.
             wal_path(tmp_path / "s", 1).unlink()
             assert reader.group_sketch("DE").to_bytes() == expected
@@ -180,7 +180,7 @@ def test_group_sketch_index_cache_tracks_appends(tmp_path):
             reader.refresh()
             assert (
                 reader.group_sketch("DE").to_bytes()
-                == store.aggregator._groups[b"DE"].to_bytes()
+                == store.aggregator.group_sketch(b"DE").to_bytes()
             )
 
 

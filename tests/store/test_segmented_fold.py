@@ -35,6 +35,7 @@ from repro.store import (
     wal_path,
 )
 from repro.store import sketchstore
+from tests.invariants.harness import ScalarOracle
 
 
 def _hashes(seed, count):
@@ -44,15 +45,10 @@ def _hashes(seed, count):
 
 def _scalar(segments, config=(2, 20, 8, True, 0)):
     """Reference: every hash through the paper's scalar ``add_hash``."""
-    aggregator = DistinctCountAggregator(*config)
+    oracle = ScalarOracle(*config)
     for group, hashes in segments:
-        key = to_bytes(group)
-        sketch = aggregator._groups.get(key)
-        if sketch is None:
-            sketch = aggregator._groups[key] = aggregator._new_sketch()
-        for value in hashes.tolist():
-            sketch.add_hash(value)
-    return aggregator
+        oracle.add_hashes(group, hashes)
+    return oracle
 
 
 def _count_folds(monkeypatch):
@@ -142,21 +138,6 @@ def test_a_batch_tokenise_split_by_a_small_cap_equals_one_call(monkeypatch):
     assert split.to_bytes() == whole.to_bytes() == _scalar(segments).to_bytes()
 
 
-def test_groups_of_another_token_parameter_tokenise_with_their_own_v():
-    from repro.core.sparse import SparseExaLogLog
-
-    segments = [("w", _hashes(11, 9)), ("g", _hashes(12, 5)), ("w", _hashes(13, 6))]
-    aggregator = DistinctCountAggregator(2, 20, 8)
-    # A loaded snapshot may hold sketches of another v.
-    aggregator._groups[b"w"] = SparseExaLogLog(2, 20, 8, v=30)
-    aggregator.fold_segments(segments)
-    expected = SparseExaLogLog(2, 20, 8, v=30)
-    for value in np.concatenate([segments[0][1], segments[2][1]]).tolist():
-        expected.add_hash(value)
-    assert aggregator.sketches()[b"w"] == expected
-    assert aggregator.sketches()[b"g"] == _scalar(segments[1:2]).sketches()[b"g"]
-
-
 def test_a_key_repeated_inside_one_run_folds_into_one_row(kernel_rows):
     segments = [
         ("a", _hashes(50, 30)),
@@ -208,9 +189,9 @@ def test_a_stacked_fold_split_by_a_small_block_cap_equals_one_unsplit_fold(
     monkeypatch.setattr(aggregate, "STACK_REGISTERS", 2 * 256)
     kernel_rows.clear()
     split = DistinctCountAggregator(*config).fold_segments(segments)
-    # Each block holds two rows; a key seen again after its block
-    # folded starts a row in the next one.
-    assert kernel_rows == [2] * 10 + [1]
+    # Each block holds two rows: the run's seven groups fold in blocks of
+    # 2, 2, 2 and 1, each group's three slices in its one row.
+    assert kernel_rows == [2, 2, 2, 1]
     assert split.to_bytes() == whole.to_bytes() == _scalar(segments, config).to_bytes()
 
 

@@ -41,6 +41,7 @@ from repro.store import (
     wal_path,
 )
 from repro.store.sketchstore import _FILE_HEADER_BYTES, check_wal_record
+from tests.invariants.harness import ScalarOracle
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures" / "before_segments"
 
@@ -61,13 +62,10 @@ SEGMENTS = [
 
 def _reference(segments, config=(2, 20, 8, True, 0)):
     """Every segment through its sketch's own ``add_hashes``, one by one."""
-    aggregator = DistinctCountAggregator(*config)
+    oracle = ScalarOracle(*config)
     for group, hashes in segments:
-        key = to_bytes(group)
-        if key not in aggregator._groups:
-            aggregator._groups[key] = aggregator._new_sketch()
-        aggregator._groups[key].add_hashes(hashes)
-    return aggregator
+        oracle.add_hashes(group, hashes, scalar=False)
+    return oracle
 
 
 def _records(path):
@@ -262,6 +260,43 @@ def _payload_with_counts(counts, keys=b"ab", hashes=2):
         write_uvarint(buffer, key_length)
         write_uvarint(buffer, hash_count)
     return bytes(buffer) + keys + _hashes(11, hashes).tobytes()
+
+
+def test_a_segments_header_is_parsed_once_per_record_read_back(tmp_path, monkeypatch):
+    """Replay, a reader's tail and a follower's apply check each segments
+    record as they read it, and hand the layout that check parsed to the
+    decode instead of parsing the header again."""
+    from repro.storage import serialization
+    from repro.store import sketchstore
+
+    directory = tmp_path / "s"
+    with SketchStore.open(directory) as store:
+        reader = SnapshotReader.open(directory)
+        for segments in (SEGMENTS[:2], SEGMENTS[2:]):
+            with store.batch():
+                for group, hashes in segments:
+                    store.append_hashes(group, hashes)
+    parsed = []
+    real = serialization.segments_layout
+
+    def counting(payload):
+        parsed.append(len(payload))
+        return real(payload)
+
+    monkeypatch.setattr(serialization, "segments_layout", counting)
+    monkeypatch.setattr(sketchstore, "segments_layout", counting)
+    with SketchStore.open(directory) as reopened:
+        assert reopened.aggregator.to_bytes() == _reference(SEGMENTS).to_bytes()
+    assert len(parsed) == 2
+    parsed.clear()
+    reader.refresh()
+    assert len(parsed) == 2
+    reader.close()
+    parsed.clear()
+    with FollowerStore.open(tmp_path / "replica") as follower:
+        WalShipper(directory).sync(follower)
+        assert follower.aggregator.to_bytes() == _reference(SEGMENTS).to_bytes()
+    assert len(parsed) == 2  # the follower's check; its decode reuses it
 
 
 @pytest.mark.parametrize(

@@ -8,6 +8,7 @@ from repro.core.exaloglog import ExaLogLog
 from repro.core.sparse import SparseExaLogLog
 from repro.storage.serialization import SerializationError
 from repro.store import SketchStore
+from tests.invariants.harness import ScalarOracle
 
 
 def _hashes(seed, count):
@@ -16,15 +17,11 @@ def _hashes(seed, count):
 
 
 def _reference(batches, config=(2, 20, 8, True, 0)):
-    aggregator = DistinctCountAggregator(*config)
+    """Every batch through its group's own sketch (the scalar oracle)."""
+    oracle = ScalarOracle(*config)
     for group, hashes in batches:
-        key = DistinctCountAggregator._group_key(group)
-        sketch = aggregator._groups.get(key)
-        if sketch is None:
-            sketch = aggregator._new_sketch()
-            aggregator._groups[key] = sketch
-        sketch.add_hashes(hashes)
-    return aggregator
+        oracle.add_hashes(group, hashes)
+    return oracle
 
 
 BATCHES = [

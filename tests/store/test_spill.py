@@ -39,9 +39,9 @@ class TestEquivalence:
             for partial in spill.partition_aggregators():
                 for key in partial.groups():
                     assert key not in seen, "group appears in two partitions"
-                    seen[key] = partial._groups[key].to_bytes()
+                    seen[key] = partial.group_sketch(key).to_bytes()
         assert seen == {
-            key: sketch.to_bytes() for key, sketch in reference._groups.items()
+            key: sketch.to_bytes() for key, sketch in reference.sketches().items()
         }
 
     def test_aggregator_spill_parameter_routes_batches(self, tmp_path):

@@ -16,6 +16,7 @@ from repro.aggregate import DistinctCountAggregator
 from repro.storage.serialization import SerializationError, read_lsn_record_from
 from repro.store import FollowerStore, SketchStore, SnapshotReader, WalShipper
 from repro.store.sketchstore import _FILE_HEADER_BYTES
+from tests.invariants.harness import ScalarOracle
 
 
 def _hashes(seed, count):
@@ -36,16 +37,11 @@ BATCHES = [
 def _prefix_states():
     """Serialized aggregator state after each durable prefix of BATCHES."""
     states = []
-    aggregator = DistinctCountAggregator(2, 20, 8)
-    states.append(aggregator.to_bytes())
+    oracle = ScalarOracle(2, 20, 8)
+    states.append(oracle.to_bytes())
     for group, hashes in BATCHES:
-        key = DistinctCountAggregator._group_key(group)
-        sketch = aggregator._groups.get(key)
-        if sketch is None:
-            sketch = aggregator._new_sketch()
-            aggregator._groups[key] = sketch
-        sketch.add_hashes(hashes)
-        states.append(aggregator.to_bytes())
+        oracle.add_hashes(group, hashes)
+        states.append(oracle.to_bytes())
     return states
 
 

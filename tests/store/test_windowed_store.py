@@ -16,7 +16,7 @@ def _store_history_estimate(store, t=2, d=20, p=8):
     """Merge every retired bucket in the store into one estimate."""
     merged = ExaLogLog(t, d, p)
     for key in store.groups():
-        sketch = store.aggregator._groups[key]
+        sketch = store.aggregator.group_sketch(key)
         if hasattr(sketch, "densify"):
             sketch = sketch.densify()
         merged.merge_inplace(sketch)
