@@ -138,17 +138,17 @@ def _distinct_keys(values) -> "list[bytes]":
 
     Integers of at most 63 significant bits encode as their 8
     little-endian two's-complement bytes, so such an integer array's
-    keys are 8-byte slices of one ``astype("<i8")`` buffer; every other
-    value (``-2**63``, a uint64 from ``2**63`` on: 9 bytes each) encodes
-    one by one.
+    keys are the items of one ``astype("<i8")`` copy viewed as 8-byte
+    voids (whose ``tolist()`` yields ``bytes``, NUL bytes kept); every
+    other value (``-2**63``, a uint64 from ``2**63`` on: 9 bytes each)
+    encodes one by one.
     """
     kind = values.dtype.kind
     narrow = values.dtype.itemsize < 8
     if (kind == "i" and (narrow or values.min() > -(1 << 63))) or (
         kind == "u" and (narrow or values.max() < 1 << 63)
     ):
-        raw = values.astype("<i8").tobytes()
-        return [raw[start : start + 8] for start in range(0, len(raw), 8)]
+        return values.astype("<i8").view("V8").tolist()
     # tolist() yields the Python values the per-row path encodes.
     return [to_bytes(value) for value in values.tolist()]
 
@@ -282,6 +282,14 @@ def _gather(starts, lengths):
 
     offsets = np.cumsum(lengths) - lengths
     return np.repeat(starts - offsets, lengths) + np.arange(int(lengths.sum()))
+
+
+def _entries(row: int, sketch):
+    """``row << 32 | token`` for each token of a token-mode sketch."""
+    import numpy as np
+
+    tokens = np.fromiter(sketch.tokens, dtype=np.int64, count=sketch.token_count)
+    return (row << _TOKEN_BITS) | tokens
 
 
 def _pack_registers(block, width: int):
@@ -454,19 +462,33 @@ class DistinctCountAggregator:
             self._slot[row] = self._new_slot()
         return row
 
-    def _new_rows(self, keys: "list[bytes]"):
-        """:meth:`_new_row` for many unseen, distinct ``keys`` at once, in order."""
+    def _rows_of(self, keys: "list[bytes]"):
+        """Each key's row, unseen keys created empty in order: one dict probe each.
+
+        Every key is offered a free row id through ``dict.setdefault``;
+        an unseen key takes its offer, and the offers that seen keys
+        (or a key's repeats) leave go back to the free rows.
+        """
         import numpy as np
 
-        reused = [self._free_rows.pop() for _ in range(min(len(keys), len(self._free_rows)))]
+        free = self._free_rows
+        reused = min(len(keys), len(free))
+        offers = free[len(free) - reused :]
+        del free[len(free) - reused :]
         start = self._next_row
-        self._reserve(len(keys) - len(reused))
-        rows = np.concatenate(
-            (np.array(reused, dtype=np.int64), np.arange(start, self._next_row))
+        self._reserve(len(keys) - reused)
+        offers = np.concatenate(
+            (np.array(offers, dtype=np.int64), np.arange(start, self._next_row))
         )
-        self._rows.update(zip(keys, rows.tolist()))
+        rows = np.fromiter(
+            map(self._rows.setdefault, keys, offers.tolist()),
+            dtype=np.int64,
+            count=len(keys),
+        )
+        taken = rows == offers
+        free += offers[~taken].tolist()
         if not self._sparse:
-            self._slot[rows] = [self._new_slot() for _ in range(len(rows))]
+            self._slot[rows[taken]] = [self._new_slot() for _ in range(int(taken.sum()))]
         return rows
 
     def _reserve(self, count: int) -> None:
@@ -541,22 +563,24 @@ class DistinctCountAggregator:
         """Merge ``row << 32 | token`` entries (any order, repeats allowed).
 
         One sort, one ``searchsorted`` against the sorted array and one
-        ``np.insert`` of the entries not yet present; each row's
-        count grows by its new tokens. Returns the rows that gained one.
+        ``np.insert`` of the entries not yet present (none, and the
+        array is not copied); each row's count grows by its new tokens.
+        Returns the rows that gained one.
         """
         import numpy as np
 
         new = np.sort(entries)
-        new = new[np.concatenate(([True], new[1:] != new[:-1]))]
+        if len(new) > 1:
+            new = new[np.concatenate(([True], new[1:] != new[:-1]))]
         keys = self._keys
-        if len(keys):
+        if len(keys) and len(new):
             at = np.searchsorted(keys, new)
             present = at < len(keys)
             present[present] = keys[at[present]] == new[present]
-            if present.any():
-                new, at = new[~present], at[~present]
-            self._keys = np.insert(keys, at, new)
-        else:
+            new, at = new[~present], at[~present]
+            if len(new):
+                self._keys = np.insert(keys, at, new)
+        elif len(new):
             self._keys = new
         rows, counts = _runs(new >> _TOKEN_BITS)
         self._counts[rows] += counts
@@ -606,12 +630,9 @@ class DistinctCountAggregator:
         leaving token mode is given (its tokens are purged at the next
         :meth:`_flush`).
         """
-        import numpy as np
-
         if isinstance(sketch, SparseExaLogLog):
             if sketch.is_sparse:
-                tokens = np.fromiter(sketch.tokens, dtype=np.int64)
-                self._insert_tokens((row << _TOKEN_BITS) | tokens)
+                self._insert_tokens(_entries(row, sketch))
                 return
             sketch = sketch.densify()  # already dense: its inner sketch
         slot = int(self._slot[row])
@@ -702,8 +723,6 @@ class DistinctCountAggregator:
         count exceeds RAM. The spill target — not ``self`` — then owns
         the batch's state; results come from its partition merge.
         """
-        from itertools import repeat
-
         import numpy as np
 
         keys, hashes, bounds = _columns(groups, items, self._seed)
@@ -718,17 +737,9 @@ class DistinctCountAggregator:
                 )
             spill.write_segments(list(zip(keys, _split(hashes, bounds))))
             return self
-        # The keys are distinct: resolve them at once, create the new ones
-        # together, and fold the columns as fold_segments would.
         self._flush()
         self._purge()
-        rows = np.fromiter(
-            map(self._rows.get, keys, repeat(-1)), dtype=np.int64, count=len(keys)
-        )
-        new = np.flatnonzero(rows < 0)
-        if len(new):
-            rows[new] = self._new_rows([keys[i] for i in new.tolist()])
-        self._fold(rows, hashes, bounds[:-1], np.diff(bounds))
+        self._fold(self._rows_of(keys), hashes, bounds[:-1], np.diff(bounds), True)
         return self
 
     def fold_segments(self, segments) -> "DistinctCountAggregator":
@@ -769,35 +780,32 @@ class DistinctCountAggregator:
 
         self._flush()
         self._purge()
-        rows: list[int] = []
+        keys: list[bytes] = []
         arrays: list = []
-        get, new_row = self._rows.get, self._new_row
         ndarray, uint64 = np.ndarray, np.dtype(np.uint64)
         for group, hashes in segments:
-            key = group if type(group) is bytes else to_bytes(group)
-            row = get(key)
-            if row is None:
-                row = new_row(key)
-            rows.append(row)
+            keys.append(group if type(group) is bytes else to_bytes(group))
             if type(hashes) is not ndarray or hashes.dtype is not uint64 or hashes.ndim != 1:
                 hashes = backends.as_hash_array(hashes)
             arrays.append(hashes)
-        if rows:
+        if keys:
             lengths = np.fromiter(map(len, arrays), dtype=np.int64, count=len(arrays))
             self._fold(
-                np.array(rows, dtype=np.int64),
+                self._rows_of(keys),
                 np.concatenate(arrays) if len(arrays) > 1 else arrays[0],
                 np.cumsum(lengths) - lengths,
                 lengths,
             )
         return self
 
-    def _fold(self, rows, flat, starts, lengths) -> None:
+    def _fold(self, rows, flat, starts, lengths, distinct: bool = False) -> None:
         """The fold of :meth:`fold_segments`, on columns.
 
         Segment ``i`` is ``flat[starts[i]:starts[i] + lengths[i]]`` (uint64
-        hashes) into row ``rows[i]``; each route gathers its segments'
-        hashes from ``flat``, grouped by row.
+        hashes) into row ``rows[i]``; the segments lie back to back, in
+        order, and each route gathers its segments' hashes from ``flat``,
+        grouped by row. ``distinct`` says no row repeats (the distinct
+        keys of :meth:`add_batch`), so a row's batch total is its slice.
         """
         import numpy as np
 
@@ -809,7 +817,11 @@ class DistinctCountAggregator:
         alone = np.flatnonzero(dense & (not self._int64))
         tokens = np.flatnonzero((slots < 0) & (lengths > 0))
         small = tokens[:0]
-        if len(tokens):
+        if len(tokens) and distinct:
+            fits = self._counts[rows[tokens]] + lengths[tokens] <= self._break_even
+            small = tokens[fits]
+            alone = np.concatenate((alone, tokens[~fits]))
+        elif len(tokens):
             # Each token-mode row's total over the batch, by a stable sort.
             order = np.argsort(rows[tokens], kind="stable")
             owners, counts = _runs(rows[tokens][order])
@@ -829,6 +841,9 @@ class DistinctCountAggregator:
                 flat[_gather(starts[stacked], lengths[stacked])],
                 np.concatenate(([0], np.cumsum(sizes))),
             )
+        # The token entries of every row that stays in token mode, merged
+        # into the token array at once.
+        merged: list = []
         if len(alone):
             # Slice by slice, in order: the first that can pass break-even
             # densifies the group, and the later ones fold into it.
@@ -840,16 +855,24 @@ class DistinctCountAggregator:
                 for segment in alone[low:high].tolist():
                     start = starts[segment]
                     sketch.add_hashes(flat[start : start + lengths[segment]])
-                self._put(row, sketch)
+                if isinstance(sketch, SparseExaLogLog) and sketch.is_sparse:
+                    merged.append(_entries(row, sketch))
+                else:
+                    self._put(row, sketch)
         if len(small):
-            hashes = flat[_gather(starts[small], lengths[small])]
+            if len(small) < len(rows):
+                hashes = flat[_gather(starts[small], lengths[small])]
+            else:  # every segment, and they lie back to back
+                hashes = flat
             entries = np.repeat(rows[small] << _TOKEN_BITS, lengths[small])
             for start in range(0, len(hashes), TOKENISE_ROWS):
                 stop = start + TOKENISE_ROWS
                 entries[start:stop] |= backends.tokenize_hashes(
                     hashes[start:stop], DEFAULT_V
                 )
-            self._insert_tokens(entries)
+            merged.append(entries)
+        if merged:
+            self._insert_tokens(np.concatenate(merged) if len(merged) > 1 else merged[0])
 
     def _fold_stacked(self, owners, hashes, bounds) -> None:
         """Fold each owner's hashes into its dense row, block by block, in place.
@@ -883,13 +906,15 @@ class DistinctCountAggregator:
         """Raise unless :meth:`merge_sketch` can merge ``sketch`` here.
 
         ``TypeError`` for anything but a dense or sparse ExaLogLog,
-        ``ValueError`` when its parameters (or a sparse sketch's token
-        parameter ``v``) differ from this aggregator's.
+        ``ValueError`` when its parameters differ from this aggregator's,
+        or when a sparse sketch's token parameter ``v`` differs from a
+        sparse aggregator's (a dense aggregator densifies it first, so
+        any ``v`` merges there).
         """
         if not isinstance(sketch, (ExaLogLog, SparseExaLogLog)):
             raise TypeError(f"cannot merge a {type(sketch).__name__} into an aggregator")
         if sketch.params != self._params or (
-            isinstance(sketch, SparseExaLogLog) and sketch.v != DEFAULT_V
+            self._sparse and isinstance(sketch, SparseExaLogLog) and sketch.v != DEFAULT_V
         ):
             raise ValueError(
                 f"cannot merge {sketch!r}: parameters differ from the aggregator's "

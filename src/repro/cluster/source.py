@@ -23,10 +23,11 @@ the next writer open completes it, a copied group sits on its old and
 its new owner, a dropped one only on its new owner, and the shard count
 in ``cluster.json`` is the old one. :meth:`ClusterSource.open` sees such
 a journal (its epoch is newer than ``cluster.json``'s), opens every
-shard directory up to the larger of the two shard counts, and answers
-every read from one aggregator that merges all members by Algorithm 5.
-The merge is idempotent, so a group on two shards counts once and the
-answers are those the completed rebalance gives.
+shard directory up to the larger of the two shard counts, and reads
+from one source: an aggregator that merges all of them by Algorithm 5
+(rebuilt by :meth:`ClusterSource.refresh`). The merge is idempotent, so
+a group on two shards counts once and the answers are those the
+completed rebalance gives.
 """
 
 from __future__ import annotations
@@ -61,22 +62,18 @@ class ClusterSource:
                     f"from shard 0 {tuple(config)}; a cluster's sketches must "
                     "be mergeable (identical parameters)"
                 )
-        self._sources = sources
-        self._merged = None  # a pending rebalance's merged view (open())
+        # Reads go to ``_sources``; refresh, close and skew to the opened
+        # members. They differ only while a rebalance is pending (open()).
+        self._sources = self._members = sources
 
-    def _merge(self):
-        """One aggregator holding every member's groups (Algorithm 5 merges)."""
+    def _merge(self) -> None:
+        """Read from one aggregator merging every member (Algorithm 5)."""
         from repro.aggregate import DistinctCountAggregator
 
-        merged = DistinctCountAggregator(*self._sources[0].config)
-        for source in self._sources:
-            merged.merge_inplace(source.aggregator)
-        return merged
-
-    @property
-    def aggregator(self):
-        """The merged view of a pending rebalance's members, else ``None``."""
-        return self._merged
+        merged = DistinctCountAggregator(*self._members[0].config)
+        for member in self._members:
+            merged.merge_inplace(member.aggregator)
+        self._sources = (merged,)
 
     @classmethod
     def open(cls, root, reader: bool = False) -> "ClusterSource":
@@ -121,19 +118,28 @@ class ClusterSource:
             raise
         view = cls(sources)
         if pending:
-            view._merged = view._merge()
+            view._merge()
         return view
 
     # -- topology --------------------------------------------------------------
 
     @property
     def shard_sources(self) -> tuple:
-        """The per-shard sources, indexed by shard id."""
+        """The per-shard sources reads go to, indexed by shard id.
+
+        While a rebalance is pending, the one merged aggregator.
+        """
         return self._sources
 
     @property
+    def members(self) -> tuple:
+        """The sources :meth:`open` opened, one per existing shard directory."""
+        return self._members
+
+    @property
     def shards(self) -> int:
-        return len(self._sources)
+        """The number of shard sources opened (:attr:`members`)."""
+        return len(self._members)
 
     @property
     def config(self) -> tuple:
@@ -150,16 +156,11 @@ class ClusterSource:
     # -- SketchSource protocol -------------------------------------------------
 
     def groups(self) -> Iterator[bytes]:
-        if self._merged is not None:
-            yield from self._merged.groups()
-            return
         for source in self._sources:
             yield from source.groups()
 
     def group_sketch(self, group: Hashable):
         """One routed point-read (the owning shard's cheapest path)."""
-        if self._merged is not None:
-            return self._merged.group_sketch(group)
         return self.source_for(group).group_sketch(group)
 
     def estimate(self, group: Hashable) -> float:
@@ -177,8 +178,6 @@ class ClusterSource:
         no row's estimate depends on the rows solved beside it, so the
         join equals one solve over every group.
         """
-        if self._merged is not None:
-            return self._merged.estimates()
         estimates: "dict[bytes, float]" = {}
         for source in self._sources:
             estimates.update(source.estimates())
@@ -194,9 +193,6 @@ class ClusterSource:
         """
         if count <= 0:
             return []
-        if self._merged is not None:
-            ranked = sorted(self._merged.estimates().items(), key=lambda kv: (-kv[1], kv[0]))
-            return ranked[:count]
         survivors: "list[tuple[bytes, float]]" = []
         for source in self._sources:
             survivors.extend(source.top(count))
@@ -204,21 +200,17 @@ class ClusterSource:
         return survivors[:count]
 
     def __len__(self) -> int:
-        if self._merged is not None:
-            return len(self._merged)
         return sum(len(source) for source in self._sources)
 
     def skew(self) -> float:
         """Largest shard's group count over the mean (1.0 = balanced)."""
-        counts = [len(source) for source in self._sources]
+        counts = [len(member) for member in self._members]
         total = sum(counts)
         if not total:
             return 1.0
         return max(counts) * len(counts) / total
 
     def __contains__(self, group: Hashable) -> bool:
-        if self._merged is not None:
-            return group in self._merged
         return group in self.source_for(group)
 
     # -- lifecycle -------------------------------------------------------------
@@ -226,17 +218,17 @@ class ClusterSource:
     def refresh(self) -> list:
         """Refresh every member that supports it (reader-backed clusters)."""
         results = []
-        for source in self._sources:
-            refresh = getattr(source, "refresh", None)
+        for member in self._members:
+            refresh = getattr(member, "refresh", None)
             if callable(refresh):
                 results.append(refresh())
-        if self._merged is not None:
-            self._merged = self._merge()
+        if self._sources is not self._members:
+            self._merge()
         return results
 
     def close(self) -> None:
-        for source in self._sources:
-            close = getattr(source, "close", None)
+        for member in self._members:
+            close = getattr(member, "close", None)
             if callable(close):
                 close()
 
@@ -247,8 +239,8 @@ class ClusterSource:
         self.close()
 
     def __repr__(self) -> str:
-        kinds = {type(source).__name__ for source in self._sources}
+        kinds = {type(member).__name__ for member in self._members}
         return (
-            f"ClusterSource(shards={len(self._sources)}, "
+            f"ClusterSource(shards={len(self._members)}, "
             f"members={sorted(kinds)})"
         )

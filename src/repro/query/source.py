@@ -36,7 +36,7 @@ buckets. :func:`live_sketches` is the one probe for a source's live
 
 from __future__ import annotations
 
-from collections import ChainMap
+from itertools import chain
 from typing import Any, Hashable, Iterator, Mapping, Protocol, runtime_checkable
 
 
@@ -106,23 +106,50 @@ class DelegatingSource:
         return self._view().group_sketch(group)
 
 
+class _ShardUnion(Mapping):
+    """The union of shards' disjoint ``key → sketch`` mappings, copying none.
+
+    Keys iterate shard by shard; a lookup asks each shard whether it
+    holds the key before it reads the value.
+    """
+
+    __slots__ = ("_maps",)
+
+    def __init__(self, maps: "list[Mapping[bytes, Any]]") -> None:
+        self._maps = maps
+
+    def __getitem__(self, key: bytes):
+        for live in self._maps:
+            if key in live:
+                return live[key]
+        raise KeyError(key)
+
+    def __contains__(self, key: object) -> bool:
+        return any(key in live for live in self._maps)
+
+    def __iter__(self) -> Iterator[bytes]:
+        return chain.from_iterable(self._maps)
+
+    def __len__(self) -> int:
+        return sum(len(live) for live in self._maps)
+
+
 def live_sketches(source) -> "Mapping[bytes, Any] | None":
     """A source's live ``key → sketch`` mapping, or ``None``.
 
     Looks through ``aggregator`` views to a ``sketches()`` mapping,
     whose values are built only when read, so callers pick keys before
-    they read values. A sharded source (anything with ``shard_sources``
-    and no ``aggregator`` of its own) yields a chain of its members'
-    mappings, copying none — shards own disjoint key sets, so the chain
-    is exactly the single-store mapping — or ``None`` when any member
-    has none.
+    they read values. A sharded source (anything with ``shard_sources``)
+    yields the union of its members' mappings, copying none — shards
+    own disjoint key sets, so the union is exactly the single-store
+    mapping — or ``None`` when any member has none.
     """
     members = getattr(source, "shard_sources", None)
-    if members is not None and getattr(source, "aggregator", None) is None:
+    if members is not None:
         maps = [live_sketches(member) for member in members]
         if any(live is None for live in maps):
             return None
-        return ChainMap(*maps)
+        return _ShardUnion(maps)
     view = getattr(source, "aggregator", source)
     sketches = getattr(view, "sketches", None)
     return sketches() if callable(sketches) else None

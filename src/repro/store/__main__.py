@@ -601,7 +601,7 @@ def _command_info(arguments: argparse.Namespace) -> int:
                 f"cluster:  {root} ({cluster.shards} shards, "
                 f"epoch {read_meta(root).epoch}, {len(cluster)} groups)"
             )
-            for index, shard in enumerate(cluster.shard_sources):
+            for index, shard in enumerate(cluster.members):
                 print(
                     f"shard {index:4d}: groups={len(shard)} "
                     f"generation={shard.generation} "

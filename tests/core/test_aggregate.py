@@ -265,6 +265,20 @@ class TestWriteApi:
         expected = incoming if sparse else incoming.copy().densify()
         assert sketch.to_bytes() == expected.to_bytes()
 
+    def test_a_dense_aggregator_merges_a_sparse_sketch_of_any_token_parameter(self):
+        from repro.core.sparse import SparseExaLogLog
+
+        for v in (26, 58):
+            for items in (range(40), range(400)):  # token mode, then past break-even
+                incoming = SparseExaLogLog(2, 20, 8, v=v).add_batch(items)
+                aggregator = DistinctCountAggregator(sparse=False)
+                aggregator.merge_sketch("g", incoming)
+                expected = incoming.copy().densify()
+                assert aggregator.group_sketch("g").to_bytes() == expected.to_bytes()
+        # A sparse aggregator keeps its tokens at its own v.
+        with pytest.raises(ValueError, match="parameters differ"):
+            DistinctCountAggregator().merge_sketch("g", SparseExaLogLog(2, 20, 8, v=58))
+
     def test_merge_sketch_rejects_unmergeable(self):
         from repro.core.exaloglog import ExaLogLog
 

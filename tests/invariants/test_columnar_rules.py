@@ -70,6 +70,8 @@ def test_an_empty_slice_only_creates_its_group():
 
 
 def test_a_dropped_group_re_added_starts_empty():
+    """``a`` is dropped right after densifying: its row waits for one purge
+    of the token array and is then reused once."""
     ops = [
         ("fold", [("a", _hashes(11, 500)), ("b", _hashes(12, 4))]),
         ("drop", "a"),
@@ -79,18 +81,6 @@ def test_a_dropped_group_re_added_starts_empty():
     ]
     aggregator = check_interleaved(SPARSE, ops)
     assert list(aggregator.groups()) == [b"b", b"c", b"a"]
-
-
-def test_a_group_dropped_right_after_densifying_frees_its_row_once():
-    """Its row waits for one purge of the token array, then is reused once."""
-    ops = [
-        ("fold", [("a", _hashes(32, 500)), ("b", _hashes(33, 4))]),
-        ("drop", "a"),
-        ("drop", "b"),
-        ("fold", [("b", _hashes(34, 2)), ("c", _hashes(35, 7))]),
-        ("add_hash", "a", _hashes(36, 3)),
-    ]
-    check_interleaved(SPARSE, ops)
 
 
 def test_merges_of_either_mode_into_either_mode():
@@ -111,7 +101,9 @@ def test_merge_inplace_copies_new_groups_and_merges_shared_ones():
     for group, seed, size in (("a", 22, 9), ("b", 23, 900), ("c", 24, 100)):
         left.fold(group, _hashes(seed, size))
         oracle.add_hashes(group, _hashes(seed, size))
-    for group, seed, size in (("a", 25, 9), ("b", 26, 5), ("c", 27, 200), ("d", 28, 3)):
+    for group, seed, size in (
+        ("a", 25, 9), ("b", 26, 5), ("c", 27, 200), ("d", 28, 3), ("empty", 29, 0),
+    ):
         right.fold(group, _hashes(seed, size))
         oracle.add_hashes(group, _hashes(seed, size))
     assert_identical(oracle, left.merge_inplace(right), "merge_inplace")
