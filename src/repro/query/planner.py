@@ -80,7 +80,7 @@ def _describe_source(source) -> str:
     name = type(source).__name__
     members = getattr(source, "shard_sources", None)
     if members is not None:
-        return f"{name}[{len(members)} shards]"
+        return f"{name}[{getattr(source, 'shards', len(members))} shards]"
     inner = getattr(source, "source", None)
     if inner is not None and not callable(inner):
         name += f"[{type(inner).__name__}]"
