@@ -74,6 +74,8 @@ SKETCHES = [
 #: Timed repetitions of the bulk call and of the scalar loop (best-of,
 #: each after a warm-up): one cold bulk call is dominated by allocator page
 #: faults, and one short scalar loop by whatever else the host is doing.
+#: The single-sketch rows interleave the two sides' rounds, so one stall
+#: of the host cannot cover all of one side's rounds and none of the other's.
 BULK_ROUNDS = 3
 
 #: The grouped-ingest row: rows, Zipf(GROUPED_EXPONENT) integer groups and
@@ -110,18 +112,15 @@ def bench_sketch(name: str, factory, hashes: np.ndarray) -> dict:
     warm = factory().add_hash
     for hash_value in scalar_hashes[:1000]:
         warm(hash_value)
-    scalar_seconds = float("inf")
-    for _ in range(BULK_ROUNDS):  # timed like the bulk side: best of rounds
+    factory().add_hashes(hashes[: max(1, n // 100)])  # warm ufuncs/allocator
+    scalar_seconds = bulk_seconds = float("inf")
+    for _ in range(BULK_ROUNDS):  # interleaved: both best-ofs span one window
         sketch = factory()
         start = time.perf_counter()
         add_hash = sketch.add_hash
         for hash_value in scalar_hashes:
             add_hash(hash_value)
         scalar_seconds = min(scalar_seconds, time.perf_counter() - start)
-
-    factory().add_hashes(hashes[: max(1, n // 100)])  # warm ufuncs/allocator
-    bulk_seconds = float("inf")
-    for _ in range(BULK_ROUNDS):
         bulk_sketch = factory()
         start = time.perf_counter()
         bulk_sketch.add_hashes(hashes)
@@ -152,17 +151,14 @@ def bench_raw_items(n: int) -> dict:
     warm = ExaLogLog(2, 20, 8)
     for item in scalar_items[:1000]:
         warm.add(item)
-    scalar_seconds = float("inf")
-    for _ in range(BULK_ROUNDS):  # timed like the bulk side: best of rounds
+    ExaLogLog(2, 20, 8).add_batch(items[: max(1, n // 100)])
+    scalar_seconds = bulk_seconds = float("inf")
+    for _ in range(BULK_ROUNDS):  # interleaved: both best-ofs span one window
         sketch = ExaLogLog(2, 20, 8)
         start = time.perf_counter()
         for item in scalar_items:
             sketch.add(item)
         scalar_seconds = min(scalar_seconds, time.perf_counter() - start)
-
-    ExaLogLog(2, 20, 8).add_batch(items[: max(1, n // 100)])
-    bulk_seconds = float("inf")
-    for _ in range(BULK_ROUNDS):
         bulk_sketch = ExaLogLog(2, 20, 8)
         start = time.perf_counter()
         bulk_sketch.add_batch(items)

@@ -92,7 +92,7 @@ def bench_single(p: int, n: int, rng, scalar_rounds: int) -> dict:
         scalar = _scalar_estimate(sketch)
     scalar_seconds = (time.perf_counter() - start) / scalar_rounds
 
-    sketch.estimate()  # warm tables and the LUT plan
+    sketch.estimate()  # warm the kernel's tables
     batched_seconds = float("inf")
     for _ in range(10 * BATCH_ROUNDS):
         start = time.perf_counter()
@@ -130,7 +130,7 @@ def bench_groups(p: int, groups: int, items_per_group: int, rng) -> dict:
     scalar = [_scalar_estimate(sketch) for sketch in sketches]
     scalar_seconds = time.perf_counter() - start
 
-    aggregator.estimates()  # warm tables and the LUT plan
+    aggregator.estimates()  # warm the kernel's tables
     batched_seconds = float("inf")
     for _ in range(BATCH_ROUNDS):
         start = time.perf_counter()
@@ -157,7 +157,7 @@ def bench_point(n: int, rng) -> dict:
     """One dense sketch through the batch entry point, as a point read."""
     sketch = ExaLogLog(2, 20, 8)
     sketch.add_hashes(rng.integers(0, 1 << 64, size=n, dtype=np.uint64))
-    batch_estimate_sketches([sketch])  # warm tables and the LUT plan
+    batch_estimate_sketches([sketch])  # warm the kernel's tables
 
     scalar_seconds = batched_seconds = float("inf")
     for _ in range(POINT_ROUNDS):
@@ -200,7 +200,7 @@ def bench_mixed_groups(groups: int, n: int, rng) -> dict:
     if not 0 < dense < len(sketches):
         raise AssertionError(f"expected token and dense groups, got {dense} dense")
 
-    aggregator.estimates()  # warm tables and the LUT plan
+    aggregator.estimates()  # warm the kernel's tables
     scalar_seconds = batched_seconds = float("inf")
     for _ in range(BATCH_ROUNDS):
         start = time.perf_counter()

@@ -1072,18 +1072,10 @@ class DistinctCountAggregator:
         """Estimates of ``rows``, in order: dense rows first in each chunk."""
         import numpy as np
 
-        from repro.core.mlestimation import bias_correction_factor
-        from repro.estimation.batch import (
-            ESTIMATE_CHUNK_ROWS,
-            EXPONENT_AXIS,
-            register_coefficients,
-            solve_ml_equations,
-            token_coefficients,
-        )
+        from repro.estimation.batch import ESTIMATE_CHUNK_ROWS, estimate_chunk
 
         self._flush()
         rows = np.asarray(rows, dtype=np.int64)
-        params = self._params
         out = np.empty(len(rows))
         slots = self._slot[rows]
         dense = np.flatnonzero(slots >= 0)
@@ -1092,32 +1084,21 @@ class DistinctCountAggregator:
                 out[position] = self._sketch_of(int(rows[position])).estimate()
             dense = dense[:0]
         order = np.concatenate((dense, np.flatnonzero(slots < 0)))
-        bias = bias_correction_factor(params)
         for start in range(0, len(order), ESTIMATE_CHUNK_ROWS):
             chunk = order[start : start + ESTIMATE_CHUNK_ROWS]
             split = min(max(len(dense) - start, 0), len(chunk))
-            alpha = np.empty(len(chunk))
-            beta = np.empty((len(chunk), EXPONENT_AXIS), dtype=np.int64)
-            if split:
-                coefficients = register_coefficients(
-                    self._block[slots[chunk[:split]]], params
-                )
-                alpha[:split] = coefficients.alpha
-                beta[:split] = coefficients.beta
+            tokens = None
             if split < len(chunk):
                 starts, lengths = self._token_runs(rows[chunk[split:]])
-                coefficients = token_coefficients(
-                    np.repeat(np.arange(len(chunk) - split), lengths),
+                tokens = (
+                    np.repeat(np.arange(split, len(chunk)), lengths),
                     self._keys[_gather(starts, lengths)] & _TOKEN_MASK,
-                    len(chunk) - split,
+                    len(chunk),
                     DEFAULT_V,
                 )
-                alpha[split:] = coefficients.alpha
-                beta[split:] = coefficients.beta
-            values = solve_ml_equations(alpha, beta).nu
-            values[:split] *= params.m
-            np.multiply(values[:split], bias, out=values[:split], where=values[:split] > 0.0)
-            out[chunk] = values
+            out[chunk] = estimate_chunk(
+                self._block[slots[chunk[:split]]], self._params, tokens
+            )
         return out
 
     def total_memory_bytes(self) -> int:

@@ -43,6 +43,13 @@ from repro.storage.serialization import (
     write_header,
 )
 
+#: The smallest ``m`` whose :meth:`HyperLogLog.estimate_ml` takes the
+#: vectorised Algorithm 3. Swept at m = 16-1024 with 1, 4 and 20 items per
+#: register (best of 60-200, two sweeps on a 2-vCPU host): at m = 256 the
+#: kernel plus the scalar solve take 0.06-0.10 ms against 0.06-0.16 ms for
+#: the scalar loop, at m = 128 0.06-0.07 ms against 0.04-0.08 ms.
+VECTORISED_ESTIMATE_M = 256
+
 
 def hll_index_and_value(hash_value: int, p: int) -> tuple[int, int]:
     """Algorithm 1: register index (top ``p`` bits) and update value.
@@ -144,11 +151,12 @@ class HyperLogLog(DistinctCounter):
     def estimate_ml(self, bias_correction: bool = True) -> float:
         """Ertl's ML estimator via the shared ELL(0, 0) machinery.
 
-        For ``m >= 1024`` this routes through the vectorised batch engine
-        (bit-identical to the scalar Algorithm 3 + Algorithm 8 pipeline).
+        For ``m >=`` :data:`VECTORISED_ESTIMATE_M` this routes through the
+        vectorised batch engine (bit-identical to the scalar Algorithm 3 +
+        Algorithm 8 pipeline).
         """
         params = make_params(0, 0, self._p)
-        if self._m >= 1024:
+        if self._m >= VECTORISED_ESTIMATE_M:
             return float(self.estimate_ml_many([self], bias_correction)[0])
         coefficients = compute_coefficients(self._registers, params)
         return estimate_from_coefficients(coefficients, params, bias_correction)

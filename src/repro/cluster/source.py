@@ -164,12 +164,8 @@ class ClusterSource:
         return self.source_for(group).group_sketch(group)
 
     def estimate(self, group: Hashable) -> float:
-        from repro.estimation.batch import batch_estimate_sketches
-
-        sketch = self.group_sketch(group)
-        if sketch is None:
-            return 0.0
-        return batch_estimate_sketches([sketch])[0]
+        """The owning shard's estimate, read from its arrays (0 for unseen groups)."""
+        return self.source_for(group).estimate(group)
 
     def estimates(self) -> "dict[bytes, float]":
         """All shards' estimates: their own ``estimates()``, joined.

@@ -38,6 +38,14 @@ from repro.storage.serialization import (
     write_header,
 )
 
+#: The smallest ``m`` whose :meth:`ExaLogLog.estimate` takes the vectorised
+#: Algorithm 3. Swept at m = 16-1024 with 1, 4 and 20 items per register
+#: (ELL(2, 20, p), best of 60-200, two sweeps on a 2-vCPU host): at m = 128
+#: the kernel plus the scalar solve take 0.10-0.13 ms against 0.12-0.39 ms
+#: for the scalar loop, at m = 64 0.11-0.15 ms against 0.06-0.26 ms (the
+#: loop wins at one item per register).
+VECTORISED_ESTIMATE_M = 128
+
 
 class ExaLogLog:
     """An ExaLogLog sketch with parameters ``(t, d, p)``.
@@ -304,16 +312,14 @@ class ExaLogLog:
         The estimate is nearly unbiased with relative standard error about
         ``sqrt(MVP / ((6 + t + d) * m))`` over the whole operating range.
 
-        For ``m >= 256`` (with registers fitting int64) the coefficients
-        come from the vectorised Algorithm 3 of :mod:`repro.estimation.batch`
-        and the one-row solve from the scalar Algorithm 8, bit-identical to
-        the scalar pipeline. Below that the scalar Algorithm 3 loop wins on
-        call overhead: at m = 128 it takes 0.04-0.37 ms against 0.15-0.45
-        ms vectorised, at m = 256 and four or more items per register
-        0.40-0.46 ms against 0.25-0.31 ms.
+        For ``m >=`` :data:`VECTORISED_ESTIMATE_M` (with registers fitting
+        int64) the coefficients come from the vectorised Algorithm 3 of
+        :mod:`repro.estimation.batch` and the one-row solve from the scalar
+        Algorithm 8, bit-identical to the scalar pipeline. Below that the
+        scalar Algorithm 3 loop wins on call overhead.
         """
         params = self._params
-        if params.m >= 256 and params.register_bits <= 63:
+        if params.m >= VECTORISED_ESTIMATE_M and params.register_bits <= 63:
             from repro.estimation.batch import estimate_registers
 
             matrix = self.registers_array().reshape(1, -1)

@@ -92,8 +92,8 @@ def token_coefficients(tokens: Iterable[int], v: int) -> tuple[float, dict[int, 
     exact integer, exactly as the paper prescribes for an unsigned 64-bit
     register (Python integers make the wrap-around bookkeeping explicit).
 
-    This is the scalar oracle. Its batched twin is the token path of
-    :func:`repro.estimation.batch.batch_estimate_sketches`: alpha' depends
+    This is the scalar oracle. Its batched twin is
+    :func:`repro.estimation.batch.token_coefficients`: alpha' depends
     only on the histogram of ``j``, so one ``bincount`` over (row, j)
     pairs gives the coefficients of every token set in a chunk, with
     alpha' taken modulo 2**64 in int64.

@@ -7,7 +7,6 @@ from repro.estimation.batch import (
     batch_estimates_by_key,
     estimate_registers,
     register_coefficients,
-    release_batch_workspaces,
     solve_ml_equations,
 )
 from repro.estimation.likelihood import (
@@ -34,7 +33,6 @@ __all__ = [
     "log_likelihood",
     "log_likelihood_derivative",
     "register_coefficients",
-    "release_batch_workspaces",
     "solve_ml_equation",
     "solve_ml_equation_bisection",
     "solve_ml_equations",

@@ -6,14 +6,19 @@ The scalar estimation pipeline — :func:`repro.core.mlestimation.compute_coeffi
 time. This module computes the same quantities with NumPy:
 
 * :func:`register_coefficients` extracts the ``(alpha, beta)`` coefficients
-  of Eq. (15) for a whole ``(k, m)`` register matrix at once. The
+  of Eq. (15) for a whole ``(k, m)`` register matrix at once, with one
+  kernel for every ``(t, d, p)`` whose registers fit int64. The
   ``alpha' = alpha * 2**(64-p)`` accumulation stays exact integer
-  arithmetic: every contribution is added modulo ``2**64`` in uint64, and
-  since the true total lies in ``[0, 2**64]`` (the endpoint only for a row
-  of all-initial registers, which the ``beta``-is-empty mask handles before
-  alpha is ever used), the wrapped value equals the exact value for every
-  non-empty row. Window-bit counting uses either packed per-half count
-  LUTs (``d <= 24``) or a per-offset loop, both integer-exact.
+  arithmetic: every contribution is added modulo ``2**64`` in int64,
+  and since the true total lies in ``[0, 2**64]`` (the endpoint only for
+  a row of all-initial registers, which the ``beta``-is-empty mask
+  handles before alpha is ever used), the wrapped value equals the exact
+  value for every non-empty row. Per row chunk, one histogram of ``u``
+  gives the ``omega'(u)`` and ``phi(u)`` terms; the window bits, whose
+  exponent is constant over each run of ``2**t`` update values (Eq.
+  (11)), are counted by one ``np.bitwise_count`` per run ("field") under
+  a per-``u`` mask, packed several counts to a float64 word and summed by
+  one ``bincount`` per word.
 
 * :func:`solve_ml_equations` runs Algorithm 8 on every row of a
   ``(k, u)`` beta matrix. Up to :data:`SCALAR_SOLVE_ROWS` rows (a point
@@ -25,11 +30,13 @@ time. This module computes the same quantities with NumPy:
   through ``math.*`` per row because NumPy's SIMD ``expm1``/``log1p`` may
   differ from libm in the last ulp.
 
-* :func:`batch_estimate_sketches` estimates a mixed collection of
-  sketches — dense ExaLogLog registers, sparse token mode, several
-  parameterisations — in chunks of :data:`ESTIMATE_CHUNK_ROWS` rows, one
-  solve per chunk. Token-mode rows get Algorithm 7's coefficients from one
-  ``bincount`` over (row, j) per chunk, with no per-token Python loop.
+* :func:`estimate_chunk` is the one path from rows to estimates: dense
+  register rows through Algorithm 3 and token sets through Algorithm 7's
+  :func:`token_coefficients` (one ``bincount`` over (row, j)), then one
+  solve, then ``m`` and the bias correction on the dense rows.
+  :func:`estimate_registers`, :func:`batch_estimate_sketches` (per
+  parameterisation, in chunks of :data:`ESTIMATE_CHUNK_ROWS` rows) and
+  the aggregator's ``estimates``/``top``/``estimate`` all call it.
 
 The contract, asserted by the equivalence tests and by
 ``benchmarks/bench_estimate.py``: batched estimates equal the scalar
@@ -39,7 +46,6 @@ pipeline bit for bit, including ``saturated`` (infinite) and empty rows.
 from __future__ import annotations
 
 import math
-import threading
 from array import array
 from dataclasses import dataclass
 from functools import lru_cache
@@ -67,19 +73,6 @@ _NEWTON_ITERATIONS = _metrics.histogram(
 #: Columns of the beta matrices: exponents ``u`` in ``[0, 65]`` (dense
 #: registers use at most ``64 - p <= 62``, hash tokens at most 64).
 EXPONENT_AXIS = 66
-
-# The packed-LUT window path applies for d in [4, 24] (half patterns of at
-# most 12 bits), t >= 1 (window chunks of >= 2 update values), and
-# p <= 18 (so packed per-(row, u) count sums stay exact in float64).
-_LUT_MAX_D = 24
-_LUT_MAX_P = 18
-_LUT_HALF_BITS = 12
-
-#: Rows are processed in chunks of about this many register values so the
-#: ~10 temporary arrays of a chunk stay cache-resident (same rationale as
-#: ``repro.backends.bulk.BULK_CHUNK``; results are per-row, so chunking
-#: never changes them).
-_CHUNK_ELEMENTS = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -129,6 +122,11 @@ class BatchMLSolution:
 
 _MOD64 = 1 << 64
 
+#: Registers per row chunk of :func:`register_coefficients`, so the
+#: dozen temporaries of a chunk stay cache-resident (2**14 and 2**15
+#: swept fastest). Rows are independent, so chunking changes no result.
+_CHUNK_REGISTERS = 1 << 14
+
 
 def _as_int64(value: int) -> int:
     """Reduce a Python int modulo ``2**64`` into int64's two's complement."""
@@ -137,303 +135,105 @@ def _as_int64(value: int) -> int:
 
 
 @dataclass(frozen=True)
-class _RegisterPlan:
-    """Precomputed per-parameter tables for the LUT window path.
+class _Tables:
+    """Per-parameter tables of the Algorithm 3 kernel.
 
-    The window bit at offset ``j`` (register bit ``d - j``) records update
-    value ``k = u - j``, whose likelihood exponent is determined by the
-    chunk ``(k - 1) >> t``. The chunk *offset* ``rel`` relative to the
-    chunk of ``k = u - 1`` depends only on ``j`` and the alignment
-    ``a = (u - 2) mod 2**t`` — so per <=12-bit half of the window field,
-    one lookup indexed by ``(a, half pattern)`` yields the set-bit count
-    of every chunk offset at once. Counts are packed into per-half
-    *slots* (one per ``rel``), several slots per float64 word, with a
-    spacing chosen so bincount's float summation stays integer-exact.
-
-    Everything u-dependent is a gather table here, and the whole alpha
-    accumulation collapses to two einsums per row chunk:
-
-        alpha = sum_u hist[u] * weight[u] - sum_e rho[e] * window_beta[e]
-
-    where ``weight[u] = omega'(u) + sum of rho over u's valid window
-    positions`` (all exact integers modulo ``2**64``).
+    Window bit ``j`` of a register with update value ``u`` records update
+    value ``u - j``, and Eq. (11)'s ``phi`` is constant over each run of
+    ``2**t`` update values. So a register's valid window bits
+    (``1 <= j <= min(d, u - 1)``) split into at most
+    ``ceil((d - 1) / 2**t) + 1`` *fields*, one per run: field ``f`` holds
+    the bits of exponent ``e0 - f``, where ``e0 = t + 1 + ((u - 2) >> t)``
+    is bit ``j = 1``'s exponent before the clamp at ``64 - p``. Its count
+    is one popcount under the per-``u`` mask ``masks[f, u]``.
     """
 
-    slot_mask: int
-    """``2**spacing - 1`` for the per-word slot spacing."""
+    masks: np.ndarray
+    """``(fields, k_max + 1)``: field ``f``'s window bits per ``u``."""
 
-    halves: tuple
-    """Per half: ``(j0, width, words)`` where each word is
-    ``(lut, ((offset, e_map), ...))`` — a float64 gather table plus its
-    packed slots' bit offsets and per-u exponent maps (-1 where the slot
-    holds no valid window position of u)."""
+    weight: np.ndarray
+    """int64 per ``u`` (mod 2**64): ``omega'(u)`` plus ``2**(64-p-phi)``
+    of every valid window bit; the set bits' terms are subtracted."""
 
-    vmask: object
-    """Per u: mask keeping the top ``min(d, u-1)`` valid window bits."""
+    rho: np.ndarray
+    """int64 per exponent ``e`` (mod 2**64): ``2**(64 - p - min(e, 64 - p))``."""
 
-    weight: object
-    """Per u (int64, mod 2**64): ``omega'(u)`` plus the valid-window mass."""
+    spacing: int
+    """Bits per packed count slot: the bit length of ``m * 2**t``, the
+    largest count a slot sums to."""
 
-    rho_exp: object
-    """Per exponent e (int64, mod 2**64): ``2**(shift - e)``."""
+    per_word: int
+    """Count slots per float64 word, so packed sums stay below 2**53."""
 
 
 @lru_cache(maxsize=32)
-def _register_plan(params: ExaLogLogParams):
-    """Build the LUT window plan, or None where the generic loop applies."""
-    d, t, p = params.d, params.t, params.p
-    if not (t >= 1 and 4 <= d <= _LUT_MAX_D and p <= _LUT_MAX_P):
-        return None
-    chunk = 1 << t
-    shift = 64 - p
-    m = params.m
-    u_cap = params.max_update_value
-
-    # Packing: no inter-slot carries needs m * 2**t < 2**spacing (a slot's
-    # per-(row, u) count is at most 2**t bits per register times m); exact
-    # float64 bucket sums need m * 2**t * 2**(spacing * (slots-1)) <= 2**53.
-    spacing = max(12, (m << t).bit_length())
-    slots_per_word = 4
-    while (m << t) << (spacing * (slots_per_word - 1)) > (1 << 53):
-        slots_per_word -= 1
-
-    table_dtype = np.int32 if params.register_bits <= 31 else np.int64
-    halves = []
-    j0 = 0
-    while j0 < d:
-        width = min(_LUT_HALF_BITS, d - j0)
-        # Chunk offsets (rel) this half can produce, each its own slot.
-        rels = sorted(
-            {
-                -((a - j + 1) >> t)
-                for a in range(chunk)
-                for j in range(j0 + 1, j0 + width + 1)
-            }
-        )
-        slot_of = {rel: s for s, rel in enumerate(rels)}
-        nwords = (len(rels) + slots_per_word - 1) // slots_per_word
-        luts = [np.zeros(chunk << width, dtype=np.float64) for _ in range(nwords)]
-        pattern = np.arange(1 << width, dtype=np.int64)
-        for a in range(chunk):
-            base = a << width
-            for q in range(width):
-                j = j0 + width - q
-                s = slot_of[-((a - j + 1) >> t)]
-                luts[s // slots_per_word][base : base + (1 << width)] += (
-                    (pattern >> q) & 1
-                ) * float(1 << (spacing * (s % slots_per_word)))
-        # Per (half, rel): the exponent each u value's counts feed, or -1
-        # when the slot holds none of u's valid window positions.
-        e_maps = {rel: np.full(u_cap + 1, -1, dtype=np.int16) for rel in rels}
-        for uv in range(2, u_cap + 1):
-            a = (uv - 2) & (chunk - 1)
-            c0 = (uv - 2) >> t
-            for j in range(j0 + 1, min(j0 + width, min(d, uv - 1)) + 1):
-                rel = -((a - j + 1) >> t)
-                e_maps[rel][uv] = min(t + 1 + c0 - rel, 64 - p)
-        words = []
-        for w, lut in enumerate(luts):
-            lut.setflags(write=False)
-            slots = []
-            for s in range(w * slots_per_word, min((w + 1) * slots_per_word, len(rels))):
-                e_map = e_maps[rels[s]]
-                e_map.setflags(write=False)
-                slots.append((spacing * (s % slots_per_word), e_map))
-            words.append((lut, tuple(slots)))
-        halves.append((j0, width, tuple(words)))
-        j0 += width
-
-    omegas = omega_scaled_table(params)
-    vmask = np.zeros(u_cap + 1, dtype=table_dtype)
-    weight = np.zeros(u_cap + 1, dtype=np.int64)
-    for uv in range(u_cap + 1):
-        n_valid = min(d, max(uv - 1, 0))
-        vmask[uv] = ((1 << d) - 1) ^ ((1 << (d - n_valid)) - 1)
-        total = int(omegas[uv])
-        if uv >= 2:
-            a = (uv - 2) & (chunk - 1)
-            c0 = (uv - 2) >> t
-            for j in range(1, n_valid + 1):
-                rel = -((a - j + 1) >> t)
-                e = min(t + 1 + c0 - rel, 64 - p)
-                total += 1 << (shift - e)
-        weight[uv] = _as_int64(total)
-    rho_exp = np.zeros(EXPONENT_AXIS, dtype=np.int64)
-    for e in range(t + 1, 64 - p + 1):
-        rho_exp[e] = _as_int64(1 << (shift - e))
-    for array in (vmask, weight, rho_exp):
-        array.setflags(write=False)
-    return _RegisterPlan(
-        slot_mask=(1 << spacing) - 1,
-        halves=tuple(halves),
-        vmask=vmask,
-        weight=weight,
-        rho_exp=rho_exp,
-    )
-
-
-@lru_cache(maxsize=32)
-def _omega_vector(params: ExaLogLogParams):
-    """``omega'(u)`` as an int64 mod-2**64 vector (generic path's weights)."""
-    omegas = omega_scaled_table(params)
-    vector = np.fromiter(
-        (_as_int64(value) for value in omegas), dtype=np.int64, count=len(omegas)
-    )
-    vector.setflags(write=False)
-    return vector
-
-
-def _window_loop(mat, key, hist, occupied, params, alpha, beta_t):
-    """Generic window accumulation: one vectorised pass per offset ``j``.
-
-    Covers parameterisations outside the LUT plan (tiny or huge ``d``,
-    ``t = 0``, ``p > 18``). ``hist`` and the set-count matrices use the
-    transposed ``(n_exp, rows)`` layout; alpha contributions collapse
-    into one mod-``2**64`` int64 einsum per offset.
-    """
-    d = params.d
+def _tables(params: ExaLogLogParams) -> _Tables:
+    d, t = params.d, params.t
     shift = 64 - params.p
+    k_max = params.max_update_value
     phis = phi_table(params)
-    n_exp, rows = hist.shape
-    dtype = mat.dtype.type
-    for j in range(1, min(d, n_exp - 2) + 1):
-        bits = (mat >> dtype(d - j)) & dtype(1)
-        sets = np.bincount(
-            key, weights=bits.ravel(), minlength=rows * n_exp
-        ).reshape(n_exp, rows).astype(np.int64)
-        rho = np.zeros(n_exp, dtype=np.int64)
-        for uv in occupied:
-            if uv - j < 1:
-                continue
-            e = phis[uv - j]
-            rho[uv] = _as_int64(1 << (shift - e))
-            beta_t[e] += sets[uv]
-        # alpha += sum_u rho_u * (hist_u - sets_u), exact modulo 2**64
-        alpha += np.einsum("uk,u->k", hist, rho)
-        alpha -= np.einsum("uk,u->k", sets, rho)
+    omegas = omega_scaled_table(params)
+    fields = 1 + ((d + (1 << t) - 2) >> t) if d else 0  # 1 + ceil((d - 1) / 2**t)
+    masks = np.zeros(
+        (fields, k_max + 1),
+        dtype=np.int32 if params.register_bits <= 31 else np.int64,
+    )
+    weight = np.zeros(k_max + 1, dtype=np.int64)
+    for u in range(k_max + 1):
+        total = omegas[u]
+        for j in range(1, min(d, u - 1) + 1):
+            total += 1 << (shift - phis[u - j])
+            masks[((u - 2) >> t) - ((u - 1 - j) >> t), u] |= 1 << (d - j)
+        weight[u] = _as_int64(total)
+    rho = np.array(
+        [_as_int64(1 << shift >> min(e, shift)) if e > t else 0 for e in range(EXPONENT_AXIS)],
+        dtype=np.int64,
+    )
+    for array in (masks, weight, rho):
+        array.setflags(write=False)
+    spacing = (params.m << t).bit_length()
+    return _Tables(masks, weight, rho, spacing, max(1, 53 // spacing))
 
 
-class _ChunkWorkspace:
-    """Reusable scratch buffers for the per-chunk extraction passes.
-
-    Every elementwise pass writes into a preallocated buffer (``out=``),
-    so processing a large matrix allocates once instead of churning
-    multi-megabyte temporaries on every chunk.
-    """
-
-    __slots__ = ("capacity", "gathered", "i32", "key", "m", "scratch", "window_beta")
-
-    def __init__(self, rows: int, m: int, dtype) -> None:
-        self.capacity = rows
-        self.m = m
-        self.i32 = np.empty((4, rows, m), dtype=dtype)
-        self.key = np.empty((rows, m), dtype=np.int64)
-        self.gathered = np.empty(rows * m, dtype=np.float64)
-        self.scratch = np.empty((rows, m), dtype=dtype)
-        self.window_beta = np.empty((EXPONENT_AXIS, rows), dtype=np.int64)
-
-    def views(self, rows: int):
-        """Buffer views trimmed to the (possibly short, final) chunk."""
-        return (
-            self.i32[:, :rows],
-            self.key[:rows],
-            self.gathered[: rows * self.m],
-            self.scratch[:rows],
-            self.window_beta[:, :rows],
-        )
-
-
-_WORKSPACE_LOCAL = threading.local()
-
-
-def _chunk_workspace(rows: int, m: int, dtype) -> _ChunkWorkspace:
-    """Thread-cached :class:`_ChunkWorkspace`, reused across calls.
-
-    Query serving solves many batches with the same sketch geometry, so
-    the multi-megabyte scratch buffers are cached per thread (keyed on
-    shape/dtype compatibility) instead of reallocated per
-    :func:`register_coefficients` call. Buffers are trimmed via
-    :meth:`_ChunkWorkspace.views`, so a larger cached capacity serves
-    smaller batches unchanged.
-    """
-    dtype = np.dtype(dtype)
-    cached = getattr(_WORKSPACE_LOCAL, "workspace", None)
-    if (
-        cached is None
-        or cached.m != m
-        or cached.i32.dtype != dtype
-        or cached.capacity < rows
-    ):
-        cached = _ChunkWorkspace(rows, m, dtype)
-        _WORKSPACE_LOCAL.workspace = cached
-    return cached
-
-
-def release_batch_workspaces() -> None:
-    """Drop this thread's cached chunk workspace (frees the buffers)."""
-    _WORKSPACE_LOCAL.workspace = None
-
-
-def _chunk_coefficients(mat, params, plan, alpha_out, beta_t, workspace):
-    """Algorithm 3 for one row chunk (cache-resident working set)."""
-    d = params.d
-    dtype = mat.dtype.type
-    rows = mat.shape[0]
-    i32, key2d, gathered, scratch, window_beta = workspace.views(rows)
-    u, masked, align, half = i32
-    np.right_shift(mat, dtype(d), out=u)
-    u_hi = int(u.max())
-    n_exp = u_hi + 1
-    # Transposed (u value)-major keys: per-u slices of the histogram and
-    # of the window set-count matrices are contiguous rows.
-    np.multiply(u, np.int64(rows), out=key2d)
-    np.add(key2d, np.arange(rows, dtype=np.int64)[:, None], out=key2d)
-    key = key2d.ravel()
-    hist = np.bincount(key, minlength=rows * n_exp).reshape(n_exp, rows)
-    occupied = np.flatnonzero(hist.any(axis=1)).tolist()
-    phis = phi_table(params)
-    for uv in occupied:
-        if uv >= 1:
-            beta_t[phis[uv]] += hist[uv]
-
-    if plan is not None:
-        # One einsum folds the u-term omega mass and every valid window
-        # position's rho mass; set bits are subtracted via the window
-        # beta counts below (all arithmetic exact modulo 2**64).
-        alpha_out[:] = np.einsum("uk,u->k", hist, plan.weight[:n_exp])
-        if d and u_hi >= 2:
-            window_beta[:] = 0
-            np.take(plan.vmask, u, out=masked)
-            np.bitwise_and(mat, masked, out=masked)
-            np.subtract(u, dtype(2), out=align)
-            np.bitwise_and(align, dtype((1 << params.t) - 1), out=align)
-            deep = [uv for uv in occupied if uv >= 2]
-            mask = np.int64(plan.slot_mask)
-            for j0, width, words in plan.halves:
-                if j0 + 1 > u_hi - 1:
-                    break  # no register has valid bits this deep
-                np.right_shift(masked, dtype(d - j0 - width), out=half)
-                np.bitwise_and(half, dtype((1 << width) - 1), out=half)
-                np.left_shift(align, dtype(width), out=scratch)
-                np.bitwise_or(scratch, half, out=scratch)
-                idx = scratch.ravel()
-                for lut, slots in words:
-                    np.take(lut, idx, out=gathered)
-                    packed = np.bincount(
-                        key, weights=gathered, minlength=rows * n_exp
-                    ).reshape(n_exp, rows).astype(np.int64)
-                    for offset, e_map in slots:
-                        counts = (packed >> np.int64(offset)) & mask
-                        for uv in deep:
-                            e = int(e_map[uv])
-                            if e >= 0:
-                                window_beta[e] += counts[uv]
-            alpha_out -= np.einsum("ek,e->k", window_beta, plan.rho_exp)
-            beta_t += window_beta
-    else:
-        alpha_out[:] = np.einsum("uk,u->k", hist, _omega_vector(params)[:n_exp])
-        if d and u_hi >= 2:
-            _window_loop(mat, key, hist, occupied, params, alpha_out, beta_t)
+def _register_chunk(mat, params, tables, alpha, beta) -> None:
+    """Algorithm 3 for one row chunk, into its int64 ``alpha'`` and ``beta``."""
+    rows = len(mat)
+    t = params.t
+    run = 1 << t
+    u = (mat >> mat.dtype.type(params.d)).astype(np.intp)
+    n_u = int(u.max()) + 1
+    key = (u + (np.arange(rows) * n_u)[:, None] if rows > 1 else u).ravel()
+    # One histogram of u covers the omega'(u) terms and the phi(u) counts.
+    hist = np.bincount(key, minlength=rows * n_u).reshape(rows, n_u)
+    alpha[:] = hist @ tables.weight[:n_u]
+    if n_u > 1:
+        counts = np.add.reduceat(hist, np.arange(1, n_u, run), axis=1)
+        beta[:, t + 1 : t + 1 + counts.shape[1]] = counts
+    # Field f has bits only where u >= 2 + f * 2**t.
+    fields = min(len(tables.masks), ((n_u - 3) >> t) + 1) if n_u > 2 else 0
+    if not fields:
+        return
+    # Field counts, packed several to a float64 word, are summed per
+    # (u, row) by one bincount and per run of u (one e0) by one reduceat;
+    # field f's counts then shift down to exponent e0 - f.
+    runs = np.arange(2, n_u, run)
+    window = np.zeros_like(beta)
+    slot = np.int64((1 << tables.spacing) - 1)
+    for first in range(0, fields, tables.per_word):
+        last = min(first + tables.per_word, fields)
+        for f in range(first, last):
+            bits = np.bitwise_count(mat & tables.masks[f].take(u))
+            if f == first:
+                packed = bits.astype(np.float64)
+            else:
+                packed += bits * float(1 << tables.spacing * (f - first))
+        sums = np.bincount(key, weights=packed.ravel(), minlength=rows * n_u)
+        sums = np.add.reduceat(sums.reshape(rows, n_u), runs, axis=1).astype(np.int64)
+        for f in range(first, last):
+            counts = (sums[:, f:] >> np.int64(tables.spacing * (f - first))) & slot
+            window[:, t + 1 : t + 1 + counts.shape[1]] += counts
+    alpha -= window @ tables.rho
+    beta += window
 
 
 def register_coefficients(
@@ -444,9 +244,10 @@ def register_coefficients(
     ``matrix`` holds one sketch's register values per row (any integer
     dtype; ``params.register_bits`` must fit int64). Produces, per row,
     exactly the coefficients of the scalar
-    :func:`repro.core.mlestimation.compute_coefficients`. Rows are
-    processed in cache-sized chunks (the same trick as the bulk-ingest
-    fold); results are independent per row, so chunking is invisible.
+    :func:`repro.core.mlestimation.compute_coefficients`, from one kernel
+    for every ``(t, d, p)``. Rows go in chunks of about
+    ``_CHUNK_REGISTERS`` registers; results are independent per row,
+    so chunking is invisible.
     """
     mat = np.ascontiguousarray(matrix)
     if mat.ndim != 2:
@@ -463,33 +264,30 @@ def register_coefficients(
     k, m = mat.shape
     if m != params.m:
         raise ValueError(f"expected {params.m} registers per row, got {m}")
-    if k == 0:
-        return BatchCoefficients(
-            np.zeros(0),
-            np.zeros(0, dtype=_U64),
-            np.zeros((0, EXPONENT_AXIS), dtype=np.int64),
-        )
-    plan = _register_plan(params)
+    tables = _tables(params)
     # alpha' accumulates in int64 with two's-complement wrap-around —
     # bit-identical to uint64 arithmetic modulo 2**64.
-    alpha_i64 = np.empty(k, dtype=np.int64)
-    beta_t = np.zeros((EXPONENT_AXIS, k), dtype=np.int64)
-    chunk_rows = min(max(1, _CHUNK_ELEMENTS // m), k)
-    workspace = _chunk_workspace(chunk_rows, m, mat.dtype)
-    for start in range(0, k, chunk_rows):
-        stop = min(start + chunk_rows, k)
-        _chunk_coefficients(
-            mat[start:stop],
+    alpha = np.empty(k, dtype=np.int64)
+    beta = np.zeros((k, EXPONENT_AXIS), dtype=np.int64)
+    step = max(1, _CHUNK_REGISTERS // m)
+    for start in range(0, k, step):
+        _register_chunk(
+            mat[start : start + step],
             params,
-            plan,
-            alpha_i64[start:stop],
-            beta_t[:, start:stop],
-            workspace,
+            tables,
+            alpha[start : start + step],
+            beta[start : start + step],
         )
-    alpha_u64 = alpha_i64.view(_U64)
-    alpha = np.ldexp(alpha_u64.astype(np.float64), -(64 - params.p))
+    # Exponents above 64 - p (the last, truncated run of update values)
+    # fold into 64 - p, where phi clamps them.
+    top = 64 - params.p
+    beta[:, top] += beta[:, top + 1 :].sum(axis=1)
+    beta[:, top + 1 :] = 0
+    alpha_u64 = alpha.view(_U64)
     return BatchCoefficients(
-        alpha=alpha, alpha_scaled=alpha_u64, beta=np.ascontiguousarray(beta_t.T)
+        alpha=np.ldexp(alpha_u64.astype(np.float64), -top),
+        alpha_scaled=alpha_u64,
+        beta=beta,
     )
 
 
@@ -697,31 +495,11 @@ def _solve_simultaneous(alpha, beta) -> BatchMLSolution:
 
 # -- end-to-end estimate paths -------------------------------------------------
 
-
-def estimate_registers(
-    matrix, params: ExaLogLogParams, bias_correction: bool = True
-) -> np.ndarray:
-    """Batched ML estimates for a ``(k, m)`` register matrix.
-
-    Bit-identical to calling the scalar Algorithm 3 + Algorithm 8 +
-    Eq. (4) pipeline on every row.
-    """
-    from repro.core.mlestimation import bias_correction_factor
-
-    coefficients = register_coefficients(matrix, params)
-    solution = solve_ml_equations(coefficients.alpha, coefficients.beta)
-    estimates = params.m * solution.nu
-    if bias_correction:
-        factor = bias_correction_factor(params)
-        estimates = np.where(estimates > 0.0, estimates * factor, estimates)
-    return estimates
-
-
-#: :func:`batch_estimate_sketches` assembles and solves at most this many
-#: rows at a time, so no ``(rows x EXPONENT_AXIS)`` block spans a whole
-#: collection: a ``top(10)`` over a million groups stays in bounded
-#: memory. Rows are independent, so chunking changes no result, and
-#: 2**14 rows split no solve that a benchmark workload makes.
+#: Every caller of :func:`estimate_chunk` passes at most this many rows,
+#: so no ``(rows x EXPONENT_AXIS)`` block spans a whole collection: a
+#: ``top(10)`` over a million groups stays in bounded memory. Rows are
+#: independent, so chunking changes no result, and 2**14 rows split no
+#: solve that a benchmark workload makes.
 ESTIMATE_CHUNK_ROWS = 1 << 14
 
 #: Algorithm 7's ``2**(64 - j)`` per token exponent ``j`` in ``[1, 64]``,
@@ -749,59 +527,100 @@ def token_coefficients(row_index, tokens, rows: int, v: int) -> BatchCoefficient
     np.minimum(keys, 64, out=keys)
     keys += np.asarray(row_index, dtype=np.int64) * EXPONENT_AXIS
     beta = np.bincount(keys, minlength=rows * EXPONENT_AXIS).reshape(rows, EXPONENT_AXIS)
-    alpha, alpha_scaled = _token_alpha(beta)
-    return BatchCoefficients(alpha=alpha, alpha_scaled=alpha_scaled, beta=beta)
+    alpha_scaled = np.negative(beta @ _TOKEN_WEIGHTS).view(_U64)
+    return BatchCoefficients(
+        alpha=np.ldexp(alpha_scaled.astype(np.float64), -64),
+        alpha_scaled=alpha_scaled,
+        beta=beta,
+    )
 
 
-def _token_alpha(beta):
-    """Algorithm 7's ``alpha`` of token rows, and ``alpha'`` exact modulo 2**64.
+def estimate_chunk(
+    matrix, params: ExaLogLogParams, tokens=None, bias_correction: bool = True
+) -> np.ndarray:
+    """Estimates of one chunk of rows: dense register rows, then token rows.
 
-    ``alpha' = 2**64 - sum_j beta_j * 2**(64 - j)``.
+    ``matrix`` holds the chunk's ``(k, m)`` register rows of ``params``
+    (``k`` may be 0). ``tokens``, when given, is the ``(row_index,
+    tokens, rows, v)`` of :func:`token_coefficients` over the whole chunk:
+    its token sets are rows ``k`` to ``rows - 1``, after the dense rows,
+    which hold none. Algorithms 3 and 7 give the coefficients, one
+    :func:`solve_ml_equations` call solves every row, and the dense rows'
+    ``nu`` is scaled by ``m`` and Eq. (4)'s bias correction. Bit-identical
+    to each sketch's own ``estimate()``.
     """
-    alpha_scaled = np.negative(np.einsum("kj,j->k", beta, _TOKEN_WEIGHTS)).view(_U64)
-    return np.ldexp(alpha_scaled.astype(np.float64), -64), alpha_scaled
+    from repro.core.mlestimation import bias_correction_factor
+
+    dense = len(matrix)
+    if tokens is None:
+        coefficients = register_coefficients(matrix, params)
+        alpha, beta = coefficients.alpha, coefficients.beta
+    else:
+        coefficients = token_coefficients(*tokens)
+        alpha, beta = coefficients.alpha, coefficients.beta
+        if dense:  # their beta rows read zero until their coefficients land
+            coefficients = register_coefficients(matrix, params)
+            alpha[:dense] = coefficients.alpha
+            beta[:dense] = coefficients.beta
+    values = solve_ml_equations(alpha, beta).nu
+    scaled = values[:dense]
+    scaled *= params.m
+    if bias_correction:
+        np.multiply(scaled, bias_correction_factor(params), out=scaled, where=scaled > 0.0)
+    return values
+
+
+def estimate_registers(
+    matrix, params: ExaLogLogParams, bias_correction: bool = True
+) -> np.ndarray:
+    """Batched ML estimates for a ``(k, m)`` register matrix.
+
+    Bit-identical to calling the scalar Algorithm 3 + Algorithm 8 +
+    Eq. (4) pipeline on every row.
+    """
+    return estimate_chunk(matrix, params, bias_correction=bias_correction)
 
 
 def batch_estimate_sketches(sketches, bias_correction: bool = True) -> list[float]:
-    """Estimates for a mixed sketch collection, row chunk by row chunk.
+    """Estimates for a mixed sketch collection, one parameterisation at a time.
 
     Accepts :class:`~repro.core.exaloglog.ExaLogLog` (and subclasses that
     inherit its ML ``estimate``) plus :class:`~repro.core.sparse.SparseExaLogLog`
-    in either mode. Rows go in chunks of :data:`ESTIMATE_CHUNK_ROWS`, each
-    one :func:`solve_ml_equations` call (which takes a point read's single
-    row through the scalar Algorithm 8). Within a chunk, dense register
-    rows are stacked per parameterisation for the vectorised Algorithm 3,
-    and token-mode rows get their Algorithm 7 coefficients from one
-    ``bincount`` over (row, j) pairs. Anything unbatchable (overridden
-    estimators, register widths beyond int64) falls back to its own
-    ``estimate()``. Results are bit-identical to per-sketch estimation.
+    in either mode. Rows are grouped by parameterisation, ``(params, v)``
+    (a plain ExaLogLog holds no tokens and joins ``DEFAULT_V``): each
+    group's dense register rows, then its token sets, go through
+    :func:`estimate_chunk` in chunks of :data:`ESTIMATE_CHUNK_ROWS`, one
+    solve each (a point read's single row takes the scalar Algorithm 8).
+    Anything unbatchable (overridden estimators, register widths beyond
+    int64) falls back to its own ``estimate()``. Results are bit-identical
+    to per-sketch estimation.
     """
-    return _estimate_vector(sketches, bias_correction).tolist()
-
-
-def _estimate_vector(sketches, bias_correction: bool = True) -> np.ndarray:
-    """:func:`batch_estimate_sketches` as a float64 array."""
     from repro.backends.bulk import supports_int64_registers
     from repro.core.exaloglog import ExaLogLog
     from repro.core.sparse import SparseExaLogLog
+    from repro.core.token import DEFAULT_V
 
     estimates = np.zeros(len(sketches))
-    # Blocks of rows: (is_tokens, params or v, positions, sketches or token
-    # sets). Parameter objects are interned (make_params caches), so
-    # batchability resolves through one id()-keyed dict probe per sketch.
-    dense: dict[int, tuple] = {}
-    tokens: dict[int, tuple] = {}
+    # (params id, v) -> [params, v, dense positions, dense sketches, token
+    # positions, token sets]. Parameter objects are interned (make_params
+    # caches), so a sketch costs id()-keyed dict probes only.
+    blocks: dict[tuple, list] = {}
     batchable: dict[tuple, bool] = {}
+
+    def block_of(params, v: int) -> list:
+        block = blocks.get((id(params), v))
+        if block is None:
+            block = blocks[id(params), v] = [params, v, array("q"), [], array("q"), []]
+        return block
+
     for i, sketch in enumerate(sketches):
-        target = sketch
+        target, v = sketch, DEFAULT_V
         if isinstance(target, SparseExaLogLog):
-            token_set = target._tokens
-            if token_set is not None:
-                block = tokens.get(target._v)
-                if block is None:
-                    block = tokens[target._v] = (True, target._v, array("q"), [])
-                block[2].append(i)
-                block[3].append(token_set)
+            v = target._v
+            if target._tokens is not None:
+                block = block_of(target._params, v)
+                block[4].append(i)
+                block[5].append(target._tokens)
                 continue
             target = target._dense
         if isinstance(target, ExaLogLog):
@@ -814,126 +633,40 @@ def _estimate_vector(sketches, bias_correction: bool = True) -> np.ndarray:
                     and supports_int64_registers(params)
                 )
             if ok:
-                block = dense.get(id(params))
-                if block is None:
-                    block = dense[id(params)] = (False, params, array("q"), [])
+                block = block_of(params, v)
                 block[2].append(i)
                 block[3].append(target)
                 continue
         estimates[i] = sketch.estimate()
-    # Dense blocks first: within a chunk, token rows are then one tail.
-    blocks = [*dense.values(), *tokens.values()]
-    for pieces, rows in _row_chunks(blocks, ESTIMATE_CHUNK_ROWS):
-        _estimate_chunk(pieces, rows, bias_correction, estimates)
-    return estimates
-
-
-def _row_chunks(blocks, size: int):
-    """Cut the blocks' rows into consecutive chunks of at most ``size``.
-
-    Yields ``(pieces, rows)``, each piece a ``(block, start, stop)`` slice.
-    """
-    pieces, filled = [], 0
-    for block in blocks:
-        count = len(block[3])
-        start = 0
-        while start < count:
-            stop = min(count, start + size - filled)
-            pieces.append((block, start, stop))
-            filled += stop - start
-            start = stop
-            if filled == size:
-                yield pieces, filled
-                pieces, filled = [], 0
-    if pieces:
-        yield pieces, filled
-
-
-def _token_keys(token_sets, v: int, first_row: int) -> np.ndarray:
-    """Keys ``row * EXPONENT_AXIS + j`` of Algorithm 7, one per token.
-
-    ``j = min(v + 1 + nlz, 64)`` reads the token's 6-bit nlz field. Tokens
-    take 64 bits at ``v = 58``, so they are gathered as uint64 there.
-    """
-    lengths = [len(token_set) for token_set in token_sets]
-    dtype = np.uint64 if v + 6 > 63 else np.int64
-    keys = np.fromiter(
-        chain.from_iterable(token_sets), dtype=dtype, count=sum(lengths)
-    )
-    keys &= dtype(63)
-    keys = keys.view(np.int64)
-    keys += v + 1
-    np.minimum(keys, 64, out=keys)
-    first = first_row * EXPONENT_AXIS
-    keys += np.repeat(
-        np.arange(first, first + len(lengths) * EXPONENT_AXIS, EXPONENT_AXIS),
-        lengths,
-    )
-    return keys
-
-
-def _token_counts(pieces, first_row: int, rows: int) -> np.ndarray:
-    """The chunk's int64 ``(rows, EXPONENT_AXIS)`` beta block.
-
-    Its token rows, from ``first_row`` on, get Algorithm 7's counts from
-    one bincount over (row, j); dense rows read zero until their
-    coefficients land.
-    """
-    keys = []
-    row = first_row
-    for (is_tokens, v, _, token_sets), start, stop in pieces:
-        if is_tokens:
-            keys.append(_token_keys(token_sets[start:stop], v, row))
-            row += stop - start
-    if len(keys) != 1:  # one piece is the common case: no copy then
-        keys = [np.concatenate(keys) if keys else np.zeros(0, dtype=np.int64)]
-    return np.bincount(keys[0], minlength=rows * EXPONENT_AXIS).reshape(
-        rows, EXPONENT_AXIS
-    )
-
-
-def _estimate_chunk(pieces, rows: int, bias_correction: bool, estimates) -> None:
-    """Coefficients, one solve and the scatter for one chunk of rows."""
-    from repro.core.mlestimation import bias_correction_factor
-
-    dense_rows = sum(stop - start for block, start, stop in pieces if not block[0])
-    beta = _token_counts(pieces, dense_rows, rows)
-    alpha = np.empty(rows)
-    scale = np.ones(rows)
-    bias = np.ones(rows)
-    if dense_rows < rows:
-        alpha[dense_rows:] = _token_alpha(beta[dense_rows:])[0]
-    row = 0
-    for (is_tokens, params, _, members), start, stop in pieces:
-        if is_tokens:
-            continue
-        count = stop - start
-        # Assemble straight into the extraction dtype (row assignment
-        # narrows the cached int64 arrays on the fly).
-        matrix = np.empty(
-            (count, params.m),
-            dtype=np.int32 if params.register_bits <= 31 else np.int64,
-        )
-        for offset, sketch in enumerate(members[start:stop]):
-            matrix[offset] = sketch.registers_array()
-        coefficients = register_coefficients(matrix, params)
-        alpha[row : row + count] = coefficients.alpha
-        beta[row : row + count] = coefficients.beta
-        scale[row : row + count] = params.m
-        if bias_correction:
-            bias[row : row + count] = bias_correction_factor(params)
-        row += count
-
-    solution = solve_ml_equations(alpha, beta)
-    values = scale * solution.nu
-    values = np.where(values > 0.0, values * bias, values)
-    row = 0
-    for (_, _, positions, _), start, stop in pieces:
-        count = stop - start
-        estimates[np.frombuffer(positions, dtype=np.int64)[start:stop]] = values[
-            row : row + count
-        ]
-        row += count
+    for params, v, dense_at, dense, token_at, token_sets in blocks.values():
+        positions = np.frombuffer(dense_at + token_at, dtype=np.int64)
+        dtype = np.int32 if params.register_bits <= 31 else np.int64
+        for start in range(0, len(positions), ESTIMATE_CHUNK_ROWS):
+            stop = start + ESTIMATE_CHUNK_ROWS
+            members = dense[start:stop]
+            # Assembled straight into the kernel's dtype.
+            matrix = np.empty((len(members), params.m), dtype=dtype)
+            for row, sketch in enumerate(members):
+                matrix[row] = sketch.registers_array()
+            sets = token_sets[max(start - len(dense), 0) : max(stop - len(dense), 0)]
+            tokens = None
+            if sets:
+                lengths = [len(token_set) for token_set in sets]
+                rows = len(members) + len(sets)
+                tokens = (
+                    np.repeat(np.arange(len(members), rows), lengths),
+                    np.fromiter(
+                        chain.from_iterable(sets),
+                        dtype=np.uint64 if v + 6 > 63 else np.int64,
+                        count=sum(lengths),
+                    ),
+                    rows,
+                    v,
+                )
+            estimates[positions[start:stop]] = estimate_chunk(
+                matrix, params, tokens, bias_correction
+            )
+    return estimates.tolist()
 
 
 def batch_estimates_by_key(sketches) -> "dict[bytes, float]":

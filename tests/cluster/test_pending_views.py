@@ -3,8 +3,9 @@
 One table: every rebalance stage × {3 → 2, 2 → 3} × {store, reader}
 members. A 30-group cluster takes 50 rows per group, its rebalance dies
 after the stage, and a read-only :class:`ClusterSource` then answers
-``groups()``, ``group_sketch``, ``estimates()``, ``top(k)`` and the CLI
-``info`` group count exactly as an aggregator fed the same rows.
+``groups()``, ``group_sketch``, ``estimate``, ``estimates()``, ``top(k)``
+and the CLI ``info`` group count exactly as an aggregator fed the same
+rows.
 """
 
 import re
@@ -50,7 +51,9 @@ def test_a_pending_rebalance_reads_like_the_completed_one(
         assert sorted(view.groups()) == sorted(reference.groups())
         for key in reference.groups():
             assert view.group_sketch(key).to_bytes() == reference.group_sketch(key).to_bytes()
+            assert view.estimate(key) == expected[key]
             assert key in view
+        assert view.estimate(GROUPS) == 0.0  # never written
         assert view.estimates() == expected
         ranked = sorted(expected.items(), key=lambda kv: (-kv[1], kv[0]))
         assert view.top(7) == ranked[:7]

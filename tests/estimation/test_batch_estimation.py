@@ -30,14 +30,16 @@ from repro.estimation.batch import (
 )
 from repro.estimation.newton import solve_ml_equation
 
-#: Parameter grid covering the LUT window path (t >= 1, 4 <= d <= 24),
-#: the generic loop path (d outside that band), and the d = 0 special case.
+#: Parameter grid of the one Algorithm 3 kernel: t = 0..3 (window fields
+#: of 1 to 8 bits), d from 0 (HyperLogLog's ELL(0, 0)) to 57, registers
+#: from int32 (ELL(2, 20) takes 28 bits) to 63 bits (int64), and packed
+#: count slots at and above their capacity boundaries.
 PARAMS = [
     (2, 20, 8),
     (2, 20, 4),
-    # p = 10/11 with t = 2 cross the packed-slot capacity boundaries
-    # (m * 2**t at and above 2**12) — the saturated row is the adversarial
-    # case where one (row, u) bucket reaches the full m * 2**t count.
+    # p = 10/11 with t = 2 cross a packed-slot boundary (13- and 14-bit
+    # slots, four and three to a word) — the saturated row is the
+    # adversarial case where one slot sums to the full m * 2**t count.
     (2, 20, 10),
     (2, 20, 11),
     (2, 16, 5),
@@ -47,6 +49,11 @@ PARAMS = [
     (0, 0, 11),
     (0, 2, 10),
     (0, 30, 4),
+    # 63-bit registers: the widest windows, up to 57 one-bit fields at
+    # t = 0, and the clamp of phi at 64 - p on the last run of update values.
+    (3, 54, 4),
+    (2, 55, 6),
+    (0, 57, 4),
 ]
 
 
@@ -92,6 +99,31 @@ def test_register_coefficients_match_scalar(t, d, p):
         if not scalar.is_empty:
             assert float(batch.alpha[i]) == scalar.alpha
             assert bool(batch.is_saturated[i]) == scalar.is_saturated
+
+
+@pytest.mark.parametrize("t,d,p", [(2, 20, 8), (3, 54, 4)], ids=["int32", "int64"])
+def test_register_matrix_spanning_kernel_chunks_equals_row_by_row(t, d, p, monkeypatch):
+    """Chunks of three rows: one all-empty, one with the saturated row,
+    and each chunk's own largest u; every row gets its one-row result."""
+    from repro.estimation import batch
+
+    params = make_params(t, d, p)
+    rng = np.random.Generator(np.random.PCG64(0xC0 + t * 100 + p))
+    kinds = ["empty"] * 3 + ["saturated", "single", "random"] + ["random"] * 4
+    rows = [random_registers(params, rng, kind) for kind in kinds]
+    for count in (1, 40, 700, 20_000):
+        sketch = ExaLogLog(t, d, p)
+        sketch.add_hashes(rng.integers(0, 1 << 64, size=count, dtype=np.uint64))
+        rows.append(sketch.registers)
+    matrix = np.array(rows, dtype=np.int64)
+    alone = [register_coefficients(matrix[i : i + 1], params) for i in range(len(rows))]
+    monkeypatch.setattr(batch, "_CHUNK_REGISTERS", 3 * params.m)
+    chunked = register_coefficients(matrix, params)
+    for i, (registers, one) in enumerate(zip(rows, alone)):
+        assert int(chunked.alpha_scaled[i]) == int(one.alpha_scaled[0])
+        assert chunked.beta[i].tolist() == one.beta[0].tolist()
+        scalar = compute_coefficients(registers, params)
+        assert int(chunked.alpha_scaled[i]) == scalar.alpha_scaled % (1 << 64)
 
 
 @pytest.mark.parametrize("t,d,p", PARAMS)
@@ -156,15 +188,28 @@ def test_solver_rejects_negative_inputs():
         solve_ml_equations(np.array([1.0]), beta)
 
 
-def test_estimate_fast_path_matches_scalar_pipeline():
-    """ExaLogLog.estimate (m >= 256 fast path) equals the scalar path."""
+@pytest.mark.parametrize("p", [6, 7, 8])
+def test_estimate_fast_path_matches_scalar_pipeline(p):
+    """ExaLogLog.estimate equals the scalar path on both sides of its
+    route threshold (m = 128 is the smallest vectorised m), and so does
+    HyperLogLog.estimate_ml around its own (m = 256)."""
+    from repro.baselines.hyperloglog import VECTORISED_ESTIMATE_M as HLL_M
+    from repro.core.exaloglog import VECTORISED_ESTIMATE_M as ELL_M
+
+    assert (ELL_M, HLL_M) == (1 << 7, 1 << 8)
     rng = np.random.Generator(np.random.PCG64(11))
-    sketch = ExaLogLog(2, 20, 8)
+    sketch = ExaLogLog(2, 20, p)
     sketch.add_hashes(rng.integers(0, 1 << 64, size=5000, dtype=np.uint64))
     scalar = estimate_from_coefficients(
         compute_coefficients(sketch.registers, sketch.params), sketch.params
     )
     assert sketch.estimate() == scalar
+    hll = HyperLogLog(p + 1)
+    hll.add_hashes(rng.integers(0, 1 << 64, size=5000, dtype=np.uint64))
+    params = make_params(0, 0, p + 1)
+    assert hll.estimate_ml() == estimate_from_coefficients(
+        compute_coefficients(hll.registers, params), params
+    )
 
 
 def test_registers_array_cache_invalidation():
@@ -347,35 +392,3 @@ def test_replay_checkpoints_match_scalar_solve():
     dense_beta = [scalar.beta.get(u, 0) for u in range(66)]
     expected, _ = _ml_estimate(scalar.alpha_scaled, dense_beta, params, factor)
     assert result.ml_estimates[-1] == expected
-
-
-def test_batch_workspace_reused_across_calls():
-    """``register_coefficients`` reuses its thread-local scratch buffers."""
-    from repro.estimation.batch import (
-        _WORKSPACE_LOCAL,
-        register_coefficients,
-        release_batch_workspaces,
-    )
-
-    params = make_params(2, 16, 8)
-    rng = np.random.Generator(np.random.PCG64(43))
-    matrix = np.array(
-        [
-            ExaLogLog(2, 16, 8)
-            .add_hashes(rng.integers(0, 1 << 64, size=1500, dtype=np.uint64))
-            .registers
-            for _ in range(3)
-        ],
-        dtype=np.int64,
-    )
-    release_batch_workspaces()
-    first_result = register_coefficients(matrix, params)
-    workspace = _WORKSPACE_LOCAL.workspace
-    assert workspace is not None
-    second_result = register_coefficients(matrix, params)
-    assert _WORKSPACE_LOCAL.workspace is workspace  # buffers reused, not realloced
-    assert np.shares_memory(workspace.i32, _WORKSPACE_LOCAL.workspace.i32)
-    assert np.array_equal(first_result.alpha_scaled, second_result.alpha_scaled)
-    assert np.array_equal(first_result.beta, second_result.beta)
-    release_batch_workspaces()
-    assert _WORKSPACE_LOCAL.workspace is None

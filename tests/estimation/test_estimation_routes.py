@@ -130,8 +130,9 @@ def test_chunked_estimates_equal_one_unsplit_call(monkeypatch):
     ]
     rest = second + tokens + first[1:]
     sketches = first[:1] + [rest[i] for i in rng.permutation(len(rest)).tolist()]
-    # Rows by block: ELL(2, 20, 8) 0-5, ELL(1, 9, 6) 6-9, tokens 10-16, so
-    # chunks of 4 rows cut every block.
+    # Rows by parameterisation: ELL(2, 20, 8) (six dense rows, then seven
+    # token rows, one DEFAULT_V group) and ELL(1, 9, 6) (four dense rows),
+    # so chunks of 4 rows cut the first between dense and token rows.
     whole = batch_estimate_sketches(sketches)
     solves = []
     original = batch.solve_ml_equations
@@ -142,5 +143,5 @@ def test_chunked_estimates_equal_one_unsplit_call(monkeypatch):
     )
     monkeypatch.setattr(batch, "ESTIMATE_CHUNK_ROWS", 4)
     assert batch_estimate_sketches(sketches) == whole
-    assert solves == [4, 4, 4, 4, 1]
+    assert solves == [4, 4, 4, 1, 4]
     assert whole == [sketch.estimate() for sketch in sketches]
