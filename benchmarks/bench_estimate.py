@@ -64,6 +64,12 @@ OUTPUT_TXT = pathlib.Path(__file__).resolve().parent / "output" / "bench_estimat
 #: allocator and table-build costs that are not the estimation path).
 BATCH_ROUNDS = 3
 
+#: Rounds of the single-sketch rows, in quick and full mode alike: one
+#: scalar call, then ``BATCH_ROUNDS`` batched calls, best of each side.
+#: Interleaved, so one stall of the host cannot cover all of one side's
+#: rounds and none of the other's.
+SINGLE_ROUNDS = 10
+
 #: Interleaved scalar/batched rounds of the point row (best of each).
 POINT_ROUNDS = 100
 
@@ -83,21 +89,21 @@ def _scalar_estimate(sketch) -> float:
     )
 
 
-def bench_single(p: int, n: int, rng, scalar_rounds: int) -> dict:
+def bench_single(p: int, n: int, rng) -> dict:
     sketch = ExaLogLog(2, 20, p)
     sketch.add_hashes(rng.integers(0, 1 << 64, size=n, dtype=np.uint64))
 
-    start = time.perf_counter()
-    for _ in range(scalar_rounds):
-        scalar = _scalar_estimate(sketch)
-    scalar_seconds = (time.perf_counter() - start) / scalar_rounds
-
+    _scalar_estimate(sketch)
     sketch.estimate()  # warm the kernel's tables
-    batched_seconds = float("inf")
-    for _ in range(10 * BATCH_ROUNDS):
+    scalar_seconds = batched_seconds = float("inf")
+    for _ in range(SINGLE_ROUNDS):  # interleaved: both best-ofs span one window
         start = time.perf_counter()
-        batched = sketch.estimate()
-        batched_seconds = min(batched_seconds, time.perf_counter() - start)
+        scalar = _scalar_estimate(sketch)
+        scalar_seconds = min(scalar_seconds, time.perf_counter() - start)
+        for _ in range(BATCH_ROUNDS):
+            start = time.perf_counter()
+            batched = sketch.estimate()
+            batched_seconds = min(batched_seconds, time.perf_counter() - start)
 
     if batched != scalar:
         raise AssertionError(
@@ -284,13 +290,13 @@ def main(argv: "list[str] | None" = None) -> int:
 
     rows = []
     if args.quick:
-        rows.append(bench_single(11, 16_000, rng, scalar_rounds=5))
-        rows.append(bench_single(14, 50_000, rng, scalar_rounds=2))
+        rows.append(bench_single(11, 16_000, rng))
+        rows.append(bench_single(14, 50_000, rng))
         rows.append(bench_groups(8, 400, 500, rng))
         rows.append(bench_hyperloglog(10, 200, 2_000, rng))
     else:
-        rows.append(bench_single(11, 16_000, rng, scalar_rounds=10))
-        rows.append(bench_single(14, 200_000, rng, scalar_rounds=5))
+        rows.append(bench_single(11, 16_000, rng))
+        rows.append(bench_single(14, 200_000, rng))
         rows.append(bench_groups(10, 10_000, 8_000, rng))
         rows.append(bench_hyperloglog(12, 2_000, 20_000, rng))
     # Own generators: the same data in quick and full mode.

@@ -41,7 +41,7 @@ import shutil
 from dataclasses import dataclass
 from typing import Any, Hashable, Iterable, Iterator
 
-from repro.aggregate import DistinctCountAggregator, segment
+from repro.aggregate import segment
 from repro.cluster.meta import (
     CUTOVER_BEGIN,
     CUTOVER_COMMIT,
@@ -55,12 +55,12 @@ from repro.cluster.meta import (
     write_journal,
     write_meta,
 )
-from repro.cluster.source import ClusterSource
+from repro.cluster.source import skew_of
 from repro.hashing import to_bytes
 from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
 from repro.parallel.shard import shard_of, shards_of
-from repro.query.source import DelegatingSource
+from repro.query.source import PartitionedSource
 from repro.store.durable import make_dirs
 from repro.store.sketchstore import SketchStore
 
@@ -113,23 +113,25 @@ class ShardStatus:
     durable_lsn: int
 
 
-class ShardedStore(DelegatingSource):
+class ShardedStore(PartitionedSource):
     """N independent :class:`~repro.store.SketchStore` shards, one surface.
 
     >>> cluster = ShardedStore.open(tmp_path / "c", shards=4, p=8)
-    >>> cluster.append("DE", ["alice", "bob"]).append("FR", ["carol"])
-    >>> round(cluster.estimate("DE"))
+    >>> len(cluster.append("DE", ["alice", "bob"]).append("FR", ["carol"]))
     2
+    >>> round(cluster.estimate("DE")), "FR" in cluster
+    (2, True)
     >>> cluster.rebalance(6).to_shards
     6
+    >>> [(key, round(value)) for key, value in cluster.top(2)]
+    [(b'DE', 2), (b'FR', 1)]
+    >>> cluster.close()
 
     Implements the :class:`~repro.query.source.SketchSource` protocol, so
     the query planner/executor (and the CLI dialect) treat a cluster as
     just another source. Writes route by ``shard_of(key, N)`` (a batch
-    by one :func:`~repro.parallel.shards_of` pass); reads
-    scatter-gather through :attr:`source`, a
-    :class:`~repro.cluster.ClusterSource` (see
-    :class:`~repro.query.source.DelegatingSource`).
+    by one :func:`~repro.parallel.shards_of` pass); reads compose the
+    shards' reads (:class:`~repro.query.source.PartitionedSource`).
 
     ``shards`` is required when creating a new cluster and validated
     (like the sketch parameters) against ``cluster.json`` on an existing
@@ -269,7 +271,16 @@ class ShardedStore(DelegatingSource):
 
     @property
     def shard_sources(self) -> tuple:
-        """Protocol alias the query executor uses to see through a cluster."""
+        """The per-shard stores, under the name :class:`ClusterSource` uses."""
+        return tuple(self._shards)
+
+    @property
+    def config(self) -> tuple:
+        """The persisted ``(t, d, p, sparse, seed)`` configuration tuple."""
+        return self._meta.config
+
+    def parts(self) -> tuple:
+        """The reads' parts: the shard stores, in shard order."""
         return tuple(self._shards)
 
     def shard_of(self, group: Hashable) -> int:
@@ -356,28 +367,6 @@ class ShardedStore(DelegatingSource):
             self._counters[index].inc()
         return self
 
-    # -- queries (scatter-gather through ClusterSource) ------------------------
-
-    @property
-    def source(self) -> ClusterSource:
-        """A scatter-gather :class:`ClusterSource` over the live shards."""
-        return ClusterSource(self._shards)
-
-    def _view(self) -> ClusterSource:
-        return self.source
-
-    def to_aggregator(self) -> DistinctCountAggregator:
-        """The whole cluster's state as one in-memory aggregator.
-
-        The bit-identity surface: shards own disjoint groups, so merging
-        them places private copies side by side and reconstructs exactly
-        the aggregator a single store would hold after the same ingest.
-        """
-        merged = DistinctCountAggregator(*self._meta.config)
-        for shard in self._shards:
-            merged.merge_inplace(shard.aggregator)
-        return merged
-
     # -- maintenance -----------------------------------------------------------
 
     def compact(self) -> "list[int]":
@@ -403,7 +392,7 @@ class ShardedStore(DelegatingSource):
 
     def skew(self) -> float:
         """Largest shard's group count over the mean (1.0 = balanced)."""
-        return self.source.skew()
+        return skew_of(self._shards)
 
     def sync_replicas(self) -> "list":
         """Ship every shard's WAL to its follower (``replica-NNNN``).

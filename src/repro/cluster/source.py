@@ -5,18 +5,13 @@ module folds them back into the one read surface everything else speaks
 (:class:`repro.query.source.SketchSource`), so the planner, executor and
 dialect run over a cluster exactly as over a single store.
 
-The routing invariant makes every operation exact, not approximate:
-
-* each group key lives on exactly one shard (``shard_of(key, N)``), so
-  ``groups()`` is a plain concatenation and ``group_sketch`` a single
-  routed point-read;
-* ``estimates()`` joins every shard's own ``estimates()`` — each shard
-  reads its arrays, and batch composition never changes a row's result,
-  so this is bit-identical to one solve over all groups;
-* ``top(count)`` asks each shard for its local top ``count`` (each local
-  estimate already *is* the global estimate — groups don't span shards)
-  and exactly re-ranks the ≤ ``N * count`` survivors, ties broken by
-  ascending key like the executor's ``TopK``.
+Each group key lives on exactly one shard (``shard_of(key, N)``), so
+every read is an exact composition of the shards' reads, written once
+in :class:`~repro.query.source.PartitionedSource`: ``groups()`` and
+``estimates()`` join the shards', a point read routes to one shard, and
+``top(count)`` re-ranks each shard's local top ``count`` (a local
+estimate already *is* the global one), ties by ascending key like the
+executor's ``TopK``.
 
 A rebalance that a dead writer left behind breaks the first rule: until
 the next writer open completes it, a copied group sits on its old and
@@ -33,13 +28,21 @@ completed rebalance gives.
 from __future__ import annotations
 
 import pathlib
-from typing import Any, Hashable, Iterator, Sequence
+from typing import Any, Iterable, Sequence
 
-from repro.hashing import to_bytes
-from repro.parallel.shard import shard_of
+from repro.query.source import PartitionedSource
 
 
-class ClusterSource:
+def skew_of(sources: Iterable) -> float:
+    """Largest source's group count over the mean (1.0 = balanced)."""
+    counts = [len(source) for source in sources]
+    total = sum(counts)
+    if not total:
+        return 1.0
+    return max(counts) * len(counts) / total
+
+
+class ClusterSource(PartitionedSource):
     """A :class:`~repro.query.source.SketchSource` over per-shard sources.
 
     ``sources`` is indexed by shard id: ``sources[i]`` must hold exactly
@@ -68,12 +71,8 @@ class ClusterSource:
 
     def _merge(self) -> None:
         """Read from one aggregator merging every member (Algorithm 5)."""
-        from repro.aggregate import DistinctCountAggregator
-
-        merged = DistinctCountAggregator(*self._members[0].config)
-        for member in self._members:
-            merged.merge_inplace(member.aggregator)
-        self._sources = (merged,)
+        self._sources = self._members  # the parts to_aggregator() merges
+        self._sources = (self.to_aggregator(),)
 
     @classmethod
     def open(cls, root, reader: bool = False) -> "ClusterSource":
@@ -145,69 +144,13 @@ class ClusterSource:
     def config(self) -> tuple:
         return self._sources[0].config
 
-    def shard_of(self, group: Hashable) -> int:
-        """The shard id owning ``group`` under this cluster's fan-out."""
-        return shard_of(to_bytes(group), len(self._sources))
-
-    def source_for(self, group: Hashable):
-        """The shard source owning ``group``."""
-        return self._sources[self.shard_of(group)]
-
-    # -- SketchSource protocol -------------------------------------------------
-
-    def groups(self) -> Iterator[bytes]:
-        for source in self._sources:
-            yield from source.groups()
-
-    def group_sketch(self, group: Hashable):
-        """One routed point-read (the owning shard's cheapest path)."""
-        return self.source_for(group).group_sketch(group)
-
-    def estimate(self, group: Hashable) -> float:
-        """The owning shard's estimate, read from its arrays (0 for unseen groups)."""
-        return self.source_for(group).estimate(group)
-
-    def estimates(self) -> "dict[bytes, float]":
-        """All shards' estimates: their own ``estimates()``, joined.
-
-        Each member reads its own state (an aggregator's arrays), and
-        no row's estimate depends on the rows solved beside it, so the
-        join equals one solve over every group.
-        """
-        estimates: "dict[bytes, float]" = {}
-        for source in self._sources:
-            estimates.update(source.estimates())
-        return estimates
-
-    def top(self, count: int) -> "list[tuple[bytes, float]]":
-        """Global top ``count`` from per-shard partial top-``count`` lists.
-
-        Exact: groups never span shards, so a shard's local estimate is
-        the global one, and the global top ``count`` is a subset of the
-        union of the locals. Survivors re-rank by descending estimate,
-        ties by ascending key (the executor's ``TopK`` order).
-        """
-        if count <= 0:
-            return []
-        survivors: "list[tuple[bytes, float]]" = []
-        for source in self._sources:
-            survivors.extend(source.top(count))
-        survivors.sort(key=lambda kv: (-kv[1], kv[0]))
-        return survivors[:count]
-
-    def __len__(self) -> int:
-        return sum(len(source) for source in self._sources)
+    def parts(self) -> tuple:
+        """The reads' parts: :attr:`shard_sources`."""
+        return self._sources
 
     def skew(self) -> float:
-        """Largest shard's group count over the mean (1.0 = balanced)."""
-        counts = [len(member) for member in self._members]
-        total = sum(counts)
-        if not total:
-            return 1.0
-        return max(counts) * len(counts) / total
-
-    def __contains__(self, group: Hashable) -> bool:
-        return group in self.source_for(group)
+        """Largest member's group count over the mean (1.0 = balanced)."""
+        return skew_of(self._members)
 
     # -- lifecycle -------------------------------------------------------------
 

@@ -9,7 +9,7 @@
 * :mod:`repro.query.plan` — the logical plan algebra (``Scan``,
   ``Filter``, ``Window``, ``SetOp``, ``TopK``, ``Estimate``).
 * :mod:`repro.query.planner` — per-scan physical access-path choice
-  (selective point reads vs full scan vs partition iteration).
+  (selective point reads vs a scan that walks the parts).
 * :mod:`repro.query.executor` — one engine executing any plan over any
   source, all estimates through the batched one-solve path.
 * :mod:`repro.query.dialect` — the string form (``"top 10 where key

@@ -35,7 +35,7 @@ from repro.query.plan import (
     Window,
 )
 from repro.query.planner import access_path
-from repro.query.source import as_source, live_sketches
+from repro.query.source import PartitionedSource, as_source
 
 _EXECUTIONS = _metrics.counter("query.executions", "Plans executed.")
 _EXECUTE_SECONDS = _metrics.histogram(
@@ -201,43 +201,36 @@ def _profiled(ctx: _Context, node: PlanNode, thunk):
 def _scan(source, filter_node: "Filter | None", ctx: _Context) -> "dict[bytes, Any]":
     """Materialise one scan, honouring the planner's access path.
 
-    Returned sketches may be a source's own objects on the scan paths
-    (an aggregator builds private ones from its arrays) and are private
-    copies on the selective path; callers copy before mutating (see
+    The scan path walks the source's parts one at a time — a cluster's
+    shards, a spill's partitions (so a spill holds one partition while
+    it scans), or the source itself. A part with a live ``sketches()``
+    mapping (an aggregator, or a source's ``aggregator``) is read keys
+    first, so a value is built only for a key the filter keeps; any
+    other part lists ``groups()`` and fetches each kept key with
+    ``group_sketch``. Callers copy a sketch before mutating it (see
     :func:`_collapse`).
     """
     path = access_path(source, filter_node)
+    out: "dict[bytes, Any]" = {}
     if path.kind == "selective":
-        out: "dict[bytes, Any]" = {}
         for key in path.keys:
             sketch = source.group_sketch(key)
             if sketch is not None:
                 out[key] = sketch
         return out
-    if path.kind == "partitions":
-        out = {}
-        for partial in source.partition_aggregators():
-            sketches = partial.sketches()
-            for key in sketches:
-                if filter_node is None or filter_node.matches(key):
-                    out[key] = sketches[key]
-        return out
-    live = live_sketches(source)
-    if live is not None:
-        # Keys first: a value is built only for a key the filter keeps.
-        return {
-            key: live[key]
-            for key in live
-            if filter_node is None or filter_node.matches(key)
-        }
-    # Protocol-only source: enumerate keys, fetch selectively.
-    out = {}
-    for key in source.groups():
-        if filter_node is not None and not filter_node.matches(key):
-            continue
-        sketch = source.group_sketch(key)
-        if sketch is not None:
-            out[key] = sketch
+    parts = source.parts() if isinstance(source, PartitionedSource) else (source,)
+    for part in parts:
+        sketches = getattr(getattr(part, "aggregator", part), "sketches", None)
+        if callable(sketches):
+            live = sketches()
+            keys, fetch = live, live.__getitem__
+        else:
+            keys, fetch = part.groups(), part.group_sketch
+        for key in keys:
+            if filter_node is None or filter_node.matches(key):
+                sketch = fetch(key)
+                if sketch is not None:
+                    out[key] = sketch
     return out
 
 

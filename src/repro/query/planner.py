@@ -1,22 +1,20 @@
 """Physical access-path selection for one plan over one set of sources.
 
 The logical plan says *which* groups a query touches; each source offers
-up to three ways to fetch them, with very different costs:
+two ways to fetch them, with very different costs:
 
 * **selective** (``group_sketch`` per key) — a single-partition read on
-  a :class:`~repro.store.SpilledGroupBy`, a dict lookup on every other
-  source (the store, reader and follower answer from their materialised
-  aggregator). Wins whenever the filter names an explicit key set: on a
-  spill a scan would read every partition to list the groups and then
-  fetch the matching keys one by one anyway.
-* **scan** — materialise every group of an in-memory-backed source and
-  filter as they stream by. Wins for prefix/predicate filters and full
-  scans, where per-key selective fetches would re-pay their fixed cost.
-* **partitions** — iterate a spilled source partition by partition
-  (:meth:`~repro.store.SpilledGroupBy.partition_aggregators`), keeping
-  memory bounded at one partition while filtering inside each. The only
-  sensible non-selective path for spill-backed sources, where a naive
-  per-key ``group_sketch`` loop would re-read a partition per group.
+  a :class:`~repro.store.SpilledGroupBy`, one routed read on a cluster,
+  a dict lookup on every other source (the store, reader and follower
+  answer from their materialised aggregator). Wins whenever the filter
+  names an explicit key set: on a spill a scan would read every
+  partition to list the groups and then fetch the matching keys one by
+  one anyway.
+* **scan** — walk the source's parts one at a time (a cluster's shards,
+  a spill's partitions, or the source itself) and filter each part's
+  groups as they stream by. Wins for prefix/predicate filters and full
+  scans, where per-key selective fetches would re-pay their fixed cost;
+  a spill holds one partition while it scans.
 
 :func:`access_path` makes that choice per ``Scan``; :func:`explain`
 renders the decisions of a whole plan for humans (the CLI's
@@ -42,23 +40,16 @@ from repro.query.plan import (
 class AccessPath:
     """How the executor should materialise one ``Scan``'s groups."""
 
-    kind: str  # "selective" | "scan" | "partitions"
+    kind: str  # "selective" | "scan"
     keys: "tuple[bytes, ...]" = field(default=())
     reason: str = ""
-
-
-def is_partitioned(source) -> bool:
-    """True for spill-style sources that stream partition aggregators."""
-    return hasattr(source, "partition_aggregators")
 
 
 def access_path(source, filter_node: "Filter | None" = None) -> AccessPath:
     """Choose the physical access path for one scan of ``source``.
 
     An explicit key filter goes selective (each layer's cheapest
-    point-read), however many keys it names. Spill sources without an
-    explicit key set iterate partition by partition; everything else
-    scans its materialised view.
+    point-read), however many keys it names; everything else scans.
     """
     keys = filter_node.keys if filter_node is not None else None
     if keys is not None:
@@ -67,13 +58,7 @@ def access_path(source, filter_node: "Filter | None" = None) -> AccessPath:
             keys=keys,
             reason=f"{len(keys)} explicit key(s) via group_sketch",
         )
-    if is_partitioned(source):
-        return AccessPath(
-            "partitions",
-            reason="spilled source: partition-at-a-time merge keeps memory "
-            "bounded while filtering inside each partition",
-        )
-    return AccessPath("scan", reason="materialised view scan")
+    return AccessPath("scan", reason="every group, one part at a time")
 
 
 def _describe_source(source) -> str:
@@ -81,9 +66,6 @@ def _describe_source(source) -> str:
     members = getattr(source, "shard_sources", None)
     if members is not None:
         return f"{name}[{getattr(source, 'shards', len(members))} shards]"
-    inner = getattr(source, "source", None)
-    if inner is not None and not callable(inner):
-        name += f"[{type(inner).__name__}]"
     return name
 
 

@@ -21,23 +21,28 @@ durable :class:`~repro.store.SketchStore`, the lock-free
 * ``estimates()`` / ``top(n)`` — whole-source estimates through the
   batched one-solve path of :mod:`repro.estimation.batch`.
 
-The aggregator implements the surface itself. The store, reader,
-follower and sharded store hold no sketches of their own: they inherit
-it from :class:`DelegatingSource`, which forwards every read to one
-inner view (their live aggregator, or the cluster's scatter-gather
-source). The :class:`~repro.windowed.SlidingWindowDistinctCounter`
-forwards the five reads to its bucket aggregator itself, so there are
-no adapters: a ``Window`` plan takes its bucket layout from the counter,
-or from its own ``bucket_width``/``prefix`` over a store of retired
-buckets. :func:`live_sketches` is the one probe for a source's live
-``key → sketch`` mapping, which scans read without copying, and
-:func:`as_source` checks the protocol.
+The aggregator implements the surface itself. The store, reader and
+follower hold no sketches of their own: they inherit it from
+:class:`DelegatingSource`, which forwards every read to their live
+aggregator. The hash-partitioned sources — the cluster's
+:class:`~repro.cluster.ClusterSource` and
+:class:`~repro.cluster.ShardedStore`, and the spill — inherit it from
+:class:`PartitionedSource`, which composes every read from their parts
+(shards, or spill partitions built one at a time). The
+:class:`~repro.windowed.SlidingWindowDistinctCounter` forwards the five
+reads to its bucket aggregator itself, so there are no adapters: a
+``Window`` plan takes its bucket layout from the counter, or from its
+own ``bucket_width``/``prefix`` over a store of retired buckets. A scan
+walks a source's parts (:meth:`PartitionedSource.parts`, or the source
+itself), and :func:`as_source` checks the protocol.
 """
 
 from __future__ import annotations
 
-from itertools import chain
-from typing import Any, Hashable, Iterator, Mapping, Protocol, runtime_checkable
+from typing import Any, Hashable, Iterable, Iterator, Protocol, runtime_checkable
+
+from repro.hashing import to_bytes
+from repro.parallel.shard import shard_of
 
 
 @runtime_checkable
@@ -106,53 +111,104 @@ class DelegatingSource:
         return self._view().group_sketch(group)
 
 
-class _ShardUnion(Mapping):
-    """The union of shards' disjoint ``key → sketch`` mappings, copying none.
+class PartitionedSource:
+    """The read surface of a hash-partitioned source, written once.
 
-    Keys iterate shard by shard; a lookup asks each shard whether it
-    holds the key before it reads the value.
+    A group key lives in exactly one part, ``shard_of(key, part count)``,
+    and Algorithm 5 merges are exact, so every read is an exact
+    composition of the parts' reads: a point read routes to the owning
+    part; ``groups``, ``estimates`` and ``len`` join every part's; and
+    ``top`` re-ranks each part's own ``top(count)`` by descending
+    estimate, ties by ascending key (a part's estimate already is the
+    global one, so the global top ``count`` is among the parts').
+
+    Subclasses give their parts through :meth:`parts`. A spill's parts
+    are built only when a read reaches them, so a read that walks them
+    holds one at a time; it also overrides ``_part`` and ``_part_count``,
+    which would otherwise build them all.
     """
 
-    __slots__ = ("_maps",)
+    def parts(self) -> Iterable:
+        """Every part, in partition order."""
+        raise NotImplementedError
 
-    def __init__(self, maps: "list[Mapping[bytes, Any]]") -> None:
-        self._maps = maps
+    def _part(self, index: int):
+        """The part at ``index``."""
+        return self.parts()[index]
 
-    def __getitem__(self, key: bytes):
-        for live in self._maps:
-            if key in live:
-                return live[key]
-        raise KeyError(key)
+    def _part_count(self) -> int:
+        """The fan-out that ``shard_of`` routes by."""
+        return len(self.parts())
 
-    def __contains__(self, key: object) -> bool:
-        return any(key in live for live in self._maps)
-
-    def __iter__(self) -> Iterator[bytes]:
-        return chain.from_iterable(self._maps)
+    def _owner(self, group: Hashable):
+        """``group``'s canonical key and the part that holds it."""
+        key = to_bytes(group)
+        return key, self._part(shard_of(key, self._part_count()))
 
     def __len__(self) -> int:
-        return sum(len(live) for live in self._maps)
+        return sum(len(part) for part in self.parts())
 
+    def __contains__(self, group: Hashable) -> bool:
+        key, part = self._owner(group)
+        return key in part
 
-def live_sketches(source) -> "Mapping[bytes, Any] | None":
-    """A source's live ``key → sketch`` mapping, or ``None``.
+    def groups(self) -> Iterator[bytes]:
+        """The observed group keys (canonical byte form), part by part."""
+        for part in self.parts():
+            yield from part.groups()
 
-    Looks through ``aggregator`` views to a ``sketches()`` mapping,
-    whose values are built only when read, so callers pick keys before
-    they read values. A sharded source (anything with ``shard_sources``)
-    yields the union of its members' mappings, copying none — shards
-    own disjoint key sets, so the union is exactly the single-store
-    mapping — or ``None`` when any member has none.
-    """
-    members = getattr(source, "shard_sources", None)
-    if members is not None:
-        maps = [live_sketches(member) for member in members]
-        if any(live is None for live in maps):
-            return None
-        return _ShardUnion(maps)
-    view = getattr(source, "aggregator", source)
-    sketches = getattr(view, "sketches", None)
-    return sketches() if callable(sketches) else None
+    def group_sketch(self, group: Hashable):
+        """A private copy of one group's sketch, read from its part alone
+        (``None`` for unseen groups)."""
+        key, part = self._owner(group)
+        return part.group_sketch(key)
+
+    def estimate(self, group: Hashable) -> float:
+        """The owning part's estimate for one group (0 for unseen groups)."""
+        key, part = self._owner(group)
+        return part.estimate(key)
+
+    def iter_estimates(self) -> Iterator[tuple[bytes, float]]:
+        """``(key, estimate)`` pairs, part by part, one batched solve each."""
+        for part in self.parts():
+            yield from part.estimates().items()
+
+    def estimates(self) -> "dict[bytes, float]":
+        """All group estimates: every part's own ``estimates()``, joined.
+
+        No row's estimate depends on the rows solved beside it, so the
+        join equals one solve over every group.
+        """
+        estimates: "dict[bytes, float]" = {}
+        for part in self.parts():
+            estimates.update(part.estimates())
+        return estimates
+
+    def top(self, count: int) -> "list[tuple[bytes, float]]":
+        """The ``count`` groups with the largest estimates, ties by
+        ascending key, holding at most ``2 * count`` rows at a time."""
+        best: "list[tuple[bytes, float]]" = []
+        if count <= 0:
+            return best
+        for part in self.parts():
+            best = sorted(best + part.top(count), key=lambda kv: (-kv[1], kv[0]))
+            del best[count:]
+        return best
+
+    def to_aggregator(self):
+        """Every part merged into one in-memory aggregator (Algorithm 5).
+
+        Parts own disjoint groups, so this is exactly the aggregator one
+        unpartitioned source would hold after the same ingest. It holds
+        every group at once: meant for bit-identity checks and modest
+        group counts.
+        """
+        from repro.aggregate import DistinctCountAggregator
+
+        merged = DistinctCountAggregator(*self.config)
+        for part in self.parts():
+            merged.merge_inplace(getattr(part, "aggregator", part))
+        return merged
 
 
 def as_source(obj) -> SketchSource:

@@ -98,10 +98,16 @@ class RefreshResult:
 class SnapshotReader(DelegatingSource):
     """A read-only, incrementally refreshing view of a sketch store.
 
+    >>> from repro.store import SketchStore
+    >>> store = SketchStore.open(tmp_path / "counts", p=8).append("DE", ["alice"])
     >>> reader = SnapshotReader.open(store.directory)
-    >>> reader.estimates()            # batched solve over all groups
-    >>> reader.refresh()              # pick up the writer's newest records
-    >>> reader.durable_lsn            # how far the view has provably read
+    >>> store.append("DE", ["bob"]).durable_lsn, reader.durable_lsn
+    (2, 1)
+    >>> reader.refresh().records_applied   # pick up the writer's newest records
+    1
+    >>> round(reader.estimate("DE")), reader.durable_lsn
+    (2, 2)
+    >>> reader.close(); store.close()
 
     Strictly non-mutating: opens every file read-only, never truncates,
     never sweeps. Safe to run in any number of processes concurrently

@@ -471,11 +471,11 @@ class SketchStore(DelegatingSource):
     """A crash-recoverable, WAL-backed store of per-key distinct-count sketches.
 
     >>> store = SketchStore.open(tmp_path / "counts", p=8)
-    >>> store.append("DE", ["alice", "bob"])
-    >>> store.close()
+    >>> store.append("DE", ["alice", "bob"]).close()
     >>> reopened = SketchStore.open(tmp_path / "counts")
     >>> round(reopened.estimate("DE"))
     2
+    >>> reopened.close()
 
     Parameters mirror the aggregator; on an existing store directory the
     persisted configuration wins and explicitly passed parameters are

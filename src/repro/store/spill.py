@@ -1,9 +1,11 @@
 """Spill-to-disk GROUP BY: exact external aggregation in bounded memory.
 
-An in-memory :class:`~repro.aggregate.DistinctCountAggregator` keeps one
-Python sketch object per group — at millions of groups the *objects*
-dominate, not the registers. This module runs the classic external
-hash-aggregation plan instead:
+An in-memory :class:`~repro.aggregate.DistinctCountAggregator` holds
+every group at once: a ``key → row`` dict entry plus the group's tokens
+or register row, about 165 bytes of resident memory per group at 10^6
+groups (``BENCH_store.json``'s in-memory row), mostly the dict. That
+grows with the group count until RAM runs out. This module runs the
+classic external hash-aggregation plan instead:
 
 1. **Partition & spill** — incoming ``(group, hashes)`` segments are
    hash-partitioned by :func:`repro.parallel.shard_of` (a batch's keys
@@ -18,7 +20,9 @@ hash-aggregation plan instead:
    scatter.
 
 Peak memory is therefore ``O(largest partition)`` regardless of total
-group count.
+group count. Every read — ``top``, ``estimates``, ``groups``, a scan —
+is the shared :class:`~repro.query.source.PartitionedSource` walk over
+the partition aggregators, and a point read builds one partition.
 
 Partition files use the shared record framing of
 :mod:`repro.storage.serialization` behind a 4-byte ``TAG_SPILL`` file
@@ -43,7 +47,7 @@ from typing import Any, Hashable, Iterable, Iterator
 import numpy as np
 
 from repro.aggregate import DistinctCountAggregator, segment
-from repro.hashing import to_bytes
+from repro.query.source import PartitionedSource
 from repro.storage.serialization import (
     IncompleteRecordError,
     SerializationError,
@@ -67,7 +71,7 @@ from repro.store.sketchstore import (
 )
 
 #: Default partition fan-out; at 1e6 groups each partition then holds
-#: ~16k groups, a few MB of sketch objects during its merge pass.
+#: ~16k groups, a few MB of aggregator state during its merge pass.
 DEFAULT_PARTITIONS = 64
 
 _SPILL_SUFFIX = ".spill"
@@ -115,12 +119,6 @@ def read_spill_meta(directory) -> tuple[tuple[int, int, int, bool, int], int]:
             f"{path}: {len(data) - offset} trailing bytes after spill configuration"
         )
     return (t, d, p, bool(sparse_flag), seed), partitions
-
-
-def _partition_of(key: bytes, partitions: int) -> int:
-    from repro.parallel import shard_of
-
-    return shard_of(key, partitions)
 
 
 class SpillWriter:
@@ -253,6 +251,7 @@ def read_spill_file(
         # partition's raw hash payloads can dwarf its sketch states.
         _check_file_header(handle.read(_FILE_HEADER_BYTES), TAG_SPILL, path)
         while True:
+            start = handle.tell()
             try:
                 record = read_record_from(handle)
                 if record is None:
@@ -272,45 +271,36 @@ def read_spill_file(
                 if tolerate_torn_tail:
                     return
                 raise SerializationError(
-                    f"{path}: record at offset {_record_start(handle)}: "
-                    "truncated spill record"
+                    f"{path}: record at offset {start}: truncated spill record"
                 ) from error
             except SerializationError as error:
                 raise SerializationError(
-                    f"{path}: record at offset {_record_start(handle)}: {error}"
+                    f"{path}: record at offset {start}: {error}"
                 ) from error
             yield from segments
 
 
-def _record_start(handle) -> int:
-    """Start of the record that ends at, or failed before, ``handle``'s position.
-
-    Found by reading the file again from its header, on the error path
-    only, so reading a sound file tracks no offsets.
-    """
-    position = handle.tell()
-    handle.seek(_FILE_HEADER_BYTES)
-    while True:
-        start = handle.tell()
-        try:
-            if read_record_from(handle) is None or handle.tell() >= position:
-                return start
-        except SerializationError:
-            return start
-
-
-class SpilledGroupBy:
+class SpilledGroupBy(PartitionedSource):
     """External ``APPROX_COUNT_DISTINCT(x) GROUP BY g`` over spill files.
 
     Accepts the same batches as
     :meth:`~repro.aggregate.DistinctCountAggregator.add_batch` but routes
     every group segment to disk; results come from a partition-at-a-time
     merge, so memory stays bounded while the number of groups is not.
+    Every read is :class:`~repro.query.source.PartitionedSource`'s over
+    the partition aggregators, which are built one at a time; a point
+    read builds only its group's partition. ``len(spill)`` and
+    ``key in spill`` build partitions too, so a spill's truth value is
+    never cheap to test.
 
     >>> groupby = SpilledGroupBy(tmp_path / "spill", p=8)
-    >>> groupby.add_batch(["DE", "AT", "DE"], ["alice", "bob", "carol"])
+    >>> len(groupby.add_batch(["DE", "AT", "DE"], ["alice", "bob", "carol"]))
+    2
     >>> sorted(round(v) for v in groupby.estimates().values())
     [1, 2]
+    >>> [(key, round(value)) for key, value in groupby.top(1)], "AT" in groupby
+    ([(b'DE', 2)], True)
+    >>> groupby.close()
     """
 
     def __init__(
@@ -424,6 +414,12 @@ class SpilledGroupBy:
 
     # -- merge ----------------------------------------------------------------
 
+    def _files(self) -> dict[int, list[pathlib.Path]]:
+        """Partition index → spill files, after flushing this process's writes."""
+        if self._writer is not None:
+            self._writer.flush()
+        return spill_files(self._directory)
+
     def partition_aggregators(self) -> Iterator[DistinctCountAggregator]:
         """Yield one exact partial aggregator per non-empty partition.
 
@@ -431,10 +427,16 @@ class SpilledGroupBy:
         each partial holds only its partition's groups, which is the
         memory bound of the whole plan.
         """
-        if self._writer is not None:
-            self._writer.flush()
-        for _, files in sorted(spill_files(self._directory).items()):
+        for _, files in sorted(self._files().items()):
             yield self._partition_aggregator(files)
+
+    parts = partition_aggregators
+
+    def _part(self, index: int) -> DistinctCountAggregator:
+        return self._partition_aggregator(self._files().get(index, []))
+
+    def _part_count(self) -> int:
+        return self._partitions
 
     def _partition_aggregator(self, files) -> DistinctCountAggregator:
         """One partition's exact partial aggregator, folded from ``files``."""
@@ -452,78 +454,15 @@ class SpilledGroupBy:
         run.flush()
         return aggregator
 
-    def iter_estimates(self) -> Iterator[tuple[bytes, float]]:
-        """Stream ``(key, estimate)`` pairs partition by partition.
-
-        Each partition resolves through the aggregator's batched
-        estimation path — one simultaneous Newton solve per partition —
-        so memory stays bounded while the solve stays vectorised.
-        """
-        for aggregator in self.partition_aggregators():
-            yield from aggregator.estimates().items()
-
-    def estimates(self) -> dict[bytes, float]:
-        """All group estimates (materialises one float per group)."""
-        return dict(self.iter_estimates())
-
     def top(self, count: int) -> list[tuple[bytes, float]]:
-        """The ``count`` groups with the largest estimates.
+        """The ``count`` groups with the largest estimates, ties by
+        ascending key, merging one partition at a time.
 
-        Runs the batched top-k selection per partition and keeps a
-        ``count``-sized running candidate set, so only
-        ``O(partitions * count)`` pairs are ever held at once.
+        Defined here rather than inherited so that instrumentation which
+        wraps methods on this class (``benchmarks/system/tracing.py``)
+        can time the partition merge.
         """
-        if count <= 0:
-            return []
-        best: list[tuple[bytes, float]] = []
-        for aggregator in self.partition_aggregators():
-            best.extend(aggregator.top(count))
-            if len(best) > count:
-                best.sort(key=lambda kv: -kv[1])
-                del best[count:]
-        best.sort(key=lambda kv: -kv[1])
-        return best[:count]
-
-    def estimate(self, group: Hashable) -> float:
-        """One group's estimate (reads only that group's partition)."""
-        sketch = self.group_sketch(group)
-        return sketch.estimate() if sketch is not None else 0.0
-
-    def group_sketch(self, group: Hashable):
-        """One group's sketch, rebuilt from only that group's partition.
-
-        The :class:`repro.query.SketchSource` selective-read surface of
-        the spilled path: a group lives entirely inside one partition, so
-        the rebuild reads ``1/partitions`` of the spill files. Returns
-        ``None`` for unseen groups.
-        """
-        key = to_bytes(group)
-        if self._writer is not None:
-            self._writer.flush()
-        partition = _partition_of(key, self._partitions)
-        files = spill_files(self._directory).get(partition, [])
-        return self._partition_aggregator(files).group_sketch(key)
-
-    def groups(self) -> Iterator[bytes]:
-        """All observed group keys, streamed partition by partition."""
-        for aggregator in self.partition_aggregators():
-            yield from aggregator.groups()
-
-    def group_count(self) -> int:
-        """Total distinct groups across all partitions (streamed)."""
-        return sum(len(partial) for partial in self.partition_aggregators())
-
-    def to_aggregator(self) -> DistinctCountAggregator:
-        """Collapse all partitions into one in-memory aggregator.
-
-        Defeats the memory bound (all groups at once) — intended for
-        modest group counts and for bit-identity checks against the
-        in-memory path.
-        """
-        result = DistinctCountAggregator(*self.config)
-        for partial in self.partition_aggregators():
-            result.merge_inplace(partial)
-        return result
+        return super().top(count)
 
     # -- lifecycle ------------------------------------------------------------
 

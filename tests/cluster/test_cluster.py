@@ -277,8 +277,8 @@ def test_planner_describes_cluster(tmp_path):
     from repro.query import Estimate, Scan, explain
 
     with _fill(ShardedStore.open(tmp_path / "c", shards=3, p=8)) as cluster:
-        lines = explain(Estimate(Scan()), {"default": cluster.source})
-    assert any("ClusterSource[3 shards]" in line for line in lines)
+        lines = explain(Estimate(Scan()), {"default": cluster})
+    assert any("ShardedStore[3 shards]" in line for line in lines)
 
 
 def test_reader_backed_cluster_selective_path(tmp_path):

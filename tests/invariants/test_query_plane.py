@@ -100,7 +100,7 @@ def test_planner_picks_layer_appropriate_access_paths(tmp_path):
         assert access_path(sources["aggregator"], selective).kind == "selective"
         assert access_path(sources["reader"], selective).kind == "selective"
         assert access_path(sources["spill"], selective).kind == "selective"
-        assert access_path(sources["spill"], None).kind == "partitions"
+        assert access_path(sources["spill"], None).kind == "scan"
         assert access_path(sources["reader"], None).kind == "scan"
         prefixed = Filter(Scan(), prefix="g")
         assert access_path(sources["aggregator"], prefixed).kind == "scan"

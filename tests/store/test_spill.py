@@ -1,5 +1,6 @@
 """Spill-to-disk GROUP BY: exactness, partitioning, independent writers."""
 
+import gc
 import io
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from repro.aggregate import DistinctCountAggregator
 from repro.parallel import shard_of
+from repro.query import Estimate, Filter, Scan, TopK, execute
 from repro.storage.serialization import SerializationError, read_record_from
 from repro.store import SpilledGroupBy, SpillWriter, read_spill_file, spill_files
 
@@ -28,7 +30,7 @@ class TestEquivalence:
             spill.add_batch(groups[12000:], items[12000:])
             assert spill.to_aggregator().to_bytes() == reference.to_bytes()
             assert spill.estimates() == reference.estimates()
-            assert spill.group_count() == len(reference)
+            assert len(spill) == len(reference)
 
     def test_per_group_sketches_bit_identical(self, tmp_path):
         groups, items = _batch(5000, 40, seed=2)
@@ -127,6 +129,45 @@ class TestPartitioningAndWriters:
         spill.add_batch(*_batch(1000, 30, seed=9))
         spill.cleanup()
         assert spill_files(tmp_path / "s") == {}
+
+
+def _live_aggregators() -> int:
+    return sum(type(obj) is DistinctCountAggregator for obj in gc.get_objects())
+
+
+#: Every read path of a spill that walks its partitions.
+WALKS = {
+    "Estimate(Scan())": lambda spill: execute(Estimate(Scan()), spill),
+    "prefix TopK": lambda spill: execute(TopK(Filter(Scan(), prefix="g1"), 3), spill),
+    "top": lambda spill: spill.top(3),
+    "estimates": lambda spill: spill.estimates(),
+    "iter_estimates": lambda spill: list(spill.iter_estimates()),
+    "groups": lambda spill: list(spill.groups()),
+}
+
+
+class TestMemoryBound:
+    @pytest.mark.parametrize("walk", sorted(WALKS))
+    def test_a_walk_holds_at_most_two_partitions(self, tmp_path, monkeypatch, walk):
+        """The partition a read is done with and the one it is building:
+        never more, however many partitions the spill has."""
+        groups, items = _batch(6000, 400, seed=14)
+        real = SpilledGroupBy._partition_aggregator
+        alive = []
+
+        def counting(self, files):
+            partial = real(self, files)
+            alive.append(_live_aggregators() - baseline)
+            return partial
+
+        with SpilledGroupBy(tmp_path / "s", p=8, partitions=16) as spill:
+            spill.add_batch([f"g{group}" for group in groups.tolist()], items)
+            monkeypatch.setattr(SpilledGroupBy, "_partition_aggregator", counting)
+            gc.collect()
+            baseline = _live_aggregators()
+            WALKS[walk](spill)
+        assert len(alive) == 16
+        assert max(alive) <= 2, alive
 
 
 class TestSpillFileFormat:

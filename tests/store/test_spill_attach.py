@@ -35,7 +35,7 @@ def test_attach_serves_identical_results(tmp_path):
     assert attached.estimates() == writer.estimates()
     assert attached.top(5) == writer.top(5)
     assert attached.estimate("solo") == writer.estimate("solo")
-    assert attached.group_count() == writer.group_count()
+    assert len(attached) == len(writer)
     assert (
         attached.to_aggregator().to_bytes() == writer.to_aggregator().to_bytes()
     )
