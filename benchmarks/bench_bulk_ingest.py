@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import pathlib
 import sys
 import time
@@ -71,12 +72,18 @@ SKETCHES = [
 ]
 
 
-#: Timed repetitions of the bulk call and of the scalar loop (best-of,
-#: each after a warm-up): one cold bulk call is dominated by allocator page
+#: Timed rounds of the bulk call and of the scalar loop (best-of, each
+#: after a warm-up): one cold bulk call is dominated by allocator page
 #: faults, and one short scalar loop by whatever else the host is doing.
-#: The single-sketch rows interleave the two sides' rounds, so one stall
-#: of the host cannot cover all of one side's rounds and none of the other's.
+#: Every row interleaves its two sides' rounds, so one stall of the host
+#: cannot cover all of one side's rounds and none of the other's.
 BULK_ROUNDS = 3
+
+#: Shortest timed window of one single-sketch round: a round repeats its
+#: call on fresh sketches until it has run this long. At n = 10,000 one
+#: bulk call takes about 1 ms, so one stall of the host could cover a
+#: whole best-of of single calls.
+ROUND_SECONDS = 0.02
 
 #: The grouped-ingest row: rows, Zipf(GROUPED_EXPONENT) integer groups and
 #: rows per add_batch call; one size shared by quick and full mode.
@@ -104,27 +111,58 @@ def _rate(elapsed: float, count: int) -> float:
     return count / elapsed if elapsed > 0 else float("inf")
 
 
+def _repeats(factory, call) -> int:
+    """Calls of ``call(factory())`` one round makes to fill ``ROUND_SECONDS``.
+
+    Times one call, which also warms ufuncs and the allocator.
+    """
+    sketch = factory()
+    start = time.perf_counter()
+    call(sketch)
+    return max(1, math.ceil(ROUND_SECONDS / max(time.perf_counter() - start, 1e-9)))
+
+
+def _round(factory, call, repeats: int) -> "tuple[float, object]":
+    """Seconds per ``call`` over ``repeats`` fresh sketches, and the last sketch.
+
+    The sketches are made before the clock starts.
+    """
+    sketches = [factory() for _ in range(repeats)]
+    start = time.perf_counter()
+    for sketch in sketches:
+        call(sketch)
+    return (time.perf_counter() - start) / repeats, sketches[-1]
+
+
+def _best_of_interleaved(factory, scalar, bulk) -> "tuple[float, object, float, object]":
+    """Best seconds per call of the ``scalar`` and ``bulk`` sides, and each side's last sketch.
+
+    Their ``BULK_ROUNDS`` rounds interleave, so both best-ofs span one
+    window of the host, and each round runs at least ``ROUND_SECONDS``.
+    """
+    repeats = [_repeats(factory, scalar), _repeats(factory, bulk)]
+    scalar_seconds = bulk_seconds = float("inf")
+    for _ in range(BULK_ROUNDS):
+        seconds, sketch = _round(factory, scalar, repeats[0])
+        scalar_seconds = min(scalar_seconds, seconds)
+        seconds, bulk_sketch = _round(factory, bulk, repeats[1])
+        bulk_seconds = min(bulk_seconds, seconds)
+    return scalar_seconds, sketch, bulk_seconds, bulk_sketch
+
+
 def bench_sketch(name: str, factory, hashes: np.ndarray) -> dict:
     n = len(hashes)
     scalar_n = min(n, SCALAR_CAP)
     scalar_hashes = hashes[:scalar_n].tolist()
 
-    warm = factory().add_hash
-    for hash_value in scalar_hashes[:1000]:
-        warm(hash_value)
-    factory().add_hashes(hashes[: max(1, n // 100)])  # warm ufuncs/allocator
-    scalar_seconds = bulk_seconds = float("inf")
-    for _ in range(BULK_ROUNDS):  # interleaved: both best-ofs span one window
-        sketch = factory()
-        start = time.perf_counter()
+    def scalar(sketch) -> None:
         add_hash = sketch.add_hash
         for hash_value in scalar_hashes:
             add_hash(hash_value)
-        scalar_seconds = min(scalar_seconds, time.perf_counter() - start)
-        bulk_sketch = factory()
-        start = time.perf_counter()
-        bulk_sketch.add_hashes(hashes)
-        bulk_seconds = min(bulk_seconds, time.perf_counter() - start)
+
+    scalar_seconds, sketch, bulk_seconds, bulk_sketch = _best_of_interleaved(
+        factory, scalar, lambda sketch: sketch.add_hashes(hashes)
+    )
 
     # The contract the speedup rests on: both paths reach the same state.
     if scalar_n == n and sketch.to_bytes() != bulk_sketch.to_bytes():
@@ -148,21 +186,14 @@ def bench_raw_items(n: int) -> dict:
     scalar_n = min(n, SCALAR_CAP // 4)  # per-item hashing is slower still
 
     scalar_items = items[:scalar_n].tolist()
-    warm = ExaLogLog(2, 20, 8)
-    for item in scalar_items[:1000]:
-        warm.add(item)
-    ExaLogLog(2, 20, 8).add_batch(items[: max(1, n // 100)])
-    scalar_seconds = bulk_seconds = float("inf")
-    for _ in range(BULK_ROUNDS):  # interleaved: both best-ofs span one window
-        sketch = ExaLogLog(2, 20, 8)
-        start = time.perf_counter()
+
+    def scalar(sketch) -> None:
         for item in scalar_items:
             sketch.add(item)
-        scalar_seconds = min(scalar_seconds, time.perf_counter() - start)
-        bulk_sketch = ExaLogLog(2, 20, 8)
-        start = time.perf_counter()
-        bulk_sketch.add_batch(items)
-        bulk_seconds = min(bulk_seconds, time.perf_counter() - start)
+
+    scalar_seconds, _, bulk_seconds, _ = _best_of_interleaved(
+        lambda: ExaLogLog(2, 20, 8), scalar, lambda sketch: sketch.add_batch(items)
+    )
 
     scalar_rate = _rate(scalar_seconds, scalar_n)
     bulk_rate = _rate(bulk_seconds, n)
@@ -183,15 +214,30 @@ def zipf_groups(rng: np.random.Generator, n: int) -> np.ndarray:
     return rng.permutation(GROUPED_KEYS)[np.minimum(ranks, GROUPED_KEYS - 1)]
 
 
-def _single_rate(hashes: np.ndarray) -> float:
-    """Best-of-``BULK_ROUNDS`` rate of one ``ExaLogLog.add_hashes`` call."""
-    seconds = float("inf")
-    for _ in range(BULK_ROUNDS):
-        sketch = ExaLogLog(2, 20, 8)
-        start = time.perf_counter()
+def _against_single(run, hashes: np.ndarray) -> "tuple[float, float, object]":
+    """Best seconds of ``run()`` and rate of one ``ExaLogLog.add_hashes(hashes)``
+    call, and the last result of ``run()``.
+
+    Their ``BULK_ROUNDS`` rounds interleave, so both best-ofs span one
+    window of the host, and each single-sketch round runs at least
+    ``ROUND_SECONDS``.
+    """
+
+    def factory() -> ExaLogLog:
+        return ExaLogLog(2, 20, 8)
+
+    def single(sketch) -> None:
         sketch.add_hashes(hashes)
-        seconds = min(seconds, time.perf_counter() - start)
-    return _rate(seconds, len(hashes))
+
+    run()  # warm ufuncs/allocator
+    repeats = _repeats(factory, single)
+    run_seconds = single_seconds = float("inf")
+    for _ in range(BULK_ROUNDS):
+        start = time.perf_counter()
+        result = run()
+        run_seconds = min(run_seconds, time.perf_counter() - start)
+        single_seconds = min(single_seconds, _round(factory, single, repeats)[0])
+    return run_seconds, _rate(single_seconds, len(hashes)), result
 
 
 def bench_grouped(
@@ -211,13 +257,9 @@ def bench_grouped(
             aggregator.add_batch(batch_groups, batch_items)
         return aggregator
 
-    grouped()  # warm ufuncs/allocator
-    grouped_seconds = float("inf")
-    for _ in range(BULK_ROUNDS):
-        start = time.perf_counter()
-        aggregator = grouped()
-        grouped_seconds = min(grouped_seconds, time.perf_counter() - start)
-    single_rate = _single_rate(rng.integers(0, 1 << 64, size=n, dtype=np.uint64))
+    grouped_seconds, single_rate, aggregator = _against_single(
+        grouped, rng.integers(0, 1 << 64, size=n, dtype=np.uint64)
+    )
 
     # Batching is invisible in the result: one add_batch of every row.
     whole = DistinctCountAggregator(2, 20, 8).add_batch(groups, items)
@@ -258,13 +300,7 @@ def bench_windowed(rng: np.random.Generator) -> dict:
             counter.add_hashes(batch_hashes, at=batch_times)
         return counter
 
-    windowed()  # warm ufuncs/allocator
-    windowed_seconds = float("inf")
-    for _ in range(BULK_ROUNDS):
-        start = time.perf_counter()
-        counter = windowed()
-        windowed_seconds = min(windowed_seconds, time.perf_counter() - start)
-    single_rate = _single_rate(hashes)
+    windowed_seconds, single_rate, counter = _against_single(windowed, hashes)
 
     # Batching is invisible in the result: one add_hashes of every hash.
     whole = SlidingWindowDistinctCounter(window, buckets=WINDOWED_BUCKETS)

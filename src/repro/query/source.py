@@ -111,6 +111,11 @@ class DelegatingSource:
         return self._view().group_sketch(group)
 
 
+def _ranked(rows) -> "list[tuple[bytes, float]]":
+    """``(key, estimate)`` rows by descending estimate, ties by ascending key."""
+    return sorted(rows, key=lambda row: (-row[1], row[0]))
+
+
 class PartitionedSource:
     """The read surface of a hash-partitioned source, written once.
 
@@ -120,7 +125,8 @@ class PartitionedSource:
     part; ``groups``, ``estimates`` and ``len`` join every part's; and
     ``top`` re-ranks each part's own ``top(count)`` by descending
     estimate, ties by ascending key (a part's estimate already is the
-    global one, so the global top ``count`` is among the parts').
+    global one, so the global top ``count`` is among the parts', up to
+    ties at a part's cut, which :meth:`top` reads again).
 
     Subclasses give their parts through :meth:`parts`. A spill's parts
     are built only when a read reaches them, so a read that walks them
@@ -186,13 +192,27 @@ class PartitionedSource:
 
     def top(self, count: int) -> "list[tuple[bytes, float]]":
         """The ``count`` groups with the largest estimates, ties by
-        ascending key, holding at most ``2 * count`` rows at a time."""
+        ascending key, holding at most ``2 * count + 1`` rows at a time.
+
+        A part breaks ties at its cut by insertion order, so each part
+        answers ``top(count + 1)``; a part whose last two rows tie at the
+        final ``count``-th value may hide a smaller key, and only it is
+        read again, routed by one of its keys, for its rows at that value.
+        """
         best: "list[tuple[bytes, float]]" = []
         if count <= 0:
             return best
+        cuts = []  # (the value a part tied at its cut, one of its keys)
         for part in self.parts():
-            best = sorted(best + part.top(count), key=lambda kv: (-kv[1], kv[0]))
-            del best[count:]
+            rows = part.top(count + 1)
+            if len(rows) > count and rows[count - 1][1] == rows[count][1]:
+                cuts.append((rows[count][1], rows[count][0]))
+            best = _ranked(best + rows)[:count]
+        for value, key in cuts:
+            if len(best) == count and value == best[-1][1]:
+                _, part = self._owner(key)
+                tied = {k: v for k, v in part.estimates().items() if v == value}
+                best = _ranked({**dict(best), **tied}.items())[:count]
         return best
 
     def to_aggregator(self):

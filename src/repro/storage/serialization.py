@@ -47,10 +47,10 @@ class IncompleteRecordError(SerializationError):
 
     Distinguished from generic corruption because an append-only log cut
     mid-write (crash, ``kill -9``) legitimately ends in a partial record:
-    recovery treats this as "stop at the last complete record", whereas
-    any other :class:`SerializationError` (bad magic, bad CRC, unknown
-    record kind) means the durable prefix itself is damaged and must not
-    be loaded.
+    :func:`read_records` treats this as "stop at the last complete
+    record", whereas any other :class:`SerializationError` (bad magic,
+    bad CRC, unknown record kind) means the durable prefix itself is
+    damaged and must not be loaded.
     """
 
 
@@ -182,43 +182,24 @@ def uvarint_size(value: int) -> int:
 #
 # The durable-store layer (repro.store) appends keyed payloads to files:
 # WAL batches, spilled GROUP BY segments. All of them share one record
-# framing so a single reader handles every log-structured file:
+# framing, with the LSN in TAG_WAL files and without it in TAG_SPILL ones,
+# so one writer, one parser and one loop serve every log:
 #
-#     kind (1) | uvarint key_len | key | uvarint payload_len | payload
-#     | crc32 (4, little-endian, over everything from kind onward)
+#     kind (1) | [uvarint lsn] | uvarint key_len | key | uvarint payload_len
+#     | payload | crc32 (4, little-endian, over everything from kind onward)
 #
 # The trailing CRC makes torn writes detectable: a record is durable iff
 # it is complete *and* its checksum matches.
 
 
-def write_record(buffer: bytearray, kind: int, key: bytes, payload: bytes) -> None:
-    """Append one checksummed ``(kind, key, payload)`` record to ``buffer``."""
-    import zlib
-
-    if not 0 <= kind <= 0xFF:
-        raise ValueError(f"record kind {kind} out of byte range")
-    start = len(buffer)
-    buffer.append(kind)
-    write_uvarint(buffer, len(key))
-    buffer.extend(key)
-    write_uvarint(buffer, len(payload))
-    buffer.extend(payload)
-    crc = zlib.crc32(memoryview(buffer)[start:])
-    buffer.extend(crc.to_bytes(4, "little"))
-
-
-def write_lsn_record(
-    buffer: bytearray, lsn: int, kind: int, key: bytes, payload: bytes
+def write_record(
+    buffer: bytearray, kind: int, key: bytes, payload: bytes, lsn: "int | None" = None
 ) -> None:
-    """Append one checksummed, LSN-stamped record to ``buffer``.
+    """Append one checksummed ``(kind, key, payload)`` record to ``buffer``.
 
-    The WAL / replication framing: like :func:`write_record` but with the
-    log sequence number between the kind byte and the key::
-
-        kind (1) | uvarint lsn | uvarint key_len | key
-        | uvarint payload_len | payload | crc32 (4, LE, from kind onward)
-
-    The LSN lives under the CRC, so a shipped record carries its ordinal
+    ``lsn`` stamps the record with its log sequence number (the WAL's
+    framing); ``None`` writes the unstamped spill framing. The LSN lives
+    under the CRC, so a shipped record carries its ordinal
     tamper-evidently; followers deduplicate replayed records by it. The
     framing is deterministic: re-encoding a received ``(lsn, kind, key,
     payload)`` reproduces the writer's bytes exactly, which is what makes
@@ -230,7 +211,8 @@ def write_lsn_record(
         raise ValueError(f"record kind {kind} out of byte range")
     start = len(buffer)
     buffer.append(kind)
-    write_uvarint(buffer, lsn)
+    if lsn is not None:
+        write_uvarint(buffer, lsn)
     write_uvarint(buffer, len(key))
     buffer.extend(key)
     write_uvarint(buffer, len(payload))
@@ -247,18 +229,21 @@ def _zeros_to_end(handle) -> bool:
     return True
 
 
-def read_lsn_record_from(handle) -> "tuple[int, int, bytes, bytes] | None":
-    """Stream one LSN-stamped record from a binary handle.
+def read_record_from(
+    handle, lsn: bool = True
+) -> "tuple[int | None, int, bytes, bytes] | None":
+    """Stream one record from a binary handle.
 
-    Returns ``(lsn, kind, key, payload)``, or ``None`` at a clean end of
-    file. EOF inside the record raises :class:`IncompleteRecordError` —
-    for a live WAL being tailed that means "the writer is mid-append";
-    the caller seeks back to the record start and retries later.
+    Returns ``(lsn, kind, key, payload)``, with ``lsn`` ``None`` for the
+    unstamped framing (``lsn=False``), or ``None`` at a clean end of
+    file. Only one record's bytes are resident at a time. EOF inside
+    the record raises :class:`IncompleteRecordError`: for a live log
+    being tailed that means "the writer is mid-append".
 
     So does a record that fails its checksum when the file ends in zero
     bytes that begin inside it, or at its start: the stored CRC's last
     byte and every byte after the record are zero. A power cut that
-    persisted a commit's new file size but not its last pages leaves
+    persisted a write's new file size but not its last pages leaves
     that shape, so it is a torn tail, not corruption. A zero run with
     any byte after it that is not zero still raises.
     """
@@ -290,7 +275,7 @@ def read_lsn_record_from(handle) -> "tuple[int, int, bytes, bytes] | None":
             if shift > 70:
                 raise SerializationError("varint too long")
 
-    lsn = read_length()
+    stamp = read_length() if lsn else None
     key = read_exact(read_length(), "key")
     payload = read_exact(read_length(), "payload")
     actual_crc = crc
@@ -305,59 +290,34 @@ def read_lsn_record_from(handle) -> "tuple[int, int, bytes, bytes] | None":
             f"record checksum mismatch: stored {stored_crc:#010x}, "
             f"computed {actual_crc:#010x}"
         )
-    return lsn, kind, key, payload
+    return stamp, kind, key, payload
 
 
-def read_record_from(handle) -> "tuple[int, bytes, bytes] | None":
-    """Read one record incrementally from a binary file handle.
+def read_records(handle, apply, lsn: bool = True) -> None:
+    """Hand every complete record from ``handle``'s position to ``apply``.
 
-    Reads the :func:`write_record` framing from files too large to slurp
-    (spill partitions): only one record's bytes are resident at a time. Returns ``(kind, key, payload)``, or ``None`` at
-    a clean end of file (no bytes left). EOF *inside* a record raises
-    :class:`IncompleteRecordError`; a CRC mismatch raises
-    :class:`SerializationError`.
+    ``apply(lsn, kind, key, payload)`` receives the records in order, as
+    :func:`read_record_from` parses them. The loop ends at a clean end
+    of file, or before an incomplete record (a torn tail, or a live
+    writer's in-flight append) with the handle back at its start, so a
+    later call resumes there. A :class:`SerializationError`, whether the
+    parser or ``apply`` raised it, is raised again as ``<file>: record
+    at offset <n>: <reason>``.
     """
-    import zlib
-
-    first = handle.read(1)
-    if not first:
-        return None
-    crc = zlib.crc32(first)
-    kind = first[0]
-
-    def read_exact(count: int, what: str) -> bytes:
-        nonlocal crc
-        data = handle.read(count)
-        if len(data) != count:
-            raise IncompleteRecordError(f"record {what} runs past end of file")
-        crc = zlib.crc32(data, crc)
-        return data
-
-    def read_length() -> int:
-        result = 0
-        shift = 0
-        while True:
-            byte = read_exact(1, "length varint")[0]
-            result |= (byte & 0x7F) << shift
-            if not byte & 0x80:
-                return result
-            shift += 7
-            if shift > 70:
-                raise SerializationError("varint too long")
-
-    key = read_exact(read_length(), "key")
-    payload = read_exact(read_length(), "payload")
-    actual_crc = crc
-    stored = handle.read(4)
-    if len(stored) != 4:
-        raise IncompleteRecordError("record checksum runs past end of file")
-    stored_crc = int.from_bytes(stored, "little")
-    if stored_crc != actual_crc:
-        raise SerializationError(
-            f"record checksum mismatch: stored {stored_crc:#010x}, "
-            f"computed {actual_crc:#010x}"
-        )
-    return kind, key, payload
+    while True:
+        start = handle.tell()
+        try:
+            record = read_record_from(handle, lsn)
+            if record is None:
+                return
+            apply(*record)
+        except IncompleteRecordError:
+            handle.seek(start)
+            return
+        except SerializationError as error:
+            raise SerializationError(
+                f"{handle.name}: record at offset {start}: {error}"
+            ) from error
 
 
 # -- segments payloads ---------------------------------------------------------

@@ -25,6 +25,11 @@ mergeable, serializable sketch state — operational:
   groups; :meth:`~repro.store.spill.SpilledGroupBy.attach` opens an
   existing spill directory read-only from a query process.
 
+Store recovery, the reader's tail, the shipper and the spill merge read
+every log (WAL or spill file) through one record loop,
+:func:`repro.storage.serialization.read_records`, so one rule says where
+a log ends.
+
 Entry points elsewhere: ``DistinctCountAggregator.add_batch(spill=...)``,
 ``SlidingWindowDistinctCounter(store=...)`` (buckets retire durably on
 eviction), and the ``python -m repro.store`` CLI
@@ -49,13 +54,7 @@ from repro.store.sketchstore import (
     snapshot_path,
     wal_path,
 )
-from repro.store.spill import (
-    DEFAULT_PARTITIONS,
-    SpilledGroupBy,
-    SpillWriter,
-    read_spill_file,
-    spill_files,
-)
+from repro.store.spill import DEFAULT_PARTITIONS, SpilledGroupBy, spill_files
 
 __all__ = [
     "DEFAULT_PARTITIONS",
@@ -69,13 +68,11 @@ __all__ = [
     "ShipResult",
     "SketchStore",
     "SnapshotReader",
-    "SpillWriter",
     "SpilledGroupBy",
     "WalShipper",
     "apply_wal_record",
     "latest_generation",
     "read_snapshot_header",
-    "read_spill_file",
     "replay_wal",
     "snapshot_path",
     "spill_files",

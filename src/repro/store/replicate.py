@@ -11,7 +11,10 @@ Two halves:
 * :class:`WalShipper` reads a leader's store directory **without any
   cooperation from the writer** (same read-only discipline as
   :class:`~repro.store.reader.SnapshotReader`: never truncate, stop at
-  the durable horizon) and pushes what the follower is missing.
+  the durable horizon) and pushes what the follower is missing. It
+  reads the WAL through the loop every log reader shares,
+  :func:`~repro.storage.serialization.read_records`, with
+  :meth:`FollowerStore.apply_record` as the callback.
 * :class:`FollowerStore` is a :class:`~repro.store.sketchstore.SketchStore`
   whose records come only from its leader. It applies shipped records
   **idempotently by LSN** — a record at or below ``applied_lsn`` is
@@ -39,11 +42,7 @@ from dataclasses import dataclass
 from repro.aggregate import DistinctCountAggregator
 from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
-from repro.storage.serialization import (
-    IncompleteRecordError,
-    SerializationError,
-    read_lsn_record_from,
-)
+from repro.storage.serialization import SerializationError, read_records
 from repro.store.durable import make_dirs
 from repro.store.sketchstore import (
     _FILE_HEADER_BYTES,
@@ -290,6 +289,13 @@ class WalShipper:
             follower.install_snapshot(snap_path.read_bytes())
             snapshot_installed = True
         shipped = 0
+
+        def ship(lsn: int, kind: int, key: bytes, payload: bytes) -> None:
+            nonlocal shipped
+            if follower.apply_record(lsn, kind, key, payload):
+                shipped += 1
+            self._cursor = (generation, handle.tell(), lsn)
+
         with open(wal_path(self._source, generation), "rb") as handle:
             header = handle.read(_FILE_HEADER_BYTES)
             if len(header) == _FILE_HEADER_BYTES:
@@ -300,22 +306,8 @@ class WalShipper:
                     and follower.applied_lsn >= self._cursor[2]
                 ):
                     handle.seek(self._cursor[1])
-                while True:
-                    start = handle.tell()
-                    try:
-                        record = read_lsn_record_from(handle)
-                        if record is None:
-                            break
-                        lsn, kind, key, payload = record
-                        if follower.apply_record(lsn, kind, key, payload):
-                            shipped += 1
-                    except IncompleteRecordError:
-                        break  # the leader's in-flight append: not durable yet
-                    except SerializationError as error:
-                        raise SerializationError(
-                            f"{handle.name}: record at offset {start}: {error}"
-                        ) from error
-                    self._cursor = (generation, handle.tell(), lsn)
+                # Stops before the leader's in-flight append: not durable yet.
+                read_records(handle, ship)
         return ShipResult(
             snapshot_installed=snapshot_installed,
             records_shipped=shipped,

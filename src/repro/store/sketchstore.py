@@ -13,8 +13,8 @@ Directory layout (``gen`` is the zero-padded compaction generation)::
                            | aggregator blob
       wal-<gen>.log        header 0x41 | LSN-stamped checksummed records
 
-Each WAL record uses the LSN framing of
-:func:`repro.storage.serialization.write_lsn_record` with five record
+Each WAL record uses the LSN-stamped framing of
+:func:`repro.storage.serialization.write_record` with five record
 kinds:
 
 * ``RECORD_SEGMENTS`` (0x05) — empty frame key; the payload holds a run
@@ -86,14 +86,16 @@ is reopened, so no LSN is ever logged twice.
 
 :meth:`SketchStore.open` replays the WAL tail on top of the newest
 snapshot, in runs of records of up to :data:`RUN_BYTES`
-(:func:`replay_records`, shared with the reader's tail); a torn final
+(:func:`replay_records`, shared with the reader's tail), read by the
+loop every log reader shares
+(:func:`~repro.storage.serialization.read_records`); a torn final
 record (crash mid-write) is truncated away —
 **unless** the store is opened with ``read_only=True``, which must never
 mutate a live writer's files: it loads through
 :meth:`SnapshotReader.open <repro.store.reader.SnapshotReader.open>`
 and stops at the durable horizon. A record that fails its checksum in a
 zero-filled end of the file is a torn tail too (see
-:func:`~repro.storage.serialization.read_lsn_record_from`). Any other
+:func:`~repro.storage.serialization.read_record_from`). Any other
 corruption raises
 :class:`~repro.storage.serialization.SerializationError` rather than
 loading garbage. :meth:`compact` folds the WAL into a fresh snapshot
@@ -125,7 +127,6 @@ from repro.query.source import DelegatingSource
 from repro.storage.serialization import (
     FORMAT_VERSION,
     MAGIC,
-    IncompleteRecordError,
     SerializationError,
     TAG_EXALOGLOG,
     TAG_SNAPSHOT,
@@ -133,10 +134,10 @@ from repro.storage.serialization import (
     TAG_WAL,
     decode_segments,
     encode_segments,
-    read_lsn_record_from,
+    read_records,
     read_uvarint,
     segments_layout,
-    write_lsn_record,
+    write_record,
     write_uvarint,
 )
 from repro.store.durable import atomic_write, make_dirs
@@ -291,10 +292,13 @@ RUN_BYTES = 16 << 10
 
 
 class RecordRun:
-    """Records gathered to be applied in one call, up to :data:`RUN_BYTES`.
+    """Checked records gathered to be applied in one call, up to :data:`RUN_BYTES`.
 
-    ``apply`` receives each run as a list; :meth:`add` applies the run
-    once it is full, :meth:`flush` whatever it holds.
+    :meth:`add` checks a record (:func:`check_wal_record`); consecutive
+    hash records of either kind join one run, and any other record is
+    applied alone, after the run before it, so a failure to apply it
+    names it. ``apply`` receives each run as a list; :meth:`flush`
+    applies whatever the run holds.
     """
 
     __slots__ = ("_apply", "records", "size")
@@ -304,11 +308,15 @@ class RecordRun:
         self.records: list = []
         self.size = 0
 
-    def add(self, record, size: int) -> None:
-        """Gather ``record`` of ``size`` bytes; apply the run once it is full."""
-        self.records.append(record)
-        self.size += size
-        if self.size >= RUN_BYTES:
+    def add(self, kind: int, key: bytes, payload: bytes) -> None:
+        """Check and gather one record; apply the run once it is full."""
+        layout = check_wal_record(kind, payload)
+        alone = kind not in _HASH_KINDS
+        if alone:
+            self.flush()
+        self.records.append((kind, key, payload, layout))
+        self.size += len(key) + len(payload)
+        if alone or self.size >= RUN_BYTES:
             self.flush()
 
     def flush(self) -> None:
@@ -345,15 +353,12 @@ def replay_wal(
 def replay_records(handle, aggregator: DistinctCountAggregator, replay: WalReplay) -> None:
     """Apply the complete WAL records from ``handle``'s position, run by run.
 
-    ``replay`` holds the LSN the records must continue; its ``records``
-    and ``last_lsn`` advance by each run once :func:`apply_wal_record`
-    has applied it, so they name the state ``aggregator`` holds, also
-    when this raises. A run (:class:`RecordRun`) gathers consecutive
-    hash records of either kind (``RECORD_SEGMENTS`` or the older
-    ``RECORD_HASHES``), whose segments fold in one ``fold_segments``
-    call; any other record is applied alone, after the run before it,
-    so a failure to apply it names it. Every record is
-    checked as it is read (CRC, LSN, :func:`check_wal_record`), and a
+    The records come from :func:`~repro.storage.serialization.read_records`
+    and fold in runs (:class:`RecordRun`). ``replay`` holds the LSN the
+    records must continue; its ``records`` and ``last_lsn`` advance by
+    each run once :func:`apply_wal_record` has applied it, so they name
+    the state ``aggregator`` holds, also when this raises. Every record
+    is checked as it is read (CRC, LSN, :func:`check_wal_record`), and a
     failure applies the run before it, then raises
     :class:`SerializationError` naming the file and the record's offset.
     An incomplete record (a torn tail, or a live writer's in-flight
@@ -367,31 +372,17 @@ def replay_records(handle, aggregator: DistinctCountAggregator, replay: WalRepla
         replay.last_lsn += len(records)
 
     run = RecordRun(apply)
-    while True:
-        start = handle.tell()
-        try:
-            record = read_lsn_record_from(handle)
-            if record is None:
-                break
-            lsn, kind, key, payload = record
-            expected = replay.last_lsn + len(run.records) + 1
-            if lsn != expected:
-                raise SerializationError(f"LSN {lsn}, expected {expected}")
-            layout = check_wal_record(kind, payload)
-            if kind not in _HASH_KINDS:
-                run.flush()
-            run.add((kind, key, payload, layout), len(key) + len(payload))
-            if kind not in _HASH_KINDS:
-                run.flush()
-        except IncompleteRecordError:
-            handle.seek(start)  # torn tail write: the durable prefix ends here
-            break
-        except SerializationError as error:
-            run.flush()
-            raise SerializationError(
-                f"{handle.name}: record at offset {start}: {error}"
-            ) from error
-    run.flush()
+
+    def gather(lsn: int, kind: int, key: bytes, payload: bytes) -> None:
+        expected = replay.last_lsn + len(run.records) + 1
+        if lsn != expected:
+            raise SerializationError(f"LSN {lsn}, expected {expected}")
+        run.add(kind, key, payload)
+
+    try:
+        read_records(handle, gather)
+    finally:
+        run.flush()
     replay.durable_bytes = handle.tell()
 
 
@@ -406,8 +397,8 @@ def check_wal_record(kind: int, payload: bytes):
     kind. Record loops run it as each record is read, so the error names
     that record. Returns a segments record's
     :func:`~repro.storage.serialization.segments_layout` (``None`` for
-    every other kind), which the loops hand on with the record so that
-    :func:`apply_wal_record` does not parse the header again.
+    every other kind), which :class:`RecordRun` hands on with the record
+    so that :func:`apply_wal_record` does not parse the header again.
     """
     if kind == RECORD_SEGMENTS:
         return segments_layout(payload)
@@ -432,7 +423,8 @@ def apply_wal_record(
     """Apply a run of decoded ``(kind, key, payload[, layout])`` WAL records, in order.
 
     The single state-transition function shared by the writer's commit,
-    recovery, the concurrent reader's tail, and follower replication —
+    recovery, the concurrent reader's tail, follower replication and the
+    spill's partition merge —
     every path folds the same bytes through the aggregator's own write
     API (:meth:`~DistinctCountAggregator.fold_segments`,
     :meth:`~DistinctCountAggregator.merge_sketch`,
@@ -760,7 +752,7 @@ class SketchStore(DelegatingSource):
         """
         buffer = bytearray()
         for lsn, (kind, key, payload, *_) in enumerate(records, self._durable_lsn + 1):
-            write_lsn_record(buffer, lsn, kind, key, payload)
+            write_record(buffer, kind, key, payload, lsn)
         handle = self._wal_handle
         try:
             with _trace.span("store.commit", records=len(records), bytes=len(buffer)):

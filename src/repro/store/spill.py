@@ -24,13 +24,14 @@ group count. Every read — ``top``, ``estimates``, ``groups``, a scan —
 is the shared :class:`~repro.query.source.PartitionedSource` walk over
 the partition aggregators, and a point read builds one partition.
 
-Partition files use the shared record framing of
-:mod:`repro.storage.serialization` behind a 4-byte ``TAG_SPILL`` file
-header. A batch's segments for one partition are one ``RECORD_SEGMENTS``
-record (empty key, the WAL's segments payload); files written by older
-versions hold one ``RECORD_HASHES`` record per segment, and both kinds
-still merge. File names carry a writer id —
-``part-<partition>-<writer>.spill`` — so several processes feeding one
+Partition files use the WAL's record framing without the LSN behind a
+4-byte ``TAG_SPILL`` file header. A batch's segments for one partition
+are one ``RECORD_SEGMENTS`` record (empty key, the WAL's segments
+payload); files written by older versions hold one ``RECORD_HASHES``
+record per segment, and both kinds still merge. The merge reads them as
+WAL replay does: the one record loop, the WAL's record check and apply,
+runs of records. File names carry a writer id —
+``part-<partition>-w<pid>.spill`` — so several processes feeding one
 aggregation append to their own files without coordination; the merge
 pass reads every file of a partition. Each writer appends in process:
 fanning the appends out over worker processes measured slower than one
@@ -49,25 +50,24 @@ import numpy as np
 from repro.aggregate import DistinctCountAggregator, segment
 from repro.query.source import PartitionedSource
 from repro.storage.serialization import (
-    IncompleteRecordError,
     SerializationError,
     TAG_SPILL,
     TAG_SPILL_META,
-    decode_segments,
     encode_segments,
-    read_record_from,
+    read_records,
     read_uvarint,
     write_record,
     write_uvarint,
 )
 from repro.store.durable import atomic_write
 from repro.store.sketchstore import (
-    RECORD_HASHES,
     RECORD_SEGMENTS,
     RecordRun,
     _FILE_HEADER_BYTES,
+    _HASH_KINDS,
     _check_file_header,
     _file_header,
+    apply_wal_record,
 )
 
 #: Default partition fan-out; at 1e6 groups each partition then holds
@@ -121,163 +121,20 @@ def read_spill_meta(directory) -> tuple[tuple[int, int, int, bool, int], int]:
     return (t, d, p, bool(sparse_flag), seed), partitions
 
 
-class SpillWriter:
-    """Appends ``(key, hashes)`` segments to hash-partitioned spill files.
+def spill_files(directory, partition: "int | None" = None) -> dict[int, list[pathlib.Path]]:
+    """Partition index → sorted spill files of all writers in ``directory``.
 
-    Each :meth:`write_segments` call routes its keys in one pass and
-    appends one ``RECORD_SEGMENTS`` record per partition it touches;
-    :meth:`write` is the one-segment case. Multiple writers may target
-    one directory concurrently: each owns its own set of files,
-    distinguished by ``writer_id`` (default: ``w<pid>``). Files are
-    created lazily on the first record for their partition.
+    ``partition`` lists that partition's files alone, for a point read.
     """
-
-    def __init__(self, directory, partitions: int = DEFAULT_PARTITIONS, writer_id: str | None = None) -> None:
-        if partitions < 1:
-            raise ValueError(f"partitions must be >= 1, got {partitions}")
-        self._directory = pathlib.Path(directory)
-        self._directory.mkdir(parents=True, exist_ok=True)
-        self._partitions = partitions
-        self._writer_id = writer_id if writer_id is not None else f"w{os.getpid()}"
-        if "-" in self._writer_id or "/" in self._writer_id:
-            raise ValueError(f"writer_id {self._writer_id!r} may not contain '-' or '/'")
-        self._handles: dict[int, Any] = {}
-        self._records = 0
-
-    @property
-    def partitions(self) -> int:
-        return self._partitions
-
-    @property
-    def writer_id(self) -> str:
-        return self._writer_id
-
-    @property
-    def records_written(self) -> int:
-        """Records appended: one per partition per :meth:`write_segments` call."""
-        return self._records
-
-    def _handle(self, partition: int):
-        handle = self._handles.get(partition)
-        if handle is None:
-            path = self._directory / f"part-{partition:04d}-{self._writer_id}{_SPILL_SUFFIX}"
-            exists = path.exists()
-            handle = open(path, "ab")
-            if not exists:
-                handle.write(_file_header(TAG_SPILL))
-            self._handles[partition] = handle
-        return handle
-
-    def write(self, key: bytes, hashes: np.ndarray) -> None:
-        """Append one group segment (canonical key, uint64 hash array)."""
-        self.write_segments([(key, hashes)])
-
-    def write_segments(self, segments: Iterable[tuple[bytes, np.ndarray]]) -> None:
-        """Append a batch's segments: one record per partition they route to.
-
-        Segments without hashes are skipped; each record keeps its
-        segments in input order.
-        """
-        from repro.backends import as_hash_array
-        from repro.parallel import shards_of
-
-        batch = []
-        for key, hashes in segments:
-            hashes = as_hash_array(hashes)
-            if len(hashes):
-                batch.append((key, hashes))
-        if not batch:
-            return
-        parts: dict[int, list] = {}
-        owners = shards_of([key for key, _ in batch], self._partitions)
-        for part, item in zip(owners.tolist(), batch):
-            parts.setdefault(part, []).append(item)
-        for part, run in parts.items():
-            buffer = bytearray()
-            write_record(buffer, RECORD_SEGMENTS, b"", encode_segments(run))
-            self._handle(part).write(buffer)
-        self._records += len(parts)
-
-    def flush(self) -> None:
-        for handle in self._handles.values():
-            handle.flush()
-
-    def close(self) -> None:
-        for handle in self._handles.values():
-            handle.close()
-        self._handles.clear()
-
-    def __enter__(self) -> "SpillWriter":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-
-def spill_files(directory) -> dict[int, list[pathlib.Path]]:
-    """Partition index → sorted spill files of all writers in ``directory``."""
     directory = pathlib.Path(directory)
+    pattern = "*" if partition is None else f"{partition:04d}-*"
     grouped: dict[int, list[pathlib.Path]] = {}
-    for path in sorted(directory.glob(f"part-*{_SPILL_SUFFIX}")):
+    for path in sorted(directory.glob(f"part-{pattern}{_SPILL_SUFFIX}")):
         prefix = path.name.split("-", 2)
         if len(prefix) < 3:
             raise SerializationError(f"{path}: spill file name lacks a writer id")
         grouped.setdefault(int(prefix[1]), []).append(path)
     return grouped
-
-
-def read_spill_file(
-    path, tolerate_torn_tail: bool = False
-) -> Iterator[tuple[bytes, np.ndarray]]:
-    """Yield the ``(key, hashes)`` segments of one spill file, in order.
-
-    A ``RECORD_SEGMENTS`` record yields each of its segments, a
-    ``RECORD_HASHES`` record (older files) its one segment.
-
-    For the *writing* aggregation, spill files are transient (written and
-    read inside one run), so a torn tail is not survivable — any
-    incomplete record raises :class:`SerializationError`. A concurrent
-    read-only query process (:meth:`SpilledGroupBy.attach`) instead sets
-    ``tolerate_torn_tail=True``: iteration stops cleanly at the last
-    complete record, the WAL discipline — the writer's in-flight append
-    is simply not part of that query's view. CRC failures on *complete*
-    records stay fatal either way. Errors read ``<path>: record at offset
-    <n>: <reason>``, like the WAL's.
-    """
-    path = pathlib.Path(path)
-    with open(path, "rb") as handle:
-        # Streamed, so the merge pass holds one run of records (see
-        # SpilledGroupBy._partition_aggregator), not one file: a
-        # partition's raw hash payloads can dwarf its sketch states.
-        _check_file_header(handle.read(_FILE_HEADER_BYTES), TAG_SPILL, path)
-        while True:
-            start = handle.tell()
-            try:
-                record = read_record_from(handle)
-                if record is None:
-                    return
-                kind, key, payload = record
-                if kind == RECORD_SEGMENTS:
-                    segments = decode_segments(payload)
-                elif kind == RECORD_HASHES:
-                    if len(payload) % 8:
-                        raise SerializationError(
-                            f"hash payload of {len(payload)} bytes is not a multiple of 8"
-                        )
-                    segments = [(key, np.frombuffer(payload, dtype="<u8"))]
-                else:
-                    raise SerializationError(f"unexpected spill record kind {kind:#x}")
-            except IncompleteRecordError as error:
-                if tolerate_torn_tail:
-                    return
-                raise SerializationError(
-                    f"{path}: record at offset {start}: truncated spill record"
-                ) from error
-            except SerializationError as error:
-                raise SerializationError(
-                    f"{path}: record at offset {start}: {error}"
-                ) from error
-            yield from segments
 
 
 class SpilledGroupBy(PartitionedSource):
@@ -313,11 +170,16 @@ class SpilledGroupBy(PartitionedSource):
         seed: int = 0,
         partitions: int = DEFAULT_PARTITIONS,
     ) -> None:
+        if partitions < 1:
+            raise ValueError(f"partitions must be >= 1, got {partitions}")
         self._directory = pathlib.Path(directory)
         self._partitions = partitions
         # Building an (empty) aggregator validates the sketch parameters.
         self._configuration = DistinctCountAggregator(t, d, p, sparse, seed).config
-        self._writer = SpillWriter(self._directory, partitions)
+        self._directory.mkdir(parents=True, exist_ok=True)
+        self._writer_id = f"w{os.getpid()}"
+        self._handles: dict[int, Any] = {}
+        self._records = 0
         # Persist (or validate against) the configuration sidecar so a
         # reader process can attach to these files later.
         try:
@@ -341,9 +203,9 @@ class SpilledGroupBy(PartitionedSource):
         appended — ingest methods raise, while every query path
         (:meth:`estimates`, :meth:`top`, :meth:`estimate`,
         :meth:`partition_aggregators`) works exactly as for the writer,
-        concurrently with writers that are still appending (spill records
-        are framed like WAL records, so partially flushed tails are
-        detected, not misread).
+        concurrently with writers that are still appending: like a WAL
+        reader, the merge stops at each file's last complete record, so a
+        partially flushed or zero-filled tail is left out, not misread.
         """
         directory = pathlib.Path(directory)
         config, partitions = read_spill_meta(directory)
@@ -351,7 +213,9 @@ class SpilledGroupBy(PartitionedSource):
         groupby._directory = directory
         groupby._partitions = partitions
         groupby._configuration = DistinctCountAggregator(*config).config
-        groupby._writer = None
+        groupby._writer_id = None
+        groupby._handles = {}
+        groupby._records = 0
         return groupby
 
     @property
@@ -369,20 +233,12 @@ class SpilledGroupBy(PartitionedSource):
     @property
     def records_spilled(self) -> int:
         """Records this writer appended: one per partition per batch."""
-        return self._writer.records_written if self._writer is not None else 0
+        return self._records
 
     @property
     def attached(self) -> bool:
         """True for a read-only view opened with :meth:`attach`."""
-        return self._writer is None
-
-    def _require_writer(self) -> SpillWriter:
-        if self._writer is None:
-            raise ValueError(
-                "spill directory was attached read-only; ingest happens in "
-                "the writing process"
-            )
-        return self._writer
+        return self._writer_id is None
 
     # -- ingest ---------------------------------------------------------------
 
@@ -397,8 +253,46 @@ class SpilledGroupBy(PartitionedSource):
         """Spill pre-scattered ``(canonical key, hashes)`` segments.
 
         The hand-off point of ``DistinctCountAggregator.add_batch(spill=...)``.
+        The keys route in one pass, and each partition they touch gets
+        one record holding its segments in input order; segments without
+        hashes are skipped.
         """
-        self._require_writer().write_segments(segments)
+        from repro.backends import as_hash_array
+        from repro.parallel import shards_of
+
+        if self.attached:
+            raise ValueError(
+                "spill directory was attached read-only; ingest happens in "
+                "the writing process"
+            )
+        batch = []
+        for key, hashes in segments:
+            hashes = as_hash_array(hashes)
+            if len(hashes):
+                batch.append((key, hashes))
+        if not batch:
+            return
+        parts: dict[int, list] = {}
+        owners = shards_of([key for key, _ in batch], self._partitions)
+        for part, item in zip(owners.tolist(), batch):
+            parts.setdefault(part, []).append(item)
+        for part, run in parts.items():
+            buffer = bytearray()
+            write_record(buffer, RECORD_SEGMENTS, b"", encode_segments(run))
+            self._handle(part).write(buffer)
+        self._records += len(parts)
+
+    def _handle(self, partition: int):
+        """This writer's append handle on ``partition``'s file, opened on first use."""
+        handle = self._handles.get(partition)
+        if handle is None:
+            path = self._directory / f"part-{partition:04d}-{self._writer_id}{_SPILL_SUFFIX}"
+            exists = path.exists()
+            handle = open(path, "ab")
+            if not exists:
+                handle.write(_file_header(TAG_SPILL))
+            self._handles[partition] = handle
+        return handle
 
     def add_pairs(self, pairs: Iterable[tuple[Hashable, Any]]) -> "SpilledGroupBy":
         """Spill an iterable of ``(group, item)`` pairs in bounded chunks."""
@@ -414,11 +308,10 @@ class SpilledGroupBy(PartitionedSource):
 
     # -- merge ----------------------------------------------------------------
 
-    def _files(self) -> dict[int, list[pathlib.Path]]:
-        """Partition index → spill files, after flushing this process's writes."""
-        if self._writer is not None:
-            self._writer.flush()
-        return spill_files(self._directory)
+    def _files(self, partition: "int | None" = None) -> dict[int, list[pathlib.Path]]:
+        """:func:`spill_files`, after flushing this process's writes."""
+        self.flush()
+        return spill_files(self._directory, partition)
 
     def partition_aggregators(self) -> Iterator[DistinctCountAggregator]:
         """Yield one exact partial aggregator per non-empty partition.
@@ -433,24 +326,36 @@ class SpilledGroupBy(PartitionedSource):
     parts = partition_aggregators
 
     def _part(self, index: int) -> DistinctCountAggregator:
-        return self._partition_aggregator(self._files().get(index, []))
+        return self._partition_aggregator(self._files(index).get(index, []))
 
     def _part_count(self) -> int:
         return self._partitions
 
     def _partition_aggregator(self, files) -> DistinctCountAggregator:
-        """One partition's exact partial aggregator, folded from ``files``."""
+        """One partition's exact partial aggregator, folded from ``files``.
+
+        Records fold in runs (:class:`~repro.store.sketchstore.RecordRun`),
+        so memory stays O(one run). An attached spill stops at a file's
+        last complete record, as WAL readers do; the writing spill's
+        files are its own, so a byte after that record raises.
+        """
         aggregator = DistinctCountAggregator(*self.config)
-        # Records fold in runs, one fold_segments call each: memory stays
-        # O(one run).
-        run = RecordRun(aggregator.fold_segments)
+        run = RecordRun(lambda records: apply_wal_record(aggregator, records))
+
+        def gather(lsn, kind: int, key: bytes, payload: bytes) -> None:
+            if kind not in _HASH_KINDS:
+                raise SerializationError(f"unexpected spill record kind {kind:#x}")
+            run.add(kind, key, payload)
+
         for path in files:
-            # Attached readers run concurrently with writers, so a torn
-            # tail is "not yet durable", not corruption.
-            for key, hashes in read_spill_file(
-                path, tolerate_torn_tail=self._writer is None
-            ):
-                run.add((key, hashes), len(key) + hashes.nbytes)
+            with open(path, "rb") as handle:
+                _check_file_header(handle.read(_FILE_HEADER_BYTES), TAG_SPILL, path)
+                read_records(handle, gather, lsn=False)
+                end = handle.tell()
+                if not self.attached and handle.read(1):
+                    raise SerializationError(
+                        f"{path}: record at offset {end}: truncated spill record"
+                    )
         run.flush()
         return aggregator
 
@@ -466,9 +371,16 @@ class SpilledGroupBy(PartitionedSource):
 
     # -- lifecycle ------------------------------------------------------------
 
+    def flush(self) -> None:
+        """Hand this writer's appended records to the OS, where other
+        processes (an attached spill) can read them."""
+        for handle in self._handles.values():
+            handle.flush()
+
     def close(self) -> None:
-        if self._writer is not None:
-            self._writer.close()
+        for handle in self._handles.values():
+            handle.close()
+        self._handles.clear()
 
     def cleanup(self) -> None:
         """Close and delete all spill files (the aggregation is consumed)."""

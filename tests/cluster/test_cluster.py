@@ -188,7 +188,7 @@ def test_drop_record_rejects_payload(tmp_path):
 
 def test_rebalance_writes_cutover_fences(tmp_path):
     """Old shards fence BEGIN + COMMIT; shards born mid-rebalance COMMIT only."""
-    from repro.storage.serialization import read_lsn_record_from
+    from repro.storage.serialization import read_record_from
     from repro.store import RECORD_CUTOVER, wal_path
     from repro.store.sketchstore import _FILE_HEADER_BYTES
 
@@ -199,7 +199,7 @@ def test_rebalance_writes_cutover_fences(tmp_path):
         with open(wal_path(shard.directory, shard.generation), "rb") as handle:
             handle.read(_FILE_HEADER_BYTES)
             while True:
-                record = read_lsn_record_from(handle)
+                record = read_record_from(handle)
                 if record is None:
                     break
                 lsn, kind, key, payload = record

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from repro.cluster import ShardedStore, SimulatedCrash, read_journal
-from repro.storage.serialization import write_lsn_record
+from repro.storage.serialization import write_record
 from repro.store import RECORD_HASHES, FollowerStore, WalShipper, wal_path
 from tests.invariants.harness import (
     OP_COMPACT,
@@ -121,12 +121,12 @@ def test_torn_wal_tail_on_one_shard_converges(seed, tmp_path):
     cluster.close()
     # A syntactically valid record, torn mid-frame before it is durable.
     frame = bytearray()
-    write_lsn_record(
+    write_record(
         frame,
-        victim_lsn + 1,
         RECORD_HASHES,
         b"torn-group",
         rng.integers(0, 1 << 64, size=8, dtype=np.uint64).tobytes(),
+        victim_lsn + 1,
     )
     cut = int(rng.integers(1, len(frame)))
     with open(wal_path(victim_directory, victim_generation), "ab") as handle:

@@ -114,3 +114,63 @@ def test_top_breaks_ties_by_ascending_key_across_parts(tmp_path):
         readers.close()
         sharded.close()
         spill.close()
+
+
+#: ``k001`` and then ``k000`` on one part of three (``shard_of`` gives both
+#: part 2), holding the same one hash: their estimates tie, and the part's
+#: own ``top(1)`` answers ``k001``, the key it saw first.
+TIED_IN_ONE_PART = (b"k001", b"k000")
+
+
+def test_a_sharded_store_breaks_a_tie_inside_one_shard_by_ascending_key(tmp_path):
+    with ShardedStore.open(tmp_path / "cluster", shards=3, p=8) as sharded:
+        for key in TIED_IN_ONE_PART:
+            sharded.append_hashes(key, [0x9E3779B97F4A7C15])
+        assert [key for key, _ in sharded.top(1)] == [b"k000"]
+        assert execute(TopK(Scan(), 1), sharded).rows == tuple(sharded.top(1))
+
+
+def test_a_cluster_view_breaks_a_tie_inside_one_shard_by_ascending_key(tmp_path):
+    with ShardedStore.open(tmp_path / "cluster", shards=3, p=8) as sharded:
+        for key in TIED_IN_ONE_PART:
+            sharded.append_hashes(key, [0x9E3779B97F4A7C15])
+    view = ClusterSource.open(tmp_path / "cluster")
+    try:
+        assert [key for key, _ in view.top(1)] == [b"k000"]
+        assert execute(TopK(Scan(), 1), view).rows == tuple(view.top(1))
+    finally:
+        view.close()
+
+
+def test_a_spill_breaks_a_tie_inside_one_partition_by_ascending_key(tmp_path):
+    with SpilledGroupBy(tmp_path / "spill", p=8, partitions=3) as spill:
+        for key in TIED_IN_ONE_PART:
+            spill.write_segments([(key, [0x9E3779B97F4A7C15])])
+        assert [key for key, _ in spill.top(1)] == [b"k000"]
+        assert execute(TopK(Scan(), 1), spill).rows == tuple(spill.top(1))
+
+
+def test_a_spill_top_over_heavy_groups_builds_each_partition_once(tmp_path, monkeypatch):
+    """Partitions cut among light groups that tie far below the heavy
+    top, so no partition is read again."""
+    import numpy as np
+
+    rng = np.random.Generator(np.random.PCG64(29))
+    built = []
+    real = SpilledGroupBy._partition_aggregator
+
+    def counting(self, files):
+        built.append(files)
+        return real(self, files)
+
+    with SpilledGroupBy(tmp_path / "spill", p=8, partitions=8) as spill:
+        for heavy in range(10):
+            spill.write_segments([(b"heavy%d" % heavy, rng.integers(0, 1 << 64, 200 + 50 * heavy, dtype=np.uint64))])
+        spill.write_segments([(b"light%d" % light, [light]) for light in range(400)])
+        reference = spill.to_aggregator()
+        monkeypatch.setattr(SpilledGroupBy, "_partition_aggregator", counting)
+        top = spill.top(10)
+    ranked = sorted(reference.estimates().items(), key=lambda kv: (-kv[1], kv[0]))
+    assert top == ranked[:10]
+    assert {key for key, _ in top} == {b"heavy%d" % heavy for heavy in range(10)}
+    assert len(built) == 8

@@ -19,7 +19,7 @@ import pytest
 from repro.aggregate import DistinctCountAggregator
 from repro.core.exaloglog import ExaLogLog
 from repro.core.sparse import SparseExaLogLog
-from repro.storage.serialization import read_lsn_record_from
+from repro.storage.serialization import read_record_from
 from repro.store import FollowerStore, SketchStore, WalShipper, wal_path
 from tests.invariants.harness import ScalarOracle
 
@@ -157,7 +157,7 @@ def test_crash_inside_a_commit_leaves_all_or_none_of_its_hash_writes(tmp_path):
     data = wal_path(directory, 0).read_bytes()
     handle = io.BytesIO(data)
     handle.seek(start)
-    assert read_lsn_record_from(handle) is not None
+    assert read_record_from(handle) is not None
     assert handle.tell() == len(data)  # the commit is one record
     expected = [_reference(prefix).to_bytes(), _reference(prefix + SEGMENTS).to_bytes()]
     for cut in range(start, len(data) + 1):

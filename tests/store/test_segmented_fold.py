@@ -22,8 +22,8 @@ from repro.hashing import to_bytes
 from repro.hashing.batch import hash_items
 from repro.storage.serialization import (
     SerializationError,
-    read_lsn_record_from,
-    write_lsn_record,
+    read_record_from,
+    write_record,
 )
 from repro.store import (
     RECORD_HASHES,
@@ -277,18 +277,20 @@ def test_a_run_split_by_a_small_cap_equals_one_unsplit_run(tmp_path, monkeypatch
 
 
 def test_a_spill_merge_split_by_a_small_cap_equals_one_unsplit_run(tmp_path, monkeypatch):
-    rng = np.random.Generator(np.random.PCG64(30))
+    # Twelve batches, twelve one-segment records: the merge gathers whole
+    # records into runs as WAL replay does, so the cap splits between them.
     spill = SpilledGroupBy(tmp_path / "spill", p=8, partitions=1)
-    for _ in range(3):
-        spill.add_batch(rng.integers(0, 40, 500), rng.integers(0, 1 << 62, 500))
+    segments = [(f"g{index % 5}".encode(), _hashes(20 + index, 30)) for index in range(12)]
+    for key, hashes in segments:
+        spill.write_segments([(key, hashes)])
     calls = _count_folds(monkeypatch)
     unsplit = spill.to_aggregator()
-    assert len(calls) == 1
-    monkeypatch.setattr(sketchstore, "RUN_BYTES", 64)
+    assert calls == [12]
+    monkeypatch.setattr(sketchstore, "RUN_BYTES", 2 * 30 * 8)
     calls.clear()
     split = spill.to_aggregator()
-    assert len(calls) > 10
-    assert split.to_bytes() == unsplit.to_bytes()
+    assert calls == [2] * 6
+    assert split.to_bytes() == unsplit.to_bytes() == _scalar(segments).to_bytes()
     spill.close()
 
 
@@ -305,7 +307,7 @@ def _record_ends(data):
     handle = io.BytesIO(data)
     handle.seek(sketchstore._FILE_HEADER_BYTES)
     ends = []
-    while read_lsn_record_from(handle) is not None:
+    while read_record_from(handle) is not None:
         ends.append(handle.tell())
     return ends
 
@@ -341,7 +343,25 @@ def _store_with_bad_record(directory):
         if lsn == 3:
             offset = sketchstore._FILE_HEADER_BYTES + len(buffer)
             payload = payload[:7]
-        write_lsn_record(buffer, lsn, RECORD_HASHES, b"g", payload)
+        write_record(buffer, RECORD_HASHES, b"g", payload, lsn)
+    with open(path, "ab") as handle:
+        handle.write(buffer)
+    return path, offset
+
+
+def _spill_with_bad_record(directory):
+    """A one-partition spill holding two records, then a 7-byte hash record.
+
+    Returns the spill file and the offset of the bad record.
+    """
+    with SpilledGroupBy(directory, p=8, partitions=1) as spill:
+        for index in range(2):
+            spill.write_segments([(b"g", _hashes(index, 4))])
+    [path] = directory.glob("part-*.spill")
+    offset = path.stat().st_size
+    buffer = bytearray()
+    write_record(buffer, RECORD_HASHES, b"g", _hashes(3, 4).tobytes()[:7])
+    write_record(buffer, RECORD_HASHES, b"g", _hashes(4, 4).tobytes())
     with open(path, "ab") as handle:
         handle.write(buffer)
     return path, offset
@@ -366,6 +386,14 @@ def test_a_bad_payload_length_mid_run_names_that_records_offset(tmp_path):
             f"{path}: record at offset {offset}: "
             "hash record payload of 7 bytes is not a multiple of 8"
         ), name
+    # The spill merge checks its records with the WAL's own check.
+    path, offset = _spill_with_bad_record(tmp_path / "spill")
+    with pytest.raises(SerializationError) as caught:
+        SpilledGroupBy.attach(tmp_path / "spill").top(1)
+    assert str(caught.value) == (
+        f"{path}: record at offset {offset}: "
+        "hash record payload of 7 bytes is not a multiple of 8"
+    )
 
 
 def test_an_open_that_raises_mid_tail_closes_the_wal_it_opened(tmp_path):

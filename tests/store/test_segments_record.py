@@ -24,9 +24,9 @@ from repro.hashing import to_bytes
 from repro.storage.serialization import (
     SerializationError,
     encode_segments,
-    read_lsn_record_from,
+    read_record_from,
     segments_layout,
-    write_lsn_record,
+    write_record,
     write_uvarint,
 )
 from repro.store import (
@@ -76,7 +76,7 @@ def _records(path):
     records = []
     while True:
         start = handle.tell()
-        record = read_lsn_record_from(handle)
+        record = read_record_from(handle)
         if record is None:
             return records
         records.append((start, *record))
@@ -93,8 +93,8 @@ def _write_batch(directory, segments=SEGMENTS):
 def _append_raw(directory, records):
     """Append hand-framed ``(lsn, kind, key, payload)`` records to the WAL."""
     buffer = bytearray()
-    for record in records:
-        write_lsn_record(buffer, *record)
+    for lsn, kind, key, payload in records:
+        write_record(buffer, kind, key, payload, lsn)
     with open(wal_path(directory, 0), "ab") as handle:
         handle.write(buffer)
 

@@ -10,7 +10,7 @@ from repro.aggregate import DistinctCountAggregator
 from repro.parallel import shard_of
 from repro.query import Estimate, Filter, Scan, TopK, execute
 from repro.storage.serialization import SerializationError, read_record_from
-from repro.store import SpilledGroupBy, SpillWriter, read_spill_file, spill_files
+from repro.store import SpilledGroupBy, spill_files
 
 
 def _batch(n, groups, seed=0):
@@ -85,10 +85,13 @@ class TestPartitioningAndWriters:
         groups, items = _batch(4000, 100, seed=5)
         with SpilledGroupBy(tmp_path / "s", p=8, partitions=8) as spill:
             spill.add_batch(groups, items)
-        for partition, paths in spill_files(tmp_path / "s").items():
-            for path in paths:
-                for key, _ in read_spill_file(path):
-                    assert shard_of(key, 8) == partition
+            assert sorted(spill_files(tmp_path / "s")) == list(range(8))
+            keys = 0
+            for partition in range(8):
+                merged = spill._part(partition)  # that partition's files alone
+                assert all(shard_of(key, 8) == partition for key in merged.groups())
+                keys += len(merged)
+            assert keys == 100
 
     def test_two_writers_one_directory(self, tmp_path):
         groups, items = _batch(6000, 120, seed=6)
@@ -96,11 +99,11 @@ class TestPartitioningAndWriters:
         with SpilledGroupBy(tmp_path / "s", p=8, partitions=4) as left, SpilledGroupBy(
             tmp_path / "s", p=8, partitions=4
         ) as right:
-            right._writer._writer_id = "other"  # distinct writer, same directory
+            right._writer_id = "other"  # distinct writer, same directory
             left.add_batch(groups[:3000], items[:3000])
             right.add_batch(groups[3000:], items[3000:])
-            left._writer.flush()
-            right._writer.flush()
+            left.flush()
+            right.flush()
             assert left.to_aggregator().to_bytes() == reference.to_bytes()
 
     def test_one_directory_listing_per_top(self, tmp_path, monkeypatch):
@@ -110,9 +113,9 @@ class TestPartitioningAndWriters:
         reference = DistinctCountAggregator(2, 20, 8).add_batch(groups, items)
         listings = []
 
-        def counting(directory):
+        def counting(directory, partition=None):
             listings.append(directory)
-            return spill_files(directory)
+            return spill_files(directory, partition)
 
         with SpilledGroupBy(tmp_path / "s", p=8, partitions=8) as spill:
             spill.add_batch(groups, items)
@@ -120,9 +123,41 @@ class TestPartitioningAndWriters:
             assert spill.top(5) == reference.top(5)
         assert len(listings) == 1
 
-    def test_writer_id_validation(self, tmp_path):
-        with pytest.raises(ValueError, match="writer_id"):
-            SpillWriter(tmp_path, 4, writer_id="has-dash")
+    @pytest.mark.parametrize("read", ["group_sketch", "estimate", "in"])
+    def test_a_point_read_lists_only_its_own_partitions_files(self, tmp_path, monkeypatch, read):
+        from repro.store import spill as spill_module
+
+        groups, items = _batch(4000, 100, seed=13)
+        reference = DistinctCountAggregator(2, 20, 8).add_batch(groups, items)
+        key = next(iter(reference.groups()))
+        listed = []
+
+        def counting(directory, partition=None):
+            files = spill_files(directory, partition)
+            listed.append((partition, sorted(files)))
+            return files
+
+        with SpilledGroupBy(tmp_path / "s", p=8, partitions=8) as spill:
+            spill.add_batch(groups, items)
+            monkeypatch.setattr(spill_module, "spill_files", counting)
+            answer = {
+                "group_sketch": lambda: spill.group_sketch(key).to_bytes(),
+                "estimate": lambda: spill.estimate(key),
+                "in": lambda: key in spill,
+            }[read]()
+        expected = {
+            "group_sketch": lambda: reference.group_sketch(key).to_bytes(),
+            "estimate": lambda: reference.estimate(key),
+            "in": lambda: True,
+        }[read]()
+        assert answer == expected
+        owner = shard_of(key, 8)
+        assert listed == [(owner, [owner])]
+
+    def test_a_spill_with_no_partitions_is_refused(self, tmp_path):
+        with pytest.raises(ValueError, match="partitions must be >= 1"):
+            SpilledGroupBy(tmp_path / "s", partitions=0)
+        assert not (tmp_path / "s").exists()
 
     def test_cleanup_removes_files(self, tmp_path):
         spill = SpilledGroupBy(tmp_path / "s", p=8, partitions=4)
@@ -177,8 +212,9 @@ class TestSpillFileFormat:
         [[path]] = spill_files(tmp_path / "s").values()
         data = path.read_bytes()
         path.write_bytes(data[:-3])
-        with pytest.raises(SerializationError, match="truncated"):
-            list(read_spill_file(path))
+        with SpilledGroupBy(tmp_path / "s", p=8, partitions=1) as writer:
+            with pytest.raises(SerializationError, match="truncated"):
+                writer.top(1)
 
     def test_record_errors_name_the_file_and_offset(self, tmp_path):
         from repro.store.sketchstore import _FILE_HEADER_BYTES
@@ -191,9 +227,9 @@ class TestSpillFileFormat:
         intact = path.read_bytes()
         handle = io.BytesIO(intact)
         handle.seek(_FILE_HEADER_BYTES)
-        read_record_from(handle)
+        read_record_from(handle, lsn=False)
         second = handle.tell()
-        read_record_from(handle)
+        read_record_from(handle, lsn=False)
         third = handle.tell()
         data = bytearray(intact)
         data[third - 6] ^= 0x5A  # a payload byte of the second record
@@ -212,13 +248,14 @@ class TestSpillFileFormat:
             SerializationError,
             match=f"record at offset {third}: truncated spill record",
         ):
-            list(read_spill_file(path))
+            SpilledGroupBy(tmp_path / "s", p=8, partitions=1).top(3)
 
     def test_foreign_file_raises(self, tmp_path):
-        path = tmp_path / "part-0000-w1.spill"
+        SpilledGroupBy(tmp_path / "s", p=8, partitions=1).close()
+        path = tmp_path / "s" / "part-0000-w1.spill"
         path.write_bytes(b"not a spill file")
-        with pytest.raises(SerializationError):
-            list(read_spill_file(path))
+        with pytest.raises(SerializationError, match="bad file header"):
+            SpilledGroupBy.attach(tmp_path / "s").top(1)
 
     def test_empty_batch_is_noop(self, tmp_path):
         spill = SpilledGroupBy(tmp_path / "s", p=8, partitions=4)

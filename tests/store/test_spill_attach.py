@@ -27,7 +27,7 @@ def test_meta_sidecar_round_trip(tmp_path):
 
 def test_attach_serves_identical_results(tmp_path):
     writer = _populate(tmp_path / "spill")
-    writer._writer.flush()  # pending bytes to disk for the foreign reader
+    writer.flush()  # pending bytes to disk for the foreign reader
     attached = SpilledGroupBy.attach(tmp_path / "spill")
     assert attached.attached and not writer.attached
     assert attached.config == writer.config
@@ -91,13 +91,11 @@ def test_cleanup_removes_meta(tmp_path):
 def test_attach_tolerates_writers_torn_tail(tmp_path):
     """A half-flushed record at a file tail is invisible to an attached
     reader (prefix semantics), while the writing aggregation stays strict."""
-    import pathlib
-
     from repro.storage.serialization import SerializationError
-    from repro.store import read_spill_file, spill_files
+    from repro.store import spill_files
 
     writer = _populate(tmp_path / "spill")
-    writer._writer.flush()
+    writer.flush()
     attached = SpilledGroupBy.attach(tmp_path / "spill")
     before = attached.estimates()
     # Simulate a writer's in-flight append on one partition file.
@@ -105,7 +103,7 @@ def test_attach_tolerates_writers_torn_tail(tmp_path):
     victim.write_bytes(victim.read_bytes() + b"\x01\x09half-a-rec")
     assert attached.estimates() == before  # prefix view, no crash
     with pytest.raises(SerializationError, match="truncated"):
-        list(read_spill_file(victim))  # the strict (writer) read still raises
+        writer.estimates()  # the strict (writer) read still raises
     writer.close()
 
 

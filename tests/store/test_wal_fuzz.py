@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro.aggregate import DistinctCountAggregator
-from repro.storage.serialization import SerializationError, read_lsn_record_from
+from repro.storage.serialization import SerializationError, read_record_from
 from repro.store import FollowerStore, SketchStore, SnapshotReader, WalShipper
 from repro.store.sketchstore import _FILE_HEADER_BYTES
 from tests.invariants.harness import ScalarOracle
@@ -59,7 +59,7 @@ def _record_boundaries(wal_bytes):
     handle = io.BytesIO(wal_bytes)
     handle.seek(_FILE_HEADER_BYTES)
     boundaries = [_FILE_HEADER_BYTES]
-    while read_lsn_record_from(handle) is not None:
+    while read_record_from(handle) is not None:
         boundaries.append(handle.tell())
     return boundaries
 
