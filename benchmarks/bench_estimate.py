@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import pathlib
 import sys
 import time
@@ -71,7 +72,12 @@ BATCH_ROUNDS = 3
 SINGLE_ROUNDS = 10
 
 #: Interleaved scalar/batched rounds of the point row (best of each).
-POINT_ROUNDS = 100
+POINT_ROUNDS = 20
+
+#: Seconds each point round runs, repeating its call: one call takes
+#: well under a millisecond, so a best of single calls rides on the
+#: host's luck of the moment.
+ROUND_SECONDS = 0.02
 
 #: The point row's items (about 20 per register at p = 8).
 POINT_N = 5_000
@@ -131,7 +137,7 @@ def bench_groups(p: int, groups: int, items_per_group: int, rng) -> dict:
         for group in range(groups)
     )
 
-    sketches = list(aggregator.sketches().values())
+    sketches = [aggregator.group_sketch(key) for key in aggregator.groups()]
     start = time.perf_counter()
     scalar = [_scalar_estimate(sketch) for sketch in sketches]
     scalar_seconds = time.perf_counter() - start
@@ -159,21 +165,37 @@ def bench_groups(p: int, groups: int, items_per_group: int, rng) -> dict:
     }
 
 
+def _round(call, repeats: int) -> "tuple[float, float]":
+    """Seconds per call over ``repeats`` calls of ``call``, and its result."""
+    start = time.perf_counter()
+    for _ in range(repeats):
+        result = call()
+    return (time.perf_counter() - start) / repeats, result
+
+
 def bench_point(n: int, rng) -> dict:
     """One dense sketch through the batch entry point, as a point read."""
     sketch = ExaLogLog(2, 20, 8)
     sketch.add_hashes(rng.integers(0, 1 << 64, size=n, dtype=np.uint64))
-    batch_estimate_sketches([sketch])  # warm the kernel's tables
 
+    def scalar_call() -> float:
+        return _scalar_estimate(sketch)
+
+    def batched_call() -> float:
+        return batch_estimate_sketches([sketch])[0]
+
+    batched_call()  # warm the kernel's tables
+    # One timed call of each side sizes its rounds to ``ROUND_SECONDS``.
+    repeats = [
+        max(1, math.ceil(ROUND_SECONDS / _round(call, 1)[0]))
+        for call in (scalar_call, batched_call)
+    ]
     scalar_seconds = batched_seconds = float("inf")
-    for _ in range(POINT_ROUNDS):
-        start = time.perf_counter()
-        scalar = _scalar_estimate(sketch)
-        middle = time.perf_counter()
-        (batched,) = batch_estimate_sketches([sketch])
-        end = time.perf_counter()
-        scalar_seconds = min(scalar_seconds, middle - start)
-        batched_seconds = min(batched_seconds, end - middle)
+    for _ in range(POINT_ROUNDS):  # interleaved: both best-ofs span one window
+        seconds, scalar = _round(scalar_call, repeats[0])
+        scalar_seconds = min(scalar_seconds, seconds)
+        seconds, batched = _round(batched_call, repeats[1])
+        batched_seconds = min(batched_seconds, seconds)
 
     if batched != scalar:
         raise AssertionError(f"point estimate diverged: {batched!r} != {scalar!r}")
@@ -201,7 +223,7 @@ def bench_mixed_groups(groups: int, n: int, rng) -> dict:
     keys = np.concatenate([np.arange(groups), zipf])
     aggregator = DistinctCountAggregator(t=2, d=20, p=8, sparse=True)
     aggregator.add_batch(keys, rng.integers(0, 1 << 62, size=n, dtype=np.int64))
-    sketches = list(aggregator.sketches().values())
+    sketches = [aggregator.group_sketch(key) for key in aggregator.groups()]
     dense = sum(not sketch.is_sparse for sketch in sketches)
     if not 0 < dense < len(sketches):
         raise AssertionError(f"expected token and dense groups, got {dense} dense")

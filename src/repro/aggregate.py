@@ -12,7 +12,8 @@ Group keys are stored in the canonical byte encoding of
 :func:`repro.hashing.to_bytes` (strings UTF-8 encoded, ints little-endian
 two's complement, bytes passed through), so ``estimates()`` and
 ``groups()`` yield ``bytes`` keys; :meth:`DistinctCountAggregator.decode_key`
-recovers a display form.
+recovers a display form. ``top(n)`` ties by ascending key, like every
+source's ``top``.
 
 Example::
 
@@ -37,7 +38,7 @@ which ``bytes.fromhex`` recovers the canonical key exactly::
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+import heapq
 from functools import lru_cache
 from typing import Any, Hashable, Iterable, Iterator
 
@@ -310,34 +311,6 @@ def _unpack_registers(packed, m: int, width: int):
     return bits @ weights
 
 
-class _SketchView(Mapping):
-    """Read-only live ``key → sketch`` view of an aggregator's groups.
-
-    Keys iterate in insertion order. A value is built from the arrays
-    when it is read, so it is a private sketch of the group's state at
-    that moment: writing it changes nothing here.
-    """
-
-    __slots__ = ("_aggregator",)
-
-    def __init__(self, aggregator: "DistinctCountAggregator") -> None:
-        self._aggregator = aggregator
-
-    def __getitem__(self, key: bytes):
-        aggregator = self._aggregator
-        aggregator._flush()
-        return aggregator._sketch_of(aggregator._rows[key])
-
-    def __contains__(self, key: object) -> bool:
-        return key in self._aggregator._rows
-
-    def __iter__(self) -> Iterator[bytes]:
-        return iter(self._aggregator._rows)
-
-    def __len__(self) -> int:
-        return len(self._aggregator._rows)
-
-
 class DistinctCountAggregator:
     """Per-group approximate distinct counting with mergeable state.
 
@@ -357,7 +330,7 @@ class DistinctCountAggregator:
     counter) changes it through :meth:`fold_segments` (or :meth:`fold`,
     or :meth:`add_hash` one hash at a time), :meth:`merge_sketch` and
     :meth:`drop_group`, and reads it through :meth:`estimates`,
-    :meth:`top`, :meth:`group_sketch` and :meth:`sketches`.
+    :meth:`top` and :meth:`group_sketch`, the one point read.
     """
 
     __slots__ = (
@@ -989,17 +962,6 @@ class DistinctCountAggregator:
         """The observed group keys (canonical byte form), in insertion order."""
         return iter(self._rows)
 
-    def sketches(self) -> Mapping[bytes, ExaLogLog | SparseExaLogLog]:
-        """Read-only live ``key → sketch`` mapping, in insertion order.
-
-        Keys come straight from the ``key → row`` dict; a value is built
-        from the arrays only when it is read, and is then the caller's
-        private copy (the same as :meth:`group_sketch`). Reads that want
-        estimates should ask :meth:`estimates`, :meth:`top` or
-        :meth:`estimate`, which build no sketch.
-        """
-        return _SketchView(self)
-
     def _all_rows(self):
         import numpy as np
 
@@ -1015,10 +977,9 @@ class DistinctCountAggregator:
     def group_sketch(self, group: Hashable):
         """A private copy of one group's sketch (``None`` for unseen groups).
 
-        The :class:`repro.query.SketchSource` point read, and the one
-        behind every store-backed source: the store, the reader, the
-        follower and each cluster shard answer ``group_sketch`` from
-        their aggregator through it. The sketch is built from the row:
+        The one :class:`repro.query.SketchSource` point read, behind
+        every source's ``group_sketch`` and every query scan. The sketch
+        is built from the row:
         a :class:`SparseExaLogLog` in either mode, or an
         :class:`ExaLogLog` when the aggregator is not sparse. Callers
         may merge it in place without affecting this aggregator.
@@ -1051,22 +1012,23 @@ class DistinctCountAggregator:
         return dict(zip(self._rows, self._estimate_rows(self._all_rows()).tolist()))
 
     def top(self, count: int) -> list[tuple[bytes, float]]:
-        """The ``count`` groups with the largest estimates.
+        """The ``count`` groups with the largest estimates, ties by
+        ascending key (:func:`repro.estimation.batch.rank`).
 
-        Selects via :func:`repro.estimation.batch.top_positions` on the
-        estimate vector — O(groups) instead of a full sort — with ties
-        broken by insertion order exactly like a full stable descending
-        sort.
+        Selects in O(groups), not a full sort: the rows above the
+        ``count``-th largest estimate, and the smallest keys tied at it.
         """
-        from repro.estimation.batch import top_positions
+        from repro.estimation.batch import rank, top_positions
 
         if count <= 0 or not self._rows:
             return []
         values = self._estimate_rows(self._all_rows())
         keys = list(self._rows)
-        return [
-            (keys[i], float(values[i])) for i in top_positions(values, count).tolist()
-        ]
+        above, tied = top_positions(values, count)
+        rows = [(keys[i], float(values[i])) for i in above.tolist()]
+        tied_keys = heapq.nsmallest(count - len(rows), [keys[i] for i in tied.tolist()])
+        rows += [(key, float(values[tied[0]])) for key in tied_keys]
+        return rank(rows, count)
 
     def _estimate_rows(self, rows):
         """Estimates of ``rows``, in order: dense rows first in each chunk."""

@@ -474,27 +474,32 @@ class ShardedStore(PartitionedSource):
                     self._open_shard(index, t=t, d=d, p=p, sparse=sparse, seed=seed)
                 )
             self._crash_point("grow")
-            # Copy: ship whole group sketches to their new owners. Merge
-            # is register-max, so a resumed rebalance re-shipping a group
-            # it already shipped changes nothing.
+            # Copy: ship whole group sketches to their new owners, one
+            # commit per receiving shard. Merge is register-max, so a
+            # resumed rebalance re-shipping a group it already shipped
+            # changes nothing.
             moved = 0
             shipped = 0
-            for index, shard in enumerate(self._shards[:old_shards]):
-                for key in list(shard.groups()):
-                    owner = shard_of(key, new_shards)
-                    if owner == index:
-                        continue
-                    sketch = shard.group_sketch(key)
-                    shipped += len(sketch.to_bytes())
-                    self._shards[owner].merge_sketch(key, sketch)
-                    moved += 1
+            with contextlib.ExitStack() as scopes:
+                for shard in self._shards:
+                    scopes.enter_context(shard.batch())
+                for index, shard in enumerate(self._shards[:old_shards]):
+                    for key in list(shard.groups()):
+                        owner = shard_of(key, new_shards)
+                        if owner == index:
+                            continue
+                        sketch = shard.group_sketch(key)
+                        shipped += len(sketch.to_bytes())
+                        self._shards[owner].merge_sketch(key, sketch)
+                        moved += 1
             self._crash_point("copy")
-            # Drop: sources forget what they no longer own (idempotent —
-            # a re-dropped group is a no-op record).
+            # Drop: sources forget what they no longer own, one commit per
+            # shard (idempotent — a re-dropped group is a no-op record).
             for index, shard in enumerate(self._shards[:old_shards]):
-                for key in list(shard.groups()):
-                    if shard_of(key, new_shards) != index:
-                        shard.drop_group(key)
+                with shard.batch():
+                    for key in list(shard.groups()):
+                        if shard_of(key, new_shards) != index:
+                            shard.drop_group(key)
             self._crash_point("drop")
             # Fence: every post-rebalance WAL records the commit.
             commit = encode_cutover(epoch, old_shards, new_shards, CUTOVER_COMMIT)

@@ -9,9 +9,8 @@ Each group key lives on exactly one shard (``shard_of(key, N)``), so
 every read is an exact composition of the shards' reads, written once
 in :class:`~repro.query.source.PartitionedSource`: ``groups()`` and
 ``estimates()`` join the shards', a point read routes to one shard, and
-``top(count)`` re-ranks each shard's local top ``count`` (a local
-estimate already *is* the global one), ties by ascending key like the
-executor's ``TopK``.
+``top(count)`` merges the shards' own top ``count`` (a local estimate
+already *is* the global one, and every ``top`` ties by ascending key).
 
 A rebalance that a dead writer left behind breaks the first rule: until
 the next writer open completes it, a copied group sits on its old and
@@ -86,7 +85,8 @@ class ClusterSource(PartitionedSource):
 
         When a rebalance journal is newer than ``cluster.json``, every
         existing shard directory up to the larger shard count opens, and
-        reads answer from their merge (see the module docstring).
+        reads answer from their merge (see the module docstring). An open
+        that raises closes every member it opened.
         """
         from repro.cluster.meta import read_journal, read_meta, shard_path
         from repro.store import SketchStore, SnapshotReader
@@ -111,13 +111,13 @@ class ClusterSource(PartitionedSource):
                     sources.append(SnapshotReader.open(path))
                 else:
                     sources.append(SketchStore.open(path, read_only=True))
+            view = cls(sources)
+            if pending:
+                view._merge()
         except BaseException:
             for source in sources:
                 source.close()
             raise
-        view = cls(sources)
-        if pending:
-            view._merge()
         return view
 
     # -- topology --------------------------------------------------------------

@@ -38,6 +38,8 @@ time. This module computes the same quantities with NumPy:
   parameterisation, in chunks of :data:`ESTIMATE_CHUNK_ROWS` rows) and
   the aggregator's ``estimates``/``top``/``estimate`` all call it.
 
+* :func:`rank` orders every ``top``: descending estimate, ties by key.
+
 The contract, asserted by the equivalence tests and by
 ``benchmarks/bench_estimate.py``: batched estimates equal the scalar
 pipeline bit for bit, including ``saturated`` (infinite) and empty rows.
@@ -684,21 +686,25 @@ def batch_estimates_by_key(sketches) -> "dict[bytes, float]":
     return dict(zip(keys, values))
 
 
-def top_positions(values, count: int) -> np.ndarray:
-    """Positions of the ``count`` largest of ``values``, largest first.
-
-    ``np.argpartition`` finds the ``count``-th largest value in
-    O(len(values)); everything strictly above it plus the earliest ties
-    are then sorted, which is exactly the prefix of a stable descending
-    sort: ties keep their order in ``values``.
+def top_positions(values, count: int) -> "tuple[np.ndarray, np.ndarray]":
+    """Positions of the values above the ``count``-th largest of ``values``,
+    and of those equal to it (all positions are above when ``count``
+    covers them); ``np.argpartition`` finds that value in O(len(values)).
     """
     values = np.asarray(values, dtype=np.float64)
-    if count <= 0 or not len(values):
-        return np.zeros(0, dtype=np.int64)
+    empty = np.zeros(0, dtype=np.int64)
+    if count <= 0:
+        return empty, empty
     if count >= len(values):
-        return np.argsort(-values, kind="stable")
+        return np.arange(len(values)), empty
     threshold = values[np.argpartition(-values, count - 1)[:count]].min()
-    above = np.flatnonzero(values > threshold)
-    ties = np.flatnonzero(values == threshold)[: count - len(above)]
-    chosen = np.concatenate((above, ties))
-    return chosen[np.argsort(-values[chosen], kind="stable")]
+    return np.flatnonzero(values > threshold), np.flatnonzero(values == threshold)
+
+
+def rank(rows, count: int) -> "list[tuple[bytes, float]]":
+    """The first ``count`` ``(key, estimate)`` rows by descending estimate,
+    ties by ascending key: the one order of every ``top``."""
+    if count <= 0:
+        return []
+    ordered = sorted([(-value, key) for key, value in rows])[:count]
+    return [(key, -negated) for negated, key in ordered]

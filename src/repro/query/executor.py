@@ -11,8 +11,10 @@ Determinism contract (asserted by the invariant harness): the same plan
 over any two sources holding bit-identical group sketches returns
 byte-identical keys and float-identical estimates — ``Estimate`` rows
 sort by key, ``TopK`` orders by descending estimate with ties broken by
-ascending key, and every estimate goes through the batched solver, which
-is bit-identical to scalar estimation.
+ascending key (:func:`repro.estimation.batch.rank`, the order of every
+source's own ``top``, which ``TopK`` over a whole source asks), and
+every estimate goes through the batched solver, which is bit-identical
+to scalar estimation.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import time
 from dataclasses import dataclass
 from typing import Any, Iterator, Mapping
 
+from repro.estimation.batch import rank
 from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
 from repro.query.plan import (
@@ -203,12 +206,9 @@ def _scan(source, filter_node: "Filter | None", ctx: _Context) -> "dict[bytes, A
 
     The scan path walks the source's parts one at a time — a cluster's
     shards, a spill's partitions (so a spill holds one partition while
-    it scans), or the source itself. A part with a live ``sketches()``
-    mapping (an aggregator, or a source's ``aggregator``) is read keys
-    first, so a value is built only for a key the filter keeps; any
-    other part lists ``groups()`` and fetches each kept key with
-    ``group_sketch``. Callers copy a sketch before mutating it (see
-    :func:`_collapse`).
+    it scans), or the source itself — lists each part's ``groups()``
+    and fetches each key the filter keeps with ``group_sketch``.
+    Callers copy a sketch before mutating it (see :func:`_collapse`).
     """
     path = access_path(source, filter_node)
     out: "dict[bytes, Any]" = {}
@@ -220,15 +220,9 @@ def _scan(source, filter_node: "Filter | None", ctx: _Context) -> "dict[bytes, A
         return out
     parts = source.parts() if isinstance(source, PartitionedSource) else (source,)
     for part in parts:
-        sketches = getattr(getattr(part, "aggregator", part), "sketches", None)
-        if callable(sketches):
-            live = sketches()
-            keys, fetch = live, live.__getitem__
-        else:
-            keys, fetch = part.groups(), part.group_sketch
-        for key in keys:
+        for key in part.groups():
             if filter_node is None or filter_node.matches(key):
-                sketch = fetch(key)
+                sketch = part.group_sketch(key)
                 if sketch is not None:
                     out[key] = sketch
     return out
@@ -370,11 +364,6 @@ def _estimate_rows(sketches: "Mapping[bytes, Any]") -> "tuple[tuple[bytes, float
     return tuple(batch_estimates_by_key(ordered).items())
 
 
-def _rank(rows, count: int) -> "tuple[tuple[bytes, float], ...]":
-    ordered = sorted(rows, key=lambda kv: (-kv[1], kv[0]))
-    return tuple(ordered[:count])
-
-
 def _rows(node: PlanNode, ctx: _Context) -> QueryResult:
     if ctx.profile is None:
         return _rows_impl(node, ctx)
@@ -404,14 +393,15 @@ def _rows_impl(node: PlanNode, ctx: _Context) -> QueryResult:
         child = node.child
         if isinstance(child, SetOp) and child.op != "union":
             inner = _rows(child, ctx)
-            return QueryResult("top", _rank(inner.rows, node.count))
+            return QueryResult("top", tuple(rank(inner.rows, node.count)))
         if isinstance(child, Scan):
-            estimates = _profiled(
-                ctx, child, lambda: ctx.source(child.source).estimates()
+            # Every source's own ``top`` ranks by ``rank``'s order.
+            rows = _profiled(
+                ctx, child, lambda: ctx.source(child.source).top(node.count)
             )
-            return QueryResult("top", _rank(estimates.items(), node.count))
+            return QueryResult("top", tuple(rows))
         rows = _estimate_rows(_materialize(child, ctx))
-        return QueryResult("top", _rank(rows, node.count))
+        return QueryResult("top", tuple(rank(rows, node.count)))
     if isinstance(node, SetOp) and node.op != "union":
         from repro.setops import (
             difference_estimate,

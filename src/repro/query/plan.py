@@ -168,8 +168,7 @@ class TopK(PlanNode):
     """The ``count`` largest-estimate groups of the child.
 
     Ordering is deterministic across sources: descending estimate, ties
-    broken by ascending key (unlike a single source's ``top()``, whose
-    tie order is its private insertion order).
+    broken by ascending key, the order of every source's own ``top()``.
     """
 
     child: PlanNode

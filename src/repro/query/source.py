@@ -6,7 +6,8 @@ durable :class:`~repro.store.SketchStore`, the lock-free
 :class:`~repro.store.SnapshotReader`, the replicated
 :class:`~repro.store.FollowerStore`, the external
 :class:`~repro.store.SpilledGroupBy`, the sharded
-:class:`~repro.cluster.ShardedStore` and :class:`~repro.cluster.ClusterSource`
+:class:`~repro.cluster.ShardedStore` and :class:`~repro.cluster.ClusterSource`,
+and the :class:`~repro.windowed.SlidingWindowDistinctCounter`
 — implements the same five-method surface, so the planner/executor of
 :mod:`repro.query` treats them interchangeably:
 
@@ -14,40 +15,43 @@ durable :class:`~repro.store.SketchStore`, the lock-free
   mergeable, comparable sketches (Alg. 5 merges are exact).
 * ``groups()`` — iterator of canonical ``bytes`` group keys.
 * ``group_sketch(key)`` — one group's sketch, private to the caller
-  (safe to merge in place), ``None`` for unseen groups. This is each
-  layer's *selective* path: a single-partition read on a spill, a dict
-  lookup in the materialised aggregator everywhere else (the reader
-  included).
+  (safe to merge in place), ``None`` for unseen groups. The one point
+  read: a single-partition read on a spill, a row of the materialised
+  aggregator everywhere else (the reader included).
 * ``estimates()`` / ``top(n)`` — whole-source estimates through the
-  batched one-solve path of :mod:`repro.estimation.batch`.
+  batched one-solve path of :mod:`repro.estimation.batch`; ``top`` by
+  descending estimate, ties by ascending key (its ``rank``).
 
-The aggregator implements the surface itself. The store, reader and
-follower hold no sketches of their own: they inherit it from
-:class:`DelegatingSource`, which forwards every read to their live
-aggregator. The hash-partitioned sources — the cluster's
-:class:`~repro.cluster.ClusterSource` and
+The aggregator implements the surface itself. The store, reader,
+follower and sliding-window counter hold no sketches of their own:
+they inherit it from :class:`DelegatingSource`, which forwards every
+read to their live aggregator. The hash-partitioned sources — the
+cluster's :class:`~repro.cluster.ClusterSource` and
 :class:`~repro.cluster.ShardedStore`, and the spill — inherit it from
 :class:`PartitionedSource`, which composes every read from their parts
-(shards, or spill partitions built one at a time). The
-:class:`~repro.windowed.SlidingWindowDistinctCounter` forwards the five
-reads to its bucket aggregator itself, so there are no adapters: a
-``Window`` plan takes its bucket layout from the counter, or from its
-own ``bucket_width``/``prefix`` over a store of retired buckets. A scan
-walks a source's parts (:meth:`PartitionedSource.parts`, or the source
-itself), and :func:`as_source` checks the protocol.
+(shards, or spill partitions built one at a time). There are no
+adapters: a ``Window`` plan takes its bucket layout from the counter,
+or from its own ``bucket_width``/``prefix`` over a store of retired
+buckets. A scan walks a source's parts (:meth:`PartitionedSource.parts`,
+or the source itself), and :func:`as_source` checks the protocol.
 """
 
 from __future__ import annotations
 
 from typing import Any, Hashable, Iterable, Iterator, Protocol, runtime_checkable
 
+from repro.estimation.batch import rank
 from repro.hashing import to_bytes
 from repro.parallel.shard import shard_of
 
 
 @runtime_checkable
 class SketchSource(Protocol):
-    """Anything the query plane can read group sketches from."""
+    """Anything the query plane can read group sketches from.
+
+    ``top(count)`` must rank by descending estimate, ties by ascending
+    key: ``TopK`` over a whole source returns it as it is.
+    """
 
     @property
     def config(self) -> tuple:  # (t, d, p, sparse, seed)
@@ -67,53 +71,45 @@ class SketchSource(Protocol):
 
 
 class DelegatingSource:
-    """The read surface of a source that answers through one inner view.
+    """The read surface of a source that answers through its ``aggregator``.
 
     Subclasses inherit ``config``, ``len``, ``in``, ``groups``,
     ``estimate``, ``estimates``, ``top`` and ``group_sketch``, each
-    forwarded to :meth:`_view` — by default the subclass's live
-    ``aggregator``.
+    forwarded to ``self.aggregator``.
     """
 
-    def _view(self):
-        """The object every read is forwarded to."""
-        return self.aggregator
+    __slots__ = ()
 
     @property
     def config(self) -> tuple:
         """The ``(t, d, p, sparse, seed)`` configuration tuple."""
-        return self._view().config
+        return self.aggregator.config
 
     def __len__(self) -> int:
-        return len(self._view())
+        return len(self.aggregator)
 
     def __contains__(self, group: Hashable) -> bool:
-        return group in self._view()
+        return group in self.aggregator
 
     def groups(self) -> Iterator[bytes]:
         """The observed group keys (canonical byte form)."""
-        return self._view().groups()
+        return self.aggregator.groups()
 
     def estimate(self, group: Hashable) -> float:
         """Distinct-count estimate for one group (0 for unseen groups)."""
-        return self._view().estimate(group)
+        return self.aggregator.estimate(group)
 
     def estimates(self) -> "dict[bytes, float]":
         """All group estimates in one batched solve."""
-        return self._view().estimates()
+        return self.aggregator.estimates()
 
     def top(self, count: int) -> "list[tuple[bytes, float]]":
-        """The ``count`` groups with the largest estimates."""
-        return self._view().top(count)
+        """The ``count`` groups with the largest estimates, ties by ascending key."""
+        return self.aggregator.top(count)
 
     def group_sketch(self, group: Hashable):
         """A private copy of one group's sketch (``None`` for unseen groups)."""
-        return self._view().group_sketch(group)
-
-
-def _ranked(rows) -> "list[tuple[bytes, float]]":
-    """``(key, estimate)`` rows by descending estimate, ties by ascending key."""
-    return sorted(rows, key=lambda row: (-row[1], row[0]))
+        return self.aggregator.group_sketch(group)
 
 
 class PartitionedSource:
@@ -123,10 +119,7 @@ class PartitionedSource:
     and Algorithm 5 merges are exact, so every read is an exact
     composition of the parts' reads: a point read routes to the owning
     part; ``groups``, ``estimates`` and ``len`` join every part's; and
-    ``top`` re-ranks each part's own ``top(count)`` by descending
-    estimate, ties by ascending key (a part's estimate already is the
-    global one, so the global top ``count`` is among the parts', up to
-    ties at a part's cut, which :meth:`top` reads again).
+    ``top`` merges the parts' own ``top(count)`` answers.
 
     Subclasses give their parts through :meth:`parts`. A spill's parts
     are built only when a read reaches them, so a read that walks them
@@ -192,27 +185,18 @@ class PartitionedSource:
 
     def top(self, count: int) -> "list[tuple[bytes, float]]":
         """The ``count`` groups with the largest estimates, ties by
-        ascending key, holding at most ``2 * count + 1`` rows at a time.
+        ascending key, holding at most ``2 * count`` rows at a time.
 
-        A part breaks ties at its cut by insertion order, so each part
-        answers ``top(count + 1)``; a part whose last two rows tie at the
-        final ``count``-th value may hide a smaller key, and only it is
-        read again, routed by one of its keys, for its rows at that value.
+        A group's estimate in its part is the global one and every part
+        ranks by the same rule, so a part's own ``top(count)`` holds
+        every group of that part in the global top ``count``: each part
+        is read once, and its answer merges into the best so far.
         """
         best: "list[tuple[bytes, float]]" = []
         if count <= 0:
             return best
-        cuts = []  # (the value a part tied at its cut, one of its keys)
         for part in self.parts():
-            rows = part.top(count + 1)
-            if len(rows) > count and rows[count - 1][1] == rows[count][1]:
-                cuts.append((rows[count][1], rows[count][0]))
-            best = _ranked(best + rows)[:count]
-        for value, key in cuts:
-            if len(best) == count and value == best[-1][1]:
-                _, part = self._owner(key)
-                tied = {k: v for k, v in part.estimates().items() if v == value}
-                best = _ranked({**dict(best), **tied}.items())[:count]
+            best = rank(best + part.top(count), count)
         return best
 
     def to_aggregator(self):

@@ -15,9 +15,10 @@ ExaLogLog's fixed-size state).
 The buckets are the groups of one dense
 :class:`~repro.aggregate.DistinctCountAggregator`, keyed
 ``<store_prefix><bucket index>``, and the counter answers the
-:class:`repro.query.SketchSource` reads from it. Live buckets vanish
-when they age out — unless a :class:`repro.store.SketchStore` is
-attached (``store=``), in which case every evicted bucket's sketch
+:class:`repro.query.SketchSource` reads from it, like a store. Live
+buckets vanish when they age out — unless a
+:class:`repro.store.SketchStore` is attached (``store=``), in which
+case every evicted bucket's sketch
 retires durably into the store under the same key before being dropped,
 so the full history remains queryable (and crash-recoverable) after the
 window moved on.
@@ -26,11 +27,12 @@ window moved on.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Any, Hashable, Iterator
+from typing import TYPE_CHECKING, Any
 
 from repro.aggregate import DistinctCountAggregator, scatter
 from repro.core.exaloglog import ExaLogLog
 from repro.hashing import hash64
+from repro.query.source import DelegatingSource
 
 if TYPE_CHECKING:
     from repro.store import SketchStore
@@ -58,7 +60,7 @@ def bucket_index(at: float, width: float, name: str = "at") -> int:
     return int(index)
 
 
-class SlidingWindowDistinctCounter:
+class SlidingWindowDistinctCounter(DelegatingSource):
     """Approximate distinct count over the trailing ``window`` time units.
 
     >>> counter = SlidingWindowDistinctCounter(window=60.0, buckets=6, p=8)
@@ -68,6 +70,13 @@ class SlidingWindowDistinctCounter:
     2
     >>> list(counter.groups())
     [b'bucket:0', b'bucket:3']
+
+    Every :class:`~repro.query.source.DelegatingSource` read but
+    :meth:`estimate` (which takes a time) is the bucket aggregator's, so
+    ``top`` ties by ascending key, byte by byte (``b"bucket:10" <
+    b"bucket:9"``). Buckets are always dense, so ``config``'s sparse
+    flag is ``False``; ``__init__`` checks the rest against an attached
+    store's (dense and sparse sketches of one parameterisation merge).
     """
 
     __slots__ = (
@@ -185,11 +194,10 @@ class SlidingWindowDistinctCounter:
 
     def _live(self, lowest: int, highest: int) -> "list[tuple[int, bytes, Any]]":
         """``(bucket, key, sketch)`` of each live bucket in ``[lowest, highest]``."""
-        sketches = self._aggregator.sketches()
         live = []
         for bucket in range(lowest, highest + 1):
             key = self._key(bucket)
-            sketch = sketches.get(key)
+            sketch = self._aggregator.group_sketch(key)
             if sketch is not None:
                 live.append((bucket, key, sketch))
         return live
@@ -325,33 +333,6 @@ class SlidingWindowDistinctCounter:
         live = self._covering(now)
         values = batch_estimate_sketches([sketch for _, _, sketch in live])
         return [(bucket, value) for (bucket, _, _), value in zip(live, values)]
-
-    # -- the SketchSource reads, answered by the bucket aggregator -------------------
-
-    @property
-    def config(self) -> tuple[int, int, int, bool, int]:
-        """``(t, d, p, sparse, seed)`` of the bucket sketches.
-
-        Buckets are always dense :class:`~repro.core.exaloglog.ExaLogLog`
-        instances, so the sparse flag is ``False``; the tuple matches the
-        attached store's configuration when one is present (checked in
-        ``__init__`` up to the sparse flag, which stores may set freely —
-        dense and sparse sketches of one parameterisation merge exactly).
-        """
-        return self._aggregator.config
-
-    def groups(self) -> Iterator[bytes]:
-        """The live bucket keys, in bucket creation order."""
-        return self._aggregator.groups()
-
-    def group_sketch(self, key: Hashable):
-        return self._aggregator.group_sketch(key)
-
-    def estimates(self) -> "dict[bytes, float]":
-        return self._aggregator.estimates()
-
-    def top(self, count: int) -> "list[tuple[bytes, float]]":
-        return self._aggregator.top(count)
 
     def __repr__(self) -> str:
         return (

@@ -366,6 +366,24 @@ def test_a_failed_open_releases_the_shards_it_opened(tmp_path):
     assert leaked == []
 
 
+def test_a_failed_view_open_releases_the_members_it_opened(tmp_path):
+    """A shard that cannot merge with the others fails the view, and
+    every reader opened before the failure is closed."""
+    import shutil
+
+    root = tmp_path / "c"
+    _fill(ShardedStore.open(root, shards=2, p=8)).close()
+    shutil.rmtree(shard_path(root, 1))
+    SketchStore.open(shard_path(root, 1), p=10).close()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ValueError, match="mergeable"):
+            ClusterSource.open(root, reader=True)
+        gc.collect()
+    leaked = [w for w in caught if issubclass(w.category, ResourceWarning)]
+    assert leaked == []
+
+
 def test_cli_cluster_ingest_needs_items_or_count(tmp_path):
     root = str(tmp_path / "c")
     assert main(["cluster", "init", root, "--shards", "2"]) == 0

@@ -122,3 +122,18 @@ def test_rebalance_and_compact_inside_a_batch_raise(tmp_path):
                 cluster.compact()
         assert cluster.shards == 2
         assert cluster.rebalance(3).to_shards == 3
+
+
+def test_a_rebalance_fsyncs_no_more_when_it_moves_more_groups(tmp_path, fsynced_inodes):
+    """The copy and the drop stage each commit once per shard."""
+    fsyncs, moved = [], []
+    for keys in (200, 2000):
+        with ShardedStore.open(
+            tmp_path / f"c{keys}", shards=2, fsync=True, **CONFIG
+        ) as cluster:
+            cluster.add_batch(np.arange(keys, dtype=np.int64), np.arange(keys, dtype=np.int64))
+            fsynced_inodes.clear()
+            moved.append(cluster.rebalance(3).moved_groups)
+            fsyncs.append(len(fsynced_inodes))
+    assert moved[1] > 5 * moved[0]
+    assert fsyncs[0] == fsyncs[1]

@@ -238,7 +238,7 @@ class TestSparseDensifiedRoundTrip:
 
 
 class TestWriteApi:
-    """fold / merge_sketch / drop_group / sketches / segment."""
+    """fold / merge_sketch / drop_group / group_sketch / segment."""
 
     def test_fold_matches_per_item_add(self):
         from repro.hashing.batch import hash_items
@@ -259,7 +259,7 @@ class TestWriteApi:
         incoming = SparseExaLogLog(2, 20, 8).add_batch(range(40))
         before = incoming.to_bytes()
         aggregator = DistinctCountAggregator(sparse=sparse).merge_sketch("g", incoming)
-        sketch = aggregator.sketches()[b"g"]
+        sketch = aggregator.group_sketch(b"g")
         assert isinstance(sketch, SparseExaLogLog if sparse else ExaLogLog)
         assert incoming.to_bytes() == before  # the argument is left unchanged
         expected = incoming if sparse else incoming.copy().densify()
@@ -294,19 +294,14 @@ class TestWriteApi:
         aggregator.drop_group("a").drop_group("never-seen")
         assert list(aggregator.groups()) == [b"b"]
 
-    def test_sketches_is_a_live_read_only_view(self):
+    def test_group_sketch_is_a_private_copy_of_the_state_when_read(self):
         aggregator = build([("a", 1)])
-        view = aggregator.sketches()
-        sketch = view[b"a"]
-        aggregator.add("a", 2).add("b", 3)
-        assert list(view) == [b"a", b"b"]
-        # Values are built when read: the state now, in a private sketch.
-        assert view[b"a"].token_count == 2 and sketch.token_count == 1
-        assert view[b"a"].estimate() == aggregator.estimate("a")
-        view[b"a"].add("mutation")
-        assert view[b"a"].token_count == 2
-        with pytest.raises(TypeError):
-            view[b"c"] = sketch
+        sketch = aggregator.group_sketch("a")
+        aggregator.add("a", 2)
+        assert aggregator.group_sketch("a").token_count == 2 and sketch.token_count == 1
+        assert aggregator.group_sketch("a").estimate() == aggregator.estimate("a")
+        aggregator.group_sketch("a").add("mutation")
+        assert aggregator.group_sketch("a").token_count == 2
 
     def test_numpy_scalar_groups_address_array_built_groups(self):
         import numpy as np
@@ -344,7 +339,7 @@ def test_only_the_aggregator_touches_its_group_map():
     Group-state access (get-or-create, merges, drops, the token array
     and the register block) and the batch scatter live in one place;
     everything else goes through ``fold`` / ``merge_sketch`` /
-    ``drop_group`` / ``sketches`` / ``group_sketch`` / ``segment`` and
+    ``drop_group`` / ``group_sketch`` / ``segment`` and
     ``repro.hashing.to_bytes`` for canonical keys.
     """
     import ast

@@ -96,10 +96,10 @@ def test_aggregator_paths_stay_coherent():
     other = DistinctCountAggregator(2, 20, 6, sparse=False)
     other.add_batch(["a", "c"], [5, 6])
     aggregator.merge_inplace(other)
-    for sketch in aggregator.sketches().values():
-        _assert_coherent(sketch)
     batched = aggregator.estimates()
-    for key, sketch in aggregator.sketches().items():
+    for key in aggregator.groups():
+        sketch = aggregator.group_sketch(key)
+        _assert_coherent(sketch)
         assert batched[key] == sketch.estimate()
 
 
@@ -111,8 +111,8 @@ def test_windowed_paths_stay_coherent():
     counter.add_batch(list(range(100, 160)), at=4.0)
     counter.add("later", at=9.0)
     counter.add_batch(list(range(200, 230)), at=12.0)  # evicts the oldest bucket
-    for sketch in counter.aggregator.sketches().values():
-        _assert_coherent(sketch)
+    for key in counter.groups():
+        _assert_coherent(counter.group_sketch(key))
     # Per-bucket and total estimates agree with pristine rebuilds.
     total = counter.estimate(now=12.0)
     assert total >= 0.0

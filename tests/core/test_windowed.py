@@ -7,15 +7,13 @@ import numpy as np
 import pytest
 
 from repro.query.executor import execute
-from repro.query.plan import Estimate, Scan, Window
+from repro.query.plan import Estimate, Scan, TopK, Window
 from repro.windowed import SlidingWindowDistinctCounter
 
 
 def bucket_bytes(counter):
     """Each live bucket's serialized sketch, by bucket key."""
-    return {
-        key: sketch.to_bytes() for key, sketch in counter.aggregator.sketches().items()
-    }
+    return {key: counter.group_sketch(key).to_bytes() for key in counter.groups()}
 
 
 class TestBasics:
@@ -99,9 +97,8 @@ class TestQueries:
             )
         batched = counter.estimate_per_bucket(now=51.0)
         assert len(batched) == counter.active_buckets
-        sketches = counter.aggregator.sketches()
         for bucket, value in batched:
-            assert value == sketches[f"bucket:{bucket}".encode()].estimate(), (
+            assert value == counter.group_sketch(f"bucket:{bucket}").estimate(), (
                 f"bucket {bucket}: batched estimate is not bit-identical"
             )
 
@@ -116,6 +113,17 @@ class TestQueries:
         counter.add("late", at=25.0)
         counter.add("early", at=5.0)
         assert counter.estimate(now=25.0) == pytest.approx(2.0, abs=0.5)
+
+    def test_top_ranks_like_topk(self):
+        """Buckets 9 and 10 hold one identical item, so their estimates tie:
+        ``top`` breaks the tie by ascending key, byte by byte, as ``TopK``
+        does (``b"bucket:10" < b"bucket:9"``)."""
+        counter = SlidingWindowDistinctCounter(window=20.0, buckets=20, p=8)
+        counter.add("x", at=9.0)
+        counter.add("x", at=10.0)
+        assert len(set(counter.estimates().values())) == 1
+        assert [key for key, _ in counter.top(2)] == [b"bucket:10", b"bucket:9"]
+        assert execute(TopK(Scan(), 2), counter).rows == tuple(counter.top(2))
 
     def test_repr(self):
         assert "active=0" in repr(SlidingWindowDistinctCounter(window=10.0))

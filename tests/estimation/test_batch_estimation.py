@@ -306,9 +306,9 @@ def test_aggregator_estimates_and_top_batched():
         items = rng.integers(0, 1 << 62, size=8000)
         aggregator.add_batch(groups, items)
         estimates = aggregator.estimates()
-        for key, sketch in aggregator.sketches().items():
-            assert estimates[key] == sketch.estimate()
-        ranked = sorted(estimates.items(), key=lambda kv: -kv[1])
+        for key in aggregator.groups():
+            assert estimates[key] == aggregator.group_sketch(key).estimate()
+        ranked = sorted(estimates.items(), key=lambda kv: (-kv[1], kv[0]))
         assert aggregator.top(7) == ranked[:7]
         assert aggregator.top(10_000) == ranked
         assert aggregator.top(0) == []
@@ -322,8 +322,7 @@ def test_aggregator_scalar_top_fallback_matches_batched():
     groups = rng.integers(0, 25, size=3000)
     items = rng.integers(0, 1 << 62, size=3000)
     aggregator.add_batch(groups, items)
-    # sorted() is stable, so ties keep insertion order, as top() promises.
-    ranked = sorted(aggregator.estimates().items(), key=lambda kv: -kv[1])
+    ranked = sorted(aggregator.estimates().items(), key=lambda kv: (-kv[1], kv[0]))
     for count in (1, 5, 25, 100):
         assert aggregator.top(count) == ranked[:count]
 
@@ -340,19 +339,22 @@ def test_registers_array_is_read_only():
         sketch.registers_array()[0] = 5
 
 
-def test_aggregator_top_breaks_ties_by_insertion_order():
+@pytest.mark.parametrize("sparse", [True, False])
+def test_aggregator_top_breaks_ties_by_ascending_key(sparse):
+    """``b`` and then ``a`` hold one identical item, so their estimates
+    tie, below ``heavy``: ``a`` ranks before ``b``, whatever the insertion
+    order."""
     from repro.aggregate import DistinctCountAggregator
 
-    aggregator = DistinctCountAggregator(p=8, sparse=False)
-    for group in ("a", "b", "c", "d"):
-        for item in range(40):
-            aggregator.add(group, item)
-    aggregator.add("tiny", "x")
-    reference = sorted(
-        aggregator.estimates().items(), key=lambda kv: -kv[1]
-    )
-    for count in (1, 2, 3, 4, 5):
-        assert aggregator.top(count) == reference[:count]
+    aggregator = DistinctCountAggregator(p=8, sparse=sparse)
+    aggregator.add("b", "x").add("a", "x")
+    tied = aggregator.estimate("a")
+    assert aggregator.estimate("b") == tied
+    assert aggregator.top(1) == [(b"a", tied)]
+    aggregator.add_batch(["heavy"] * 40, range(40))
+    heavy = (b"heavy", aggregator.estimate("heavy"))
+    assert aggregator.top(2) == [heavy, (b"a", tied)]
+    assert aggregator.top(3) == [heavy, (b"a", tied), (b"b", tied)]
 
 
 def test_spilled_groupby_top(tmp_path):
@@ -364,7 +366,7 @@ def test_spilled_groupby_top(tmp_path):
     items = rng.integers(0, 1 << 62, size=5000)
     groupby.add_batch(groups, items)
     estimates = groupby.estimates()
-    ranked = sorted(estimates.items(), key=lambda kv: -kv[1])
+    ranked = sorted(estimates.items(), key=lambda kv: (-kv[1], kv[0]))
     assert groupby.top(5) == ranked[:5]
     groupby.cleanup()
 

@@ -363,9 +363,8 @@ def build_windowed(scenario: Scenario, path: str) -> DistinctCountAggregator:
         for step in steps:
             counter.add_hashes(step.hashes, at=time_of[step.group])
     aggregator = DistinctCountAggregator(*scenario.config)
-    buckets = counter.aggregator.sketches()
     for index, group in enumerate(groups):
-        aggregator.merge_sketch(group, buckets[f"{counter.prefix}{index}".encode()])
+        aggregator.merge_sketch(group, counter.group_sketch(f"{counter.prefix}{index}"))
     return aggregator
 
 

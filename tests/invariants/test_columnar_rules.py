@@ -58,8 +58,7 @@ def test_several_groups_cross_break_even_inside_one_batch():
         ("c", _hashes(7, 2)), ("b", _hashes(8, 9)), ("d", _hashes(9, 3 * over)),
     ]
     aggregator = check_interleaved(SPARSE, [("fold", batch)])
-    sketches = aggregator.sketches()
-    assert [sketches[key].is_sparse for key in (b"a", b"b", b"c", b"d")] == [
+    assert [aggregator.group_sketch(key).is_sparse for key in (b"a", b"b", b"c", b"d")] == [
         False, False, True, False,
     ]
 

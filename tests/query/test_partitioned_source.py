@@ -5,7 +5,9 @@ A 3-shard :class:`~repro.cluster.ShardedStore`, a reader-backed
 :class:`~repro.store.SpilledGroupBy` take the same hash stream as an
 in-memory aggregator. Every read they share through
 :class:`~repro.query.source.PartitionedSource` must answer what the
-aggregator answers, for seen and unseen keys alike.
+aggregator answers, for seen and unseen keys alike. The one ``top``
+order, which lets a partitioned ``top`` only merge, is checked on every
+source kind.
 """
 
 import pytest
@@ -13,8 +15,9 @@ import pytest
 from repro.aggregate import DistinctCountAggregator
 from repro.cluster import ClusterSource, ShardedStore
 from repro.hashing import to_bytes
-from repro.query import Scan, TopK, execute
-from repro.store import SpilledGroupBy
+from repro.query import Scan, TopK, execute, query
+from repro.store import FollowerStore, SketchStore, SnapshotReader, SpilledGroupBy, WalShipper
+from repro.windowed import SlidingWindowDistinctCounter
 from tests.invariants.harness import random_scenario, rounds
 
 UNSEEN = ("never-seen", b"\x00never", 12345)
@@ -94,26 +97,43 @@ def test_to_aggregator_merges_the_parts_bit_for_bit(scenario_sources):
         assert source.to_aggregator().to_bytes() == reference.to_bytes(), name
 
 
-def test_top_breaks_ties_by_ascending_key_across_parts(tmp_path):
-    """``k000`` (part 7 of 8) and ``k001`` (part 0) hold the same one hash,
-    so their estimates tie; every source ranks ``k000`` first, as the
-    executor's ``TopK`` does."""
+def test_every_source_breaks_ties_by_ascending_key_as_topk_does(tmp_path):
+    """``k001`` and then ``k000`` hold the same one hash, so their
+    estimates tie; every source kind ranks ``k000`` first, and ``TopK``
+    over a whole source answers the source's own ``top``. On 8 parts the
+    two keys lie on parts 7 and 0; the windowed counter holds them as
+    buckets 1 and 0 under the prefix ``k00``."""
     hashes = [0x9E3779B97F4A7C15]
+    aggregator = DistinctCountAggregator(p=8)
+    store = SketchStore.open(tmp_path / "store", p=8)
     sharded = ShardedStore.open(tmp_path / "cluster", shards=8, p=8)
     spill = SpilledGroupBy(tmp_path / "spill", p=8, partitions=8)
-    for key in (b"k001", b"k000"):
+    counter = SlidingWindowDistinctCounter(window=2.0, buckets=2, p=8, store_prefix="k00")
+    for bucket, key in ((1, b"k001"), (0, b"k000")):
+        aggregator.fold(key, hashes)
+        store.append_hashes(key, hashes)
         sharded.append_hashes(key, hashes)
         spill.write_segments([(key, hashes)])
+        counter.add_hash(hashes[0], at=float(bucket))
+    reader = SnapshotReader.open(tmp_path / "store")
+    follower = FollowerStore.open(tmp_path / "replica")
+    WalShipper(store.directory).sync(follower)
     readers = ClusterSource.open(tmp_path / "cluster", reader=True)
+    sources = {
+        "aggregator": aggregator, "store": store, "reader": reader,
+        "follower": follower, "counter": counter, "sharded": sharded,
+        "cluster": readers, "spill": spill,
+    }
     try:
-        for name, source in {"sharded": sharded, "cluster": readers, "spill": spill}.items():
-            assert source.estimate(b"k000") == source.estimate(b"k001"), name
+        for name, source in sources.items():
+            estimates = source.estimates()
+            assert estimates[b"k000"] == estimates[b"k001"], name
             assert [key for key, _ in source.top(1)] == [b"k000"], name
-            assert execute(TopK(Scan(), 1), source).rows == tuple(source.top(1)), name
+            for count in (1, 2):
+                assert execute(TopK(Scan(), count), source).rows == tuple(source.top(count)), name
     finally:
-        readers.close()
-        sharded.close()
-        spill.close()
+        for closing in (readers, follower, reader, store, sharded, spill):
+            closing.close()
 
 
 #: ``k001`` and then ``k000`` on one part of three (``shard_of`` gives both
@@ -150,12 +170,9 @@ def test_a_spill_breaks_a_tie_inside_one_partition_by_ascending_key(tmp_path):
         assert execute(TopK(Scan(), 1), spill).rows == tuple(spill.top(1))
 
 
-def test_a_spill_top_over_heavy_groups_builds_each_partition_once(tmp_path, monkeypatch):
-    """Partitions cut among light groups that tie far below the heavy
-    top, so no partition is read again."""
-    import numpy as np
-
-    rng = np.random.Generator(np.random.PCG64(29))
+@pytest.fixture
+def partition_builds(monkeypatch):
+    """Every partition a spill builds from here on, as its file list."""
     built = []
     real = SpilledGroupBy._partition_aggregator
 
@@ -163,14 +180,49 @@ def test_a_spill_top_over_heavy_groups_builds_each_partition_once(tmp_path, monk
         built.append(files)
         return real(self, files)
 
+    monkeypatch.setattr(SpilledGroupBy, "_partition_aggregator", counting)
+    return built
+
+
+def test_a_spill_top_over_heavy_groups_builds_each_partition_once(tmp_path, partition_builds):
+    """Partitions cut among light groups that tie far below the heavy
+    top, so no partition is read again."""
+    import numpy as np
+
+    rng = np.random.Generator(np.random.PCG64(29))
     with SpilledGroupBy(tmp_path / "spill", p=8, partitions=8) as spill:
         for heavy in range(10):
             spill.write_segments([(b"heavy%d" % heavy, rng.integers(0, 1 << 64, 200 + 50 * heavy, dtype=np.uint64))])
         spill.write_segments([(b"light%d" % light, [light]) for light in range(400)])
         reference = spill.to_aggregator()
-        monkeypatch.setattr(SpilledGroupBy, "_partition_aggregator", counting)
+        del partition_builds[:]
         top = spill.top(10)
     ranked = sorted(reference.estimates().items(), key=lambda kv: (-kv[1], kv[0]))
     assert top == ranked[:10]
     assert {key for key, _ in top} == {b"heavy%d" % heavy for heavy in range(10)}
-    assert len(built) == 8
+    assert len(partition_builds) == 8
+
+
+def test_an_all_ties_spill_top_builds_each_partition_once(tmp_path, partition_builds):
+    """Every group holds the same one hash, so every partition's cut
+    ties at the final value: each partition is still built once."""
+    keys = [b"g%03d" % index for index in range(400)]
+    with SpilledGroupBy(tmp_path / "spill", p=8, partitions=8) as spill:
+        spill.write_segments([(key, [0x9E3779B97F4A7C15]) for key in keys])
+        top = spill.top(10)
+    assert [key for key, _ in top] == sorted(keys)[:10]
+    assert len({value for _, value in top}) == 1
+    assert len(partition_builds) == 8
+
+
+def test_a_spill_top_query_never_reads_every_estimate(tmp_path, monkeypatch):
+    """``top N`` asks the spill's own ``top``, one partition at a time."""
+    with SpilledGroupBy(tmp_path / "spill", p=8, partitions=4) as spill:
+        spill.write_segments([(b"g%d" % index, list(range(index + 1))) for index in range(40)])
+        expected = spill.top(3)
+
+        def refuse(self):
+            raise AssertionError("TopK over a spill read every estimate")
+
+        monkeypatch.setattr(SpilledGroupBy, "estimates", refuse)
+        assert query(spill, "top 3").rows == tuple(expected)

@@ -91,9 +91,9 @@ def test_a_group_crossing_break_even_mid_run_densifies_beside_one_that_does_not(
     ]
     aggregator.fold_segments(segments)
     assert aggregator.to_bytes() == _scalar(segments).to_bytes()
-    assert not aggregator.sketches()[b"big"].is_sparse
-    assert aggregator.sketches()[b"small"].is_sparse
-    assert aggregator.sketches()[b"small"].token_count == 7
+    assert not aggregator.group_sketch(b"big").is_sparse
+    assert aggregator.group_sketch(b"small").is_sparse
+    assert aggregator.group_sketch(b"small").token_count == 7
 
 
 def test_a_slice_that_can_densify_its_group_skips_the_batch_tokenise(monkeypatch):
@@ -172,9 +172,8 @@ def test_dense_rows_fold_beside_a_token_mode_group_and_one_crossing_break_even(
     # densification, a one-sketch fold inside its own add_hashes.
     assert kernel_rows == [2, None]
     assert aggregator.to_bytes() == _scalar(warm + run).to_bytes()
-    sketches = aggregator.sketches()
-    assert sketches[b"tokens"].is_sparse
-    assert not sketches[b"crossing"].is_sparse
+    assert aggregator.group_sketch(b"tokens").is_sparse
+    assert not aggregator.group_sketch(b"crossing").is_sparse
 
 
 def test_a_stacked_fold_split_by_a_small_block_cap_equals_one_unsplit_fold(
@@ -199,7 +198,7 @@ def test_adopted_register_arrays_are_read_only_and_share_no_memory():
     segments = [(f"g{index}", _hashes(90 + index, 300)) for index in range(5)]
     aggregator = DistinctCountAggregator(2, 20, 8, sparse=False)
     aggregator.fold_segments(segments).fold_segments(segments[::-1])
-    arrays = [sketch.registers_array() for sketch in aggregator.sketches().values()]
+    arrays = [aggregator.group_sketch(key).registers_array() for key in aggregator.groups()]
     assert not any(array.flags.writeable for array in arrays)
     assert all(array.flags.owndata for array in arrays)
     for index, array in enumerate(arrays):
