@@ -25,10 +25,10 @@ time. This module computes the same quantities with NumPy:
   read is one) go row by row through the scalar solver; larger calls
   iterate all rows simultaneously with a convergence mask. Every float
   operation is performed per row in exactly the scalar solver's order,
-  so results are bit-identical — including the two transcendental steps
-  (the Lemma B.3 starting point and the final ``log1p``), which go
-  through ``math.*`` per row because NumPy's SIMD ``expm1``/``log1p`` may
-  differ from libm in the last ulp.
+  so results are bit-identical — including the transcendental steps (the
+  starting point and the final ``log1p``), which go through ``math.*`` per
+  row because NumPy's SIMD ``expm1``/``log1p`` may differ from libm in the
+  last ulp.
 
 * :func:`estimate_chunk` is the one path from rows to estimates: dense
   register rows through Algorithm 3 and token sets through Algorithm 7's
@@ -57,7 +57,12 @@ import numpy as np
 
 from repro.core.distribution import omega_scaled_table, phi_table
 from repro.core.params import ExaLogLogParams
-from repro.estimation.newton import MAX_ITERATIONS, solve_ml_equation
+from repro.estimation.newton import (
+    CONVERGED_STEP,
+    MAX_ITERATIONS,
+    single_term_bound,
+    solve_ml_equation,
+)
 from repro.obs import metrics as _metrics
 
 _U64 = np.uint64
@@ -314,14 +319,14 @@ def solve_ml_equations(alpha, beta) -> BatchMLSolution:
 
     ``alpha`` is float64 ``(k,)``, ``beta`` an integer ``(k, u)`` count
     matrix keyed by exponent (column index). Each row's ML equation is
-    independent (Alg. 8 converges monotonically from Lemma B.3's
-    starting point, row by row), so the route is chosen by size: at most
+    independent (Alg. 8 converges monotonically from a lower bound of
+    the root, row by row), so the route is chosen by size: at most
     :data:`SCALAR_SOLVE_ROWS` rows go through the scalar solver one by
     one, larger solves iterate all rows at once. Per row, every
     floating-point operation of the simultaneous route replays the
     scalar solver exactly — multiplication-only recursions
-    (20)-(22)/(30), Lemma B.3 starting point, monotone Newton updates
-    with per-row convergence — so ``nu``, ``iterations`` and
+    (20)-(22)/(30), the starting point, monotone Newton updates with
+    per-row convergence — so ``nu``, ``iterations`` and
     ``saturated`` are bit-identical to solving each row alone on either
     route, and both record the same ``estimation.solve_batch_size`` and
     ``estimation.newton_iterations`` observations.
@@ -428,19 +433,28 @@ def _solve_simultaneous(alpha, beta) -> BatchMLSolution:
     a_scaled = alpha * scale
     with np.errstate(all="ignore"):
         x = sigma1 / a_scaled
+    span = u_max - u_min
+    beta_off = _offset_counts(beta, u_min, u_max, int(span[solving].max()) + 1)
     # Lemma B.3 lower bound through math.* for bit-identity with the
-    # scalar path (NumPy's SIMD expm1/log1p may differ in the last ulp).
+    # scalar path (NumPy's SIMD expm1/log1p may differ in the last ulp),
+    # raised by single_term_bound on the rows whose largest count passes
+    # the scalar solver's check.
     rows = np.flatnonzero(solving & (u_min < u_max))
     if len(rows):
-        x[rows] = [
-            math.expm1(math.log1p(value) * (s0 / s1))
+        log_x = [
+            math.log1p(value) * (s0 / s1)
             for value, s0, s1 in zip(
                 x[rows].tolist(), sigma0[rows].tolist(), sigma1[rows].tolist()
             )
         ]
-
-    span = u_max - u_min
-    beta_off = _offset_counts(beta, u_min, u_max, int(span[solving].max()) + 1)
+        with np.errstate(all="ignore"):
+            raised = beta_off.max(axis=1)[rows] / a_scaled[rows] > log_x
+        for i in np.flatnonzero(raised).tolist():
+            row = int(rows[i])
+            log_x[i] = single_term_bound(
+                log_x[i], beta_off[row].tolist(), float(a_scaled[row])
+            )
+        x[rows] = [math.expm1(value) for value in log_x]
 
     active = solving.copy()
     x_cur = np.where(active, x, 0.0)
@@ -481,8 +495,9 @@ def _solve_simultaneous(alpha, beta) -> BatchMLSolution:
             at_root = active & (phi_val <= x_scaled)
             x_next = x_cur * (1.0 + (phi_val - x_scaled) / (psi_val + x_scaled))
             advanced = active & ~at_root & (x_next > x_cur)
+            stepping = advanced & (x_next > x_cur * CONVERGED_STEP)
         x_cur = np.where(advanced, x_next, x_cur)
-        active = advanced
+        active = stepping
         if not active.any():
             break
 

@@ -77,6 +77,27 @@ def test_simultaneous_route_equals_the_scalar_solver_on_every_parameterisation(
     _assert_rows_equal_scalar(solution, coefficients.alpha, coefficients.beta)
 
 
+def test_simultaneous_route_equals_the_scalar_solver_where_the_start_is_raised(
+    monkeypatch,
+):
+    """Rows whose small-exponent counts dominate at a small alpha start
+    from a single-term root above Lemma B.3's bound, on both routes."""
+    monkeypatch.setattr(batch, "SCALAR_SOLVE_ROWS", 0)
+    rng = np.random.Generator(np.random.PCG64(0x5EED))
+    rows = 48
+    alpha = np.where(rng.random(rows) < 0.5, 0.001, 10.0 ** rng.uniform(-3, 4, rows))
+    beta = np.zeros((rows, batch.EXPONENT_AXIS), dtype=np.int64)
+    for i in range(1, rows):
+        size = rng.integers(2, 12)
+        exponents = rng.choice(np.arange(1, 41), size=size, replace=False)
+        beta[i, exponents] = rng.choice([1, 500, rng.integers(0, 501)], len(exponents))
+    beta[0, [3, 7, 8, 27]] = [500, 500, 1, 1]
+    alpha[0] = 0.001
+    solution = solve_ml_equations(alpha, beta)
+    _assert_rows_equal_scalar(solution, alpha, beta)
+    assert int(solution.iterations.max()) <= 10
+
+
 def test_sigma_sums_follow_the_ascending_loop_where_np_sum_does_not():
     rng = np.random.Generator(np.random.PCG64(0x5164))
     beta = rng.integers(0, 400, size=(200, batch.EXPONENT_AXIS), dtype=np.int64)

@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.estimation.likelihood import (
@@ -13,6 +13,7 @@ from repro.estimation.likelihood import (
 )
 from repro.estimation.newton import (
     MLSolution,
+    single_term_bound,
     solve_ml_equation,
     solve_ml_equation_bisection,
 )
@@ -84,6 +85,13 @@ class TestAgainstBisection:
 
 
 class TestIterationBound:
+    # From Lemma B.3's start alone these took 11 and 15 iterations: a
+    # small exponent's count dominates at a small alpha.
+    @example(
+        beta={16: 0, 21: 156, 1: 227, 18: 1, 5: 36, 2: 0, 3: 0, 9: 62, 15: 396},
+        alpha=0.001,
+    )
+    @example(beta={3: 500, 7: 500, 14: 0, 27: 1, 8: 1, 25: 0}, alpha=0.001)
     @given(beta=beta_strategy, alpha=st.floats(min_value=0.001, max_value=10000.0))
     @settings(max_examples=200, deadline=None)
     def test_paper_claim_max_10(self, beta, alpha):
@@ -132,3 +140,22 @@ class TestLemmaB3:
         root_x = math.expm1(nu / 2.0 ** u_max)
         assert start <= root_x * (1 + 1e-9)
         assert root_x <= upper * (1 + 1e-9)
+
+    @given(
+        beta=beta_strategy.filter(lambda b: sum(1 for c in b.values() if c) > 1),
+        alpha=st.floats(min_value=0.001, max_value=100.0),
+    )
+    @example(beta={3: 500, 7: 500, 27: 1, 8: 1}, alpha=0.001)
+    @settings(max_examples=80, deadline=None)
+    def test_single_term_bound_below_root(self, beta, alpha):
+        active = {u: c for u, c in beta.items() if c}
+        u_max = max(active)
+        a_scaled = alpha * 2.0 ** u_max
+        sigma0 = sum(active.values())
+        sigma1 = sum(c * 2.0 ** (u_max - u) for u, c in active.items())
+        lemma = math.log1p(sigma1 / a_scaled) * sigma0 / sigma1
+        counts = [active.get(u_max - j, 0) for j in range(u_max - min(active) + 1)]
+        bound = single_term_bound(lemma, counts, a_scaled)
+        root_x = math.expm1(solve_ml_equation_bisection(alpha, active) / 2.0 ** u_max)
+        assert lemma <= bound
+        assert math.expm1(bound) <= root_x * (1 + 1e-9)
