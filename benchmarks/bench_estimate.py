@@ -17,9 +17,18 @@ Measures the query side that PR 4 vectorises:
   ``sparse=True`` aggregator, most in token mode and some dense, against
   the scalar pipeline per group (Alg. 3 + 8 for dense groups, Alg. 7 + 8
   for token groups).
+* **top after write** — on the mixed groups, ``top(10)`` of a copy that
+  holds no solved estimate against one ``fold`` of one group followed
+  by ``top(10)``, which solves only the group the fold wrote.
 
-The point and mixed-groups rows run at the same n in quick and full
-mode, so ``perf_smoke.py`` compares them with the full-mode baseline.
+An aggregator keeps each group's solved estimate until the group is
+written, so every grouped ``estimates()`` row times a ``from_bytes``
+copy, made outside the timed region, which holds none: the rows time
+the solve, not reads of kept estimates.
+
+The point, mixed-groups and top-after-write rows run at the same n in
+quick and full mode, so ``perf_smoke.py`` compares them with the
+full-mode baseline.
 
 Every comparison asserts bit-identical results before reporting a
 speedup — the batched engine's contract is exact equality, not
@@ -87,6 +96,11 @@ POINT_N = 5_000
 MIXED_GROUPS = 10_000
 MIXED_N = 400_000
 
+#: Interleaved rounds of the top-after-write row (best of each side), and
+#: the hashes each of its writes folds into one group.
+TOP_ROUNDS = 10
+TOP_WRITE_HASHES = 10
+
 
 def _scalar_estimate(sketch) -> float:
     """The pre-batch pipeline: scalar Algorithm 3 + Algorithm 8 + Eq. (4)."""
@@ -137,19 +151,22 @@ def bench_groups(p: int, groups: int, items_per_group: int, rng) -> dict:
         for group in range(groups)
     )
 
-    sketches = [aggregator.group_sketch(key) for key in aggregator.groups()]
+    keys = list(aggregator.groups())
+    sketches = [aggregator.group_sketch(key) for key in keys]
     start = time.perf_counter()
     scalar = [_scalar_estimate(sketch) for sketch in sketches]
     scalar_seconds = time.perf_counter() - start
 
     aggregator.estimates()  # warm the kernel's tables
+    blob = aggregator.to_bytes()
     batched_seconds = float("inf")
     for _ in range(BATCH_ROUNDS):
+        cold = DistinctCountAggregator.from_bytes(blob)  # no solved estimate
         start = time.perf_counter()
-        batched = aggregator.estimates()
+        batched = cold.estimates()
         batched_seconds = min(batched_seconds, time.perf_counter() - start)
 
-    if list(batched.values()) != scalar:
+    if batched != dict(zip(keys, scalar)):
         raise AssertionError(
             f"batched group estimates diverged from the scalar pipeline "
             f"(p={p}, {groups} groups)"
@@ -217,29 +234,39 @@ def _scalar_group_estimate(sketch) -> float:
     return _scalar_estimate(sketch.densify())
 
 
-def bench_mixed_groups(groups: int, n: int, rng) -> dict:
+def _mixed_aggregator(groups: int, n: int, rng) -> "tuple[DistinctCountAggregator, int]":
+    """One row per group, then Zipf(1.1) rows over the same keys: the
+    aggregator and its count of dense groups (some, not all)."""
     weights = np.arange(1, groups + 1, dtype=np.float64) ** -1.1
     zipf = rng.choice(groups, size=n - groups, p=weights / weights.sum())
     keys = np.concatenate([np.arange(groups), zipf])
     aggregator = DistinctCountAggregator(t=2, d=20, p=8, sparse=True)
     aggregator.add_batch(keys, rng.integers(0, 1 << 62, size=n, dtype=np.int64))
-    sketches = [aggregator.group_sketch(key) for key in aggregator.groups()]
-    dense = sum(not sketch.is_sparse for sketch in sketches)
-    if not 0 < dense < len(sketches):
+    dense = sum(not aggregator.group_sketch(key).is_sparse for key in aggregator.groups())
+    if not 0 < dense < groups:
         raise AssertionError(f"expected token and dense groups, got {dense} dense")
+    return aggregator, dense
+
+
+def bench_mixed_groups(groups: int, n: int, rng) -> dict:
+    aggregator, dense = _mixed_aggregator(groups, n, rng)
+    keys = list(aggregator.groups())
+    sketches = [aggregator.group_sketch(key) for key in keys]
 
     aggregator.estimates()  # warm the kernel's tables
+    blob = aggregator.to_bytes()
     scalar_seconds = batched_seconds = float("inf")
     for _ in range(BATCH_ROUNDS):
+        cold = DistinctCountAggregator.from_bytes(blob)  # no solved estimate
         start = time.perf_counter()
         scalar = [_scalar_group_estimate(sketch) for sketch in sketches]
         middle = time.perf_counter()
-        batched = aggregator.estimates()
+        batched = cold.estimates()
         end = time.perf_counter()
         scalar_seconds = min(scalar_seconds, middle - start)
         batched_seconds = min(batched_seconds, end - middle)
 
-    if list(batched.values()) != scalar:
+    if batched != dict(zip(keys, scalar)):
         raise AssertionError(
             f"batched mixed-group estimates diverged from the scalar pipeline "
             f"({groups} groups, {dense} dense)"
@@ -253,6 +280,57 @@ def bench_mixed_groups(groups: int, n: int, rng) -> dict:
         "scalar_s": scalar_seconds,
         "batched_s": batched_seconds,
         "speedup": scalar_seconds / batched_seconds,
+    }
+
+
+def bench_top_after_write(groups: int, n: int, rng) -> dict:
+    """``top(10)`` after a one-group write, against ``top(10)`` cold.
+
+    The cold side reads a ``from_bytes`` copy, made before its round, so
+    it solves every group; the warm side folds
+    :data:`TOP_WRITE_HASHES` hashes into one random group and reads
+    ``top(10)``, which solves that group alone. The two sides' rounds
+    interleave, each at least :data:`ROUND_SECONDS` long.
+    """
+    aggregator, _ = _mixed_aggregator(groups, n, rng)
+    keys = list(aggregator.groups())
+    blob = aggregator.to_bytes()
+    aggregator.top(10)  # warm the kernel's tables; every group solved
+
+    def cold_round(repeats: int) -> float:
+        copies = [DistinctCountAggregator.from_bytes(blob) for _ in range(repeats)]
+        start = time.perf_counter()
+        for cold in copies:
+            cold.top(10)
+        return (time.perf_counter() - start) / repeats
+
+    def warm_round(repeats: int) -> float:
+        picks = rng.integers(0, len(keys), size=repeats).tolist()
+        writes = rng.integers(0, 1 << 64, size=(repeats, TOP_WRITE_HASHES), dtype=np.uint64)
+        start = time.perf_counter()
+        for pick, hashes in zip(picks, writes):
+            aggregator.fold(keys[pick], hashes)
+            aggregator.top(10)
+        return (time.perf_counter() - start) / repeats
+
+    # One timed call of each side sizes its rounds to ``ROUND_SECONDS``.
+    repeats = [max(1, math.ceil(ROUND_SECONDS / call(1))) for call in (cold_round, warm_round)]
+    cold_seconds = warm_seconds = float("inf")
+    for _ in range(TOP_ROUNDS):  # interleaved: both best-ofs span one window
+        cold_seconds = min(cold_seconds, cold_round(repeats[0]))
+        warm_seconds = min(warm_seconds, warm_round(repeats[1]))
+
+    cold = DistinctCountAggregator.from_bytes(aggregator.to_bytes())
+    if aggregator.top(10) != cold.top(10) or aggregator.estimates() != cold.estimates():
+        raise AssertionError("estimates kept across writes diverged from a fresh solve")
+    return {
+        "section": "top after write",
+        "config": "top(10) p=8",
+        "rows": groups,
+        "n": n,
+        "cold_s": cold_seconds,
+        "warm_s": warm_seconds,
+        "speedup": cold_seconds / warm_seconds,
     }
 
 
@@ -328,11 +406,18 @@ def main(argv: "list[str] | None" = None) -> int:
             MIXED_GROUPS, MIXED_N, np.random.Generator(np.random.PCG64(0x3172))
         )
     )
+    rows.append(
+        bench_top_after_write(
+            MIXED_GROUPS, MIXED_N, np.random.Generator(np.random.PCG64(0x3172))
+        )
+    )
 
     for row in rows:
+        sides = ("cold", "warm") if "cold_s" in row else ("scalar", "batched")
         print(
             f"{row['config']:22s} rows={row['rows']:>6,d}  "
-            f"scalar {row['scalar_s']:9.4f} s  batched {row['batched_s']:9.5f} s"
+            f"{sides[0]} {row[sides[0] + '_s']:9.4f} s  "
+            f"{sides[1]} {row[sides[1] + '_s']:9.5f} s"
             f"  speedup {row['speedup']:7.1f}x"
         )
 
@@ -352,7 +437,11 @@ def main(argv: "list[str] | None" = None) -> int:
     OUTPUT_TXT.write_text(
         "== estimation: scalar Alg.3 + Alg.8 pipeline vs batched engine ==\n"
         + format_table(
-            rows, ["section", "config", "rows", "n", "scalar_s", "batched_s", "speedup"]
+            rows,
+            [
+                "section", "config", "rows", "n", "scalar_s", "batched_s",
+                "cold_s", "warm_s", "speedup",
+            ],
         )
         + "\n"
     )

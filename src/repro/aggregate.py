@@ -255,6 +255,10 @@ _DEAD = -2
 #: dense rows: their one-int64-per-bit temporaries stay at 1 MB.
 _PACK_BITS = 1 << 17
 
+#: The estimate column's entry for a row not solved since its state last
+#: changed (or bound to no key).
+_UNSOLVED = float("nan")
+
 #: Initial row and block capacities; both double when full.
 _INITIAL_ROWS = 64
 _INITIAL_SLOTS = 8
@@ -331,12 +335,24 @@ class DistinctCountAggregator:
     or :meth:`add_hash` one hash at a time), :meth:`merge_sketch` and
     :meth:`drop_group`, and reads it through :meth:`estimates`,
     :meth:`top` and :meth:`group_sketch`, the one point read.
+
+    Beside the token array and the register block, one float64 column
+    keeps each row's estimate as last solved. Every write of a row's
+    registers or tokens sets its entry to NaN, "not solved since the
+    row last changed" (a dense :meth:`add_hash` at the next read), and
+    so does a drop; :meth:`estimate`, :meth:`estimates` and :meth:`top`
+    solve only the NaN rows and keep what they solve. Algorithms 3, 7
+    and 8 read one row at a time, so a kept estimate is the float a
+    fresh solve gives. The column is derived state: :meth:`to_bytes`
+    and :meth:`total_memory_bytes` leave it out, :meth:`from_bytes`
+    starts it unsolved, and :meth:`copy` and :meth:`merge_inplace`'s
+    copied groups keep it.
     """
 
     __slots__ = (
-        "_block", "_counts", "_d", "_free_rows", "_free_slots", "_keys",
-        "_next_row", "_p", "_params", "_pending", "_rows", "_seed", "_slot",
-        "_sparse", "_stale", "_t", "_used_slots",
+        "_block", "_changed", "_counts", "_d", "_est", "_free_rows",
+        "_free_slots", "_keys", "_next_row", "_p", "_params", "_pending",
+        "_rows", "_seed", "_slot", "_sparse", "_stale", "_t", "_used_slots",
     )
 
     def __init__(
@@ -361,8 +377,10 @@ class DistinctCountAggregator:
         self._free_rows: list[int] = []
         self._slot = np.full(_INITIAL_ROWS, _TOKENS, dtype=np.int64)
         self._counts = np.zeros(_INITIAL_ROWS, dtype=np.int64)
+        self._est = np.full(_INITIAL_ROWS, _UNSOLVED)
         self._keys = np.zeros(0, dtype=np.int64)
         self._pending: list[int] = []
+        self._changed: set[int] = set()
         self._stale: list[int] = []
         self._block = self._empty_block(_INITIAL_SLOTS)
         self._used_slots = 0
@@ -475,7 +493,9 @@ class DistinctCountAggregator:
             slot[: len(self._slot)] = self._slot
             counts = np.zeros(capacity, dtype=np.int64)
             counts[: len(self._counts)] = self._counts
-            self._slot, self._counts = slot, counts
+            est = np.full(capacity, _UNSOLVED)
+            est[: len(self._est)] = self._est
+            self._slot, self._counts, self._est = slot, counts, est
 
     def _row(self, group: Hashable) -> int:
         """``group``'s row, created empty on first use (the one get-or-create)."""
@@ -500,10 +520,14 @@ class DistinctCountAggregator:
     # -- the token array --------------------------------------------------------
 
     def _flush(self) -> None:
-        """Merge the insertion buffer (every read and write but :meth:`add_hash`)."""
+        """Merge the insertion buffer, and unsolve the rows :meth:`add_hash`
+        changed in place (every read and write but :meth:`add_hash`)."""
         if self._pending:
             pending, self._pending = self._pending, []
             self._merge_tokens(pending)
+        if self._changed:
+            self._est[list(self._changed)] = _UNSOLVED
+            self._changed = set()
 
     def _purge(self) -> None:
         """Drop the entries of rows that left token mode; free dropped rows.
@@ -557,6 +581,7 @@ class DistinctCountAggregator:
             self._keys = new
         rows, counts = _runs(new >> _TOKEN_BITS)
         self._counts[rows] += counts
+        self._est[rows] = _UNSOLVED
         return rows
 
     def _token_runs(self, rows):
@@ -616,6 +641,7 @@ class DistinctCountAggregator:
         self._block[slot] = (
             sketch.registers_array() if self._int64 else sketch.registers
         )
+        self._est[row] = _UNSOLVED
 
     # -- accumulation ----------------------------------------------------------
 
@@ -650,7 +676,13 @@ class DistinctCountAggregator:
         nlz = 64 - (hash_value | ((1 << (params.p + t)) - 1)).bit_length()
         k = (nlz << t) + (hash_value & ((1 << t) - 1)) + 1
         block = self._block
-        block[slot, index] = update_register(int(block[slot, index]), k, params.d)
+        register = int(block[slot, index])
+        updated = update_register(register, k, params.d)
+        if updated != register:
+            block[slot, index] = updated
+            # Unsolved at the next flush: a set insert (at most one entry
+            # per row) costs less here than a NumPy store.
+            self._changed.add(row)
         return self
 
     def add_pairs(self, pairs: Iterable[tuple[Hashable, Any]]) -> "DistinctCountAggregator":
@@ -784,6 +816,7 @@ class DistinctCountAggregator:
 
         from repro import backends
 
+        self._est[rows] = _UNSOLVED
         slots = self._slot[rows]
         dense = (slots >= 0) & (lengths > 0)
         stacked = np.flatnonzero(dense & self._int64)
@@ -940,6 +973,7 @@ class DistinctCountAggregator:
         self._flush()
         slot = int(self._slot[row])
         self._counts[row] = 0
+        self._est[row] = _UNSOLVED  # a row bound to no key holds no estimate
         if slot >= 0:
             self._free_slots.append(slot)
         if slot >= 0 and not self._stale:
@@ -968,7 +1002,11 @@ class DistinctCountAggregator:
         return np.fromiter(self._rows.values(), dtype=np.int64, count=len(self._rows))
 
     def estimate(self, group: Hashable) -> float:
-        """Distinct-count estimate for one group (0 for unseen groups)."""
+        """Distinct-count estimate for one group (0 for unseen groups).
+
+        The group's kept estimate, solved first when its row changed
+        since the last read.
+        """
         row = self._rows.get(to_bytes(group))
         if row is None:
             return 0.0
@@ -998,7 +1036,9 @@ class DistinctCountAggregator:
         rows through Algorithm 7's coefficients from one ``bincount``
         over (row, j) of the token array, and one
         :func:`repro.estimation.batch.solve_ml_equations` call per chunk
-        of up to ``ESTIMATE_CHUNK_ROWS`` groups. Bit-identical to calling
+        of up to ``ESTIMATE_CHUNK_ROWS`` groups. Only the groups written
+        since the last read are solved; the others' kept estimates are
+        read from the estimate column. Bit-identical to calling
         ``sketch.estimate()`` per group. A million-group aggregation
         resolves in one call, in bounded memory::
 
@@ -1017,6 +1057,8 @@ class DistinctCountAggregator:
 
         Selects in O(groups), not a full sort: the rows above the
         ``count``-th largest estimate, and the smallest keys tied at it.
+        Reads every group's estimate as :meth:`estimates` does, so only
+        the groups written since the last read are solved.
         """
         from repro.estimation.batch import rank, top_positions
 
@@ -1031,13 +1073,32 @@ class DistinctCountAggregator:
         return rank(rows, count)
 
     def _estimate_rows(self, rows):
-        """Estimates of ``rows``, in order: dense rows first in each chunk."""
+        """Estimates of ``rows``, in order, read from the estimate column.
+
+        The rows not solved since their state last changed (NaN in the
+        column) are solved by :meth:`_solve`, and what it solves is kept.
+        """
+        import numpy as np
+
+        self._flush()
+        rows = np.asarray(rows, dtype=np.int64)
+        out = self._est[rows]
+        unsolved = np.isnan(out)
+        if unsolved.all():  # nothing kept, as on a first read: no gathers by position
+            out = self._est[rows] = self._solve(rows)
+        elif unsolved.any():
+            positions = np.flatnonzero(unsolved)
+            solving = rows[positions]
+            out[positions] = self._est[solving] = self._solve(solving)
+        return out
+
+    def _solve(self, rows):
+        """Estimates of ``rows`` by Algorithms 3 or 7 and 8: dense rows
+        first in each chunk of ``ESTIMATE_CHUNK_ROWS``."""
         import numpy as np
 
         from repro.estimation.batch import ESTIMATE_CHUNK_ROWS, estimate_chunk
 
-        self._flush()
-        rows = np.asarray(rows, dtype=np.int64)
         out = np.empty(len(rows))
         slots = self._slot[rows]
         dense = np.flatnonzero(slots >= 0)
@@ -1147,6 +1208,7 @@ class DistinctCountAggregator:
             if mine_slot < 0:
                 mine_slot = self._slot[row] = self._new_slot()
             self._block[mine_slot] = other._block[slot]
+        self._est[mine] = other._est[theirs]  # the same state, so the same estimate
 
     def merge(self, other: "DistinctCountAggregator") -> "DistinctCountAggregator":
         result = self.copy()
@@ -1163,6 +1225,7 @@ class DistinctCountAggregator:
         clone._free_rows = list(self._free_rows)
         clone._slot = self._slot.copy()
         clone._counts = self._counts.copy()
+        clone._est = self._est.copy()
         clone._keys = self._keys.copy()
         clone._block = self._block.copy()
         clone._used_slots = self._used_slots
@@ -1333,6 +1396,7 @@ class DistinctCountAggregator:
         capacity = max(_INITIAL_ROWS, count)
         aggregator._slot = np.full(capacity, _TOKENS, dtype=np.int64)
         aggregator._counts = np.zeros(capacity, dtype=np.int64)
+        aggregator._est = np.full(capacity, _UNSOLVED)
         view = np.frombuffer(data, dtype=np.uint8)
         if token_rows:
             spans = np.array(token_spans, dtype=np.int64).reshape(-1, 2)

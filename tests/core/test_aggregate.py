@@ -353,6 +353,7 @@ def test_only_the_aggregator_touches_its_group_map():
         # The columnar state and the helpers that read or write it.
         "_rows", "_slot", "_block", "_sketch_of", "_put", "_estimate_rows",
         "_insert_tokens", "_merge_tokens", "_token_runs", "_row_tokens",
+        "_est", "_solve",
     }
     root = pathlib.Path(repro.__file__).parent
     hits = []

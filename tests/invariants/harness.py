@@ -696,7 +696,13 @@ def interleaved_scenario(seed: int, config=None) -> "list[tuple]":
     hash), ``("fold", [(group, hashes), ...])`` (one ``fold_segments``
     batch: repeated groups, empty slices, and slices that carry a
     token-mode group past break-even), ``("merge", group, hashes,
-    sparse)``, ``("drop", group)`` and re-adds of dropped groups.
+    sparse)``, ``("drop", group)`` and re-adds of dropped groups,
+    ``("merge_inplace", [(group, hashes), ...], solved)`` (another
+    aggregator folded from the batch, its estimates read first when
+    ``solved``, merged in: the 6 groups, which both sides may hold,
+    and one group only the other side holds), ``("copy", group,
+    hashes)`` (go on with a copy; the original takes the hashes) and
+    ``("reopen",)`` (go on with ``from_bytes(to_bytes())``).
     """
     rng = np.random.Generator(np.random.PCG64([seed, 3]))
     if config is None:
@@ -708,23 +714,31 @@ def interleaved_scenario(seed: int, config=None) -> "list[tuple]":
     def hashes(size: int) -> np.ndarray:
         return rng.integers(0, 1 << 64, size=size, dtype=np.uint64)
 
+    def batch(extra=()) -> list:
+        """Segments for 2–8 random picks of the groups, then ``extra``."""
+        count = int(rng.integers(2, 9))
+        picks = [groups[int(rng.integers(len(groups)))] for _ in range(count)]
+        sizes = [0, 1, 5, break_even // 2, break_even + 3]
+        return [(pick, hashes(int(rng.choice(sizes)))) for pick in [*picks, *extra]]
+
     ops: "list[tuple]" = []
-    for _ in range(int(rng.integers(10, 16))):
+    for step in range(int(rng.integers(10, 16))):
         roll = rng.random()
         group = groups[int(rng.integers(len(groups)))]
-        if roll < 0.25:
+        if roll < 0.2:
             ops.append(("add_hash", group, hashes(int(rng.integers(1, 40)))))
+        elif roll < 0.5:
+            ops.append(("fold", batch()))
         elif roll < 0.65:
-            batch = []
-            for _ in range(int(rng.integers(2, 9))):
-                pick = groups[int(rng.integers(len(groups)))]
-                size = int(rng.choice([0, 1, 5, break_even // 2, break_even + 3]))
-                batch.append((pick, hashes(size)))
-            ops.append(("fold", batch))
-        elif roll < 0.85:
-            ops.append(("merge", group, hashes(int(rng.integers(1, 2 * break_even))), rng.random() < 0.5))
-        else:
+            ops.append(("merge", group, hashes(int(rng.integers(0, 2 * break_even))), rng.random() < 0.5))
+        elif roll < 0.75:
             ops.append(("drop", group))
+        elif roll < 0.88:
+            ops.append(("merge_inplace", batch([f"m{step}"]), rng.random() < 0.5))
+        elif roll < 0.94:
+            ops.append(("copy", group, hashes(int(rng.integers(1, 40)))))
+        else:
+            ops.append(("reopen",))
     return config, ops
 
 
@@ -734,11 +748,31 @@ def _merged_sketch(config, hashes, sparse: bool):
     return sketch.add_hashes(hashes)
 
 
+def check_reads(aggregator, oracle, probe, label: str, reverse: bool = False) -> None:
+    """A point ``estimate(probe)``, ``top(3)`` and ``estimates()`` of
+    ``aggregator`` against the oracle's (``reverse`` reads them in the
+    opposite order), so each read both solves rows and finds rows
+    another read solved."""
+    from repro.estimation.batch import rank
+
+    expected = oracle.estimates()
+    reads = [
+        ("estimate", lambda: aggregator.estimate(probe), expected.get(to_bytes(probe), 0.0)),
+        ("top(3)", lambda: aggregator.top(3), rank(list(expected.items()), 3)),
+        ("estimates", aggregator.estimates, expected),
+    ]
+    for name, read, want in reversed(reads) if reverse else reads:
+        assert read() == want, f"{label}: {name}"
+
+
 def check_interleaved(config, ops) -> DistinctCountAggregator:
     """Run ``ops`` on two aggregators and on a :class:`ScalarOracle`.
 
     After every op, the first aggregator's group sketch bytes, its bytes
-    and every estimate must equal the oracle's. The second one is read
+    and its reads (:func:`check_reads`: a point estimate of the op's
+    group, or of each group in turn, ``top(3)`` and every estimate)
+    must equal the oracle's, so every write must unsolve what it
+    changed in the aggregator's estimate column. The second one is read
     only once, at the end, so state an aggregator defers to its next
     read (buffered tokens, rows waiting for reuse) piles up across ops.
     """
@@ -752,19 +786,37 @@ def check_interleaved(config, ops) -> DistinctCountAggregator:
                 for value in op[2].tolist():
                     target.add_hash(op[1], value)
             oracle.add_hashes(op[1], op[2])
-        elif kind == "fold":
-            for target in (aggregator, quiet):
-                target.fold_segments(op[1])
+        elif kind in ("fold", "merge_inplace"):
+            if kind == "fold":
+                for target in (aggregator, quiet):
+                    target.fold_segments(op[1])
+            else:
+                other = DistinctCountAggregator(*config).fold_segments(op[1])
+                if op[2]:
+                    other.estimates()  # its copied groups keep what it solved
+                for target in (aggregator, quiet):
+                    target.merge_inplace(other)
             for group, hashes in op[1]:
                 oracle.add_hashes(group, hashes)
         elif kind == "merge":
             for target in (aggregator, quiet, oracle):
                 target.merge_sketch(op[1], _merged_sketch(config, op[2], op[3]))
-        else:
+        elif kind == "drop":
             for target in (aggregator, quiet, oracle):
                 target.drop_group(op[1])
+        elif kind == "copy":
+            original, aggregator = aggregator, aggregator.copy()
+            original.fold(op[1], op[2])  # must not reach the copy
+        else:
+            aggregator = DistinctCountAggregator.from_bytes(aggregator.to_bytes())
         label = f"step {step} ({kind})"
         assert_identical(oracle, aggregator, label)
-        assert aggregator.estimates() == oracle.estimates(), label
+        if len(op) > 1 and isinstance(op[1], str):
+            probe = op[1]
+        else:
+            keys = sorted(oracle.sketches) or [b"g0"]
+            probe = keys[step % len(keys)]
+        check_reads(aggregator, oracle, probe, label, reverse=step % 2 == 1)
     assert_identical(oracle, quiet, "read only at the end")
+    assert quiet.estimates() == oracle.estimates(), "read only at the end"
     return aggregator

@@ -148,3 +148,124 @@ def test_a_token_count_that_disagrees_with_its_run_is_refused():
     data[blob] = 4
     with pytest.raises(SerializationError, match="token count"):
         DistinctCountAggregator.from_bytes(bytes(data))
+
+
+# -- the estimate column: every write unsolves what it changed ---------------
+#
+# Each rule reads (so the column holds solved estimates), writes, reads
+# again, and compares with a ``from_bytes`` copy, which holds the same
+# state and no kept estimate.
+
+
+def _assert_reads_are_fresh(source, aggregator) -> None:
+    """``source``'s ``top``, ``estimates`` and point ``estimate`` reads
+    equal those of a cold copy of ``aggregator``, the state it reads."""
+    cold = DistinctCountAggregator.from_bytes(aggregator.to_bytes())
+    assert source.top(3) == cold.top(3)
+    assert source.estimates() == cold.estimates()
+    for key in cold.groups():
+        assert source.estimate(key) == cold.estimate(key)
+
+
+def _solved(source) -> dict:
+    source.top(3)
+    return source.estimates()
+
+
+def test_a_stacked_fold_unsolves_the_rows_it_folds():
+    aggregator = DistinctCountAggregator(*DENSE)
+    aggregator.fold_segments([(f"g{index}", _hashes(40 + index, 300)) for index in range(4)])
+    before = _solved(aggregator)
+    aggregator.fold_segments([("g1", _hashes(44, 300)), ("g3", _hashes(45, 300))])
+    _assert_reads_are_fresh(aggregator, aggregator)
+    assert aggregator.estimate("g1") != before[b"g1"]
+
+
+def test_a_dense_add_hash_unsolves_its_row_at_the_next_read():
+    aggregator = DistinctCountAggregator(*SPARSE)
+    aggregator.fold_segments([("a", _hashes(46, 900)), ("b", _hashes(47, 5))])
+    before = _solved(aggregator)
+    for value in _hashes(48, 200).tolist():
+        aggregator.add_hash("a", value)
+    _assert_reads_are_fresh(aggregator, aggregator)
+    assert aggregator.estimate("a") != before[b"a"]
+
+
+def test_a_buffered_token_merge_that_densifies_unsolves_its_rows():
+    """``a``'s merged tokens and ``b``'s ``add_hash`` tokens wait in the
+    insertion buffer; the read merges them, and ``a`` densifies."""
+    aggregator = DistinctCountAggregator(*SPARSE)
+    aggregator.fold_segments([("a", _hashes(49, _break_even() - 10)), ("b", _hashes(50, 20))])
+    _solved(aggregator)
+    aggregator.merge_sketch("a", SparseExaLogLog(2, 20, 8).add_hashes(_hashes(51, 30)))
+    for value in _hashes(52, 5).tolist():
+        aggregator.add_hash("b", value)
+    _assert_reads_are_fresh(aggregator, aggregator)
+    assert not aggregator.group_sketch("a").is_sparse
+    assert aggregator.group_sketch("b").is_sparse
+
+
+def test_a_dropped_row_reused_by_a_new_group_starts_unsolved():
+    """``c`` takes dense ``a``'s freed row through a merge that writes no
+    token, so only the drop can have unsolved it."""
+    aggregator = DistinctCountAggregator(*SPARSE)
+    aggregator.fold("a", _hashes(53, 900)).fold("b", _hashes(54, 5))
+    row = aggregator._rows[b"a"]
+    _solved(aggregator)
+    aggregator.drop_group("a")
+    aggregator.merge_sketch("c", SparseExaLogLog(2, 20, 8))
+    assert aggregator._rows[b"c"] == row
+    _assert_reads_are_fresh(aggregator, aggregator)
+    assert aggregator.estimate("c") == 0.0
+
+
+def test_merge_inplace_unsolves_the_groups_it_merges_into():
+    """Shared token and dense groups merge; ``theirs`` is copied with the
+    estimate ``right`` solved for it."""
+    left = DistinctCountAggregator(*SPARSE).fold_segments(
+        [("tokens", _hashes(55, 9)), ("dense", _hashes(56, 900)), ("mine", _hashes(57, 4))]
+    )
+    right = DistinctCountAggregator(*SPARSE).fold_segments(
+        [("tokens", _hashes(58, 9)), ("dense", _hashes(59, 900)), ("theirs", _hashes(60, 900))]
+    )
+    _solved(left)
+    _solved(right)
+    left.merge_inplace(right)
+    _assert_reads_are_fresh(left, left)
+
+
+def test_a_reader_refresh_unsolves_the_groups_its_tail_writes(tmp_path):
+    from repro.store import SketchStore, SnapshotReader
+
+    store = SketchStore.open(tmp_path / "store", p=8)
+    try:
+        for group, seed in (("a", 61), ("b", 62), ("c", 63)):
+            store.append_hashes(group, _hashes(seed, 400))
+        with SnapshotReader.open(store.directory) as reader:
+            _solved(reader)
+            store.append_hashes("b", _hashes(64, 400))
+            assert reader.refresh().records_applied == 1
+            _assert_reads_are_fresh(reader, reader.aggregator)
+            assert reader.estimates() == store.estimates()
+    finally:
+        store.close()
+
+
+def test_a_follower_apply_unsolves_the_groups_it_writes(tmp_path):
+    from repro.store import FollowerStore, SketchStore, WalShipper
+
+    leader = SketchStore.open(tmp_path / "leader", p=8)
+    follower = FollowerStore.open(tmp_path / "follower")
+    try:
+        shipper = WalShipper(tmp_path / "leader")
+        for group, seed in (("a", 65), ("b", 66), ("c", 67)):
+            leader.append_hashes(group, _hashes(seed, 400))
+        shipper.sync(follower)
+        _solved(follower)
+        leader.append_hashes("b", _hashes(68, 400))
+        shipper.sync(follower)
+        _assert_reads_are_fresh(follower, follower.aggregator)
+        assert follower.estimates() == leader.estimates()
+    finally:
+        follower.close()
+        leader.close()
