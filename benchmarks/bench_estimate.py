@@ -20,15 +20,19 @@ Measures the query side that PR 4 vectorises:
 * **top after write** — on the mixed groups, ``top(10)`` of a copy that
   holds no solved estimate against one ``fold`` of one group followed
   by ``top(10)``, which solves only the group the fold wrote.
+* **point after write** — on the mixed groups, a point query
+  (``Estimate(Filter(Scan(), keys=(k,)))``) of a copy that holds no
+  solved estimate against the same query after one ``fold`` into
+  another group, which finds the group's estimate kept.
 
 An aggregator keeps each group's solved estimate until the group is
 written, so every grouped ``estimates()`` row times a ``from_bytes``
 copy, made outside the timed region, which holds none: the rows time
 the solve, not reads of kept estimates.
 
-The point, mixed-groups and top-after-write rows run at the same n in
-quick and full mode, so ``perf_smoke.py`` compares them with the
-full-mode baseline.
+The point, mixed-groups, top-after-write and point-after-write rows run
+at the same n in quick and full mode, so ``perf_smoke.py`` compares them
+with the full-mode baseline.
 
 Every comparison asserts bit-identical results before reporting a
 speedup — the batched engine's contract is exact equality, not
@@ -65,6 +69,7 @@ from repro.core.mlestimation import compute_coefficients, estimate_from_coeffici
 from repro.core.token import estimate_from_tokens
 from repro.estimation.batch import batch_estimate_sketches
 from repro.experiments.common import format_table
+from repro.query import Estimate, Filter, Scan, execute
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 OUTPUT_JSON = REPO_ROOT / "BENCH_estimate.json"
@@ -80,7 +85,7 @@ BATCH_ROUNDS = 3
 #: rounds and none of the other's.
 SINGLE_ROUNDS = 10
 
-#: Interleaved scalar/batched rounds of the point row (best of each).
+#: Interleaved rounds of the point rows (best of each side).
 POINT_ROUNDS = 20
 
 #: Seconds each point round runs, repeating its call: one call takes
@@ -100,6 +105,10 @@ MIXED_N = 400_000
 #: the hashes each of its writes folds into one group.
 TOP_ROUNDS = 10
 TOP_WRITE_HASHES = 10
+
+#: The token groups the point-after-write row reads beside every dense
+#: group, so its sample mixes both modes.
+POINT_TOKEN_SAMPLE = 160
 
 
 def _scalar_estimate(sketch) -> float:
@@ -334,6 +343,79 @@ def bench_top_after_write(groups: int, n: int, rng) -> dict:
     }
 
 
+def bench_point_after_write(groups: int, n: int, rng) -> dict:
+    """A point query after a write to another group, against one cold.
+
+    The keys rotate over a fixed sample: every dense group and
+    :data:`POINT_TOKEN_SAMPLE` token groups. The cold side reads a
+    ``from_bytes`` copy, made before its round, so each read solves its
+    group (a round reads each key at most once). The warm side folds
+    :data:`TOP_WRITE_HASHES` hashes into a group outside the sample
+    before each read, outside the timed region, so each read finds its
+    group's estimate kept. The two sides' rounds interleave, each at
+    least :data:`ROUND_SECONDS` long.
+    """
+    aggregator, dense = _mixed_aggregator(groups, n, rng)
+    keys = list(aggregator.groups())
+    modes = [aggregator.group_sketch(key).is_sparse for key in keys]
+    token_keys = [key for key, sparse in zip(keys, modes) if sparse]
+    picked = rng.choice(len(token_keys), size=POINT_TOKEN_SAMPLE, replace=False)
+    sample = [key for key, sparse in zip(keys, modes) if not sparse]
+    sample += [token_keys[index] for index in picked.tolist()]
+    rng.shuffle(sample)
+    others = sorted(set(token_keys) - set(sample))
+    plans = [Estimate(Filter(Scan(), keys=(key,))) for key in sample]
+    blob = aggregator.to_bytes()
+    aggregator.top(10)  # warm the kernel's tables; every group solved
+    answers = {"cold": {}, "warm": {}}
+    turns = {"cold": 0, "warm": 0}
+
+    def reads(side: str, repeats: int, source, write) -> float:
+        seconds = 0.0
+        for _ in range(repeats):
+            plan = plans[turns[side] % len(plans)]
+            turns[side] += 1
+            write()
+            start = time.perf_counter()
+            rows = execute(plan, source).rows
+            seconds += time.perf_counter() - start
+            answers[side].update(rows)
+        return seconds / repeats
+
+    def cold_round(repeats: int) -> float:
+        cold = DistinctCountAggregator.from_bytes(blob)  # no solved estimate
+        return reads("cold", min(repeats, len(plans)), cold, lambda: None)
+
+    def warm_round(repeats: int) -> float:
+        def write() -> None:
+            other = others[int(rng.integers(len(others)))]
+            aggregator.fold(other, rng.integers(0, 1 << 64, size=TOP_WRITE_HASHES, dtype=np.uint64))
+
+        return reads("warm", repeats, aggregator, write)
+
+    # One timed read of each side sizes its rounds to ``ROUND_SECONDS``.
+    repeats = [max(1, math.ceil(ROUND_SECONDS / call(1))) for call in (cold_round, warm_round)]
+    cold_seconds = warm_seconds = float("inf")
+    for _ in range(POINT_ROUNDS):  # interleaved: both best-ofs span one window
+        cold_seconds = min(cold_seconds, cold_round(repeats[0]))
+        warm_seconds = min(warm_seconds, warm_round(repeats[1]))
+
+    fresh = DistinctCountAggregator.from_bytes(aggregator.to_bytes())
+    expected = {key: fresh.estimate(key) for key in sample}
+    if any(answers[side] != {key: expected[key] for key in answers[side]} for side in answers):
+        raise AssertionError("kept point estimates diverged from a fresh solve")
+    return {
+        "section": "point after write",
+        "config": "estimate 'k' p=8",
+        "rows": groups,
+        "dense_rows": dense,
+        "n": n,
+        "cold_s": cold_seconds,
+        "warm_s": warm_seconds,
+        "speedup": cold_seconds / warm_seconds,
+    }
+
+
 def bench_hyperloglog(p: int, count: int, items_per_sketch: int, rng) -> dict:
     sketches = []
     for _ in range(count):
@@ -408,6 +490,11 @@ def main(argv: "list[str] | None" = None) -> int:
     )
     rows.append(
         bench_top_after_write(
+            MIXED_GROUPS, MIXED_N, np.random.Generator(np.random.PCG64(0x3172))
+        )
+    )
+    rows.append(
+        bench_point_after_write(
             MIXED_GROUPS, MIXED_N, np.random.Generator(np.random.PCG64(0x3172))
         )
     )

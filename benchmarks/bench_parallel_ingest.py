@@ -24,6 +24,11 @@ On smaller machines the fan-out has nothing to fan out to, so those
 gates report SKIP; the bit-identity check of every fan-out against the
 bulk state always runs.
 
+Full mode also times the fold at the quick n with 1 worker, so the quick
+run's 1-worker fold rows have full-mode twins that ``perf_smoke.py``
+compares. The 2-worker rows have none: their ratio depends on the host's
+second CPU being free.
+
 Run directly::
 
     PYTHONPATH=src python benchmarks/bench_parallel_ingest.py [--quick]
@@ -62,6 +67,10 @@ SCALAR_CAP = 500_000
 ROUNDS = 3
 
 WORKER_COUNTS = (1, 2, 4)
+
+#: Quick mode's one size, still beyond two ``BULK_CHUNK`` slices so the fold
+#: genuinely fans out.
+QUICK_N = 600_000
 
 #: Group count for the GROUP BY section.
 AGGREGATE_GROUPS = 256
@@ -223,9 +232,8 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    # Quick mode still exceeds two BULK_CHUNKs so the fold genuinely fans out.
-    sizes = [600_000] if args.quick else [1_000_000, 10_000_000]
-    fold_n = 600_000 if args.quick else FLOOR_N
+    sizes = [QUICK_N] if args.quick else [1_000_000, 10_000_000]
+    fold_n = QUICK_N if args.quick else FLOOR_N
     workers = (1, 2) if args.quick else WORKER_COUNTS
     cpu_count = os.cpu_count() or 1
     rng = np.random.Generator(np.random.PCG64(0x9A7A11E1))
@@ -237,6 +245,8 @@ def main(argv: list[str] | None = None) -> int:
         rows.extend(bench_aggregate(n, hashes))
     del hashes
     rows.extend(bench_fold(fold_n, workers))
+    if not args.quick:  # the quick run's 1-worker fold rows, for perf_smoke
+        rows.extend(bench_fold(QUICK_N, (1,)))
     for row in rows:
         _print_row(row)
 

@@ -334,19 +334,20 @@ class DistinctCountAggregator:
     counter) changes it through :meth:`fold_segments` (or :meth:`fold`,
     or :meth:`add_hash` one hash at a time), :meth:`merge_sketch` and
     :meth:`drop_group`, and reads it through :meth:`estimates`,
-    :meth:`top` and :meth:`group_sketch`, the one point read.
+    :meth:`top` and the two point reads, :meth:`group_estimate` and
+    :meth:`group_sketch`.
 
     Beside the token array and the register block, one float64 column
     keeps each row's estimate as last solved. Every write of a row's
     registers or tokens sets its entry to NaN, "not solved since the
     row last changed" (a dense :meth:`add_hash` at the next read), and
-    so does a drop; :meth:`estimate`, :meth:`estimates` and :meth:`top`
-    solve only the NaN rows and keep what they solve. Algorithms 3, 7
-    and 8 read one row at a time, so a kept estimate is the float a
-    fresh solve gives. The column is derived state: :meth:`to_bytes`
-    and :meth:`total_memory_bytes` leave it out, :meth:`from_bytes`
-    starts it unsolved, and :meth:`copy` and :meth:`merge_inplace`'s
-    copied groups keep it.
+    so does a drop; :meth:`group_estimate` (behind :meth:`estimate`),
+    :meth:`estimates` and :meth:`top` solve only the NaN rows and keep
+    what they solve. Algorithms 3, 7 and 8 read one row at a time, so a
+    kept estimate is the float a fresh solve gives. The column is
+    derived state: :meth:`to_bytes` and :meth:`total_memory_bytes`
+    leave it out, :meth:`from_bytes` starts it unsolved, and
+    :meth:`copy` and :meth:`merge_inplace`'s copied groups keep it.
     """
 
     __slots__ = (
@@ -1002,22 +1003,29 @@ class DistinctCountAggregator:
         return np.fromiter(self._rows.values(), dtype=np.int64, count=len(self._rows))
 
     def estimate(self, group: Hashable) -> float:
-        """Distinct-count estimate for one group (0 for unseen groups).
+        """Distinct-count estimate for one group (0 for unseen groups)."""
+        value = self.group_estimate(group)
+        return 0.0 if value is None else value
 
-        The group's kept estimate, solved first when its row changed
-        since the last read.
+    def group_estimate(self, group: Hashable) -> "float | None":
+        """One group's estimate (``None`` for unseen groups).
+
+        The :class:`repro.query.SketchSource` point read of an estimate,
+        behind every source's ``group_estimate`` and every point query:
+        the row's kept estimate, or a solve of that one row, which is
+        then kept. A group created empty answers 0.0.
         """
         row = self._rows.get(to_bytes(group))
         if row is None:
-            return 0.0
+            return None
         return float(self._estimate_rows([row])[0])
 
     def group_sketch(self, group: Hashable):
         """A private copy of one group's sketch (``None`` for unseen groups).
 
-        The one :class:`repro.query.SketchSource` point read, behind
-        every source's ``group_sketch`` and every query scan. The sketch
-        is built from the row:
+        The :class:`repro.query.SketchSource` point read of a sketch,
+        behind every source's ``group_sketch`` and every query scan and
+        set operation. The sketch is built from the row:
         a :class:`SparseExaLogLog` in either mode, or an
         :class:`ExaLogLog` when the aggregator is not sparse. Callers
         may merge it in place without affecting this aggregator.

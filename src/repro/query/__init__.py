@@ -11,7 +11,8 @@
 * :mod:`repro.query.planner` — per-scan physical access-path choice
   (selective point reads vs a scan that walks the parts).
 * :mod:`repro.query.executor` — one engine executing any plan over any
-  source, all estimates through the batched one-solve path.
+  source: point queries read each group's kept estimate, every other
+  estimate goes through the batched one-solve path.
 * :mod:`repro.query.dialect` — the string form (``"top 10 where key
   startswith 'country:'"``).
 

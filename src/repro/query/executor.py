@@ -5,7 +5,11 @@ valued nodes (``Scan``, ``Filter``, ``Window``, ``SetOp(union)``)
 materialise keyed sketch mappings using the access path chosen by
 :mod:`repro.query.planner`; terminal nodes (``Estimate``, ``TopK``,
 the scalar set operations) turn sketches into estimate rows through the
-batched one-solve path of :mod:`repro.estimation.batch`.
+batched one-solve path of :mod:`repro.estimation.batch`. ``Estimate``
+and ``TopK`` over a whole source ask the source's own ``estimates()``
+and ``top``, and over an explicit key filter its ``group_estimate`` per
+key (:func:`repro.query.planner.point_filter`): both read the groups'
+kept estimates and build no sketch.
 
 Determinism contract (asserted by the invariant harness): the same plan
 over any two sources holding bit-identical group sketches returns
@@ -13,8 +17,8 @@ byte-identical keys and float-identical estimates — ``Estimate`` rows
 sort by key, ``TopK`` orders by descending estimate with ties broken by
 ascending key (:func:`repro.estimation.batch.rank`, the order of every
 source's own ``top``, which ``TopK`` over a whole source asks), and
-every estimate goes through the batched solver, which is bit-identical
-to scalar estimation.
+every estimate is a kept estimate or a batched solve, both
+bit-identical to scalar estimation.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ from repro.query.plan import (
     TopK,
     Window,
 )
-from repro.query.planner import access_path
+from repro.query.planner import access_path, point_filter
 from repro.query.source import PartitionedSource, as_source
 
 _EXECUTIONS = _metrics.counter("query.executions", "Plans executed.")
@@ -364,6 +368,28 @@ def _estimate_rows(sketches: "Mapping[bytes, Any]") -> "tuple[tuple[bytes, float
     return tuple(batch_estimates_by_key(ordered).items())
 
 
+def _point_rows(filter_node: Filter, ctx: _Context) -> "tuple[tuple[bytes, float], ...]":
+    """``(key, estimate)`` for each distinct key of an explicit key filter
+    over a scan that the source holds, sorted by key.
+
+    One ``group_estimate`` per key, so no sketch is copied and a kept
+    estimate is not solved again: the rows the sketch path gives. Under
+    ``analyze`` the reads are timed on the filter and on its scan.
+    """
+    scan = filter_node.child
+
+    def read() -> "tuple[tuple[bytes, float], ...]":
+        source = ctx.source(scan.source)
+        rows = []
+        for key in sorted(set(filter_node.keys)):
+            value = source.group_estimate(key)
+            if value is not None:
+                rows.append((key, value))
+        return tuple(rows)
+
+    return _profiled(ctx, filter_node, lambda: _profiled(ctx, scan, read))
+
+
 def _rows(node: PlanNode, ctx: _Context) -> QueryResult:
     if ctx.profile is None:
         return _rows_impl(node, ctx)
@@ -388,6 +414,9 @@ def _rows_impl(node: PlanNode, ctx: _Context) -> QueryResult:
             )
             rows = tuple(sorted(estimates.items()))
             return QueryResult("estimates", rows)
+        keyed = point_filter(node)
+        if keyed is not None:
+            return QueryResult("estimates", _point_rows(keyed, ctx))
         return QueryResult("estimates", _estimate_rows(_materialize(child, ctx)))
     if isinstance(node, TopK):
         child = node.child
@@ -400,7 +429,11 @@ def _rows_impl(node: PlanNode, ctx: _Context) -> QueryResult:
                 ctx, child, lambda: ctx.source(child.source).top(node.count)
             )
             return QueryResult("top", tuple(rows))
-        rows = _estimate_rows(_materialize(child, ctx))
+        keyed = point_filter(node)
+        if keyed is not None:
+            rows = _point_rows(keyed, ctx)
+        else:
+            rows = _estimate_rows(_materialize(child, ctx))
         return QueryResult("top", tuple(rank(rows, node.count)))
     if isinstance(node, SetOp) and node.op != "union":
         from repro.setops import (

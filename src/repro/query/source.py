@@ -8,19 +8,24 @@ durable :class:`~repro.store.SketchStore`, the lock-free
 :class:`~repro.store.SpilledGroupBy`, the sharded
 :class:`~repro.cluster.ShardedStore` and :class:`~repro.cluster.ClusterSource`,
 and the :class:`~repro.windowed.SlidingWindowDistinctCounter`
-— implements the same five-method surface, so the planner/executor of
+— implements the same six-member surface, so the planner/executor of
 :mod:`repro.query` treats them interchangeably:
 
 * ``config`` — the ``(t, d, p, sparse, seed)`` tuple; equal configs mean
   mergeable, comparable sketches (Alg. 5 merges are exact).
 * ``groups()`` — iterator of canonical ``bytes`` group keys.
+* ``group_estimate(key)`` — one group's estimate, ``None`` for unseen
+  groups: the row's kept estimate, or a solve of that one row. The
+  point read of ``Estimate`` and ``TopK`` over an explicit key filter.
 * ``group_sketch(key)`` — one group's sketch, private to the caller
-  (safe to merge in place), ``None`` for unseen groups. The one point
-  read: a single-partition read on a spill, a row of the materialised
-  aggregator everywhere else (the reader included).
+  (safe to merge in place), ``None`` for unseen groups. The point read
+  of every other plan: scans, windows and set operations.
 * ``estimates()`` / ``top(n)`` — whole-source estimates through the
   batched one-solve path of :mod:`repro.estimation.batch`; ``top`` by
   descending estimate, ties by ascending key (its ``rank``).
+
+Both point reads are a single-partition read on a spill and a row of
+the materialised aggregator everywhere else (the reader included).
 
 The aggregator implements the surface itself. The store, reader,
 follower and sliding-window counter hold no sketches of their own:
@@ -60,6 +65,9 @@ class SketchSource(Protocol):
     def groups(self) -> Iterator[bytes]:
         ...
 
+    def group_estimate(self, key: Any) -> "float | None":
+        ...
+
     def group_sketch(self, key: Any):
         ...
 
@@ -74,8 +82,9 @@ class DelegatingSource:
     """The read surface of a source that answers through its ``aggregator``.
 
     Subclasses inherit ``config``, ``len``, ``in``, ``groups``,
-    ``estimate``, ``estimates``, ``top`` and ``group_sketch``, each
-    forwarded to ``self.aggregator``.
+    ``estimate``, ``estimates``, ``top``, ``group_estimate`` and
+    ``group_sketch``, each forwarded to ``self.aggregator`` (``estimate``
+    through ``group_estimate``).
     """
 
     __slots__ = ()
@@ -97,7 +106,8 @@ class DelegatingSource:
 
     def estimate(self, group: Hashable) -> float:
         """Distinct-count estimate for one group (0 for unseen groups)."""
-        return self.aggregator.estimate(group)
+        value = self.group_estimate(group)
+        return 0.0 if value is None else value
 
     def estimates(self) -> "dict[bytes, float]":
         """All group estimates in one batched solve."""
@@ -106,6 +116,10 @@ class DelegatingSource:
     def top(self, count: int) -> "list[tuple[bytes, float]]":
         """The ``count`` groups with the largest estimates, ties by ascending key."""
         return self.aggregator.top(count)
+
+    def group_estimate(self, group: Hashable) -> "float | None":
+        """One group's kept estimate (``None`` for unseen groups)."""
+        return self.aggregator.group_estimate(group)
 
     def group_sketch(self, group: Hashable):
         """A private copy of one group's sketch (``None`` for unseen groups)."""
@@ -162,10 +176,16 @@ class PartitionedSource:
         key, part = self._owner(group)
         return part.group_sketch(key)
 
+    def group_estimate(self, group: Hashable) -> "float | None":
+        """One group's estimate, read from its part alone (``None`` for
+        unseen groups)."""
+        key, part = self._owner(group)
+        return part.group_estimate(key)
+
     def estimate(self, group: Hashable) -> float:
         """The owning part's estimate for one group (0 for unseen groups)."""
-        key, part = self._owner(group)
-        return part.estimate(key)
+        value = self.group_estimate(group)
+        return 0.0 if value is None else value
 
     def iter_estimates(self) -> Iterator[tuple[bytes, float]]:
         """``(key, estimate)`` pairs, part by part, one batched solve each."""
@@ -215,15 +235,23 @@ class PartitionedSource:
         return merged
 
 
+#: The :class:`SketchSource` protocol's members.
+_MEMBERS = ("config", "groups", "group_estimate", "group_sketch", "estimates", "top")
+
+
 def as_source(obj) -> SketchSource:
     """``obj`` itself, once checked against the :class:`SketchSource` protocol.
 
     Every read surface (aggregator, store, reader, follower, spill,
-    cluster, windowed counter) implements it directly.
+    cluster, windowed counter) implements it directly. The check looks
+    up each member by name: ``isinstance`` against the runtime-checkable
+    protocol gathers the member list again on every call, which costs
+    more than the point read a query makes.
     """
-    if isinstance(obj, SketchSource):
+    missing = [name for name in _MEMBERS if not hasattr(obj, name)]
+    if not missing:
         return obj
     raise TypeError(
         f"{type(obj).__name__} does not implement the SketchSource protocol "
-        "(config, groups, group_sketch, estimates, top)"
+        f"({', '.join(_MEMBERS)}): it lacks {', '.join(missing)}"
     )

@@ -15,13 +15,14 @@ writer's cooperation:
 the newest snapshot generation (through
 :func:`~repro.store.sketchstore.parse_snapshot`, the store's one snapshot
 parser), replay the WAL tail past the snapshot's ``base_lsn``, and serve
-every read — ``estimate`` / ``estimates`` / ``top`` through the batched
-solver, ``group_sketch`` as a lookup — from that one materialised view,
-all strictly read-only (never truncates a torn tail; that may be a live
-writer's in-flight append). :meth:`SnapshotReader.refresh` advances the
-view: new WAL records apply incrementally, and a compaction swaps the
-reader to the new generation without ever mixing files of different
-generations.
+every read — ``estimate`` / ``group_estimate`` / ``estimates`` / ``top``
+from the view's kept estimates (the batched solver solves only the rows
+written since the last read), ``group_sketch`` as a lookup — from that
+one materialised view, all strictly read-only (never truncates a torn
+tail; that may be a live writer's in-flight append).
+:meth:`SnapshotReader.refresh` advances the view: new WAL records apply
+incrementally, and a compaction swaps the reader to the new generation
+without ever mixing files of different generations.
 
 Consistency model:
 
@@ -111,8 +112,9 @@ class SnapshotReader(DelegatingSource):
 
     Strictly non-mutating: opens every file read-only, never truncates,
     never sweeps. Safe to run in any number of processes concurrently
-    with one live writer. Every read, :meth:`group_sketch` included,
-    answers from the materialised :attr:`aggregator` (see
+    with one live writer. Every read, the point reads
+    :meth:`group_estimate` and :meth:`group_sketch` included, answers
+    from the materialised :attr:`aggregator` (see
     :class:`~repro.query.source.DelegatingSource`), so all of them see
     the same horizon until the next :meth:`refresh`.
     """
@@ -314,13 +316,25 @@ class SnapshotReader(DelegatingSource):
         """The materialised view (snapshot + applied WAL tail)."""
         return self._aggregator
 
+    def group_estimate(self, group: Hashable) -> "float | None":
+        """One group's kept estimate at this view's horizon.
+
+        ``None`` for a group with no state at this horizon. Defined here
+        rather than inherited so that instrumentation which wraps methods
+        on this class (``benchmarks/system/tracing.py``) can time the
+        reader's point reads: ``estimate`` and every ``Estimate`` or
+        ``TopK`` over an explicit key filter come through here.
+        """
+        return super().group_estimate(group)
+
     def group_sketch(self, group: Hashable):
         """A private copy of one group's sketch at this view's horizon.
 
         ``None`` for a group with no state at this horizon. Defined here
         rather than inherited so that instrumentation which wraps methods
         on this class (``benchmarks/system/tracing.py``) can time the
-        reader's point reads.
+        reader's sketch fetches: scans, windows and set operations come
+        through here, point queries through :meth:`group_estimate`.
         """
         return super().group_sketch(group)
 

@@ -485,9 +485,10 @@ class SketchStore(DelegatingSource):
     at open time; for an incrementally refreshing view use the reader
     itself.
 
-    Reads (``estimate``, ``estimates``, ``top``, ``group_sketch``, ``len``,
-    ``in``, ``groups``, ``config``) answer from the live
-    :attr:`aggregator` through :class:`~repro.query.source.DelegatingSource`.
+    Reads (``estimate``, ``estimates``, ``top``, ``group_estimate``,
+    ``group_sketch``, ``len``, ``in``, ``groups``, ``config``) answer from
+    the live :attr:`aggregator` through
+    :class:`~repro.query.source.DelegatingSource`.
     """
 
     def __init__(self, *args, **kwargs) -> None:

@@ -67,6 +67,39 @@ def kernel_rows(monkeypatch) -> list:
     return rows
 
 
+@pytest.fixture
+def partition_builds(monkeypatch) -> list:
+    """Every partition a spill builds from here on, as its file list."""
+    from repro.store import SpilledGroupBy
+
+    built: list = []
+    real = SpilledGroupBy._partition_aggregator
+
+    def counting(self, files):
+        built.append(files)
+        return real(self, files)
+
+    monkeypatch.setattr(SpilledGroupBy, "_partition_aggregator", counting)
+    return built
+
+
+@pytest.fixture
+def solved_rows(monkeypatch) -> list[int]:
+    """Row count of every Algorithm 8 solve
+    (``estimation.batch.solve_ml_equations``), in call order."""
+    from repro.estimation import batch
+
+    rows: list[int] = []
+    real = batch.solve_ml_equations
+
+    def counting(alpha, beta):
+        rows.append(len(alpha))
+        return real(alpha, beta)
+
+    monkeypatch.setattr(batch, "solve_ml_equations", counting)
+    return rows
+
+
 def random_hashes(seed: int, count: int) -> list[int]:
     """Deterministic list of 64-bit pseudo-hash values."""
     generator = random.Random(seed)

@@ -643,6 +643,11 @@ def build_query_plans(scenario: Scenario) -> dict:
         "estimate-all": Estimate(Scan()),
         "top-3": TopK(Scan(), 3),
         "filter-keys": Estimate(Filter(Scan(), keys=tuple(groups[:half]))),
+        # Point reads: known keys, an unseen key and a repeated key.
+        "filter-keys-mixed": Estimate(
+            Filter(Scan(), keys=(*groups[:half], "never-seen", groups[0]))
+        ),
+        "top-keys": TopK(Filter(Scan(), keys=tuple(groups)), 2),
         "filter-prefix": TopK(Filter(Scan(), prefix="g"), 2),
         "union-halves": SetOp(
             "union",

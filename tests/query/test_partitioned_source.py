@@ -170,20 +170,6 @@ def test_a_spill_breaks_a_tie_inside_one_partition_by_ascending_key(tmp_path):
         assert execute(TopK(Scan(), 1), spill).rows == tuple(spill.top(1))
 
 
-@pytest.fixture
-def partition_builds(monkeypatch):
-    """Every partition a spill builds from here on, as its file list."""
-    built = []
-    real = SpilledGroupBy._partition_aggregator
-
-    def counting(self, files):
-        built.append(files)
-        return real(self, files)
-
-    monkeypatch.setattr(SpilledGroupBy, "_partition_aggregator", counting)
-    return built
-
-
 def test_a_spill_top_over_heavy_groups_builds_each_partition_once(tmp_path, partition_builds):
     """Partitions cut among light groups that tie far below the heavy
     top, so no partition is read again."""
